@@ -19,15 +19,16 @@ from .errors import ShiftIsEigenvalue
 RCOND_SINGULAR = 1e-14
 
 
-def is_sparse(mat) -> bool:
-    return sp.issparse(mat)
-
-
 def to_complex(mat):
     """Return mat as complex128, dense ndarray or CSR, without copying if possible."""
     if sp.issparse(mat):
         return mat.tocsr().astype(np.complex128, copy=False)
     return np.asarray(mat, dtype=np.complex128)
+
+
+def to_dense(mat):
+    """Return mat as a dense ndarray, converting it only when it is sparse."""
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
 def fro_norm(mat) -> float:
@@ -59,7 +60,6 @@ class Factorization:
 
     def __init__(self, mat):
         self.shape = mat.shape
-        self.norm = fro_norm(mat)
         if sp.issparse(mat):
             self.sparse = True
             try:
@@ -84,7 +84,6 @@ class Factorization:
                 raise ShiftIsEigenvalue(
                     f"dense factorization is numerically singular (rcond={rc:.2e})"
                 )
-            self.rcond = float(rc)
             self._lu = (lu, piv)
 
     def solve(self, b, adjoint: bool = False):

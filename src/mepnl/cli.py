@@ -23,12 +23,9 @@ import time
 import numpy as np
 
 from . import delta, mmio, problems
-from .core import attach_left_vectors, condition_numbers, residuals
-from .errors import (AmbiguousBranch, ConvergenceFailure, DegenerateProjection,
-                     DimensionMismatch, MepnlError, NoFiniteEigenvalue,
-                     NonSimpleLambda, NonSimpleMu, ProblemIOError,
-                     SingularJacobian, SingularOperator, SingularProblem,
-                     TooLarge)
+from .core import Quadruplet, attach_left_vectors, condition_numbers, residuals
+from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
+                     ProblemIOError, TooLarge)
 from .nep import NepView
 from .pencil import eigenpairs_at
 from .solvers import SolverConfig, augmented_newton, resinv
@@ -42,11 +39,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_SINGULAR = 3
 EXIT_IO = 4
 EXIT_TOO_LARGE = 5
-
-_SINGULAR_ERRORS = (
-    SingularProblem, SingularJacobian, SingularOperator, DegenerateProjection,
-    NonSimpleMu, NonSimpleLambda, AmbiguousBranch, NoFiniteEigenvalue,
-)
 
 
 def parse_complex(text) -> complex:
@@ -109,25 +101,23 @@ class RunConfig:
 
 
 def _build_problem(cfg: RunConfig):
-    """Returns (problem, helmholtz discretization or None)."""
     if cfg.matrix_files is not None:
-        return mmio.load_problem(cfg.matrix_files, cfg.c_file), None
+        return mmio.load_problem(cfg.matrix_files, cfg.c_file)
     gen = cfg.gen or "random"
     if gen == "random":
-        return problems.gen_random(cfg.n or 20, cfg.m or 4, cfg.seed), None
+        return problems.gen_random(cfg.n or 20, cfg.m or 4, cfg.seed)
     if gen == "qep":
         rng = np.random.default_rng(cfg.seed)
         n = cfg.n or 20
-        return problems.gen_qep(*(rng.standard_normal((n, n)) for _ in range(3))), None
+        return problems.gen_qep(*(rng.standard_normal((n, n)) for _ in range(3)))
     if gen == "sqrt":
         rng = np.random.default_rng(cfg.seed)
         n = cfg.n or 20
         prob, _ = problems.gen_sqrt_nep(*(rng.standard_normal((n, n)) for _ in range(3)))
-        return prob, None
+        return prob
     if gen == "helmholtz":
         config = problems.HelmholtzConfig(n=cfg.n or 2000, m=cfg.m or 30)
-        disc = problems.gen_helmholtz(config)
-        return disc.problem, disc
+        return problems.gen_helmholtz(config).problem
     raise ProblemIOError(f"unknown generator {gen!r}")
 
 
@@ -193,7 +183,7 @@ def _compute_solve(cfg: RunConfig):
     Returns (exit code, payload dict without timings, problem, quadruplets,
     trace or None).
     """
-    problem, _ = _build_problem(cfg)
+    problem = _build_problem(cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_json(),
@@ -281,7 +271,7 @@ def cmd_cond(cfg: RunConfig) -> int:
 
 def cmd_branches(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
-    problem, _ = _build_problem(cfg)
+    problem = _build_problem(cfg)
     if cfg.grid is None:
         raise ProblemIOError("branches requires --grid lo:step:hi")
     grid = parse_grid(cfg.grid)
@@ -334,7 +324,7 @@ def cmd_branches(cfg: RunConfig) -> int:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    problem, _ = _build_problem(cfg)
+    problem = _build_problem(cfg)
     written = mmio.save_problem(problem, cfg.out)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -349,7 +339,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    problem, _ = _build_problem(cfg)
+    problem = _build_problem(cfg)
     points, n_inf = eigenpairs_at(problem, 0.0, include_infinite=True)
     cap = delta.size_cap()
     print(f"label: {problem.label}")
@@ -477,9 +467,6 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except _SINGULAR_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

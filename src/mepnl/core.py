@@ -57,7 +57,7 @@ class TwoParProblem:
         _check_square(self.A2, "A2", n)
         _check_square(self.A3, "A3", n)
         B1, B2, B3 = (
-            (M.toarray() if sp.issparse(M) else np.asarray(M)).astype(np.complex128)
+            _linalg.to_dense(M).astype(np.complex128)
             for M in (B1, B2, B3)
         )
         _check_square(B1, "B1")
@@ -189,8 +189,7 @@ class ConditionReport:
 def _require_left(quad: Quadruplet):
     if quad.v is None or quad.w is None:
         raise MissingLeftVectors(
-            "quadruplet lacks left vectors; fill them with core.attach_left_vectors "
-            "(v from NepView.left_vector, w from pencil.eigenpairs_at)"
+            "quadruplet lacks left vectors; fill them with core.attach_left_vectors"
         )
 
 
@@ -282,10 +281,6 @@ def _phase(z) -> complex:
     return z / abs(z) if z != 0 else 1.0 + 0j
 
 
-def _dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-
-
 def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
                             weights: Weights | None, eps: float):
     """Rank-one perturbation of all six matrices attaining eps * kappa_total.
@@ -295,7 +290,10 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
     and one extra phase aligning the B-channel shift with the A-channel one
     so the two first-order contributions to d lam add up instead of partially
     cancelling. Weights default as in condition_numbers. Returns
-    (perturbed TwoParProblem, predicted |d lam|).
+    (perturbed TwoParProblem, predicted |d lam|). Weights((0, 0, 0),
+    (beta1, 0, beta3)) gives the perturbation of a backward-stable small
+    solve; its prediction is eps * backward_lambda_bound of condition_numbers
+    under weights with the same beta1 and beta3.
     """
     _require_left(quad)
     if weights is None:
@@ -321,9 +319,9 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
     nw, ny = np.linalg.norm(w), np.linalg.norm(y)
     predicted = eps * (nv * nx * sa + nw * ny * sb * abs(rho)) / abs(vmpx)
     pert = TwoParProblem(
-        _dense(problem.A1) + dA1,
-        _dense(problem.A2) + dA2,
-        _dense(problem.A3) + dA3,
+        _linalg.to_dense(problem.A1) + dA1,
+        _linalg.to_dense(problem.A2) + dA2,
+        _linalg.to_dense(problem.A3) + dA3,
         problem.B1 + dB1,
         problem.B2 + dB2,
         problem.B3 + dB3,
@@ -331,34 +329,6 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
         label=problem.label + ":perturbed",
     )
     return pert, float(predicted)
-
-
-def backward_perturbation(problem: TwoParProblem, quad: Quadruplet,
-                          weights: Weights, eps: float):
-    """Worst-case perturbation of B1 and B3 only (beta2 = 0, A side untouched).
-
-    Models a backward-stable small-equation solve. Returns
-    (perturbed TwoParProblem, first-order bound on |d lam|), the bound being
-    ||w|| ||y|| (beta1 + |mu| beta3)/|w^H B3 y| * |v^H A3 x|/|v^H M' x| * eps.
-    """
-    _require_left(quad)
-    b1, _, b3 = weights.betas
-    mu = quad.mu
-    w, y = quad.w, quad.y
-    _, va3x, _, wb3y, vmpx = _bilinears(problem, quad)
-    bhat = np.outer(w, y.conj()) / (np.linalg.norm(w) * np.linalg.norm(y))
-    psi = _phase(va3x / wb3y).conjugate()
-    dB1 = eps * b1 * psi * bhat
-    dB3 = eps * b3 * _phase(mu).conjugate() * psi * bhat
-    nw, ny = np.linalg.norm(w), np.linalg.norm(y)
-    bound = eps * nw * ny * (b1 + abs(mu) * b3) / abs(wb3y) * abs(va3x) / abs(vmpx)
-    pert = TwoParProblem(
-        problem.A1, problem.A2, problem.A3,
-        problem.B1 + dB1, problem.B2, problem.B3 + dB3,
-        problem.c,
-        label=problem.label + ":b-perturbed",
-    )
-    return pert, float(bound)
 
 
 def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,

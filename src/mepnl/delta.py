@@ -21,7 +21,6 @@ import os
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _linalg
 from .core import Quadruplet, TwoParProblem, residuals
@@ -64,10 +63,6 @@ class DeltaPencil:
     m: int
 
 
-def _dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-
-
 def assemble(problem: TwoParProblem, cap: int | None = None) -> DeltaPencil:
     """Assemble the three determinant operators, enforcing the size cap."""
     if cap is None:
@@ -78,7 +73,7 @@ def assemble(problem: TwoParProblem, cap: int | None = None) -> DeltaPencil:
             f"operator determinants have order n*m = {n * m} > cap {cap}; "
             f"raise {CAP_ENV} to override"
         )
-    A1, A2, A3 = (_dense(M) for M in (problem.A1, problem.A2, problem.A3))
+    A1, A2, A3 = (_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     B1, B2, B3 = problem.B1, problem.B2, problem.B3
     d0 = np.kron(B2, A3) - np.kron(B3, A2)
     d1 = np.kron(B3, A1) - np.kron(B1, A3)

@@ -62,8 +62,8 @@ class NonSimpleLambda(MepnlError):
 class MissingLeftVectors(MepnlError):
     """Left eigenvectors are required but absent from the quadruplet.
 
-    Compute v with NepView.left_vector (or core.attach_left_vectors) and w
-    from pencil.eigenpairs_at before calling conditioning routines.
+    Fill v and w with core.attach_left_vectors before calling conditioning
+    routines.
     """
 
 

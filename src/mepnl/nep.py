@@ -2,43 +2,22 @@
 
 Fixing one branch mu = g(lam) of the small pencil turns the large equation
 into a nonlinear eigenvalue problem in lam alone. A NepView binds a problem
-to one tracked branch and provides operator evaluation, shifted solves with
-a small LRU factorization cache, derivative sums, and left null vectors.
+to one tracked branch and provides its branch points and the factorization
+of M(sigma) at the last shift asked for.
 """
 from __future__ import annotations
 
-import dataclasses
-from collections import OrderedDict
-
-import numpy as np
-
 from . import _linalg, pencil
 from .core import TwoParProblem
-from .errors import ShiftIsEigenvalue
-
-CACHE_SIZE = 4
-
-
-@dataclasses.dataclass
-class EvaluatedOperator:
-    """M(lam) together with the branch point that defined g(lam)."""
-
-    lam: complex
-    mu: complex
-    matrix: object  # dense ndarray or sparse matrix
-    branch_point: pencil.BranchPoint
-
-    def apply(self, u):
-        return self.matrix @ u
 
 
 class NepView:
     """One branch of the small pencil viewed as a nonlinear operator family.
 
     The branch is fixed by its index in the |mu|-ordering at reference_lam
-    and followed by continuation as evaluation points move. Factorizations
-    of M(sigma) are cached per shift (LRU, 4 entries); cache_hits and
-    cache_misses count factorization reuse.
+    and followed by continuation as evaluation points move. The
+    factorization of M(sigma) is kept for the last shift only; cache_hits
+    and cache_misses count its reuse.
     """
 
     def __init__(self, problem: TwoParProblem, branch_id: int = 0,
@@ -53,7 +32,7 @@ class NepView:
                 f"lam={state.reference_lam} (have 0..{state.n_branches - 1})"
             )
         self.state = state
-        self._cache: OrderedDict = OrderedDict()
+        self._slot = None  # (sigma, factorization, branch point)
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -61,67 +40,17 @@ class NepView:
         """Track the branch to lam and return its point there."""
         return pencil.continue_branch(self.problem, self.state, self.branch_id, lam)
 
-    def eval_m(self, lam) -> EvaluatedOperator:
-        """Evaluate M(lam) = A1 + lam*A2 + g(lam)*A3 on the tracked branch."""
-        bp = self.branch_point(lam)
-        mat = self.problem.eval_a(bp.lam, bp.mu)
-        return EvaluatedOperator(bp.lam, bp.mu, mat, bp)
-
     def factorization(self, sigma):
-        """(Factorization of M(sigma), branch point at sigma), LRU-cached."""
-        sigma = complex(sigma)
-        hit = self._cache.get(sigma)
-        if hit is not None:
-            self._cache.move_to_end(sigma)
-            self.cache_hits += 1
-            return hit
-        self.cache_misses += 1
-        op = self.eval_m(sigma)
-        fact = _linalg.Factorization(op.matrix)
-        self._cache[sigma] = (fact, op.branch_point)
-        while len(self._cache) > CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return self._cache[sigma]
-
-    def solve_shifted(self, sigma, rhs):
-        """M(sigma)^{-1} rhs through the factorization cache.
+        """(Factorization of M(sigma), branch point at sigma), kept for the last sigma.
 
         Raises ShiftIsEigenvalue when M(sigma) is numerically singular.
         """
-        fact, _ = self.factorization(sigma)
-        return fact.solve(np.asarray(rhs, dtype=np.complex128))
-
-    def derivative_sum_apply(self, sigma, vectors):
-        """M(sigma)^{-1} (M'(sigma) x1 + M''(sigma) x2 + ... + M^(p)(sigma) xp).
-
-        The derivatives of M on a branch are M^(j)(sigma) =
-        (j==1)*A2 + g^(j)(sigma)*A3, so the sum is A2 x1 + sum_j g^(j) A3 xj.
-        """
-        vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
-        p = len(vectors)
-        if p == 0:
-            raise ValueError("need at least one vector")
-        fact, bp = self.factorization(sigma)
-        gd, _ = pencil.derivatives(self.problem, bp, p)
-        acc = self.problem.A2 @ vectors[0]
-        for j in range(p):
-            acc = acc + gd[j] * (self.problem.A3 @ vectors[j])
-        return fact.solve(acc)
-
-    def left_vector(self, lam, tol: float = 1e-8, maxit: int = 50, seed: int = 0):
-        """Unit left null vector v of M(lam): ||M(lam)^H v|| <= tol * ||M(lam)||.
-
-        Adjoint inverse iteration from a seeded random start; raises
-        ConvergenceFailure after maxit steps (e.g. when lam is far from the
-        spectrum and no such v exists).
-        """
-        rng = np.random.default_rng(seed)
-        op = self.eval_m(lam)
-        norm = _linalg.fro_norm(op.matrix)
-        try:
-            fact, _ = self.factorization(lam)
-        except ShiftIsEigenvalue:
-            # numerically exactly singular: nudge the evaluation point
-            delta = 1e-12 * (abs(lam) + 1.0)
-            fact, _ = self.factorization(lam + delta)
-        return _linalg.null_vector_adjoint(fact, norm, rng, tol=tol, maxit=maxit)
+        sigma = complex(sigma)
+        if self._slot is not None and self._slot[0] == sigma:
+            self.cache_hits += 1
+            return self._slot[1:]
+        self.cache_misses += 1
+        bp = self.branch_point(sigma)
+        fact = _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
+        self._slot = (sigma, fact, bp)
+        return fact, bp

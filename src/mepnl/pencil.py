@@ -4,8 +4,8 @@ For fixed lam the small equation is the generalized eigenvalue problem
 ``-(B1 + lam*B2) y = mu * B3 y``. Each finite eigenvalue, followed
 continuously in lam, is a branch mu = g_i(lam): an implicitly defined,
 locally analytic function wherever the eigenvalue stays simple. Branches,
-their derivatives (through a bordered-Jacobian recursion), and estimates of
-where they stop being analytic all live here.
+their derivatives (through a bordered-Jacobian recursion), and the
+continuation that follows one branch along a path all live here.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from math import comb
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize
 
 from . import _linalg
 from .core import TOL_C_DEGENERATE, TwoParProblem
@@ -98,7 +97,6 @@ class JacobianJ:
     enforceable; sigma_min/norm quantifies the margin.
     """
 
-    matrix: np.ndarray
     lam: complex
     mu: complex
     sigma_min: float
@@ -128,7 +126,7 @@ def jacobian(problem: TwoParProblem, bp: BranchPoint) -> JacobianJ:
     norm = float(svals[0]) if svals.size else 0.0
     sigma_min = float(svals[-1]) if svals.size else 0.0
     lu = sla.lu_factor(J) if sigma_min > TOL_SINGULAR_J * norm else None
-    return JacobianJ(J, bp.lam, bp.mu, sigma_min, norm, lu)
+    return JacobianJ(bp.lam, bp.mu, sigma_min, norm, lu)
 
 
 def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
@@ -293,112 +291,3 @@ def default_c(B1, B2, B3, reference_lam=0.0, max_draws: int = 16) -> np.ndarray:
     raise ValueError(
         "no normalization vector found after re-draws; pencil may be degenerate"
     )
-
-
-@dataclasses.dataclass
-class ScanFlag:
-    """A location where the tracked branch (numerically) stops being analytic."""
-
-    lam: complex
-    kind: str  # "collision" (two branches meet) or "divergence" (branch escapes)
-    measure: float
-
-
-@dataclasses.dataclass
-class ScanResult:
-    radius: float
-    flags: list
-
-    def flagged_lams(self) -> np.ndarray:
-        return np.array([f.lam for f in self.flags], dtype=np.complex128)
-
-
-def _sample_measures(problem, lam):
-    """(collision measure, divergence measure) of the pencil spectrum at lam.
-
-    Collision: squared smallest pairwise gap among distinct finite
-    eigenvalues, relative to their magnitude scale (semisimple copies are
-    deduplicated first, so constant multiple spectra do not register).
-    Squaring matters: near a square-root branch point the gap shrinks like
-    sqrt|lam - lam*|, too flat for the refinement to push below threshold,
-    while its square shrinks linearly. Divergence: 1/(1+|mu|) of the largest
-    finite eigenvalue, which is |beta|/(|alpha|+|beta|) of the eigenvalue
-    closest to escaping to infinity. Both are ~0 at the singularity they
-    detect.
-    """
-    mus, _, _, _ = _raw_eigenpairs(problem.B1, problem.B2, problem.B3, lam)
-    if mus.size == 0:
-        return np.inf, 0.0
-    div = 1.0 / (1.0 + np.max(np.abs(mus)))
-    # deduplicate semisimple copies
-    distinct = []
-    for mu in mus:
-        vscale = max(1.0, abs(mu))
-        if all(abs(mu - d) > TOL_DEDUPE * max(vscale, abs(d)) for d in distinct):
-            distinct.append(mu)
-    if len(distinct) < 2:
-        return np.inf, float(div)
-    gap = min(
-        abs(a - b)
-        for i, a in enumerate(distinct)
-        for b in distinct[i + 1:]
-    )
-    scale = max(1.0, max(abs(d) for d in distinct))
-    return float((gap / scale) ** 2), float(div)
-
-
-def convergence_radius_scan(problem: TwoParProblem, branch_id: int, center,
-                            grid, threshold: float = 1e-6) -> ScanResult:
-    """Estimate how far from center the branch stays analytic.
-
-    Walks the lam samples in grid, computing at each one a collision measure
-    (squared smallest relative gap between distinct finite eigenvalues) and a
-    divergence measure (proximity of the least-finite eigenvalue to
-    infinity). Local minima along the grid are refined by bounded scalar
-    minimization on the bracketing segment; refined measures below threshold
-    are flagged, so a collision flag means the branches came within
-    sqrt(threshold) of each other relative to their scale. The radius estimate is the distance from center to the
-    nearest flag (inf when none). branch_id selects the branch the estimate
-    is reported for; the flags themselves are properties of the whole pencil
-    spectrum.
-    """
-    grid = np.asarray(grid, dtype=np.complex128).reshape(-1)
-    if grid.size < 3:
-        raise ValueError("grid must contain at least 3 samples")
-    gaps = np.empty(grid.size)
-    divs = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        gaps[i], divs[i] = _sample_measures(problem, lam)
-
-    flags = []
-
-    def refine(i, kind):
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-
-        def phi(t):
-            lam = lo + t * (hi - lo)
-            g, d = _sample_measures(problem, lam)
-            return g if kind == "collision" else d
-
-        res = scipy.optimize.minimize_scalar(
-            phi, bounds=(0.0, 1.0), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best_t, best = res.x, res.fun
-        if best < threshold:
-            flags.append(ScanFlag(complex(lo + best_t * (hi - lo)), kind, float(best)))
-
-    for kind, values in (("collision", gaps), ("divergence", divs)):
-        for i in range(grid.size):
-            left = values[i - 1] if i > 0 else np.inf
-            right = values[i + 1] if i < grid.size - 1 else np.inf
-            # strict dip against at least one neighbor; a flat plateau
-            # (constant spectrum) never refines
-            if (values[i] <= left and values[i] <= right
-                    and (values[i] < left or values[i] < right)
-                    and np.isfinite(values[i])):
-                refine(i, kind)
-
-    center = complex(center)
-    radius = min((abs(f.lam - center) for f in flags), default=np.inf)
-    return ScanResult(float(radius), flags)

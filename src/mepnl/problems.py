@@ -226,18 +226,6 @@ class HelmholtzDiscretization:
         v2 = y[0] * s1 / s2
         return float(abs(v1 - v2) / max(abs(v1), abs(v2)))
 
-    def interface_ratios(self, quad):
-        """(u'(x1)/u(x1) from the FD side, same from the spectral side).
-
-        Both approximate mu; the FD one to second order in h.
-        """
-        x = np.asarray(quad.x).reshape(-1)
-        y = np.asarray(quad.y).reshape(-1)
-        return (
-            complex(self.one_sided_slope(x) / x[-1]),
-            complex((self.deriv_row_b @ y) / y[0]),
-        )
-
 
 def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretization:
     """Assemble the split Helmholtz problem of the given configuration.
@@ -350,12 +338,6 @@ class BranchTable:
 
     def column(self, branch_id) -> np.ndarray:
         return self.values[:, self.branch_ids.index(branch_id)]
-
-    def rows(self):
-        """(lam, value_0, value_1, ...) tuples, one per grid point."""
-        return [
-            (self.grid[i], *self.values[i, :]) for i in range(self.grid.size)
-        ]
 
 
 def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None,

@@ -8,7 +8,7 @@ Two iterations on M(lam) x = 0 for one tracked branch mu = g(lam):
   M(sigma), the eigenvalue update coming from a scalar-projected small
   problem, locally linear with rate proportional to |sigma - lam*|.
 
-Plus the scalar/subspace projections both of them lean on.
+Plus the scalar projection that resinv's eigenvalue update leans on.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import _linalg, pencil
-from .core import Quadruplet, ResidualRecord, TwoParProblem
+from .core import Quadruplet, TwoParProblem, residuals
 from .errors import ConvergenceFailure, DegenerateProjection
 from .nep import NepView
 
@@ -71,16 +71,6 @@ class SolveTrace:
         ]
 
 
-def _res_a(problem, lam, mu, x):
-    r = np.linalg.norm(problem.eval_a(lam, mu) @ x)
-    return float(r / (problem.scale_a(lam, mu) * np.linalg.norm(x)))
-
-
-def _res_b(problem, lam, mu, y):
-    r = np.linalg.norm(problem.eval_b(lam, mu) @ y)
-    return float(r / (problem.scale_b(lam, mu) * np.linalg.norm(y)))
-
-
 def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None):
     """Newton iteration on the bordered system (M(lam) x, d^T x - 1) = 0.
 
@@ -110,14 +100,13 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     t0 = time.perf_counter()
     bp = nep.branch_point(lam)
     for k in range(config.maxit + 1):
-        ra = _res_a(problem, lam, bp.mu, x)
-        rb = _res_b(problem, lam, bp.mu, bp.y)
+        rec = residuals(problem, Quadruplet(lam, bp.mu, x, bp.y))
         trace.lam.append(lam)
         trace.mu.append(bp.mu)
-        trace.res_a.append(ra)
-        trace.res_b.append(rb)
+        trace.res_a.append(rec.res_a)
+        trace.res_b.append(rec.res_b)
         trace.seconds.append(time.perf_counter() - t0)
-        if ra <= config.tol:
+        if rec.res_a <= config.tol:
             trace.termination = "converged"
             break
         if k == config.maxit:
@@ -141,7 +130,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         bp = nep.branch_point(lam)
     quad = Quadruplet(
         lam=lam, mu=bp.mu, x=x, y=bp.y,
-        residuals=ResidualRecord(trace.res_a[-1], trace.res_b[-1]),
+        residuals=rec,
         c_normalized=not bp.c_degenerate,
     )
     return quad, trace
@@ -185,17 +174,11 @@ def rayleigh_candidates(problem: TwoParProblem, v, w):
 
 
 def rayleigh_gep(problem: TwoParProblem, v, w, select):
-    """One (lam, mu, y) from the scalar-projected problem.
-
-    select is either a complex reference (the candidate nearest to it wins,
-    ties broken by magnitude) or a callable mapping the candidate lam list
-    to an index.
-    """
+    """One (lam, mu, y) from the scalar-projected problem: the candidate
+    nearest the complex reference select, ties broken by magnitude."""
     cands = rayleigh_candidates(problem, v, w)
     if not cands:
         raise DegenerateProjection("scalar-projected pencil has no finite eigenvalue")
-    if callable(select):
-        return cands[select([lam for lam, _, _ in cands])]
     ref = complex(select)
     return min(cands, key=lambda t: (abs(t[0] - ref), abs(t[0]), t[0].real, t[0].imag))
 
@@ -236,14 +219,13 @@ def resinv(nep: NepView, x0, config: SolverConfig):
             raise DegenerateProjection(
                 f"iteration {k} (lam_ref={ref}): {exc}"
             ) from exc
-        ra = _res_a(problem, lam, mu, x)
-        rb = _res_b(problem, lam, mu, y)
+        rec = residuals(problem, Quadruplet(lam, mu, x, y))
         trace.lam.append(lam)
         trace.mu.append(mu)
-        trace.res_a.append(ra)
-        trace.res_b.append(rb)
+        trace.res_a.append(rec.res_a)
+        trace.res_b.append(rec.res_b)
         trace.seconds.append(time.perf_counter() - t0)
-        if ra <= config.tol:
+        if rec.res_a <= config.tol:
             trace.termination = "converged"
             break
         if k == config.maxit:
@@ -260,37 +242,6 @@ def resinv(nep: NepView, x0, config: SolverConfig):
         ref = lam
     quad = Quadruplet(
         lam=lam, mu=mu, x=x, y=y,
-        residuals=ResidualRecord(trace.res_a[-1], trace.res_b[-1]),
+        residuals=rec,
     )
     return quad, trace
-
-
-def project_2ep(problem: TwoParProblem, V, W) -> TwoParProblem:
-    """Petrov-Galerkin reduction of the large equation: A_j -> W^T A_j V.
-
-    The small equation and c are untouched, so branches are shared with the
-    original problem; eigenvalues of the projected problem are Ritz values.
-    V and W must have orthonormal columns (p >= 1); the transpose (not the
-    conjugate transpose) of W is applied, matching the scalar projection
-    used inside resinv.
-    """
-    V = np.asarray(V, dtype=np.complex128)
-    W = np.asarray(W, dtype=np.complex128)
-    if V.ndim == 1:
-        V = V[:, None]
-    if W.ndim == 1:
-        W = W[:, None]
-    if V.shape != W.shape or V.shape[0] != problem.n or V.shape[1] < 1:
-        raise ValueError(
-            f"V and W must be n x p with p >= 1; got {V.shape} and {W.shape}"
-        )
-    for name, U in (("V", V), ("W", W)):
-        gram = U.conj().T @ U
-        if np.linalg.norm(gram - np.eye(U.shape[1])) > 1e-6:
-            raise ValueError(f"columns of {name} are not orthonormal")
-    proj = [W.T @ (problem.__getattribute__(f"A{j}") @ V) for j in (1, 2, 3)]
-    return TwoParProblem(
-        proj[0], proj[1], proj[2],
-        problem.B1, problem.B2, problem.B3, problem.c,
-        label=problem.label + ":projected",
-    )

@@ -1,0 +1,46 @@
+"""The package surface: exported names resolve and annotations name real objects.
+
+No linter runs on this package. With ``from __future__ import annotations``
+an annotation naming an object its module never imports still imports
+cleanly, so resolving every annotation here stands in for that check.
+"""
+import importlib
+import inspect
+import pkgutil
+import typing
+
+import mepnl
+
+
+def _annotated_objects():
+    """(qualified name, object) of every function, class and method defined
+    in a mepnl module."""
+    for info in pkgutil.iter_modules(mepnl.__path__):
+        module = importlib.import_module(f"mepnl.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def test_every_annotation_resolves():
+    failures = []
+    for qualname, obj in _annotated_objects():
+        try:
+            typing.get_type_hints(obj)
+        except Exception as exc:  # collect every failure, not just the first
+            failures.append(f"{qualname}: {type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)
+
+
+def test_all_names_resolve():
+    assert len(mepnl.__all__) == len(set(mepnl.__all__))
+    missing = [name for name in mepnl.__all__ if not hasattr(mepnl, name)]
+    assert not missing

@@ -1,13 +1,15 @@
 """Problem container, residuals, and conditioning."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mepnl
-from mepnl.core import (Quadruplet, Weights, attach_left_vectors,
-                        backward_perturbation, c0_matrix, condition_numbers,
-                        residuals, worst_case_perturbation)
-from mepnl.errors import (DimensionMismatch, MissingLeftVectors, NonSimpleMu)
+from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
+                        condition_numbers, residuals, worst_case_perturbation)
+from mepnl.errors import (ConvergenceFailure, DimensionMismatch,
+                          MissingLeftVectors, NonSimpleMu)
 
 
 def small_problem(seed=1, n=8, m=3):
@@ -104,6 +106,15 @@ def test_attach_left_vectors_quality():
     assert res_w <= 1e-7 * p.scale_b(q.lam, q.mu)
 
 
+def test_attach_left_vectors_far_from_spectrum_fails():
+    # far from every eigenvalue M(lam) has no near-null left vector, so the
+    # adjoint inverse iteration must give up instead of returning noise
+    p = small_problem(seed=4)
+    q = dataclasses.replace(solved_quad(p, with_left=False), lam=1e4)
+    with pytest.raises(ConvergenceFailure):
+        attach_left_vectors(p, q, tol=1e-10)
+
+
 def test_det_c0_identity():
     """det C0 = (w^H B3 y)(v^H M'(lam) x), checked against a direct 2x2 det."""
     for seed in (2, 5, 9):
@@ -166,8 +177,13 @@ def test_perturbation_sizes_match_weights():
 def test_backward_perturbation_touches_only_b1_b3():
     p = small_problem(seed=8, n=5, m=3)
     q = solved_quad(p)
-    w = Weights.relative(p, q.lam)
-    pert, bound = backward_perturbation(p, q, w, 1e-7)
+    rel = Weights.relative(p, q.lam)
+    b1, _, b3 = rel.betas
+    # a backward-stable small solve: beta2 = 0 and the A side untouched
+    backward = Weights((0.0, 0.0, 0.0), (b1, 0.0, b3))
+    pert, bound = worst_case_perturbation(p, q, backward, 1e-7)
+    assert bound == pytest.approx(
+        1e-7 * condition_numbers(p, q, rel).backward_lambda_bound, rel=1e-12)
     assert np.allclose(np.asarray(pert.A1.todense() if sp.issparse(pert.A1)
                                   else pert.A1), np.asarray(p.A1))
     assert np.array_equal(pert.B2, p.B2)

@@ -1,4 +1,4 @@
-"""Branch-bound nonlinear operator view: evaluation, cache, derivatives."""
+"""Branch-bound nonlinear operator view: branch points and the factorization slot."""
 import time
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 import mepnl
 from mepnl import nep, problems
-from mepnl.errors import ConvergenceFailure, ShiftIsEigenvalue
+from mepnl.errors import ShiftIsEigenvalue
 
 
 def qep_view(n=5, seed=0):
@@ -20,10 +20,10 @@ def qep_view(n=5, seed=0):
 def test_eval_m_matches_quadratic_polynomial():
     p, view, (A1, A2, A3) = qep_view(seed=4)
     for lam in (0.3, -0.7 + 0.2j, 1.1j):
-        op = view.eval_m(lam)
-        assert op.mu == pytest.approx(lam ** 2, abs=1e-12)
+        bp = view.branch_point(lam)
+        assert bp.mu == pytest.approx(lam ** 2, abs=1e-12)
         expected = A1 + lam * A2 + lam ** 2 * A3
-        np.testing.assert_allclose(op.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(p.eval_a(bp.lam, bp.mu), expected, atol=1e-12)
 
 
 def test_solve_shifted_inverts_operator():
@@ -31,27 +31,21 @@ def test_solve_shifted_inverts_operator():
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
     sigma = 0.4 + 0.1j
-    u = view.solve_shifted(sigma, rhs)
-    op = view.eval_m(sigma)
-    np.testing.assert_allclose(op.apply(u), rhs, atol=1e-10)
+    fact, bp = view.factorization(sigma)
+    u = fact.solve(rhs)
+    np.testing.assert_allclose(p.eval_a(bp.lam, bp.mu) @ u, rhs, atol=1e-10)
 
 
-def test_cache_counters_and_lru_eviction():
+def test_cache_counters_and_last_shift_slot():
     p, view, _ = qep_view(seed=2)
-    shifts = [0.1, 0.2, 0.3, 0.4, 0.5]
-    rhs = np.ones(p.n)
-    for s in shifts[:4]:
-        view.solve_shifted(s, rhs)
-    assert (view.cache_hits, view.cache_misses) == (0, 4)
-    # touching the oldest entry must protect it from the next eviction
-    view.solve_shifted(shifts[0], rhs)
-    assert view.cache_hits == 1
-    view.solve_shifted(shifts[4], rhs)  # evicts 0.2, not 0.1
-    assert view.cache_misses == 5
-    view.solve_shifted(shifts[0], rhs)
-    assert view.cache_hits == 2
-    view.solve_shifted(shifts[1], rhs)  # was evicted: a fresh factorization
-    assert view.cache_misses == 6
+    first = view.factorization(0.1)
+    assert view.factorization(0.1)[0] is first[0]  # same shift: reused
+    assert (view.cache_hits, view.cache_misses) == (1, 1)
+    view.factorization(0.2)  # new shift: factorized, replaces the slot
+    assert (view.cache_hits, view.cache_misses) == (1, 2)
+    again = view.factorization(0.1)  # the old shift was dropped
+    assert again[0] is not first[0]
+    assert (view.cache_hits, view.cache_misses) == (1, 3)
 
 
 def test_shift_at_exact_singularity_raises():
@@ -64,41 +58,7 @@ def test_shift_at_exact_singularity_raises():
                             np.ones(m))
     view = nep.NepView(p, branch_id=0)
     with pytest.raises(ShiftIsEigenvalue):
-        view.solve_shifted(0.0, np.ones(n))
-
-
-def test_derivative_sum_apply_quadratic_branch():
-    p, view, (A1, A2, A3) = qep_view(seed=3)
-    rng = np.random.default_rng(20)
-    xs = [rng.standard_normal(p.n) for _ in range(3)]
-    sigma = 0.6 - 0.2j
-    got = view.derivative_sum_apply(sigma, xs)
-    # on this branch g(lam) = lam^2: g' = 2 sigma, g'' = 2, higher ones vanish
-    rhs = A2 @ xs[0] + 2 * sigma * (A3 @ xs[0]) + 2.0 * (A3 @ xs[1])
-    m_sigma = A1 + sigma * A2 + sigma ** 2 * A3
-    np.testing.assert_allclose(got, np.linalg.solve(m_sigma, rhs), atol=1e-10)
-    with pytest.raises(ValueError):
-        view.derivative_sum_apply(sigma, [])
-
-
-def test_left_vector_quality_at_eigenvalue():
-    p = problems.gen_random(5, 2, seed=8, alphas=(1.0, 1.0, 1.0),
-                            betas=(1.0, 1.0, 1.0))
-    quads = mepnl.delta.solve(p)
-    assert quads
-    q = quads[len(quads) // 2]
-    view = nep.NepView(p, branch_id=0, reference_lam=q.lam)
-    v = view.left_vector(q.lam, tol=1e-8)
-    op = view.eval_m(q.lam)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    m_norm = np.linalg.norm(np.asarray(op.matrix), "fro")
-    assert np.linalg.norm(np.conj(op.matrix.T) @ v) <= 1e-8 * m_norm
-
-
-def test_left_vector_far_from_spectrum_fails():
-    p, view, _ = qep_view(seed=5)
-    with pytest.raises(ConvergenceFailure):
-        view.left_vector(1e4, tol=1e-10, maxit=10)
+        view.factorization(0.0)
 
 
 def test_cached_solve_is_much_faster_sparse():
@@ -123,7 +83,8 @@ def test_cached_solve_is_much_faster_sparse():
 
 def _timed(view, sigma, rhs):
     t0 = time.perf_counter()
-    view.solve_shifted(sigma, rhs)
+    fact, _ = view.factorization(sigma)
+    fact.solve(rhs)
     return time.perf_counter() - t0
 
 

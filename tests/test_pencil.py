@@ -1,4 +1,4 @@
-"""Branches of the small pencil: eigenpairs, derivatives, continuation, scans."""
+"""Branches of the small pencil: eigenpairs, derivatives, continuation."""
 import numpy as np
 import pytest
 
@@ -17,8 +17,6 @@ SQRT_DERIVS = (
     -0.9838566823753393862734,
     2.270598204805376581933,
 )
-# the branches collide at the roots of 2 lam^2 + 17/4
-SQRT_BRANCH_POINT = 1.457737973711325117719j
 
 
 def qep_problem(n=5, seed=0):
@@ -164,36 +162,3 @@ def test_default_c_not_orthogonal():
     for i in range(ys.shape[1]):
         y = ys[:, i]
         assert abs(c @ y) > 1e-10 * np.linalg.norm(y)
-
-
-def test_scan_offset_segment_stays_clean():
-    p, _ = sqrt_problem()
-    # vertical segment offset from the imaginary axis: it passes 0.3 away
-    # from the branch point, where the two branch values still differ by
-    # an O(1) gap, so nothing may be flagged
-    grid = 0.3 + 1j * np.linspace(0.8, 2.2, 29)
-    result = pencil.convergence_radius_scan(p, 0, 0.3, grid)
-    assert result.flags == []
-    assert result.radius == np.inf
-
-
-def test_scan_exact_branch_point_on_axis():
-    p, _ = sqrt_problem()
-    # vertical segment through the branch point itself
-    grid = 1j * np.linspace(1.0, 2.0, 41)
-    result = pencil.convergence_radius_scan(p, 0, 0.0, grid)
-    assert result.flags
-    best = min(result.flagged_lams(), key=lambda z: abs(z - SQRT_BRANCH_POINT))
-    assert abs(best - SQRT_BRANCH_POINT) <= 1e-4
-    assert result.radius == pytest.approx(abs(SQRT_BRANCH_POINT), abs=1e-4)
-
-
-def test_scan_constant_spectrum_never_flags():
-    # diagonal pencil with lam-independent, well separated eigenvalues
-    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2),
-                            np.diag([1.0, 2.0]), np.zeros((2, 2)), np.eye(2),
-                            [1.0, 1.0])
-    grid = np.linspace(-5, 5, 21)
-    result = pencil.convergence_radius_scan(p, 0, 0.0, grid)
-    assert result.flags == []
-    assert result.radius == np.inf

@@ -167,8 +167,7 @@ def test_tabulate_qep_square_branch():
     assert table.gaps == []
     np.testing.assert_allclose(table.column(0), grid.astype(complex) ** 2,
                                atol=1e-10)
-    rows = table.rows()
-    assert len(rows) == 21 and rows[0][0] == -1.0
+    assert table.values.shape == (21, 1) and table.grid[0] == -1.0
 
 
 def test_tabulate_unknown_branch():
