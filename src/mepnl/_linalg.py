@@ -17,6 +17,8 @@ from .errors import ShiftIsEigenvalue
 # Relative reciprocal-condition threshold below which a factorization is
 # treated as singular.
 RCOND_SINGULAR = 1e-14
+# |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
+TOL_INF = 1e-10
 
 
 def to_complex(mat):
@@ -37,25 +39,14 @@ def fro_norm(mat) -> float:
     return float(np.linalg.norm(mat, "fro"))
 
 
-def rcond_1norm(mat) -> float:
-    """Reciprocal 1-norm condition estimate of a dense square matrix."""
-    a = np.asarray(mat, dtype=np.complex128, order="F")
-    anorm = np.linalg.norm(a, 1) if a.size else 0.0
-    if anorm == 0.0:
-        return 0.0
-    lu, _, info = lapack.zgetrf(a)
-    if info > 0:
-        return 0.0
-    rc, _ = lapack.zgecon(lu, anorm, norm="1")
-    return float(rc)
-
-
 class Factorization:
     """LU factorization of a dense or sparse square matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
-    the single factorization. Raises ShiftIsEigenvalue when the matrix is
-    numerically singular.
+    the single factorization. rcond is the reciprocal condition measure:
+    the LAPACK 1-norm estimate for a dense matrix, the smallest over the
+    largest |U| diagonal entry for a sparse one. Raises ShiftIsEigenvalue
+    when it is below RCOND_SINGULAR.
     """
 
     def __init__(self, mat):
@@ -67,7 +58,9 @@ class Factorization:
             except RuntimeError as exc:  # SuperLU signals exact singularity this way
                 raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
             udiag = np.abs(self._lu.U.diagonal())
-            if udiag.size and (udiag.min() == 0.0 or udiag.min() < RCOND_SINGULAR * udiag.max()):
+            umax = udiag.max() if udiag.size else 0.0
+            self.rcond = float(udiag.min() / umax) if umax > 0.0 else 0.0
+            if self.rcond < RCOND_SINGULAR:
                 raise ShiftIsEigenvalue(
                     "sparse factorization is numerically singular "
                     f"(U-diagonal ratio {udiag.min():.2e}/{udiag.max():.2e})"
@@ -80,7 +73,8 @@ class Factorization:
             if info > 0 or anorm == 0.0:
                 raise ShiftIsEigenvalue("dense factorization hit an exactly zero pivot")
             rc, _ = lapack.zgecon(lu, anorm, norm="1")
-            if rc < RCOND_SINGULAR:
+            self.rcond = float(rc)
+            if self.rcond < RCOND_SINGULAR:
                 raise ShiftIsEigenvalue(
                     f"dense factorization is numerically singular (rcond={rc:.2e})"
                 )
@@ -98,19 +92,29 @@ class Factorization:
 
 
 def geig(P, Q, left: bool = False):
-    """All eigenvalues of the pencil (P, Q) in homogeneous (alpha, beta) form.
+    """The finite eigenvalues z of P v = z Q v in canonical order: ascending
+    (|z|, Re z, Im z), stable for exact ties. One whose homogeneous beta
+    fails the TOL_INF test is infinite and dropped.
 
-    Returns (alpha, beta, vr) or (alpha, beta, vr, vl). Right vectors vr
-    satisfy beta*P vr = alpha*Q vr; left vectors are conjugate-transposed
-    null directions of the same pencil.
+    Returns (z, vr, n_inf) or, with left=True, (z, vr, vl, n_inf): columns
+    of vr and vl are the right and left eigenvectors of z in the same order,
+    n_inf the count of infinite eigenvalues.
     """
     P = np.asarray(P, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     if left:
         w, vl, vr = sla.eig(P, Q, left=True, right=True, homogeneous_eigvals=True)
-        return w[0], w[1], vr, vl
-    w, vr = sla.eig(P, Q, right=True, homogeneous_eigvals=True)
-    return w[0], w[1], vr
+    else:
+        w, vr = sla.eig(P, Q, right=True, homogeneous_eigvals=True)
+    alpha, beta = w
+    finite = np.abs(beta) > TOL_INF * (np.abs(alpha) + np.abs(beta))
+    z = alpha[finite] / beta[finite]
+    order = np.lexsort((z.imag, z.real, np.abs(z)))
+    cols = np.flatnonzero(finite)[order]
+    n_inf = int(np.sum(~finite))
+    if left:
+        return z[order], vr[:, cols], vl[:, cols], n_inf
+    return z[order], vr[:, cols], n_inf
 
 
 def null_vector_adjoint(fact: Factorization, norm: float, rng, tol: float = 1e-8,

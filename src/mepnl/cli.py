@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import delta, mmio, problems
+from . import _linalg, delta, mmio, problems
 from .core import Quadruplet, attach_left_vectors, condition_numbers, residuals
 from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
                      ProblemIOError, TooLarge)
@@ -42,9 +42,13 @@ EXIT_TOO_LARGE = 5
 
 
 def parse_complex(text) -> complex:
-    """Accept 1.5, 1.5+2i, 1.5+2j, with optional whitespace."""
+    """Accept 1.5, 1.5+2i, 1.5+2j, 1.5+-2i, with optional whitespace.
+
+    "a+-bi" is what f"{z.real}+{z.imag}i" prints for a negative imaginary part.
+    """
     try:
-        return complex(str(text).strip().replace(" ", "").replace("i", "j"))
+        return complex(str(text).strip().replace(" ", "").replace("+-", "-")
+                       .replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
@@ -81,8 +85,8 @@ class RunConfig:
     branch_ids: tuple = (0,)
     lambda0: complex | None = None
     sigma: complex | None = None
-    tol: float = 1e-10
-    maxit: int = 100
+    tol: float = SolverConfig.tol
+    maxit: int = SolverConfig.maxit
     grid: str | None = None
     out: str = "."
     matrix_files: tuple | None = None
@@ -119,6 +123,15 @@ def _build_problem(cfg: RunConfig):
         config = problems.HelmholtzConfig(n=cfg.n or 2000, m=cfg.m or 30)
         return problems.gen_helmholtz(config).problem
     raise ProblemIOError(f"unknown generator {gen!r}")
+
+
+def _header(cfg: RunConfig, problem):
+    """The results.json fields every command writes first."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg.to_json(),
+        "problem": {"label": problem.label, "n": problem.n, "m": problem.m},
+    }
 
 
 def _quad_json(problem, quad: Quadruplet):
@@ -169,8 +182,7 @@ def _write_trace_csv(path, trace):
 
 def _default_x0(cfg: RunConfig, n):
     if cfg.x0_file is not None:
-        vec = mmio.read_matrix(cfg.x0_file)
-        vec = (vec.toarray() if hasattr(vec, "toarray") else np.asarray(vec)).reshape(-1)
+        vec = _linalg.to_dense(mmio.read_matrix(cfg.x0_file)).reshape(-1)
         if vec.size != n:
             raise DimensionMismatch(f"x0 has length {vec.size}, problem order is {n}")
         return vec.astype(np.complex128)
@@ -184,12 +196,8 @@ def _compute_solve(cfg: RunConfig):
     trace or None).
     """
     problem = _build_problem(cfg)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_json(),
-        "problem": {"label": problem.label, "n": problem.n, "m": problem.m},
-        "solver": cfg.solver,
-    }
+    payload = _header(cfg, problem)
+    payload["solver"] = cfg.solver
     trace = None
     code = EXIT_OK
     if cfg.solver == "delta":
@@ -279,24 +287,20 @@ def cmd_branches(cfg: RunConfig) -> int:
     intervals = {
         b: problems.flag_singularities(table, b) for b in cfg.branch_ids
     }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_json(),
-        "problem": {"label": problem.label, "n": problem.n, "m": problem.m},
-        "branches": {
-            "branch_ids": list(cfg.branch_ids),
-            "points": int(grid.size),
-            "gaps": [
-                {"index": int(i), "branch": int(b), "reason": reason}
-                for i, b, reason in table.gaps
-            ],
-            "singular_intervals": {
-                str(b): [
-                    {"lo": iv.lo, "hi": iv.hi, "kind": iv.kind}
-                    for iv in ivs
-                ]
-                for b, ivs in intervals.items()
-            },
+    payload = _header(cfg, problem)
+    payload["branches"] = {
+        "branch_ids": list(cfg.branch_ids),
+        "points": int(grid.size),
+        "gaps": [
+            {"index": int(i), "branch": int(b), "reason": reason}
+            for i, b, reason in table.gaps
+        ],
+        "singular_intervals": {
+            str(b): [
+                {"lo": iv.lo, "hi": iv.hi, "kind": iv.kind}
+                for iv in ivs
+            ]
+            for b, ivs in intervals.items()
         },
     }
     payload["timings"] = {"total_seconds": time.perf_counter() - t_start}
@@ -326,13 +330,9 @@ def cmd_branches(cfg: RunConfig) -> int:
 def cmd_generate(cfg: RunConfig) -> int:
     problem = _build_problem(cfg)
     written = mmio.save_problem(problem, cfg.out)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_json(),
-        "problem": {"label": problem.label, "n": problem.n, "m": problem.m},
-        "written": {k: os.path.basename(v) for k, v in written.items()},
-        "timings": {},
-    }
+    payload = _header(cfg, problem)
+    payload["written"] = {k: os.path.basename(v) for k, v in written.items()}
+    payload["timings"] = {}
     _write_json(os.path.join(cfg.out, "results.json"), payload)
     print(f"wrote {', '.join(sorted(written))} to {cfg.out}")
     return EXIT_OK
@@ -375,8 +375,8 @@ def _add_solver(p):
     p.add_argument("--lambda0", type=parse_complex, help="start value, e.g. 0.15+0.1i")
     p.add_argument("--sigma", type=parse_complex, help="resinv shift (default lambda0)")
     p.add_argument("--x0-file", help="Matrix Market vector to start from")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--maxit", type=int, default=100)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--maxit", type=int, default=SolverConfig.maxit)
 
 
 def build_parser():
@@ -422,8 +422,8 @@ def _to_config(args) -> RunConfig:
         branch_ids=branch_ids,
         lambda0=getattr(args, "lambda0", None),
         sigma=getattr(args, "sigma", None),
-        tol=getattr(args, "tol", 1e-10),
-        maxit=getattr(args, "maxit", 100),
+        tol=getattr(args, "tol", SolverConfig.tol),
+        maxit=getattr(args, "maxit", SolverConfig.maxit),
         grid=getattr(args, "grid", None),
         out=args.out,
         matrix_files=matrix_files,

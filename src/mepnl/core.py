@@ -24,9 +24,6 @@ from .errors import (
     ShiftIsEigenvalue,
 )
 
-# |c^T y| below this times ||c|| ||y|| means the normalization functional is
-# useless for that eigenvector.
-TOL_C_DEGENERATE = 1e-10
 # Scaled thresholds below which an eigenvalue is treated as non-simple and
 # conditioning is refused.
 TOL_SIMPLE = 1e-12
@@ -289,11 +286,14 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
     on the B side, with per-matrix phases conj(lam)/|lam| and conj(mu)/|mu|
     and one extra phase aligning the B-channel shift with the A-channel one
     so the two first-order contributions to d lam add up instead of partially
-    cancelling. Weights default as in condition_numbers. Returns
-    (perturbed TwoParProblem, predicted |d lam|). Weights((0, 0, 0),
-    (beta1, 0, beta3)) gives the perturbation of a backward-stable small
-    solve; its prediction is eps * backward_lambda_bound of condition_numbers
-    under weights with the same beta1 and beta3.
+    cancelling. A side (A or B) whose weights are all zero is passed through
+    as it is, so a sparse problem stays sparse under backward weights; a
+    side with a nonzero weight becomes dense. Weights default as in
+    condition_numbers. Returns (perturbed TwoParProblem, predicted |d lam|).
+    Weights((0, 0, 0), (beta1, 0, beta3)) gives the perturbation of a
+    backward-stable small solve; its prediction is eps *
+    backward_lambda_bound of condition_numbers under weights with the same
+    beta1 and beta3.
     """
     _require_left(quad)
     if weights is None:
@@ -303,31 +303,27 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
     lam, mu = quad.lam, quad.mu
     v, w, x, y = quad.v, quad.w, quad.x, quad.y
     _, va3x, _, wb3y, vmpx = _bilinears(problem, quad)
-    ahat = np.outer(v, x.conj()) / (np.linalg.norm(v) * np.linalg.norm(x))
-    bhat = np.outer(w, y.conj()) / (np.linalg.norm(w) * np.linalg.norm(y))
     rho = va3x / wb3y
     psi = _phase(rho).conjugate()
-    dA1 = -eps * a1 * ahat
-    dA2 = -eps * a2 * _phase(lam).conjugate() * ahat
-    dA3 = -eps * a3 * _phase(mu).conjugate() * ahat
-    dB1 = eps * b1 * psi * bhat
-    dB2 = eps * b2 * _phase(lam).conjugate() * psi * bhat
-    dB3 = eps * b3 * _phase(mu).conjugate() * psi * bhat
+
+    def perturbed(mats, side_weights, coefs, left, right):
+        if not any(side_weights):
+            return mats
+        hat = np.outer(left, right.conj()) / (np.linalg.norm(left) * np.linalg.norm(right))
+        return [_linalg.to_dense(mat) + coef * hat for mat, coef in zip(mats, coefs)]
+
+    As = perturbed((problem.A1, problem.A2, problem.A3), weights.alphas, (
+        -eps * a1, -eps * a2 * _phase(lam).conjugate(),
+        -eps * a3 * _phase(mu).conjugate()), v, x)
+    Bs = perturbed((problem.B1, problem.B2, problem.B3), weights.betas, (
+        eps * b1 * psi, eps * b2 * _phase(lam).conjugate() * psi,
+        eps * b3 * _phase(mu).conjugate() * psi), w, y)
     sa = a1 + abs(lam) * a2 + abs(mu) * a3
     sb = b1 + abs(lam) * b2 + abs(mu) * b3
     nv, nx = np.linalg.norm(v), np.linalg.norm(x)
     nw, ny = np.linalg.norm(w), np.linalg.norm(y)
     predicted = eps * (nv * nx * sa + nw * ny * sb * abs(rho)) / abs(vmpx)
-    pert = TwoParProblem(
-        _linalg.to_dense(problem.A1) + dA1,
-        _linalg.to_dense(problem.A2) + dA2,
-        _linalg.to_dense(problem.A3) + dA3,
-        problem.B1 + dB1,
-        problem.B2 + dB2,
-        problem.B3 + dB3,
-        problem.c,
-        label=problem.label + ":perturbed",
-    )
+    pert = TwoParProblem(*As, *Bs, problem.c, label=problem.label + ":perturbed")
     return pert, float(predicted)
 
 

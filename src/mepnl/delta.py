@@ -11,6 +11,8 @@ on the Kronecker product space, with decomposable eigenvectors z = y (x) x:
     delta1 = B3 (x) A1 - B1 (x) A3
     delta2 = B1 (x) A2 - B2 (x) A1
 
+The oracle forms delta0 and delta1 only: it solves the first problem and
+recovers mu from the large equation, so delta2 is never needed.
 Everything here is dense of order n*m, so it is capped and meant for
 verification at desk scale, not production solves.
 """
@@ -22,9 +24,9 @@ import warnings
 
 import numpy as np
 
-from . import _linalg
+from . import _linalg, pencil
 from .core import Quadruplet, TwoParProblem, residuals
-from .errors import SingularProblem, TooLarge
+from .errors import ShiftIsEigenvalue, SingularProblem, TooLarge
 
 CAP_DEFAULT = 4000
 CAP_ENV = "MEPNL_CAP"
@@ -54,17 +56,16 @@ def size_cap() -> int:
 
 @dataclasses.dataclass
 class DeltaPencil:
-    """The three dense operator determinants of a problem."""
+    """The dense operator determinants delta0 and delta1 of a problem."""
 
     delta0: np.ndarray
     delta1: np.ndarray
-    delta2: np.ndarray
     n: int
     m: int
 
 
 def assemble(problem: TwoParProblem, cap: int | None = None) -> DeltaPencil:
-    """Assemble the three determinant operators, enforcing the size cap."""
+    """Assemble delta0 and delta1, enforcing the size cap."""
     if cap is None:
         cap = size_cap()
     n, m = problem.n, problem.m
@@ -77,34 +78,34 @@ def assemble(problem: TwoParProblem, cap: int | None = None) -> DeltaPencil:
     B1, B2, B3 = problem.B1, problem.B2, problem.B3
     d0 = np.kron(B2, A3) - np.kron(B3, A2)
     d1 = np.kron(B3, A1) - np.kron(B1, A3)
-    d2 = np.kron(B1, A2) - np.kron(B2, A1)
-    return DeltaPencil(d0, d1, d2, n, m)
+    return DeltaPencil(d0, d1, n, m)
 
 
-def solve(problem: TwoParProblem, cap: int | None = None,
-          oracle_tol: float = ORACLE_TOL) -> list:
+def solve(problem: TwoParProblem) -> list:
     """All quadruplets of the problem via the determinant linearization.
 
     Solves delta1 z = lam delta0 z, splits each finite eigenvector into its
     rank-one factors z = y (x) x, recovers mu by least squares on the large
     equation, and keeps quadruplets whose relative residuals in both
-    equations are at most oracle_tol, sorted by |lam|. Eigenvectors that are
-    not numerically rank-one are dropped with a RankOneExtractionWarning.
+    equations are at most ORACLE_TOL, in the canonical order of lam (see
+    _linalg.geig). Eigenvectors that are not numerically rank-one are
+    dropped with a RankOneExtractionWarning.
     """
-    dp = assemble(problem, cap)
-    rc = _linalg.rcond_1norm(dp.delta0)
+    dp = assemble(problem)
+    try:
+        rc = _linalg.Factorization(dp.delta0).rcond
+    except ShiftIsEigenvalue:
+        rc = 0.0
     if rc < RCOND_SINGULAR_PROBLEM:
         raise SingularProblem(
             f"delta0 is numerically singular (rcond={rc:.2e}); the coupled "
             "problem is singular"
         )
-    alpha, beta, vr = _linalg.geig(dp.delta1, dp.delta0)
-    finite = np.abs(beta) > 1e-10 * (np.abs(alpha) + np.abs(beta))
+    lams, vr, _ = _linalg.geig(dp.delta1, dp.delta0)
     A1, A2, A3 = problem.A1, problem.A2, problem.A3
     quads = []
-    for idx in np.flatnonzero(finite):
-        lam = complex(alpha[idx] / beta[idx])
-        Z = vr[:, idx].reshape(problem.m, problem.n)
+    for lam, z in zip(lams.tolist(), vr.T):
+        Z = z.reshape(problem.m, problem.n)
         try:
             u, s, vh = np.linalg.svd(Z)
         except np.linalg.LinAlgError:  # pragma: no cover - extremely rare
@@ -126,15 +127,9 @@ def solve(problem: TwoParProblem, cap: int | None = None,
         if denom == 0.0:
             continue
         mu = complex(-np.vdot(a3x, (A1 @ x) + lam * (A2 @ x)) / denom)
-        cy = problem.c @ y
-        if abs(cy) > 1e-10 * np.linalg.norm(problem.c) * np.linalg.norm(y):
-            y = y / cy
-            c_normalized = True
-        else:
-            c_normalized = False
-        quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=c_normalized)
+        y, c_degenerate = pencil._normalize_y(y, problem.c)
+        quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
         quad.residuals = residuals(problem, quad)
-        if quad.residuals.res_a <= oracle_tol and quad.residuals.res_b <= oracle_tol:
+        if quad.residuals.res_a <= ORACLE_TOL and quad.residuals.res_b <= ORACLE_TOL:
             quads.append(quad)
-    quads.sort(key=lambda q: (abs(q.lam), q.lam.real, q.lam.imag))
     return quads

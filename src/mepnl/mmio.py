@@ -12,7 +12,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from . import pencil
+from . import _linalg, pencil
 from .core import TwoParProblem
 from .errors import DimensionMismatch, ProblemIOError
 
@@ -114,10 +114,9 @@ def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
         raise DimensionMismatch(f"A sizes disagree: {shapes}")
     if not (mats[3].shape == mats[4].shape == mats[5].shape):
         raise DimensionMismatch(f"B sizes disagree: {shapes}")
-    Bs = [m.toarray() if sp.issparse(m) else m for m in mats[3:]]
+    Bs = [_linalg.to_dense(m) for m in mats[3:]]
     if c_path is not None:
-        c = read_matrix(c_path)
-        c = (c.toarray() if sp.issparse(c) else np.asarray(c)).reshape(-1)
+        c = _linalg.to_dense(read_matrix(c_path)).reshape(-1)
     else:
         c = pencil.default_c(Bs[0], Bs[1], Bs[2])
     if label is None:

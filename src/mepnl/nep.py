@@ -21,7 +21,8 @@ class NepView:
     """
 
     def __init__(self, problem: TwoParProblem, branch_id: int = 0,
-                 reference_lam=0.0, state: pencil.BranchState | None = None):
+                 reference_lam=pencil.REFERENCE_LAM,
+                 state: pencil.BranchState | None = None):
         self.problem = problem
         self.branch_id = int(branch_id)
         if state is None:

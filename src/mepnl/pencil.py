@@ -16,11 +16,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _linalg
-from .core import TOL_C_DEGENERATE, TwoParProblem
+from .core import TwoParProblem
 from .errors import AmbiguousBranch, NoFiniteEigenvalue, SingularJacobian
 
-# |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
-TOL_INF = 1e-10
+# |c^T y| below this times ||c|| ||y|| means the normalization functional is
+# useless for that eigenvector.
+TOL_C_DEGENERATE = 1e-10
 # Two continuation candidates whose distances to the prediction differ by less
 # than this (times scale) cannot be told apart.
 TOL_AMBIGUOUS = 1e-12
@@ -28,6 +29,12 @@ TOL_AMBIGUOUS = 1e-12
 TOL_DEDUPE = 1e-9
 # sigma_min(J) / ||J|| at or below this means J is numerically singular.
 TOL_SINGULAR_J = 1e-12
+# Branch ids are fixed by the eigenvalue order here unless a caller says otherwise.
+REFERENCE_LAM = 0.0
+# Interval splits one continue_branch call may make to resolve ambiguity.
+MAX_BISECTIONS = 12
+# Seeded draws default_c tries before giving up.
+MAX_C_DRAWS = 16
 
 
 @dataclasses.dataclass
@@ -48,20 +55,20 @@ class BranchPoint:
 
 
 def _raw_eigenpairs(B1, B2, B3, lam):
-    """All finite (mu, y, w) of -(B1 + lam*B2) y = mu B3 y, plus infinite count."""
-    P = -(B1 + lam * B2)
-    alpha, beta, vr, vl = _linalg.geig(P, B3, left=True)
-    finite = np.abs(beta) > TOL_INF * (np.abs(alpha) + np.abs(beta))
-    mus = alpha[finite] / beta[finite]
-    ys = vr[:, finite]
-    ws = vl[:, finite]
-    order = np.lexsort((mus.imag, mus.real, np.abs(mus)))
-    return mus[order], ys[:, order], ws[:, order], int(np.sum(~finite))
+    """(mu, y, w, n_inf) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders them."""
+    return _linalg.geig(-(B1 + lam * B2), B3, left=True)
+
+
+def _c_normalizable(cy, c_norm, y_norm):
+    """Whether cy = c^T y is far enough from zero, relative to ||c|| ||y||,
+    for c to normalize y; elementwise on arrays. The one such test."""
+    return abs(cy) > TOL_C_DEGENERATE * c_norm * y_norm
 
 
 def _normalize_y(y, c):
+    """(y scaled to c^T y = 1, False), or (unit y, True) when c cannot normalize y."""
     cy = c @ y
-    if abs(cy) > TOL_C_DEGENERATE * np.linalg.norm(c) * np.linalg.norm(y):
+    if _c_normalizable(cy, np.linalg.norm(c), np.linalg.norm(y)):
         return y / cy, False
     return y / np.linalg.norm(y), True
 
@@ -219,10 +226,9 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
             mu0, mu1 = cands[i0].mu, cands[i1].mu
             vscale = max(1.0, abs(mu0), abs(mu1))
             if abs(mu0 - mu1) <= TOL_DEDUPE * vscale:
-                # numerically one semisimple eigenvalue reported twice;
-                # break the tie deterministically by magnitude
-                if (abs(mu1), mu1.real, mu1.imag) < (abs(mu0), mu0.real, mu0.imag):
-                    i0 = i1
+                # numerically one semisimple eigenvalue reported twice; the
+                # candidates are in canonical order, so take the first copy
+                i0 = min(i0, i1)
             else:
                 raise AmbiguousBranch(lam_new, (mu0, mu1))
         return cands[i0]
@@ -230,12 +236,12 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
 
 
 def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
-                    lam_new, max_bisections: int = 12) -> BranchPoint:
+                    lam_new) -> BranchPoint:
     """Step the tracked branch to lam_new and return its point there.
 
     A step whose destination is ambiguous (two candidates about equally
     close, as happens when the step jumps over most of the gap between two
-    nearby branches) is bisected and retried, up to max_bisections interval
+    nearby branches) is bisected and retried, up to MAX_BISECTIONS interval
     splits in total. Ambiguity that survives the smallest step is genuine
     (the branches meet on the way) and AmbiguousBranch propagates;
     NoFiniteEigenvalue is raised when the pencil degenerates at lam_new.
@@ -255,7 +261,7 @@ def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
         except AmbiguousBranch:
             splits += 1
             mid = point.lam + 0.5 * (target - point.lam)
-            if splits > max_bisections or mid == point.lam or mid == target:
+            if splits > MAX_BISECTIONS or mid == point.lam or mid == target:
                 raise
             pending.append(mid)
             continue
@@ -265,28 +271,23 @@ def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
     return point
 
 
-def default_c(B1, B2, B3, reference_lam=0.0, max_draws: int = 16) -> np.ndarray:
+def default_c(B1, B2, B3) -> np.ndarray:
     """Deterministic pseudo-random complex normalization vector.
 
-    Drawn from a fixed seed and re-drawn (next seed) while some finite
-    eigenvector at the reference lam is numerically orthogonal to it.
+    Drawn from a fixed seed and re-drawn (next seed) while it cannot
+    normalize some finite eigenvector at REFERENCE_LAM.
     """
     B1 = np.asarray(B1, dtype=np.complex128)
     B2 = np.asarray(B2, dtype=np.complex128)
     B3 = np.asarray(B3, dtype=np.complex128)
     m = B1.shape[0]
-    mus, ys, _, _ = _raw_eigenpairs(B1, B2, B3, reference_lam)
-    for attempt in range(max_draws):
+    _, ys, _, _ = _raw_eigenpairs(B1, B2, B3, REFERENCE_LAM)
+    y_norms = np.linalg.norm(ys, axis=0)
+    for attempt in range(MAX_C_DRAWS):
         rng = np.random.default_rng(1000003 + attempt)
         c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         c /= np.linalg.norm(c)
-        ok = True
-        for i in range(ys.shape[1]):
-            y = ys[:, i]
-            if abs(c @ y) <= TOL_C_DEGENERATE * np.linalg.norm(y):
-                ok = False
-                break
-        if ok:
+        if np.all(_c_normalizable(c @ ys, np.linalg.norm(c), y_norms)):
             return c
     raise ValueError(
         "no normalization vector found after re-draws; pencil may be degenerate"

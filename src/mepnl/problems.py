@@ -19,6 +19,10 @@ from .errors import AmbiguousBranch, NoFiniteEigenvalue
 
 # A-side matrices are assembled sparse from this order on.
 SPARSE_MIN_N = 500
+# flag_singularities: a sample this many times the median magnitude is a
+# spike; a sign flip between samples both this many times the median is a pole.
+SPIKE_FACTOR = 10.0
+FLIP_FACTOR = 3.0
 
 
 def gen_random(n, m, seed, alphas=(1.0, 1.0 / 500.0, 1.0 / 50.0),
@@ -340,12 +344,11 @@ class BranchTable:
         return self.values[:, self.branch_ids.index(branch_id)]
 
 
-def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None,
-                      reference_lam=0.0) -> BranchTable:
+def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> BranchTable:
     """Follow branches across a sorted lam grid, recording gaps instead of
     raising.
 
-    Branch identities are fixed by the |mu| ordering at reference_lam. The
+    Branch identities are fixed by the |mu| ordering at pencil.REFERENCE_LAM. The
     grid is walked outward from the sample nearest the reference, one
     continuation state per direction, so steps stay small. Where a step
     cannot be resolved (no finite eigenvalue, or two candidates genuinely
@@ -355,7 +358,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None,
     grid = np.asarray(lambda_grid, dtype=np.complex128).reshape(-1)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
-    state = pencil.BranchState.at_reference(problem, reference_lam)
+    state = pencil.BranchState.at_reference(problem, pencil.REFERENCE_LAM)
     if branch_ids is None:
         branch_ids = tuple(range(state.n_branches))
     else:
@@ -363,12 +366,12 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None,
         for b in branch_ids:
             if b not in state.current:
                 raise KeyError(
-                    f"branch {b} does not exist at reference lam={reference_lam} "
+                    f"branch {b} does not exist at reference lam={pencil.REFERENCE_LAM} "
                     f"({state.n_branches} branches)"
                 )
     values = np.full((grid.size, len(branch_ids)), np.nan, dtype=np.complex128)
     gaps = []
-    start = int(np.argmin(np.abs(grid - complex(reference_lam))))
+    start = int(np.argmin(np.abs(grid - state.reference_lam)))
 
     def sweep(indices, st):
         for i in indices:
@@ -381,7 +384,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None,
 
     sweep(range(start, grid.size), state)
     if start > 0:
-        back = pencil.BranchState.at_reference(problem, reference_lam)
+        back = pencil.BranchState.at_reference(problem, pencil.REFERENCE_LAM)
         sweep(range(start - 1, -1, -1), back)
     return BranchTable(grid, branch_ids, values, gaps)
 
@@ -398,14 +401,13 @@ class SingularInterval:
         return self.lo <= complex(lam).real <= self.hi
 
 
-def flag_singularities(table: BranchTable, branch_id=0, spike_factor=10.0,
-                       flip_factor=3.0):
+def flag_singularities(table: BranchTable, branch_id=0):
     """Detect likely singularities of one tabulated branch on a real grid.
 
     Three signatures: recorded gaps (NaN runs), poles (a sign flip of an
     essentially real branch between adjacent samples, both of magnitude well
     above the median), and spikes (a single sample of magnitude
-    spike_factor times the median). Returns merged SingularInterval's;
+    SPIKE_FACTOR times the median). Returns merged SingularInterval's;
     interval ends are midpoints to the neighboring untouched samples.
     """
     vals = table.column(branch_id)
@@ -417,7 +419,7 @@ def flag_singularities(table: BranchTable, branch_id=0, spike_factor=10.0,
 
     # kind priority when an index matches several signatures
     marked = {}
-    spike = finite & (np.abs(np.where(finite, vals, 0.0)) >= spike_factor * max(scale, 1.0))
+    spike = finite & (np.abs(np.where(finite, vals, 0.0)) >= SPIKE_FACTOR * max(scale, 1.0))
     for i in np.flatnonzero(spike):
         marked[int(i)] = "spike"
     for i in np.flatnonzero(~finite):
@@ -427,7 +429,7 @@ def flag_singularities(table: BranchTable, branch_id=0, spike_factor=10.0,
         if not (np.isfinite(a) and np.isfinite(b)):
             continue
         real_enough = abs(a.imag) <= 1e-8 * abs(a) and abs(b.imag) <= 1e-8 * abs(b)
-        big = min(abs(a), abs(b)) >= flip_factor * floor
+        big = min(abs(a), abs(b)) >= FLIP_FACTOR * floor
         if real_enough and big and a.real * b.real < 0:
             marked[i] = "pole"
             marked[i + 1] = "pole"

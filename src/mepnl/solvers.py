@@ -146,7 +146,8 @@ def rayleigh_candidates(problem: TwoParProblem, v, w):
         (p3 B1 - p1 B3) y = lam (p2 B3 - p3 B2) y,
         mu = -(p1 + lam p2)/p3.
 
-    Every returned triple solves the small equation at (lam, mu) exactly.
+    Every returned triple solves the small equation at (lam, mu) exactly;
+    they come in the canonical order of lam (see _linalg.geig).
     Raises DegenerateProjection when p3 = w^T A3 v is numerically zero.
     """
     v = np.asarray(v, dtype=np.complex128)
@@ -161,26 +162,24 @@ def rayleigh_candidates(problem: TwoParProblem, v, w):
         )
     P = p3 * problem.B1 - p1 * problem.B3
     Q = p2 * problem.B3 - p3 * problem.B2
-    alpha, beta, vr = _linalg.geig(P, Q)
-    finite = np.abs(beta) > pencil.TOL_INF * (np.abs(alpha) + np.abs(beta))
+    lams, vr, _ = _linalg.geig(P, Q)
     out = []
-    for idx in np.flatnonzero(finite):
-        lam = complex(alpha[idx] / beta[idx])
+    for lam, y in zip(lams.tolist(), vr.T):
         mu = complex(-(p1 + lam * p2) / p3)
-        y, _ = pencil._normalize_y(vr[:, idx], problem.c)
+        y, _ = pencil._normalize_y(y, problem.c)
         out.append((lam, mu, y))
-    out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
     return out
 
 
 def rayleigh_gep(problem: TwoParProblem, v, w, select):
     """One (lam, mu, y) from the scalar-projected problem: the candidate
-    nearest the complex reference select, ties broken by magnitude."""
+    nearest the complex reference select, the first in canonical order on
+    a tie."""
     cands = rayleigh_candidates(problem, v, w)
     if not cands:
         raise DegenerateProjection("scalar-projected pencil has no finite eigenvalue")
     ref = complex(select)
-    return min(cands, key=lambda t: (abs(t[0] - ref), abs(t[0]), t[0].real, t[0].imag))
+    return min(cands, key=lambda t: abs(t[0] - ref))
 
 
 def resinv(nep: NepView, x0, config: SolverConfig):

@@ -5,9 +5,11 @@ an annotation naming an object its module never imports still imports
 cleanly, so resolving every annotation here stands in for that check.
 """
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import mepnl
 
@@ -44,3 +46,17 @@ def test_all_names_resolve():
     assert len(mepnl.__all__) == len(set(mepnl.__all__))
     missing = [name for name in mepnl.__all__ if not hasattr(mepnl, name)]
     assert not missing
+
+
+def test_benchmark_interface_exists():
+    """The benchmark wraps these names and reads these counters; tier-1 does
+    not run benchmarks/, so a deletion would otherwise go unnoticed."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracing._targets() if attr not in owner.__dict__]
+    assert not missing
+    view = mepnl.NepView(mepnl.gen_random(4, 2, seed=0))
+    assert view.cache_hits == 0 and view.cache_misses == 0

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -245,3 +246,13 @@ def test_large_problem_omits_vectors():
     blob = cli._quad_json(disc.problem, quad)
     assert blob.get("vectors_omitted") is True
     assert "x" not in blob
+
+
+def test_parse_complex_round_trips_printed_values():
+    # f"{z.real}+{z.imag}i" is how callers build --lambda0; a negative or
+    # negative-zero imaginary part prints as "+-"
+    for z in (1 - 2j, complex(1.5, -0.0), complex(1e-05, -3e-17),
+              complex(-2.5e10, -1e-300), complex(0.25, 3e-17)):
+        got = cli.parse_complex(f"{z.real}+{z.imag}i")
+        assert got == z
+        assert math.copysign(1.0, got.imag) == math.copysign(1.0, z.imag)

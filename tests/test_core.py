@@ -192,3 +192,26 @@ def test_backward_perturbation_touches_only_b1_b3():
     observed = min(abs(q2.lam - q.lam) for q2 in mepnl.delta.solve(pert))
     # first-order bound; allow slack for the quadratic remainder
     assert observed <= bound * 1.5 + 1e-14
+
+
+def test_backward_perturbation_keeps_sparse_a_side():
+    # zero A weights must leave the sparse A matrices as they are: densifying
+    # them would make the backward case impossible at production sizes
+    disc = mepnl.gen_helmholtz(mepnl.HelmholtzConfig(
+        x1=3.7, x2=5.0, n=600, m=10, kappa_a=2.0, kappa_b=2.0))
+    p = disc.problem
+    lam0 = mepnl.problems.helmholtz_analytic_eigenvalues(2.0, 5.0, 1)[0] + 1e-3
+    view = mepnl.NepView(p, branch_id=0, reference_lam=lam0)
+    quad, trace = mepnl.augmented_newton(
+        view, lam0, np.sin(np.pi / 10.0 * disc.grid_a), mepnl.SolverConfig(tol=1e-12))
+    assert trace.converged
+    q = attach_left_vectors(p, quad)
+    rel = Weights.relative(p, q.lam)
+    b1, _, b3 = rel.betas
+    backward = Weights((0.0, 0.0, 0.0), (b1, 0.0, b3))
+    pert, bound = worst_case_perturbation(p, q, backward, 1e-7)
+    assert bound == pytest.approx(
+        1e-7 * condition_numbers(p, q, rel).backward_lambda_bound, rel=1e-12)
+    for got, orig in zip((pert.A1, pert.A2, pert.A3), (p.A1, p.A2, p.A3)):
+        assert sp.issparse(got)
+        assert (got != orig).nnz == 0

@@ -18,11 +18,9 @@ def test_assemble_shapes_and_definitions():
     nm = p.n * p.m
     assert dp.delta0.shape == (nm, nm)
     assert dp.delta1.shape == (nm, nm)
-    assert dp.delta2.shape == (nm, nm)
     A1, A2, A3 = (np.asarray(M) for M in (p.A1, p.A2, p.A3))
     np.testing.assert_array_equal(dp.delta0, np.kron(p.B2, A3) - np.kron(p.B3, A2))
     np.testing.assert_array_equal(dp.delta1, np.kron(p.B3, A1) - np.kron(p.B1, A3))
-    np.testing.assert_array_equal(dp.delta2, np.kron(p.B1, A2) - np.kron(p.B2, A1))
 
 
 def test_quadratic_coupling_block_structure():
