@@ -88,11 +88,18 @@ class TwoParProblem:
         return any(sp.issparse(M) for M in (self.A1, self.A2, self.A3))
 
     def eval_a(self, lam, mu):
-        """A1 + lam*A2 + mu*A3, sparse if the inputs are sparse."""
+        """A1 + lam*A2 + mu*A3, sparse if the inputs are sparse; for factorizing."""
         return self.A1 + lam * self.A2 + mu * self.A3
 
     def eval_b(self, lam, mu):
         return self.B1 + lam * self.B2 + mu * self.B3
+
+    def apply_a(self, lam, mu, x):
+        """(A1 + lam*A2 + mu*A3) x by three matvecs, without forming the sum."""
+        return self.A1 @ x + lam * (self.A2 @ x) + mu * (self.A3 @ x)
+
+    def apply_b(self, lam, mu, y):
+        return self.B1 @ y + lam * (self.B2 @ y) + mu * (self.B3 @ y)
 
     def scale_a(self, lam, mu) -> float:
         """Frobenius-norm scale of the large equation at (lam, mu)."""
@@ -135,16 +142,18 @@ class Quadruplet:
     c_normalized: bool = True
 
 
-def residuals(problem: TwoParProblem, quad: Quadruplet) -> ResidualRecord:
+def residuals(problem: TwoParProblem, quad: Quadruplet, ax=None) -> ResidualRecord:
     """Relative residuals of both equations at the quadruplet.
 
     res_a = ||(A1 + lam A2 + mu A3) x|| / (scale_a(lam, mu) ||x||) and
-    analogously for the small equation; Frobenius norms in the scales.
+    analogously for the small equation; Frobenius norms in the scales. ax is
+    the product (A1 + lam A2 + mu A3) x when the caller has already formed it.
     """
     lam, mu = quad.lam, quad.mu
-    ra = np.linalg.norm(problem.eval_a(lam, mu) @ quad.x)
-    ra /= problem.scale_a(lam, mu) * np.linalg.norm(quad.x)
-    rb = np.linalg.norm(problem.eval_b(lam, mu) @ quad.y)
+    if ax is None:
+        ax = problem.apply_a(lam, mu, quad.x)
+    ra = np.linalg.norm(ax) / (problem.scale_a(lam, mu) * np.linalg.norm(quad.x))
+    rb = np.linalg.norm(problem.apply_b(lam, mu, quad.y))
     rb /= problem.scale_b(lam, mu) * np.linalg.norm(quad.y)
     return ResidualRecord(float(ra), float(rb))
 
@@ -190,11 +199,11 @@ def _require_left(quad: Quadruplet):
         )
 
 
-def _bilinears(problem, quad):
-    """The six scalar pairings that drive conditioning, plus simplicity guards."""
-    v, w, x, y = quad.v, quad.w, quad.x, quad.y
-    va2x = v.conj() @ (problem.A2 @ x)
-    va3x = v.conj() @ (problem.A3 @ x)
+def _branch_slope(problem, w, y):
+    """(g', w^H B2 y, w^H B3 y) for the eigenpair (w, y) of a simple mu, with
+    g' = -(w^H B2 y)/(w^H B3 y) the classical derivative of a simple
+    eigenvalue (Lancaster, Numer. Math. 1964). The one home of this closed
+    form and of its simplicity test, which raises NonSimpleMu."""
     wb2y = w.conj() @ (problem.B2 @ y)
     wb3y = w.conj() @ (problem.B3 @ y)
     nw, ny = np.linalg.norm(w), np.linalg.norm(y)
@@ -203,8 +212,16 @@ def _bilinears(problem, quad):
             f"|w^H B3 y| = {abs(wb3y):.2e} is below the simplicity threshold; "
             "mu is (numerically) not simple"
         )
-    # v^H M'(lam) x with M'(lam) = A2 - (w^H B2 y / w^H B3 y) A3
-    gprime = -wb2y / wb3y
+    return -wb2y / wb3y, wb2y, wb3y
+
+
+def _bilinears(problem, quad):
+    """The six scalar pairings that drive conditioning, plus simplicity guards."""
+    v, x = quad.v, quad.x
+    va2x = v.conj() @ (problem.A2 @ x)
+    va3x = v.conj() @ (problem.A3 @ x)
+    gprime, wb2y, wb3y = _branch_slope(problem, quad.w, quad.y)
+    # v^H M'(lam) x with M'(lam) = A2 + g'(lam) A3
     vmpx = va2x + gprime * va3x
     nv, nx = np.linalg.norm(v), np.linalg.norm(x)
     mp_scale = problem.norms_a[1] + abs(gprime) * problem.norms_a[2]
@@ -342,8 +359,10 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
     try:
         fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu))
     except ShiftIsEigenvalue:
-        # M is numerically singular at an exact solution; nudge the shift.
-        delta = 1e-10 * (abs(quad.lam) + 1.0)
+        # M is singular at the solution: nudge lam to move M by 1e-10 of its scale
+        if problem.norms_a[1] == 0.0:  # lam does not enter M
+            raise
+        delta = 1e-10 * norm / problem.norms_a[1]
         fact = _linalg.Factorization(problem.eval_a(quad.lam + delta, quad.mu))
     v = _linalg.null_vector_adjoint(fact, norm, rng, tol=tol)
     points = pencil.eigenpairs_at(problem, quad.lam)

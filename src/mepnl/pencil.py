@@ -4,8 +4,9 @@ For fixed lam the small equation is the generalized eigenvalue problem
 ``-(B1 + lam*B2) y = mu * B3 y``. Each finite eigenvalue, followed
 continuously in lam, is a branch mu = g_i(lam): an implicitly defined,
 locally analytic function wherever the eigenvalue stays simple. Branches,
-their derivatives (through a bordered-Jacobian recursion), and the
-continuation that follows one branch along a path all live here.
+their derivatives, and the continuation that follows one branch along a
+path all live here. Slopes g' come from their closed form
+(g_prime_closed_form); the bordered-Jacobian recursion serves higher orders.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _linalg
-from .core import TwoParProblem
-from .errors import AmbiguousBranch, NoFiniteEigenvalue, SingularJacobian
+from .core import TwoParProblem, _branch_slope
+from .errors import AmbiguousBranch, NoFiniteEigenvalue, NonSimpleMu, SingularJacobian
 
 # |c^T y| below this times ||c|| ||y|| means the normalization functional is
 # useless for that eigenvector.
@@ -113,7 +114,8 @@ class JacobianJ:
     def solve(self, rhs):
         if self._lu is None:
             raise SingularJacobian(
-                f"bordered Jacobian singular at lam={self.lam}, mu={self.mu}"
+                f"bordered Jacobian singular at lam={self.lam}, mu={self.mu} "
+                f"(sigma_min/norm = {self.sigma_min / max(self.norm, 1e-300):.2e})"
             )
         return sla.lu_solve(self._lu, rhs)
 
@@ -150,11 +152,6 @@ def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
     if order < 1:
         raise ValueError("order must be >= 1")
     J = jacobian(problem, bp)
-    if J.singular:
-        raise SingularJacobian(
-            f"bordered Jacobian singular at lam={bp.lam}, mu={bp.mu} "
-            f"(sigma_min/norm = {J.sigma_min / max(J.norm, 1e-300):.2e})"
-        )
     m = problem.m
     g = np.zeros(order + 1, dtype=np.complex128)
     y = np.zeros((order + 1, m), dtype=np.complex128)
@@ -173,9 +170,8 @@ def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
 
 
 def g_prime_closed_form(problem: TwoParProblem, bp: BranchPoint) -> complex:
-    """g'(lam) = -(w^H B2 y)/(w^H B3 y), valid at simple eigenvalues."""
-    w, y = bp.w, bp.y
-    return complex(-(w.conj() @ (problem.B2 @ y)) / (w.conj() @ (problem.B3 @ y)))
+    """g'(lam) = -(w^H B2 y)/(w^H B3 y) at a simple mu (core._branch_slope)."""
+    return complex(_branch_slope(problem, bp.w, bp.y)[0])
 
 
 @dataclasses.dataclass
@@ -203,14 +199,14 @@ class BranchState:
 
 def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     """One continuation step: the candidate nearest the first-order
-    prediction mu_prev + g'(lam_prev)*(lam_new - lam_prev) wins. Raises
+    prediction mu_prev + g'(lam_prev)*(lam_new - lam_prev) wins, with g' in
+    closed form (mu_prev itself when mu_prev is not simple). Raises
     AmbiguousBranch when the two closest candidates are indistinguishable,
     NoFiniteEigenvalue when the pencil has no finite eigenvalue at lam_new.
     """
     try:
-        gd, _ = derivatives(problem, prev, 1)
-        pred = prev.mu + gd[0] * (lam_new - prev.lam)
-    except SingularJacobian:
+        pred = prev.mu + g_prime_closed_form(problem, prev) * (lam_new - prev.lam)
+    except NonSimpleMu:
         pred = prev.mu
     cands = eigenpairs_at(problem, lam_new)
     if not cands:

@@ -2,7 +2,7 @@
 
 Two iterations on M(lam) x = 0 for one tracked branch mu = g(lam):
 
-* augmented_newton: a Newton step on the bordered system, one linear solve
+* augmented_newton: a Newton step with g' in closed form, one linear solve
   with M(lam_k) per iteration, locally quadratic at simple eigenvalues;
 * resinv: residual inverse iteration with a single factorization of
   M(sigma), the eigenvalue update coming from a scalar-projected small
@@ -55,6 +55,20 @@ class SolveTrace:
     seconds: list = dataclasses.field(default_factory=list)
     termination: str = ""
 
+    def record(self, lam, mu, rec, t0, config: SolverConfig) -> bool:
+        """Append one iterate, timed from t0; return whether the run stops
+        there, "converged" (res_a <= tol) or at "maxit" steps."""
+        self.lam.append(lam)
+        self.mu.append(mu)
+        self.res_a.append(rec.res_a)
+        self.res_b.append(rec.res_b)
+        self.seconds.append(time.perf_counter() - t0)
+        if rec.res_a <= config.tol:
+            self.termination = "converged"
+        elif len(self.lam) > config.maxit:
+            self.termination = "maxit"
+        return bool(self.termination)
+
     @property
     def converged(self) -> bool:
         return self.termination == "converged"
@@ -76,9 +90,10 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
 
     Per iteration: with u = M(lam_k)^{-1} M'(lam_k) x_k and
     alpha_k = 1/(d^T u), update x_{k+1} = alpha_k * u and
-    lam_{k+1} = lam_k - alpha_k. M'(lam) = A2 + g'(lam) A3 with g' from the
-    bordered-Jacobian solve on the tracked branch; the single linear solve
-    per iteration serves both updates.
+    lam_{k+1} = lam_k - alpha_k. M'(lam) = A2 + g'(lam) A3 with g' in
+    closed form on the tracked branch (NonSimpleMu when its mu is not
+    simple); M(lam_k) is formed only to be factorized, and the single linear
+    solve per iteration serves both updates.
 
     Returns (Quadruplet, SolveTrace); trace.termination is "converged" or
     "maxit" (non-convergence is reported, not raised).
@@ -101,22 +116,11 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     bp = nep.branch_point(lam)
     for k in range(config.maxit + 1):
         rec = residuals(problem, Quadruplet(lam, bp.mu, x, bp.y))
-        trace.lam.append(lam)
-        trace.mu.append(bp.mu)
-        trace.res_a.append(rec.res_a)
-        trace.res_b.append(rec.res_b)
-        trace.seconds.append(time.perf_counter() - t0)
-        if rec.res_a <= config.tol:
-            trace.termination = "converged"
+        if trace.record(lam, bp.mu, rec, t0, config):
             break
-        if k == config.maxit:
-            trace.termination = "maxit"
-            break
-        gd, _ = pencil.derivatives(problem, bp, 1)
-        mat = problem.eval_a(lam, bp.mu)
-        fact = _linalg.Factorization(mat)
-        mpx = problem.A2 @ x + gd[0] * (problem.A3 @ x)
-        u = fact.solve(mpx)
+        gprime = pencil.g_prime_closed_form(problem, bp)
+        fact = _linalg.Factorization(problem.eval_a(lam, bp.mu))
+        u = fact.solve(problem.A2 @ x + gprime * (problem.A3 @ x))
         dtu = d @ u
         if dtu == 0:
             raise ConvergenceFailure(
@@ -128,12 +132,8 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         lam = lam - alpha
         x = alpha * u
         bp = nep.branch_point(lam)
-    quad = Quadruplet(
-        lam=lam, mu=bp.mu, x=x, y=bp.y,
-        residuals=rec,
-        c_normalized=not bp.c_degenerate,
-    )
-    return quad, trace
+    return Quadruplet(lam, bp.mu, x, bp.y, residuals=rec,
+                      c_normalized=not bp.c_degenerate), trace
 
 
 def rayleigh_candidates(problem: TwoParProblem, v, w):
@@ -189,7 +189,8 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     solves the scalar-projected small problem at the current iterate for
     (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the previous one
     (nearest sigma initially), then corrects
-    x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k).
+    x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k); the product
+    M(lam_{k+1}) x_k also gives the residual of that iterate.
 
     Returns (Quadruplet, SolveTrace); non-convergence is a trace flag.
     """
@@ -208,9 +209,6 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     ref = sigma
     trace = SolveTrace()
     t0 = time.perf_counter()
-    lam = sigma
-    mu = 0j
-    y = None
     for k in range(config.maxit + 1):
         try:
             lam, mu, y = rayleigh_gep(problem, x, w, ref)
@@ -218,19 +216,10 @@ def resinv(nep: NepView, x0, config: SolverConfig):
             raise DegenerateProjection(
                 f"iteration {k} (lam_ref={ref}): {exc}"
             ) from exc
-        rec = residuals(problem, Quadruplet(lam, mu, x, y))
-        trace.lam.append(lam)
-        trace.mu.append(mu)
-        trace.res_a.append(rec.res_a)
-        trace.res_b.append(rec.res_b)
-        trace.seconds.append(time.perf_counter() - t0)
-        if rec.res_a <= config.tol:
-            trace.termination = "converged"
+        z = problem.apply_a(lam, mu, x)
+        rec = residuals(problem, Quadruplet(lam, mu, x, y), ax=z)
+        if trace.record(lam, mu, rec, t0, config):
             break
-        if k == config.maxit:
-            trace.termination = "maxit"
-            break
-        z = problem.eval_a(lam, mu) @ x
         u = x - fact.solve(z)
         nu = np.linalg.norm(u)
         if nu == 0:
@@ -239,8 +228,4 @@ def resinv(nep: NepView, x0, config: SolverConfig):
             )
         x = u / nu
         ref = lam
-    quad = Quadruplet(
-        lam=lam, mu=mu, x=x, y=y,
-        residuals=rec,
-    )
-    return quad, trace
+    return Quadruplet(lam, mu, x, y, residuals=rec), trace

@@ -153,6 +153,17 @@ def test_cond_reports(tmp_path):
         assert abs(complex(*rep["det_c0"])) > 0
 
 
+def test_cond_after_newton_on_singular_solution(tmp_path):
+    # M(lam, mu) is numerically singular at this converged solution, and the
+    # left vector comes from a shift nudged off it by the problem's scales
+    out = tmp_path / "run"
+    code = run(["cond", "--gen", "random", "--n", "30", "--m", "4", "--seed", "5",
+                "--solver", "newton", "--lambda0", "0.05", "--out", out])
+    assert code == 0
+    reports = read_results(out)["condition_reports"]
+    assert len(reports) == 1 and np.isfinite(reports[0]["kappa_total"])
+
+
 def test_generate_check_solve_round_trip(tmp_path, capsys):
     gen_dir = tmp_path / "problem"
     assert run(["generate", "--gen", "random", "--n", "5", "--m", "3",

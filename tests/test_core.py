@@ -9,7 +9,7 @@ import mepnl
 from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
                         condition_numbers, residuals, worst_case_perturbation)
 from mepnl.errors import (ConvergenceFailure, DimensionMismatch,
-                          MissingLeftVectors, NonSimpleMu)
+                          MissingLeftVectors, NonSimpleMu, ShiftIsEigenvalue)
 
 
 def small_problem(seed=1, n=8, m=3):
@@ -113,6 +113,16 @@ def test_attach_left_vectors_far_from_spectrum_fails():
     q = dataclasses.replace(solved_quad(p, with_left=False), lam=1e4)
     with pytest.raises(ConvergenceFailure):
         attach_left_vectors(p, q, tol=1e-10)
+
+
+def test_attach_left_vectors_singular_without_lam_term_raises():
+    # M(lam, mu) = A1 is exactly singular and A2 = 0, so no nudge of lam
+    # can make it factorizable
+    p = mepnl.TwoParProblem(np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)), np.eye(3),
+                            np.eye(2), np.eye(2), np.eye(2), np.ones(2))
+    q = Quadruplet(lam=0.5, mu=0.0, x=np.array([1.0, 0, 0]), y=np.array([1.0, 0]))
+    with pytest.raises(ShiftIsEigenvalue):
+        attach_left_vectors(p, q)
 
 
 def test_det_c0_identity():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import mepnl
-from mepnl import delta, nep, problems, solvers
+from mepnl import _linalg, core, delta, nep, pencil, problems, solvers
 from mepnl.errors import ConvergenceFailure, DegenerateProjection
 
 
@@ -107,6 +107,62 @@ def test_newton_maxit_reported_not_raised():
     assert trace.termination == "maxit"
     assert not trace.converged
     assert trace.iterations == 3  # initial point plus two steps
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each (owner, name) so that calls to it are counted by name."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
+    p = make_problem(seed=1)
+    quad = pick_isolated(delta.solve(p))
+    newton_view, resinv_view = view_through(p, quad), view_through(p, quad)
+    counts = count_calls(monkeypatch, [
+        (core.TwoParProblem, "eval_a"), (_linalg.Factorization, "__init__"),
+        (pencil, "jacobian"), (pencil, "derivatives")])
+    _, trace = solvers.augmented_newton(newton_view, quad.lam + 1e-3,
+                                        quad.x + 1e-3 * np.ones(p.n))
+    steps = trace.iterations - 1
+    assert trace.converged and steps >= 2
+    # M(lam_k) is assembled once per step, to be factorized; g' needs no
+    # bordered Jacobian
+    assert counts == {"eval_a": steps, "__init__": steps,
+                      "jacobian": 0, "derivatives": 0}
+
+    counts.update(dict.fromkeys(counts, 0))
+    cfg = solvers.SolverConfig(sigma=quad.lam + 0.02, maxit=60)
+    _, trace = solvers.resinv(resinv_view, quad.x + 0.05 * np.ones(p.n), cfg)
+    assert trace.converged and trace.iterations >= 3
+    assert counts["eval_a"] == 1 and counts["__init__"] == 1
+
+    problems.tabulate_branches(p, np.linspace(-1.0, 1.0, 41), [0, 1, 2])
+    assert counts["jacobian"] == 0 and counts["derivatives"] == 0
+
+
+def test_newton_from_c_degenerate_point():
+    # c^T y = 0.5 + lam for the qep branch eigenvector y = (1, lam), so c
+    # cannot normalize y at the start lam0 = -0.5 and the bordered Jacobian
+    # there is singular; the closed-form slope needs no normalization
+    rng = np.random.default_rng(0)
+    qep = problems.gen_qep(*(rng.standard_normal((6, 6)) for _ in range(3)))
+    p = mepnl.TwoParProblem(qep.A1, qep.A2, qep.A3, qep.B1, qep.B2, qep.B3,
+                            np.array([0.5, 1.0]))
+    view = nep.NepView(p)
+    assert view.branch_point(-0.5).c_degenerate
+    got, trace = solvers.augmented_newton(view, -0.5, np.ones(p.n))
+    assert trace.converged
+    assert got.residuals.res_a <= 1e-10
+    assert abs(got.mu - got.lam ** 2) <= 1e-10 * max(1.0, abs(got.mu))
 
 
 def test_rayleigh_candidates_satisfy_small_equation_exactly():
