@@ -91,30 +91,34 @@ class Factorization:
         return x.reshape(b.shape)
 
 
-def geig(P, Q, left: bool = False):
+def geig(P, Q, vectors: str = "right"):
     """The finite eigenvalues z of P v = z Q v in canonical order: ascending
     (|z|, Re z, Im z), stable for exact ties. One whose homogeneous beta
     fails the TOL_INF test is infinite and dropped.
 
-    Returns (z, vr, n_inf) or, with left=True, (z, vr, vl, n_inf): columns
-    of vr and vl are the right and left eigenvectors of z in the same order,
-    n_inf the count of infinite eigenvalues.
+    vectors picks what QZ computes besides the eigenvalues: "right" returns
+    (z, vr, n_inf), "both" returns (z, vr, vl, n_inf) and "none" returns
+    (z, n_inf). Columns of vr and vl are the right and left eigenvectors of
+    z in the same order, n_inf the count of infinite eigenvalues. All
+    modes go through one LAPACK driver (zggev) and give bit-equal z.
     """
+    left, right = vectors == "both", vectors != "none"
     P = np.asarray(P, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
-    if left:
-        w, vl, vr = sla.eig(P, Q, left=True, right=True, homogeneous_eigvals=True)
-    else:
-        w, vr = sla.eig(P, Q, right=True, homogeneous_eigvals=True)
-    alpha, beta = w
+    out = sla.eig(P, Q, left=left, right=right, homogeneous_eigvals=True)
+    alpha, beta = out[0] if right else out
     finite = np.abs(beta) > TOL_INF * (np.abs(alpha) + np.abs(beta))
     z = alpha[finite] / beta[finite]
     order = np.lexsort((z.imag, z.real, np.abs(z)))
     cols = np.flatnonzero(finite)[order]
     n_inf = int(np.sum(~finite))
+    if not right:
+        return z[order], n_inf
+    # scipy returns (w, vr) or (w, vl, vr)
+    vr = out[-1][:, cols]
     if left:
-        return z[order], vr[:, cols], vl[:, cols], n_inf
-    return z[order], vr[:, cols], n_inf
+        return z[order], vr, out[1][:, cols], n_inf
+    return z[order], vr, n_inf
 
 
 def null_vector_adjoint(fact: Factorization, norm: float, rng, tol: float = 1e-8,

@@ -72,6 +72,12 @@ class TwoParProblem:
         for mat in (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3, self.c):
             if not sp.issparse(mat):
                 mat.flags.writeable = False
+                continue
+            # canonical first, so that scipy never needs to sort or merge
+            # the frozen arrays in place later
+            mat.sum_duplicates()
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.flags.writeable = False
         self.norms_a = tuple(_linalg.fro_norm(M) for M in (self.A1, self.A2, self.A3))
         self.norms_b = tuple(_linalg.fro_norm(M) for M in (self.B1, self.B2, self.B3))
 

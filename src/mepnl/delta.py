@@ -126,10 +126,12 @@ def solve(problem: TwoParProblem) -> list:
         denom = np.vdot(a3x, a3x).real
         if denom == 0.0:
             continue
-        mu = complex(-np.vdot(a3x, (A1 @ x) + lam * (A2 @ x)) / denom)
+        a12x = (A1 @ x) + lam * (A2 @ x)
+        mu = complex(-np.vdot(a3x, a12x) / denom)
         y, c_degenerate = pencil._normalize_y(y, problem.c)
         quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
-        quad.residuals = residuals(problem, quad)
+        # the operations and order of problem.apply_a, on the matvecs above
+        quad.residuals = residuals(problem, quad, ax=a12x + mu * a3x)
         if quad.residuals.res_a <= ORACLE_TOL and quad.residuals.res_b <= ORACLE_TOL:
             quads.append(quad)
     return quads

@@ -7,6 +7,12 @@ locally analytic function wherever the eigenvalue stays simple. Branches,
 their derivatives, and the continuation that follows one branch along a
 path all live here. Slopes g' come from their closed form
 (g_prime_closed_form); the bordered-Jacobian recursion serves higher orders.
+
+A continuation step costs one eigenvalues-only QZ of the pencil, which
+chooses the followed eigenvalue, plus one LU of order m of B(lam, mu) at
+that eigenvalue, which gives its y and w by inverse iteration. The full QZ
+with left and right eigenvectors (eigenpairs_at) runs only at reference
+points and when those vectors fail their residual test.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from math import comb
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import _linalg
 from .core import TwoParProblem, _branch_slope
@@ -36,6 +43,12 @@ REFERENCE_LAM = 0.0
 MAX_BISECTIONS = 12
 # Seeded draws default_c tries before giving up.
 MAX_C_DRAWS = 16
+# Inverse-iteration steps that take the followed branch's y and w from one LU
+# of B(lam, mu) at its eigenvalue mu.
+INVERSE_STEPS = 3
+# Those vectors are kept when ||B y|| and ||B^H w|| (unit y and w) are at most
+# this times ||B||_1, about 450 eps; otherwise the full QZ supplies them.
+TOL_INVERSE_RESIDUAL = 1e-13
 
 
 @dataclasses.dataclass
@@ -55,9 +68,10 @@ class BranchPoint:
     c_degenerate: bool = False
 
 
-def _raw_eigenpairs(B1, B2, B3, lam):
-    """(mu, y, w, n_inf) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders them."""
-    return _linalg.geig(-(B1 + lam * B2), B3, left=True)
+def _raw_eigenpairs(B1, B2, B3, lam, vectors="both"):
+    """(mu, y, w, n_inf) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders
+    them; (mu, n_inf) with vectors="none"."""
+    return _linalg.geig(-(B1 + lam * B2), B3, vectors=vectors)
 
 
 def _c_normalizable(cy, c_norm, y_norm):
@@ -197,29 +211,61 @@ class BranchState:
         return len(self.reference_points)
 
 
+def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
+    """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
+    eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
+    prev.w on one LU of B. An exactly zero pivot, common when B is real,
+    becomes eps*||B||_1, as in LAPACK's inverse iteration (zlaein). None when
+    either residual exceeds TOL_INVERSE_RESIDUAL * ||B||_1.
+
+    The LU is LAPACK's, not a _linalg.Factorization, whose singularity
+    refusal would fire here: B is singular to working precision by design.
+    """
+    B = problem.eval_b(lam, mu)
+    norm = np.linalg.norm(B, 1)
+    lu, piv, _ = lapack.zgetrf(B)
+    zero = np.flatnonzero(lu.diagonal() == 0)
+    lu[zero, zero] = np.finfo(float).eps * norm
+    y, w = prev.y, prev.w
+    for _ in range(INVERSE_STEPS):
+        y = lapack.zgetrs(lu, piv, y)[0]
+        w = lapack.zgetrs(lu, piv, w, trans=2)[0]
+        y, w = y / np.linalg.norm(y), w / np.linalg.norm(w)
+    tol = TOL_INVERSE_RESIDUAL * norm
+    if np.linalg.norm(B @ y) <= tol and np.linalg.norm(w.conj() @ B) <= tol:
+        return y, w
+    return None
+
+
 def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     """One continuation step: the candidate nearest the first-order
     prediction mu_prev + g'(lam_prev)*(lam_new - lam_prev) wins, with g' in
     closed form (mu_prev itself when mu_prev is not simple). Raises
     AmbiguousBranch when the two closest candidates are indistinguishable,
     NoFiniteEigenvalue when the pencil has no finite eigenvalue at lam_new.
+
+    The candidates come from one eigenvalues-only QZ. The winner's y and w
+    come from one LU of order m (_inverse_iteration), or, when those fail
+    their residual test, from the point of eigenpairs_at with the same mu.
     """
     try:
         pred = prev.mu + g_prime_closed_form(problem, prev) * (lam_new - prev.lam)
     except NonSimpleMu:
         pred = prev.mu
-    cands = eigenpairs_at(problem, lam_new)
-    if not cands:
+    mus, _ = _raw_eigenpairs(problem.B1, problem.B2, problem.B3, lam_new, vectors="none")
+    mus = mus.tolist()
+    if not mus:
         raise NoFiniteEigenvalue(
             f"no finite eigenvalue at lam={lam_new} while continuing a branch"
         )
-    dists = np.array([abs(p.mu - pred) for p in cands])
+    dists = np.array([abs(mu - pred) for mu in mus])
     order = np.argsort(dists, kind="stable")
+    i0 = order[0]
     scale = max(1.0, abs(pred))
-    if len(cands) > 1:
-        i0, i1 = order[0], order[1]
+    if len(mus) > 1:
+        i1 = order[1]
         if dists[i1] - dists[i0] <= TOL_AMBIGUOUS * scale:
-            mu0, mu1 = cands[i0].mu, cands[i1].mu
+            mu0, mu1 = mus[i0], mus[i1]
             vscale = max(1.0, abs(mu0), abs(mu1))
             if abs(mu0 - mu1) <= TOL_DEDUPE * vscale:
                 # numerically one semisimple eigenvalue reported twice; the
@@ -227,8 +273,13 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
                 i0 = min(i0, i1)
             else:
                 raise AmbiguousBranch(lam_new, (mu0, mu1))
-        return cands[i0]
-    return cands[order[0]]
+    mu = mus[i0]
+    vectors = _inverse_iteration(problem, prev, lam_new, mu)
+    if vectors is None:
+        return min(eigenpairs_at(problem, lam_new), key=lambda p: abs(p.mu - mu))
+    y, degen = _normalize_y(vectors[0], problem.c)
+    return BranchPoint(lam=complex(lam_new), mu=mu, y=y, w=vectors[1],
+                       branch_id=int(i0), c_degenerate=degen)
 
 
 def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,

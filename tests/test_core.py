@@ -50,6 +50,36 @@ def test_matrices_read_only_and_complex():
         p.c[0] = 1.0
 
 
+def test_sparse_matrices_read_only():
+    p = mepnl.gen_helmholtz(mepnl.HelmholtzConfig(n=600, m=10)).problem
+    assert sp.issparse(p.A1)
+    with pytest.raises(ValueError):
+        p.A1.data[0] = 5.0
+    for mat in (p.A1, p.A2, p.A3):
+        for arr in (mat.data, mat.indices, mat.indptr):
+            assert not arr.flags.writeable
+
+
+def test_sparse_duplicates_summed_before_freezing():
+    # a complex CSR matrix, which the container keeps without a copy,
+    # holding entry (0, 0) twice and unsorted column indices
+    dup = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0j]),
+                         np.array([0, 0, 1, 2, 1]), np.array([0, 2, 3, 5])),
+                        shape=(3, 3))
+    dense = dup.toarray()
+    eye = sp.identity(3, format="csr")
+    p = mepnl.TwoParProblem(dup, eye, eye, np.eye(2), np.eye(2), np.eye(2), [1, 0])
+    assert p.A1.has_canonical_format and p.A1.nnz == 4
+    np.testing.assert_array_equal(p.A1.toarray(), dense)
+    x = np.arange(1.0, 4.0)
+    lam, mu = 0.5, -0.25j
+    want = (dense + lam * np.eye(3) + mu * np.eye(3)) @ x
+    np.testing.assert_allclose(p.apply_a(lam, mu, x), want, rtol=1e-15)
+    np.testing.assert_allclose(p.eval_a(lam, mu) @ x, want, rtol=1e-15)
+    fact = mepnl._linalg.Factorization(p.eval_a(lam, mu))
+    np.testing.assert_allclose(fact.solve(want), x, rtol=1e-12)
+
+
 def test_sparse_a_side_and_sparse_b_densified():
     rng = np.random.default_rng(0)
     A = [sp.random(10, 10, density=0.3, random_state=i, format="coo")

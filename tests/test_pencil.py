@@ -1,9 +1,11 @@
 """Branches of the small pencil: eigenpairs, derivatives, continuation."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import mepnl
-from mepnl import pencil
+from mepnl import _linalg, pencil
 from mepnl.errors import NoFiniteEigenvalue, SingularJacobian
 
 # closed-form branch values of the square-root problem with coefficients
@@ -162,3 +164,78 @@ def test_default_c_not_orthogonal():
     for i in range(ys.shape[1]):
         y = ys[:, i]
         assert abs(c @ y) > 1e-10 * np.linalg.norm(y)
+
+
+def test_geig_modes_give_bit_equal_eigenvalues():
+    pencils = []
+    for seed in range(4):
+        p = mepnl.gen_random(3, 12, seed=40 + seed)
+        pencils.append((-(p.B1 + (0.3 - 0.1j) * p.B2), p.B3))
+        pencils.append((-(p.B1 + 0.7 * p.B2), p.B3))
+    q = qep_problem()  # B3 is singular: one infinite eigenvalue
+    pencils.append((-(q.B1 + 1.3 * q.B2), q.B3))
+    for P, Q in pencils:
+        z, n_inf = _linalg.geig(P, Q, vectors="none")
+        z_right, _, n_right = _linalg.geig(P, Q)
+        z_both, _, _, n_both = _linalg.geig(P, Q, vectors="both")
+        assert np.array_equal(z, z_right) and np.array_equal(z, z_both)
+        assert n_inf == n_right == n_both
+    assert n_inf == 1 and z.size == 1
+
+
+def test_stepped_point_matches_full_qz(monkeypatch):
+    p = mepnl.gen_random(6, 8, seed=4)
+    state = pencil.BranchState.at_reference(p, 0.0)
+
+    def full_qz(*args):
+        raise AssertionError("a step fell back to the full QZ")
+
+    monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
+    stepped = [pencil.continue_branch(p, state, b, lam)
+               for lam in (0.05, 0.1 + 0.05j, 0.2) for b in range(state.n_branches)]
+    monkeypatch.undo()
+    for bp in stepped:
+        ref = min(pencil.eigenpairs_at(p, bp.lam), key=lambda q: abs(q.mu - bp.mu))
+        assert ref.mu == bp.mu and bp.c_degenerate == ref.c_degenerate
+        np.testing.assert_allclose(bp.y, ref.y, rtol=0,
+                                   atol=1e-10 * np.linalg.norm(ref.y))
+        phase = ref.w.conj() @ bp.w
+        assert abs(abs(phase) - 1.0) <= 1e-10
+        np.testing.assert_allclose(bp.w, phase * ref.w, rtol=0, atol=1e-10)
+        B = p.eval_b(bp.lam, bp.mu)
+        norm_b = np.linalg.norm(B, 1)
+        assert np.linalg.norm(B @ bp.y) <= 1e-12 * norm_b * np.linalg.norm(bp.y)
+        assert np.linalg.norm(bp.w.conj() @ B) <= 1e-12 * norm_b
+
+
+def test_failed_residual_test_falls_back_to_full_qz(monkeypatch):
+    p = mepnl.gen_random(6, 5, seed=8)
+    fast = pencil.BranchState.at_reference(p, 0.0)
+    slow = pencil.BranchState.at_reference(p, 0.0)
+    lams = np.linspace(0.0, 0.5, 11)[1:]
+    stepped = [pencil.continue_branch(p, fast, 1, lam) for lam in lams]
+    monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", -1.0)  # always fails
+    for lam, bp in zip(lams, stepped):
+        got = pencil.continue_branch(p, slow, 1, lam)
+        ref = min(pencil.eigenpairs_at(p, lam), key=lambda q: abs(q.mu - got.mu))
+        assert got.mu == bp.mu
+        np.testing.assert_array_equal(got.y, ref.y)
+        np.testing.assert_array_equal(got.w, ref.w)
+
+
+def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
+    # B(lam, mu) = diag(mu, 1 + mu, 2 + mu) is exactly singular at the
+    # eigenvalue mu = -1, so its LU meets an exactly zero pivot
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([0.0, 1.0, 2.0]),
+                            np.zeros((3, 3)), np.eye(3), np.ones(3))
+    state = pencil.BranchState.at_reference(p, 0.0)
+    prev = dataclasses.replace(state.current[1], y=np.ones(3), w=np.ones(3))
+    y, w = pencil._inverse_iteration(p, prev, 0.5, -1.0)
+    np.testing.assert_allclose(np.abs(y), [0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(w), [0.0, 1.0, 0.0], atol=1e-15)
+
+    def full_qz(*args):
+        raise AssertionError("a step fell back to the full QZ")
+
+    monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
+    assert pencil.continue_branch(p, state, 1, 0.5).mu == -1.0

@@ -149,6 +149,44 @@ def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
     assert counts["jacobian"] == 0 and counts["derivatives"] == 0
 
 
+def test_qz_work_per_continuation_step(monkeypatch):
+    p = make_problem(seed=1)
+    quad = pick_isolated(delta.solve(p))
+    view = view_through(p, quad)
+    counts = dict.fromkeys(("geig.none", "geig.right", "geig.both", "eigenpairs_at",
+                            "at_reference", "_continue_step", "inverse", "fallback"), 0)
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[key(kwargs, result)] += 1
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(_linalg, "geig", lambda kw, _: "geig." + kw.get("vectors", "right"))
+    for owner, name in ((pencil, "eigenpairs_at"), (pencil.BranchState, "at_reference"),
+                        (pencil, "_continue_step")):
+        count(owner, name, lambda kw, _, name=name: name)
+    count(pencil, "_inverse_iteration",
+          lambda kw, vectors: "fallback" if vectors is None else "inverse")
+    _, trace = solvers.augmented_newton(view, quad.lam + 1e-3, quad.x + 1e-3 * np.ones(p.n))
+    assert trace.converged
+    assert counts["_continue_step"] >= trace.iterations - 1
+    problems.tabulate_branches(p, np.linspace(-1.0, 1.0, 41))
+    steps = counts["_continue_step"]
+    assert steps >= 40 * p.m
+    # the eigenvalues-only QZ chooses every step and one LU gives the
+    # vectors; the full QZ runs only at the sweep's two references and on
+    # counted fallbacks
+    assert counts["geig.none"] == steps == counts["inverse"] + counts["fallback"]
+    assert counts["at_reference"] == 2
+    assert counts["geig.both"] == counts["eigenpairs_at"] == 2 + counts["fallback"]
+    assert counts["geig.right"] == 0
+
+
 def test_newton_from_c_degenerate_point():
     # c^T y = 0.5 + lam for the qep branch eigenvector y = (1, lam), so c
     # cannot normalize y at the start lam0 = -0.5 and the bordered Jacobian
