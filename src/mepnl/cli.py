@@ -5,11 +5,12 @@ branches (tabulate g_i over a lam grid to CSV), cond (solve plus condition
 numbers), generate (write a generated problem to Matrix Market files),
 check (validate a problem source and summarize it).
 
-Exit codes: 0 ok, 2 solver did not converge, 3 singular or degenerate
-problem, 4 I/O or argument data failure, 5 size cap exceeded. All artifacts
-of a run are written only after the computation finished, so a failed run
-leaves no partial files; results.json isolates wall-clock data under
-"timings" and is otherwise deterministic for a fixed config and seed.
+Exit codes: 0 ok, 2 solver did not converge (trace termination "maxit", or
+"stagnated" when Newton reached the accuracy limit before tol), 3 singular
+or degenerate problem, 4 I/O or argument data failure, 5 size cap exceeded.
+All artifacts of a run are written only after the computation finished, so
+a failed run leaves no partial files; results.json isolates wall-clock data
+under "timings" and is otherwise deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -237,6 +238,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     n_quads = len(payload["quadruplets"])
     if payload["converged"]:
         print(f"converged: {n_quads} quadruplet(s) -> {cfg.out}/results.json")
+    elif trace.termination == "stagnated":
+        print(f"stagnated at the accuracy limit after {trace.iterations} "
+              f"iterates -> {cfg.out}/results.json")
     else:
         print(f"did not converge within {cfg.maxit} iterations "
               f"-> {cfg.out}/results.json")

@@ -238,6 +238,9 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     differences for u'' + kappa^2 u - lam u on [x0, x1], a Dirichlet row at
     x0, and a one-sided second-order stencil at x1 for the interface
     condition u'(x1) - mu u(x1) = 0 (the mu term is the only entry of A3).
+    It is assembled directly in CSR from flat real arrays, in O(n) time and
+    memory, and cast to complex only when each matrix is made; below
+    SPARSE_MIN_N the matrices are then densified.
     Small equation (m x m, dense): Chebyshev collocation on [x1, x2] with
     the same interface condition in row 0 and a Neumann row at x2. With
     config.scaling both equations are row-scaled to unit diagonal at
@@ -253,24 +256,39 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     h = (config.x1 - config.x0) / (n - 1)
     ka = config.kappa_a_values(grid_a)
 
-    dense = n < SPARSE_MIN_N
-    main = np.full(n, 0.0, dtype=np.complex128)
-    main[1:-1] = -2.0 / h**2 + ka[1:-1] ** 2
-    lower = np.full(n - 1, 1.0 / h**2, dtype=np.complex128)
-    upper = np.full(n - 1, 1.0 / h**2, dtype=np.complex128)
-    lower[-1] = 0.0  # boundary rows are replaced below
-    upper[0] = 0.0
-    A1 = sp.diags([lower, main, upper], [-1, 0, 1], format="lil", dtype=np.complex128)
-    A1[0, 0] = 1.0
-    A1[n - 1, n - 3] = 1.0 / (2.0 * h)
-    A1[n - 1, n - 2] = -2.0 / h
-    A1[n - 1, n - 1] = 3.0 / (2.0 * h)
-    a2_diag = np.full(n, -1.0, dtype=np.complex128)
-    a2_diag[0] = 0.0
-    a2_diag[-1] = 0.0
-    A2 = sp.diags([a2_diag], [0], format="lil", dtype=np.complex128)
-    A3 = sp.lil_matrix((n, n), dtype=np.complex128)
-    A3[n - 1, n - 1] = -1.0
+    # A1 in CSR arrays: the Dirichlet row 0, then three entries per row, the
+    # interior stencil on rows 1..n-2 and the one-sided interface row n-1
+    stencil = np.empty((n - 1, 3))
+    stencil[:, 0] = 1.0 / h**2
+    stencil[:, 1] = -2.0 / h**2 + ka[1:] ** 2
+    stencil[:, 2] = 1.0 / h**2
+    stencil[-1] = (1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h))
+    cols = np.arange(n - 1)[:, None] + np.arange(3)  # row i: i-1, i, i+1
+    cols[-1] -= 1  # row n-1: n-3, n-2, n-1
+    a1_head = np.array([1.0])
+    a1_diag = np.concatenate((a1_head, stencil[:-1, 1], stencil[-1:, 2]))
+    # A2 is -1 on the interior diagonal, A3 a single -1 at (n-1, n-1)
+    a2_diag = np.zeros(n)
+    a2_diag[1:-1] = -1.0
+    a3_diag = np.zeros(n)
+    a3_diag[-1] = -1.0
+    if config.scaling:
+        # real arithmetic keeps the imaginary zeros +0.0 after the cast
+        s = 1.0 / ((a1_diag + a2_diag) + a3_diag)
+        a1_head = a1_head * s[0]
+        stencil = stencil * s[1:, None]
+        a2_diag = a2_diag * s
+        a3_diag = a3_diag * s
+
+    def csr(data, indices, indptr):
+        return sp.csr_matrix((data.astype(np.complex128), indices, indptr), shape=(n, n))
+
+    A1 = csr(np.concatenate((a1_head, stencil.ravel())),
+             np.concatenate(([0], cols.ravel())),
+             np.concatenate(([0], np.arange(1, 3 * n - 1, 3))))
+    A2 = csr(a2_diag[1:-1], np.arange(1, n - 1),
+             np.concatenate(([0], np.arange(n - 1), [n - 2])))
+    A3 = csr(a3_diag[-1:], [n - 1], np.concatenate((np.zeros(n, dtype=int), [1])))
 
     N = m - 1
     D_t, t = _cheb(N)
@@ -288,16 +306,11 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     B3[0, 0] = -1.0
 
     if config.scaling:
-        da = (A1 + A2 + A3).diagonal()
-        sa = sp.diags([1.0 / da], [0])
-        A1, A2, A3 = sa @ A1, sa @ A2, sa @ A3
         db = np.diag(B1 + B2 + B3)
         B1, B2, B3 = B1 / db[:, None], B2 / db[:, None], B3 / db[:, None]
 
-    if dense:
+    if n < SPARSE_MIN_N:
         A1, A2, A3 = A1.toarray(), A2.toarray(), A3.toarray()
-    else:
-        A1, A2, A3 = A1.tocsr(), A2.tocsr(), A3.tocsr()
     c = np.zeros(m)
     c[0] = 1.0
     problem = TwoParProblem(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _linalg, pencil
 from .core import Quadruplet, TwoParProblem, residuals
-from .errors import ConvergenceFailure, DegenerateProjection
+from .errors import ConvergenceFailure, DegenerateProjection, ShiftIsEigenvalue
 from .nep import NepView
 
 # |w^T A3 v| below this (times norm scale) makes the scalar projection useless.
@@ -45,7 +45,13 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolveTrace:
-    """Per-iteration record of a solver run."""
+    """Per-iteration record of a solver run.
+
+    termination says why the run stopped: "converged" (res_a <= tol),
+    "maxit" (the step budget ran out) or "stagnated" (Newton only: M(lam_k)
+    at an iterate past the start is numerically singular, so the iterate sits
+    at the accuracy limit and no further step can be taken).
+    """
 
     lam: list = dataclasses.field(default_factory=list)
     mu: list = dataclasses.field(default_factory=list)
@@ -95,8 +101,11 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     simple); M(lam_k) is formed only to be factorized, and the single linear
     solve per iteration serves both updates.
 
-    Returns (Quadruplet, SolveTrace); trace.termination is "converged" or
-    "maxit" (non-convergence is reported, not raised).
+    Returns (Quadruplet, SolveTrace); trace.termination is "converged",
+    "maxit" or "stagnated" (non-convergence is reported, not raised). A run
+    stagnates when M(lam_k) at some iterate k >= 1 is too close to singular
+    to factorize (ShiftIsEigenvalue); that iterate is returned. At k = 0 the
+    exception propagates, since the singular point is the caller's own start.
     """
     if config is None:
         config = SolverConfig()
@@ -115,12 +124,20 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     t0 = time.perf_counter()
     bp = nep.branch_point(lam)
     for k in range(config.maxit + 1):
-        rec = residuals(problem, Quadruplet(lam, bp.mu, x, bp.y))
+        a1x, a2x, a3x = problem.A1 @ x, problem.A2 @ x, problem.A3 @ x
+        rec = residuals(problem, Quadruplet(lam, bp.mu, x, bp.y),
+                        ax=(a1x + lam * a2x) + bp.mu * a3x)
         if trace.record(lam, bp.mu, rec, t0, config):
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
-        fact = _linalg.Factorization(problem.eval_a(lam, bp.mu))
-        u = fact.solve(problem.A2 @ x + gprime * (problem.A3 @ x))
+        try:
+            fact = _linalg.Factorization(problem.eval_a(lam, bp.mu))
+        except ShiftIsEigenvalue:
+            if k == 0:
+                raise
+            trace.termination = "stagnated"
+            break
+        u = fact.solve(a2x + gprime * a3x)
         dtu = d @ u
         if dtu == 0:
             raise ConvergenceFailure(

@@ -118,6 +118,21 @@ def test_solve_resinv_maxit_exit_code(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_newton_at_accuracy_limit_exits_not_converged(tmp_path):
+    # tol below the attainable accuracy: M(lam_k) turns numerically singular
+    # near the solution, which is a stagnated run (exit 2), not a singular
+    # problem (exit 3), and its artifacts are written
+    out = tmp_path / "run"
+    code = run(["solve", "--gen", "random", "--n", "60", "--m", "5",
+                "--seed", "11", "--tol", "1e-17", "--out", out])
+    assert code == 2
+    res = read_results(out)
+    assert res["converged"] is False
+    assert res["trace"]["termination"] == "stagnated"
+    assert res["quadruplets"][0]["res_a"] <= 1e-12
+    assert (out / "trace.csv").exists()
+
+
 def test_branches_flags_default_profile_pole(tmp_path):
     out = tmp_path / "run"
     code = run(["branches", "--gen", "helmholtz", "--n", "51", "--m", "30",

@@ -122,6 +122,84 @@ def test_helmholtz_sparse_threshold():
     assert sp.issparse(big.problem.A1)
 
 
+def lil_reference(cfg):
+    """The A side by the LIL recipe that the direct CSR build replaced: kept
+    here as the oracle for byte-identical assembly."""
+    n = cfg.n
+    h = (cfg.x1 - cfg.x0) / (n - 1)
+    ka = cfg.kappa_a_values(np.linspace(cfg.x0, cfg.x1, n))
+    main = np.zeros(n, dtype=np.complex128)
+    main[1:-1] = -2.0 / h**2 + ka[1:-1] ** 2
+    lower = np.full(n - 1, 1.0 / h**2, dtype=np.complex128)
+    upper = lower.copy()
+    lower[-1] = 0.0
+    upper[0] = 0.0
+    A1 = sp.diags([lower, main, upper], [-1, 0, 1], format="lil",
+                  dtype=np.complex128)
+    A1[0, 0] = 1.0
+    A1[n - 1, n - 3] = 1.0 / (2.0 * h)
+    A1[n - 1, n - 2] = -2.0 / h
+    A1[n - 1, n - 1] = 3.0 / (2.0 * h)
+    a2 = np.full(n, -1.0, dtype=np.complex128)
+    a2[0] = a2[-1] = 0.0
+    A2 = sp.diags([a2], [0], format="lil", dtype=np.complex128)
+    A3 = sp.lil_matrix((n, n), dtype=np.complex128)
+    A3[n - 1, n - 1] = -1.0
+    if cfg.scaling:
+        sa = sp.diags([1.0 / (A1 + A2 + A3).diagonal()], [0])
+        A1, A2, A3 = sa @ A1, sa @ A2, sa @ A3
+    if n < problems.SPARSE_MIN_N:
+        return [M.toarray() for M in (A1, A2, A3)]
+    return [M.tocsr() for M in (A1, A2, A3)]
+
+
+def assert_same_bytes(got, want):
+    assert sp.issparse(got) == sp.issparse(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if not sp.issparse(want):
+        assert got.tobytes() == want.tobytes()
+        return
+    assert got.has_canonical_format and want.has_canonical_format
+    for attr in ("data", "indices", "indptr"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+
+
+@pytest.mark.parametrize("n, scaling, kappa_a", [
+    (201, True, None),
+    (600, True, None),
+    (600, False, None),
+    (5000, True, lambda x: 1.5 + np.sin(3.0 * x) ** 2),
+])
+def test_helmholtz_csr_assembly_matches_lil_recipe(n, scaling, kappa_a):
+    cfg = problems.HelmholtzConfig(n=n, m=10, scaling=scaling, kappa_a=kappa_a)
+    p = problems.gen_helmholtz(cfg).problem
+    # frozen the same way, so both sides are canonical and complex
+    ref = mepnl.TwoParProblem(*lil_reference(cfg), p.B1, p.B2, p.B3, p.c)
+    for name in ("A1", "A2", "A3"):
+        assert_same_bytes(getattr(p, name), getattr(ref, name))
+
+
+def test_helmholtz_assembly_builds_no_lil(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_helmholtz built a LIL matrix")
+
+    monkeypatch.setattr(sp.lil_matrix, "__init__", refuse)
+    for n in (41, 600):
+        problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=6))
+
+
+def test_helmholtz_large_assembly_structure():
+    n = 200_000
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=6)).problem
+    for M, nnz in ((p.A1, 3 * n - 2), (p.A2, n - 2), (p.A3, 1)):
+        assert M.format == "csr" and M.has_canonical_format
+        assert M.dtype == np.complex128 and M.nnz == nnz
+        assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
+        for arr in (M.data, M.indices, M.indptr):
+            assert not arr.flags.writeable
+
+
 def helmholtz_eigen(cfg, lam0):
     disc = problems.gen_helmholtz(cfg)
     view = nep.NepView(disc.problem, branch_id=0, reference_lam=lam0)

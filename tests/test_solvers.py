@@ -4,7 +4,7 @@ import pytest
 
 import mepnl
 from mepnl import _linalg, core, delta, nep, pencil, problems, solvers
-from mepnl.errors import ConvergenceFailure, DegenerateProjection
+from mepnl.errors import ConvergenceFailure, DegenerateProjection, ShiftIsEigenvalue
 
 
 def make_problem(seed=0, n=8, m=3):
@@ -107,6 +107,56 @@ def test_newton_maxit_reported_not_raised():
     assert trace.termination == "maxit"
     assert not trace.converged
     assert trace.iterations == 3  # initial point plus two steps
+
+
+def test_newton_stagnates_at_accuracy_limit():
+    p = problems.gen_random(60, 5, seed=11)
+    view = nep.NepView(p, branch_id=0)
+    cfg = solvers.SolverConfig(tol=1e-17)
+    quad, trace = solvers.augmented_newton(view, 0.0, np.ones(p.n), cfg)
+    # M(lam_k) became too close to singular to factorize before tol was met
+    assert trace.termination == "stagnated"
+    assert not trace.converged and 1 < trace.iterations <= cfg.maxit
+    # the iterate it stopped at is the one returned, at the accuracy limit
+    assert quad.lam == trace.lam[-1] and quad.mu == trace.mu[-1]
+    assert quad.residuals.res_a == trace.res_a[-1] <= 1e-12
+    assert quad.residuals.res_b <= 1e-14
+
+
+def test_newton_singular_start_raises():
+    # M(lam0) singular at the caller's own start is an error, not stagnation
+    rng = np.random.default_rng(6)
+    A1, A2, A3 = (rng.standard_normal((5, 5)) for _ in range(3))
+    A1[0] = 0.0
+    p = problems.gen_qep(A1, A2, A3)
+    view = nep.NepView(p, branch_id=0, reference_lam=0.0)
+    with pytest.raises(ShiftIsEigenvalue):
+        solvers.augmented_newton(view, 0.0, np.ones(p.n))
+
+
+class CountedMatvecs(np.ndarray):
+    """Dense array that counts the products A @ x taken with it."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        CountedMatvecs.calls += 1
+        return np.asarray(self) @ other
+
+
+def test_newton_three_a_side_products_per_iterate(monkeypatch):
+    p = make_problem(seed=1)
+    quad = pick_isolated(delta.solve(p))
+    view = view_through(p, quad)
+    for name in ("A1", "A2", "A3"):
+        monkeypatch.setattr(p, name, getattr(p, name).view(CountedMatvecs))
+    monkeypatch.setattr(CountedMatvecs, "calls", 0)
+    _, trace = solvers.augmented_newton(view, quad.lam + 1e-3,
+                                        quad.x + 1e-3 * np.ones(p.n))
+    assert trace.converged and trace.iterations >= 3
+    # A1 x, A2 x, A3 x once per iterate serve the residual and the Newton
+    # right-hand side alike
+    assert CountedMatvecs.calls == 3 * trace.iterations
 
 
 def count_calls(monkeypatch, targets):
