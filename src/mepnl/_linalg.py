@@ -91,10 +91,18 @@ class Factorization:
         return x.reshape(b.shape)
 
 
+def finite_pair(alpha, beta):
+    """Whether the homogeneous eigenvalue (alpha, beta) is finite, alpha/beta:
+    |beta| > TOL_INF * (|alpha| + |beta|); elementwise on arrays. The one
+    home of this test, for QZ's pairs in geig and for the pair (-1, tau) of
+    a rank-one B3 in the pencil module."""
+    return np.abs(beta) > TOL_INF * (np.abs(alpha) + np.abs(beta))
+
+
 def geig(P, Q, vectors: str = "right"):
     """The finite eigenvalues z of P v = z Q v in canonical order: ascending
-    (|z|, Re z, Im z), stable for exact ties. One whose homogeneous beta
-    fails the TOL_INF test is infinite and dropped.
+    (|z|, Re z, Im z), stable for exact ties. One whose homogeneous pair
+    fails finite_pair is infinite and dropped.
 
     vectors picks what QZ computes besides the eigenvalues: "right" returns
     (z, vr, n_inf), "both" returns (z, vr, vl, n_inf) and "none" returns
@@ -107,7 +115,7 @@ def geig(P, Q, vectors: str = "right"):
     Q = np.asarray(Q, dtype=np.complex128)
     out = sla.eig(P, Q, left=left, right=right, homogeneous_eigvals=True)
     alpha, beta = out[0] if right else out
-    finite = np.abs(beta) > TOL_INF * (np.abs(alpha) + np.abs(beta))
+    finite = finite_pair(alpha, beta)
     z = alpha[finite] / beta[finite]
     order = np.lexsort((z.imag, z.real, np.abs(z)))
     cols = np.flatnonzero(finite)[order]

@@ -5,9 +5,14 @@ branches (tabulate g_i over a lam grid to CSV), cond (solve plus condition
 numbers), generate (write a generated problem to Matrix Market files),
 check (validate a problem source and summarize it).
 
-Exit codes: 0 ok, 2 solver did not converge (trace termination "maxit", or
-"stagnated" when Newton reached the accuracy limit before tol), 3 singular
-or degenerate problem, 4 I/O or argument data failure, 5 size cap exceeded.
+Exit codes (EXIT_*; TERMINATION_EXIT maps each SolveTrace termination):
+  0  ok; termination "converged"
+  2  solver did not converge: termination "maxit" (step budget spent),
+     "stagnated" (Newton reached the accuracy limit before tol) or
+     "nonfinite" (an update turned lam or x non-finite)
+  3  singular or degenerate problem
+  4  I/O or argument data failure
+  5  size cap exceeded
 All artifacts of a run are written only after the computation finished, so
 a failed run leaves no partial files; results.json isolates wall-clock data
 under "timings" and is otherwise deterministic for a fixed config and seed.
@@ -40,6 +45,9 @@ EXIT_NOT_CONVERGED = 2
 EXIT_SINGULAR = 3
 EXIT_IO = 4
 EXIT_TOO_LARGE = 5
+# exit code of each SolveTrace termination
+TERMINATION_EXIT = {"converged": EXIT_OK, "maxit": EXIT_NOT_CONVERGED,
+                    "stagnated": EXIT_NOT_CONVERGED, "nonfinite": EXIT_NOT_CONVERGED}
 
 
 def parse_complex(text) -> complex:
@@ -217,8 +225,7 @@ def _compute_solve(cfg: RunConfig):
         quads = [quad]
         payload["trace"] = _trace_json(trace)
         payload["converged"] = trace.converged
-        if not trace.converged:
-            code = EXIT_NOT_CONVERGED
+        code = TERMINATION_EXIT[trace.termination]
     payload["quadruplets"] = [_quad_json(problem, q) for q in quads]
     return code, payload, problem, quads, trace
 
@@ -240,6 +247,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"converged: {n_quads} quadruplet(s) -> {cfg.out}/results.json")
     elif trace.termination == "stagnated":
         print(f"stagnated at the accuracy limit after {trace.iterations} "
+              f"iterates -> {cfg.out}/results.json")
+    elif trace.termination == "nonfinite":
+        print(f"stopped before a non-finite update after {trace.iterations} "
               f"iterates -> {cfg.out}/results.json")
     else:
         print(f"did not converge within {cfg.maxit} iterations "

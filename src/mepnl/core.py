@@ -27,6 +27,9 @@ from .errors import (
 # Scaled thresholds below which an eigenvalue is treated as non-simple and
 # conditioning is refused.
 TOL_SIMPLE = 1e-12
+# max|B3 - u v^H| at or below this times the largest |B3| entry makes B3 rank
+# one; forming np.outer(u, v.conj()) in floating point leaves about 2 eps.
+TOL_RANK_ONE = 8 * np.finfo(float).eps
 
 
 def _check_square(mat, name, order=None):
@@ -37,12 +40,28 @@ def _check_square(mat, name, order=None):
     return mat
 
 
+def _rank_one_factors(B3):
+    """(u, v) with B3 = u v^H to within TOL_RANK_ONE, or None when B3 is zero
+    or of rank two or more. Pivots on the largest entry B3[i, j]: u = B3[:, j]
+    and v^H = B3[i, :] / B3[i, j]. O(m^2), no SVD."""
+    i, j = np.unravel_index(np.argmax(np.abs(B3)), B3.shape)
+    pivot = B3[i, j]
+    if pivot == 0:
+        return None
+    u, vh = B3[:, j].copy(), B3[i, :] / pivot
+    if not np.max(np.abs(B3 - np.outer(u, vh))) <= TOL_RANK_ONE * abs(pivot):
+        return None  # rank two or more, or not finite
+    return u, vh.conj()
+
+
 class TwoParProblem:
     """Immutable container for the six coefficient matrices and the normalization c.
 
     A1, A2, A3 are n x n (dense ndarray or scipy.sparse, stored as CSR);
     B1, B2, B3 are m x m dense; c is a complex m-vector fixing the eigenvector
     scaling of the small equation through c^T y = 1 (unconjugated transpose).
+    b3_rank_one is (u, v) with B3 = u v^H when B3 has rank exactly one, else
+    None; the small pencil then has at most one finite eigenvalue.
     """
 
     def __init__(self, A1, A2, A3, B1, B2, B3, c, label="2ep"):
@@ -69,7 +88,9 @@ class TwoParProblem:
             raise ValueError("normalization vector c must be nonzero")
         self.c = c
         self.label = str(label)
-        for mat in (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3, self.c):
+        self.b3_rank_one = _rank_one_factors(B3)
+        for mat in (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3, self.c,
+                    *(self.b3_rank_one or ())):
             if not sp.issparse(mat):
                 mat.flags.writeable = False
                 continue

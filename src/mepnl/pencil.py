@@ -10,9 +10,12 @@ path all live here. Slopes g' come from their closed form
 
 A continuation step costs one eigenvalues-only QZ of the pencil, which
 chooses the followed eigenvalue, plus one LU of order m of B(lam, mu) at
-that eigenvalue, which gives its y and w by inverse iteration. The full QZ
-with left and right eigenvectors (eigenpairs_at) runs only at reference
-points and when those vectors fail their residual test.
+that eigenvalue, which gives its y and w by inverse iteration. When B3 has
+rank one, as in the Helmholtz and quadratic generators, the pencil has at
+most one finite eigenvalue, and a point costs one LU of order m of
+B1 + lam*B2 instead, with no step and no QZ. The full QZ with left and
+right eigenvectors (eigenpairs_at) runs only at reference points and when
+those vectors fail their residual test.
 """
 from __future__ import annotations
 
@@ -211,30 +214,82 @@ class BranchState:
         return len(self.reference_points)
 
 
-def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
-    """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
-    eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
-    prev.w on one LU of B. An exactly zero pivot, common when B is real,
-    becomes eps*||B||_1, as in LAPACK's inverse iteration (zlaein). None when
-    either residual exceeds TOL_INVERSE_RESIDUAL * ||B||_1.
-
-    The LU is LAPACK's, not a _linalg.Factorization, whose singularity
-    refusal would fire here: B is singular to working precision by design.
-    """
-    B = problem.eval_b(lam, mu)
+def _pivot_floor_lu(B):
+    """(lu, piv, ||B||_1): LAPACK's LU of B, with an exactly zero pivot,
+    common when B is real, replaced by eps*||B||_1 as in LAPACK's inverse
+    iteration (zlaein). Not a _linalg.Factorization, whose singularity
+    refusal would fire here: B may be singular to working precision by
+    design."""
     norm = np.linalg.norm(B, 1)
     lu, piv, _ = lapack.zgetrf(B)
     zero = np.flatnonzero(lu.diagonal() == 0)
     lu[zero, zero] = np.finfo(float).eps * norm
+    return lu, piv, norm
+
+
+def _null_vectors_pass(B, norm, y, w) -> bool:
+    """The residual test of a step's unit y and w at the eigenvalue mu of
+    B = B(lam, mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * norm,
+    with norm = ||B||_1."""
+    tol = TOL_INVERSE_RESIDUAL * norm
+    return np.linalg.norm(B @ y) <= tol and np.linalg.norm(w.conj() @ B) <= tol
+
+
+def _full_qz_point(problem: TwoParProblem, lam, mu) -> BranchPoint:
+    """The point of eigenpairs_at(lam) nearest mu, for a step whose y and w
+    failed their residual test."""
+    points = eigenpairs_at(problem, lam)
+    if not points:
+        raise NoFiniteEigenvalue(f"full QZ finds no finite eigenvalue at lam={lam}")
+    return min(points, key=lambda p: abs(p.mu - mu))
+
+
+def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
+    """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
+    eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
+    prev.w on one _pivot_floor_lu of B. None when they fail
+    _null_vectors_pass.
+    """
+    B = problem.eval_b(lam, mu)
+    lu, piv, norm = _pivot_floor_lu(B)
     y, w = prev.y, prev.w
     for _ in range(INVERSE_STEPS):
         y = lapack.zgetrs(lu, piv, y)[0]
         w = lapack.zgetrs(lu, piv, w, trans=2)[0]
         y, w = y / np.linalg.norm(y), w / np.linalg.norm(w)
-    tol = TOL_INVERSE_RESIDUAL * norm
-    if np.linalg.norm(B @ y) <= tol and np.linalg.norm(w.conj() @ B) <= tol:
-        return y, w
-    return None
+    return (y, w) if _null_vectors_pass(B, norm, y, w) else None
+
+
+def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
+    """The branch point at lam when B3 = u v^H has rank one.
+
+    With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
+    of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
+    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v: one _pivot_floor_lu of K.
+    mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
+    test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1;
+    otherwise NoFiniteEigenvalue. When y and w fail _null_vectors_pass at
+    mu, the point comes from the full QZ instead.
+    """
+    u, v = problem.b3_rank_one
+    K = problem.B1 + lam * problem.B2
+    lu, piv, _ = _pivot_floor_lu(K)
+    x = lapack.zgetrs(lu, piv, u)[0]
+    z = lapack.zgetrs(lu, piv, v, trans=2)[0]
+    tau = v.conj() @ x
+    if not _linalg.finite_pair(-1.0, tau):
+        raise NoFiniteEigenvalue(
+            f"the rank-one pencil has no finite eigenvalue at lam={lam} "
+            f"(v^H K^-1 u = {tau:.3e})"
+        )
+    mu = complex(-1.0 / tau)
+    y, w = x / np.linalg.norm(x), z / np.linalg.norm(z)
+    B = K + mu * problem.B3
+    if not _null_vectors_pass(B, np.linalg.norm(B, 1), y, w):
+        return _full_qz_point(problem, lam, mu)
+    y, degen = _normalize_y(y, problem.c)
+    return BranchPoint(lam=complex(lam), mu=mu, y=y, w=w, branch_id=0,
+                       c_degenerate=degen)
 
 
 def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
@@ -276,35 +331,25 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     mu = mus[i0]
     vectors = _inverse_iteration(problem, prev, lam_new, mu)
     if vectors is None:
-        return min(eigenpairs_at(problem, lam_new), key=lambda p: abs(p.mu - mu))
+        return _full_qz_point(problem, lam_new, mu)
     y, degen = _normalize_y(vectors[0], problem.c)
     return BranchPoint(lam=complex(lam_new), mu=mu, y=y, w=vectors[1],
                        branch_id=int(i0), c_degenerate=degen)
 
 
-def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
-                    lam_new) -> BranchPoint:
-    """Step the tracked branch to lam_new and return its point there.
-
-    A step whose destination is ambiguous (two candidates about equally
-    close, as happens when the step jumps over most of the gap between two
-    nearby branches) is bisected and retried, up to MAX_BISECTIONS interval
-    splits in total. Ambiguity that survives the smallest step is genuine
-    (the branches meet on the way) and AmbiguousBranch propagates;
-    NoFiniteEigenvalue is raised when the pencil degenerates at lam_new.
-    """
-    if branch_id not in state.current:
-        raise KeyError(f"unknown branch id {branch_id}")
-    point = state.current[branch_id]
-    lam_new = complex(lam_new)
-    if lam_new == point.lam:
-        return point
+def _bisected_steps(problem: TwoParProblem, point: BranchPoint, lam_new):
+    """Continuation steps from point to lam_new. A step whose destination is
+    ambiguous (two candidates about equally close, as happens when the step
+    jumps over most of the gap between two nearby branches) is bisected and
+    retried, up to MAX_BISECTIONS interval splits in total. Ambiguity that
+    survives the smallest step is genuine (the branches meet on the way)
+    and AmbiguousBranch propagates."""
     pending = [lam_new]
     splits = 0
     while pending:
         target = pending[-1]
         try:
-            nxt = _continue_step(problem, point, target)
+            point = _continue_step(problem, point, target)
         except AmbiguousBranch:
             splits += 1
             mid = point.lam + 0.5 * (target - point.lam)
@@ -312,8 +357,34 @@ def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
                 raise
             pending.append(mid)
             continue
-        point = dataclasses.replace(nxt, branch_id=branch_id)
         pending.pop()
+    return point
+
+
+def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
+                    lam_new) -> BranchPoint:
+    """Step the tracked branch to lam_new and return its point there.
+
+    When B3 has rank one (problem.b3_rank_one) the pencil has at most one
+    finite eigenvalue, so the point at lam_new is evaluated directly
+    (_rank_one_point): one LU of order m, with no step, no bisection and no
+    QZ. Otherwise the branch is followed by continuation steps, bisected on
+    ambiguity (_bisected_steps). NoFiniteEigenvalue is raised when the
+    pencil degenerates at lam_new, ValueError when lam_new is not finite.
+    """
+    if branch_id not in state.current:
+        raise KeyError(f"unknown branch id {branch_id}")
+    point = state.current[branch_id]
+    lam_new = complex(lam_new)
+    if not np.isfinite(lam_new):
+        raise ValueError(f"cannot continue a branch to non-finite lam={lam_new}")
+    if lam_new == point.lam:
+        return point
+    if problem.b3_rank_one is not None:
+        point = _rank_one_point(problem, lam_new)
+    else:
+        point = _bisected_steps(problem, point, lam_new)
+    point = dataclasses.replace(point, branch_id=branch_id)
     state.current[branch_id] = point
     return point
 

@@ -48,9 +48,11 @@ class SolveTrace:
     """Per-iteration record of a solver run.
 
     termination says why the run stopped: "converged" (res_a <= tol),
-    "maxit" (the step budget ran out) or "stagnated" (Newton only: M(lam_k)
+    "maxit" (the step budget ran out), "stagnated" (Newton only: M(lam_k)
     at an iterate past the start is numerically singular, so the iterate sits
-    at the accuracy limit and no further step can be taken).
+    at the accuracy limit and no further step can be taken) or "nonfinite"
+    (the next iterate's lam or x is not finite; the last finite iterate is
+    the one returned).
     """
 
     lam: list = dataclasses.field(default_factory=list)
@@ -102,10 +104,12 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     solve per iteration serves both updates.
 
     Returns (Quadruplet, SolveTrace); trace.termination is "converged",
-    "maxit" or "stagnated" (non-convergence is reported, not raised). A run
-    stagnates when M(lam_k) at some iterate k >= 1 is too close to singular
-    to factorize (ShiftIsEigenvalue); that iterate is returned. At k = 0 the
-    exception propagates, since the singular point is the caller's own start.
+    "maxit", "stagnated" or "nonfinite" (non-convergence is reported, not
+    raised). A run stagnates when M(lam_k) at some iterate k >= 1 is too
+    close to singular to factorize (ShiftIsEigenvalue); that iterate is
+    returned. At k = 0 the exception propagates, since the singular point is
+    the caller's own start. A run is nonfinite when an update would make lam
+    or x non-finite; the last finite iterate is returned.
     """
     if config is None:
         config = SolverConfig()
@@ -145,9 +149,12 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
                 f"at iteration {k} (lam={lam})"
             )
         alpha = 1.0 / dtu
+        lam_next, x_next = lam - alpha, alpha * u
+        if not (np.isfinite(lam_next) and np.all(np.isfinite(x_next))):
+            trace.termination = "nonfinite"
+            break
         trace.alpha.append(alpha)
-        lam = lam - alpha
-        x = alpha * u
+        lam, x = lam_next, x_next
         bp = nep.branch_point(lam)
     return Quadruplet(lam, bp.mu, x, bp.y, residuals=rec,
                       c_normalized=not bp.c_degenerate), trace
@@ -209,7 +216,9 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k); the product
     M(lam_{k+1}) x_k also gives the residual of that iterate.
 
-    Returns (Quadruplet, SolveTrace); non-convergence is a trace flag.
+    Returns (Quadruplet, SolveTrace); non-convergence is a trace flag,
+    "maxit" or "nonfinite" (a correction that is not finite ends the run at
+    the last finite iterate).
     """
     if config.sigma is None:
         raise ValueError("resinv requires config.sigma")
@@ -239,6 +248,9 @@ def resinv(nep: NepView, x0, config: SolverConfig):
             break
         u = x - fact.solve(z)
         nu = np.linalg.norm(u)
+        if not np.isfinite(nu):
+            trace.termination = "nonfinite"
+            break
         if nu == 0:
             raise ConvergenceFailure(
                 f"correction vanished at iteration {k} (lam={lam})"

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,43 @@ def test_newton_at_accuracy_limit_exits_not_converged(tmp_path):
     assert res["trace"]["termination"] == "stagnated"
     assert res["quadruplets"][0]["res_a"] <= 1e-12
     assert (out / "trace.csv").exists()
+
+
+def test_newton_nonfinite_update_exits_not_converged(tmp_path, nan_at_second_solve):
+    # a NaN Newton solve ends the run as "nonfinite" (exit 2, artifacts of
+    # the last finite iterate), not with a traceback from the small pencil
+    out = tmp_path / "run"
+    code = run(["solve", "--gen", "random", "--n", "30", "--m", "4",
+                "--seed", "5", "--out", out])
+    assert code == cli.EXIT_NOT_CONVERGED
+    res = read_results(out)  # strict JSON: no NaN was written
+    assert res["converged"] is False
+    assert res["trace"]["termination"] == "nonfinite"
+    assert all(math.isfinite(v) for v in res["quadruplets"][0]["lam"])
+
+
+def exit_code_lines(text, pattern):
+    """{code: line} for the lines of an exit-code table matched by pattern."""
+    return {int(m.group(1)): m.group(0)
+            for m in re.finditer(pattern, text, flags=re.MULTILINE)}
+
+
+def test_exit_code_tables_match_the_code():
+    codes = {name: value for name, value in vars(cli).items()
+             if name.startswith("EXIT_")}
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    tables = {
+        "cli docstring": exit_code_lines(cli.__doc__, r"^  (\d+)  .*(?:\n     .*)*"),
+        "README": exit_code_lines(readme, r"^\| (\d+) \|.*"),
+    }
+    assert set(cli.TERMINATION_EXIT) == {"converged", "maxit", "stagnated", "nonfinite"}
+    for where, lines in tables.items():
+        assert set(lines) == set(codes.values()), where
+        for term, code in cli.TERMINATION_EXIT.items():
+            quoted = f'"{term}"' if where == "cli docstring" else f"`{term}`"
+            holders = [c for c, line in lines.items() if quoted in line]
+            assert holders == [code], f"{where}: {term} listed under {holders}"
 
 
 def test_branches_flags_default_profile_pole(tmp_path):

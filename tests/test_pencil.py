@@ -185,6 +185,7 @@ def test_geig_modes_give_bit_equal_eigenvalues():
 
 def test_stepped_point_matches_full_qz(monkeypatch):
     p = mepnl.gen_random(6, 8, seed=4)
+    assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
     state = pencil.BranchState.at_reference(p, 0.0)
 
     def full_qz(*args):
@@ -210,6 +211,7 @@ def test_stepped_point_matches_full_qz(monkeypatch):
 
 def test_failed_residual_test_falls_back_to_full_qz(monkeypatch):
     p = mepnl.gen_random(6, 5, seed=8)
+    assert p.b3_rank_one is None
     fast = pencil.BranchState.at_reference(p, 0.0)
     slow = pencil.BranchState.at_reference(p, 0.0)
     lams = np.linspace(0.0, 0.5, 11)[1:]
@@ -228,6 +230,7 @@ def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
     # eigenvalue mu = -1, so its LU meets an exactly zero pivot
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([0.0, 1.0, 2.0]),
                             np.zeros((3, 3)), np.eye(3), np.ones(3))
+    assert p.b3_rank_one is None
     state = pencil.BranchState.at_reference(p, 0.0)
     prev = dataclasses.replace(state.current[1], y=np.ones(3), w=np.ones(3))
     y, w = pencil._inverse_iteration(p, prev, 0.5, -1.0)
@@ -239,3 +242,101 @@ def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
 
     monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
     assert pencil.continue_branch(p, state, 1, 0.5).mu == -1.0
+
+
+def count_geig(monkeypatch):
+    """Count _linalg.geig calls by their vectors mode."""
+    counts = {"none": 0, "right": 0, "both": 0}
+    original = _linalg.geig
+
+    def counted(*args, **kwargs):
+        counts[kwargs.get("vectors", "right")] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "geig", counted)
+    return counts
+
+
+def test_rank_one_detection_of_floating_point_outer_product():
+    eps = np.finfo(float).eps
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        scale_u, scale_v = 10.0 ** rng.uniform(-6, 6, 2)
+        u = scale_u * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        v = scale_v * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        B3 = np.outer(u, v.conj())
+        p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), rng.standard_normal((m, m)),
+                                np.eye(m), B3, np.ones(m))
+        assert p.b3_rank_one is not None, f"seed {seed}"
+        fu, fv = p.b3_rank_one
+        err = np.max(np.abs(np.outer(fu, fv.conj()) - B3))
+        assert err <= 4 * eps * np.max(np.abs(B3)), f"seed {seed}"
+    # the generators with a single coupling entry, and a full-rank B3
+    assert qep_problem().b3_rank_one is not None
+    assert sqrt_problem()[0].b3_rank_one is None
+    assert mepnl.gen_random(3, 6, seed=1).b3_rank_one is None
+
+
+def test_zero_and_nearly_rank_one_b3_stay_on_qz_path(monkeypatch):
+    zero = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2),
+                               np.eye(2), np.eye(2), np.zeros((2, 2)), [1.0, 0.0])
+    assert zero.b3_rank_one is None
+    rng = np.random.default_rng(7)
+    m = 6
+    u, v = rng.standard_normal(m), rng.standard_normal(m)
+    B3 = np.outer(u, v) + 1e-8 * rng.standard_normal((m, m))
+    B1, B2 = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3,
+                            pencil.default_c(B1, B2, B3))
+    assert p.b3_rank_one is None
+    state = pencil.BranchState.at_reference(p, 0.0)
+    counts = count_geig(monkeypatch)
+    bp = pencil.continue_branch(p, state, 0, 0.01)
+    assert counts["none"] >= 1
+    monkeypatch.undo()
+    assert bp.mu == pencil.eigenpairs_at(p, 0.01)[0].mu
+
+
+def test_rank_one_qep_branch_is_lambda_squared(monkeypatch):
+    p = qep_problem()
+    state = pencil.BranchState.at_reference(p, 1.0)
+    counts = count_geig(monkeypatch)
+    rng = np.random.default_rng(3)
+    lams = list(rng.standard_normal(50) + 1j * rng.standard_normal(50)) + [0.0]
+    eps = np.finfo(float).eps
+    for lam in lams:
+        bp = pencil.continue_branch(p, state, 0, lam)
+        scale = max(1.0, abs(lam) ** 2)
+        assert abs(bp.mu - lam**2) <= 4 * eps * scale, f"lam {lam}"
+        # y = (1, lam) under c = (1, 0); w is the unit left null vector
+        np.testing.assert_allclose(bp.y, [1.0, lam], rtol=0, atol=4 * eps * scale)
+        B = p.eval_b(lam, bp.mu)
+        assert np.linalg.norm(bp.w.conj() @ B) <= 4 * eps * np.linalg.norm(B, 1)
+        assert np.linalg.norm(bp.w) == pytest.approx(1.0)
+    # no QZ at all: the one finite eigenvalue comes from one LU per point
+    assert counts == {"none": 0, "right": 0, "both": 0}
+
+
+def test_rank_one_infinite_mu_raises():
+    # K = B1 + lam*B2 = diag(1 + lam, 2) and B3 = e0 e0^T give mu = -(1 + lam)
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, 2.0]),
+                            np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2))
+    assert p.b3_rank_one is not None
+    state = pencil.BranchState.at_reference(p, 0.0)
+    assert state.current[0].mu == -1.0
+    big = 1.0 / _linalg.TOL_INF
+    assert pencil.continue_branch(p, state, 0, 0.5 * big).mu == -(1.0 + 0.5 * big)
+    # |mu| >= 1/TOL_INF is infinite, as geig's test calls it on QZ's pairs
+    for lam in (big, 2.0 * big):
+        with pytest.raises(NoFiniteEigenvalue):
+            pencil.continue_branch(p, state, 0, lam)
+        assert pencil.eigenpairs_at(p, lam) == []
+
+
+def test_continue_branch_rejects_nonfinite_lam():
+    for p in (qep_problem(), sqrt_problem()[0]):
+        state = pencil.BranchState.at_reference(p, 0.0)
+        for lam in (np.nan, complex(0.0, np.inf)):
+            with pytest.raises(ValueError):
+                pencil.continue_branch(p, state, 0, lam)

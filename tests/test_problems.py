@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 import mepnl
-from mepnl import delta, nep, pencil, problems, solvers
+from mepnl import _linalg, delta, nep, pencil, problems, solvers
 
 
 def test_gen_random_reproducible_and_scaled():
@@ -234,6 +234,59 @@ def test_helmholtz_scaling_does_not_move_eigenvalues():
         quads.append(helmholtz_eigen(cfg, lam1 + 0.01)[1])
     assert abs(quads[0].lam - quads[1].lam) <= 1e-8
     assert abs(quads[0].mu - quads[1].mu) <= 1e-8
+
+
+def bench_helmholtz_small_side(n=3):
+    """The small equation of the benchmark's Helmholtz problem (kappa = 2 on
+    [3.7, 5], m = 30); its B3 has the single interface entry."""
+    cfg = problems.HelmholtzConfig(x1=3.7, x2=5.0, n=n, m=30,
+                                   kappa_a=2.0, kappa_b=2.0)
+    return problems.gen_helmholtz(cfg).problem
+
+
+def test_rank_one_helmholtz_branch_matches_closed_form():
+    p = bench_helmholtz_small_side()
+    assert p.b3_rank_one is not None
+    grid = np.arange(-10.0, 100.0 + 1e-9, 0.125)
+    # the interface ratio of cos(omega (x2 - x)) at x1
+    omega = np.sqrt(4.0 - grid.astype(complex))
+    closed = omega * np.tan(omega * 1.3)
+    scale = np.maximum(1.0, np.abs(closed))
+    table = problems.tabulate_branches(p, grid, branch_ids=[0])
+    assert table.gaps == []
+    full_qz = np.array([pencil.eigenpairs_at(p, lam)[0].mu for lam in grid])
+    err_rank_one = np.max(np.abs(table.column(0) - closed) / scale)
+    err_full_qz = np.max(np.abs(full_qz - closed) / scale)
+    assert err_rank_one <= err_full_qz <= 1e-10
+
+
+def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
+    kappa0 = 2.0
+    cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=201, m=12,
+                                   kappa_a=kappa0, kappa_b=kappa0)
+    p = problems.gen_helmholtz(cfg).problem
+    assert p.b3_rank_one is not None
+    counts = dict.fromkeys(("geig", "at_reference", "step", "inverse"), 0)
+    for owner, name, key in ((_linalg, "geig", "geig"),
+                             (pencil.BranchState, "at_reference", "at_reference"),
+                             (pencil, "_continue_step", "step"),
+                             (pencil, "_inverse_iteration", "inverse")):
+        original = getattr(owner, name)
+
+        def counted(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    problems.tabulate_branches(p, np.linspace(-2.0, 3.0, 51), branch_ids=[0])
+    # the sweep's two references are its only QZ runs
+    assert counts == {"geig": 2, "at_reference": 2, "step": 0, "inverse": 0}
+    lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
+    view = nep.NepView(p, branch_id=0, reference_lam=lam1 + 0.01)
+    _, trace = solvers.augmented_newton(view, lam1 + 0.01, np.ones(cfg.n))
+    assert trace.converged and trace.iterations >= 3
+    # Newton's view adds one reference and no QZ per iterate
+    assert counts == {"geig": 3, "at_reference": 3, "step": 0, "inverse": 0}
 
 
 def test_tabulate_qep_square_branch():

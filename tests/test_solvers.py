@@ -134,6 +134,30 @@ def test_newton_singular_start_raises():
         solvers.augmented_newton(view, 0.0, np.ones(p.n))
 
 
+def test_newton_nonfinite_update_returns_last_finite_iterate(nan_at_second_solve):
+    p = problems.gen_random(30, 4, seed=5)
+    view = nep.NepView(p, branch_id=0)
+    quad, trace = solvers.augmented_newton(view, 0.0, np.ones(p.n))
+    # the second Newton solve is NaN: the run stops there with a name
+    # instead of carrying NaN into the small pencil
+    assert trace.termination == "nonfinite" and not trace.converged
+    assert trace.iterations == 2 and len(trace.alpha) == 1
+    assert quad.lam == trace.lam[-1] and quad.mu == trace.mu[-1]
+    assert np.isfinite(quad.lam) and np.all(np.isfinite(quad.x))
+    assert quad.residuals.res_a == trace.res_a[-1]
+
+
+def test_resinv_nonfinite_correction_returns_last_finite_iterate(nan_at_second_solve):
+    # the first solve gives resinv's default projection vector, the second
+    # its first correction
+    p = problems.gen_random(30, 4, seed=5)
+    view = nep.NepView(p, branch_id=0)
+    quad, trace = solvers.resinv(view, np.ones(p.n), solvers.SolverConfig(sigma=0.0))
+    assert trace.termination == "nonfinite" and not trace.converged
+    assert trace.iterations == 1
+    assert quad.lam == trace.lam[-1] and np.all(np.isfinite(quad.x))
+
+
 class CountedMatvecs(np.ndarray):
     """Dense array that counts the products A @ x taken with it."""
 
@@ -201,6 +225,7 @@ def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
 
 def test_qz_work_per_continuation_step(monkeypatch):
     p = make_problem(seed=1)
+    assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
     quad = pick_isolated(delta.solve(p))
     view = view_through(p, quad)
     counts = dict.fromkeys(("geig.none", "geig.right", "geig.both", "eigenpairs_at",
