@@ -102,17 +102,21 @@ def finite_pair(alpha, beta):
 def geig(P, Q, vectors: str = "right"):
     """The finite eigenvalues z of P v = z Q v in canonical order: ascending
     (|z|, Re z, Im z), stable for exact ties. One whose homogeneous pair
-    fails finite_pair is infinite and dropped.
+    fails finite_pair is infinite and dropped. Q=None means the standard
+    problem P v = z v, whose pairs are (z, 1).
 
-    vectors picks what QZ computes besides the eigenvalues: "right" returns
-    (z, vr, n_inf), "both" returns (z, vr, vl, n_inf) and "none" returns
-    (z, n_inf). Columns of vr and vl are the right and left eigenvectors of
-    z in the same order, n_inf the count of infinite eigenvalues. All
-    modes go through one LAPACK driver (zggev) and give bit-equal z.
+    vectors picks what the eigensolver computes besides the eigenvalues:
+    "right" returns (z, vr, n_inf), "both" returns (z, vr, vl, n_inf) and
+    "none" returns (z, n_inf). Columns of vr and vl are the right and left
+    eigenvectors of z in the same order, n_inf the count of infinite
+    eigenvalues. A pencil goes through LAPACK's QZ driver (zggev), the
+    standard problem through its QR driver (zgeev); within one driver all
+    modes give bit-equal z.
     """
     left, right = vectors == "both", vectors != "none"
     P = np.asarray(P, dtype=np.complex128)
-    Q = np.asarray(Q, dtype=np.complex128)
+    if Q is not None:
+        Q = np.asarray(Q, dtype=np.complex128)
     out = sla.eig(P, Q, left=left, right=right, homogeneous_eigvals=True)
     alpha, beta = out[0] if right else out
     finite = finite_pair(alpha, beta)

@@ -11,7 +11,8 @@ Exit codes (EXIT_*; TERMINATION_EXIT maps each SolveTrace termination):
      "stagnated" (Newton reached the accuracy limit before tol) or
      "nonfinite" (an update turned lam or x non-finite)
   3  singular or degenerate problem
-  4  I/O or argument data failure
+  4  I/O or argument data failure, including a bad or non-finite
+     command-line value (argparse usage errors exit here too)
   5  size cap exceeded
 All artifacts of a run are written only after the computation finished, so
 a failed run leaves no partial files; results.json isolates wall-clock data
@@ -50,20 +51,38 @@ TERMINATION_EXIT = {"converged": EXIT_OK, "maxit": EXIT_NOT_CONVERGED,
                     "stagnated": EXIT_NOT_CONVERGED, "nonfinite": EXIT_NOT_CONVERGED}
 
 
+def _require_finite(values, text):
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+
+
 def parse_complex(text) -> complex:
-    """Accept 1.5, 1.5+2i, 1.5+2j, 1.5+-2i, with optional whitespace.
+    """Accept 1.5, 1.5+2i, 1.5+2j, 1.5+-2i, with optional whitespace; reject
+    non-finite values such as nan and inf.
 
     "a+-bi" is what f"{z.real}+{z.imag}i" prints for a negative imaginary part.
     """
+    s = str(text).strip().replace(" ", "").replace("+-", "-")
     try:
-        return complex(str(text).strip().replace(" ", "").replace("+-", "-")
-                       .replace("i", "j"))
+        z = complex(s[:-1] + "j" if s.endswith("i") else s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+    _require_finite(z, text)
+    return z
+
+
+def parse_float(text) -> float:
+    """A finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    _require_finite(x, text)
+    return x
 
 
 def parse_grid(text) -> np.ndarray:
-    """lo:step:hi, inclusive of hi up to half a step."""
+    """lo:step:hi with finite bounds, inclusive of hi up to half a step."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:step:hi, got {text!r}")
@@ -71,9 +90,16 @@ def parse_grid(text) -> np.ndarray:
         lo, step, hi = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric grid bound in {text!r}")
+    _require_finite((lo, step, hi), text)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0 in {text!r}")
     return np.arange(lo, hi + step / 2.0, step)
+
+
+def _grid_text(text) -> str:
+    """The --grid text, once parse_grid accepts it."""
+    parse_grid(text)
+    return text
 
 
 def _c2j(z):
@@ -389,12 +415,21 @@ def _add_solver(p):
     p.add_argument("--lambda0", type=parse_complex, help="start value, e.g. 0.15+0.1i")
     p.add_argument("--sigma", type=parse_complex, help="resinv shift (default lambda0)")
     p.add_argument("--x0-file", help="Matrix Market vector to start from")
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--tol", type=parse_float, default=SolverConfig.tol)
     p.add_argument("--maxit", type=int, default=SolverConfig.maxit)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_IO, not argparse's 2, which
+    here means "not converged"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mepnl",
         description="Two-parameter eigenvalue problems via branch nonlinearization",
     )
@@ -408,7 +443,7 @@ def build_parser():
     pb = sub.add_parser("branches", help="tabulate branch values over a lam grid")
     _add_common(pb)
     pb.add_argument("--branch", default="0")
-    pb.add_argument("--grid", required=True, metavar="lo:step:hi")
+    pb.add_argument("--grid", required=True, type=_grid_text, metavar="lo:step:hi")
     pg = sub.add_parser("generate", help="write a generated problem to --out")
     _add_common(pg)
     pk = sub.add_parser("check", help="validate a problem source and summarize")
@@ -475,8 +510,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_dash_values(argv))
-    cfg = _to_config(args)
     try:
+        cfg = _to_config(args)
         return COMMANDS[cfg.command](cfg)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

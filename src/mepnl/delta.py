@@ -11,10 +11,13 @@ on the Kronecker product space, with decomposable eigenvectors z = y (x) x:
     delta1 = B3 (x) A1 - B1 (x) A3
     delta2 = B1 (x) A2 - B2 (x) A1
 
-The oracle forms delta0 and delta1 only: it solves the first problem and
-recovers mu from the large equation, so delta2 is never needed.
-Everything here is dense of order n*m, so it is capped and meant for
-verification at desk scale, not production solves.
+The oracle forms delta0 and delta1 only. It solves the first problem as the
+standard eigenvalue problem of Gamma1 = delta0^-1 delta1 (Atkinson,
+Multiparameter Eigenvalue Problems, 1972), recovers mu from the large
+equation, so delta2 is never needed, and refines each quadruplet by one
+Newton step on the two-parameter system itself. Everything here is dense
+of order n*m, so it is capped and meant for verification at desk scale,
+not production solves.
 """
 from __future__ import annotations
 
@@ -81,19 +84,59 @@ def assemble(problem: TwoParProblem, cap: int | None = None) -> DeltaPencil:
     return DeltaPencil(d0, d1, n, m)
 
 
+def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
+    """One Newton step on the full two-parameter system from (lam, mu, x, y)
+    with unit x and y; ax, a2x and a3x are A(lam, mu)x, A2x and A3x. The
+    bordered Jacobian of order n+m+2,
+
+        [[A(lam, mu), 0,          A2x, A3x],
+         [0,          B(lam, mu), B2y, B3y],
+         [x^H,        0,          0,   0  ],
+         [0,          y^H,        0,   0  ]],
+
+    fixes the scale of x and y by its last two rows. Returns the refined
+    (lam, mu, x, y), or None when the Jacobian is singular or the update is
+    not finite. A holds the dense A1, A2, A3.
+    """
+    n, m = problem.n, problem.m
+    B = problem.eval_b(lam, mu)
+    J = np.zeros((n + m + 2, n + m + 2), dtype=np.complex128)
+    J[:n, :n] = A[0] + lam * A[1] + mu * A[2]
+    J[n:n + m, n:n + m] = B
+    J[:n, n + m], J[:n, n + m + 1] = a2x, a3x
+    J[n:n + m, n + m] = problem.B2 @ y
+    J[n:n + m, n + m + 1] = problem.B3 @ y
+    J[n + m, :n] = x.conj()
+    J[n + m + 1, n:n + m] = y.conj()
+    rhs = np.concatenate((-ax, -(B @ y), [0.0, 0.0]))
+    try:
+        d = np.linalg.solve(J, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(d)):
+        return None
+    return lam + d[n + m], mu + d[n + m + 1], x + d[:n], y + d[n:n + m]
+
+
 def solve(problem: TwoParProblem) -> list:
     """All quadruplets of the problem via the determinant linearization.
 
-    Solves delta1 z = lam delta0 z, splits each finite eigenvector into its
-    rank-one factors z = y (x) x, recovers mu by least squares on the large
-    equation, and keeps quadruplets whose relative residuals in both
-    equations are at most ORACLE_TOL, in the canonical order of lam (see
-    _linalg.geig). Eigenvectors that are not numerically rank-one are
-    dropped with a RankOneExtractionWarning.
+    For nonsingular delta0 the coupled problem is the standard eigenvalue
+    problem of Gamma1 = delta0^-1 delta1 (Atkinson's operator), formed with
+    the LU of delta0 that also measures its condition and solved by
+    _linalg.geig(Gamma1, None). Each finite eigenvector is split into its
+    rank-one factors z = y (x) x, mu comes by least squares from the large
+    equation, and one Newton step on the full two-parameter system
+    (_newton_step) refines (lam, mu, x, y); a candidate whose step is
+    singular keeps its unrefined values. Quadruplets whose relative
+    residuals in both equations are at most ORACLE_TOL are kept, in the
+    canonical order of the eigensolver's lam. Eigenvectors that are not
+    numerically rank-one are dropped with a RankOneExtractionWarning.
     """
     dp = assemble(problem)
     try:
-        rc = _linalg.Factorization(dp.delta0).rcond
+        fact = _linalg.Factorization(dp.delta0)
+        rc = fact.rcond
     except ShiftIsEigenvalue:
         rc = 0.0
     if rc < RCOND_SINGULAR_PROBLEM:
@@ -101,13 +144,15 @@ def solve(problem: TwoParProblem) -> list:
             f"delta0 is numerically singular (rcond={rc:.2e}); the coupled "
             "problem is singular"
         )
-    lams, vr, _ = _linalg.geig(dp.delta1, dp.delta0)
-    A1, A2, A3 = problem.A1, problem.A2, problem.A3
+    gamma1 = fact.solve(dp.delta1)
+    del dp, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve
+    lams, vr, _ = _linalg.geig(gamma1, None)
+    A = tuple(_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     quads = []
     for lam, z in zip(lams.tolist(), vr.T):
         Z = z.reshape(problem.m, problem.n)
         try:
-            u, s, vh = np.linalg.svd(Z)
+            u, s, vh = np.linalg.svd(Z, full_matrices=False)
         except np.linalg.LinAlgError:  # pragma: no cover - extremely rare
             continue
         if s.size > 1 and s[1] > RANK_ONE_TOL * s[0]:
@@ -122,16 +167,19 @@ def solve(problem: TwoParProblem) -> list:
         # carries the unconjugated second factor
         y = u[:, 0]
         x = vh[0]
-        a3x = A3 @ x
+        a2x, a3x = A[1] @ x, A[2] @ x
         denom = np.vdot(a3x, a3x).real
         if denom == 0.0:
             continue
-        a12x = (A1 @ x) + lam * (A2 @ x)
+        a12x = (A[0] @ x) + lam * a2x
         mu = complex(-np.vdot(a3x, a12x) / denom)
+        step = _newton_step(problem, A, lam, mu, x, y, a2x, a3x, a12x + mu * a3x)
+        if step is not None:
+            lam, mu, x, y = step
+            lam, mu, x = complex(lam), complex(mu), x / np.linalg.norm(x)
         y, c_degenerate = pencil._normalize_y(y, problem.c)
         quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
-        # the operations and order of problem.apply_a, on the matvecs above
-        quad.residuals = residuals(problem, quad, ax=a12x + mu * a3x)
+        quad.residuals = residuals(problem, quad)
         if quad.residuals.res_a <= ORACLE_TOL and quad.residuals.res_b <= ORACLE_TOL:
             quads.append(quad)
     return quads

@@ -10,7 +10,12 @@ path all live here. Slopes g' come from their closed form
 
 A continuation step costs one eigenvalues-only QZ of the pencil, which
 chooses the followed eigenvalue, plus one LU of order m of B(lam, mu) at
-that eigenvalue, which gives its y and w by inverse iteration. When B3 has
+that eigenvalue, which gives its y and w by inverse iteration. Where a
+real pencil at real lam offers a conjugate pair equally near the
+prediction, as past a point where two real eigenvalues meet, the step
+follows the branch from above: it takes the member nearest the candidate
+at lam + i*h for a small h, the limit lam + i0, so neither the step sizes
+nor the sign of a rounding-level imaginary part of lam choose it. When B3 has
 rank one, as in the Helmholtz and quadratic generators, the pencil has at
 most one finite eigenvalue, and a point costs one LU of order m of
 B1 + lam*B2 instead, with no step and no QZ. The full QZ with left and
@@ -52,6 +57,9 @@ INVERSE_STEPS = 3
 # Those vectors are kept when ||B y|| and ||B^H w|| (unit y and w) are at most
 # this times ||B||_1, about 450 eps; otherwise the full QZ supplies them.
 TOL_INVERSE_RESIDUAL = 1e-13
+# A conjugate tie at lam_new is broken at lam_new + i*h, with h this fraction
+# of the step length |lam_new - lam_prev|.
+TIE_SHIFT = 1e-4
 
 
 @dataclasses.dataclass
@@ -292,16 +300,19 @@ def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
                        c_degenerate=degen)
 
 
-def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
-    """One continuation step: the candidate nearest the first-order
-    prediction mu_prev + g'(lam_prev)*(lam_new - lam_prev) wins, with g' in
-    closed form (mu_prev itself when mu_prev is not simple). Raises
-    AmbiguousBranch when the two closest candidates are indistinguishable,
-    NoFiniteEigenvalue when the pencil has no finite eigenvalue at lam_new.
+def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
+                       break_conjugate_tie: bool = True):
+    """(mus, i): the candidates of one eigenvalues-only QZ at lam_new and
+    the index of the one nearest the first-order prediction
+    mu_prev + g'(lam_prev)*(lam_new - lam_prev), with g' in closed form
+    (mu_prev itself when mu_prev is not simple).
 
-    The candidates come from one eigenvalues-only QZ. The winner's y and w
-    come from one LU of order m (_inverse_iteration), or, when those fail
-    their residual test, from the point of eigenpairs_at with the same mu.
+    Two candidates about equally near are resolved in two cases: copies of
+    one semisimple value give the first copy, and a conjugate pair, as a
+    real pencil has at real lam past a point where two real eigenvalues
+    meet, gives the member nearest the candidate chosen at
+    lam_new + i*h, h = TIE_SHIFT*|lam_new - lam_prev|: the limit lam + i0.
+    Any other tie raises AmbiguousBranch, as does a tie at lam_new + i*h.
     """
     try:
         pred = prev.mu + g_prime_closed_form(problem, prev) * (lam_new - prev.lam)
@@ -316,18 +327,32 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     dists = np.array([abs(mu - pred) for mu in mus])
     order = np.argsort(dists, kind="stable")
     i0 = order[0]
-    scale = max(1.0, abs(pred))
-    if len(mus) > 1:
-        i1 = order[1]
-        if dists[i1] - dists[i0] <= TOL_AMBIGUOUS * scale:
-            mu0, mu1 = mus[i0], mus[i1]
-            vscale = max(1.0, abs(mu0), abs(mu1))
-            if abs(mu0 - mu1) <= TOL_DEDUPE * vscale:
-                # numerically one semisimple eigenvalue reported twice; the
-                # candidates are in canonical order, so take the first copy
-                i0 = min(i0, i1)
-            else:
-                raise AmbiguousBranch(lam_new, (mu0, mu1))
+    if len(mus) < 2 or dists[order[1]] - dists[i0] > TOL_AMBIGUOUS * max(1.0, abs(pred)):
+        return mus, i0
+    i1 = order[1]
+    mu0, mu1 = mus[i0], mus[i1]
+    tol = TOL_DEDUPE * max(1.0, abs(mu0), abs(mu1))
+    if abs(mu0 - mu1) <= tol:
+        # numerically one semisimple eigenvalue reported twice; the
+        # candidates are in canonical order, so take the first copy
+        return mus, min(i0, i1)
+    if break_conjugate_tie and abs(mu0 - mu1.conjugate()) <= tol:
+        h = TIE_SHIFT * abs(lam_new - prev.lam)
+        above, j = _nearest_candidate(problem, prev, lam_new + 1j * h, False)
+        return mus, min((i0, i1), key=lambda i: abs(mus[i] - above[j]))
+    raise AmbiguousBranch(lam_new, (mu0, mu1))
+
+
+def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
+    """One continuation step to the candidate of _nearest_candidate. Raises
+    AmbiguousBranch when it cannot choose, NoFiniteEigenvalue when the
+    pencil has no finite eigenvalue at lam_new.
+
+    The winner's y and w come from one LU of order m (_inverse_iteration),
+    or, when those fail their residual test, from the point of
+    eigenpairs_at with the same mu.
+    """
+    mus, i0 = _nearest_candidate(problem, prev, lam_new)
     mu = mus[i0]
     vectors = _inverse_iteration(problem, prev, lam_new, mu)
     if vectors is None:
@@ -369,7 +394,9 @@ def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
     finite eigenvalue, so the point at lam_new is evaluated directly
     (_rank_one_point): one LU of order m, with no step, no bisection and no
     QZ. Otherwise the branch is followed by continuation steps, bisected on
-    ambiguity (_bisected_steps). NoFiniteEigenvalue is raised when the
+    ambiguity (_bisected_steps); a conjugate pair equally near a step's
+    prediction is resolved from above, in the limit lam + i0
+    (_nearest_candidate). NoFiniteEigenvalue is raised when the
     pencil degenerates at lam_new, ValueError when lam_new is not finite.
     """
     if branch_id not in state.current:

@@ -1,4 +1,5 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
+import argparse
 import csv
 import json
 import math
@@ -320,3 +321,26 @@ def test_parse_complex_round_trips_printed_values():
         got = cli.parse_complex(f"{z.real}+{z.imag}i")
         assert got == z
         assert math.copysign(1.0, got.imag) == math.copysign(1.0, z.imag)
+
+
+def test_bad_and_non_finite_values_exit_io(tmp_path):
+    for text in ("nan", "inf", "-inf+1i", "1e400", "1+nani"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_complex(text)
+    for text in ("0:nan:1", "-inf:1:0", "0:1:inf", "0:1e400:1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_grid(text)
+    out = tmp_path / "run"
+    base = ["--gen", "random", "--n", "6", "--m", "3", "--out", out]
+    for argv in (["solve", *base, "--lambda0", "nan"],
+                 ["solve", *base, "--lambda0", "inf"],
+                 ["solve", *base, "--solver", "resinv", "--sigma", "nan"],
+                 ["solve", *base, "--tol", "nan"],
+                 ["solve", *base, "--bogus"],
+                 ["branches", *base, "--grid", "0:nan:1"],
+                 ["branches", *base, "--grid", "0:1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == cli.EXIT_IO, argv
+    assert run(["solve", *base, "--branch", "x"]) == cli.EXIT_IO
+    assert not out.exists()

@@ -117,3 +117,61 @@ def test_sparse_inputs_accepted():
     for a, b in zip(q1, q2):
         assert a.lam == pytest.approx(b.lam, abs=1e-10)
         assert a.mu == pytest.approx(b.mu, abs=1e-10)
+
+
+def test_one_factorization_and_one_standard_eigensolve(monkeypatch):
+    from mepnl import _linalg
+
+    p = random_problem(5, 3, seed=4)
+    calls = []
+
+    def record(owner, name, label):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(label(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record(_linalg.Factorization, "__init__", lambda *a: "Factorization")
+    record(_linalg.Factorization, "solve", lambda *a, **kw: "Factorization.solve")
+    record(_linalg, "geig", lambda P, Q, **kw: "geig" if Q is None else "geig of a pencil")
+    # scipy's eig runs the QZ driver zggev exactly when given a second matrix
+    record(_linalg.sla, "eig", lambda a, b=None, **kw: "eig" if b is None else "zggev")
+    quads = delta.solve(p)
+    assert len(quads) == p.n * p.m
+    assert sorted(calls) == ["Factorization", "Factorization.solve", "eig", "geig"]
+
+
+def test_refined_quadruplets_at_working_accuracy():
+    # order 400; the QZ of delta1 - lam delta0 kept residuals up to 1.8e-10
+    # on seed 1008
+    for seed in (1006, 1007, 1008):
+        p = problems.gen_random(25, 16, seed, alphas=(1, 1, 1), betas=(1, 1, 1))
+        quads = delta.solve(p)
+        assert len(quads) == 400, seed
+        worst = max(max(q.residuals.res_a, q.residuals.res_b) for q in quads)
+        assert worst <= 1e-12, (seed, worst)
+
+
+def test_singular_bordered_jacobian_keeps_unrefined_candidate(monkeypatch):
+    from mepnl import _linalg
+
+    p = random_problem(4, 3, seed=2)
+    dp = delta.assemble(p)
+    gamma1 = _linalg.Factorization(dp.delta0).solve(dp.delta1)
+    lams, _ = _linalg.geig(gamma1, None, vectors="none")
+    refined = delta.solve(p)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    unrefined = delta.solve(p)
+    assert len(unrefined) == len(refined) == lams.size
+    # each candidate keeps the eigensolver's lam, bit for bit
+    assert [q.lam for q in unrefined] == lams.tolist()
+    for q, r in zip(unrefined, refined):
+        assert q.lam != r.lam or q.mu != r.mu
+        assert abs(q.lam - r.lam) <= 1e-8 * max(1.0, abs(r.lam))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mepnl
-from mepnl import _linalg, pencil
+from mepnl import _linalg, pencil, problems
 from mepnl.errors import NoFiniteEigenvalue, SingularJacobian
 
 # closed-form branch values of the square-root problem with coefficients
@@ -340,3 +340,41 @@ def test_continue_branch_rejects_nonfinite_lam():
         for lam in (np.nan, complex(0.0, np.inf)):
             with pytest.raises(ValueError):
                 pencil.continue_branch(p, state, 0, lam)
+
+
+def test_geig_standard_problem_modes_give_bit_equal_eigenvalues():
+    rng = np.random.default_rng(7)
+    for n in (3, 12, 40):
+        P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        z, n_inf = _linalg.geig(P, None, vectors="none")
+        z_right, vr, n_right = _linalg.geig(P, None)
+        z_both, _, _, n_both = _linalg.geig(P, None, vectors="both")
+        assert np.array_equal(z, z_right) and np.array_equal(z, z_both)
+        assert n_inf == n_right == n_both == 0 and z.size == n
+        np.testing.assert_allclose(P @ vr, vr * z, atol=1e-12 * np.linalg.norm(P))
+
+
+# Acceptance criterion 02's seed 53: two real eigenvalues of the small pencil
+# meet at lam = 0.32431 and leave it as a conjugate pair
+SEED53_LAM = 0.3240014623998726
+
+
+def test_conjugate_tie_continues_from_above_whatever_the_steps():
+    p = problems.gen_random(10, 2, seed=53, alphas=(1.0, 1.0, 1.0),
+                            betas=(1.0, 1.0, 1.0))
+    assert p.b3_rank_one is None
+    end = {}
+    for b in (0, 1):
+        # the same branch over a path through the upper half plane
+        state = pencil.BranchState.at_reference(p, SEED53_LAM)
+        pencil.continue_branch(p, state, b, SEED53_LAM + 5e-4 + 1e-4j)
+        end[b] = pencil.continue_branch(p, state, b, SEED53_LAM + 1e-3).mu
+    assert abs(end[0] - end[1].conjugate()) <= 1e-9 and end[0].imag > 0.5
+    for imag in (0.0, 3e-17, -3e-17, 7.5e-17):
+        lam0 = complex(SEED53_LAM, imag)
+        for b in (0, 1):
+            for steps in (1, 2, 7, 50, 400):
+                state = pencil.BranchState.at_reference(p, lam0)
+                for lam in np.linspace(lam0, lam0 + 1e-3, steps + 1)[1:]:
+                    point = pencil.continue_branch(p, state, b, lam)
+                assert abs(point.mu - end[b]) <= 1e-9, (imag, b, steps)

@@ -1,4 +1,6 @@
 """Newton and residual inverse iteration against the dense oracle."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -364,3 +366,22 @@ def test_resinv_accepts_explicit_projection_vector():
     got, trace = solvers.resinv(view, x0, cfg)
     assert trace.converged
     assert abs(got.lam - quad.lam) <= 1e-8
+
+
+@pytest.mark.parametrize("imag", [0.0, 3e-17, -3e-17])
+def test_oracle_newton_agreement_with_real_starts(imag):
+    # acceptance criterion 02, with the imaginary part of every real oracle
+    # lam set to imag: seed 53 has a real branch point just above one
+    sizes = [(4, 2), (6, 3), (8, 4), (10, 2), (5, 4)]
+    worst_gap = 0.0
+    for k in range(20):
+        n, m = sizes[k % len(sizes)]
+        p = make_problem(seed=40 + k, n=n, m=m)
+        for q in delta.solve(p):
+            if abs(q.lam.imag) <= 1e-14 * abs(q.lam):
+                q = dataclasses.replace(q, lam=complex(q.lam.real, imag))
+            got, trace = solvers.augmented_newton(
+                view_through(p, q), q.lam + 1e-3, q.x + 1e-3 * np.ones(n))
+            assert trace.converged, (40 + k, trace.termination)
+            worst_gap = max(worst_gap, abs(got.lam - q.lam))
+    assert worst_gap <= 1e-8
