@@ -19,6 +19,15 @@ from .errors import ShiftIsEigenvalue
 RCOND_SINGULAR = 1e-14
 # |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
 TOL_INF = 1e-10
+# rcond of P - s*Q below this moves the shift s of shift_invert_eigvals: at a
+# shift on an eigenvalue the operator's norm would swamp the finite test.
+SHIFT_RCOND_FLOOR = 1e-8
+# Each move adds SHIFT_MOVE times the pencil's scale ||P - s*Q||_1/||Q||_1
+# along the fixed non-real direction SHIFT_DIRECTION, at most MAX_SHIFT_MOVES
+# times.
+SHIFT_MOVE = 1e-3
+SHIFT_DIRECTION = complex(0.6, 0.8)
+MAX_SHIFT_MOVES = 4
 
 
 def to_complex(mat):
@@ -39,6 +48,20 @@ def fro_norm(mat) -> float:
     return float(np.linalg.norm(mat, "fro"))
 
 
+def pivot_floor_lu(B):
+    """(lu, piv, ||B||_1): LAPACK's LU of the dense B, with an exactly zero
+    pivot, common when B is real, replaced by eps*||B||_1 as in LAPACK's
+    inverse iteration (zlaein). For matrices that may be singular to working
+    precision by design, as at an eigenvalue, where Factorization would
+    refuse."""
+    B = np.asarray(B, dtype=np.complex128)
+    norm = np.linalg.norm(B, 1)
+    lu, piv, _ = lapack.zgetrf(B)
+    zero = np.flatnonzero(lu.diagonal() == 0)
+    lu[zero, zero] = np.finfo(float).eps * norm
+    return lu, piv, norm
+
+
 class Factorization:
     """LU factorization of a dense or sparse square matrix.
 
@@ -47,20 +70,30 @@ class Factorization:
     the LAPACK 1-norm estimate for a dense matrix, the smallest over the
     largest |U| diagonal entry for a sparse one. Raises ShiftIsEigenvalue
     when it is below RCOND_SINGULAR.
+
+    allow_singular=True is for inverse iteration, which wants the LU of a
+    matrix that is singular by design: nothing is refused, and the factors
+    are those of a matrix within eps*||mat||_1 of mat. A dense LU floors an
+    exactly zero pivot (pivot_floor_lu); SuperLU cannot, so an exactly
+    singular sparse matrix is factorized as mat + eps*||mat||_1 * I.
     """
 
-    def __init__(self, mat):
+    def __init__(self, mat, allow_singular: bool = False):
         self.shape = mat.shape
         if sp.issparse(mat):
             self.sparse = True
+            mat = mat.tocsc().astype(np.complex128, copy=False)
             try:
-                self._lu = spla.splu(mat.tocsc().astype(np.complex128, copy=False))
+                self._lu = spla.splu(mat)
             except RuntimeError as exc:  # SuperLU signals exact singularity this way
-                raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
+                if not allow_singular:
+                    raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
+                floor = np.finfo(float).eps * spla.norm(mat, 1)
+                self._lu = spla.splu(mat + floor * sp.identity(mat.shape[0], format="csc"))
             udiag = np.abs(self._lu.U.diagonal())
             umax = udiag.max() if udiag.size else 0.0
             self.rcond = float(udiag.min() / umax) if umax > 0.0 else 0.0
-            if self.rcond < RCOND_SINGULAR:
+            if self.rcond < RCOND_SINGULAR and not allow_singular:
                 raise ShiftIsEigenvalue(
                     "sparse factorization is numerically singular "
                     f"(U-diagonal ratio {udiag.min():.2e}/{udiag.max():.2e})"
@@ -68,13 +101,16 @@ class Factorization:
         else:
             self.sparse = False
             a = np.asarray(mat, dtype=np.complex128, order="F")
-            anorm = np.linalg.norm(a, 1) if a.size else 0.0
-            lu, piv, info = lapack.zgetrf(a)
-            if info > 0 or anorm == 0.0:
-                raise ShiftIsEigenvalue("dense factorization hit an exactly zero pivot")
+            if allow_singular:
+                lu, piv, anorm = pivot_floor_lu(a)
+            else:
+                anorm = np.linalg.norm(a, 1) if a.size else 0.0
+                lu, piv, info = lapack.zgetrf(a)
+                if info > 0 or anorm == 0.0:
+                    raise ShiftIsEigenvalue("dense factorization hit an exactly zero pivot")
             rc, _ = lapack.zgecon(lu, anorm, norm="1")
             self.rcond = float(rc)
-            if self.rcond < RCOND_SINGULAR:
+            if self.rcond < RCOND_SINGULAR and not allow_singular:
                 raise ShiftIsEigenvalue(
                     f"dense factorization is numerically singular (rcond={rc:.2e})"
                 )
@@ -99,7 +135,29 @@ def finite_pair(alpha, beta):
     return np.abs(beta) > TOL_INF * (np.abs(alpha) + np.abs(beta))
 
 
-def geig(P, Q, vectors: str = "right"):
+def finite_shift_invert(theta):
+    """Whether each eigenvalue theta = 1/(z - s) of a shift-invert operator
+    stands for a finite eigenvalue z of its pencil: |theta| > TOL_INF *
+    max|theta|; elementwise. An infinite z maps to theta = 0, which rounding
+    leaves at about eps*||operator||, so theta is judged relative to the
+    spectrum, not to 1 as finite_pair would judge the pair (theta, 1): near
+    convergence the shift is an eigenvalue to working accuracy, and the
+    nearest candidate's |theta| can exceed 1/TOL_INF. On 900 random cases
+    (m = 2 to 11; Q of full rank, of rank 1 to m-1, the identity, or 1e6
+    times ||P||; shifts generic, on an eigenvalue and 1e-9 from one) it
+    counts as many finite eigenvalues as finite_pair does on QZ's pairs
+    (tests/test_pencil.py, test_shift_invert_spectrum_matches_qz)."""
+    mag = np.abs(theta)
+    return mag > TOL_INF * mag.max(initial=0.0)
+
+
+def _canonical_order(z):
+    """Indices sorting z ascending by (|z|, Re z, Im z), stable for exact
+    ties: the one eigenvalue order, of geig and of its shift-invert mode."""
+    return np.lexsort((z.imag, z.real, np.abs(z)))
+
+
+def geig(P, Q, vectors: str = "right", shift=None):
     """The finite eigenvalues z of P v = z Q v in canonical order: ascending
     (|z|, Re z, Im z), stable for exact ties. One whose homogeneous pair
     fails finite_pair is infinite and dropped. Q=None means the standard
@@ -112,7 +170,19 @@ def geig(P, Q, vectors: str = "right"):
     eigenvalues. A pencil goes through LAPACK's QZ driver (zggev), the
     standard problem through its QR driver (zgeev); within one driver all
     modes give bit-equal z.
+
+    shift=s says that P is the shift-invert operator (A - s*B)^-1 B of a
+    pencil A v = z B v, with Q None (see shift_invert_eigvals): its
+    eigenvalues theta, from zgeev, give z = s + 1/theta, finite by
+    finite_shift_invert, and (z, n_inf) is returned in the same order.
     """
+    if shift is not None:
+        theta, _, _, info = lapack.zgeev(P, compute_vl=0, compute_vr=0)
+        if info > 0:
+            raise np.linalg.LinAlgError("zgeev did not converge")
+        finite = finite_shift_invert(theta)
+        z = shift + 1.0 / theta[finite]
+        return z[_canonical_order(z)], int(np.sum(~finite))
     left, right = vectors == "both", vectors != "none"
     P = np.asarray(P, dtype=np.complex128)
     if Q is not None:
@@ -121,7 +191,7 @@ def geig(P, Q, vectors: str = "right"):
     alpha, beta = out[0] if right else out
     finite = finite_pair(alpha, beta)
     z = alpha[finite] / beta[finite]
-    order = np.lexsort((z.imag, z.real, np.abs(z)))
+    order = _canonical_order(z)
     cols = np.flatnonzero(finite)[order]
     n_inf = int(np.sum(~finite))
     if not right:
@@ -131,6 +201,33 @@ def geig(P, Q, vectors: str = "right"):
     if left:
         return z[order], vr, out[1][:, cols], n_inf
     return z[order], vr, n_inf
+
+
+def shift_invert_eigvals(P, Q, shift):
+    """(z, n_inf) as geig(P, Q, vectors="none") gives them, from the
+    shift-invert spectrum about shift instead of QZ (Ericsson and Ruhe,
+    Math. Comp. 1980): one LU of P - s*Q, the operator T = (P - s*Q)^-1 Q
+    by one solve, and its eigenvalues by geig's shift-invert mode (zgeev).
+    The spectrum is most accurate near s: an eigenvalue at distance d from
+    s carries an error of about eps*||T||*d^2.
+
+    s starts at shift. While rcond(P - s*Q) is below SHIFT_RCOND_FLOOR, as
+    when shift is an eigenvalue to working accuracy, s moves by SHIFT_MOVE
+    times the pencil's scale ||P - shift*Q||_1/||Q||_1 along
+    SHIFT_DIRECTION, at most MAX_SHIFT_MOVES times; the last LU is used
+    whatever its rcond. The LU is a raw LAPACK one (pivot_floor_lu), not a
+    Factorization, whose refusal would fire.
+    """
+    s = shift
+    lu, piv, norm = pivot_floor_lu(P - s * Q)
+    qnorm = np.linalg.norm(Q, 1)
+    for k in range(1, MAX_SHIFT_MOVES + 1):
+        if qnorm == 0.0 or lapack.zgecon(lu, norm, norm="1")[0] >= SHIFT_RCOND_FLOOR:
+            break
+        s = shift + k * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
+        lu, piv, _ = pivot_floor_lu(P - s * Q)
+    T = lapack.zgetrs(lu, piv, Q)[0]
+    return geig(T, None, vectors="none", shift=s)
 
 
 def null_vector_adjoint(fact: Factorization, norm: float, rng, tol: float = 1e-8,

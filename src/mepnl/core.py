@@ -21,7 +21,6 @@ from .errors import (
     NoFiniteEigenvalue,
     NonSimpleLambda,
     NonSimpleMu,
-    ShiftIsEigenvalue,
 )
 
 # Scaled thresholds below which an eigenvalue is treated as non-simple and
@@ -376,21 +375,16 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
     """Return a copy of the quadruplet with left vectors v and w filled in.
 
     v comes from adjoint inverse iteration on A1 + lam*A2 + mu*A3 (mu taken
-    from the quadruplet, no branch tracking needed); w from the left
-    eigenvector of the small pencil at lam whose eigenvalue is nearest mu.
+    from the quadruplet, no branch tracking needed), which is singular at
+    the solution by design; its LU, dense or sparse, is therefore taken
+    with allow_singular and never refused. w is the left eigenvector of the
+    small pencil at lam whose eigenvalue is nearest mu.
     """
     from . import pencil
 
     rng = np.random.default_rng(seed)
     norm = problem.scale_a(quad.lam, quad.mu)
-    try:
-        fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu))
-    except ShiftIsEigenvalue:
-        # M is singular at the solution: nudge lam to move M by 1e-10 of its scale
-        if problem.norms_a[1] == 0.0:  # lam does not enter M
-            raise
-        delta = 1e-10 * norm / problem.norms_a[1]
-        fact = _linalg.Factorization(problem.eval_a(quad.lam + delta, quad.mu))
+    fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu), allow_singular=True)
     v = _linalg.null_vector_adjoint(fact, norm, rng, tol=tol)
     points = pencil.eigenpairs_at(problem, quad.lam)
     if not points:

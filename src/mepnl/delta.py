@@ -14,10 +14,10 @@ on the Kronecker product space, with decomposable eigenvectors z = y (x) x:
 The oracle forms delta0 and delta1 only. It solves the first problem as the
 standard eigenvalue problem of Gamma1 = delta0^-1 delta1 (Atkinson,
 Multiparameter Eigenvalue Problems, 1972), recovers mu from the large
-equation, so delta2 is never needed, and refines each quadruplet by one
-Newton step on the two-parameter system itself. Everything here is dense
-of order n*m, so it is capped and meant for verification at desk scale,
-not production solves.
+equation, so delta2 is never needed, and refines each quadruplet not yet at
+working accuracy by one Newton step on the two-parameter system itself.
+Everything here is dense of order n*m, so it is capped and meant for
+verification at desk scale, not production solves.
 """
 from __future__ import annotations
 
@@ -38,6 +38,9 @@ CAP_ENV = "MEPNL_CAP"
 RANK_ONE_TOL = 0.01
 # both relative residuals must beat this for a quadruplet to be kept
 ORACLE_TOL = 1e-8
+# a candidate whose relative residuals are both at most this, a few hundred
+# eps, is at working accuracy already and takes no Newton step
+STEP_SKIP_TOL = 1e-13
 # reciprocal condition of delta0 below this means the problem is singular
 RCOND_SINGULAR_PROBLEM = 1e-12
 
@@ -127,11 +130,13 @@ def solve(problem: TwoParProblem) -> list:
     _linalg.geig(Gamma1, None). Each finite eigenvector is split into its
     rank-one factors z = y (x) x, mu comes by least squares from the large
     equation, and one Newton step on the full two-parameter system
-    (_newton_step) refines (lam, mu, x, y); a candidate whose step is
-    singular keeps its unrefined values. Quadruplets whose relative
-    residuals in both equations are at most ORACLE_TOL are kept, in the
-    canonical order of the eigensolver's lam. Eigenvectors that are not
-    numerically rank-one are dropped with a RankOneExtractionWarning.
+    (_newton_step) refines (lam, mu, x, y). A candidate whose relative
+    residuals, from the products already formed, are both at most
+    STEP_SKIP_TOL takes no step, and one whose step is singular keeps its
+    unrefined values. Quadruplets whose relative residuals in both
+    equations are at most ORACLE_TOL are kept, in the canonical order of
+    the eigensolver's lam. Eigenvectors that are not numerically rank-one
+    are dropped with a RankOneExtractionWarning.
     """
     dp = assemble(problem)
     try:
@@ -173,13 +178,23 @@ def solve(problem: TwoParProblem) -> list:
             continue
         a12x = (A[0] @ x) + lam * a2x
         mu = complex(-np.vdot(a3x, a12x) / denom)
-        step = _newton_step(problem, A, lam, mu, x, y, a2x, a3x, a12x + mu * a3x)
+        ax = a12x + mu * a3x
+        # x and y are unit, so these are the relative residuals of
+        # core.residuals; the small one is formed only when the large passes
+        at_working_accuracy = (
+            np.linalg.norm(ax) <= STEP_SKIP_TOL * problem.scale_a(lam, mu)
+            and np.linalg.norm(problem.apply_b(lam, mu, y))
+            <= STEP_SKIP_TOL * problem.scale_b(lam, mu))
+        step = None
+        if not at_working_accuracy:
+            step = _newton_step(problem, A, lam, mu, x, y, a2x, a3x, ax)
         if step is not None:
             lam, mu, x, y = step
             lam, mu, x = complex(lam), complex(mu), x / np.linalg.norm(x)
+            ax = None  # the step moved x
         y, c_degenerate = pencil._normalize_y(y, problem.c)
         quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
-        quad.residuals = residuals(problem, quad)
+        quad.residuals = residuals(problem, quad, ax=ax)
         if quad.residuals.res_a <= ORACLE_TOL and quad.residuals.res_b <= ORACLE_TOL:
             quads.append(quad)
     return quads

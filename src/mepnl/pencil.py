@@ -8,19 +8,23 @@ their derivatives, and the continuation that follows one branch along a
 path all live here. Slopes g' come from their closed form
 (g_prime_closed_form); the bordered-Jacobian recursion serves higher orders.
 
-A continuation step costs one eigenvalues-only QZ of the pencil, which
-chooses the followed eigenvalue, plus one LU of order m of B(lam, mu) at
-that eigenvalue, which gives its y and w by inverse iteration. Where a
-real pencil at real lam offers a conjugate pair equally near the
-prediction, as past a point where two real eigenvalues meet, the step
-follows the branch from above: it takes the member nearest the candidate
-at lam + i*h for a small h, the limit lam + i0, so neither the step sizes
-nor the sign of a rounding-level imaginary part of lam choose it. When B3 has
-rank one, as in the Helmholtz and quadratic generators, the pencil has at
-most one finite eigenvalue, and a point costs one LU of order m of
-B1 + lam*B2 instead, with no step and no QZ. The full QZ with left and
-right eigenvectors (eigenpairs_at) runs only at reference points and when
-those vectors fail their residual test.
+A continuation step chooses the followed eigenvalue from the shift-invert
+spectrum about its first-order prediction s: one LU of order m of
+B(lam, s), one solve for B(lam, s)^-1 B3 and one zgeev of that operator
+(_linalg.shift_invert_eigvals), with no QZ. One more LU of order m, of
+B(lam, mu) at the chosen eigenvalue, gives its y and w by inverse
+iteration, and their residual test certifies the point's backward error
+whatever routine found mu. Where a real pencil at real lam offers a
+conjugate pair equally near the prediction, as past a point where two real
+eigenvalues meet, the step follows the branch from above: it takes the
+member nearest the candidate at lam + i*h for a small h, the limit
+lam + i0, so neither the step sizes nor the sign of a rounding-level
+imaginary part of lam choose it. When B3 has rank one, as in the Helmholtz
+and quadratic generators, the pencil has at most one finite eigenvalue,
+and a point costs one LU of order m of B1 + lam*B2 instead, with no step
+and no shift-invert spectrum. The full QZ with left and right eigenvectors
+(eigenpairs_at) runs only at reference points and when those vectors fail
+their residual test.
 """
 from __future__ import annotations
 
@@ -79,10 +83,10 @@ class BranchPoint:
     c_degenerate: bool = False
 
 
-def _raw_eigenpairs(B1, B2, B3, lam, vectors="both"):
+def _raw_eigenpairs(B1, B2, B3, lam):
     """(mu, y, w, n_inf) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders
-    them; (mu, n_inf) with vectors="none"."""
-    return _linalg.geig(-(B1 + lam * B2), B3, vectors=vectors)
+    them."""
+    return _linalg.geig(-(B1 + lam * B2), B3, vectors="both")
 
 
 def _c_normalizable(cy, c_norm, y_norm):
@@ -222,19 +226,6 @@ class BranchState:
         return len(self.reference_points)
 
 
-def _pivot_floor_lu(B):
-    """(lu, piv, ||B||_1): LAPACK's LU of B, with an exactly zero pivot,
-    common when B is real, replaced by eps*||B||_1 as in LAPACK's inverse
-    iteration (zlaein). Not a _linalg.Factorization, whose singularity
-    refusal would fire here: B may be singular to working precision by
-    design."""
-    norm = np.linalg.norm(B, 1)
-    lu, piv, _ = lapack.zgetrf(B)
-    zero = np.flatnonzero(lu.diagonal() == 0)
-    lu[zero, zero] = np.finfo(float).eps * norm
-    return lu, piv, norm
-
-
 def _null_vectors_pass(B, norm, y, w) -> bool:
     """The residual test of a step's unit y and w at the eigenvalue mu of
     B = B(lam, mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * norm,
@@ -255,11 +246,11 @@ def _full_qz_point(problem: TwoParProblem, lam, mu) -> BranchPoint:
 def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
     """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
     eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
-    prev.w on one _pivot_floor_lu of B. None when they fail
+    prev.w on one _linalg.pivot_floor_lu of B. None when they fail
     _null_vectors_pass.
     """
     B = problem.eval_b(lam, mu)
-    lu, piv, norm = _pivot_floor_lu(B)
+    lu, piv, norm = _linalg.pivot_floor_lu(B)
     y, w = prev.y, prev.w
     for _ in range(INVERSE_STEPS):
         y = lapack.zgetrs(lu, piv, y)[0]
@@ -273,7 +264,8 @@ def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
 
     With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
     of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
-    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v: one _pivot_floor_lu of K.
+    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v: one _linalg.pivot_floor_lu
+    of K.
     mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
     test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1;
     otherwise NoFiniteEigenvalue. When y and w fail _null_vectors_pass at
@@ -281,7 +273,7 @@ def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
     """
     u, v = problem.b3_rank_one
     K = problem.B1 + lam * problem.B2
-    lu, piv, _ = _pivot_floor_lu(K)
+    lu, piv, _ = _linalg.pivot_floor_lu(K)
     x = lapack.zgetrs(lu, piv, u)[0]
     z = lapack.zgetrs(lu, piv, v, trans=2)[0]
     tau = v.conj() @ x
@@ -302,10 +294,13 @@ def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
 
 def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
                        break_conjugate_tie: bool = True):
-    """(mus, i): the candidates of one eigenvalues-only QZ at lam_new and
-    the index of the one nearest the first-order prediction
-    mu_prev + g'(lam_prev)*(lam_new - lam_prev), with g' in closed form
-    (mu_prev itself when mu_prev is not simple).
+    """(mus, i): the candidates at lam_new and the index of the one nearest
+    the first-order prediction pred = mu_prev + g'(lam_prev)*(lam_new -
+    lam_prev), with g' in closed form (mu_prev itself when mu_prev is not
+    simple). The candidates are the pencil's finite eigenvalues in geig's
+    order, from the shift-invert spectrum about pred
+    (_linalg.shift_invert_eigvals): one LU of order m, one solve and one
+    zgeev, most accurate next to pred, where the choice is made.
 
     Two candidates about equally near are resolved in two cases: copies of
     one semisimple value give the first copy, and a conjugate pair, as a
@@ -318,7 +313,8 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
         pred = prev.mu + g_prime_closed_form(problem, prev) * (lam_new - prev.lam)
     except NonSimpleMu:
         pred = prev.mu
-    mus, _ = _raw_eigenpairs(problem.B1, problem.B2, problem.B3, lam_new, vectors="none")
+    mus, _ = _linalg.shift_invert_eigvals(-(problem.B1 + lam_new * problem.B2),
+                                          problem.B3, pred)
     mus = mus.tolist()
     if not mus:
         raise NoFiniteEigenvalue(
@@ -348,9 +344,10 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     AmbiguousBranch when it cannot choose, NoFiniteEigenvalue when the
     pencil has no finite eigenvalue at lam_new.
 
-    The winner's y and w come from one LU of order m (_inverse_iteration),
-    or, when those fail their residual test, from the point of
-    eigenpairs_at with the same mu.
+    The step's cost is two LUs of order m and one zgeev of order m: one LU
+    and the zgeev give the candidates, and the winner's y and w come from
+    one LU of B(lam_new, mu) (_inverse_iteration), or, when those fail
+    their residual test, from the point of eigenpairs_at nearest mu.
     """
     mus, i0 = _nearest_candidate(problem, prev, lam_new)
     mu = mus[i0]

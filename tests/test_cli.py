@@ -209,13 +209,27 @@ def test_cond_reports(tmp_path):
 
 def test_cond_after_newton_on_singular_solution(tmp_path):
     # M(lam, mu) is numerically singular at this converged solution, and the
-    # left vector comes from a shift nudged off it by the problem's scales
+    # left vector comes from inverse iteration on its unrefused LU
     out = tmp_path / "run"
     code = run(["cond", "--gen", "random", "--n", "30", "--m", "4", "--seed", "5",
                 "--solver", "newton", "--lambda0", "0.05", "--out", out])
     assert code == 0
     reports = read_results(out)["condition_reports"]
     assert len(reports) == 1 and np.isfinite(reports[0]["kappa_total"])
+
+
+@pytest.mark.parametrize("problem", [["--gen", "qep", "--n", "10", "--seed", "3"],
+                                     ["--gen", "random", "--n", "12", "--m", "5",
+                                      "--seed", "9"]])
+def test_cond_delta_where_m_stays_singular_off_lam(tmp_path, problem):
+    # these exited 3 (ShiftIsEigenvalue) while the left vector v was sought
+    # at a lam moved off the solution, where M still had rcond about 2e-15
+    out = tmp_path / "run"
+    assert run(["cond", "--solver", "delta", *problem, "--out", out]) == 0
+    res = read_results(out)
+    reports = res["condition_reports"]
+    assert len(reports) == len(res["quadruplets"]) > 0
+    assert all(np.isfinite(rep["kappa_total"]) for rep in reports)
 
 
 def test_generate_check_solve_round_trip(tmp_path, capsys):

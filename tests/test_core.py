@@ -9,7 +9,7 @@ import mepnl
 from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
                         condition_numbers, residuals, worst_case_perturbation)
 from mepnl.errors import (ConvergenceFailure, DimensionMismatch,
-                          MissingLeftVectors, NonSimpleMu, ShiftIsEigenvalue)
+                          MissingLeftVectors, NonSimpleMu)
 
 
 def small_problem(seed=1, n=8, m=3):
@@ -145,14 +145,43 @@ def test_attach_left_vectors_far_from_spectrum_fails():
         attach_left_vectors(p, q, tol=1e-10)
 
 
-def test_attach_left_vectors_singular_without_lam_term_raises():
-    # M(lam, mu) = A1 is exactly singular and A2 = 0, so no nudge of lam
-    # can make it factorizable
-    p = mepnl.TwoParProblem(np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)), np.eye(3),
-                            np.eye(2), np.eye(2), np.eye(2), np.ones(2))
-    q = Quadruplet(lam=0.5, mu=0.0, x=np.array([1.0, 0, 0]), y=np.array([1.0, 0]))
-    with pytest.raises(ShiftIsEigenvalue):
-        attach_left_vectors(p, q)
+def test_attach_left_vectors_at_exactly_singular_m():
+    # M(lam, mu) = A1 = diag(0, 1, 2) is exactly singular and A2 = 0, so no
+    # move of lam could make it factorizable; the LU that inverse iteration
+    # takes is never refused, dense or sparse, and v is e0
+    A1, A2, A3 = np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)), np.eye(3)
+    for mats in ((A1, A2, A3), tuple(sp.csr_matrix(M) for M in (A1, A2, A3))):
+        p = mepnl.TwoParProblem(*mats, np.eye(2), np.eye(2), np.eye(2), np.ones(2))
+        q = Quadruplet(lam=0.5, mu=0.0, x=np.array([1.0, 0, 0]), y=np.array([1.0, 0]))
+        v = attach_left_vectors(p, q).v
+        np.testing.assert_allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-14)
+
+
+def cli_problem(gen, n, m, seed):
+    """The problem that mepnl's --gen option builds."""
+    if gen == "qep":
+        rng = np.random.default_rng(seed)
+        return mepnl.gen_qep(*(rng.standard_normal((n, n)) for _ in range(3)))
+    return mepnl.gen_random(n, m, seed=seed)
+
+
+@pytest.mark.parametrize("gen, n, m, seed", [("qep", 10, 2, 3), ("random", 12, 5, 9)])
+def test_attach_left_vectors_where_m_stays_singular_off_lam(gen, n, m, seed):
+    # at some oracle quadruplets of these problems M(lam + d, mu) was still
+    # singular (rcond about 2e-15) after lam moved by d = 1e-10 of the scale
+    p = cli_problem(gen, n, m, seed)
+    ps = mepnl.TwoParProblem(*(sp.csr_matrix(M) for M in (p.A1, p.A2, p.A3)),
+                             p.B1, p.B2, p.B3, p.c)
+    quads = mepnl.delta.solve(p)
+    assert len(quads) == n * m
+    for q in quads:
+        # M(lam, mu) is as singular as the quadruplet's own residual allows,
+        # and v is a left null vector to that accuracy
+        bound = 16 * max(q.residuals.res_a, np.finfo(float).eps)
+        for prob in (p, ps):
+            v = attach_left_vectors(prob, q, seed=seed).v
+            res_v = np.linalg.norm(v.conj() @ prob.eval_a(q.lam, q.mu))
+            assert res_v <= bound * prob.scale_a(q.lam, q.mu)
 
 
 def test_det_c0_identity():

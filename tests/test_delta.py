@@ -159,6 +159,8 @@ def test_singular_bordered_jacobian_keeps_unrefined_candidate(monkeypatch):
     from mepnl import _linalg
 
     p = random_problem(4, 3, seed=2)
+    # every candidate takes the step, also those already at working accuracy
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)
     dp = delta.assemble(p)
     gamma1 = _linalg.Factorization(dp.delta0).solve(dp.delta1)
     lams, _ = _linalg.geig(gamma1, None, vectors="none")
@@ -175,3 +177,24 @@ def test_singular_bordered_jacobian_keeps_unrefined_candidate(monkeypatch):
     for q, r in zip(unrefined, refined):
         assert q.lam != r.lam or q.mu != r.mu
         assert abs(q.lam - r.lam) <= 1e-8 * max(1.0, abs(r.lam))
+
+
+def test_candidates_at_working_accuracy_take_no_newton_step(monkeypatch):
+    # every unrefined candidate of a quadratic problem already has both
+    # residuals at working accuracy; the step would only move lam by rounding
+    rng = np.random.default_rng(7)
+    p = problems.gen_qep(*(rng.standard_normal((20, 20)) for _ in range(3)))
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)  # every candidate steps
+    stepped = delta.solve(p)
+    monkeypatch.undo()
+
+    def no_step(*args):
+        raise AssertionError("a candidate at working accuracy took a Newton step")
+
+    monkeypatch.setattr(delta, "_newton_step", no_step)
+    skipped = delta.solve(p)
+    assert len(skipped) == len(stepped) == p.n * p.m
+    for q, r in zip(skipped, stepped):
+        assert abs(q.lam - r.lam) <= 1e-12 * max(1.0, abs(r.lam))
+        assert abs(q.mu - r.mu) <= 1e-12 * max(1.0, abs(r.mu))
+        assert max(q.residuals.res_a, q.residuals.res_b) <= 1e-13

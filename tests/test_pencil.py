@@ -183,6 +183,15 @@ def test_geig_modes_give_bit_equal_eigenvalues():
     assert n_inf == 1 and z.size == 1
 
 
+def assert_mu_within_ulps(p, bp, ref_mu):
+    """A stepped mu comes from the shift-invert spectrum, not from QZ, so it
+    agrees with QZ's mu to a few ulps of scale_b, in the backward sense: to
+    4 eps * scale_b times the condition ||w|| ||y|| / |w^H B3 y| of mu."""
+    cond = np.linalg.norm(bp.w) * np.linalg.norm(bp.y) / abs(bp.w.conj() @ p.B3 @ bp.y)
+    tol = 4 * np.finfo(float).eps * p.scale_b(bp.lam, ref_mu) * cond
+    assert abs(bp.mu - ref_mu) <= tol, (bp.lam, bp.mu, ref_mu)
+
+
 def test_stepped_point_matches_full_qz(monkeypatch):
     p = mepnl.gen_random(6, 8, seed=4)
     assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
@@ -197,7 +206,8 @@ def test_stepped_point_matches_full_qz(monkeypatch):
     monkeypatch.undo()
     for bp in stepped:
         ref = min(pencil.eigenpairs_at(p, bp.lam), key=lambda q: abs(q.mu - bp.mu))
-        assert ref.mu == bp.mu and bp.c_degenerate == ref.c_degenerate
+        assert_mu_within_ulps(p, bp, ref.mu)
+        assert bp.c_degenerate == ref.c_degenerate
         np.testing.assert_allclose(bp.y, ref.y, rtol=0,
                                    atol=1e-10 * np.linalg.norm(ref.y))
         phase = ref.w.conj() @ bp.w
@@ -220,7 +230,7 @@ def test_failed_residual_test_falls_back_to_full_qz(monkeypatch):
     for lam, bp in zip(lams, stepped):
         got = pencil.continue_branch(p, slow, 1, lam)
         ref = min(pencil.eigenpairs_at(p, lam), key=lambda q: abs(q.mu - got.mu))
-        assert got.mu == bp.mu
+        assert_mu_within_ulps(p, got, bp.mu)
         np.testing.assert_array_equal(got.y, ref.y)
         np.testing.assert_array_equal(got.w, ref.w)
 
@@ -241,7 +251,7 @@ def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
         raise AssertionError("a step fell back to the full QZ")
 
     monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
-    assert pencil.continue_branch(p, state, 1, 0.5).mu == -1.0
+    assert_mu_within_ulps(p, pencil.continue_branch(p, state, 1, 0.5), -1.0)
 
 
 def count_geig(monkeypatch):
@@ -295,7 +305,7 @@ def test_zero_and_nearly_rank_one_b3_stay_on_qz_path(monkeypatch):
     bp = pencil.continue_branch(p, state, 0, 0.01)
     assert counts["none"] >= 1
     monkeypatch.undo()
-    assert bp.mu == pencil.eigenpairs_at(p, 0.01)[0].mu
+    assert_mu_within_ulps(p, bp, pencil.eigenpairs_at(p, 0.01)[0].mu)
 
 
 def test_rank_one_qep_branch_is_lambda_squared(monkeypatch):
@@ -378,3 +388,87 @@ def test_conjugate_tie_continues_from_above_whatever_the_steps():
                 for lam in np.linspace(lam0, lam0 + 1e-3, steps + 1)[1:]:
                     point = pencil.continue_branch(p, state, b, lam)
                 assert abs(point.mu - end[b]) <= 1e-9, (imag, b, steps)
+
+
+def shift_invert_battery():
+    """(P, Q) pencils for the step's spectrum: random, Q of every rank below
+    m, Q = I as in gen_sqrt_nep, and ||Q|| far above ||P||."""
+    for seed in range(60):
+        rng = np.random.default_rng(500 + seed)
+        m = int(rng.integers(2, 12))
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        P = cplx(m, m)
+        rank = int(rng.integers(1, m))
+        yield P, cplx(m, m)
+        yield P, cplx(m, rank) @ cplx(rank, m)
+        yield P, np.eye(m)
+        yield P, 1e6 * cplx(m, m)
+        yield 1e-3 * P, cplx(m, rank) @ cplx(rank, m)
+
+
+def test_shift_invert_spectrum_matches_qz(monkeypatch):
+    lus = []
+    floor_lu = _linalg.pivot_floor_lu
+
+    def counted_lu(B):
+        lus.append(1)
+        return floor_lu(B)
+
+    monkeypatch.setattr(_linalg, "pivot_floor_lu", counted_lu)
+    moved = 0
+    for P, Q in shift_invert_battery():
+        z_qz, n_inf = _linalg.geig(P, Q, vectors="none")
+        z0 = z_qz[len(z_qz) // 2]
+        near = z0 + 1e-9 * (1.0 + abs(z0)) * np.exp(0.7j)
+        rng = np.random.default_rng(len(z_qz))
+        # a generic shift within the spectrum's own scale, as a prediction is
+        generic = z0 + (rng.standard_normal() + 1j * rng.standard_normal()) * abs(z_qz).max()
+        for shift in (generic, z0, near):
+            lus.clear()
+            z, n = _linalg.shift_invert_eigvals(P, Q, shift)
+            moved += shift == z0 and len(lus) > 1
+            assert z.size == z_qz.size and n == n_inf, (shift, z, z_qz)
+            i, j = (np.argmin(np.abs(v - shift)) for v in (z, z_qz))
+            assert abs(z[i] - z_qz[j]) <= 1e-12 * abs(z_qz[j]), (z[i], z_qz[j])
+    assert moved > 0  # a shift on an eigenvalue moved off it
+
+
+def test_continuation_step_runs_no_pencil_qz(monkeypatch):
+    p = mepnl.gen_random(6, 8, seed=4)
+    assert p.b3_rank_one is None
+    geig, eigenpairs_at = _linalg.geig, pencil.eigenpairs_at
+    calls = {"pencil QZ": 0, "shift-invert": 0, "fallback": 0}
+    in_fallback = [False]
+
+    def counted_geig(P, Q, *args, **kwargs):
+        if Q is not None and not in_fallback[0]:
+            calls["pencil QZ"] += 1
+        calls["shift-invert"] += kwargs.get("shift") is not None
+        return geig(P, Q, *args, **kwargs)
+
+    def counted_eigenpairs_at(*args, **kwargs):
+        calls["fallback"] += 1
+        in_fallback[0] = True
+        try:
+            return eigenpairs_at(*args, **kwargs)
+        finally:
+            in_fallback[0] = False
+
+    for tol in (pencil.TOL_INVERSE_RESIDUAL, -1.0):  # -1: every step falls back
+        state = pencil.BranchState.at_reference(p, 0.0)
+        monkeypatch.setattr(_linalg, "geig", counted_geig)
+        monkeypatch.setattr(pencil, "eigenpairs_at", counted_eigenpairs_at)
+        monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", tol)
+        steps = 0
+        for lam in (0.05, 0.1 + 0.05j, 0.2):
+            for b in range(state.n_branches):
+                pencil.continue_branch(p, state, b, lam)
+                steps += 1
+        monkeypatch.undo()
+        assert calls["pencil QZ"] == 0
+        assert calls["shift-invert"] >= steps
+        assert calls["fallback"] == (0 if tol >= 0 else steps)
+        calls.update({"shift-invert": 0, "fallback": 0})
