@@ -10,6 +10,7 @@ eigenvalue problem in lam alone; see the pencil and nep modules.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +19,6 @@ from . import _linalg
 from .errors import (
     DimensionMismatch,
     MissingLeftVectors,
-    NoFiniteEigenvalue,
     NonSimpleLambda,
     NonSimpleMu,
 )
@@ -108,6 +108,18 @@ class TwoParProblem:
     @property
     def m(self) -> int:
         return self.B1.shape[0]
+
+    @functools.cached_property
+    def reference_points(self) -> tuple:
+        """The small pencil's eigenpairs at pencil.REFERENCE_LAM, which fix
+        branch ids: one full QZ on first use, with read-only y and w."""
+        from . import pencil
+
+        points = tuple(pencil.eigenpairs_at(self, pencil.REFERENCE_LAM))
+        for point in points:
+            point.y.flags.writeable = False
+            point.w.flags.writeable = False
+        return points
 
     @property
     def is_sparse(self) -> bool:
@@ -378,7 +390,7 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
     from the quadruplet, no branch tracking needed), which is singular at
     the solution by design; its LU, dense or sparse, is therefore taken
     with allow_singular and never refused. w is the left eigenvector of the
-    small pencil at lam whose eigenvalue is nearest mu.
+    small pencil at lam nearest mu, from the full QZ (pencil._full_qz_point).
     """
     from . import pencil
 
@@ -386,10 +398,5 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
     norm = problem.scale_a(quad.lam, quad.mu)
     fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu), allow_singular=True)
     v = _linalg.null_vector_adjoint(fact, norm, rng, tol=tol)
-    points = pencil.eigenpairs_at(problem, quad.lam)
-    if not points:
-        raise NoFiniteEigenvalue(
-            f"small pencil has no finite eigenvalue at lam={quad.lam}"
-        )
-    best = min(points, key=lambda bp: abs(bp.mu - quad.mu))
-    return dataclasses.replace(quad, v=v, w=best.w)
+    w = pencil._full_qz_point(problem, quad.lam, quad.mu).w
+    return dataclasses.replace(quad, v=v, w=w)

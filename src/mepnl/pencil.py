@@ -23,8 +23,8 @@ imaginary part of lam choose it. When B3 has rank one, as in the Helmholtz
 and quadratic generators, the pencil has at most one finite eigenvalue,
 and a point costs one LU of order m of B1 + lam*B2 instead, with no step
 and no shift-invert spectrum. The full QZ with left and right eigenvectors
-(eigenpairs_at) runs only at reference points and when those vectors fail
-their residual test.
+(eigenpairs_at) runs once per problem at REFERENCE_LAM, at other reference
+points, and when those vectors fail their residual test.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ TOL_INVERSE_RESIDUAL = 1e-13
 TIE_SHIFT = 1e-4
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class BranchPoint:
     """One eigenpair of the small pencil at a fixed lam.
 
@@ -209,21 +209,25 @@ class BranchState:
     most recent point of each tracked branch."""
 
     reference_lam: complex
-    reference_points: list
     current: dict
 
     @classmethod
     def at_reference(cls, problem: TwoParProblem, lam) -> "BranchState":
-        points = eigenpairs_at(problem, lam)
+        """Every branch at its point of eigenpairs_at(lam); at REFERENCE_LAM
+        those are the problem's reference_points, one full QZ per problem."""
+        if lam == REFERENCE_LAM:
+            points = problem.reference_points
+        else:
+            points = eigenpairs_at(problem, lam)
         if not points:
             raise NoFiniteEigenvalue(
                 f"small pencil has no finite eigenvalue at reference lam={lam}"
             )
-        return cls(complex(lam), points, {p.branch_id: p for p in points})
+        return cls(complex(lam), {p.branch_id: p for p in points})
 
     @property
     def n_branches(self) -> int:
-        return len(self.reference_points)
+        return len(self.current)
 
 
 def _null_vectors_pass(B, norm, y, w) -> bool:
@@ -236,7 +240,7 @@ def _null_vectors_pass(B, norm, y, w) -> bool:
 
 def _full_qz_point(problem: TwoParProblem, lam, mu) -> BranchPoint:
     """The point of eigenpairs_at(lam) nearest mu, for a step whose y and w
-    failed their residual test."""
+    failed their residual test and for core.attach_left_vectors."""
     points = eigenpairs_at(problem, lam)
     if not points:
         raise NoFiniteEigenvalue(f"full QZ finds no finite eigenvalue at lam={lam}")

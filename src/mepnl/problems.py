@@ -362,8 +362,8 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     raising.
 
     Branch identities are fixed by the |mu| ordering at pencil.REFERENCE_LAM. The
-    grid is walked outward from the sample nearest the reference, one
-    continuation state per direction, so steps stay small. Where a step
+    grid is walked outward from the sample nearest the reference, one state
+    per direction (one full QZ for both), so steps stay small. Where a step
     cannot be resolved (no finite eigenvalue, or two candidates genuinely
     indistinguishable) the value is NaN and the walk continues from the last
     resolved point.
@@ -396,9 +396,8 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
                     gaps.append((i, b, f"{type(exc).__name__}: {exc}"))
 
     sweep(range(start, grid.size), state)
-    if start > 0:
-        back = pencil.BranchState.at_reference(problem, pencil.REFERENCE_LAM)
-        sweep(range(start - 1, -1, -1), back)
+    back = pencil.BranchState.at_reference(problem, pencil.REFERENCE_LAM)
+    sweep(range(start - 1, -1, -1), back)
     return BranchTable(grid, branch_ids, values, gaps)
 
 

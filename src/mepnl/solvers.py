@@ -135,7 +135,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
         try:
-            fact = _linalg.Factorization(problem.eval_a(lam, bp.mu))
+            fact, _ = nep.factorization(lam)
         except ShiftIsEigenvalue:
             if k == 0:
                 raise
@@ -209,7 +209,7 @@ def rayleigh_gep(problem: TwoParProblem, v, w, select):
 def resinv(nep: NepView, x0, config: SolverConfig):
     """Residual inverse iteration with a fixed shift sigma.
 
-    M(sigma) is factorized once (through the NepView cache). Each iteration
+    M(sigma) is factorized once (NepView.factorization). Each iteration
     solves the scalar-projected small problem at the current iterate for
     (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the previous one
     (nearest sigma initially), then corrects

@@ -48,9 +48,7 @@ def view_through(problem, quad):
     """Bind the branch that carries quad's mu at quad's lam."""
     pts = pencil.eigenpairs_at(problem, quad.lam)
     bid = min(range(len(pts)), key=lambda i: abs(pts[i].mu - quad.mu))
-    state = pencil.BranchState.at_reference(problem, quad.lam)
-    return nep.NepView(problem, branch_id=bid, reference_lam=quad.lam,
-                       state=state)
+    return nep.NepView(problem, branch_id=bid, reference_lam=quad.lam)
 
 
 def test_criterion_01_quadratic_branch_exactness():

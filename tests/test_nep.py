@@ -1,11 +1,10 @@
-"""Branch-bound nonlinear operator view: branch points and the factorization slot."""
-import time
-
+"""Branch-bound nonlinear operator view: branch points, factorizations, and
+the reference spectrum its views share."""
 import numpy as np
 import pytest
 
 import mepnl
-from mepnl import nep, problems
+from mepnl import nep, pencil, problems, solvers
 from mepnl.errors import ShiftIsEigenvalue
 
 
@@ -36,18 +35,6 @@ def test_solve_shifted_inverts_operator():
     np.testing.assert_allclose(p.eval_a(bp.lam, bp.mu) @ u, rhs, atol=1e-10)
 
 
-def test_cache_counters_and_last_shift_slot():
-    p, view, _ = qep_view(seed=2)
-    first = view.factorization(0.1)
-    assert view.factorization(0.1)[0] is first[0]  # same shift: reused
-    assert (view.cache_hits, view.cache_misses) == (1, 1)
-    view.factorization(0.2)  # new shift: factorized, replaces the slot
-    assert (view.cache_hits, view.cache_misses) == (1, 2)
-    again = view.factorization(0.1)  # the old shift was dropped
-    assert again[0] is not first[0]
-    assert (view.cache_hits, view.cache_misses) == (1, 3)
-
-
 def test_shift_at_exact_singularity_raises():
     rng = np.random.default_rng(6)
     n, m = 4, 2
@@ -61,34 +48,53 @@ def test_shift_at_exact_singularity_raises():
         view.factorization(0.0)
 
 
-def test_cached_solve_is_much_faster_sparse():
-    cfg = problems.HelmholtzConfig(n=5000, m=10,
-                                   kappa_a=lambda x: np.full_like(x, 2.0),
-                                   kappa_b=lambda x: np.full_like(x, 2.0))
-    disc = problems.gen_helmholtz(cfg)
-    rhs = np.ones(disc.problem.n)
-    sigma = 0.37
-
-    # a cold solve factorizes; time it on a fresh view each repetition
-    cold = []
-    for _ in range(5):
-        view = nep.NepView(disc.problem, branch_id=0, reference_lam=0.0)
-        cold.append(_timed(view, sigma, rhs))
-        assert view.cache_misses == 1
-    warm = [_timed(view, sigma, rhs) for _ in range(5)]
-    assert view.cache_misses == 1 and view.cache_hits == 5
-    ratio = min(cold) / min(warm)
-    assert ratio >= 10.0, f"speedup only {ratio:.1f}x"
-
-
-def _timed(view, sigma, rhs):
-    t0 = time.perf_counter()
-    fact, _ = view.factorization(sigma)
-    fact.solve(rhs)
-    return time.perf_counter() - t0
-
-
 def test_unknown_branch_rejected():
     p, _, _ = qep_view(seed=7)
     with pytest.raises(KeyError):
         nep.NepView(p, branch_id=5, reference_lam=0.1)
+
+
+def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
+    p = problems.gen_random(40, 4, seed=3)
+    assert p.b3_rank_one is None  # rank(B3) >= 2: branches are continued
+    qz_lams, fallbacks = [], 0
+    eigenpairs_at, inverse_iteration = pencil.eigenpairs_at, pencil._inverse_iteration
+
+    def counted_qz(problem, lam, *args, **kwargs):
+        qz_lams.append(lam)
+        return eigenpairs_at(problem, lam, *args, **kwargs)
+
+    def counted_inverse(*args):
+        nonlocal fallbacks
+        vectors = inverse_iteration(*args)
+        fallbacks += vectors is None
+        return vectors
+
+    monkeypatch.setattr(pencil, "eigenpairs_at", counted_qz)
+    monkeypatch.setattr(pencil, "_inverse_iteration", counted_inverse)
+    views = [nep.NepView(p, branch_id=b) for b in (0, 1)]
+    shared = p.reference_points
+    assert isinstance(shared, tuple) and len(shared) == p.m
+    for view in views:
+        assert all(view.state.current[pt.branch_id] is pt for pt in shared)
+    for view, lam0 in zip(views, (0.05, -0.05 + 0.02j)):
+        _, trace = solvers.augmented_newton(view, lam0, np.ones(p.n),
+                                            solvers.SolverConfig(maxit=6))
+        assert trace.iterations >= 2
+    table = problems.tabulate_branches(p, np.linspace(-0.5, 0.5, 11))
+    assert np.all(np.isfinite(table.values))
+    # one full QZ at the reference for both views and both sweeps; any
+    # other full QZ is a counted fallback of a continuation step
+    assert qz_lams[0] == pencil.REFERENCE_LAM
+    assert len(qz_lams) == 1 + fallbacks
+    assert p.reference_points is shared
+    for point in shared:
+        assert not point.y.flags.writeable and not point.w.flags.writeable
+    # the shared points are untouched by the solves: a fresh problem's
+    # reference spectrum equals them bit for bit
+    fresh = eigenpairs_at(problems.gen_random(40, 4, seed=3), pencil.REFERENCE_LAM)
+    assert len(fresh) == len(shared)
+    for got, want in zip(shared, fresh):
+        assert (got.lam, got.mu, got.branch_id, got.c_degenerate) == \
+            (want.lam, want.mu, want.branch_id, want.c_degenerate)
+        assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
