@@ -2,9 +2,12 @@
 
 Thin wrappers around LAPACK (via scipy.linalg) and SuperLU (via
 scipy.sparse.linalg) so the rest of the package never branches on the
-storage format of a matrix.
+storage format of a matrix. Every LU is a Factorization, and no other
+module calls an LU routine (tests/test_api.py checks this).
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg as sla
@@ -12,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import ShiftIsEigenvalue
+from .errors import ConvergenceFailure, ShiftIsEigenvalue
 
 # Relative reciprocal-condition threshold below which a factorization is
 # treated as singular.
@@ -48,40 +51,30 @@ def fro_norm(mat) -> float:
     return float(np.linalg.norm(mat, "fro"))
 
 
-def pivot_floor_lu(B):
-    """(lu, piv, ||B||_1): LAPACK's LU of the dense B, with an exactly zero
-    pivot, common when B is real, replaced by eps*||B||_1 as in LAPACK's
-    inverse iteration (zlaein). For matrices that may be singular to working
-    precision by design, as at an eigenvalue, where Factorization would
-    refuse."""
-    B = np.asarray(B, dtype=np.complex128)
-    norm = np.linalg.norm(B, 1)
-    lu, piv, _ = lapack.zgetrf(B)
-    zero = np.flatnonzero(lu.diagonal() == 0)
-    lu[zero, zero] = np.finfo(float).eps * norm
-    return lu, piv, norm
-
-
 class Factorization:
-    """LU factorization of a dense or sparse square matrix.
+    """LU factorization of a dense or sparse square matrix: the one LU type
+    of the package, of M(lam), of the small pencil and of delta0 alike.
 
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization. rcond is the reciprocal condition measure:
-    the LAPACK 1-norm estimate for a dense matrix, the smallest over the
-    largest |U| diagonal entry for a sparse one. Raises ShiftIsEigenvalue
-    when it is below RCOND_SINGULAR.
+    the LAPACK 1-norm estimate (zgecon) for a dense matrix, the smallest
+    over the largest |U| diagonal entry for a sparse one. It is computed
+    when first read, so a factorization nobody asks about pays nothing for
+    it. A refusing factorization reads it at once and raises
+    ShiftIsEigenvalue when it is below RCOND_SINGULAR.
 
     allow_singular=True is for inverse iteration, which wants the LU of a
     matrix that is singular by design: nothing is refused, and the factors
-    are those of a matrix within eps*||mat||_1 of mat. A dense LU floors an
-    exactly zero pivot (pivot_floor_lu); SuperLU cannot, so an exactly
+    are those of a matrix within eps*||mat||_1 of mat. A dense LU replaces
+    an exactly zero pivot, common when mat is real, by eps*||mat||_1 as in
+    LAPACK's inverse iteration (zlaein); SuperLU cannot, so an exactly
     singular sparse matrix is factorized as mat + eps*||mat||_1 * I.
     """
 
     def __init__(self, mat, allow_singular: bool = False):
         self.shape = mat.shape
-        if sp.issparse(mat):
-            self.sparse = True
+        self.sparse = sp.issparse(mat)
+        if self.sparse:
             mat = mat.tocsc().astype(np.complex128, copy=False)
             try:
                 self._lu = spla.splu(mat)
@@ -90,41 +83,36 @@ class Factorization:
                     raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
                 floor = np.finfo(float).eps * spla.norm(mat, 1)
                 self._lu = spla.splu(mat + floor * sp.identity(mat.shape[0], format="csc"))
+        else:
+            a = np.asarray(mat, dtype=np.complex128)
+            self._norm = np.linalg.norm(a, 1) if a.size else 0.0
+            lu, piv, info = lapack.zgetrf(a)
+            if allow_singular:
+                zero = np.flatnonzero(lu.diagonal() == 0)
+                lu[zero, zero] = np.finfo(float).eps * self._norm
+            elif info > 0 or self._norm == 0.0:
+                raise ShiftIsEigenvalue("dense factorization hit an exactly zero pivot")
+            self._lu = (lu, piv)
+        if not allow_singular and self.rcond < RCOND_SINGULAR:
+            raise ShiftIsEigenvalue(f"{'sparse' if self.sparse else 'dense'} factorization "
+                                    f"is numerically singular (rcond={self.rcond:.2e})")
+
+    @functools.cached_property
+    def rcond(self) -> float:
+        if self.sparse:
             udiag = np.abs(self._lu.U.diagonal())
             umax = udiag.max() if udiag.size else 0.0
-            self.rcond = float(udiag.min() / umax) if umax > 0.0 else 0.0
-            if self.rcond < RCOND_SINGULAR and not allow_singular:
-                raise ShiftIsEigenvalue(
-                    "sparse factorization is numerically singular "
-                    f"(U-diagonal ratio {udiag.min():.2e}/{udiag.max():.2e})"
-                )
-        else:
-            self.sparse = False
-            a = np.asarray(mat, dtype=np.complex128, order="F")
-            if allow_singular:
-                lu, piv, anorm = pivot_floor_lu(a)
-            else:
-                anorm = np.linalg.norm(a, 1) if a.size else 0.0
-                lu, piv, info = lapack.zgetrf(a)
-                if info > 0 or anorm == 0.0:
-                    raise ShiftIsEigenvalue("dense factorization hit an exactly zero pivot")
-            rc, _ = lapack.zgecon(lu, anorm, norm="1")
-            self.rcond = float(rc)
-            if self.rcond < RCOND_SINGULAR and not allow_singular:
-                raise ShiftIsEigenvalue(
-                    f"dense factorization is numerically singular (rcond={rc:.2e})"
-                )
-            self._lu = (lu, piv)
+            return float(udiag.min() / umax) if umax > 0.0 else 0.0
+        return float(lapack.zgecon(self._lu[0], self._norm, norm="1")[0])
 
     def solve(self, b, adjoint: bool = False):
         b = np.asarray(b, dtype=np.complex128)
         if self.sparse:
             return self._lu.solve(b, trans="H" if adjoint else "N")
-        lu, piv = self._lu
-        x, info = lapack.zgetrs(lu, piv, b.reshape(self.shape[0], -1), trans=2 if adjoint else 0)
+        x, info = lapack.zgetrs(*self._lu, b, trans=2 if adjoint else 0)
         if info != 0:
             raise ShiftIsEigenvalue(f"triangular solve failed (info={info})")
-        return x.reshape(b.shape)
+        return x
 
 
 def finite_pair(alpha, beta):
@@ -215,19 +203,18 @@ def shift_invert_eigvals(P, Q, shift):
     when shift is an eigenvalue to working accuracy, s moves by SHIFT_MOVE
     times the pencil's scale ||P - shift*Q||_1/||Q||_1 along
     SHIFT_DIRECTION, at most MAX_SHIFT_MOVES times; the last LU is used
-    whatever its rcond. The LU is a raw LAPACK one (pivot_floor_lu), not a
-    Factorization, whose refusal would fire.
+    whatever its rcond. Each LU is a Factorization with allow_singular,
+    whose rcond is read to decide the move and which never refuses.
     """
     s = shift
-    lu, piv, norm = pivot_floor_lu(P - s * Q)
-    qnorm = np.linalg.norm(Q, 1)
+    fact = Factorization(P - s * Q, allow_singular=True)
+    norm, qnorm = fact._norm, np.linalg.norm(Q, 1)
     for k in range(1, MAX_SHIFT_MOVES + 1):
-        if qnorm == 0.0 or lapack.zgecon(lu, norm, norm="1")[0] >= SHIFT_RCOND_FLOOR:
+        if qnorm == 0.0 or fact.rcond >= SHIFT_RCOND_FLOOR:
             break
         s = shift + k * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
-        lu, piv, _ = pivot_floor_lu(P - s * Q)
-    T = lapack.zgetrs(lu, piv, Q)[0]
-    return geig(T, None, vectors="none", shift=s)
+        fact = Factorization(P - s * Q, allow_singular=True)
+    return geig(fact.solve(Q), None, vectors="none", shift=s)
 
 
 def null_vector_adjoint(fact: Factorization, norm: float, rng, tol: float = 1e-8,
@@ -237,8 +224,6 @@ def null_vector_adjoint(fact: Factorization, norm: float, rng, tol: float = 1e-8
     Returns the unit vector v once ||M^H v|| <= tol * norm, where norm should
     be a norm of M. Raises ConvergenceFailure otherwise.
     """
-    from .errors import ConvergenceFailure
-
     n = fact.shape[0]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)

@@ -34,7 +34,6 @@ from .core import Quadruplet, attach_left_vectors, condition_numbers, residuals
 from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
                      ProblemIOError, TooLarge)
 from .nep import NepView
-from .pencil import eigenpairs_at
 from .solvers import SolverConfig, augmented_newton, resinv
 
 SCHEMA_VERSION = 1
@@ -380,12 +379,12 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     problem = _build_problem(cfg)
-    points, n_inf = eigenpairs_at(problem, 0.0, include_infinite=True)
+    points = problem.reference_points
     cap = delta.size_cap()
     print(f"label: {problem.label}")
     print(f"orders: n={problem.n} ({'sparse' if problem.is_sparse else 'dense'}), "
           f"m={problem.m}")
-    print(f"branches at lam=0: {len(points)} finite, {n_inf} infinite")
+    print(f"branches at lam=0: {len(points)} finite, {problem.m - len(points)} infinite")
     for p in points:
         print(f"  branch {p.branch_id}: mu = {p.mu:+.6e}"
               + ("  [c-degenerate]" if p.c_degenerate else ""))

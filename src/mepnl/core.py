@@ -29,6 +29,11 @@ TOL_SIMPLE = 1e-12
 # max|B3 - u v^H| at or below this times the largest |B3| entry makes B3 rank
 # one; forming np.outer(u, v.conj()) in floating point leaves about 2 eps.
 TOL_RANK_ONE = 8 * np.finfo(float).eps
+# |c^T y| below this times ||c|| ||y|| means the normalization functional is
+# useless for that eigenvector.
+TOL_C_DEGENERATE = 1e-10
+# Seeded draws of a default normalization vector c tried before giving up.
+MAX_C_DRAWS = 16
 
 
 def _check_square(mat, name, order=None):
@@ -53,12 +58,38 @@ def _rank_one_factors(B3):
     return u, vh.conj()
 
 
+def _c_normalizable(cy, c_norm, y_norm):
+    """Whether cy = c^T y is far enough from zero, relative to ||c|| ||y||,
+    for c to normalize y; elementwise on arrays. The one such test."""
+    return abs(cy) > TOL_C_DEGENERATE * c_norm * y_norm
+
+
+def _default_c(ys) -> np.ndarray:
+    """Deterministic pseudo-random unit complex c: drawn from a fixed seed and
+    re-drawn (next seed) while it cannot normalize some column of ys, the
+    finite eigenvectors at the reference point."""
+    m = ys.shape[0]
+    y_norms = np.linalg.norm(ys, axis=0)
+    for attempt in range(MAX_C_DRAWS):
+        rng = np.random.default_rng(1000003 + attempt)
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        c /= np.linalg.norm(c)
+        if np.all(_c_normalizable(c @ ys, np.linalg.norm(c), y_norms)):
+            return c
+    raise ValueError(
+        "no normalization vector found after re-draws; pencil may be degenerate"
+    )
+
+
 class TwoParProblem:
     """Immutable container for the six coefficient matrices and the normalization c.
 
     A1, A2, A3 are n x n (dense ndarray or scipy.sparse, stored as CSR);
     B1, B2, B3 are m x m dense; c is a complex m-vector fixing the eigenvector
     scaling of the small equation through c^T y = 1 (unconjugated transpose).
+    c=None draws one that can normalize every finite eigenvector at
+    pencil.REFERENCE_LAM (_default_c), from the full QZ there that
+    reference_points then reuses.
     b3_rank_one is (u, v) with B3 = u v^H when B3 has rank exactly one, else
     None; the small pencil then has at most one finite eigenvalue.
     """
@@ -80,6 +111,8 @@ class TwoParProblem:
         _check_square(B2, "B2", m)
         _check_square(B3, "B3", m)
         self.B1, self.B2, self.B3 = B1, B2, B3
+        if c is None:
+            c = _default_c(self._reference_spectrum[1])
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         if c.shape[0] != m:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {m}")
@@ -110,12 +143,22 @@ class TwoParProblem:
         return self.B1.shape[0]
 
     @functools.cached_property
-    def reference_points(self) -> tuple:
-        """The small pencil's eigenpairs at pencil.REFERENCE_LAM, which fix
-        branch ids: one full QZ on first use, with read-only y and w."""
+    def _reference_spectrum(self) -> tuple:
+        """(mu, y, w, n_inf) of the small pencil at pencil.REFERENCE_LAM: the
+        problem's one full QZ there, on first use or when c is drawn."""
         from . import pencil
 
-        points = tuple(pencil.eigenpairs_at(self, pencil.REFERENCE_LAM))
+        return pencil._raw_eigenpairs(self.B1, self.B2, self.B3, pencil.REFERENCE_LAM)
+
+    @functools.cached_property
+    def reference_points(self) -> tuple:
+        """The small pencil's eigenpairs at pencil.REFERENCE_LAM, which fix
+        branch ids: the points of eigenpairs_at there, built on first use
+        from the reference spectrum, with read-only y and w."""
+        from . import pencil
+
+        points = tuple(pencil._branch_points(self, pencil.REFERENCE_LAM,
+                                             self._reference_spectrum))
         for point in points:
             point.y.flags.writeable = False
             point.w.flags.writeable = False

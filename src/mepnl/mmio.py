@@ -12,7 +12,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from . import _linalg, pencil
+from . import _linalg
 from .core import TwoParProblem
 from .errors import DimensionMismatch, ProblemIOError
 
@@ -94,7 +94,7 @@ def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
     """Build a problem from six matrix files (A1, A2, A3, B1, B2, B3 order)
     plus an optional c vector file.
 
-    Without c_path the normalization vector is the pencil module's seeded
+    Without c_path the normalization vector is TwoParProblem's seeded
     draw, non-orthogonal to the eigenvectors at lam = 0. Dimension
     inconsistencies report all six shapes at once.
     """
@@ -115,10 +115,7 @@ def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
     if not (mats[3].shape == mats[4].shape == mats[5].shape):
         raise DimensionMismatch(f"B sizes disagree: {shapes}")
     Bs = [_linalg.to_dense(m) for m in mats[3:]]
-    if c_path is not None:
-        c = _linalg.to_dense(read_matrix(c_path)).reshape(-1)
-    else:
-        c = pencil.default_c(Bs[0], Bs[1], Bs[2])
+    c = None if c_path is None else _linalg.to_dense(read_matrix(c_path)).reshape(-1)
     if label is None:
         label = "loaded:" + os.path.basename(str(paths[0]))
     return TwoParProblem(mats[0], mats[1], mats[2], *Bs, c, label=label)

@@ -22,9 +22,12 @@ lam + i0, so neither the step sizes nor the sign of a rounding-level
 imaginary part of lam choose it. When B3 has rank one, as in the Helmholtz
 and quadratic generators, the pencil has at most one finite eigenvalue,
 and a point costs one LU of order m of B1 + lam*B2 instead, with no step
-and no shift-invert spectrum. The full QZ with left and right eigenvectors
-(eigenpairs_at) runs once per problem at REFERENCE_LAM, at other reference
-points, and when those vectors fail their residual test.
+and no shift-invert spectrum. Each of these LUs, like the bordered
+Jacobian's, is a _linalg.Factorization with allow_singular; this module
+calls no LAPACK routine itself. The full QZ with left and right
+eigenvectors (eigenpairs_at) runs once per problem at REFERENCE_LAM
+(TwoParProblem.reference_points, the same QZ that draws a default c), at
+other reference points, and when those vectors fail their residual test.
 """
 from __future__ import annotations
 
@@ -32,16 +35,11 @@ import dataclasses
 from math import comb
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from . import _linalg
-from .core import TwoParProblem, _branch_slope
+from .core import TwoParProblem, _branch_slope, _c_normalizable
 from .errors import AmbiguousBranch, NoFiniteEigenvalue, NonSimpleMu, SingularJacobian
 
-# |c^T y| below this times ||c|| ||y|| means the normalization functional is
-# useless for that eigenvector.
-TOL_C_DEGENERATE = 1e-10
 # Two continuation candidates whose distances to the prediction differ by less
 # than this (times scale) cannot be told apart.
 TOL_AMBIGUOUS = 1e-12
@@ -53,8 +51,6 @@ TOL_SINGULAR_J = 1e-12
 REFERENCE_LAM = 0.0
 # Interval splits one continue_branch call may make to resolve ambiguity.
 MAX_BISECTIONS = 12
-# Seeded draws default_c tries before giving up.
-MAX_C_DRAWS = 16
 # Inverse-iteration steps that take the followed branch's y and w from one LU
 # of B(lam, mu) at its eigenvalue mu.
 INVERSE_STEPS = 3
@@ -89,12 +85,6 @@ def _raw_eigenpairs(B1, B2, B3, lam):
     return _linalg.geig(-(B1 + lam * B2), B3, vectors="both")
 
 
-def _c_normalizable(cy, c_norm, y_norm):
-    """Whether cy = c^T y is far enough from zero, relative to ||c|| ||y||,
-    for c to normalize y; elementwise on arrays. The one such test."""
-    return abs(cy) > TOL_C_DEGENERATE * c_norm * y_norm
-
-
 def _normalize_y(y, c):
     """(y scaled to c^T y = 1, False), or (unit y, True) when c cannot normalize y."""
     cy = c @ y
@@ -103,14 +93,20 @@ def _normalize_y(y, c):
     return y / np.linalg.norm(y), True
 
 
-def eigenpairs_at(problem: TwoParProblem, lam, include_infinite: bool = False):
+def eigenpairs_at(problem: TwoParProblem, lam):
     """All finite eigenpairs of the small pencil at lam, sorted by |mu|.
 
     Returns a list of BranchPoint with branch_id set to the position in that
-    ordering. With include_infinite=True returns (points, n_infinite) where
-    n_infinite counts eigenvalues at infinity (these are never branches).
+    ordering; eigenvalues at infinity are never branches.
     """
-    mus, ys, ws, n_inf = _raw_eigenpairs(problem.B1, problem.B2, problem.B3, lam)
+    spectrum = _raw_eigenpairs(problem.B1, problem.B2, problem.B3, lam)
+    return _branch_points(problem, lam, spectrum)
+
+
+def _branch_points(problem: TwoParProblem, lam, spectrum):
+    """The BranchPoints of eigenpairs_at from the spectrum (mu, y, w, n_inf)
+    that _raw_eigenpairs gives at lam."""
+    mus, ys, ws, _ = spectrum
     points = []
     for i, mu in enumerate(mus):
         y, degen = _normalize_y(ys[:, i], problem.c)
@@ -121,8 +117,6 @@ def eigenpairs_at(problem: TwoParProblem, lam, include_infinite: bool = False):
                 branch_id=i, c_degenerate=degen,
             )
         )
-    if include_infinite:
-        return points, n_inf
     return points
 
 
@@ -138,15 +132,15 @@ class JacobianJ:
     mu: complex
     sigma_min: float
     norm: float
-    _lu: tuple
+    _fact: _linalg.Factorization | None
 
     def solve(self, rhs):
-        if self._lu is None:
+        if self._fact is None:
             raise SingularJacobian(
                 f"bordered Jacobian singular at lam={self.lam}, mu={self.mu} "
                 f"(sigma_min/norm = {self.sigma_min / max(self.norm, 1e-300):.2e})"
             )
-        return sla.lu_solve(self._lu, rhs)
+        return self._fact.solve(rhs)
 
     @property
     def singular(self) -> bool:
@@ -163,8 +157,9 @@ def jacobian(problem: TwoParProblem, bp: BranchPoint) -> JacobianJ:
     svals = np.linalg.svd(J, compute_uv=False)
     norm = float(svals[0]) if svals.size else 0.0
     sigma_min = float(svals[-1]) if svals.size else 0.0
-    lu = sla.lu_factor(J) if sigma_min > TOL_SINGULAR_J * norm else None
-    return JacobianJ(bp.lam, bp.mu, sigma_min, norm, lu)
+    singular = sigma_min <= TOL_SINGULAR_J * norm
+    fact = None if singular else _linalg.Factorization(J, allow_singular=True)
+    return JacobianJ(bp.lam, bp.mu, sigma_min, norm, fact)
 
 
 def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
@@ -230,46 +225,50 @@ class BranchState:
         return len(self.current)
 
 
-def _null_vectors_pass(B, norm, y, w) -> bool:
+def _null_vectors_pass(B, y, w) -> bool:
     """The residual test of a step's unit y and w at the eigenvalue mu of
-    B = B(lam, mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * norm,
-    with norm = ||B||_1."""
-    tol = TOL_INVERSE_RESIDUAL * norm
+    B = B(lam, mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL *
+    ||B||_1."""
+    tol = TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1)
     return np.linalg.norm(B @ y) <= tol and np.linalg.norm(w.conj() @ B) <= tol
 
 
-def _full_qz_point(problem: TwoParProblem, lam, mu) -> BranchPoint:
+def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoint:
     """The point of eigenpairs_at(lam) nearest mu, for a step whose y and w
-    failed their residual test and for core.attach_left_vectors."""
+    failed their residual test and for core.attach_left_vectors. It carries
+    branch_id when given, the tracked branch's id, else its position in
+    eigenpairs_at."""
     points = eigenpairs_at(problem, lam)
     if not points:
         raise NoFiniteEigenvalue(f"full QZ finds no finite eigenvalue at lam={lam}")
-    return min(points, key=lambda p: abs(p.mu - mu))
+    point = min(points, key=lambda p: abs(p.mu - mu))
+    if branch_id is None:
+        return point
+    return dataclasses.replace(point, branch_id=branch_id)
 
 
 def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
     """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
     eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
-    prev.w on one _linalg.pivot_floor_lu of B. None when they fail
-    _null_vectors_pass.
+    prev.w on one Factorization of B, with allow_singular since B is
+    singular by design. None when they fail _null_vectors_pass.
     """
     B = problem.eval_b(lam, mu)
-    lu, piv, norm = _linalg.pivot_floor_lu(B)
+    fact = _linalg.Factorization(B, allow_singular=True)
     y, w = prev.y, prev.w
     for _ in range(INVERSE_STEPS):
-        y = lapack.zgetrs(lu, piv, y)[0]
-        w = lapack.zgetrs(lu, piv, w, trans=2)[0]
+        y, w = fact.solve(y), fact.solve(w, adjoint=True)
         y, w = y / np.linalg.norm(y), w / np.linalg.norm(w)
-    return (y, w) if _null_vectors_pass(B, norm, y, w) else None
+    return (y, w) if _null_vectors_pass(B, y, w) else None
 
 
-def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
-    """The branch point at lam when B3 = u v^H has rank one.
+def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:
+    """The point of branch branch_id at lam when B3 = u v^H has rank one.
 
     With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
     of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
-    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v: one _linalg.pivot_floor_lu
-    of K.
+    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v: one Factorization of K,
+    with allow_singular since K may be singular.
     mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
     test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1;
     otherwise NoFiniteEigenvalue. When y and w fail _null_vectors_pass at
@@ -277,9 +276,8 @@ def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
     """
     u, v = problem.b3_rank_one
     K = problem.B1 + lam * problem.B2
-    lu, piv, _ = _linalg.pivot_floor_lu(K)
-    x = lapack.zgetrs(lu, piv, u)[0]
-    z = lapack.zgetrs(lu, piv, v, trans=2)[0]
+    fact = _linalg.Factorization(K, allow_singular=True)
+    x, z = fact.solve(u), fact.solve(v, adjoint=True)
     tau = v.conj() @ x
     if not _linalg.finite_pair(-1.0, tau):
         raise NoFiniteEigenvalue(
@@ -288,11 +286,10 @@ def _rank_one_point(problem: TwoParProblem, lam) -> BranchPoint:
         )
     mu = complex(-1.0 / tau)
     y, w = x / np.linalg.norm(x), z / np.linalg.norm(z)
-    B = K + mu * problem.B3
-    if not _null_vectors_pass(B, np.linalg.norm(B, 1), y, w):
-        return _full_qz_point(problem, lam, mu)
+    if not _null_vectors_pass(K + mu * problem.B3, y, w):
+        return _full_qz_point(problem, lam, mu, branch_id)
     y, degen = _normalize_y(y, problem.c)
-    return BranchPoint(lam=complex(lam), mu=mu, y=y, w=w, branch_id=0,
+    return BranchPoint(lam=complex(lam), mu=mu, y=y, w=w, branch_id=branch_id,
                        c_degenerate=degen)
 
 
@@ -344,9 +341,9 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
 
 
 def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
-    """One continuation step to the candidate of _nearest_candidate. Raises
-    AmbiguousBranch when it cannot choose, NoFiniteEigenvalue when the
-    pencil has no finite eigenvalue at lam_new.
+    """One continuation step of prev's branch to the candidate of
+    _nearest_candidate. Raises AmbiguousBranch when it cannot choose,
+    NoFiniteEigenvalue when the pencil has no finite eigenvalue at lam_new.
 
     The step's cost is two LUs of order m and one zgeev of order m: one LU
     and the zgeev give the candidates, and the winner's y and w come from
@@ -357,10 +354,10 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     mu = mus[i0]
     vectors = _inverse_iteration(problem, prev, lam_new, mu)
     if vectors is None:
-        return _full_qz_point(problem, lam_new, mu)
+        return _full_qz_point(problem, lam_new, mu, prev.branch_id)
     y, degen = _normalize_y(vectors[0], problem.c)
     return BranchPoint(lam=complex(lam_new), mu=mu, y=y, w=vectors[1],
-                       branch_id=int(i0), c_degenerate=degen)
+                       branch_id=prev.branch_id, c_degenerate=degen)
 
 
 def _bisected_steps(problem: TwoParProblem, point: BranchPoint, lam_new):
@@ -409,32 +406,9 @@ def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
     if lam_new == point.lam:
         return point
     if problem.b3_rank_one is not None:
-        point = _rank_one_point(problem, lam_new)
+        point = _rank_one_point(problem, lam_new, branch_id)
     else:
         point = _bisected_steps(problem, point, lam_new)
-    point = dataclasses.replace(point, branch_id=branch_id)
     state.current[branch_id] = point
     return point
 
-
-def default_c(B1, B2, B3) -> np.ndarray:
-    """Deterministic pseudo-random complex normalization vector.
-
-    Drawn from a fixed seed and re-drawn (next seed) while it cannot
-    normalize some finite eigenvector at REFERENCE_LAM.
-    """
-    B1 = np.asarray(B1, dtype=np.complex128)
-    B2 = np.asarray(B2, dtype=np.complex128)
-    B3 = np.asarray(B3, dtype=np.complex128)
-    m = B1.shape[0]
-    _, ys, _, _ = _raw_eigenpairs(B1, B2, B3, REFERENCE_LAM)
-    y_norms = np.linalg.norm(ys, axis=0)
-    for attempt in range(MAX_C_DRAWS):
-        rng = np.random.default_rng(1000003 + attempt)
-        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        c /= np.linalg.norm(c)
-        if np.all(_c_normalizable(c @ ys, np.linalg.norm(c), y_norms)):
-            return c
-    raise ValueError(
-        "no normalization vector found after re-draws; pencil may be degenerate"
-    )

@@ -47,8 +47,7 @@ def gen_random(n, m, seed, alphas=(1.0, 1.0 / 500.0, 1.0 / 50.0),
 
     As = [draw(n, a) for a in alphas]
     Bs = [draw(m, b) for b in betas]
-    c = pencil.default_c(Bs[0], Bs[1], Bs[2])
-    return TwoParProblem(*As, *Bs, c, label=f"random(n={n},m={m},seed={seed})")
+    return TwoParProblem(*As, *Bs, None, label=f"random(n={n},m={m},seed={seed})")
 
 
 def gen_qep(A1, A2, A3) -> TwoParProblem:
@@ -83,8 +82,7 @@ def gen_sqrt_nep(A1, A2, A3, a=3.0, b=2.0, c=-1.0, d=-2.0, e=2.0, f=1.0):
     B1 = np.array([[a, b], [c, d]], dtype=np.complex128)
     B2 = np.array([[0.0, e], [f, 0.0]], dtype=np.complex128)
     B3 = np.eye(2, dtype=np.complex128)
-    cvec = pencil.default_c(B1, B2, B3)
-    problem = TwoParProblem(A1, A2, A3, B1, B2, B3, cvec, label="sqrt")
+    problem = TwoParProblem(A1, A2, A3, B1, B2, B3, None, label="sqrt")
 
     def branch_fn(lam, sign=+1):
         lam = complex(lam)

@@ -142,6 +142,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
             trace.termination = "stagnated"
             break
         u = fact.solve(a2x + gprime * a3x)
+        del fact  # free M(lam_k)'s LU before M(lam_k+1) is assembled
         dtu = d @ u
         if dtu == 0:
             raise ConvergenceFailure(

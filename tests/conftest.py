@@ -2,18 +2,27 @@
 import numpy as np
 import pytest
 
-from mepnl import _linalg
+from mepnl import nep
 
 
 @pytest.fixture
 def nan_at_second_solve(monkeypatch):
-    """Make the second Factorization.solve call return NaN."""
-    original = _linalg.Factorization.solve
+    """Make the second solve with a factorization of M(lam) return NaN. Only
+    the factorizations NepView.factorization hands out are touched, not the
+    small pencil's."""
+    original = nep.NepView.factorization
     calls = []
 
-    def solve(self, b, adjoint=False):
-        calls.append(adjoint)
-        x = original(self, b, adjoint)
-        return np.full_like(x, np.nan) if len(calls) == 2 else x
+    def factorization(self, sigma):
+        fact, bp = original(self, sigma)
+        solve = fact.solve
 
-    monkeypatch.setattr(_linalg.Factorization, "solve", solve)
+        def nan_on_second(b, adjoint=False):
+            calls.append(adjoint)
+            x = solve(b, adjoint)
+            return np.full_like(x, np.nan) if len(calls) == 2 else x
+
+        fact.solve = nan_on_second
+        return fact, bp
+
+    monkeypatch.setattr(nep.NepView, "factorization", factorization)

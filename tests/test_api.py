@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import typing
 from pathlib import Path
 
@@ -46,6 +47,18 @@ def test_all_names_resolve():
     assert len(mepnl.__all__) == len(set(mepnl.__all__))
     missing = [name for name in mepnl.__all__ if not hasattr(mepnl, name)]
     assert not missing
+
+
+def test_only_linalg_builds_lus():
+    """Every LU the package builds is a _linalg.Factorization: no other module
+    names LAPACK's wrappers, its LU routines, or another LU routine."""
+    banned = re.compile(r"lapack|lu_factor|lu_solve|splu|zget")
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
+            if path.name != "_linalg.py"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert not hits, "\n".join(hits)
 
 
 def test_benchmark_interface_exists():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mepnl
-from mepnl import nep, pencil, problems, solvers
+from mepnl import _linalg, nep, pencil, problems, solvers
 from mepnl.errors import ShiftIsEigenvalue
 
 
@@ -55,14 +55,13 @@ def test_unknown_branch_rejected():
 
 
 def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
-    p = problems.gen_random(40, 4, seed=3)
-    assert p.b3_rank_one is None  # rank(B3) >= 2: branches are continued
-    qz_lams, fallbacks = [], 0
-    eigenpairs_at, inverse_iteration = pencil.eigenpairs_at, pencil._inverse_iteration
+    full_qz, fallbacks = 0, 0
+    geig, inverse_iteration = _linalg.geig, pencil._inverse_iteration
 
-    def counted_qz(problem, lam, *args, **kwargs):
-        qz_lams.append(lam)
-        return eigenpairs_at(problem, lam, *args, **kwargs)
+    def counted_geig(*args, **kwargs):
+        nonlocal full_qz
+        full_qz += kwargs.get("vectors") == "both"
+        return geig(*args, **kwargs)
 
     def counted_inverse(*args):
         nonlocal fallbacks
@@ -70,8 +69,11 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
         fallbacks += vectors is None
         return vectors
 
-    monkeypatch.setattr(pencil, "eigenpairs_at", counted_qz)
+    monkeypatch.setattr(_linalg, "geig", counted_geig)
     monkeypatch.setattr(pencil, "_inverse_iteration", counted_inverse)
+    p = problems.gen_random(40, 4, seed=3)
+    assert p.b3_rank_one is None  # rank(B3) >= 2: branches are continued
+    assert full_qz == 1  # the reference QZ, run to draw c
     views = [nep.NepView(p, branch_id=b) for b in (0, 1)]
     shared = p.reference_points
     assert isinstance(shared, tuple) and len(shared) == p.m
@@ -83,16 +85,15 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
         assert trace.iterations >= 2
     table = problems.tabulate_branches(p, np.linspace(-0.5, 0.5, 11))
     assert np.all(np.isfinite(table.values))
-    # one full QZ at the reference for both views and both sweeps; any
+    # one full QZ at the reference for c, both views and both sweeps; any
     # other full QZ is a counted fallback of a continuation step
-    assert qz_lams[0] == pencil.REFERENCE_LAM
-    assert len(qz_lams) == 1 + fallbacks
+    assert full_qz == 1 + fallbacks
     assert p.reference_points is shared
     for point in shared:
         assert not point.y.flags.writeable and not point.w.flags.writeable
     # the shared points are untouched by the solves: a fresh problem's
     # reference spectrum equals them bit for bit
-    fresh = eigenpairs_at(problems.gen_random(40, 4, seed=3), pencil.REFERENCE_LAM)
+    fresh = pencil.eigenpairs_at(problems.gen_random(40, 4, seed=3), pencil.REFERENCE_LAM)
     assert len(fresh) == len(shared)
     for got, want in zip(shared, fresh):
         assert (got.lam, got.mu, got.branch_id, got.c_degenerate) == \

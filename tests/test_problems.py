@@ -28,9 +28,9 @@ def test_gen_random_rejects_empty():
 def test_gen_qep_has_one_finite_branch():
     rng = np.random.default_rng(0)
     p = problems.gen_qep(*(rng.standard_normal((3, 3)) for _ in range(3)))
-    pts, n_inf = pencil.eigenpairs_at(p, 0.8, include_infinite=True)
+    pts = pencil.eigenpairs_at(p, 0.8)
     assert len(pts) == 1
-    assert n_inf == 1
+    assert p.m - len(pts) == 1  # one infinite eigenvalue
     assert pts[0].mu == pytest.approx(0.64, abs=1e-12)
     np.testing.assert_allclose(pts[0].y, [1.0, 0.8], atol=1e-12)
 
