@@ -8,8 +8,7 @@ from .core import (ConditionReport, Quadruplet, ResidualRecord, TwoParProblem,
                    residuals, worst_case_perturbation)
 from .mmio import load_problem, save_problem
 from .nep import NepView
-from .pencil import (BranchPoint, BranchState, derivatives, eigenpairs_at,
-                     g_prime_closed_form)
+from .pencil import BranchPoint, derivatives, eigenpairs_at, g_prime_closed_form
 from .problems import (HelmholtzConfig, flag_singularities, gen_helmholtz,
                        gen_qep, gen_random, gen_sqrt_nep, tabulate_branches)
 from .solvers import (SolveTrace, SolverConfig, augmented_newton,
@@ -18,8 +17,8 @@ from .solvers import (SolveTrace, SolverConfig, augmented_newton,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchPoint", "BranchState", "ConditionReport", "HelmholtzConfig",
-    "NepView", "Quadruplet", "ResidualRecord", "SolveTrace", "SolverConfig",
+    "BranchPoint", "ConditionReport", "HelmholtzConfig", "NepView",
+    "Quadruplet", "ResidualRecord", "SolveTrace", "SolverConfig",
     "TwoParProblem", "Weights", "attach_left_vectors", "augmented_newton",
     "c0_matrix", "condition_numbers", "delta", "derivatives", "eigenpairs_at",
     "errors", "flag_singularities", "g_prime_closed_form", "gen_helmholtz",

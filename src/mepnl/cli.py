@@ -219,6 +219,8 @@ def _default_x0(cfg: RunConfig, n):
         vec = _linalg.to_dense(mmio.read_matrix(cfg.x0_file)).reshape(-1)
         if vec.size != n:
             raise DimensionMismatch(f"x0 has length {vec.size}, problem order is {n}")
+        if not np.any(vec):
+            raise ProblemIOError(f"{cfg.x0_file}: x0 is the zero vector")
         return vec.astype(np.complex128)
     return np.ones(n, dtype=np.complex128)
 

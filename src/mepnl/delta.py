@@ -41,7 +41,7 @@ ORACLE_TOL = 1e-8
 # a candidate whose relative residuals are both at most this, a few hundred
 # eps, is at working accuracy already and takes no Newton step
 STEP_SKIP_TOL = 1e-13
-# reciprocal condition of delta0 below this means the problem is singular
+# reciprocal condition of delta0 below this means the oracle cannot solve the problem
 RCOND_SINGULAR_PROBLEM = 1e-12
 
 
@@ -146,8 +146,8 @@ def solve(problem: TwoParProblem) -> list:
         rc = 0.0
     if rc < RCOND_SINGULAR_PROBLEM:
         raise SingularProblem(
-            f"delta0 is numerically singular (rcond={rc:.2e}); the coupled "
-            "problem is singular"
+            f"delta0 is numerically singular (rcond={rc:.2e}), so the oracle "
+            "cannot solve this problem"
         )
     gamma1 = fact.solve(dp.delta1)
     del dp, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve

@@ -14,7 +14,10 @@ class TooLarge(MepnlError):
 
 
 class SingularProblem(MepnlError):
-    """The coupled problem is singular (delta0 numerically singular)."""
+    """delta0 is numerically singular, so the dense oracle cannot solve the
+    problem. The problem itself may still be regular: with rank-one A3 and
+    B3, delta0 has rank about n + m and the pencil (delta1, delta0) has
+    infinite eigenvalues."""
 
 
 class AmbiguousBranch(MepnlError):

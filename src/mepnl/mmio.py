@@ -71,16 +71,18 @@ def _diagnose(path):
 
 
 def read_matrix(path):
-    """One Matrix Market file: coordinate becomes CSR, array becomes dense."""
+    """One Matrix Market file: coordinate becomes CSR, array becomes dense.
+    A NaN or infinite entry is a ProblemIOError naming the file."""
     try:
         mat = scipy.io.mmread(path)
     except FileNotFoundError as exc:
         raise ProblemIOError(f"{path}: {exc.strerror or 'not found'}") from exc
     except Exception as exc:
         raise ProblemIOError(f"{path}: {_diagnose(path)} ({exc})") from exc
-    if sp.issparse(mat):
-        return mat.tocsr()
-    return np.asarray(mat)
+    mat = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
+    if not np.all(np.isfinite(mat.data if sp.issparse(mat) else mat)):
+        raise ProblemIOError(f"{path}: non-finite entry")
+    return mat
 
 
 def write_matrix(path, mat):
@@ -95,8 +97,8 @@ def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
     plus an optional c vector file.
 
     Without c_path the normalization vector is TwoParProblem's seeded
-    draw, non-orthogonal to the eigenvectors at lam = 0. Dimension
-    inconsistencies report all six shapes at once.
+    draw, non-orthogonal to the eigenvectors at lam = 0; a given c must not
+    be zero. Dimension inconsistencies report all six shapes at once.
     """
     paths = list(matrix_paths)
     if len(paths) != 6:
@@ -116,6 +118,8 @@ def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
         raise DimensionMismatch(f"B sizes disagree: {shapes}")
     Bs = [_linalg.to_dense(m) for m in mats[3:]]
     c = None if c_path is None else _linalg.to_dense(read_matrix(c_path)).reshape(-1)
+    if c is not None and not np.any(c):
+        raise ProblemIOError(f"{c_path}: c is the zero vector")
     if label is None:
         label = "loaded:" + os.path.basename(str(paths[0]))
     return TwoParProblem(mats[0], mats[1], mats[2], *Bs, c, label=label)

@@ -75,7 +75,6 @@ class BranchPoint:
     y: np.ndarray
     w: np.ndarray
     branch_id: int
-    finite: bool = True
     c_degenerate: bool = False
 
 
@@ -198,31 +197,24 @@ def g_prime_closed_form(problem: TwoParProblem, bp: BranchPoint) -> complex:
     return complex(_branch_slope(problem, bp.w, bp.y)[0])
 
 
-@dataclasses.dataclass
-class BranchState:
-    """Branch bookkeeping: the ordering fixed at a reference lam, plus the
-    most recent point of each tracked branch."""
-
-    reference_lam: complex
-    current: dict
-
-    @classmethod
-    def at_reference(cls, problem: TwoParProblem, lam) -> "BranchState":
-        """Every branch at its point of eigenpairs_at(lam); at REFERENCE_LAM
-        those are the problem's reference_points, one full QZ per problem."""
-        if lam == REFERENCE_LAM:
-            points = problem.reference_points
-        else:
-            points = eigenpairs_at(problem, lam)
-        if not points:
-            raise NoFiniteEigenvalue(
-                f"small pencil has no finite eigenvalue at reference lam={lam}"
-            )
-        return cls(complex(lam), {p.branch_id: p for p in points})
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.current)
+def reference_point(problem: TwoParProblem, branch_id: int,
+                    lam=REFERENCE_LAM) -> BranchPoint:
+    """The point of branch branch_id at a reference lam, where branch ids are
+    positions in the |mu| ordering of eigenpairs_at(lam); at REFERENCE_LAM it
+    is one of the problem's reference_points, one full QZ per problem.
+    Raises NoFiniteEigenvalue when the pencil has no finite eigenvalue at
+    lam, KeyError when it has no branch branch_id there."""
+    points = problem.reference_points if lam == REFERENCE_LAM else eigenpairs_at(problem, lam)
+    if not points:
+        raise NoFiniteEigenvalue(
+            f"small pencil has no finite eigenvalue at reference lam={lam}"
+        )
+    if not 0 <= branch_id < len(points):
+        raise KeyError(
+            f"branch {branch_id} not present at reference lam={lam} "
+            f"(have 0..{len(points) - 1})"
+        )
+    return points[branch_id]
 
 
 def _null_vectors_pass(B, y, w) -> bool:
@@ -384,9 +376,9 @@ def _bisected_steps(problem: TwoParProblem, point: BranchPoint, lam_new):
     return point
 
 
-def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
-                    lam_new) -> BranchPoint:
-    """Step the tracked branch to lam_new and return its point there.
+def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> BranchPoint:
+    """The point of point's branch at lam_new, continued from point, which is
+    left unchanged; at lam_new == point.lam it is point itself.
 
     When B3 has rank one (problem.b3_rank_one) the pencil has at most one
     finite eigenvalue, so the point at lam_new is evaluated directly
@@ -397,18 +389,11 @@ def continue_branch(problem: TwoParProblem, state: BranchState, branch_id: int,
     (_nearest_candidate). NoFiniteEigenvalue is raised when the
     pencil degenerates at lam_new, ValueError when lam_new is not finite.
     """
-    if branch_id not in state.current:
-        raise KeyError(f"unknown branch id {branch_id}")
-    point = state.current[branch_id]
     lam_new = complex(lam_new)
     if not np.isfinite(lam_new):
         raise ValueError(f"cannot continue a branch to non-finite lam={lam_new}")
     if lam_new == point.lam:
         return point
     if problem.b3_rank_one is not None:
-        point = _rank_one_point(problem, lam_new, branch_id)
-    else:
-        point = _bisected_steps(problem, point, lam_new)
-    state.current[branch_id] = point
-    return point
-
+        return _rank_one_point(problem, lam_new, point.branch_id)
+    return _bisected_steps(problem, point, lam_new)

@@ -360,42 +360,35 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     raising.
 
     Branch identities are fixed by the |mu| ordering at pencil.REFERENCE_LAM. The
-    grid is walked outward from the sample nearest the reference, one state
-    per direction (one full QZ for both), so steps stay small. Where a step
-    cannot be resolved (no finite eigenvalue, or two candidates genuinely
-    indistinguishable) the value is NaN and the walk continues from the last
-    resolved point.
+    grid is walked outward from the sample nearest the reference, each
+    direction from the problem's reference points (one full QZ for both), so
+    steps stay small. Where a step cannot be resolved (no finite eigenvalue,
+    or two candidates genuinely indistinguishable) the value is NaN and the
+    walk continues from the last resolved point.
     """
     grid = np.asarray(lambda_grid, dtype=np.complex128).reshape(-1)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
-    state = pencil.BranchState.at_reference(problem, pencil.REFERENCE_LAM)
     if branch_ids is None:
-        branch_ids = tuple(range(state.n_branches))
+        branch_ids = tuple(range(len(problem.reference_points)))
     else:
         branch_ids = tuple(branch_ids)
-        for b in branch_ids:
-            if b not in state.current:
-                raise KeyError(
-                    f"branch {b} does not exist at reference lam={pencil.REFERENCE_LAM} "
-                    f"({state.n_branches} branches)"
-                )
     values = np.full((grid.size, len(branch_ids)), np.nan, dtype=np.complex128)
     gaps = []
-    start = int(np.argmin(np.abs(grid - state.reference_lam)))
+    start = int(np.argmin(np.abs(grid - pencil.REFERENCE_LAM)))
 
-    def sweep(indices, st):
+    def sweep(indices):
+        last = {b: pencil.reference_point(problem, b) for b in branch_ids}
         for i in indices:
             for j, b in enumerate(branch_ids):
                 try:
-                    bp = pencil.continue_branch(problem, st, b, grid[i])
-                    values[i, j] = bp.mu
+                    last[b] = pencil.continue_branch(problem, last[b], grid[i])
+                    values[i, j] = last[b].mu
                 except (AmbiguousBranch, NoFiniteEigenvalue) as exc:
                     gaps.append((i, b, f"{type(exc).__name__}: {exc}"))
 
-    sweep(range(start, grid.size), state)
-    back = pencil.BranchState.at_reference(problem, pencil.REFERENCE_LAM)
-    sweep(range(start - 1, -1, -1), back)
+    sweep(range(start, grid.size))
+    sweep(range(start - 1, -1, -1))
     return BranchTable(grid, branch_ids, values, gaps)
 
 

@@ -135,7 +135,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
         try:
-            fact, _ = nep.factorization(lam)
+            fact = nep.factorization(lam)
         except ShiftIsEigenvalue:
             if k == 0:
                 raise
@@ -149,6 +149,9 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
                 f"normalization functional annihilated the Newton direction "
                 f"at iteration {k} (lam={lam})"
             )
+        if not np.isfinite(dtu):
+            trace.termination = "nonfinite"
+            break
         alpha = 1.0 / dtu
         lam_next, x_next = lam - alpha, alpha * u
         if not (np.isfinite(lam_next) and np.all(np.isfinite(x_next))):
@@ -225,7 +228,7 @@ def resinv(nep: NepView, x0, config: SolverConfig):
         raise ValueError("resinv requires config.sigma")
     problem = nep.problem
     sigma = complex(config.sigma)
-    fact, _ = nep.factorization(sigma)
+    fact = nep.factorization(sigma)
     x = np.asarray(x0, dtype=np.complex128).copy()
     x = x / np.linalg.norm(x)
     if config.w_proj is None:

@@ -311,6 +311,33 @@ def test_wrong_x0_length_is_io_error(tmp_path):
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("target, bad, solver", [
+    ("x0", 0.0, "newton"), ("x0", 0.0, "resinv"),
+    ("x0", np.nan, "newton"), ("x0", np.nan, "resinv"),
+    ("c", 0.0, "newton"), ("B2", np.nan, "newton"),
+    ("A1", np.inf, "newton"), ("A1", np.inf, "delta"),
+])
+def test_bad_input_file_is_io_error(tmp_path, capsys, target, bad, solver):
+    # a zero value zeroes the whole vector; NaN or Inf replaces one entry
+    files = mmio.save_problem(problems.gen_random(5, 3, seed=3), tmp_path / "problem")
+    files["x0"] = str(tmp_path / "x0.mtx")
+    mmio.write_matrix(files["x0"], np.ones((5, 1)))
+    mat = mmio.read_matrix(files[target])
+    if bad == 0.0:
+        mat[:] = 0.0
+    else:
+        mat.flat[1] = bad
+    mmio.write_matrix(files[target], mat)
+    out = tmp_path / "run"
+    code = run(["solve", "--matrix-files", ",".join(files[k] for k in mmio.MATRIX_NAMES),
+                "--c-file", files["c"], "--x0-file", files["x0"], "--solver", solver,
+                "--lambda0", "0.1", "--out", out])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and files[target] in err and "Traceback" not in err
+    assert not (out / "results.json").exists()
+
+
 def test_large_problem_omits_vectors():
     cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=201, m=12,
                                    kappa_a=2.0, kappa_b=2.0)

@@ -105,6 +105,15 @@ def test_singular_problem_detected():
         delta.solve(p)
 
 
+def test_rank_one_coupling_is_refused_as_beyond_the_oracle():
+    # A3 and B3 of rank one, as in the Helmholtz generator, leave delta0 of
+    # rank about n + m, though Newton solves the problem
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=100, m=10)).problem
+    assert p.b3_rank_one is not None
+    with pytest.raises(SingularProblem, match="the oracle cannot solve this problem"):
+        delta.solve(p)
+
+
 def test_sparse_inputs_accepted():
     import scipy.sparse as sp
 

@@ -5,7 +5,7 @@ import pytest
 
 import mepnl
 from mepnl import _linalg, nep, pencil, problems, solvers
-from mepnl.errors import ShiftIsEigenvalue
+from mepnl.errors import NoFiniteEigenvalue, ShiftIsEigenvalue
 
 
 def qep_view(n=5, seed=0):
@@ -30,7 +30,9 @@ def test_solve_shifted_inverts_operator():
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
     sigma = 0.4 + 0.1j
-    fact, bp = view.factorization(sigma)
+    fact = view.factorization(sigma)
+    bp = view.point
+    assert bp.lam == sigma
     u = fact.solve(rhs)
     np.testing.assert_allclose(p.eval_a(bp.lam, bp.mu) @ u, rhs, atol=1e-10)
 
@@ -46,6 +48,28 @@ def test_shift_at_exact_singularity_raises():
     view = nep.NepView(p, branch_id=0)
     with pytest.raises(ShiftIsEigenvalue):
         view.factorization(0.0)
+
+
+def test_view_continues_from_last_resolved_point():
+    # K = B1 + lam*B2 = diag(1 + lam, 2) and B3 = e0 e0^T give mu = -(1 + lam),
+    # infinite from lam = 1/TOL_INF on
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, 2.0]),
+                            np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2))
+    view = nep.NepView(p)
+    resolved = view.branch_point(0.5)
+    with pytest.raises(NoFiniteEigenvalue):
+        view.branch_point(1.0 / _linalg.TOL_INF)
+    assert view.point is resolved
+    assert view.branch_point(1.5).mu == -2.5
+    # a continued branch: a failed call leaves the next step's start alone
+    q = problems.gen_random(6, 5, seed=8)
+    view = nep.NepView(q, branch_id=1)
+    resolved = view.branch_point(0.1)
+    with pytest.raises(ValueError):
+        view.branch_point(np.nan)
+    assert view.point is resolved
+    got, want = view.branch_point(0.3), pencil.continue_branch(q, resolved, 0.3)
+    assert got.mu == want.mu and np.array_equal(got.y, want.y)
 
 
 def test_unknown_branch_rejected():
@@ -78,7 +102,7 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
     shared = p.reference_points
     assert isinstance(shared, tuple) and len(shared) == p.m
     for view in views:
-        assert all(view.state.current[pt.branch_id] is pt for pt in shared)
+        assert view.point is shared[view.branch_id]
     for view, lam0 in zip(views, (0.05, -0.05 + 0.02j)):
         _, trace = solvers.augmented_newton(view, lam0, np.ones(p.n),
                                             solvers.SolverConfig(maxit=6))

@@ -127,22 +127,35 @@ def test_jacobian_regular_for_simple_branches():
 
 def test_continue_branch_follows_qep():
     p = qep_problem()
-    state = pencil.BranchState.at_reference(p, 0.0)
+    bp = pencil.reference_point(p, 0)
     lam = 0.0
     for step in np.linspace(0.1, 3.0, 30):
-        bp = pencil.continue_branch(p, state, 0, step)
+        bp = pencil.continue_branch(p, bp, step)
         assert abs(bp.mu - step**2) <= 1e-10 * max(1.0, step**2)
         lam = step
     # stepping back to the same lam is a no-op
-    again = pencil.continue_branch(p, state, 0, lam)
+    again = pencil.continue_branch(p, bp, lam)
     assert again.mu == bp.mu
+
+
+def test_continue_branch_is_pure():
+    # rank(B3) >= 2 takes continuation steps, the rank-one qep one LU
+    for p in (mepnl.gen_random(6, 5, seed=8), qep_problem()):
+        start = pencil.continue_branch(p, pencil.reference_point(p, 0), 0.1)
+        before = dataclasses.replace(start, y=start.y.copy(), w=start.w.copy())
+        first = pencil.continue_branch(p, start, 0.3 + 0.05j)
+        second = pencil.continue_branch(p, start, 0.3 + 0.05j)
+        for got, want in ((start, before), (second, first)):
+            assert (got.lam, got.mu, got.branch_id, got.c_degenerate) == \
+                (want.lam, want.mu, want.branch_id, want.c_degenerate)
+            assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
+        assert first.lam == 0.3 + 0.05j and first is not start
 
 
 def test_continue_branch_unknown_id():
     p = qep_problem()
-    state = pencil.BranchState.at_reference(p, 0.0)
     with pytest.raises(KeyError):
-        pencil.continue_branch(p, state, 3, 0.5)
+        pencil.continue_branch(p, pencil.reference_point(p, 3), 0.5)
 
 
 def test_no_finite_eigenvalue_raised():
@@ -150,7 +163,7 @@ def test_no_finite_eigenvalue_raised():
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2),
                             np.eye(2), np.eye(2), np.zeros((2, 2)), [1.0, 0.0])
     with pytest.raises(NoFiniteEigenvalue):
-        pencil.BranchState.at_reference(p, 0.0)
+        pencil.reference_point(p, 0)
 
 
 def test_default_c_not_orthogonal():
@@ -195,14 +208,17 @@ def assert_mu_within_ulps(p, bp, ref_mu):
 def test_stepped_point_matches_full_qz(monkeypatch):
     p = mepnl.gen_random(6, 8, seed=4)
     assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
-    state = pencil.BranchState.at_reference(p, 0.0)
+    last = list(p.reference_points)
 
     def full_qz(*args):
         raise AssertionError("a step fell back to the full QZ")
 
     monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
-    stepped = [pencil.continue_branch(p, state, b, lam)
-               for lam in (0.05, 0.1 + 0.05j, 0.2) for b in range(state.n_branches)]
+    stepped = []
+    for lam in (0.05, 0.1 + 0.05j, 0.2):
+        for b, point in enumerate(last):
+            last[b] = pencil.continue_branch(p, point, lam)
+            stepped.append(last[b])
     monkeypatch.undo()
     for bp in stepped:
         ref = min(pencil.eigenpairs_at(p, bp.lam), key=lambda q: abs(q.mu - bp.mu))
@@ -222,13 +238,15 @@ def test_stepped_point_matches_full_qz(monkeypatch):
 def test_failed_residual_test_falls_back_to_full_qz(monkeypatch):
     p = mepnl.gen_random(6, 5, seed=8)
     assert p.b3_rank_one is None
-    fast = pencil.BranchState.at_reference(p, 0.0)
-    slow = pencil.BranchState.at_reference(p, 0.0)
+    fast = slow = pencil.reference_point(p, 1)
     lams = np.linspace(0.0, 0.5, 11)[1:]
-    stepped = [pencil.continue_branch(p, fast, 1, lam) for lam in lams]
+    stepped = []
+    for lam in lams:
+        fast = pencil.continue_branch(p, fast, lam)
+        stepped.append(fast)
     monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", -1.0)  # always fails
     for lam, bp in zip(lams, stepped):
-        got = pencil.continue_branch(p, slow, 1, lam)
+        got = slow = pencil.continue_branch(p, slow, lam)
         ref = min(pencil.eigenpairs_at(p, lam), key=lambda q: abs(q.mu - got.mu))
         assert_mu_within_ulps(p, got, bp.mu)
         np.testing.assert_array_equal(got.y, ref.y)
@@ -241,8 +259,8 @@ def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([0.0, 1.0, 2.0]),
                             np.zeros((3, 3)), np.eye(3), np.ones(3))
     assert p.b3_rank_one is None
-    state = pencil.BranchState.at_reference(p, 0.0)
-    prev = dataclasses.replace(state.current[1], y=np.ones(3), w=np.ones(3))
+    start = pencil.reference_point(p, 1)
+    prev = dataclasses.replace(start, y=np.ones(3), w=np.ones(3))
     y, w = pencil._inverse_iteration(p, prev, 0.5, -1.0)
     np.testing.assert_allclose(np.abs(y), [0.0, 1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(np.abs(w), [0.0, 1.0, 0.0], atol=1e-15)
@@ -251,7 +269,7 @@ def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
         raise AssertionError("a step fell back to the full QZ")
 
     monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
-    assert_mu_within_ulps(p, pencil.continue_branch(p, state, 1, 0.5), -1.0)
+    assert_mu_within_ulps(p, pencil.continue_branch(p, start, 0.5), -1.0)
 
 
 def count_geig(monkeypatch):
@@ -299,9 +317,9 @@ def test_zero_and_nearly_rank_one_b3_stay_on_qz_path(monkeypatch):
     B1, B2 = rng.standard_normal((m, m)), rng.standard_normal((m, m))
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None)
     assert p.b3_rank_one is None
-    state = pencil.BranchState.at_reference(p, 0.0)
+    start = pencil.reference_point(p, 0)
     counts = count_geig(monkeypatch)
-    bp = pencil.continue_branch(p, state, 0, 0.01)
+    bp = pencil.continue_branch(p, start, 0.01)
     assert counts["none"] >= 1
     monkeypatch.undo()
     assert_mu_within_ulps(p, bp, pencil.eigenpairs_at(p, 0.01)[0].mu)
@@ -309,13 +327,13 @@ def test_zero_and_nearly_rank_one_b3_stay_on_qz_path(monkeypatch):
 
 def test_rank_one_qep_branch_is_lambda_squared(monkeypatch):
     p = qep_problem()
-    state = pencil.BranchState.at_reference(p, 1.0)
+    bp = pencil.reference_point(p, 0, 1.0)
     counts = count_geig(monkeypatch)
     rng = np.random.default_rng(3)
     lams = list(rng.standard_normal(50) + 1j * rng.standard_normal(50)) + [0.0]
     eps = np.finfo(float).eps
     for lam in lams:
-        bp = pencil.continue_branch(p, state, 0, lam)
+        bp = pencil.continue_branch(p, bp, lam)
         scale = max(1.0, abs(lam) ** 2)
         assert abs(bp.mu - lam**2) <= 4 * eps * scale, f"lam {lam}"
         # y = (1, lam) under c = (1, 0); w is the unit left null vector
@@ -332,23 +350,24 @@ def test_rank_one_infinite_mu_raises():
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, 2.0]),
                             np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2))
     assert p.b3_rank_one is not None
-    state = pencil.BranchState.at_reference(p, 0.0)
-    assert state.current[0].mu == -1.0
+    point = pencil.reference_point(p, 0)
+    assert point.mu == -1.0
     big = 1.0 / _linalg.TOL_INF
-    assert pencil.continue_branch(p, state, 0, 0.5 * big).mu == -(1.0 + 0.5 * big)
+    point = pencil.continue_branch(p, point, 0.5 * big)
+    assert point.mu == -(1.0 + 0.5 * big)
     # |mu| >= 1/TOL_INF is infinite, as geig's test calls it on QZ's pairs
     for lam in (big, 2.0 * big):
         with pytest.raises(NoFiniteEigenvalue):
-            pencil.continue_branch(p, state, 0, lam)
+            pencil.continue_branch(p, point, lam)
         assert pencil.eigenpairs_at(p, lam) == []
 
 
 def test_continue_branch_rejects_nonfinite_lam():
     for p in (qep_problem(), sqrt_problem()[0]):
-        state = pencil.BranchState.at_reference(p, 0.0)
+        start = pencil.reference_point(p, 0)
         for lam in (np.nan, complex(0.0, np.inf)):
             with pytest.raises(ValueError):
-                pencil.continue_branch(p, state, 0, lam)
+                pencil.continue_branch(p, start, lam)
 
 
 def test_geig_standard_problem_modes_give_bit_equal_eigenvalues():
@@ -375,17 +394,17 @@ def test_conjugate_tie_continues_from_above_whatever_the_steps():
     end = {}
     for b in (0, 1):
         # the same branch over a path through the upper half plane
-        state = pencil.BranchState.at_reference(p, SEED53_LAM)
-        pencil.continue_branch(p, state, b, SEED53_LAM + 5e-4 + 1e-4j)
-        end[b] = pencil.continue_branch(p, state, b, SEED53_LAM + 1e-3).mu
+        point = pencil.reference_point(p, b, SEED53_LAM)
+        point = pencil.continue_branch(p, point, SEED53_LAM + 5e-4 + 1e-4j)
+        end[b] = pencil.continue_branch(p, point, SEED53_LAM + 1e-3).mu
     assert abs(end[0] - end[1].conjugate()) <= 1e-9 and end[0].imag > 0.5
     for imag in (0.0, 3e-17, -3e-17, 7.5e-17):
         lam0 = complex(SEED53_LAM, imag)
         for b in (0, 1):
             for steps in (1, 2, 7, 50, 400):
-                state = pencil.BranchState.at_reference(p, lam0)
+                point = pencil.reference_point(p, b, lam0)
                 for lam in np.linspace(lam0, lam0 + 1e-3, steps + 1)[1:]:
-                    point = pencil.continue_branch(p, state, b, lam)
+                    point = pencil.continue_branch(p, point, lam)
                 assert abs(point.mu - end[b]) <= 1e-9, (imag, b, steps)
 
 
@@ -457,14 +476,14 @@ def test_continuation_step_runs_no_pencil_qz(monkeypatch):
             in_fallback[0] = False
 
     for tol in (pencil.TOL_INVERSE_RESIDUAL, -1.0):  # -1: every step falls back
-        state = pencil.BranchState.at_reference(p, 0.0)
+        last = list(p.reference_points)
         monkeypatch.setattr(_linalg, "geig", counted_geig)
         monkeypatch.setattr(pencil, "eigenpairs_at", counted_eigenpairs_at)
         monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", tol)
         steps = 0
         for lam in (0.05, 0.1 + 0.05j, 0.2):
-            for b in range(state.n_branches):
-                pencil.continue_branch(p, state, b, lam)
+            for b, point in enumerate(last):
+                last[b] = pencil.continue_branch(p, point, lam)
                 steps += 1
         monkeypatch.undo()
         assert calls["pencil QZ"] == 0

@@ -266,9 +266,9 @@ def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
                                    kappa_a=kappa0, kappa_b=kappa0)
     p = problems.gen_helmholtz(cfg).problem
     assert p.b3_rank_one is not None
-    counts = dict.fromkeys(("geig", "at_reference", "step", "inverse"), 0)
+    counts = dict.fromkeys(("geig", "reference_point", "step", "inverse"), 0)
     for owner, name, key in ((_linalg, "geig", "geig"),
-                             (pencil.BranchState, "at_reference", "at_reference"),
+                             (pencil, "reference_point", "reference_point"),
                              (pencil, "_continue_step", "step"),
                              (pencil, "_inverse_iteration", "inverse")):
         original = getattr(owner, name)
@@ -279,14 +279,14 @@ def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     problems.tabulate_branches(p, np.linspace(-2.0, 3.0, 51), branch_ids=[0])
-    # the sweep's two references share its only QZ run
-    assert counts == {"geig": 1, "at_reference": 2, "step": 0, "inverse": 0}
+    # the two sweeps' reference points share its only QZ run
+    assert counts == {"geig": 1, "reference_point": 2, "step": 0, "inverse": 0}
     lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
     view = nep.NepView(p, branch_id=0, reference_lam=lam1 + 0.01)
     _, trace = solvers.augmented_newton(view, lam1 + 0.01, np.ones(cfg.n))
     assert trace.converged and trace.iterations >= 3
     # Newton's view adds one reference and no QZ per iterate
-    assert counts == {"geig": 2, "at_reference": 3, "step": 0, "inverse": 0}
+    assert counts == {"geig": 2, "reference_point": 3, "step": 0, "inverse": 0}
 
 
 def test_tabulate_qep_square_branch():

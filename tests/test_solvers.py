@@ -246,7 +246,7 @@ def test_qz_work_per_continuation_step(monkeypatch):
     quad = pick_isolated(delta.solve(p))
     view = view_through(p, quad)
     counts = dict.fromkeys(("geig.none", "geig.right", "geig.both", "eigenpairs_at",
-                            "at_reference", "_continue_step", "inverse", "fallback"), 0)
+                            "reference_point", "_continue_step", "inverse", "fallback"), 0)
 
     def count(owner, name, key):
         original = getattr(owner, name)
@@ -259,7 +259,7 @@ def test_qz_work_per_continuation_step(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(_linalg, "geig", lambda kw, _: "geig." + kw.get("vectors", "right"))
-    for owner, name in ((pencil, "eigenpairs_at"), (pencil.BranchState, "at_reference"),
+    for owner, name in ((pencil, "eigenpairs_at"), (pencil, "reference_point"),
                         (pencil, "_continue_step")):
         count(owner, name, lambda kw, _, name=name: name)
     count(pencil, "_inverse_iteration",
@@ -271,10 +271,11 @@ def test_qz_work_per_continuation_step(monkeypatch):
     steps = counts["_continue_step"]
     assert steps >= 40 * p.m
     # the eigenvalues-only QZ chooses every step and one LU gives the
-    # vectors; the full QZ runs only on counted fallbacks, since the sweep's
-    # two references share the one gen_random ran to draw c, before counting
+    # vectors; the full QZ runs only on counted fallbacks, since each sweep's
+    # reference points are the ones gen_random's QZ gave to draw c, before
+    # counting
     assert counts["geig.none"] == steps == counts["inverse"] + counts["fallback"]
-    assert counts["at_reference"] == 2
+    assert counts["reference_point"] == 2 * len(p.reference_points)
     assert counts["geig.both"] == counts["eigenpairs_at"] == counts["fallback"]
     assert counts["geig.right"] == 0
 
@@ -375,7 +376,7 @@ def test_resinv_accepts_explicit_projection_vector():
     x0 = quad.x + 0.05 * np.ones(p.n)
     # hand over the adjoint-solve vector explicitly instead of relying on
     # the in-solver default; the config path must be honored
-    fact, _ = view.factorization(sigma)
+    fact = view.factorization(sigma)
     w = fact.solve(x0.astype(np.complex128), adjoint=True)
     cfg = solvers.SolverConfig(sigma=sigma, maxit=80,
                                w_proj=w / np.linalg.norm(w))
