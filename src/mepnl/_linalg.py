@@ -31,6 +31,9 @@ SHIFT_RCOND_FLOOR = 1e-8
 SHIFT_MOVE = 1e-3
 SHIFT_DIRECTION = complex(0.6, 0.8)
 MAX_SHIFT_MOVES = 4
+# null_vector_adjoint's target ||M^H v|| / ||M|| and its step budget.
+NULL_VECTOR_TOL = 1e-8
+NULL_VECTOR_MAXIT = 50
 
 
 def to_complex(mat):
@@ -151,13 +154,12 @@ def geig(P, Q, vectors: str = "right", shift=None):
     fails finite_pair is infinite and dropped. Q=None means the standard
     problem P v = z v, whose pairs are (z, 1).
 
-    vectors picks what the eigensolver computes besides the eigenvalues:
-    "right" returns (z, vr, n_inf), "both" returns (z, vr, vl, n_inf) and
-    "none" returns (z, n_inf). Columns of vr and vl are the right and left
-    eigenvectors of z in the same order, n_inf the count of infinite
-    eigenvalues. A pencil goes through LAPACK's QZ driver (zggev), the
-    standard problem through its QR driver (zgeev); within one driver all
-    modes give bit-equal z.
+    vectors picks the eigenvectors computed with z: "right" returns
+    (z, vr, n_inf) and "both" returns (z, vr, vl, n_inf). Columns of vr and
+    vl are the right and left eigenvectors of z in the same order, n_inf the
+    count of infinite eigenvalues. A pencil goes through LAPACK's QZ driver
+    (zggev), the standard problem through its QR driver (zgeev); within one
+    driver both modes give bit-equal z.
 
     shift=s says that P is the shift-invert operator (A - s*B)^-1 B of a
     pencil A v = z B v, with Q None (see shift_invert_eigvals): its
@@ -171,19 +173,17 @@ def geig(P, Q, vectors: str = "right", shift=None):
         finite = finite_shift_invert(theta)
         z = shift + 1.0 / theta[finite]
         return z[_canonical_order(z)], int(np.sum(~finite))
-    left, right = vectors == "both", vectors != "none"
+    left = vectors == "both"
     P = np.asarray(P, dtype=np.complex128)
     if Q is not None:
         Q = np.asarray(Q, dtype=np.complex128)
-    out = sla.eig(P, Q, left=left, right=right, homogeneous_eigvals=True)
-    alpha, beta = out[0] if right else out
+    out = sla.eig(P, Q, left=left, right=True, homogeneous_eigvals=True)
+    alpha, beta = out[0]
     finite = finite_pair(alpha, beta)
     z = alpha[finite] / beta[finite]
     order = _canonical_order(z)
     cols = np.flatnonzero(finite)[order]
     n_inf = int(np.sum(~finite))
-    if not right:
-        return z[order], n_inf
     # scipy returns (w, vr) or (w, vl, vr)
     vr = out[-1][:, cols]
     if left:
@@ -192,8 +192,8 @@ def geig(P, Q, vectors: str = "right", shift=None):
 
 
 def shift_invert_eigvals(P, Q, shift):
-    """(z, n_inf) as geig(P, Q, vectors="none") gives them, from the
-    shift-invert spectrum about shift instead of QZ (Ericsson and Ruhe,
+    """The finite eigenvalues z and the infinite count n_inf of geig(P, Q),
+    from the shift-invert spectrum about shift instead of QZ (Ericsson and Ruhe,
     Math. Comp. 1980): one LU of P - s*Q, the operator T = (P - s*Q)^-1 Q
     by one solve, and its eigenvalues by geig's shift-invert mode (zgeev).
     The spectrum is most accurate near s: an eigenvalue at distance d from
@@ -214,16 +214,16 @@ def shift_invert_eigvals(P, Q, shift):
             break
         s = shift + k * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
         fact = Factorization(P - s * Q, allow_singular=True)
-    return geig(fact.solve(Q), None, vectors="none", shift=s)
+    return geig(fact.solve(Q), None, shift=s)
 
 
-def null_vector_adjoint(fact: Factorization, norm: float, rng, tol: float = 1e-8,
-                        maxit: int = 50):
+def null_vector_adjoint(fact: Factorization, norm: float, rng):
     """Approximate null vector of M^H by inverse iteration on a factorization of M.
 
-    Returns the unit vector v once ||M^H v|| <= tol * norm, where norm should
-    be a norm of M. Raises ConvergenceFailure otherwise.
+    Returns the unit vector v once ||M^H v|| <= NULL_VECTOR_TOL * norm, where
+    norm should be a norm of M. Raises ConvergenceFailure otherwise.
     """
+    tol, maxit = NULL_VECTOR_TOL, NULL_VECTOR_MAXIT
     n = fact.shape[0]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)

@@ -12,7 +12,7 @@ Exit codes (EXIT_*; TERMINATION_EXIT maps each SolveTrace termination):
      "nonfinite" (an update turned lam or x non-finite)
   3  singular or degenerate problem
   4  I/O or argument data failure, including a bad or non-finite
-     command-line value (argparse usage errors exit here too)
+     command-line value or MEPNL_CAP (argparse usage errors exit here too)
   5  size cap exceeded
 All artifacts of a run are written only after the computation finished, so
 a failed run leaves no partial files; results.json isolates wall-clock data
@@ -71,12 +71,14 @@ def parse_complex(text) -> complex:
 
 
 def parse_float(text) -> float:
-    """A finite float."""
+    """A finite float >= 0."""
     try:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     _require_finite(x, text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return x
 
 
@@ -99,6 +101,35 @@ def _grid_text(text) -> str:
     """The --grid text, once parse_grid accepts it."""
     parse_grid(text)
     return text
+
+
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_count = _int_at_least(0)
+
+
+def _branch_ids(text) -> tuple:
+    """Comma-separated branch ids, each >= 0."""
+    return tuple(_count(tok) for tok in str(text).split(","))
+
+
+def _file_list(text) -> tuple:
+    """Comma-separated file names."""
+    return tuple(tok.strip() for tok in str(text).split(","))
 
 
 def _c2j(z):
@@ -142,21 +173,30 @@ def _build_problem(cfg: RunConfig):
     if cfg.matrix_files is not None:
         return mmio.load_problem(cfg.matrix_files, cfg.c_file)
     gen = cfg.gen or "random"
-    if gen == "random":
-        return problems.gen_random(cfg.n or 20, cfg.m or 4, cfg.seed)
-    if gen == "qep":
-        rng = np.random.default_rng(cfg.seed)
-        n = cfg.n or 20
-        return problems.gen_qep(*(rng.standard_normal((n, n)) for _ in range(3)))
-    if gen == "sqrt":
-        rng = np.random.default_rng(cfg.seed)
-        n = cfg.n or 20
-        prob, _ = problems.gen_sqrt_nep(*(rng.standard_normal((n, n)) for _ in range(3)))
-        return prob
     if gen == "helmholtz":
-        config = problems.HelmholtzConfig(n=cfg.n or 2000, m=cfg.m or 30)
+        given = {k: v for k, v in (("n", cfg.n), ("m", cfg.m)) if v is not None}
+        config = problems.HelmholtzConfig(**given)
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise ProblemIOError(f"--gen helmholtz: {exc}") from exc
         return problems.gen_helmholtz(config).problem
-    raise ProblemIOError(f"unknown generator {gen!r}")
+    n = 20 if cfg.n is None else cfg.n
+    if gen == "random":
+        return problems.gen_random(n, 4 if cfg.m is None else cfg.m, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    A1, A2, A3 = (rng.standard_normal((n, n)) for _ in range(3))
+    if gen == "qep":
+        return problems.gen_qep(A1, A2, A3)
+    return problems.gen_sqrt_nep(A1, A2, A3)[0]
+
+
+def _require_branches(problem, branch_ids):
+    """Refuse a branch id that the problem does not have at lam = 0. A problem
+    with no finite branch there is left to NoFiniteEigenvalue."""
+    have, b = len(problem.reference_points), max(branch_ids)
+    if have and b >= have:
+        raise ProblemIOError(f"--branch {b}: the problem has branches 0..{have - 1} at lam = 0")
 
 
 def _header(cfg: RunConfig, problem):
@@ -240,6 +280,7 @@ def _compute_solve(cfg: RunConfig):
         quads = delta.solve(problem)
         payload["converged"] = True
     else:
+        _require_branches(problem, cfg.branch_ids)
         nep = NepView(problem, branch_id=cfg.branch_ids[0])
         x0 = _default_x0(cfg, problem.n)
         lam0 = cfg.lambda0 if cfg.lambda0 is not None else 0.0
@@ -321,8 +362,7 @@ def cmd_cond(cfg: RunConfig) -> int:
 def cmd_branches(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
     problem = _build_problem(cfg)
-    if cfg.grid is None:
-        raise ProblemIOError("branches requires --grid lo:step:hi")
+    _require_branches(problem, cfg.branch_ids)
     grid = parse_grid(cfg.grid)
     table = problems.tabulate_branches(problem, grid, cfg.branch_ids)
     intervals = {
@@ -399,30 +439,38 @@ def cmd_check(cfg: RunConfig) -> int:
 def _add_common(p):
     p.add_argument("--gen", choices=("random", "qep", "sqrt", "helmholtz"),
                    help="problem generator (alternative to --matrix-files)")
-    p.add_argument("--n", type=int, help="large equation order")
-    p.add_argument("--m", type=int, help="small equation order")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--matrix-files", metavar="A1,A2,A3,B1,B2,B3",
+    p.add_argument("--n", type=_positive_int, help="large equation order")
+    p.add_argument("--m", type=_positive_int, help="small equation order")
+    p.add_argument("--seed", type=_count)
+    p.add_argument("--matrix-files", type=_file_list, metavar="A1,A2,A3,B1,B2,B3",
                    help="six Matrix Market files, comma separated")
     p.add_argument("--c-file", help="Matrix Market file with the c vector")
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", help="output directory")
+
+
+def _add_branch(p):
+    p.add_argument("--branch", dest="branch_ids", type=_branch_ids, metavar="BRANCH",
+                   help="branch id (comma separated for several)")
 
 
 def _add_solver(p):
-    p.add_argument("--solver", choices=("newton", "resinv", "delta"),
-                   default="newton")
-    p.add_argument("--branch", default="0",
-                   help="branch id (comma separated for several)")
+    p.add_argument("--solver", choices=("newton", "resinv", "delta"))
+    _add_branch(p)
     p.add_argument("--lambda0", type=parse_complex, help="start value, e.g. 0.15+0.1i")
     p.add_argument("--sigma", type=parse_complex, help="resinv shift (default lambda0)")
     p.add_argument("--x0-file", help="Matrix Market vector to start from")
-    p.add_argument("--tol", type=parse_float, default=SolverConfig.tol)
-    p.add_argument("--maxit", type=int, default=SolverConfig.maxit)
+    p.add_argument("--tol", type=parse_float)
+    p.add_argument("--maxit", type=_count)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors exiting EXIT_IO, not argparse's 2, which
-    here means "not converged"."""
+    here means "not converged". An option that is not given is left out of
+    the namespace, so each setting has its one default in RunConfig."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("argument_default", argparse.SUPPRESS)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -443,43 +491,13 @@ def build_parser():
     _add_solver(pc)
     pb = sub.add_parser("branches", help="tabulate branch values over a lam grid")
     _add_common(pb)
-    pb.add_argument("--branch", default="0")
+    _add_branch(pb)
     pb.add_argument("--grid", required=True, type=_grid_text, metavar="lo:step:hi")
     pg = sub.add_parser("generate", help="write a generated problem to --out")
     _add_common(pg)
     pk = sub.add_parser("check", help="validate a problem source and summarize")
     _add_common(pk)
     return ap
-
-
-def _to_config(args) -> RunConfig:
-    branch_ids = (0,)
-    if getattr(args, "branch", None) is not None:
-        try:
-            branch_ids = tuple(int(tok) for tok in str(args.branch).split(","))
-        except ValueError:
-            raise ProblemIOError(f"bad --branch value {args.branch!r}")
-    matrix_files = None
-    if getattr(args, "matrix_files", None):
-        matrix_files = tuple(tok.strip() for tok in args.matrix_files.split(","))
-    return RunConfig(
-        command=args.command,
-        gen=getattr(args, "gen", None),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        seed=args.seed,
-        solver=getattr(args, "solver", "newton"),
-        branch_ids=branch_ids,
-        lambda0=getattr(args, "lambda0", None),
-        sigma=getattr(args, "sigma", None),
-        tol=getattr(args, "tol", SolverConfig.tol),
-        maxit=getattr(args, "maxit", SolverConfig.maxit),
-        grid=getattr(args, "grid", None),
-        out=args.out,
-        matrix_files=matrix_files,
-        c_file=getattr(args, "c_file", None),
-        x0_file=getattr(args, "x0_file", None),
-    )
 
 
 COMMANDS = {
@@ -510,9 +528,13 @@ def _join_dash_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_dash_values(argv))
+    parser = build_parser()
+    cfg = RunConfig(**vars(parser.parse_args(_join_dash_values(argv))))
+    try:  # the environment's one setting is checked with the command line
+        delta.size_cap()
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
-        cfg = _to_config(args)
         return COMMANDS[cfg.command](cfg)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

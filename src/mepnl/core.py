@@ -36,6 +36,13 @@ TOL_C_DEGENERATE = 1e-10
 MAX_C_DRAWS = 16
 
 
+def _weighted(weights, lam, mu) -> float:
+    """weights[0] + |lam| weights[1] + |mu| weights[2]: the scale of a
+    coefficient triple at (lam, mu), for norms and perturbation weights
+    alike. The one home of this sum."""
+    return weights[0] + abs(lam) * weights[1] + abs(mu) * weights[2]
+
+
 def _check_square(mat, name, order=None):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {mat.shape}")
@@ -184,12 +191,10 @@ class TwoParProblem:
 
     def scale_a(self, lam, mu) -> float:
         """Frobenius-norm scale of the large equation at (lam, mu)."""
-        na = self.norms_a
-        return na[0] + abs(lam) * na[1] + abs(mu) * na[2]
+        return _weighted(self.norms_a, lam, mu)
 
     def scale_b(self, lam, mu) -> float:
-        nb = self.norms_b
-        return nb[0] + abs(lam) * nb[1] + abs(mu) * nb[2]
+        return _weighted(self.norms_b, lam, mu)
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"
@@ -246,10 +251,6 @@ class Weights:
     alphas: tuple
     betas: tuple
     gamma: float = 1.0
-
-    @classmethod
-    def absolute(cls) -> "Weights":
-        return cls((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 1.0)
 
     @classmethod
     def relative(cls, problem: TwoParProblem, lam=None) -> "Weights":
@@ -345,20 +346,19 @@ def condition_numbers(problem: TwoParProblem, quad: Quadruplet,
     _require_left(quad)
     if weights is None:
         weights = Weights.relative(problem, quad.lam)
-    a1, a2, a3 = weights.alphas
-    b1, b2, b3 = weights.betas
+    b1, _, b3 = weights.betas
     lam, mu = quad.lam, quad.mu
     va2x, va3x, wb2y, wb3y, vmpx = _bilinears(problem, quad)
     nv, nx = np.linalg.norm(quad.v), np.linalg.norm(quad.x)
     nw, ny = np.linalg.norm(quad.w), np.linalg.norm(quad.y)
 
-    kappa_a = nv * nx * (a1 + abs(lam) * a2 + abs(mu) * a3) / abs(vmpx)
-    kappa_g_b = nw * ny * (b1 + abs(lam) * b2 + abs(mu) * b3) / abs(wb3y)
+    kappa_a = nv * nx * _weighted(weights.alphas, lam, mu) / abs(vmpx)
+    kappa_g_b = nw * ny * _weighted(weights.betas, lam, mu) / abs(wb3y)
     kappa_g_lambda = weights.gamma * abs(wb2y) / abs(wb3y)
     kappa_total = kappa_a + kappa_g_b * abs(va3x) / abs(vmpx)
     det_c0 = va2x * wb3y - va3x * wb2y
-    backward = nw * ny * (b1 + abs(mu) * b3) / abs(wb3y) * abs(va3x) / abs(vmpx)
-    nb = problem.norms_b
+    backward = (nw * ny * _weighted((b1, 0.0, b3), lam, mu) / abs(wb3y)
+                * abs(va3x) / abs(vmpx))
     return ConditionReport(
         kappa_a=float(kappa_a),
         kappa_g_b=float(kappa_g_b),
@@ -367,8 +367,8 @@ def condition_numbers(problem: TwoParProblem, quad: Quadruplet,
         det_c0=complex(det_c0),
         backward_lambda_bound=float(backward),
         weights=weights,
-        theta2_absolute=float(1.0 + abs(lam) + abs(mu)),
-        theta2_relative=float(nb[0] + abs(lam) * nb[1] + abs(mu) * nb[2]),
+        theta2_absolute=float(_weighted((1.0, 1.0, 1.0), lam, mu)),
+        theta2_relative=float(problem.scale_b(lam, mu)),
     )
 
 
@@ -416,8 +416,8 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
     Bs = perturbed((problem.B1, problem.B2, problem.B3), weights.betas, (
         eps * b1 * psi, eps * b2 * _phase(lam).conjugate() * psi,
         eps * b3 * _phase(mu).conjugate() * psi), w, y)
-    sa = a1 + abs(lam) * a2 + abs(mu) * a3
-    sb = b1 + abs(lam) * b2 + abs(mu) * b3
+    sa = _weighted(weights.alphas, lam, mu)
+    sb = _weighted(weights.betas, lam, mu)
     nv, nx = np.linalg.norm(v), np.linalg.norm(x)
     nw, ny = np.linalg.norm(w), np.linalg.norm(y)
     predicted = eps * (nv * nx * sa + nw * ny * sb * abs(rho)) / abs(vmpx)
@@ -426,20 +426,21 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
 
 
 def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
-                        seed: int = 0, tol: float = 1e-8) -> Quadruplet:
+                        seed: int = 0) -> Quadruplet:
     """Return a copy of the quadruplet with left vectors v and w filled in.
 
-    v comes from adjoint inverse iteration on A1 + lam*A2 + mu*A3 (mu taken
-    from the quadruplet, no branch tracking needed), which is singular at
-    the solution by design; its LU, dense or sparse, is therefore taken
-    with allow_singular and never refused. w is the left eigenvector of the
-    small pencil at lam nearest mu, from the full QZ (pencil._full_qz_point).
+    v comes from adjoint inverse iteration to _linalg.NULL_VECTOR_TOL on
+    A1 + lam*A2 + mu*A3 (mu taken from the quadruplet, no branch tracking
+    needed), which is singular at the solution by design; its LU, dense or
+    sparse, is therefore taken with allow_singular and never refused. w is
+    the left eigenvector of the small pencil at lam nearest mu, from the
+    full QZ (pencil._full_qz_point).
     """
     from . import pencil
 
     rng = np.random.default_rng(seed)
     norm = problem.scale_a(quad.lam, quad.mu)
     fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu), allow_singular=True)
-    v = _linalg.null_vector_adjoint(fact, norm, rng, tol=tol)
+    v = _linalg.null_vector_adjoint(fact, norm, rng)
     w = pencil._full_qz_point(problem, quad.lam, quad.mu).w
     return dataclasses.replace(quad, v=v, w=w)

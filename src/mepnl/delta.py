@@ -70,10 +70,9 @@ class DeltaPencil:
     m: int
 
 
-def assemble(problem: TwoParProblem, cap: int | None = None) -> DeltaPencil:
-    """Assemble delta0 and delta1, enforcing the size cap."""
-    if cap is None:
-        cap = size_cap()
+def assemble(problem: TwoParProblem) -> DeltaPencil:
+    """Assemble delta0 and delta1, enforcing the size cap of size_cap()."""
+    cap = size_cap()
     n, m = problem.n, problem.m
     if n * m > cap:
         raise TooLarge(
@@ -121,6 +120,15 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
     return lam + d[n + m], mu + d[n + m + 1], x + d[:n], y + d[n:n + m]
 
 
+def _quadruplet(problem: TwoParProblem, lam, mu, x, y, ax=None) -> Quadruplet:
+    """The candidate (lam, mu, x, y) with y normalized by c, and its residuals
+    record; ax is (A1 + lam A2 + mu A3) x when already formed."""
+    y, c_degenerate = pencil._normalize_y(y, problem.c)
+    quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
+    quad.residuals = residuals(problem, quad, ax=ax)
+    return quad
+
+
 def solve(problem: TwoParProblem) -> list:
     """All quadruplets of the problem via the determinant linearization.
 
@@ -130,13 +138,13 @@ def solve(problem: TwoParProblem) -> list:
     _linalg.geig(Gamma1, None). Each finite eigenvector is split into its
     rank-one factors z = y (x) x, mu comes by least squares from the large
     equation, and one Newton step on the full two-parameter system
-    (_newton_step) refines (lam, mu, x, y). A candidate whose relative
-    residuals, from the products already formed, are both at most
-    STEP_SKIP_TOL takes no step, and one whose step is singular keeps its
-    unrefined values. Quadruplets whose relative residuals in both
-    equations are at most ORACLE_TOL are kept, in the canonical order of
-    the eigensolver's lam. Eigenvectors that are not numerically rank-one
-    are dropped with a RankOneExtractionWarning.
+    (_newton_step) refines (lam, mu, x, y). A candidate whose residuals
+    record, from the products already formed, has both relative residuals
+    at most STEP_SKIP_TOL takes no step and keeps that record, and one whose
+    step is singular keeps its unrefined values. Quadruplets whose relative
+    residuals in both equations are at most ORACLE_TOL are kept, in the
+    canonical order of the eigensolver's lam. Eigenvectors that are not
+    numerically rank-one are dropped with a RankOneExtractionWarning.
     """
     dp = assemble(problem)
     try:
@@ -179,22 +187,15 @@ def solve(problem: TwoParProblem) -> list:
         a12x = (A[0] @ x) + lam * a2x
         mu = complex(-np.vdot(a3x, a12x) / denom)
         ax = a12x + mu * a3x
-        # x and y are unit, so these are the relative residuals of
-        # core.residuals; the small one is formed only when the large passes
-        at_working_accuracy = (
-            np.linalg.norm(ax) <= STEP_SKIP_TOL * problem.scale_a(lam, mu)
-            and np.linalg.norm(problem.apply_b(lam, mu, y))
-            <= STEP_SKIP_TOL * problem.scale_b(lam, mu))
-        step = None
-        if not at_working_accuracy:
+        quad = _quadruplet(problem, lam, mu, x, y, ax)
+        rec = quad.residuals
+        if not (rec.res_a <= STEP_SKIP_TOL and rec.res_b <= STEP_SKIP_TOL):
+            # the step takes the unit y; a singular step keeps quad
             step = _newton_step(problem, A, lam, mu, x, y, a2x, a3x, ax)
-        if step is not None:
-            lam, mu, x, y = step
-            lam, mu, x = complex(lam), complex(mu), x / np.linalg.norm(x)
-            ax = None  # the step moved x
-        y, c_degenerate = pencil._normalize_y(y, problem.c)
-        quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
-        quad.residuals = residuals(problem, quad, ax=ax)
+            if step is not None:
+                lam, mu, x, y = step
+                quad = _quadruplet(problem, complex(lam), complex(mu),
+                                   x / np.linalg.norm(x), y)
         if quad.residuals.res_a <= ORACLE_TOL and quad.residuals.res_b <= ORACLE_TOL:
             quads.append(quad)
     return quads

@@ -42,12 +42,9 @@ class SingularJacobian(MepnlError):
     """The bordered Jacobian of the small equation is numerically singular."""
 
 
-class SingularOperator(MepnlError):
-    """A matrix that must be factorized is numerically singular."""
-
-
-class ShiftIsEigenvalue(SingularOperator):
-    """The requested shift makes the operator singular (it is an eigenvalue)."""
+class ShiftIsEigenvalue(MepnlError):
+    """A matrix that must be factorized is numerically singular, as M(sigma)
+    is when the shift sigma is an eigenvalue."""
 
 
 class DegenerateProjection(MepnlError):

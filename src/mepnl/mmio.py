@@ -92,9 +92,9 @@ def write_matrix(path, mat):
         scipy.io.mmwrite(path, np.asarray(mat))
 
 
-def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
+def load_problem(matrix_paths, c_path=None) -> TwoParProblem:
     """Build a problem from six matrix files (A1, A2, A3, B1, B2, B3 order)
-    plus an optional c vector file.
+    plus an optional c vector file, labelled "loaded:" plus the A1 file name.
 
     Without c_path the normalization vector is TwoParProblem's seeded
     draw, non-orthogonal to the eigenvectors at lam = 0; a given c must not
@@ -120,23 +120,23 @@ def load_problem(matrix_paths, c_path=None, label=None) -> TwoParProblem:
     c = None if c_path is None else _linalg.to_dense(read_matrix(c_path)).reshape(-1)
     if c is not None and not np.any(c):
         raise ProblemIOError(f"{c_path}: c is the zero vector")
-    if label is None:
-        label = "loaded:" + os.path.basename(str(paths[0]))
+    label = "loaded:" + os.path.basename(str(paths[0]))
     return TwoParProblem(mats[0], mats[1], mats[2], *Bs, c, label=label)
 
 
-def save_problem(problem: TwoParProblem, directory, prefix="") -> dict:
-    """Write the seven files into directory; returns {name: path}."""
+def save_problem(problem: TwoParProblem, directory) -> dict:
+    """Write the seven files A1.mtx .. B3.mtx and c.mtx into directory;
+    returns {name: path}."""
     os.makedirs(directory, exist_ok=True)
     written = {}
     for name, mat in zip(
         MATRIX_NAMES,
         (problem.A1, problem.A2, problem.A3, problem.B1, problem.B2, problem.B3),
     ):
-        path = os.path.join(directory, f"{prefix}{name}.mtx")
+        path = os.path.join(directory, f"{name}.mtx")
         write_matrix(path, mat)
         written[name] = path
-    cpath = os.path.join(directory, f"{prefix}c.mtx")
+    cpath = os.path.join(directory, "c.mtx")
     scipy.io.mmwrite(cpath, problem.c.reshape(-1, 1))
     written["c"] = cpath
     return written

@@ -107,29 +107,24 @@ def default_kappa_b(x, x1=4.0):
 class HelmholtzConfig:
     """Configuration of the split 1-D Helmholtz problem u'' + kappa(x)^2 u = lam u.
 
-    Dirichlet at x0, Neumann at x2, and the interface ratio
-    mu = u'(x1)/u(x1) couples the subdomains: [x0, x1] is discretized by
+    Dirichlet at 0, Neumann at x2, and the interface ratio
+    mu = u'(x1)/u(x1) couples the subdomains: [0, x1] is discretized by
     second-order finite differences on n points (the large equation),
     [x1, x2] by Chebyshev collocation on m points (the small equation).
     kappa_a and kappa_b accept a scalar or a vectorized callable; None picks
-    the built-in profiles. scaling toggles the left diagonal scaling that
-    makes both operators have unit diagonal at (lam, mu) = (1, 1).
+    the built-in profiles.
     """
 
-    x0: float = 0.0
     x1: float = 4.0
     x2: float = 5.0
     n: int = 2000
     m: int = 30
     kappa_a: object = None
     kappa_b: object = None
-    scaling: bool = True
 
     def validate(self):
-        if not (self.x0 < self.x1 < self.x2):
-            raise ValueError(
-                f"need x0 < x1 < x2, got {self.x0}, {self.x1}, {self.x2}"
-            )
+        if not (0.0 < self.x1 < self.x2):
+            raise ValueError(f"need 0 < x1 < x2, got {self.x1}, {self.x2}")
         if self.n < 3 or self.m < 3:
             raise ValueError(f"need n, m >= 3, got n={self.n}, m={self.m}")
 
@@ -195,7 +190,7 @@ class HelmholtzDiscretization:
         return (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * self.h)
 
     def reconstruct(self, quad):
-        """Merge a quadruplet into one eigenfunction on [x0, x2].
+        """Merge a quadruplet into one eigenfunction on [0, x2].
 
         The spectral part is rescaled so both one-sided derivatives at the
         interface agree; value continuity at x1 is then a genuine
@@ -233,25 +228,25 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     """Assemble the split Helmholtz problem of the given configuration.
 
     Large equation (n x n, sparse from n >= 500): second-order central
-    differences for u'' + kappa^2 u - lam u on [x0, x1], a Dirichlet row at
-    x0, and a one-sided second-order stencil at x1 for the interface
+    differences for u'' + kappa^2 u - lam u on [0, x1], a Dirichlet row at
+    0, and a one-sided second-order stencil at x1 for the interface
     condition u'(x1) - mu u(x1) = 0 (the mu term is the only entry of A3).
     It is assembled directly in CSR from flat real arrays, in O(n) time and
     memory, and cast to complex only when each matrix is made; below
     SPARSE_MIN_N the matrices are then densified.
     Small equation (m x m, dense): Chebyshev collocation on [x1, x2] with
-    the same interface condition in row 0 and a Neumann row at x2. With
-    config.scaling both equations are row-scaled to unit diagonal at
-    (lam, mu) = (1, 1); row scaling changes neither eigenvalues nor
-    eigenvectors. The normalization vector is c = e_0, so c^T y = 1 pins
-    the spectral eigenfunction to value one at the interface.
+    the same interface condition in row 0 and a Neumann row at x2. Both
+    equations are row-scaled to unit diagonal at (lam, mu) = (1, 1); row
+    scaling changes neither eigenvalues nor eigenvectors. The normalization
+    vector is c = e_0, so c^T y = 1 pins the spectral eigenfunction to value
+    one at the interface.
     """
     if config is None:
         config = HelmholtzConfig()
     config.validate()
     n, m = config.n, config.m
-    grid_a = np.linspace(config.x0, config.x1, n)
-    h = (config.x1 - config.x0) / (n - 1)
+    grid_a = np.linspace(0.0, config.x1, n)
+    h = config.x1 / (n - 1)
     ka = config.kappa_a_values(grid_a)
 
     # A1 in CSR arrays: the Dirichlet row 0, then three entries per row, the
@@ -270,13 +265,13 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     a2_diag[1:-1] = -1.0
     a3_diag = np.zeros(n)
     a3_diag[-1] = -1.0
-    if config.scaling:
-        # real arithmetic keeps the imaginary zeros +0.0 after the cast
-        s = 1.0 / ((a1_diag + a2_diag) + a3_diag)
-        a1_head = a1_head * s[0]
-        stencil = stencil * s[1:, None]
-        a2_diag = a2_diag * s
-        a3_diag = a3_diag * s
+    # unit diagonal at (1, 1); real arithmetic keeps the imaginary zeros
+    # +0.0 after the cast
+    s = 1.0 / ((a1_diag + a2_diag) + a3_diag)
+    a1_head = a1_head * s[0]
+    stencil = stencil * s[1:, None]
+    a2_diag = a2_diag * s
+    a3_diag = a3_diag * s
 
     def csr(data, indices, indptr):
         return sp.csr_matrix((data.astype(np.complex128), indices, indptr), shape=(n, n))
@@ -303,9 +298,8 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     B3 = np.zeros((m, m))
     B3[0, 0] = -1.0
 
-    if config.scaling:
-        db = np.diag(B1 + B2 + B3)
-        B1, B2, B3 = B1 / db[:, None], B2 / db[:, None], B3 / db[:, None]
+    db = np.diag(B1 + B2 + B3)
+    B1, B2, B3 = B1 / db[:, None], B2 / db[:, None], B3 / db[:, None]
 
     if n < SPARSE_MIN_N:
         A1, A2, A3 = A1.toarray(), A2.toarray(), A3.toarray()

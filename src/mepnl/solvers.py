@@ -28,19 +28,21 @@ TOL_PROJECTION = 1e-14
 
 @dataclasses.dataclass
 class SolverConfig:
-    """Knobs shared by the iterative solvers.
+    """Settings shared by the iterative solvers.
 
-    tol is the relative residual target in the large equation; d the Newton
-    normalization functional (default conj(x0)/||x0||^2, so d^T x0 = 1);
-    w_proj the fixed left projection vector of resinv (default
-    M(sigma)^{-H} x0, normalized); sigma the resinv shift.
+    tol is the relative residual target in the large equation, maxit >= 0
+    the step budget and sigma the resinv shift.
     """
 
     tol: float = 1e-10
     maxit: int = 100
-    d: np.ndarray | None = None
-    w_proj: np.ndarray | None = None
     sigma: complex | None = None
+
+
+def _require_budget(config: SolverConfig):
+    """Raise ValueError for a negative maxit; maxit = 0 records iterate 0 only."""
+    if config.maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {config.maxit}")
 
 
 @dataclasses.dataclass
@@ -94,7 +96,9 @@ class SolveTrace:
 
 
 def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None):
-    """Newton iteration on the bordered system (M(lam) x, d^T x - 1) = 0.
+    """Newton iteration on the bordered system (M(lam) x, d^T x - 1) = 0 with
+    the fixed normalization d = conj(x0)/||x0||^2, so d^T x0 = 1 (Ruhe, SIAM
+    J. Numer. Anal. 1973).
 
     Per iteration: with u = M(lam_k)^{-1} M'(lam_k) x_k and
     alpha_k = 1/(d^T u), update x_{k+1} = alpha_k * u and
@@ -113,16 +117,10 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     """
     if config is None:
         config = SolverConfig()
+    _require_budget(config)
     problem = nep.problem
     x = np.asarray(x0, dtype=np.complex128).copy()
-    if config.d is None:
-        d = x.conj() / (np.linalg.norm(x) ** 2)
-    else:
-        d = np.asarray(config.d, dtype=np.complex128)
-        dtx = d @ x
-        if dtx == 0:
-            raise ConvergenceFailure("d^T x0 = 0: starting vector not normalizable")
-        x = x / dtx
+    d = x.conj() / (np.linalg.norm(x) ** 2)
     lam = complex(lam0)
     trace = SolveTrace()
     t0 = time.perf_counter()
@@ -211,12 +209,14 @@ def rayleigh_gep(problem: TwoParProblem, v, w, select):
 
 
 def resinv(nep: NepView, x0, config: SolverConfig):
-    """Residual inverse iteration with a fixed shift sigma.
+    """Residual inverse iteration with a fixed shift sigma (Neumaier, SIAM J.
+    Numer. Anal. 1985).
 
-    M(sigma) is factorized once (NepView.factorization). Each iteration
-    solves the scalar-projected small problem at the current iterate for
-    (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the previous one
-    (nearest sigma initially), then corrects
+    M(sigma) is factorized once (NepView.factorization); that LU also gives
+    the fixed left projection vector w = M(sigma)^{-H} x0, normalized. Each
+    iteration solves the scalar-projected small problem at the current
+    iterate for (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the
+    previous one (nearest sigma initially), then corrects
     x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k); the product
     M(lam_{k+1}) x_k also gives the residual of that iterate.
 
@@ -226,16 +226,14 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     """
     if config.sigma is None:
         raise ValueError("resinv requires config.sigma")
+    _require_budget(config)
     problem = nep.problem
     sigma = complex(config.sigma)
     fact = nep.factorization(sigma)
-    x = np.asarray(x0, dtype=np.complex128).copy()
-    x = x / np.linalg.norm(x)
-    if config.w_proj is None:
-        w = fact.solve(np.asarray(x0, dtype=np.complex128), adjoint=True)
-        w = w / np.linalg.norm(w)
-    else:
-        w = np.asarray(config.w_proj, dtype=np.complex128)
+    x0 = np.asarray(x0, dtype=np.complex128)
+    x = x0 / np.linalg.norm(x0)
+    w = fact.solve(x0, adjoint=True)
+    w = w / np.linalg.norm(w)
     ref = sigma
     trace = SolveTrace()
     t0 = time.perf_counter()

@@ -73,3 +73,18 @@ def test_benchmark_interface_exists():
     assert not missing
     view = mepnl.NepView(mepnl.gen_random(4, 2, seed=0))
     assert view.cache_hits == 0 and view.cache_misses == 0
+    # the arguments benchmarks/workloads.py passes, by name where it names them
+    calls = [
+        (mepnl.HelmholtzConfig, 0, ("x1", "x2", "n", "m", "kappa_a", "kappa_b")),
+        (mepnl.NepView, 1, ("branch_id", "reference_lam")),
+        (mepnl.SolverConfig, 0, ("tol", "maxit", "sigma")),
+        (mepnl.gen_random, 3, ("alphas", "betas")),
+        (mepnl.tabulate_branches, 2, ("branch_ids",)),
+        (mepnl.problems.helmholtz_analytic_eigenvalues, 3, ()),
+        (mepnl.augmented_newton, 4, ()),
+        (mepnl.resinv, 3, ()),
+        (mepnl.gen_helmholtz, 1, ()),
+        (mepnl.delta.solve, 1, ()),
+    ]
+    for fn, positional, keywords in calls:
+        inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))

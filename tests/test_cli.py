@@ -339,7 +339,7 @@ def test_bad_input_file_is_io_error(tmp_path, capsys, target, bad, solver):
 
 
 def test_large_problem_omits_vectors():
-    cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=201, m=12,
+    cfg = problems.HelmholtzConfig(x1=1.0, x2=1.5, n=201, m=12,
                                    kappa_a=2.0, kappa_b=2.0)
     disc = problems.gen_helmholtz(cfg)
     lam1 = problems.helmholtz_analytic_eigenvalues(2.0, 1.5, 1)[0]
@@ -364,7 +364,7 @@ def test_parse_complex_round_trips_printed_values():
         assert math.copysign(1.0, got.imag) == math.copysign(1.0, z.imag)
 
 
-def test_bad_and_non_finite_values_exit_io(tmp_path):
+def test_bad_and_non_finite_values_exit_io(tmp_path, monkeypatch, capsys):
     for text in ("nan", "inf", "-inf+1i", "1e400", "1+nani"):
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_complex(text)
@@ -379,9 +379,32 @@ def test_bad_and_non_finite_values_exit_io(tmp_path):
                  ["solve", *base, "--tol", "nan"],
                  ["solve", *base, "--bogus"],
                  ["branches", *base, "--grid", "0:nan:1"],
-                 ["branches", *base, "--grid", "0:1"]):
+                 ["branches", *base, "--grid", "0:1"],
+                 ["solve", *base, "--branch", "x"],
+                 ["solve", *base, "--branch", "-1"],
+                 ["solve", "--gen", "random", "--n", "0", "--m", "3", "--out", out],
+                 ["solve", "--gen", "random", "--n", "6", "--m", "0", "--out", out],
+                 ["solve", *base, "--seed", "-1"],
+                 ["solve", *base, "--maxit", "-1"],
+                 ["solve", *base, "--tol", "-1e-10"],
+                 ["solve", *base, "--solver", "resinv", "--maxit", "-1"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == cli.EXIT_IO, argv
-    assert run(["solve", *base, "--branch", "x"]) == cli.EXIT_IO
+    capsys.readouterr()
+    # values that only the problem can refuse
+    for argv in (["solve", *base, "--branch", "5"],
+                 ["solve", *base, "--branch", "0,5"],
+                 ["branches", *base, "--branch", "5", "--grid", "0:0.5:1"],
+                 ["solve", "--gen", "helmholtz", "--n", "2", "--m", "3", "--out", out],
+                 ["branches", "--gen", "helmholtz", "--n", "40", "--m", "2",
+                  "--grid", "0:0.5:1", "--out", out]):
+        assert run(argv) == cli.EXIT_IO, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    monkeypatch.setenv(delta.CAP_ENV, "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["check", *base])
+    assert exc.value.code == cli.EXIT_IO
+    assert "MEPNL_CAP" in capsys.readouterr().err
     assert not out.exists()

@@ -61,7 +61,7 @@ def test_parse_failures_are_located(tmp_path, content, fragment):
 
 def test_save_load_problem_round_trip(tmp_path):
     p = problems.gen_random(5, 3, seed=7)
-    written = mmio.save_problem(p, tmp_path, prefix="rt_")
+    written = mmio.save_problem(p, tmp_path)
     assert sorted(written) == ["A1", "A2", "A3", "B1", "B2", "B3", "c"]
     back = mmio.load_problem([written[k] for k in mmio.MATRIX_NAMES],
                              c_path=written["c"])
@@ -70,7 +70,7 @@ def test_save_load_problem_round_trip(tmp_path):
         got = got.toarray() if sp.issparse(got) else np.asarray(got)
         np.testing.assert_allclose(got, getattr(p, name), rtol=1e-15)
     np.testing.assert_allclose(back.c, p.c, rtol=1e-15)
-    assert back.label.startswith("loaded:rt_A1")
+    assert back.label == "loaded:A1.mtx"
 
 
 def test_load_without_c_uses_seeded_default(tmp_path):
@@ -78,7 +78,7 @@ def test_load_without_c_uses_seeded_default(tmp_path):
     written = mmio.save_problem(p, tmp_path)
     paths = [written[k] for k in mmio.MATRIX_NAMES]
     b1 = mmio.load_problem(paths)
-    b2 = mmio.load_problem(paths, label="again")
+    b2 = mmio.load_problem(paths)
     np.testing.assert_array_equal(b1.c, b2.c)
     # the default draw must not be orthogonal to any finite eigenvector
     for pt in mepnl.pencil.eigenpairs_at(b1, 0.0):

@@ -70,7 +70,9 @@ def test_pure_sqrt_eigenvector_closed_form():
 
 def test_helmholtz_config_validation():
     with pytest.raises(ValueError):
-        problems.HelmholtzConfig(x0=2.0, x1=1.0).validate()
+        problems.HelmholtzConfig(x1=0.0).validate()
+    with pytest.raises(ValueError):
+        problems.HelmholtzConfig(x1=6.0).validate()
     with pytest.raises(ValueError):
         problems.HelmholtzConfig(n=2).validate()
     with pytest.raises(ValueError):
@@ -91,27 +93,33 @@ def test_helmholtz_default_profiles():
 
 
 def test_helmholtz_assembly_structure():
-    cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=41, m=8,
-                                   kappa_a=2.0, kappa_b=2.0, scaling=False)
+    cfg = problems.HelmholtzConfig(x1=1.0, x2=1.5, n=41, m=8,
+                                   kappa_a=2.0, kappa_b=2.0)
     disc = problems.gen_helmholtz(cfg)
     p = disc.problem
     A1, A2, A3 = (np.asarray(M) for M in (p.A1, p.A2, p.A3))
     n = cfg.n
+    h = cfg.x1 / (n - 1)
     # boundary closure row: plain Dirichlet identity, no lam or mu coupling
     assert A1[0, 0] == 1.0 and np.count_nonzero(A1[0]) == 1
     assert np.count_nonzero(A2[0]) == 0 and np.count_nonzero(A3[0]) == 0
-    # the lam term acts on interior samples only
+    # the lam term acts on interior samples only, where the row scaling
+    # keeps the stencil's ratio -1 : 1/h^2 of the lam and neighbour terms
     diag2 = np.diag(A2)
     assert diag2[0] == 0 and diag2[-1] == 0
-    assert np.all(diag2[1:-1] == -1.0)
+    np.testing.assert_allclose(diag2[1:-1] / np.diag(A1, 1)[1:], -h**2, rtol=1e-12)
     # the mu coupling lives in the last row alone
     nz = np.nonzero(A3)
     assert nz[0].tolist() == [n - 1] and nz[1].tolist() == [n - 1]
-    assert A3[n - 1, n - 1] == -1.0
+    assert A3[n - 1, n - 1] != 0
     # small side: mu enters through the corner entry, lam on the interior
     B2, B3 = p.B2, p.B3
-    assert np.count_nonzero(B3) == 1 and B3[0, 0] == -1.0
-    assert np.all(np.diag(B2)[1:-1] == -1.0)
+    assert np.count_nonzero(B3) == 1 and B3[0, 0] != 0
+    assert np.count_nonzero(np.diag(B2)[[0, -1]]) == 0
+    assert np.all(np.diag(B2)[1:-1] != 0)
+    # both operators have unit diagonal at (lam, mu) = (1, 1)
+    np.testing.assert_allclose(np.diag(A1 + A2 + A3), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.diag(p.B1 + B2 + B3), 1.0, rtol=1e-12)
     np.testing.assert_array_equal(p.c, np.eye(cfg.m)[0])
 
 
@@ -126,8 +134,8 @@ def lil_reference(cfg):
     """The A side by the LIL recipe that the direct CSR build replaced: kept
     here as the oracle for byte-identical assembly."""
     n = cfg.n
-    h = (cfg.x1 - cfg.x0) / (n - 1)
-    ka = cfg.kappa_a_values(np.linspace(cfg.x0, cfg.x1, n))
+    h = cfg.x1 / (n - 1)
+    ka = cfg.kappa_a_values(np.linspace(0.0, cfg.x1, n))
     main = np.zeros(n, dtype=np.complex128)
     main[1:-1] = -2.0 / h**2 + ka[1:-1] ** 2
     lower = np.full(n - 1, 1.0 / h**2, dtype=np.complex128)
@@ -145,9 +153,8 @@ def lil_reference(cfg):
     A2 = sp.diags([a2], [0], format="lil", dtype=np.complex128)
     A3 = sp.lil_matrix((n, n), dtype=np.complex128)
     A3[n - 1, n - 1] = -1.0
-    if cfg.scaling:
-        sa = sp.diags([1.0 / (A1 + A2 + A3).diagonal()], [0])
-        A1, A2, A3 = sa @ A1, sa @ A2, sa @ A3
+    sa = sp.diags([1.0 / (A1 + A2 + A3).diagonal()], [0])
+    A1, A2, A3 = sa @ A1, sa @ A2, sa @ A3
     if n < problems.SPARSE_MIN_N:
         return [M.toarray() for M in (A1, A2, A3)]
     return [M.tocsr() for M in (A1, A2, A3)]
@@ -165,14 +172,14 @@ def assert_same_bytes(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
 
 
-@pytest.mark.parametrize("n, scaling, kappa_a", [
-    (201, True, None),
-    (600, True, None),
-    (600, False, None),
-    (5000, True, lambda x: 1.5 + np.sin(3.0 * x) ** 2),
+# the ids' "True" names the row scaling, which the assembly always applies
+@pytest.mark.parametrize("n, kappa_a", [
+    pytest.param(201, None, id="201-True-None"),
+    pytest.param(600, None, id="600-True-None"),
+    pytest.param(5000, lambda x: 1.5 + np.sin(3.0 * x) ** 2, id="5000-True-<lambda>"),
 ])
-def test_helmholtz_csr_assembly_matches_lil_recipe(n, scaling, kappa_a):
-    cfg = problems.HelmholtzConfig(n=n, m=10, scaling=scaling, kappa_a=kappa_a)
+def test_helmholtz_csr_assembly_matches_lil_recipe(n, kappa_a):
+    cfg = problems.HelmholtzConfig(n=n, m=10, kappa_a=kappa_a)
     p = problems.gen_helmholtz(cfg).problem
     # frozen the same way, so both sides are canonical and complex
     ref = mepnl.TwoParProblem(*lil_reference(cfg), p.B1, p.B2, p.B3, p.c)
@@ -210,7 +217,7 @@ def helmholtz_eigen(cfg, lam0):
 
 def test_helmholtz_matches_separated_solution():
     kappa0 = 2.0
-    cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=201, m=12,
+    cfg = problems.HelmholtzConfig(x1=1.0, x2=1.5, n=201, m=12,
                                    kappa_a=kappa0, kappa_b=kappa0)
     lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
     disc, quad = helmholtz_eigen(cfg, lam1 + 0.01)
@@ -221,19 +228,6 @@ def test_helmholtz_matches_separated_solution():
     xs, us = disc.reconstruct(quad)
     assert xs.shape == us.shape and xs.size == cfg.n + cfg.m - 1
     assert np.all(np.diff(xs) > 0)
-
-
-def test_helmholtz_scaling_does_not_move_eigenvalues():
-    kappa0 = 2.0
-    lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
-    quads = []
-    for scaling in (True, False):
-        cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=201, m=12,
-                                       kappa_a=kappa0, kappa_b=kappa0,
-                                       scaling=scaling)
-        quads.append(helmholtz_eigen(cfg, lam1 + 0.01)[1])
-    assert abs(quads[0].lam - quads[1].lam) <= 1e-8
-    assert abs(quads[0].mu - quads[1].mu) <= 1e-8
 
 
 def bench_helmholtz_small_side(n=3):
@@ -262,7 +256,7 @@ def test_rank_one_helmholtz_branch_matches_closed_form():
 
 def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
     kappa0 = 2.0
-    cfg = problems.HelmholtzConfig(x0=0.0, x1=1.0, x2=1.5, n=201, m=12,
+    cfg = problems.HelmholtzConfig(x1=1.0, x2=1.5, n=201, m=12,
                                    kappa_a=kappa0, kappa_b=kappa0)
     p = problems.gen_helmholtz(cfg).problem
     assert p.b3_rank_one is not None

@@ -7,7 +7,7 @@ import pytest
 
 import mepnl
 from mepnl import _linalg, core, delta, nep, pencil, problems, solvers
-from mepnl.errors import ConvergenceFailure, DegenerateProjection, ShiftIsEigenvalue
+from mepnl.errors import DegenerateProjection, ShiftIsEigenvalue
 
 
 def make_problem(seed=0, n=8, m=3):
@@ -77,25 +77,12 @@ def test_newton_normalization_held():
     p = make_problem(seed=3)
     quad = pick_isolated(delta.solve(p))
     view = view_through(p, quad)
-    rng = np.random.default_rng(5)
-    d = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
-    cfg = solvers.SolverConfig(d=d)
-    got, trace = solvers.augmented_newton(view, quad.lam + 1e-3,
-                                          quad.x + 1e-3, cfg)
+    x0 = quad.x + 1e-3
+    # the fixed normalization functional, d^T x0 = 1
+    d = x0.conj() / np.linalg.norm(x0) ** 2
+    got, trace = solvers.augmented_newton(view, quad.lam + 1e-3, x0)
     assert trace.converged
     assert d @ got.x == pytest.approx(1.0, abs=1e-10)
-
-
-def test_newton_rejects_annihilating_functional():
-    p = make_problem(seed=4)
-    quad = pick_isolated(delta.solve(p))
-    view = view_through(p, quad)
-    x0 = np.ones(p.n)
-    d = np.zeros(p.n)
-    d[0], d[1] = 1.0, -1.0  # d^T x0 = 0
-    with pytest.raises(ConvergenceFailure):
-        solvers.augmented_newton(view, quad.lam + 1e-3, x0,
-                                 solvers.SolverConfig(d=d))
 
 
 def test_newton_maxit_reported_not_raised():
@@ -245,7 +232,7 @@ def test_qz_work_per_continuation_step(monkeypatch):
     assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
     quad = pick_isolated(delta.solve(p))
     view = view_through(p, quad)
-    counts = dict.fromkeys(("geig.none", "geig.right", "geig.both", "eigenpairs_at",
+    counts = dict.fromkeys(("geig.shift", "geig.right", "geig.both", "eigenpairs_at",
                             "reference_point", "_continue_step", "inverse", "fallback"), 0)
 
     def count(owner, name, key):
@@ -258,7 +245,8 @@ def test_qz_work_per_continuation_step(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(_linalg, "geig", lambda kw, _: "geig." + kw.get("vectors", "right"))
+    count(_linalg, "geig", lambda kw, _: "geig.shift" if kw.get("shift") is not None
+          else "geig." + kw.get("vectors", "right"))
     for owner, name in ((pencil, "eigenpairs_at"), (pencil, "reference_point"),
                         (pencil, "_continue_step")):
         count(owner, name, lambda kw, _, name=name: name)
@@ -270,11 +258,11 @@ def test_qz_work_per_continuation_step(monkeypatch):
     problems.tabulate_branches(p, np.linspace(-1.0, 1.0, 41))
     steps = counts["_continue_step"]
     assert steps >= 40 * p.m
-    # the eigenvalues-only QZ chooses every step and one LU gives the
+    # the shift-invert spectrum chooses every step and one LU gives the
     # vectors; the full QZ runs only on counted fallbacks, since each sweep's
     # reference points are the ones gen_random's QZ gave to draw c, before
     # counting
-    assert counts["geig.none"] == steps == counts["inverse"] + counts["fallback"]
+    assert counts["geig.shift"] == steps == counts["inverse"] + counts["fallback"]
     assert counts["reference_point"] == 2 * len(p.reference_points)
     assert counts["geig.both"] == counts["eigenpairs_at"] == counts["fallback"]
     assert counts["geig.right"] == 0
@@ -368,21 +356,20 @@ def test_resinv_requires_sigma_and_flags_maxit():
     assert trace.iterations == 5
 
 
-def test_resinv_accepts_explicit_projection_vector():
+def test_negative_maxit_is_refused_and_zero_records_the_start():
     p = make_problem(seed=10)
     quad = pick_isolated(delta.solve(p))
     view = view_through(p, quad)
-    sigma = quad.lam + 0.02
     x0 = quad.x + 0.05 * np.ones(p.n)
-    # hand over the adjoint-solve vector explicitly instead of relying on
-    # the in-solver default; the config path must be honored
-    fact = view.factorization(sigma)
-    w = fact.solve(x0.astype(np.complex128), adjoint=True)
-    cfg = solvers.SolverConfig(sigma=sigma, maxit=80,
-                               w_proj=w / np.linalg.norm(w))
-    got, trace = solvers.resinv(view, x0, cfg)
-    assert trace.converged
-    assert abs(got.lam - quad.lam) <= 1e-8
+    sigma = quad.lam + 0.02
+    with pytest.raises(ValueError, match="maxit"):
+        solvers.augmented_newton(view, sigma, x0, solvers.SolverConfig(maxit=-1))
+    with pytest.raises(ValueError, match="maxit"):
+        solvers.resinv(view, x0, solvers.SolverConfig(maxit=-1, sigma=sigma))
+    for run in (lambda cfg: solvers.augmented_newton(view, sigma, x0, cfg),
+                lambda cfg: solvers.resinv(view, x0, cfg)):
+        _, trace = run(solvers.SolverConfig(maxit=0, sigma=sigma))
+        assert trace.iterations == 1 and trace.termination == "maxit"
 
 
 @pytest.mark.parametrize("imag", [0.0, 3e-17, -3e-17])
