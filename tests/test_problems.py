@@ -111,10 +111,14 @@ def test_helmholtz_assembly_structure():
     # the mu coupling lives in the last row alone
     nz = np.nonzero(A3)
     assert nz[0].tolist() == [n - 1] and nz[1].tolist() == [n - 1]
-    assert A3[n - 1, n - 1] != 0
+    # against the interface stencil's first entry 1/(2h)
+    np.testing.assert_allclose(A3[n - 1, n - 1] / A1[n - 1, n - 3], -2.0 * h, rtol=1e-12)
     # small side: mu enters through the corner entry, lam on the interior
     B2, B3 = p.B2, p.B3
-    assert np.count_nonzero(B3) == 1 and B3[0, 0] != 0
+    assert np.count_nonzero(B3) == 1
+    # row 0 is the interface condition u'(x1) - mu u(x1) = 0
+    np.testing.assert_allclose(B3[0, 0] / p.B1[0, 1:], -1.0 / disc.deriv_row_b[1:],
+                               rtol=1e-12)
     assert np.count_nonzero(np.diag(B2)[[0, -1]]) == 0
     assert np.all(np.diag(B2)[1:-1] != 0)
     # both operators have unit diagonal at (lam, mu) = (1, 1)
