@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: solve (one eigenvalue run or the small-problem oracle),
-branches (tabulate g_i over a lam grid to CSV), cond (solve plus condition
-numbers), generate (write a generated problem to Matrix Market files),
-check (validate a problem source and summarize it).
+branches (tabulate g_i over a lam grid to CSV, flagging gaps and poles),
+cond (solve plus condition numbers), generate (write a generated problem
+to Matrix Market files), check (validate and summarize a problem source).
 
 Exit codes (EXIT_*; TERMINATION_EXIT maps each SolveTrace termination):
   0  ok; termination "converged"
@@ -365,9 +365,7 @@ def cmd_branches(cfg: RunConfig) -> int:
     _require_branches(problem, cfg.branch_ids)
     grid = parse_grid(cfg.grid)
     table = problems.tabulate_branches(problem, grid, cfg.branch_ids)
-    intervals = {
-        b: problems.flag_singularities(table, b) for b in cfg.branch_ids
-    }
+    intervals = problems.flag_singularities(problem, table)
     payload = _header(cfg, problem)
     payload["branches"] = {
         "branch_ids": list(cfg.branch_ids),
@@ -376,13 +374,8 @@ def cmd_branches(cfg: RunConfig) -> int:
             {"index": int(i), "branch": int(b), "reason": reason}
             for i, b, reason in table.gaps
         ],
-        "singular_intervals": {
-            str(b): [
-                {"lo": iv.lo, "hi": iv.hi, "kind": iv.kind}
-                for iv in ivs
-            ]
-            for b, ivs in intervals.items()
-        },
+        "singular_intervals": {str(b): [dataclasses.asdict(iv) for iv in ivs]
+                               for b, ivs in intervals.items()},
     }
     payload["timings"] = {"total_seconds": time.perf_counter() - t_start}
     flagged_union = [iv for ivs in intervals.values() for iv in ivs]

@@ -28,6 +28,8 @@ calls no LAPACK routine itself. The full QZ with left and right
 eigenvectors (eigenpairs_at) runs once per problem at REFERENCE_LAM
 (TwoParProblem.reference_points, the same QZ that draws a default c), at
 other reference points, and when those vectors fail their residual test.
+The branches' poles take one QZ per problem, of a bordered pencil of order
+m + rank(B3) (branch_poles), which no continuation step needs.
 """
 from __future__ import annotations
 
@@ -195,6 +197,29 @@ def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
 def g_prime_closed_form(problem: TwoParProblem, bp: BranchPoint) -> complex:
     """g'(lam) = -(w^H B2 y)/(w^H B3 y) at a simple mu (core._branch_slope)."""
     return complex(_branch_slope(problem, bp.w, bp.y)[0])
+
+
+def branch_poles(problem: TwoParProblem) -> np.ndarray:
+    """The finite eigenvalues lam of the bordered pencil [[K, U], [V^H, 0]],
+    K = B1 + lam*B2, in geig's canonical order: the poles of the branches,
+    as det(K + mu U V^H) = det K * det(I + mu V^H K^-1 U).
+
+    B3 = U V^H with U = U_r diag(s_r) and V = V_r from its SVD, at numpy's
+    matrix_rank default, s > s_max * m * eps. When r = 0 or r = m the
+    result is empty, and no QZ runs.
+    """
+    m = problem.m
+    U, s, Vh = np.linalg.svd(problem.B3)
+    r = int(np.sum(s > s[0] * m * np.finfo(float).eps))
+    if r in (0, m):
+        return np.empty(0, dtype=np.complex128)
+    P = np.zeros((m + r, m + r), dtype=np.complex128)
+    Q = np.zeros_like(P)
+    P[:m, :m] = problem.B1
+    P[:m, m:] = U[:, :r] * s[:r]
+    P[m:, :m] = Vh[:r]
+    Q[:m, :m] = -problem.B2
+    return _linalg.geig(P, Q)[0]
 
 
 def reference_point(problem: TwoParProblem, branch_id: int,

@@ -4,6 +4,8 @@ Four families: dense random instances, quadratic eigenvalue problems recast
 with a 2x2 coupling block, square-root nonlinearities with a closed-form
 branch, and a 1-D Helmholtz problem split at an interior interface so that
 each subdomain becomes one equation of the pair.
+tabulate_branches follows branches across a real lam grid, and
+flag_singularities marks its unresolved samples and computed poles there.
 """
 from __future__ import annotations
 
@@ -19,10 +21,6 @@ from .errors import AmbiguousBranch, NoFiniteEigenvalue
 
 # A-side matrices are assembled sparse from this order on.
 SPARSE_MIN_N = 500
-# flag_singularities: a sample this many times the median magnitude is a
-# spike; a sign flip between samples both this many times the median is a pole.
-SPIKE_FACTOR = 10.0
-FLIP_FACTOR = 3.0
 
 
 def gen_random(n, m, seed, alphas=(1.0, 1.0 / 500.0, 1.0 / 50.0),
@@ -388,67 +386,50 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
 
 @dataclasses.dataclass
 class SingularInterval:
-    """A real-axis interval where the tabulated branch looks non-analytic."""
+    """A real-axis interval where a tabulated branch is not analytic."""
 
     lo: float
     hi: float
-    kind: str  # "gap", "pole", or "spike"
+    kind: str  # "gap" (unresolved samples) or "pole" (a pole of the problem)
 
     def contains(self, lam) -> bool:
         return self.lo <= complex(lam).real <= self.hi
 
 
-def flag_singularities(table: BranchTable, branch_id=0):
-    """Detect likely singularities of one tabulated branch on a real grid.
+def flag_singularities(problem: TwoParProblem, table: BranchTable):
+    """{branch_id: [SingularInterval]} for every branch of table, a
+    tabulation of problem on a sorted real grid.
 
-    Three signatures: recorded gaps (NaN runs), poles (a sign flip of an
-    essentially real branch between adjacent samples, both of magnitude well
-    above the median), and spikes (a single sample of magnitude
-    SPIKE_FACTOR times the median). Returns merged SingularInterval's;
-    interval ends are midpoints to the neighboring untouched samples.
+    A sample the continuation could not resolve (NaN) is marked "gap". A
+    pole p of pencil.branch_poles, computed once for the problem, with
+    grid[0] <= Re p <= grid[-1] and |Im p| at most the step between the two
+    samples that bracket Re p, marks those two samples "pole". When B3 has
+    rank two or more a pole belongs to the problem, not to one branch, so
+    it is flagged on every tabulated branch. Marked samples in a row make
+    one interval, a "pole" if any of them is one, whose ends are the
+    midpoints to the unmarked neighbors, or the grid's ends.
     """
-    vals = table.column(branch_id)
     grid = table.grid.real.astype(float)
     k = grid.size
-    finite = np.isfinite(vals)
-    scale = float(np.median(np.abs(vals[finite]))) if finite.any() else 0.0
-    floor = max(scale, 1e-300)
-
-    # kind priority when an index matches several signatures
-    marked = {}
-    spike = finite & (np.abs(np.where(finite, vals, 0.0)) >= SPIKE_FACTOR * max(scale, 1.0))
-    for i in np.flatnonzero(spike):
-        marked[int(i)] = "spike"
-    for i in np.flatnonzero(~finite):
-        marked[int(i)] = "gap"
-    for i in range(k - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
+    poles = set()
+    for p in pencil.branch_poles(problem):
+        if k < 2 or not grid[0] <= p.real <= grid[-1]:
             continue
-        real_enough = abs(a.imag) <= 1e-8 * abs(a) and abs(b.imag) <= 1e-8 * abs(b)
-        big = min(abs(a), abs(b)) >= FLIP_FACTOR * floor
-        if real_enough and big and a.real * b.real < 0:
-            marked[i] = "pole"
-            marked[i + 1] = "pole"
+        i = min(int(np.searchsorted(grid, p.real, side="right")) - 1, k - 2)
+        if abs(p.imag) <= grid[i + 1] - grid[i]:
+            poles.update((i, i + 1))
 
-    if not marked:
-        return []
-    runs = []
-    idx = sorted(marked)
-    run = [idx[0]]
-    for i in idx[1:]:
-        if i == run[-1] + 1:
-            run.append(i)
-        else:
-            runs.append(run)
-            run = [i]
-    runs.append(run)
-    out = []
-    order = {"pole": 0, "gap": 1, "spike": 2}
-    for run in runs:
-        i0, i1 = run[0], run[-1]
-        lo = grid[i0] if i0 == 0 else 0.5 * (grid[i0 - 1] + grid[i0])
-        hi = grid[i1] if i1 == k - 1 else 0.5 * (grid[i1] + grid[i1 + 1])
-        kind = min((marked[i] for i in run), key=order.__getitem__)
-        out.append(SingularInterval(float(lo), float(hi), kind))
-    return out
+    def intervals(vals):
+        marked = set(np.flatnonzero(~np.isfinite(vals)).tolist()) | poles
+        out = []
+        for i in sorted(marked):
+            hi = float(grid[i] if i == k - 1 else 0.5 * (grid[i] + grid[i + 1]))
+            if i - 1 not in marked:
+                lo = float(grid[i] if i == 0 else 0.5 * (grid[i - 1] + grid[i]))
+                out.append(SingularInterval(lo, hi, "gap"))
+            out[-1].hi = hi
+            if i in poles:
+                out[-1].kind = "pole"
+        return out
+
+    return {b: intervals(table.column(b)) for b in table.branch_ids}

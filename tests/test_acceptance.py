@@ -381,7 +381,7 @@ def test_criterion_10_helmholtz_interface_problem():
     c.check("branch curve tabulated across the window",
             np.isfinite(col).mean() >= 0.9,
             f"{np.isfinite(col).mean():.0%} finite")
-    flags = problems.flag_singularities(table, branch_id=0)
+    flags = problems.flag_singularities(disc800.problem, table)[0]
     c.check("real-axis singularities detected", bool(flags),
             f"{len(flags)} intervals")
     # interface ratio omega*tan(omega*(x2 - x1)) has poles where the cosine

@@ -61,6 +61,20 @@ def test_only_linalg_builds_lus():
     assert not hits, "\n".join(hits)
 
 
+def test_only_linalg_runs_eigensolvers():
+    """Every eigenvalue problem the package solves goes through _linalg.geig,
+    so it keeps geig's finite test and canonical order: no other module
+    calls or imports an eigensolver of numpy, scipy or LAPACK."""
+    solvers = r"(?:eig|eigvals|qz|ordqz|zggev|zgeev)\b"
+    banned = re.compile(rf"\.{solvers}|\bimport\b.*\b{solvers}")
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
+            if path.name != "_linalg.py"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert not hits, "\n".join(hits)
+
+
 def test_benchmark_interface_exists():
     """The benchmark wraps these names and reads these counters; tier-1 does
     not run benchmarks/, so a deletion would otherwise go unnoticed."""

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from mepnl import cli, delta, mmio, problems
+from mepnl import cli, delta, mmio, pencil, problems
 
 
 def run(args):
@@ -191,6 +191,24 @@ def test_branches_flags_default_profile_pole(tmp_path):
     assert flagged and all(ivs[0]["lo"] <= x <= ivs[0]["hi"] for x in flagged)
     clean = [r for r in rows if r["flagged"] == "0"]
     assert all(np.isfinite(float(r["g0_re"])) for r in clean)
+
+
+def test_branches_flags_only_the_computed_pole(tmp_path):
+    # the one pole of the default profile in this window is lam = -0.8745;
+    # the branch is analytic near -20, where its large values once read as a
+    # "spike"
+    out = tmp_path / "run"
+    code = run(["branches", "--gen", "helmholtz", "--n", "51", "--m", "30",
+                "--grid", "-20:0.05:40", "--out", out])
+    assert code == 0
+    poles = pencil.branch_poles(
+        problems.gen_helmholtz(problems.HelmholtzConfig(n=51, m=30)).problem)
+    inside = [z for z in poles if -20.0 <= z.real <= 40.0]
+    assert len(inside) == 1 and abs(inside[0] + 0.8745) <= 1e-4
+    ivs = read_results(out)["branches"]["singular_intervals"]["0"]
+    assert len(ivs) == 1
+    assert ivs[0]["kind"] == "pole"
+    assert ivs[0]["lo"] <= inside[0].real <= ivs[0]["hi"]
 
 
 def test_cond_reports(tmp_path):

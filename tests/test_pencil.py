@@ -490,3 +490,42 @@ def test_continuation_step_runs_no_pencil_qz(monkeypatch):
         assert calls["shift-invert"] >= steps
         assert calls["fallback"] == (0 if tol >= 0 else steps)
         calls.update({"shift-invert": 0, "fallback": 0})
+
+
+def test_branch_poles_of_constant_kappa_helmholtz():
+    # criterion 10's problem: the interface ratio omega*tan(omega*(x2 - x1))
+    # of the spectral subdomain has its poles where the cosine vanishes
+    kappa0, x1, x2 = 2.0, 3.7, 5.0
+    cfg = problems.HelmholtzConfig(x1=x1, x2=x2, n=800, m=20,
+                                   kappa_a=kappa0, kappa_b=kappa0)
+    poles = pencil.branch_poles(problems.gen_helmholtz(cfg).problem)
+    for j in (1, 2, 3):
+        exact = kappa0 ** 2 - ((2 * j - 1) * np.pi / (2 * (x2 - x1))) ** 2
+        assert np.min(np.abs(poles - exact)) <= 1e-9, f"j = {j}"
+
+
+def test_branch_poles_of_rank_two_b3():
+    # B3 = Q diag(1, 1, 0) Z with B1 and B2 under the same Q and Z: the
+    # bordered determinant is B1[2, 2] + lam*B2[2, 2] up to a constant
+    rng = np.random.default_rng(0)
+    B1, B2 = rng.standard_normal((2, 3, 3))
+    Q, Z = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), Q @ B1 @ Z, Q @ B2 @ Z,
+                            Q @ np.diag([1.0, 1.0, 0.0]) @ Z, None)
+    exact = -B1[2, 2] / B2[2, 2]
+    poles = pencil.branch_poles(p)
+    assert poles.shape == (1,)
+    assert abs(poles[0] - exact) <= 1e-12
+    near = pencil.eigenpairs_at(p, exact + 1e-6)
+    assert max(abs(q.mu) for q in near) > 1e5
+
+
+def test_generators_without_poles(monkeypatch):
+    # a nonsingular B3 has no finite pole, and no QZ runs to say so; the
+    # quadratic generator's bordered determinant is the constant -1
+    no_pole = [sqrt_problem()[0], mepnl.gen_random(4, 3, seed=0)]
+    counts = count_geig(monkeypatch)
+    for p in no_pole:
+        assert pencil.branch_poles(p).size == 0
+    assert counts == {"shift": 0, "right": 0, "both": 0}
+    assert pencil.branch_poles(qep_problem()).size == 0

@@ -307,47 +307,68 @@ def test_tabulate_unknown_branch():
 
 
 def synthetic_table(values, gaps=()):
-    values = np.asarray(values, dtype=np.complex128)[:, None]
-    grid = np.linspace(0.0, values.size - 1.0, values.size).astype(complex)
-    return problems.BranchTable(grid, (0,), values, list(gaps))
+    values = np.asarray(values, dtype=np.complex128)
+    values = values.reshape(values.shape[0], -1)
+    grid = np.linspace(0.0, values.shape[0] - 1.0, values.shape[0]).astype(complex)
+    return problems.BranchTable(grid, tuple(range(values.shape[1])), values, list(gaps))
 
 
-def test_flags_pole_signature():
-    grid = np.linspace(0.0, 10.0, 101)
-    vals = 1.0 / (grid - 5.05)
-    table = problems.BranchTable(grid.astype(complex), (0,),
-                                 vals.astype(complex)[:, None], [])
-    found = problems.flag_singularities(table)
-    assert len(found) == 1
-    assert found[0].kind == "pole"
-    assert found[0].contains(5.05)
-    assert not found[0].contains(2.0)
+def pole_at_one_problem():
+    """m = 2 with B3 = e0 e0^T: det(B1 + lam*I + mu*B3) = (lam - 1)(lam - 1 +
+    mu) - 1, so the one branch mu = 1/(lam - 1) - (lam - 1) has its pole at
+    lam = 1, where the rank-one pencil has no finite eigenvalue."""
+    B1 = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    return mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, np.eye(2),
+                               np.diag([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def test_flags_gap_and_spike_signatures():
+def test_flags_gaps_but_no_spikes():
+    # a problem without poles: the NaN sample is a gap, and a large finite
+    # value is no singularity
+    p = mepnl.gen_random(3, 2, seed=0)
+    assert pencil.branch_poles(p).size == 0
     vals = np.ones(11)
     vals[3] = np.nan
     vals[7] = 50.0
     table = synthetic_table(vals, gaps=[(3, 0, "NoFiniteEigenvalue: test")])
-    found = problems.flag_singularities(table)
-    kinds = sorted(f.kind for f in found)
-    assert kinds == ["gap", "spike"]
-    gap = next(f for f in found if f.kind == "gap")
-    assert gap.contains(3.0)
+    assert problems.flag_singularities(p, table) == {
+        0: [problems.SingularInterval(2.5, 3.5, "gap")]}
 
 
 def test_flags_adjacent_marks_merge_with_priority():
-    # NaN next to a sign flip collapses to one interval reported as a pole
-    vals = np.array([1.0, 1.0, np.nan, 6.0, -6.0, 1.0, 1.0])
-    found = problems.flag_singularities(synthetic_table(vals))
+    # at lam = 1 the tabulation records a gap, next to the samples that
+    # bracket the computed pole: one interval, reported as a pole
+    p = pole_at_one_problem()
+    grid = np.linspace(0.0, 2.0, 21)
+    table = problems.tabulate_branches(p, grid)
+    assert [(i, b) for i, b, _ in table.gaps] == [(10, 0)]
+    found = problems.flag_singularities(p, table)[0]
     assert len(found) == 1
     assert found[0].kind == "pole"
-    assert found[0].contains(2.0) and found[0].contains(4.0)
+    assert found[0].contains(1.0)
+    assert found[0].hi - found[0].lo == pytest.approx(0.2)  # three samples
 
 
 def test_flags_quiet_on_smooth_data():
-    grid = np.linspace(0.0, 10.0, 51)
-    vals = np.sin(grid) + 2.0
-    table = problems.BranchTable(grid.astype(complex), (0,),
-                                 vals.astype(complex)[:, None], [])
-    assert problems.flag_singularities(table) == []
+    # the pole at lam = 1 lies outside this window
+    p = pole_at_one_problem()
+    grid = np.linspace(2.0, 4.0, 21)
+    table = problems.tabulate_branches(p, grid)
+    np.testing.assert_allclose(table.column(0), 1.0 / (grid - 1.0) - (grid - 1.0),
+                               atol=1e-12)
+    assert problems.flag_singularities(p, table) == {0: []}
+
+
+def test_flags_computed_pole_on_every_branch():
+    # with rank(B3) = 2 the pole belongs to the problem, not to one branch
+    rng = np.random.default_rng(0)
+    B1, B2 = rng.standard_normal((2, 3, 3)).astype(complex)
+    B3 = np.diag([1.0, 1.0, 0.0])
+    B1[2, 2], B2[2, 2] = -5.3, 1.0  # the pole is lam = 5.3
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None)
+    found = problems.flag_singularities(p, synthetic_table(np.ones((11, 2))))
+    assert found == {b: [problems.SingularInterval(4.5, 6.5, "pole")] for b in (0, 1)}
+    # a pole farther off the real axis than the grid step is not flagged
+    B1[2, 2] = -5.3 + 1.5j
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None)
+    assert problems.flag_singularities(p, synthetic_table(np.ones((11, 2)))) == {0: [], 1: []}
