@@ -56,7 +56,8 @@ def fro_norm(mat) -> float:
 
 class Factorization:
     """LU factorization of a dense or sparse square matrix: the one LU type
-    of the package, of M(lam), of the small pencil and of delta0 alike.
+    of the package, of M(lam), of the bordered Jacobian, of the shifted small
+    pencil of a continuation step and of delta0 alike.
 
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization. rcond is the reciprocal condition measure:
@@ -116,6 +117,56 @@ class Factorization:
         if info != 0:
             raise ShiftIsEigenvalue(f"triangular solve failed (info={info})")
         return x
+
+
+class GeneralizedSchur:
+    """The complex generalized Schur form of a pencil (P, Q), for solves with
+    P + lam*Q and its conjugate transpose at any number of lam (Laub, IEEE
+    TAC 1981): P = X S Y^H and Q = X T Y^H with X, Y unitary and S, T upper
+    triangular, from one complex QZ (zgges). After that O(m^3) reduction a
+    lam costs two O(m^2) products with X and Y and one triangular solve
+    with S + lam*T; no LU is taken.
+
+    An exactly zero diagonal entry of S + lam*T, as at a lam where P +
+    lam*Q is exactly singular, is replaced by eps*||S + lam*T||_1, as
+    Factorization(allow_singular=True) floors an exactly zero pivot.
+    """
+
+    def __init__(self, P, Q):
+        self.S, self.T, self._x, self._y = sla.qz(P, Q, output="complex")
+
+    def solve(self, lams, b, adjoint: bool = False):
+        """Rows (P + lams[k]*Q)^-1 b, or (P + lams[k]*Q)^-H b with adjoint, as
+        an array of shape (len(lams), m). The substitution loops in Python
+        over the shorter of two ranges: over at most m lams, one LAPACK
+        triangular solve (ztrtrs) each, as for the single point of a Newton
+        iterate; over the m rows of S + lam*T otherwise, each row for every
+        lam at once, as for a tabulation's grid."""
+        lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+        S, T = self.S, self.T
+        m = S.shape[0]
+        diag = np.diagonal(S) + lams[:, None] * np.diagonal(T)
+        for k in np.flatnonzero(np.any(diag == 0, axis=1)):
+            floor = np.finfo(float).eps * np.linalg.norm(S + lams[k] * T, 1)
+            diag[k, diag[k] == 0] = floor
+        rhs = (self._y if adjoint else self._x).conj().T @ b
+        if lams.size <= m:
+            out = np.empty((lams.size, m), dtype=np.complex128)
+            for k, lam in enumerate(lams):
+                R = S + lam * T
+                np.fill_diagonal(R, diag[k])
+                out[k], _ = lapack.ztrtrs(R, rhs, trans=2 if adjoint else 0)
+            return out @ (self._x if adjoint else self._y).T
+        # back substitution with S + lam*T, or forward substitution with its
+        # conjugate transpose S^H + conj(lam)*T^H
+        if adjoint:
+            S, T, lams, diag = S.conj().T, T.conj().T, lams.conj(), diag.conj()
+        out = np.empty((m, lams.size), dtype=np.complex128)
+        for i in range(m) if adjoint else range(m - 1, -1, -1):
+            done = slice(0, i) if adjoint else slice(i + 1, m)
+            rest = rhs[i] - S[i, done] @ out[done] - lams * (T[i, done] @ out[done])
+            out[i] = rest / diag[:, i]
+        return out.T @ (self._x if adjoint else self._y).T
 
 
 def finite_pair(alpha, beta):

@@ -171,6 +171,13 @@ class TwoParProblem:
             point.w.flags.writeable = False
         return points
 
+    @functools.cached_property
+    def schur_k(self) -> _linalg.GeneralizedSchur:
+        """The generalized Schur form of (B1, B2), which solves with
+        K(lam) = B1 + lam*B2 at any number of lam for the rank-one branch
+        (pencil._rank_one_points): one complex QZ per problem, on first use."""
+        return _linalg.GeneralizedSchur(self.B1, self.B2)
+
     @property
     def is_sparse(self) -> bool:
         return any(sp.issparse(M) for M in (self.A1, self.A2, self.A3))
@@ -235,13 +242,18 @@ def residuals(problem: TwoParProblem, quad: Quadruplet, ax=None) -> ResidualReco
     analogously for the small equation; Frobenius norms in the scales. ax is
     the product (A1 + lam A2 + mu A3) x when the caller has already formed it.
     """
+    return ResidualRecord(*_residual_norms(problem, quad, ax))
+
+
+def _residual_norms(problem: TwoParProblem, quad: Quadruplet, ax=None) -> tuple:
+    """(res_a, res_b) of residuals, for a caller that only tests them."""
     lam, mu = quad.lam, quad.mu
     if ax is None:
         ax = problem.apply_a(lam, mu, quad.x)
     ra = np.linalg.norm(ax) / (problem.scale_a(lam, mu) * np.linalg.norm(quad.x))
     rb = np.linalg.norm(problem.apply_b(lam, mu, quad.y))
     rb /= problem.scale_b(lam, mu) * np.linalg.norm(quad.y)
-    return ResidualRecord(float(ra), float(rb))
+    return float(ra), float(rb)
 
 
 @dataclasses.dataclass

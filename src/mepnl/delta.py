@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 
 from . import _linalg, pencil
-from .core import Quadruplet, TwoParProblem, residuals
+from .core import Quadruplet, ResidualRecord, TwoParProblem, _residual_norms, residuals
 from .errors import ShiftIsEigenvalue, SingularProblem, TooLarge
 
 CAP_DEFAULT = 4000
@@ -120,13 +120,11 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
     return lam + d[n + m], mu + d[n + m + 1], x + d[:n], y + d[n:n + m]
 
 
-def _quadruplet(problem: TwoParProblem, lam, mu, x, y, ax=None) -> Quadruplet:
-    """The candidate (lam, mu, x, y) with y normalized by c, and its residuals
-    record; ax is (A1 + lam A2 + mu A3) x when already formed."""
+def _quadruplet(problem: TwoParProblem, lam, mu, x, y) -> Quadruplet:
+    """The candidate (lam, mu, x, y) with y normalized by c, as yet without
+    its residuals record."""
     y, c_degenerate = pencil._normalize_y(y, problem.c)
-    quad = Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
-    quad.residuals = residuals(problem, quad, ax=ax)
-    return quad
+    return Quadruplet(lam=lam, mu=mu, x=x, y=y, c_normalized=not c_degenerate)
 
 
 def solve(problem: TwoParProblem) -> list:
@@ -138,10 +136,11 @@ def solve(problem: TwoParProblem) -> list:
     _linalg.geig(Gamma1, None). Each finite eigenvector is split into its
     rank-one factors z = y (x) x, mu comes by least squares from the large
     equation, and one Newton step on the full two-parameter system
-    (_newton_step) refines (lam, mu, x, y). A candidate whose residuals
-    record, from the products already formed, has both relative residuals
-    at most STEP_SKIP_TOL takes no step and keeps that record, and one whose
-    step is singular keeps its unrefined values. Quadruplets whose relative
+    (_newton_step) refines (lam, mu, x, y). A candidate whose relative
+    residuals, from the products already formed, are both at most
+    STEP_SKIP_TOL takes no step, and one whose step is singular keeps its
+    unrefined values; either keeps those residuals as its record, so each
+    candidate builds one record. Quadruplets whose relative
     residuals in both equations are at most ORACLE_TOL are kept, in the
     canonical order of the eigensolver's lam. Eigenvectors that are not
     numerically rank-one are dropped with a RankOneExtractionWarning.
@@ -187,15 +186,18 @@ def solve(problem: TwoParProblem) -> list:
         a12x = (A[0] @ x) + lam * a2x
         mu = complex(-np.vdot(a3x, a12x) / denom)
         ax = a12x + mu * a3x
-        quad = _quadruplet(problem, lam, mu, x, y, ax)
-        rec = quad.residuals
-        if not (rec.res_a <= STEP_SKIP_TOL and rec.res_b <= STEP_SKIP_TOL):
-            # the step takes the unit y; a singular step keeps quad
+        quad = _quadruplet(problem, lam, mu, x, y)
+        res_a, res_b = _residual_norms(problem, quad, ax)
+        step = None
+        if not (res_a <= STEP_SKIP_TOL and res_b <= STEP_SKIP_TOL):
+            # the step takes the unit y
             step = _newton_step(problem, A, lam, mu, x, y, a2x, a3x, ax)
-            if step is not None:
-                lam, mu, x, y = step
-                quad = _quadruplet(problem, complex(lam), complex(mu),
-                                   x / np.linalg.norm(x), y)
+        if step is None:  # no step, or a singular one: quad keeps its residuals
+            quad.residuals = ResidualRecord(res_a, res_b)
+        else:
+            lam, mu, x, y = step
+            quad = _quadruplet(problem, complex(lam), complex(mu), x / np.linalg.norm(x), y)
+            quad.residuals = residuals(problem, quad)
         if quad.residuals.res_a <= ORACLE_TOL and quad.residuals.res_b <= ORACLE_TOL:
             quads.append(quad)
     return quads

@@ -19,13 +19,16 @@ conjugate pair equally near the prediction, as past a point where two real
 eigenvalues meet, the step follows the branch from above: it takes the
 member nearest the candidate at lam + i*h for a small h, the limit
 lam + i0, so neither the step sizes nor the sign of a rounding-level
-imaginary part of lam choose it. When B3 has rank one, as in the Helmholtz
-and quadratic generators, the pencil has at most one finite eigenvalue,
-and a point costs one LU of order m of B1 + lam*B2 instead, with no step
-and no shift-invert spectrum. Each of these LUs, like the bordered
+imaginary part of lam choose it. Each of these LUs, like the bordered
 Jacobian's, is a _linalg.Factorization with allow_singular; this module
-calls no LAPACK routine itself. The full QZ with left and right
-eigenvectors (eigenpairs_at) runs once per problem at REFERENCE_LAM
+calls no LAPACK routine itself. When B3 has rank one, as in the Helmholtz
+and quadratic generators, the pencil has at most one finite eigenvalue,
+which needs no step, no shift-invert spectrum and no LU: one generalized
+Schur form of (B1, B2) per problem (TwoParProblem.schur_k) turns a point's
+solves with B1 + lam*B2 into two triangular solves of order m, and
+problems.tabulate_branches takes them for its whole grid in one batch
+(_rank_one_points). The full QZ with left and right eigenvectors
+(eigenpairs_at) runs once per problem at REFERENCE_LAM
 (TwoParProblem.reference_points, the same QZ that draws a default c), at
 other reference points, and when those vectors fail their residual test.
 The branches' poles take one QZ per problem, of a bordered pencil of order
@@ -87,11 +90,12 @@ def _raw_eigenpairs(B1, B2, B3, lam):
 
 
 def _normalize_y(y, c):
-    """(y scaled to c^T y = 1, False), or (unit y, True) when c cannot normalize y."""
-    cy = c @ y
-    if _c_normalizable(cy, np.linalg.norm(c), np.linalg.norm(y)):
-        return y / cy, False
-    return y / np.linalg.norm(y), True
+    """(y scaled to c^T y = 1, False), or (unit y, True) when c cannot normalize
+    y; row by row, with an array of flags, for the rows of a 2-D y."""
+    cy = y @ c
+    y_norm = np.linalg.norm(y, axis=-1)
+    degen = ~_c_normalizable(cy, np.linalg.norm(c), y_norm)
+    return y / np.where(degen, y_norm, cy)[..., None], degen
 
 
 def eigenpairs_at(problem: TwoParProblem, lam):
@@ -242,12 +246,14 @@ def reference_point(problem: TwoParProblem, branch_id: int,
     return points[branch_id]
 
 
-def _null_vectors_pass(B, y, w) -> bool:
+def _null_vectors_pass(B, y, w):
     """The residual test of a step's unit y and w at the eigenvalue mu of
     B = B(lam, mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL *
-    ||B||_1."""
-    tol = TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1)
-    return np.linalg.norm(B @ y) <= tol and np.linalg.norm(w.conj() @ B) <= tol
+    ||B||_1; elementwise over a stack of B with the rows of 2-D y and w."""
+    tol = TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1, axis=(-2, -1))
+    by = (B @ y[..., None])[..., 0]
+    wb = (w.conj()[..., None, :] @ B)[..., 0, :]
+    return (np.linalg.norm(by, axis=-1) <= tol) & (np.linalg.norm(wb, axis=-1) <= tol)
 
 
 def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoint:
@@ -279,35 +285,64 @@ def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
     return (y, w) if _null_vectors_pass(B, y, w) else None
 
 
-def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:
-    """The point of branch branch_id at lam when B3 = u v^H has rank one.
+def _rank_one_points(problem: TwoParProblem, lams, branch_id: int) -> list:
+    """The points of branch branch_id at each of lams when B3 = u v^H has
+    rank one, in their order; an entry is a NoFiniteEigenvalue instead where
+    the pencil has no finite eigenvalue.
 
     With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
     of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
-    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v: one Factorization of K,
-    with allow_singular since K may be singular.
+    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v. Both solves come from the
+    problem's one generalized Schur form of (B1, B2)
+    (TwoParProblem.schur_k): two triangular solves per lam, for all of
+    lams at once, and no LU.
     mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
-    test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1;
-    otherwise NoFiniteEigenvalue. When y and w fail _null_vectors_pass at
-    mu, the point comes from the full QZ instead.
+    test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1.
+    Where y and w fail _null_vectors_pass at mu, the point comes from the
+    full QZ at its lam instead (_full_qz_point).
     """
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     u, v = problem.b3_rank_one
-    K = problem.B1 + lam * problem.B2
-    fact = _linalg.Factorization(K, allow_singular=True)
-    x, z = fact.solve(u), fact.solve(v, adjoint=True)
-    tau = v.conj() @ x
-    if not _linalg.finite_pair(-1.0, tau):
-        raise NoFiniteEigenvalue(
-            f"the rank-one pencil has no finite eigenvalue at lam={lam} "
-            f"(v^H K^-1 u = {tau:.3e})"
+    x = problem.schur_k.solve(lams, u)
+    tau = x @ v.conj()
+    finite = _linalg.finite_pair(-1.0, tau)
+    points = [None] * lams.size
+    for i in np.flatnonzero(~finite):
+        points[i] = NoFiniteEigenvalue(
+            f"the rank-one pencil has no finite eigenvalue at lam={complex(lams[i])} "
+            f"(v^H K^-1 u = {tau[i]:.3e})"
         )
-    mu = complex(-1.0 / tau)
-    y, w = x / np.linalg.norm(x), z / np.linalg.norm(z)
-    if not _null_vectors_pass(K + mu * problem.B3, y, w):
-        return _full_qz_point(problem, lam, mu, branch_id)
+    idx = np.flatnonzero(finite)
+    lams, x, mu = lams[idx], x[idx], -1.0 / tau[idx]
+    z = problem.schur_k.solve(lams, v, adjoint=True)
+    y = x / np.linalg.norm(x, axis=1)[:, None]
+    w = z / np.linalg.norm(z, axis=1)[:, None]
+    B = np.multiply.outer(lams, problem.B2)
+    B += problem.B1
+    B += np.multiply.outer(mu, problem.B3)
+    certified = _null_vectors_pass(B, y, w)
     y, degen = _normalize_y(y, problem.c)
-    return BranchPoint(lam=complex(lam), mu=mu, y=y, w=w, branch_id=branch_id,
-                       c_degenerate=degen)
+    for k, i in enumerate(idx):
+        if certified[k]:
+            points[i] = BranchPoint(lam=complex(lams[k]), mu=complex(mu[k]), y=y[k],
+                                    w=w[k], branch_id=branch_id,
+                                    c_degenerate=bool(degen[k]))
+            continue
+        try:
+            points[i] = _full_qz_point(problem, lams[k], mu[k], branch_id)
+        except NoFiniteEigenvalue as exc:
+            points[i] = exc
+    return points
+
+
+def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:
+    """The point of branch branch_id at lam when B3 has rank one: the batch of
+    one of _rank_one_points. Raises NoFiniteEigenvalue when the pencil has no
+    finite eigenvalue at lam."""
+    point = _rank_one_points(problem, [lam], branch_id)[0]
+    if isinstance(point, NoFiniteEigenvalue):
+        raise point
+    return point
 
 
 def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
@@ -407,8 +442,9 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
 
     When B3 has rank one (problem.b3_rank_one) the pencil has at most one
     finite eigenvalue, so the point at lam_new is evaluated directly
-    (_rank_one_point): one LU of order m, with no step, no bisection and no
-    QZ. Otherwise the branch is followed by continuation steps, bisected on
+    (_rank_one_point): two triangular solves of order m with the problem's
+    generalized Schur form of (B1, B2), with no step, no bisection and no
+    LU. Otherwise the branch is followed by continuation steps, bisected on
     ambiguity (_bisected_steps); a conjugate pair equally near a step's
     prediction is resolved from above, in the limit lam + i0
     (_nearest_candidate). NoFiniteEigenvalue is raised when the

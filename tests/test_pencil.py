@@ -1,5 +1,6 @@
 """Branches of the small pencil: eigenpairs, derivatives, continuation."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -342,7 +343,8 @@ def test_rank_one_qep_branch_is_lambda_squared(monkeypatch):
         B = p.eval_b(lam, bp.mu)
         assert np.linalg.norm(bp.w.conj() @ B) <= 4 * eps * np.linalg.norm(B, 1)
         assert np.linalg.norm(bp.w) == pytest.approx(1.0)
-    # no QZ at all: the one finite eigenvalue comes from one LU per point
+    # no eigensolve at all: the one finite eigenvalue comes from two
+    # triangular solves per point with the Schur form of (B1, B2)
     assert counts == {"shift": 0, "right": 0, "both": 0}
 
 
@@ -361,6 +363,68 @@ def test_rank_one_infinite_mu_raises():
         with pytest.raises(NoFiniteEigenvalue):
             pencil.continue_branch(p, point, lam)
         assert pencil.eigenpairs_at(p, lam) == []
+
+
+def test_generalized_schur_solves_match_dense():
+    rng = np.random.default_rng(11)
+    m = 6
+    P, Q = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    schur = _linalg.GeneralizedSchur(P, Q)
+    # at most m lams take one LAPACK solve each, more the row-by-row loop
+    few = np.concatenate((rng.standard_normal(3) + 1j * rng.standard_normal(3), [0.0, 2.5]))
+    many = np.concatenate((few, rng.standard_normal(20)))
+    for lams in (few, many):
+        for adjoint in (False, True):
+            got = schur.solve(lams, b, adjoint=adjoint)
+            assert got.shape == (lams.size, m)
+            for lam, x in zip(lams, got):
+                K = P + lam * Q
+                want = np.linalg.solve(K.conj().T if adjoint else K, b)
+                np.testing.assert_allclose(x, want, rtol=1e-10, atol=0)
+
+
+def test_rank_one_singular_k_gives_lambda_squared(monkeypatch):
+    # K(0) = B1 of the QEP is exactly singular, so S + 0*T has exactly zero
+    # diagonal entries, which are floored as a zero pivot is
+    p = qep_problem()
+    assert np.any(np.diagonal(p.schur_k.S) == 0)
+    monkeypatch.setattr(pencil, "_full_qz_point", fail_full_qz)
+    eps = np.finfo(float).eps
+    # one lam takes the LAPACK solves, 41 the row-by-row loop
+    for grid in (np.zeros(1), np.linspace(-1.0, 1.0, 41)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = pencil._rank_one_points(p, grid, 0)
+        for lam, point in zip(grid, points):
+            assert abs(point.mu - lam**2) <= 4 * eps * max(1.0, lam**2), lam
+            np.testing.assert_allclose(point.y, [1.0, lam], rtol=0, atol=4 * eps)
+
+
+def fail_full_qz(*args):
+    raise AssertionError("a rank-one point fell back to the full QZ")
+
+
+def test_random_rank_one_pencils_certified_without_full_qz(monkeypatch):
+    monkeypatch.setattr(pencil, "_full_qz_point", fail_full_qz)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 13))
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        B3 = np.outer(cplx(m), cplx(m).conj())
+        p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), cplx(m, m), cplx(m, m),
+                                B3, None)
+        assert p.b3_rank_one is not None
+        lams = cplx(50)
+        points = pencil._rank_one_points(p, lams, 0)
+        assert all(isinstance(q, pencil.BranchPoint) for q in points), f"seed {seed}"
+        # the point agrees with the full QZ's one finite eigenvalue
+        for k in (0, 49):
+            ref = pencil.eigenpairs_at(p, lams[k])[0].mu
+            assert abs(points[k].mu - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
 
 
 def test_continue_branch_rejects_nonfinite_lam():

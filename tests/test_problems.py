@@ -242,6 +242,20 @@ def bench_helmholtz_small_side(n=3):
     return problems.gen_helmholtz(cfg).problem
 
 
+def count_calls(monkeypatch, targets):
+    """{key: calls} of each (owner, name, key) of targets from now on."""
+    counts = dict.fromkeys((key for _, _, key in targets), 0)
+    for owner, name, key in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 def test_rank_one_helmholtz_branch_matches_closed_form():
     p = bench_helmholtz_small_side()
     assert p.b3_rank_one is not None
@@ -264,27 +278,86 @@ def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
                                    kappa_a=kappa0, kappa_b=kappa0)
     p = problems.gen_helmholtz(cfg).problem
     assert p.b3_rank_one is not None
-    counts = dict.fromkeys(("geig", "reference_point", "step", "inverse"), 0)
-    for owner, name, key in ((_linalg, "geig", "geig"),
-                             (pencil, "reference_point", "reference_point"),
-                             (pencil, "_continue_step", "step"),
-                             (pencil, "_inverse_iteration", "inverse")):
-        original = getattr(owner, name)
-
-        def counted(*args, _key=key, _original=original, **kwargs):
-            counts[_key] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+    counts = count_calls(monkeypatch, ((_linalg, "geig", "geig"),
+                                       (pencil, "reference_point", "reference_point"),
+                                       (pencil, "_continue_step", "step"),
+                                       (pencil, "_inverse_iteration", "inverse")))
     problems.tabulate_branches(p, np.linspace(-2.0, 3.0, 51), branch_ids=[0])
-    # the two sweeps' reference points share its only QZ run
-    assert counts == {"geig": 1, "reference_point": 2, "step": 0, "inverse": 0}
+    # the grid is evaluated at once, after one reference point's only QZ run
+    assert counts == {"geig": 1, "reference_point": 1, "step": 0, "inverse": 0}
     lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
     view = nep.NepView(p, branch_id=0, reference_lam=lam1 + 0.01)
     _, trace = solvers.augmented_newton(view, lam1 + 0.01, np.ones(cfg.n))
     assert trace.converged and trace.iterations >= 3
     # Newton's view adds one reference and no QZ per iterate
-    assert counts == {"geig": 2, "reference_point": 3, "step": 0, "inverse": 0}
+    assert counts == {"geig": 2, "reference_point": 2, "step": 0, "inverse": 0}
+
+
+def test_rank_one_tabulation_runs_one_schur_reduction(monkeypatch):
+    rng = np.random.default_rng(5)
+    qep = problems.gen_qep(*(rng.standard_normal((3, 3)) for _ in range(3)))
+    helmholtz = bench_helmholtz_small_side()
+    counts = count_calls(monkeypatch, (
+        (_linalg.GeneralizedSchur, "__init__", "schur"),
+        (_linalg.Factorization, "__init__", "lu"),
+        (pencil, "continue_branch", "continue"),
+        (pencil, "_continue_step", "step"),
+        (pencil, "_inverse_iteration", "inverse")))
+    for p in (qep, helmholtz):
+        for grid in (np.linspace(-2.0, 3.0, 51), np.arange(-10.0, 100.0 + 1e-9, 0.125)):
+            table = problems.tabulate_branches(p, grid, branch_ids=[0])
+            assert np.isfinite(table.column(0)).all()
+    # one reduction per problem, shared by both tabulations of it
+    assert counts == {"schur": 2, "lu": 0, "continue": 0, "step": 0, "inverse": 0}
+
+
+def test_rank_one_tabulation_matches_walk():
+    # a rank-one point does not depend on the one before it, so evaluating
+    # the grid at once gives the values of the walk by continue_branch
+    p = bench_helmholtz_small_side()
+    grid = np.arange(-10.0, 100.0 + 1e-9, 0.125)
+    table = problems.tabulate_branches(p, grid, branch_ids=[0])
+    start = int(np.argmin(np.abs(grid - pencil.REFERENCE_LAM)))
+    walked = np.empty(grid.size, dtype=complex)
+    for indices in (range(start, grid.size), range(start - 1, -1, -1)):
+        point = pencil.reference_point(p, 0)
+        for i in indices:
+            point = pencil.continue_branch(p, point, grid[i])
+            walked[i] = point.mu
+    np.testing.assert_allclose(table.column(0), walked, rtol=1e-12, atol=0)
+
+
+def test_rank_one_tabulation_records_infinite_mu_as_gap():
+    # K = B1 + lam*B2 = diag(1 + lam, 2) and B3 = e0 e0^T give mu = -(1 + lam),
+    # infinite by geig's test from |mu| >= 1/TOL_INF on
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, 2.0]),
+                            np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones(2))
+    big = 1.0 / _linalg.TOL_INF
+    grid = np.array([-3.0 * big, -3.0, 0.0, 0.5 * big, big, 2.0 * big])
+    table = problems.tabulate_branches(p, grid)
+    np.testing.assert_array_equal(table.column(0)[1:4], [2.0, -1.0, -(1.0 + 0.5 * big)])
+    assert np.isnan(table.column(0)[[0, 4, 5]]).all()
+    prefix = "NoFiniteEigenvalue: the rank-one pencil has no finite eigenvalue at "
+    # in the walk's order: outward from the reference, up the grid first
+    assert table.gaps == [
+        (4, 0, prefix + "lam=(10000000000+0j) (v^H K^-1 u = 1.000e-10+0.000e+00j)"),
+        (5, 0, prefix + "lam=(20000000000+0j) (v^H K^-1 u = 5.000e-11+0.000e+00j)"),
+        (0, 0, prefix + "lam=(-30000000000+0j) (v^H K^-1 u = -3.333e-11+0.000e+00j)"),
+    ]
+
+
+def test_tabulate_rejects_nonfinite_grid():
+    rng = np.random.default_rng(4)
+    qep = problems.gen_qep(*(rng.standard_normal((3, 3)) for _ in range(3)))
+    sqrt = problems.gen_sqrt_nep(*(rng.standard_normal((3, 3)) for _ in range(3)))[0]
+    assert qep.b3_rank_one is not None and sqrt.b3_rank_one is None
+    for p in (qep, sqrt):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            for i in (0, 3, 8):
+                grid = np.linspace(-1.0, 1.0, 9).astype(complex)
+                grid[i] = bad
+                with pytest.raises(ValueError):
+                    problems.tabulate_branches(p, grid)
 
 
 def test_tabulate_qep_square_branch():
