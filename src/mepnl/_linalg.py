@@ -65,10 +65,12 @@ class Factorization:
     over the largest |U| diagonal entry for a sparse one. It is computed
     when first read, so a factorization nobody asks about pays nothing for
     it. A refusing factorization reads it at once and raises
-    ShiftIsEigenvalue when it is below RCOND_SINGULAR.
+    ShiftIsEigenvalue when it is below RCOND_SINGULAR, its one test: zgecon
+    gives 0 for an exactly zero pivot and for a zero matrix.
 
     allow_singular=True is for inverse iteration, which wants the LU of a
-    matrix that is singular by design: nothing is refused, and the factors
+    matrix that is singular by design, and for a caller that judges rcond
+    against its own threshold: nothing is refused, and the factors
     are those of a matrix within eps*||mat||_1 of mat. A dense LU replaces
     an exactly zero pivot, common when mat is real, by eps*||mat||_1 as in
     LAPACK's inverse iteration (zlaein); SuperLU cannot, so an exactly
@@ -90,12 +92,10 @@ class Factorization:
         else:
             a = np.asarray(mat, dtype=np.complex128)
             self._norm = np.linalg.norm(a, 1) if a.size else 0.0
-            lu, piv, info = lapack.zgetrf(a)
+            lu, piv, _ = lapack.zgetrf(a)
             if allow_singular:
                 zero = np.flatnonzero(lu.diagonal() == 0)
                 lu[zero, zero] = np.finfo(float).eps * self._norm
-            elif info > 0 or self._norm == 0.0:
-                raise ShiftIsEigenvalue("dense factorization hit an exactly zero pivot")
             self._lu = (lu, piv)
         if not allow_singular and self.rcond < RCOND_SINGULAR:
             raise ShiftIsEigenvalue(f"{'sparse' if self.sparse else 'dense'} factorization "

@@ -337,18 +337,10 @@ def cmd_cond(cfg: RunConfig) -> int:
     reports = []
     for quad in quads:
         quad = attach_left_vectors(problem, quad, seed=cfg.seed)
-        rep = condition_numbers(problem, quad)
-        reports.append({
-            "lam": _c2j(quad.lam),
-            "kappa_a": rep.kappa_a,
-            "kappa_g_b": rep.kappa_g_b,
-            "kappa_g_lambda": rep.kappa_g_lambda,
-            "kappa_total": rep.kappa_total,
-            "det_c0": _c2j(rep.det_c0),
-            "backward_lambda_bound": rep.backward_lambda_bound,
-            "theta2_absolute": rep.theta2_absolute,
-            "theta2_relative": rep.theta2_relative,
-        })
+        rep = dataclasses.asdict(condition_numbers(problem, quad))
+        del rep["weights"]
+        rep["det_c0"] = _c2j(rep["det_c0"])
+        reports.append({"lam": _c2j(quad.lam), **rep})
     payload["condition_reports"] = reports
     _write_artifacts(cfg, payload, trace, t_start)
     for rep in reports:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _linalg, pencil
 from .core import Quadruplet, ResidualRecord, TwoParProblem, _residual_norms, residuals
-from .errors import ShiftIsEigenvalue, SingularProblem, TooLarge
+from .errors import SingularProblem, TooLarge
 
 CAP_DEFAULT = 4000
 CAP_ENV = "MEPNL_CAP"
@@ -132,29 +132,26 @@ def solve(problem: TwoParProblem) -> list:
 
     For nonsingular delta0 the coupled problem is the standard eigenvalue
     problem of Gamma1 = delta0^-1 delta1 (Atkinson's operator), formed with
-    the LU of delta0 that also measures its condition and solved by
-    _linalg.geig(Gamma1, None). Each finite eigenvector is split into its
-    rank-one factors z = y (x) x, mu comes by least squares from the large
-    equation, and one Newton step on the full two-parameter system
-    (_newton_step) refines (lam, mu, x, y). A candidate whose relative
-    residuals, from the products already formed, are both at most
-    STEP_SKIP_TOL takes no step, and one whose step is singular keeps its
-    unrefined values; either keeps those residuals as its record, so each
-    candidate builds one record. Quadruplets whose relative
-    residuals in both equations are at most ORACLE_TOL are kept, in the
-    canonical order of the eigensolver's lam. Eigenvectors that are not
+    the LU of delta0 that also measures its condition, and solved by
+    _linalg.geig(Gamma1, None); an rcond of delta0 below
+    RCOND_SINGULAR_PROBLEM raises SingularProblem. Each finite eigenvector
+    is split into its rank-one factors z = y (x) x, mu comes by least
+    squares from the large equation, and one Newton step on the full
+    two-parameter system (_newton_step) refines (lam, mu, x, y). A
+    candidate whose relative residuals, from the products already formed,
+    are both at most STEP_SKIP_TOL takes no step, and one whose step is
+    singular keeps its unrefined values; either keeps those residuals as
+    its record, so each candidate builds one record. Quadruplets whose
+    relative residuals in both equations are at most ORACLE_TOL are kept,
+    in the canonical order of the eigensolver's lam. Eigenvectors that are not
     numerically rank-one are dropped with a RankOneExtractionWarning.
     """
     dp = assemble(problem)
-    try:
-        fact = _linalg.Factorization(dp.delta0)
-        rc = fact.rcond
-    except ShiftIsEigenvalue:
-        rc = 0.0
-    if rc < RCOND_SINGULAR_PROBLEM:
+    fact = _linalg.Factorization(dp.delta0, allow_singular=True)
+    if fact.rcond < RCOND_SINGULAR_PROBLEM:
         raise SingularProblem(
-            f"delta0 is numerically singular (rcond={rc:.2e}), so the oracle "
-            "cannot solve this problem"
+            f"delta0 is numerically singular (rcond={fact.rcond:.2e}), so the "
+            "oracle cannot solve this problem"
         )
     gamma1 = fact.solve(dp.delta1)
     del dp, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve

@@ -23,15 +23,11 @@ class SingularProblem(MepnlError):
 class AmbiguousBranch(MepnlError):
     """Branch continuation found two eigenvalue candidates it cannot tell apart."""
 
-    def __init__(self, lam, candidates, message=None):
+    def __init__(self, lam, candidates):
         self.lam = lam
         self.candidates = tuple(candidates)
-        if message is None:
-            message = (
-                f"branch continuation ambiguous at lambda={lam}: "
-                f"candidates {self.candidates}"
-            )
-        super().__init__(message)
+        super().__init__(f"branch continuation ambiguous at lambda={lam}: "
+                         f"candidates {self.candidates}")
 
 
 class NoFiniteEigenvalue(MepnlError):

@@ -19,7 +19,7 @@ class NepView:
     as evaluation points move.
     """
 
-    # Always 0 (nothing is kept); they leave with ROADMAP item 5's bench change.
+    # Always 0 (nothing is kept); they leave with ROADMAP item 7's bench change.
     cache_hits = 0
     cache_misses = 0
 

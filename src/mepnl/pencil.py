@@ -160,11 +160,10 @@ def jacobian(problem: TwoParProblem, bp: BranchPoint) -> JacobianJ:
     J[:m, m] = problem.B3 @ bp.y
     J[m, :m] = problem.c
     svals = np.linalg.svd(J, compute_uv=False)
-    norm = float(svals[0]) if svals.size else 0.0
-    sigma_min = float(svals[-1]) if svals.size else 0.0
-    singular = sigma_min <= TOL_SINGULAR_J * norm
-    fact = None if singular else _linalg.Factorization(J, allow_singular=True)
-    return JacobianJ(bp.lam, bp.mu, sigma_min, norm, fact)
+    jac = JacobianJ(bp.lam, bp.mu, float(svals[-1]), float(svals[0]), None)
+    if not jac.singular:
+        jac._fact = _linalg.Factorization(J, allow_singular=True)
+    return jac
 
 
 def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
@@ -208,20 +207,29 @@ def branch_poles(problem: TwoParProblem) -> np.ndarray:
     K = B1 + lam*B2, in geig's canonical order: the poles of the branches,
     as det(K + mu U V^H) = det K * det(I + mu V^H K^-1 U).
 
-    B3 = U V^H with U = U_r diag(s_r) and V = V_r from its SVD, at numpy's
-    matrix_rank default, s > s_max * m * eps. When r = 0 or r = m the
-    result is empty, and no QZ runs.
+    When B3 passes the rank-one test (problem.b3_rank_one), U and V are its
+    factors (u, v) and r = 1, so the poles belong to the branch that
+    _rank_one_points evaluates. Otherwise B3 = U V^H with U = U_r diag(s_r)
+    and V = V_r from its SVD, at numpy's matrix_rank default,
+    s > s_max * m * eps. When r = 0 or r = m the result is empty, and no QZ
+    runs.
     """
     m = problem.m
-    U, s, Vh = np.linalg.svd(problem.B3)
-    r = int(np.sum(s > s[0] * m * np.finfo(float).eps))
+    if problem.b3_rank_one is not None:
+        u, v = problem.b3_rank_one
+        U, Vh = u[:, None], v.conj()[None, :]
+    else:
+        U, s, Vh = np.linalg.svd(problem.B3)
+        kept = s > s[0] * m * np.finfo(float).eps
+        U, Vh = U[:, kept] * s[kept], Vh[kept]
+    r = Vh.shape[0]
     if r in (0, m):
         return np.empty(0, dtype=np.complex128)
     P = np.zeros((m + r, m + r), dtype=np.complex128)
     Q = np.zeros_like(P)
     P[:m, :m] = problem.B1
-    P[:m, m:] = U[:, :r] * s[:r]
-    P[m:, :m] = Vh[:r]
+    P[:m, m:] = U
+    P[m:, :m] = Vh
     Q[:m, :m] = -problem.B2
     return _linalg.geig(P, Q)[0]
 
@@ -335,16 +343,6 @@ def _rank_one_points(problem: TwoParProblem, lams, branch_id: int) -> list:
     return points
 
 
-def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:
-    """The point of branch branch_id at lam when B3 has rank one: the batch of
-    one of _rank_one_points. Raises NoFiniteEigenvalue when the pencil has no
-    finite eigenvalue at lam."""
-    point = _rank_one_points(problem, [lam], branch_id)[0]
-    if isinstance(point, NoFiniteEigenvalue):
-        raise point
-    return point
-
-
 def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
                        break_conjugate_tie: bool = True):
     """(mus, i): the candidates at lam_new and the index of the one nearest
@@ -442,19 +440,22 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
 
     When B3 has rank one (problem.b3_rank_one) the pencil has at most one
     finite eigenvalue, so the point at lam_new is evaluated directly
-    (_rank_one_point): two triangular solves of order m with the problem's
-    generalized Schur form of (B1, B2), with no step, no bisection and no
-    LU. Otherwise the branch is followed by continuation steps, bisected on
-    ambiguity (_bisected_steps); a conjugate pair equally near a step's
-    prediction is resolved from above, in the limit lam + i0
-    (_nearest_candidate). NoFiniteEigenvalue is raised when the
-    pencil degenerates at lam_new, ValueError when lam_new is not finite.
+    (_rank_one_points, as a batch of one): two triangular solves of order m
+    with the problem's generalized Schur form of (B1, B2), with no step, no
+    bisection and no LU. Otherwise the branch is followed by continuation
+    steps, bisected on ambiguity (_bisected_steps); a conjugate pair equally
+    near a step's prediction is resolved from above, in the limit lam + i0
+    (_nearest_candidate). NoFiniteEigenvalue is raised when the pencil
+    degenerates at lam_new, ValueError when lam_new is not finite.
     """
     lam_new = complex(lam_new)
     if not np.isfinite(lam_new):
         raise ValueError(f"cannot continue a branch to non-finite lam={lam_new}")
     if lam_new == point.lam:
         return point
-    if problem.b3_rank_one is not None:
-        return _rank_one_point(problem, lam_new, point.branch_id)
-    return _bisected_steps(problem, point, lam_new)
+    if problem.b3_rank_one is None:
+        return _bisected_steps(problem, point, lam_new)
+    point = _rank_one_points(problem, [lam_new], point.branch_id)[0]
+    if isinstance(point, NoFiniteEigenvalue):
+        raise point
+    return point

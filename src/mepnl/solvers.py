@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from . import _linalg, pencil
-from .core import Quadruplet, TwoParProblem, residuals
+from . import _linalg, core, pencil
+from .core import Quadruplet, TwoParProblem
 from .errors import ConvergenceFailure, DegenerateProjection, ShiftIsEigenvalue
 from .nep import NepView
 
@@ -127,8 +127,8 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     bp = nep.branch_point(lam)
     for k in range(config.maxit + 1):
         a1x, a2x, a3x = problem.A1 @ x, problem.A2 @ x, problem.A3 @ x
-        rec = residuals(problem, Quadruplet(lam, bp.mu, x, bp.y),
-                        ax=(a1x + lam * a2x) + bp.mu * a3x)
+        rec = core.residuals(problem, Quadruplet(lam, bp.mu, x, bp.y),
+                             ax=(a1x + lam * a2x) + bp.mu * a3x)
         if trace.record(lam, bp.mu, rec, t0, config):
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
@@ -245,7 +245,7 @@ def resinv(nep: NepView, x0, config: SolverConfig):
                 f"iteration {k} (lam_ref={ref}): {exc}"
             ) from exc
         z = problem.apply_a(lam, mu, x)
-        rec = residuals(problem, Quadruplet(lam, mu, x, y), ax=z)
+        rec = core.residuals(problem, Quadruplet(lam, mu, x, y), ax=z)
         if trace.record(lam, mu, rec, t0, config):
             break
         u = x - fact.solve(z)

@@ -143,7 +143,7 @@ def test_one_factorization_and_one_standard_eigensolve(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    record(_linalg.Factorization, "__init__", lambda *a: "Factorization")
+    record(_linalg.Factorization, "__init__", lambda *a, **kw: "Factorization")
     record(_linalg.Factorization, "solve", lambda *a, **kw: "Factorization.solve")
     record(_linalg, "geig", lambda P, Q, **kw: "geig" if Q is None else "geig of a pencil")
     # scipy's eig runs the QZ driver zggev exactly when given a second matrix

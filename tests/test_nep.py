@@ -50,6 +50,19 @@ def test_shift_at_exact_singularity_raises():
         view.factorization(0.0)
 
 
+@pytest.mark.parametrize("mat", [
+    np.zeros((3, 3)),
+    np.array([[1.0, 2.0], [2.0, 4.0]]),  # its LU meets an exactly zero pivot
+    np.array([[1.0, 0.0, 3.0], [4.0, 0.0, 6.0], [5.0, 0.0, 2.0]]),
+])
+def test_dense_factorization_refuses_on_rcond_alone(mat):
+    # zgecon gives rcond = 0 for an exactly zero pivot and for a zero matrix,
+    # so the one rcond test refuses every exactly singular matrix
+    with pytest.raises(ShiftIsEigenvalue, match="rcond"):
+        _linalg.Factorization(mat)
+    assert _linalg.Factorization(mat, allow_singular=True).rcond < _linalg.RCOND_SINGULAR
+
+
 def test_view_continues_from_last_resolved_point():
     # K = B1 + lam*B2 = diag(1 + lam, 2) and B3 = e0 e0^T give mu = -(1 + lam),
     # infinite from lam = 1/TOL_INF on

@@ -584,6 +584,35 @@ def test_branch_poles_of_rank_two_b3():
     assert max(abs(q.mu) for q in near) > 1e5
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_branch_poles_of_noisy_rank_one_b3(seed):
+    # B3 = e0 e0^T plus noise of 6 eps passes the rank-one test, so the
+    # followed branch is the rank-one one, and its poles are where
+    # K[1:, 1:] = B1[1:, 1:] + lam*B2[1:, 1:] is singular: all m - 1 of them
+    m = 30
+    rng = np.random.default_rng(seed)
+    B3 = 6 * np.finfo(float).eps * rng.uniform(-1.0, 1.0, (m, m))
+    B3[0, 0] += 1.0
+    B1, B2 = rng.standard_normal((2, m, m))
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None)
+    assert p.b3_rank_one is not None
+    exact = _linalg.geig(B1[1:, 1:], -B2[1:, 1:])[0]
+    poles = pencil.branch_poles(p)
+    assert poles.size == m - 1
+    for q in poles:
+        assert np.min(np.abs(exact - q)) <= 1e-9 * max(1.0, abs(q))
+    # every flagged interval brackets one of those poles, and each pole next
+    # to the real axis of the window is flagged
+    step = 0.01
+    grid = np.linspace(-3.0, 3.0, 601)
+    found = problems.flag_singularities(p, problems.tabulate_branches(p, grid))[0]
+    assert found
+    for iv in found:
+        assert any(iv.contains(e) and abs(e.imag) <= step for e in exact), iv
+    for e in exact[(np.abs(exact.real) <= 3.0) & (np.abs(exact.imag) <= step / 2)]:
+        assert any(iv.contains(e) for iv in found), e
+
+
 def test_generators_without_poles(monkeypatch):
     # a nonsingular B3 has no finite pole, and no QZ runs to say so; the
     # quadratic generator's bordered determinant is the constant -1

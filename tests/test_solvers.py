@@ -205,15 +205,18 @@ def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
     quad = pick_isolated(delta.solve(p))
     newton_view, resinv_view = view_through(p, quad), view_through(p, quad)
     counts = count_calls(monkeypatch, [
-        (core.TwoParProblem, "eval_a"), (pencil, "jacobian"), (pencil, "derivatives")])
+        (core.TwoParProblem, "eval_a"), (pencil, "jacobian"), (pencil, "derivatives"),
+        (core, "residuals")])
     lus = count_lus_by_order(monkeypatch)
     _, trace = solvers.augmented_newton(newton_view, quad.lam + 1e-3,
                                         quad.x + 1e-3 * np.ones(p.n))
     steps = trace.iterations - 1
     assert trace.converged and steps >= 2
     # M(lam_k) is assembled once per step, to be factorized; g' needs no
-    # bordered Jacobian
-    assert counts == {"eval_a": steps, "jacobian": 0, "derivatives": 0}
+    # bordered Jacobian; each iterate's residuals go through core.residuals,
+    # where a counter on the module sees them
+    assert counts == {"eval_a": steps, "jacobian": 0, "derivatives": 0,
+                      "residuals": trace.iterations}
     assert lus[p.n] == steps
 
     counts.update(dict.fromkeys(counts, 0))
@@ -222,6 +225,7 @@ def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
     _, trace = solvers.resinv(resinv_view, quad.x + 0.05 * np.ones(p.n), cfg)
     assert trace.converged and trace.iterations >= 3
     assert counts["eval_a"] == 1 and lus[p.n] == 1
+    assert counts["residuals"] == trace.iterations
 
     problems.tabulate_branches(p, np.linspace(-1.0, 1.0, 41), [0, 1, 2])
     assert counts["jacobian"] == 0 and counts["derivatives"] == 0
