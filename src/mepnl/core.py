@@ -175,8 +175,20 @@ class TwoParProblem:
     def schur_k(self) -> _linalg.GeneralizedSchur:
         """The generalized Schur form of (B1, B2), which solves with
         K(lam) = B1 + lam*B2 at any number of lam for the rank-one branch
-        (pencil._rank_one_points): one complex QZ per problem, on first use."""
+        (pencil._rank_one_points): one complex QZ per problem, on first use.
+        The points' residual test then takes products with B1, B2 and B3
+        (pencil._null_vectors_pass), so no B1 + lam*B2 + mu*B3 is formed
+        per lam either."""
         return _linalg.GeneralizedSchur(self.B1, self.B2)
+
+    @functools.cached_property
+    def _b_column_sums(self) -> np.ndarray:
+        """The column sums of |B1|, |B2| and |B3|, the rows of a 3 x m array,
+        on first use: the bounds on ||B1 + lam*B2 + mu*B3||_1 of the
+        residual test pencil._null_vectors_pass."""
+        sums = np.array([np.abs(M).sum(axis=0) for M in (self.B1, self.B2, self.B3)])
+        sums.flags.writeable = False
+        return sums
 
     @property
     def is_sparse(self) -> bool:

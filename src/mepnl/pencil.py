@@ -27,10 +27,15 @@ which needs no step, no shift-invert spectrum and no LU: one generalized
 Schur form of (B1, B2) per problem (TwoParProblem.schur_k) turns a point's
 solves with B1 + lam*B2 into two triangular solves of order m, and
 problems.tabulate_branches takes them for its whole grid in one batch
-(_rank_one_points). The full QZ with left and right eigenvectors
-(eigenpairs_at) runs once per problem at REFERENCE_LAM
-(TwoParProblem.reference_points, the same QZ that draws a default c), at
-other reference points, and when those vectors fail their residual test.
+(_rank_one_points), returned as arrays. Every residual test
+(_null_vectors_pass), of a batch or of one step, takes products with B1,
+B2 and B3 and brackets ||B(lam, mu)||_1 between a few of its columns and
+the triangle inequality; B(lam, mu) is formed only for an entry whose
+residual lies between the two, so a grid builds no m x m matrix per lam.
+The full QZ with left and right eigenvectors (eigenpairs_at) runs once
+per problem at REFERENCE_LAM (TwoParProblem.reference_points, the same QZ
+that draws a default c), at other reference points, and when those
+vectors fail their residual test.
 The branches' poles take one QZ per problem, of a bordered pencil of order
 m + rank(B3) (branch_poles), which no continuation step needs.
 """
@@ -254,14 +259,68 @@ def reference_point(problem: TwoParProblem, branch_id: int,
     return points[branch_id]
 
 
-def _null_vectors_pass(B, y, w):
-    """The residual test of a step's unit y and w at the eigenvalue mu of
-    B = B(lam, mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL *
-    ||B||_1; elementwise over a stack of B with the rows of 2-D y and w."""
+def _formed_null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
+    """The residual test of _null_vectors_pass on the formed B(lams[k],
+    mus[k]) of each entry: B y, w^H B and the exact ||B||_1, which it needs
+    only where its bounds leave a decision open."""
+    B = np.multiply.outer(lams, problem.B2)
+    B += problem.B1
+    B += np.multiply.outer(mus, problem.B3)
     tol = TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1, axis=(-2, -1))
     by = (B @ y[..., None])[..., 0]
     wb = (w.conj()[..., None, :] @ B)[..., 0, :]
     return (np.linalg.norm(by, axis=-1) <= tol) & (np.linalg.norm(wb, axis=-1) <= tol)
+
+
+def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
+    """The residual test of unit y and w at an eigenvalue mu of B = B(lam,
+    mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * ||B||_1;
+    elementwise over lams and mus with the rows of 2-D y and w.
+
+    No B is formed per entry. Both residuals are three GEMMs with B1, B2
+    and B3 for all entries at once, scaled by 1, lam and mu. ||B||_1 is
+    bracketed: from below by the exact 1-norm of the columns where B1, B2
+    and B3 have their largest column sums, from above by ||B1||_1 +
+    |lam| ||B2||_1 + |mu| ||B3||_1. A residual clearly under the lower
+    threshold passes, one clearly over the upper fails, and only the
+    entries in between form B (_formed_null_vectors_pass), so every
+    decision is the one the formed B gives.
+    """
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1, 1)
+    mus = np.asarray(mus, dtype=np.complex128).reshape(-1, 1)
+    y, w = np.atleast_2d(y), np.atleast_2d(w)
+    B1, B2, B3 = problem.B1, problem.B2, problem.B3
+
+    def combined(v, M1, M2, M3):
+        """Rows v @ M1 + lam*(v @ M2) + mu*(v @ M3), with one temporary."""
+        out, part = v @ M1, v @ M2
+        part *= lams
+        out += part
+        np.matmul(v, M3, out=part)
+        part *= mus
+        out += part
+        return out
+
+    residual = np.maximum(np.linalg.norm(combined(y, B1.T, B2.T, B3.T), axis=1),
+                          np.linalg.norm(combined(w.conj(), B1, B2, B3), axis=1))
+    col_sums = problem._b_column_sums
+    upper = (col_sums[0].max() + np.abs(lams[:, 0]) * col_sums[1].max()
+             + np.abs(mus[:, 0]) * col_sums[2].max())
+    lower = np.zeros(lams.shape[0])
+    for j in np.unique(np.argmax(col_sums, axis=1)):
+        column = B1[:, j] + lams * B2[:, j]
+        column += mus * B3[:, j]
+        lower = np.maximum(lower, np.abs(column).sum(axis=1))
+    # the products round apart from the formed B by up to about 1e-3 of a
+    # residual near the threshold (random pencils of order 2 to 120), so a
+    # residual within 1/16 of a bound is judged on the formed B
+    slack = 1.0 / 16.0
+    passed = residual <= (1.0 - slack) * TOL_INVERSE_RESIDUAL * lower
+    open_ = ~passed & (residual <= (1.0 + slack) * TOL_INVERSE_RESIDUAL * upper)
+    if np.any(open_):
+        passed[open_] = _formed_null_vectors_pass(problem, lams[open_, 0], mus[open_, 0],
+                                                  y[open_], w[open_])
+    return passed
 
 
 def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoint:
@@ -284,19 +343,21 @@ def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
     prev.w on one Factorization of B, with allow_singular since B is
     singular by design. None when they fail _null_vectors_pass.
     """
-    B = problem.eval_b(lam, mu)
-    fact = _linalg.Factorization(B, allow_singular=True)
+    fact = _linalg.Factorization(problem.eval_b(lam, mu), allow_singular=True)
     y, w = prev.y, prev.w
     for _ in range(INVERSE_STEPS):
         y, w = fact.solve(y), fact.solve(w, adjoint=True)
         y, w = y / np.linalg.norm(y), w / np.linalg.norm(w)
-    return (y, w) if _null_vectors_pass(B, y, w) else None
+    return (y, w) if _null_vectors_pass(problem, lam, mu, y, w)[0] else None
 
 
-def _rank_one_points(problem: TwoParProblem, lams, branch_id: int) -> list:
-    """The points of branch branch_id at each of lams when B3 = u v^H has
-    rank one, in their order; an entry is a NoFiniteEigenvalue instead where
-    the pencil has no finite eigenvalue.
+def _rank_one_points(problem: TwoParProblem, lams):
+    """The points of the one branch at each of lams when B3 = u v^H has rank
+    one, as arrays in the order of lams: (mu, y, w, c_degenerate, failed).
+    mu has one entry per lam, y and w one row (y scaled as in BranchPoint, w
+    unit), and c_degenerate one flag; failed maps the index of each lam
+    where the pencil has no finite eigenvalue to its NoFiniteEigenvalue,
+    and mu, y and w are NaN there.
 
     With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
     of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
@@ -306,41 +367,41 @@ def _rank_one_points(problem: TwoParProblem, lams, branch_id: int) -> list:
     lams at once, and no LU.
     mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
     test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1.
-    Where y and w fail _null_vectors_pass at mu, the point comes from the
-    full QZ at its lam instead (_full_qz_point).
+    y and w are certified for all of lams at once by _null_vectors_pass,
+    from products with B1, B2 and B3, with no B(lam, mu) formed per lam;
+    an entry that fails it takes mu, y and w from the full QZ at its lam
+    instead (_full_qz_point).
     """
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     u, v = problem.b3_rank_one
     x = problem.schur_k.solve(lams, u)
+    z = problem.schur_k.solve(lams, v, adjoint=True)
     tau = x @ v.conj()
     finite = _linalg.finite_pair(-1.0, tau)
-    points = [None] * lams.size
-    for i in np.flatnonzero(~finite):
-        points[i] = NoFiniteEigenvalue(
+    mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=np.complex128),
+                   where=finite)
+    y = x / np.linalg.norm(x, axis=1)[:, None]
+    w = z / np.linalg.norm(z, axis=1)[:, None]
+    # NaN mu fails the test, so only finite entries can be certified
+    certified = _null_vectors_pass(problem, lams, mu, y, w)
+    y, degen = _normalize_y(y, problem.c)
+    y[~finite] = w[~finite] = np.nan
+    failed = {
+        int(i): NoFiniteEigenvalue(
             f"the rank-one pencil has no finite eigenvalue at lam={complex(lams[i])} "
             f"(v^H K^-1 u = {tau[i]:.3e})"
         )
-    idx = np.flatnonzero(finite)
-    lams, x, mu = lams[idx], x[idx], -1.0 / tau[idx]
-    z = problem.schur_k.solve(lams, v, adjoint=True)
-    y = x / np.linalg.norm(x, axis=1)[:, None]
-    w = z / np.linalg.norm(z, axis=1)[:, None]
-    B = np.multiply.outer(lams, problem.B2)
-    B += problem.B1
-    B += np.multiply.outer(mu, problem.B3)
-    certified = _null_vectors_pass(B, y, w)
-    y, degen = _normalize_y(y, problem.c)
-    for k, i in enumerate(idx):
-        if certified[k]:
-            points[i] = BranchPoint(lam=complex(lams[k]), mu=complex(mu[k]), y=y[k],
-                                    w=w[k], branch_id=branch_id,
-                                    c_degenerate=bool(degen[k]))
-            continue
+        for i in np.flatnonzero(~finite)
+    }
+    for i in np.flatnonzero(finite & ~certified):
         try:
-            points[i] = _full_qz_point(problem, lams[k], mu[k], branch_id)
+            point = _full_qz_point(problem, lams[i], mu[i])
         except NoFiniteEigenvalue as exc:
-            points[i] = exc
-    return points
+            failed[int(i)] = exc
+            mu[i], y[i], w[i] = np.nan, np.nan, np.nan
+            continue
+        mu[i], y[i], w[i], degen[i] = point.mu, point.y, point.w, point.c_degenerate
+    return mu, y, w, degen, failed
 
 
 def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
@@ -455,7 +516,8 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
         return point
     if problem.b3_rank_one is None:
         return _bisected_steps(problem, point, lam_new)
-    point = _rank_one_points(problem, [lam_new], point.branch_id)[0]
-    if isinstance(point, NoFiniteEigenvalue):
-        raise point
-    return point
+    mu, y, w, degen, failed = _rank_one_points(problem, [lam_new])
+    if failed:
+        raise failed[0]
+    return BranchPoint(lam=lam_new, mu=complex(mu[0]), y=y[0], w=w[0],
+                       branch_id=point.branch_id, c_degenerate=bool(degen[0]))

@@ -358,9 +358,9 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     or two candidates genuinely indistinguishable) the value is NaN and the
     walk continues from the last resolved point. When B3 has rank one a
     point does not depend on the one before it, so the whole grid is
-    evaluated in one call (pencil._rank_one_points) instead of walked; its
-    gaps are listed in the walk's order all the same. A grid entry that is
-    not finite raises ValueError.
+    evaluated in one call (pencil._rank_one_points) instead of walked, and
+    its arrays fill the values directly; its gaps are listed in the walk's
+    order all the same. A grid entry that is not finite raises ValueError.
     """
     grid = np.asarray(lambda_grid, dtype=np.complex128).reshape(-1)
     if grid.size == 0:
@@ -374,20 +374,19 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     values = np.full((grid.size, len(branch_ids)), np.nan, dtype=np.complex128)
     gaps = []
     start = int(np.argmin(np.abs(grid - pencil.REFERENCE_LAM)))
-    walk = [*range(start, grid.size), *range(start - 1, -1, -1)]
 
     if problem.b3_rank_one is not None:
         # the one branch there is has id 0; a start the walk could not take
         # raises here as it would there
         for b in branch_ids:
             pencil.reference_point(problem, b)
-        points = pencil._rank_one_points(problem, grid, 0) if branch_ids else []
-        for i in walk:
-            for j, b in enumerate(branch_ids):
-                if isinstance(points[i], NoFiniteEigenvalue):
-                    gaps.append((i, b, f"{type(points[i]).__name__}: {points[i]}"))
-                else:
-                    values[i, j] = points[i].mu
+        if branch_ids:
+            mu, _, _, _, failed = pencil._rank_one_points(problem, grid)
+            values[:] = mu[:, None]
+            # the walk's order: start up to the end, then start - 1 down to 0
+            for i in sorted(failed, key=lambda i: i - start if i >= start else grid.size - i):
+                gaps.extend((i, b, f"{type(failed[i]).__name__}: {failed[i]}")
+                            for b in branch_ids)
         return BranchTable(grid, branch_ids, values, gaps)
 
     def sweep(indices):

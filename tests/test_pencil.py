@@ -395,10 +395,11 @@ def test_rank_one_singular_k_gives_lambda_squared(monkeypatch):
     for grid in (np.zeros(1), np.linspace(-1.0, 1.0, 41)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = pencil._rank_one_points(p, grid, 0)
-        for lam, point in zip(grid, points):
-            assert abs(point.mu - lam**2) <= 4 * eps * max(1.0, lam**2), lam
-            np.testing.assert_allclose(point.y, [1.0, lam], rtol=0, atol=4 * eps)
+            mus, ys, _, _, failed = pencil._rank_one_points(p, grid)
+        assert not failed
+        for lam, mu, y in zip(grid, mus, ys):
+            assert abs(mu - lam**2) <= 4 * eps * max(1.0, lam**2), lam
+            np.testing.assert_allclose(y, [1.0, lam], rtol=0, atol=4 * eps)
 
 
 def fail_full_qz(*args):
@@ -419,12 +420,105 @@ def test_random_rank_one_pencils_certified_without_full_qz(monkeypatch):
                                 B3, None)
         assert p.b3_rank_one is not None
         lams = cplx(50)
-        points = pencil._rank_one_points(p, lams, 0)
-        assert all(isinstance(q, pencil.BranchPoint) for q in points), f"seed {seed}"
+        mus, _, _, _, failed = pencil._rank_one_points(p, lams)
+        assert not failed and np.all(np.isfinite(mus)), f"seed {seed}"
         # the point agrees with the full QZ's one finite eigenvalue
         for k in (0, 49):
             ref = pencil.eigenpairs_at(p, lams[k])[0].mu
-            assert abs(points[k].mu - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
+            assert abs(mus[k] - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
+
+
+def formed_b_decisions(p, lams, mus, y, w):
+    """The residual test of unit y and w on each formed B(lam, mu): B @ y,
+    w^H @ B and np.linalg.norm(B, 1)."""
+    out = []
+    for lam, mu, yk, wk in zip(lams, mus, y, w):
+        B = p.eval_b(lam, mu)
+        tol = pencil.TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1)
+        out.append(np.linalg.norm(B @ yk) <= tol and np.linalg.norm(wk.conj() @ B) <= tol)
+    return np.array(out)
+
+
+def rank_one_vectors(p, lams):
+    """(lams, mu, unit y, w) of _rank_one_points at its finite entries."""
+    mus, y, w, _, failed = pencil._rank_one_points(p, lams)
+    keep = np.setdiff1d(np.arange(np.size(lams)), list(failed))
+    y = y[keep] / np.linalg.norm(y[keep], axis=1)[:, None]
+    return np.asarray(lams)[keep], mus[keep], y, w[keep]
+
+
+def spoiled(rng, v, scale):
+    """Unit rows of v moved by scale in a random unit direction."""
+    e = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    v = v + scale * e
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def test_residual_test_decides_as_formed_b(monkeypatch):
+    formed = [0]
+    formed_pass = pencil._formed_null_vectors_pass
+
+    def counted(p, lams, *args):
+        formed[0] += len(lams)
+        return formed_pass(p, lams, *args)
+
+    monkeypatch.setattr(pencil, "_formed_null_vectors_pass", counted)
+    rng = np.random.default_rng(7)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def check(p, lams, mus, y, w):
+        got = pencil._null_vectors_pass(p, lams, mus, y, w)
+        np.testing.assert_array_equal(got, formed_b_decisions(p, lams, mus, y, w))
+        return got
+
+    # the benchmark's Helmholtz grid at m = 30
+    helmholtz = problems.gen_helmholtz(problems.HelmholtzConfig(
+        x1=3.7, x2=5.0, n=3, m=30, kappa_a=2.0, kappa_b=2.0)).problem
+    grid = np.arange(-10.0, 100.0 + 1e-9, 0.125)
+    args = rank_one_vectors(helmholtz, grid)
+    assert check(helmholtz, *args).all()
+    assert formed[0] == 0
+    # random rank-one pencils at random lam and within 1e-7 of their poles,
+    # with their own vectors and with vectors spoiled by 1e-12 to 1e-8
+    decided = {"pass": 0, "fail": 0}
+    for _ in range(60):
+        m = int(rng.integers(2, 40))
+        p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), cplx(m, m), cplx(m, m),
+                                np.outer(cplx(m), cplx(m).conj()), None)
+        poles = pencil.branch_poles(p)[:5]
+        lams = np.concatenate([cplx(10), poles + 1e-7 * cplx(poles.size)])
+        lams, mus, y, w = rank_one_vectors(p, lams)
+        for amp in (0.0, 1e-12, 1e-10):
+            got = check(p, lams, mus, spoiled(rng, y, amp), spoiled(rng, w, amp))
+            decided["pass"] += got.sum()
+            decided["fail"] += (~got).sum()
+        # a residual this far above the threshold fails on the upper bound
+        formed[0] = 0
+        assert not check(p, lams, mus, spoiled(rng, y, 1e-8), w).any()
+        assert formed[0] == 0
+    assert min(decided.values()) > 100, decided
+    # ||B1||_1 + |lam| ||B2||_1 far above ||B||_1: K = B1 + lam*B2 is S at
+    # lam = 1 while B1 and B2 are about 10 C, so residuals near the threshold
+    # fall between the bounds and are judged on the formed B
+    m = 8
+    C, S = cplx(m, m), cplx(m, m)
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), 10.0 * C, S - 10.0 * C,
+                            np.outer(cplx(m), cplx(m).conj()), None)
+    lams, mus, y, w = rank_one_vectors(p, 1.0 + 1e-3 * cplx(200))
+    B = np.array([p.eval_b(lam, mu) for lam, mu in zip(lams, mus)])
+    target = (pencil.TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1, axis=(1, 2))
+              * np.exp(rng.uniform(np.log(0.3), np.log(3.0), lams.size)))
+    # a step of size t along a unit e moves B y by about t ||B e||
+    e = cplx(*y.shape)
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    t = target / np.linalg.norm(np.einsum("kij,kj->ki", B, e), axis=1)
+    y = y + t[:, None] * e
+    formed[0] = 0
+    got = check(p, lams, mus, y / np.linalg.norm(y, axis=1)[:, None], w)
+    assert formed[0] >= lams.size // 2 and 0 < got.sum() < lams.size, (formed, got.sum())
 
 
 def test_continue_branch_rejects_nonfinite_lam():

@@ -1,4 +1,6 @@
 """Generators: random, quadratic, square-root, Helmholtz; tabulation; flags."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -309,6 +311,35 @@ def test_rank_one_tabulation_runs_one_schur_reduction(monkeypatch):
             assert np.isfinite(table.column(0)).all()
     # one reduction per problem, shared by both tabulations of it
     assert counts == {"schur": 2, "lu": 0, "continue": 0, "step": 0, "inverse": 0}
+
+
+def test_rank_one_tabulation_certifies_without_formed_b(monkeypatch):
+    # the bounds on ||B(lam, mu)||_1 decide every point of the benchmark's
+    # grid, so no B is formed and no point falls back to the full QZ
+    p = bench_helmholtz_small_side()
+    pencil.reference_point(p, 0)  # the problem's one reference QZ
+    counts = count_calls(monkeypatch, ((pencil, "_formed_null_vectors_pass", "formed"),
+                                       (pencil, "_full_qz_point", "full QZ"),
+                                       (_linalg, "geig", "geig")))
+    table = problems.tabulate_branches(p, np.arange(-10.0, 100.0 + 1e-9, 0.125),
+                                       branch_ids=[0])
+    assert np.isfinite(table.column(0)).all()
+    assert counts == {"formed": 0, "full QZ": 0, "geig": 0}
+
+
+def test_rank_one_tabulation_peaks_below_one_stack_of_b():
+    # the benchmark's tabulation at n = 2000 peaks below one N x m x m
+    # complex stack of B(lam, mu) (12.7 MB for its 881 lams at m = 30)
+    p = bench_helmholtz_small_side(n=2000)
+    grid = np.arange(-10.0, 100.0 + 1e-9, 0.125)
+    stack_bytes = grid.size * p.m * p.m * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        problems.tabulate_branches(p, grid, branch_ids=[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes, (peak, stack_bytes)
 
 
 def test_rank_one_tabulation_matches_walk():
