@@ -199,6 +199,12 @@ def _canonical_order(z):
     return np.lexsort((z.imag, z.real, np.abs(z)))
 
 
+def _real_or_complex(mat):
+    """mat as an ndarray, float64 if it is float64 and complex128 otherwise."""
+    mat = np.asarray(mat)
+    return mat if mat.dtype == np.float64 else mat.astype(np.complex128, copy=False)
+
+
 def geig(P, Q, vectors: str = "right", shift=None):
     """The finite eigenvalues z of P v = z Q v in canonical order: ascending
     (|z|, Re z, Im z), stable for exact ties. One whose homogeneous pair
@@ -208,9 +214,14 @@ def geig(P, Q, vectors: str = "right", shift=None):
     vectors picks the eigenvectors computed with z: "right" returns
     (z, vr, n_inf) and "both" returns (z, vr, vl, n_inf). Columns of vr and
     vl are the right and left eigenvectors of z in the same order, n_inf the
-    count of infinite eigenvalues. A pencil goes through LAPACK's QZ driver
-    (zggev), the standard problem through its QR driver (zgeev); within one
-    driver both modes give bit-equal z.
+    count of infinite eigenvalues; z and the vectors are complex128. A
+    pencil goes through LAPACK's QZ driver (zggev), the standard problem
+    through its QR driver (zgeev); within one driver both modes give
+    bit-equal z. A real float64 P (with a real Q, if any) is not made
+    complex, so it runs the cheaper real driver (dgeev, dggev), and its
+    non-real z come in exact conjugate pairs, which the canonical order
+    puts next to each other, Im z < 0 first. Any other input is made
+    complex128 for the complex driver.
 
     shift=s says that P is the shift-invert operator (A - s*B)^-1 B of a
     pencil A v = z B v, with Q None (see shift_invert_eigvals): its
@@ -225,9 +236,9 @@ def geig(P, Q, vectors: str = "right", shift=None):
         z = shift + 1.0 / theta[finite]
         return z[_canonical_order(z)], int(np.sum(~finite))
     left = vectors == "both"
-    P = np.asarray(P, dtype=np.complex128)
+    P = _real_or_complex(P)
     if Q is not None:
-        Q = np.asarray(Q, dtype=np.complex128)
+        Q = _real_or_complex(Q)
     out = sla.eig(P, Q, left=left, right=True, homogeneous_eigvals=True)
     alpha, beta = out[0]
     finite = finite_pair(alpha, beta)
@@ -235,10 +246,11 @@ def geig(P, Q, vectors: str = "right", shift=None):
     order = _canonical_order(z)
     cols = np.flatnonzero(finite)[order]
     n_inf = int(np.sum(~finite))
-    # scipy returns (w, vr) or (w, vl, vr)
-    vr = out[-1][:, cols]
+    # scipy returns (w, vr) or (w, vl, vr), real vectors from a real driver
+    # when every eigenvalue is real
+    vr = out[-1][:, cols].astype(np.complex128, copy=False)
     if left:
-        return z[order], vr, out[1][:, cols], n_inf
+        return z[order], vr, out[1][:, cols].astype(np.complex128, copy=False), n_inf
     return z[order], vr, n_inf
 
 

@@ -254,18 +254,24 @@ def residuals(problem: TwoParProblem, quad: Quadruplet, ax=None) -> ResidualReco
     analogously for the small equation; Frobenius norms in the scales. ax is
     the product (A1 + lam A2 + mu A3) x when the caller has already formed it.
     """
-    return ResidualRecord(*_residual_norms(problem, quad, ax))
+    ra, rb = _residual_norms(problem, quad.lam, quad.mu, quad.x, quad.y, ax)
+    return ResidualRecord(float(ra), float(rb))
 
 
-def _residual_norms(problem: TwoParProblem, quad: Quadruplet, ax=None) -> tuple:
-    """(res_a, res_b) of residuals, for a caller that only tests them."""
-    lam, mu = quad.lam, quad.mu
+def _residual_norms(problem: TwoParProblem, lam, mu, x, y, ax=None) -> tuple:
+    """(res_a, res_b) of residuals, for a caller that only tests them; row by
+    row, as arrays, for arrays lam and mu and the rows of a 2-D x, y and ax."""
     if ax is None:
-        ax = problem.apply_a(lam, mu, quad.x)
-    ra = np.linalg.norm(ax) / (problem.scale_a(lam, mu) * np.linalg.norm(quad.x))
-    rb = np.linalg.norm(problem.apply_b(lam, mu, quad.y))
-    rb /= problem.scale_b(lam, mu) * np.linalg.norm(quad.y)
-    return float(ra), float(rb)
+        ax = problem.apply_a(lam, mu, x.T).T
+    by = problem.apply_b(lam, mu, y.T).T
+    # one vector's norm is numpy's whole-vector norm, which rounds apart
+    # from the row-wise reduction in about a third of cases
+    axis = None if np.ndim(x) == 1 else -1
+    ra = np.linalg.norm(ax, axis=axis)
+    ra /= problem.scale_a(lam, mu) * np.linalg.norm(x, axis=axis)
+    rb = np.linalg.norm(by, axis=axis)
+    rb /= problem.scale_b(lam, mu) * np.linalg.norm(y, axis=axis)
+    return ra, rb
 
 
 @dataclasses.dataclass

@@ -143,14 +143,26 @@ def test_one_factorization_and_one_standard_eigensolve(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    dtypes = []
+
+    def geig_label(P, Q, **kw):
+        dtypes.append(P.dtype)
+        return "geig" if Q is None else "geig of a pencil"
+
+    def eig_label(a, b=None, **kw):
+        dtypes.append(a.dtype)
+        # scipy's eig runs the QZ driver zggev exactly when given a second matrix
+        return "eig" if b is None else "zggev"
+
     record(_linalg.Factorization, "__init__", lambda *a, **kw: "Factorization")
     record(_linalg.Factorization, "solve", lambda *a, **kw: "Factorization.solve")
-    record(_linalg, "geig", lambda P, Q, **kw: "geig" if Q is None else "geig of a pencil")
-    # scipy's eig runs the QZ driver zggev exactly when given a second matrix
-    record(_linalg.sla, "eig", lambda a, b=None, **kw: "eig" if b is None else "zggev")
+    record(_linalg, "geig", geig_label)
+    record(_linalg.sla, "eig", eig_label)
     quads = delta.solve(p)
     assert len(quads) == p.n * p.m
     assert sorted(calls) == ["Factorization", "Factorization.solve", "eig", "geig"]
+    # the problem is real, so both see a real Gamma1 and LAPACK's real driver runs
+    assert dtypes == [np.float64, np.float64]
 
 
 def test_refined_quadruplets_at_working_accuracy():
@@ -172,7 +184,9 @@ def test_singular_bordered_jacobian_keeps_unrefined_candidate(monkeypatch):
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)
     dp = delta.assemble(p)
     gamma1 = _linalg.Factorization(dp.delta0).solve(dp.delta1)
-    lams = _linalg.geig(gamma1, None)[0]
+    # the problem is real, so the eigensolve gets the real part of gamma1
+    assert not gamma1.imag.any()
+    lams = _linalg.geig(gamma1.real, None)[0]
     refined = delta.solve(p)
 
     def singular(a, b):
@@ -207,3 +221,105 @@ def test_candidates_at_working_accuracy_take_no_newton_step(monkeypatch):
         assert abs(q.lam - r.lam) <= 1e-12 * max(1.0, abs(r.lam))
         assert abs(q.mu - r.mu) <= 1e-12 * max(1.0, abs(r.mu))
         assert max(q.residuals.res_a, q.residuals.res_b) <= 1e-13
+
+
+def test_real_problem_gives_adjacent_exact_conjugate_pairs():
+    for seed in (0, 1, 2):
+        p = problems.gen_random(8, 4, seed=seed)
+        quads = delta.solve(p)
+        assert len(quads) == p.n * p.m
+        lams = [q.lam for q in quads]
+        i = 0
+        while i < len(lams):
+            if lams[i].imag == 0.0:
+                i += 1
+                continue
+            # a non-real lam is followed by its exact conjugate, Im < 0 first
+            assert lams[i].imag < 0.0 and lams[i + 1] == lams[i].conjugate(), (seed, i)
+            assert quads[i + 1].mu == quads[i].mu.conjugate(), (seed, i)
+            i += 2
+
+
+def test_complex_problem_takes_the_complex_path(monkeypatch):
+    from mepnl import _linalg
+
+    p = problems.gen_random(25, 16, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
+    rng = np.random.default_rng(0)
+    p = mepnl.TwoParProblem(p.A1, p.A2, p.A3, p.B1 + 1j * rng.standard_normal((16, 16)),
+                            p.B2, p.B3, p.c)
+    geig = _linalg.geig
+    dtypes = []
+
+    def recorded(P, Q, **kw):
+        dtypes.append(P.dtype)
+        return geig(P, Q, **kw)
+
+    monkeypatch.setattr(_linalg, "geig", recorded)
+    quads = delta.solve(p)
+    assert dtypes == [np.complex128]
+    assert len(quads) == 400
+    worst = max(max(q.residuals.res_a, q.residuals.res_b) for q in quads)
+    assert worst <= 1e-12, worst
+
+
+def test_singular_candidate_in_a_batch_keeps_unrefined_values(monkeypatch):
+    # chunks of 1600 // 256 = 6 candidates: the stacked solve of the first
+    # chunk raises, and so does the own solve of its third candidate
+    p = problems.gen_random(10, 4, seed=3, alphas=(1.0, 1.0, 1.0), betas=(1.0, 1.0, 1.0))
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)  # every candidate steps
+    refined = delta.solve(p)
+    solve = np.linalg.solve
+
+    def never(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", never)
+    unrefined = delta.solve(p)
+    alone = []
+
+    def singular_batch(a, b):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        alone.append(a)
+        if len(alone) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_batch)
+    quads = delta.solve(p)
+    assert len(quads) == len(refined) == len(unrefined) == p.n * p.m
+    # only the third candidate keeps its unrefined values and residuals, bit for bit
+    q, u = quads[2], unrefined[2]
+    assert (q.lam, q.mu, q.residuals) == (u.lam, u.mu, u.residuals)
+    assert np.array_equal(q.x, u.x) and np.array_equal(q.y, u.y)
+    for i, (q, r, u) in enumerate(zip(quads, refined, unrefined)):
+        if i == 2:
+            continue
+        assert q.lam != u.lam or q.mu != u.mu, i
+        assert abs(q.lam - r.lam) <= 1e-12 * max(1.0, abs(r.lam)), i
+        assert abs(q.mu - r.mu) <= 1e-12 * max(1.0, abs(r.mu)), i
+
+
+def test_solve_peaks_below_four_matrices_of_order_nm():
+    import tracemalloc
+
+    p = problems.gen_random(25, 16, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
+    tracemalloc.start()
+    try:
+        quads = delta.solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(quads) == 400
+    # four complex matrices of order n*m, 10.24 MB; refining all 400
+    # candidates in one stack would take 11.8 MB for its Jacobians alone
+    assert peak < 4 * 400 ** 2 * 16, peak
+
+
+def test_every_dropped_candidate_warns_once(monkeypatch):
+    p = random_problem(4, 3, seed=0)
+    monkeypatch.setattr(delta, "RANK_ONE_TOL", -1.0)  # no eigenvector is rank-one
+    with pytest.warns(delta.RankOneExtractionWarning) as record:
+        assert delta.solve(p) == []
+    assert len(record) == p.n * p.m
+    assert {w.filename for w in record} == {__file__}
