@@ -48,10 +48,22 @@ def to_dense(mat):
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
-def fro_norm(mat) -> float:
+def norm2_bound(mat) -> float:
+    """min(||mat||_F, sqrt(||mat||_1 ||mat||_inf)) >= ||mat||_2 of a square
+    mat, which unlike ||mat||_F does not grow like sqrt(n) for a stencil. One
+    pass over |mat|: for a sparse mat, one matvec each way with its |data|
+    in its pattern."""
     if sp.issparse(mat):
-        return float(np.sqrt(np.sum(np.abs(mat.data) ** 2)))
-    return float(np.linalg.norm(mat, "fro"))
+        mat = mat.tocsr()
+        absolute = np.abs(mat.data)
+        wrapped = sp.csr_array((absolute, mat.indices, mat.indptr), shape=mat.shape)
+        ones = np.ones(mat.shape[0])
+        col_sums, row_sums = ones @ wrapped, wrapped @ ones
+    else:
+        absolute = np.abs(mat)
+        col_sums, row_sums = absolute.sum(axis=0), absolute.sum(axis=1)
+    fro = np.linalg.norm(absolute)
+    return float(min(fro, np.sqrt(col_sums.max(initial=0.0) * row_sums.max(initial=0.0))))
 
 
 class Factorization:

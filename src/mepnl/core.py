@@ -138,8 +138,8 @@ class TwoParProblem:
             mat.sum_duplicates()
             for arr in (mat.data, mat.indices, mat.indptr):
                 arr.flags.writeable = False
-        self.norms_a = tuple(_linalg.fro_norm(M) for M in (self.A1, self.A2, self.A3))
-        self.norms_b = tuple(_linalg.fro_norm(M) for M in (self.B1, self.B2, self.B3))
+        self.norms_a = tuple(_linalg.norm2_bound(M) for M in (self.A1, self.A2, self.A3))
+        self.norms_b = tuple(_linalg.norm2_bound(M) for M in (self.B1, self.B2, self.B3))
 
     @property
     def n(self) -> int:
@@ -177,18 +177,9 @@ class TwoParProblem:
         K(lam) = B1 + lam*B2 at any number of lam for the rank-one branch
         (pencil._rank_one_points): one complex QZ per problem, on first use.
         The points' residual test then takes products with B1, B2 and B3
-        (pencil._null_vectors_pass), so no B1 + lam*B2 + mu*B3 is formed
-        per lam either."""
+        over the 2-norm bound scale_b (pencil._null_vectors_pass), so no
+        B1 + lam*B2 + mu*B3 is formed per lam either."""
         return _linalg.GeneralizedSchur(self.B1, self.B2)
-
-    @functools.cached_property
-    def _b_column_sums(self) -> np.ndarray:
-        """The column sums of |B1|, |B2| and |B3|, the rows of a 3 x m array,
-        on first use: the bounds on ||B1 + lam*B2 + mu*B3||_1 of the
-        residual test pencil._null_vectors_pass."""
-        sums = np.array([np.abs(M).sum(axis=0) for M in (self.B1, self.B2, self.B3)])
-        sums.flags.writeable = False
-        return sums
 
     @property
     def is_sparse(self) -> bool:
@@ -209,7 +200,9 @@ class TwoParProblem:
         return self.B1 @ y + lam * (self.B2 @ y) + mu * (self.B3 @ y)
 
     def scale_a(self, lam, mu) -> float:
-        """Frobenius-norm scale of the large equation at (lam, mu)."""
+        """||A1|| + |lam| ||A2|| + |mu| ||A3||, each norm the 2-norm bound of
+        _linalg.norm2_bound (norms_a; scale_b takes norms_b): the backward
+        error's scale (Tisseur, LAA 2000), elementwise for arrays lam, mu."""
         return _weighted(self.norms_a, lam, mu)
 
     def scale_b(self, lam, mu) -> float:
@@ -251,7 +244,7 @@ def residuals(problem: TwoParProblem, quad: Quadruplet, ax=None) -> ResidualReco
     """Relative residuals of both equations at the quadruplet.
 
     res_a = ||(A1 + lam A2 + mu A3) x|| / (scale_a(lam, mu) ||x||) and
-    analogously for the small equation; Frobenius norms in the scales. ax is
+    analogously for the small equation; 2-norm bounds in the scales. ax is
     the product (A1 + lam A2 + mu A3) x when the caller has already formed it.
     """
     ra, rb = _residual_norms(problem, quad.lam, quad.mu, quad.x, quad.y, ax)

@@ -29,9 +29,8 @@ solves with B1 + lam*B2 into two triangular solves of order m, and
 problems.tabulate_branches takes them for its whole grid in one batch
 (_rank_one_points), returned as arrays. Every residual test
 (_null_vectors_pass), of a batch or of one step, takes products with B1,
-B2 and B3 and brackets ||B(lam, mu)||_1 between a few of its columns and
-the triangle inequality; B(lam, mu) is formed only for an entry whose
-residual lies between the two, so a grid builds no m x m matrix per lam.
+B2 and B3 and scales them by the 2-norm bound scale_b(lam, mu) of the
+problem's residuals, so a grid builds no m x m matrix per lam.
 The full QZ with left and right eigenvectors (eigenpairs_at) runs once
 per problem at REFERENCE_LAM (TwoParProblem.reference_points, the same QZ
 that draws a default c), at other reference points, and when those
@@ -65,7 +64,7 @@ MAX_BISECTIONS = 12
 # of B(lam, mu) at its eigenvalue mu.
 INVERSE_STEPS = 3
 # Those vectors are kept when ||B y|| and ||B^H w|| (unit y and w) are at most
-# this times ||B||_1, about 450 eps; otherwise the full QZ supplies them.
+# this times the 2-norm bound scale_b, about 450 eps; else the full QZ does.
 TOL_INVERSE_RESIDUAL = 1e-13
 # A conjugate tie at lam_new is broken at lam_new + i*h, with h this fraction
 # of the step length |lam_new - lam_prev|.
@@ -259,68 +258,23 @@ def reference_point(problem: TwoParProblem, branch_id: int,
     return points[branch_id]
 
 
-def _formed_null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
-    """The residual test of _null_vectors_pass on the formed B(lams[k],
-    mus[k]) of each entry: B y, w^H B and the exact ||B||_1, which it needs
-    only where its bounds leave a decision open."""
-    B = np.multiply.outer(lams, problem.B2)
-    B += problem.B1
-    B += np.multiply.outer(mus, problem.B3)
-    tol = TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1, axis=(-2, -1))
-    by = (B @ y[..., None])[..., 0]
-    wb = (w.conj()[..., None, :] @ B)[..., 0, :]
-    return (np.linalg.norm(by, axis=-1) <= tol) & (np.linalg.norm(wb, axis=-1) <= tol)
-
-
 def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
     """The residual test of unit y and w at an eigenvalue mu of B = B(lam,
-    mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * ||B||_1;
-    elementwise over lams and mus with the rows of 2-D y and w.
-
-    No B is formed per entry. Both residuals are three GEMMs with B1, B2
-    and B3 for all entries at once, scaled by 1, lam and mu. ||B||_1 is
-    bracketed: from below by the exact 1-norm of the columns where B1, B2
-    and B3 have their largest column sums, from above by ||B1||_1 +
-    |lam| ||B2||_1 + |mu| ||B3||_1. A residual clearly under the lower
-    threshold passes, one clearly over the upper fails, and only the
-    entries in between form B (_formed_null_vectors_pass), so every
-    decision is the one the formed B gives.
+    mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * scale_b(lam,
+    mu), the 2-norm bound ||B1|| + |lam| ||B2|| + |mu| ||B3|| that
+    core._residual_norms divides by; elementwise over lams and mus with the
+    rows of 2-D y and w. Both residuals are three products with B1, B2 and
+    B3 for all entries at once, so no B is formed per entry.
     """
-    lams = np.asarray(lams, dtype=np.complex128).reshape(-1, 1)
-    mus = np.asarray(mus, dtype=np.complex128).reshape(-1, 1)
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    mus = np.asarray(mus, dtype=np.complex128).reshape(-1)
     y, w = np.atleast_2d(y), np.atleast_2d(w)
-    B1, B2, B3 = problem.B1, problem.B2, problem.B3
-
-    def combined(v, M1, M2, M3):
-        """Rows v @ M1 + lam*(v @ M2) + mu*(v @ M3), with one temporary."""
-        out, part = v @ M1, v @ M2
-        part *= lams
-        out += part
-        np.matmul(v, M3, out=part)
-        part *= mus
-        out += part
-        return out
-
-    residual = np.maximum(np.linalg.norm(combined(y, B1.T, B2.T, B3.T), axis=1),
-                          np.linalg.norm(combined(w.conj(), B1, B2, B3), axis=1))
-    col_sums = problem._b_column_sums
-    upper = (col_sums[0].max() + np.abs(lams[:, 0]) * col_sums[1].max()
-             + np.abs(mus[:, 0]) * col_sums[2].max())
-    lower = np.zeros(lams.shape[0])
-    for j in np.unique(np.argmax(col_sums, axis=1)):
-        column = B1[:, j] + lams * B2[:, j]
-        column += mus * B3[:, j]
-        lower = np.maximum(lower, np.abs(column).sum(axis=1))
-    # the products round apart from the formed B by up to about 1e-3 of a
-    # residual near the threshold (random pencils of order 2 to 120), so a
-    # residual within 1/16 of a bound is judged on the formed B
-    slack = 1.0 / 16.0
-    passed = residual <= (1.0 - slack) * TOL_INVERSE_RESIDUAL * lower
-    open_ = ~passed & (residual <= (1.0 + slack) * TOL_INVERSE_RESIDUAL * upper)
-    if np.any(open_):
-        passed[open_] = _formed_null_vectors_pass(problem, lams[open_, 0], mus[open_, 0],
-                                                  y[open_], w[open_])
-    return passed
+    by = np.linalg.norm(problem.apply_b(lams, mus, y.T), axis=0)
+    # the rows of w @ conj(B) are B^H w, as long as w^H B, with no copy of w
+    bhw = (w @ problem.B1.conj() + lams.conj()[:, None] * (w @ problem.B2.conj())
+           + mus.conj()[:, None] * (w @ problem.B3.conj()))
+    residual = np.maximum(by, np.linalg.norm(bhw, axis=1))
+    return residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)
 
 
 def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoint:

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import mepnl
+from mepnl import _linalg, problems
 from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
                         condition_numbers, residuals, worst_case_perturbation)
 from mepnl.errors import (ConvergenceFailure, DimensionMismatch,
@@ -98,6 +99,38 @@ def test_eval_and_scale():
     assert np.allclose(p.eval_a(lam, mu), direct)
     expected = (p.norms_a[0] + abs(lam) * p.norms_a[1] + abs(mu) * p.norms_a[2])
     assert p.scale_a(lam, mu) == pytest.approx(expected)
+
+
+def test_norm2_bound_lies_between_2_norm_and_frobenius():
+    rng = np.random.default_rng(3)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n = 60
+    stencil = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n))
+    holed = sp.random(n, n, density=0.1, random_state=4, format="lil")
+    holed[5, :] = 0.0
+    holed[:, 7] = 0.0
+    mats = [cplx(k, k) for k in (1, 3, 20)] + [
+        stencil, sp.csr_matrix(np.outer(cplx(n), cplx(n))), holed, np.zeros((n, n))]
+    for mat in mats:
+        dense = _linalg.to_dense(mat)
+        bound = _linalg.norm2_bound(dense)
+        assert np.linalg.norm(dense, 2) <= bound * (1.0 + 1e-12)
+        assert bound <= np.linalg.norm(dense, "fro") * (1.0 + 1e-12)
+        assert _linalg.norm2_bound(sp.csr_matrix(dense)) == pytest.approx(bound, rel=1e-14)
+    # sqrt(||M||_1 ||M||_inf) of a stencil stays at 4 whatever its order
+    assert _linalg.norm2_bound(stencil) == 4.0
+    assert _linalg.norm2_bound(np.zeros((n, n))) == 0.0
+
+
+def test_helmholtz_scale_does_not_grow_with_n():
+    # the Frobenius norm of the stencil A1 grows by sqrt(10) from n = 2000 to
+    # 20000; its 2-norm, and so the residual scale, barely moves
+    scales = [problems.gen_helmholtz(problems.HelmholtzConfig(n=n)).problem
+              .scale_a(1.0, 1.0) for n in (2000, 20000)]
+    assert abs(scales[1] / scales[0] - 1.0) < 0.1, scales
 
 
 def test_residuals_at_oracle_solution():

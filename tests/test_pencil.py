@@ -428,14 +428,15 @@ def test_random_rank_one_pencils_certified_without_full_qz(monkeypatch):
             assert abs(mus[k] - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
 
 
-def formed_b_decisions(p, lams, mus, y, w):
-    """The residual test of unit y and w on each formed B(lam, mu): B @ y,
-    w^H @ B and np.linalg.norm(B, 1)."""
+def formed_b_residuals(p, lams, mus, y, w):
+    """max(||B y||, ||w^H B||) of unit y and w on each formed B(lam, mu), over
+    the threshold TOL_INVERSE_RESIDUAL * scale_b(lam, mu) of the residual
+    test: the test passes where this is at most 1."""
     out = []
     for lam, mu, yk, wk in zip(lams, mus, y, w):
         B = p.eval_b(lam, mu)
-        tol = pencil.TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1)
-        out.append(np.linalg.norm(B @ yk) <= tol and np.linalg.norm(wk.conj() @ B) <= tol)
+        residual = max(np.linalg.norm(B @ yk), np.linalg.norm(wk.conj() @ B))
+        out.append(residual / (pencil.TOL_INVERSE_RESIDUAL * p.scale_b(lam, mu)))
     return np.array(out)
 
 
@@ -455,23 +456,23 @@ def spoiled(rng, v, scale):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def test_residual_test_decides_as_formed_b(monkeypatch):
-    formed = [0]
-    formed_pass = pencil._formed_null_vectors_pass
-
-    def counted(p, lams, *args):
-        formed[0] += len(lams)
-        return formed_pass(p, lams, *args)
-
-    monkeypatch.setattr(pencil, "_formed_null_vectors_pass", counted)
+def test_residual_test_decides_as_formed_b():
     rng = np.random.default_rng(7)
+    counts = {"decisions": 0, "near": 0}
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def check(p, lams, mus, y, w):
+        # the three products round apart from the formed B by up to about
+        # 1e-3 of a residual at the threshold, so a formed residual within
+        # 1/64 of it may be decided either way
         got = pencil._null_vectors_pass(p, lams, mus, y, w)
-        np.testing.assert_array_equal(got, formed_b_decisions(p, lams, mus, y, w))
+        ratio = formed_b_residuals(p, lams, mus, y, w)
+        clear = np.abs(np.log(ratio)) > np.log1p(1.0 / 64.0)
+        np.testing.assert_array_equal(got[clear], ratio[clear] <= 1.0)
+        counts["decisions"] += got.size
+        counts["near"] += (~clear).sum()
         return got
 
     # the benchmark's Helmholtz grid at m = 30
@@ -480,7 +481,6 @@ def test_residual_test_decides_as_formed_b(monkeypatch):
     grid = np.arange(-10.0, 100.0 + 1e-9, 0.125)
     args = rank_one_vectors(helmholtz, grid)
     assert check(helmholtz, *args).all()
-    assert formed[0] == 0
     # random rank-one pencils at random lam and within 1e-7 of their poles,
     # with their own vectors and with vectors spoiled by 1e-12 to 1e-8
     decided = {"pass": 0, "fail": 0}
@@ -495,30 +495,28 @@ def test_residual_test_decides_as_formed_b(monkeypatch):
             got = check(p, lams, mus, spoiled(rng, y, amp), spoiled(rng, w, amp))
             decided["pass"] += got.sum()
             decided["fail"] += (~got).sum()
-        # a residual this far above the threshold fails on the upper bound
-        formed[0] = 0
         assert not check(p, lams, mus, spoiled(rng, y, 1e-8), w).any()
-        assert formed[0] == 0
     assert min(decided.values()) > 100, decided
-    # ||B1||_1 + |lam| ||B2||_1 far above ||B||_1: K = B1 + lam*B2 is S at
-    # lam = 1 while B1 and B2 are about 10 C, so residuals near the threshold
-    # fall between the bounds and are judged on the formed B
+    # residuals placed at 0.3 to 3 times the threshold, on a pencil whose
+    # ||B1|| + |lam| ||B2|| is far above ||B1 + lam*B2||: K = B1 + lam*B2 is
+    # S at lam = 1 while B1 and B2 are about 10 C
     m = 8
     C, S = cplx(m, m), cplx(m, m)
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), 10.0 * C, S - 10.0 * C,
                             np.outer(cplx(m), cplx(m).conj()), None)
     lams, mus, y, w = rank_one_vectors(p, 1.0 + 1e-3 * cplx(200))
     B = np.array([p.eval_b(lam, mu) for lam, mu in zip(lams, mus)])
-    target = (pencil.TOL_INVERSE_RESIDUAL * np.linalg.norm(B, 1, axis=(1, 2))
+    target = (pencil.TOL_INVERSE_RESIDUAL * p.scale_b(lams, mus)
               * np.exp(rng.uniform(np.log(0.3), np.log(3.0), lams.size)))
     # a step of size t along a unit e moves B y by about t ||B e||
     e = cplx(*y.shape)
     e /= np.linalg.norm(e, axis=1)[:, None]
     t = target / np.linalg.norm(np.einsum("kij,kj->ki", B, e), axis=1)
     y = y + t[:, None] * e
-    formed[0] = 0
     got = check(p, lams, mus, y / np.linalg.norm(y, axis=1)[:, None], w)
-    assert formed[0] >= lams.size // 2 and 0 < got.sum() < lams.size, (formed, got.sum())
+    assert 0 < got.sum() < lams.size, got.sum()
+    # only about one decision in 400 is that close to the threshold
+    assert counts["near"] <= counts["decisions"] // 100, counts
 
 
 def test_continue_branch_rejects_nonfinite_lam():

@@ -393,3 +393,20 @@ def test_oracle_newton_agreement_with_real_starts(imag):
             assert trace.converged, (40 + k, trace.termination)
             worst_gap = max(worst_gap, abs(got.lam - q.lam))
     assert worst_gap <= 1e-8
+
+
+def test_newton_on_large_helmholtz_ends_at_the_analytic_eigenvalue():
+    # at n = 1e5 a residual scale that grows like sqrt(n) let Newton report
+    # convergence at tol 1e-13 up to 1.4e-5 from the analytic eigenvalue
+    kappa0, x2 = 2.0, 5.0
+    disc = problems.gen_helmholtz(problems.HelmholtzConfig(
+        x1=3.7, x2=x2, n=100_000, m=30, kappa_a=kappa0, kappa_b=kappa0))
+    analytic = problems.helmholtz_analytic_eigenvalues(kappa0, x2, 3)
+    tight = solvers.SolverConfig(tol=1e-13)
+    for k, (lam_k, offset) in enumerate(zip(analytic, (-5e-3, 5e-3, -5e-3))):
+        lam0 = lam_k + offset
+        view = nep.NepView(disc.problem, branch_id=0, reference_lam=lam0)
+        x0 = np.sin((k + 0.5) * np.pi / x2 * disc.grid_a)
+        quad, trace = solvers.augmented_newton(view, lam0, x0, config=tight)
+        assert trace.converged, (k, trace.termination)
+        assert abs(quad.lam - lam_k) <= 1e-6, (k, abs(quad.lam - lam_k))
