@@ -3,7 +3,14 @@
 Thin wrappers around LAPACK (via scipy.linalg) and SuperLU (via
 scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
-module calls an LU routine (tests/test_api.py checks this).
+module calls an LU routine (tests/test_api.py checks this). A
+Factorization picks one of three storage paths from its input: LAPACK's
+dense LU (zgetrf) for a dense matrix, LAPACK's band LU (zgbtrf) for a
+sparse matrix with kl + ku <= BAND_MAX, and SuperLU for any other sparse
+matrix. rcond is the zgecon estimate on the dense path and the ratio of the
+smallest to the largest |U| diagonal entry on the two sparse ones. An
+exactly zero pivot is floored at eps*||mat||_1 in place by the dense and
+band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
 """
 from __future__ import annotations
 
@@ -34,6 +41,14 @@ MAX_SHIFT_MOVES = 4
 # null_vector_adjoint's target ||M^H v|| / ||M|| and its step budget.
 NULL_VECTOR_TOL = 1e-8
 NULL_VECTOR_MAXIT = 50
+# Largest kl + ku of a sparse matrix that Factorization packs into LAPACK
+# band storage instead of handing to SuperLU. At n = 1e5 (one BLAS thread,
+# 2 vCPUs), full bands and 2-D five-point strips with kl + ku <= 8 were
+# factorized 2.3 to 5.8 times faster by zgbtrf than by SuperLU, in at most
+# 1.3 times SuperLU's entries (2kl + ku + 1 a column). At kl + ku = 32 the
+# band LU was only 1.4 times faster, and a strip held 1.7 times SuperLU's
+# entries.
+BAND_MAX = 8
 
 
 def to_complex(mat):
@@ -66,42 +81,58 @@ def norm2_bound(mat) -> float:
     return float(min(fro, np.sqrt(col_sums.max(initial=0.0) * row_sums.max(initial=0.0))))
 
 
+def half_bandwidths(mat) -> tuple[int, int]:
+    """(kl, ku) of a CSR mat: the largest distance below and above the
+    diagonal of a stored entry, from its pattern in O(nnz)."""
+    offsets = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+
+
 class Factorization:
     """LU factorization of a dense or sparse square matrix: the one LU type
     of the package, of M(lam), of the bordered Jacobian, of the shifted small
     pencil of a continuation step and of delta0 alike.
 
+    storage names the path taken. A dense matrix is "dense": LAPACK's LU
+    (zgetrf). A sparse matrix whose half-bandwidths kl and ku, read from its
+    pattern, add up to at most BAND_MAX is "band": it is packed into LAPACK
+    band storage and factorized by the band LU (zgbtrf), with bandwidths
+    = (kl, ku); the split Helmholtz M(lam) has (2, 1). Any other sparse
+    matrix is "sparse": SuperLU. Neither sparse path keeps the matrix.
+
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization. rcond is the reciprocal condition measure:
     the LAPACK 1-norm estimate (zgecon) for a dense matrix, the smallest
-    over the largest |U| diagonal entry for a sparse one. It is computed
-    when first read, so a factorization nobody asks about pays nothing for
-    it. A refusing factorization reads it at once and raises
-    ShiftIsEigenvalue when it is below RCOND_SINGULAR, its one test: zgecon
-    gives 0 for an exactly zero pivot and for a zero matrix.
+    over the largest |U| diagonal entry, in O(n), on both sparse paths. It
+    is computed when first read, so a factorization nobody asks about pays
+    nothing for it. A refusing factorization reads it at once and raises
+    ShiftIsEigenvalue when it is below RCOND_SINGULAR, its one test: both
+    measures give 0 for an exactly zero pivot and for a zero matrix.
 
     allow_singular=True is for inverse iteration, which wants the LU of a
     matrix that is singular by design, and for a caller that judges rcond
     against its own threshold: nothing is refused, and the factors
-    are those of a matrix within eps*||mat||_1 of mat. A dense LU replaces
-    an exactly zero pivot, common when mat is real, by eps*||mat||_1 as in
-    LAPACK's inverse iteration (zlaein); SuperLU cannot, so an exactly
-    singular sparse matrix is factorized as mat + eps*||mat||_1 * I.
+    are those of a matrix within eps*||mat||_1 of mat. The dense and band
+    LUs replace an exactly zero pivot, common when mat is real, by
+    eps*||mat||_1 as in LAPACK's inverse iteration (zlaein); SuperLU cannot,
+    so an exactly singular matrix on the "sparse" path is factorized as
+    mat + eps*||mat||_1 * I.
     """
 
     def __init__(self, mat, allow_singular: bool = False):
         self.shape = mat.shape
-        self.sparse = sp.issparse(mat)
-        if self.sparse:
-            mat = mat.tocsc().astype(np.complex128, copy=False)
-            try:
-                self._lu = spla.splu(mat)
-            except RuntimeError as exc:  # SuperLU signals exact singularity this way
-                if not allow_singular:
-                    raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
-                floor = np.finfo(float).eps * spla.norm(mat, 1)
-                self._lu = spla.splu(mat + floor * sp.identity(mat.shape[0], format="csc"))
+        self.bandwidths = None
+        if sp.issparse(mat):
+            mat = mat.tocsr().astype(np.complex128, copy=False)
+            kl, ku = half_bandwidths(mat)
+            if kl + ku <= BAND_MAX:
+                self.storage, self.bandwidths = "band", (kl, ku)
+                self._lu = _band_lu(mat, kl, ku, allow_singular)
+            else:
+                self.storage = "sparse"
+                self._lu = _superlu(mat.tocsc(), allow_singular)
         else:
+            self.storage = "dense"
             a = np.asarray(mat, dtype=np.complex128)
             self._norm = np.linalg.norm(a, 1) if a.size else 0.0
             lu, piv, _ = lapack.zgetrf(a)
@@ -110,25 +141,64 @@ class Factorization:
                 lu[zero, zero] = np.finfo(float).eps * self._norm
             self._lu = (lu, piv)
         if not allow_singular and self.rcond < RCOND_SINGULAR:
-            raise ShiftIsEigenvalue(f"{'sparse' if self.sparse else 'dense'} factorization "
-                                    f"is numerically singular (rcond={self.rcond:.2e})")
+            raise ShiftIsEigenvalue(f"{self.storage} factorization is numerically "
+                                    f"singular (rcond={self.rcond:.2e})")
 
     @functools.cached_property
     def rcond(self) -> float:
-        if self.sparse:
+        if self.storage == "dense":
+            return float(lapack.zgecon(self._lu[0], self._norm, norm="1")[0])
+        if self.storage == "band":
+            udiag = np.abs(self._lu[0][sum(self.bandwidths)])
+        else:
             udiag = np.abs(self._lu.U.diagonal())
-            umax = udiag.max() if udiag.size else 0.0
-            return float(udiag.min() / umax) if umax > 0.0 else 0.0
-        return float(lapack.zgecon(self._lu[0], self._norm, norm="1")[0])
+        umax = udiag.max(initial=0.0)
+        return float(udiag.min() / umax) if umax > 0.0 else 0.0
 
     def solve(self, b, adjoint: bool = False):
         b = np.asarray(b, dtype=np.complex128)
-        if self.sparse:
+        if self.storage == "sparse":
             return self._lu.solve(b, trans="H" if adjoint else "N")
-        x, info = lapack.zgetrs(*self._lu, b, trans=2 if adjoint else 0)
+        trans = 2 if adjoint else 0
+        if self.storage == "band":
+            lu, piv = self._lu
+            x, info = lapack.zgbtrs(lu, *self.bandwidths, b.reshape(len(b), -1), piv,
+                                    trans=trans)
+            x = x.reshape(b.shape)
+        else:
+            x, info = lapack.zgetrs(*self._lu, b, trans=trans)
         if info != 0:
             raise ShiftIsEigenvalue(f"triangular solve failed (info={info})")
         return x
+
+
+def _band_lu(mat, kl, ku, allow_singular):
+    """(lu, ipiv) of zgbtrf for the CSR mat of half-bandwidths (kl, ku).
+    Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran order, with
+    kl rows on top for the fill of row interchanges; U's diagonal ends up in
+    row kl + ku. Diagonal k of mat is copied in one O(nnz) pass each, so
+    nothing but the band array has the size of mat."""
+    n = mat.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
+    for k in range(-kl, ku + 1):
+        ab[kl + ku - k, max(k, 0):n + min(k, 0)] = mat.diagonal(k)
+    lu, piv, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0 and allow_singular:  # info > 0: U has an exactly zero pivot
+        udiag = lu[kl + ku]
+        udiag[udiag == 0] = np.finfo(float).eps * spla.norm(mat, 1)
+    return lu, piv
+
+
+def _superlu(mat, allow_singular):
+    """SuperLU of the CSC mat; with allow_singular, that of mat +
+    eps*||mat||_1 * I when mat is exactly singular."""
+    try:
+        return spla.splu(mat)
+    except RuntimeError as exc:  # SuperLU signals exact singularity this way
+        if not allow_singular:
+            raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
+        floor = np.finfo(float).eps * spla.norm(mat, 1)
+        return spla.splu(mat + floor * sp.identity(mat.shape[0], format="csc"))
 
 
 class GeneralizedSchur:
