@@ -8,9 +8,11 @@ Factorization picks one of three storage paths from its input: LAPACK's
 dense LU (zgetrf) for a dense matrix, LAPACK's band LU (zgbtrf) for a
 sparse matrix with kl + ku <= BAND_MAX, and SuperLU for any other sparse
 matrix. rcond is the zgecon estimate on the dense path and the ratio of the
-smallest to the largest |U| diagonal entry on the two sparse ones. An
-exactly zero pivot is floored at eps*||mat||_1 in place by the dense and
-band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
+smallest to the largest |U| diagonal entry on the two sparse ones. No LU
+is refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
+the dense and band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
+A caller that must refuse a singular matrix tests rcond against
+RCOND_SINGULAR itself, as nep.NepView.factorization does for M(sigma).
 """
 from __future__ import annotations
 
@@ -105,21 +107,17 @@ class Factorization:
     the LAPACK 1-norm estimate (zgecon) for a dense matrix, the smallest
     over the largest |U| diagonal entry, in O(n), on both sparse paths. It
     is computed when first read, so a factorization nobody asks about pays
-    nothing for it. A refusing factorization reads it at once and raises
-    ShiftIsEigenvalue when it is below RCOND_SINGULAR, its one test: both
-    measures give 0 for an exactly zero pivot and for a zero matrix.
+    nothing for it; a caller judges it against its own threshold.
 
-    allow_singular=True is for inverse iteration, which wants the LU of a
-    matrix that is singular by design, and for a caller that judges rcond
-    against its own threshold: nothing is refused, and the factors
-    are those of a matrix within eps*||mat||_1 of mat. The dense and band
-    LUs replace an exactly zero pivot, common when mat is real, by
-    eps*||mat||_1 as in LAPACK's inverse iteration (zlaein); SuperLU cannot,
-    so an exactly singular matrix on the "sparse" path is factorized as
-    mat + eps*||mat||_1 * I.
+    No matrix is refused: the factors are those of a matrix within
+    eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
+    singular by design. The dense and band LUs replace an exactly zero
+    pivot, common when mat is real, by eps*||mat||_1 as in LAPACK's inverse
+    iteration (zlaein); SuperLU cannot, so an exactly singular matrix on
+    the "sparse" path is factorized as mat + eps*||mat||_1 * I.
     """
 
-    def __init__(self, mat, allow_singular: bool = False):
+    def __init__(self, mat):
         self.shape = mat.shape
         self.bandwidths = None
         if sp.issparse(mat):
@@ -127,22 +125,18 @@ class Factorization:
             kl, ku = half_bandwidths(mat)
             if kl + ku <= BAND_MAX:
                 self.storage, self.bandwidths = "band", (kl, ku)
-                self._lu = _band_lu(mat, kl, ku, allow_singular)
+                self._lu = _band_lu(mat, kl, ku)
             else:
                 self.storage = "sparse"
-                self._lu = _superlu(mat.tocsc(), allow_singular)
+                self._lu = _superlu(mat.tocsc())
         else:
             self.storage = "dense"
             a = np.asarray(mat, dtype=np.complex128)
             self._norm = np.linalg.norm(a, 1) if a.size else 0.0
             lu, piv, _ = lapack.zgetrf(a)
-            if allow_singular:
-                zero = np.flatnonzero(lu.diagonal() == 0)
-                lu[zero, zero] = np.finfo(float).eps * self._norm
+            zero = np.flatnonzero(lu.diagonal() == 0)
+            lu[zero, zero] = np.finfo(float).eps * self._norm
             self._lu = (lu, piv)
-        if not allow_singular and self.rcond < RCOND_SINGULAR:
-            raise ShiftIsEigenvalue(f"{self.storage} factorization is numerically "
-                                    f"singular (rcond={self.rcond:.2e})")
 
     @functools.cached_property
     def rcond(self) -> float:
@@ -172,7 +166,7 @@ class Factorization:
         return x
 
 
-def _band_lu(mat, kl, ku, allow_singular):
+def _band_lu(mat, kl, ku):
     """(lu, ipiv) of zgbtrf for the CSR mat of half-bandwidths (kl, ku).
     Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran order, with
     kl rows on top for the fill of row interchanges; U's diagonal ends up in
@@ -183,20 +177,18 @@ def _band_lu(mat, kl, ku, allow_singular):
     for k in range(-kl, ku + 1):
         ab[kl + ku - k, max(k, 0):n + min(k, 0)] = mat.diagonal(k)
     lu, piv, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
-    if info > 0 and allow_singular:  # info > 0: U has an exactly zero pivot
+    if info > 0:  # U has an exactly zero pivot
         udiag = lu[kl + ku]
         udiag[udiag == 0] = np.finfo(float).eps * spla.norm(mat, 1)
     return lu, piv
 
 
-def _superlu(mat, allow_singular):
-    """SuperLU of the CSC mat; with allow_singular, that of mat +
-    eps*||mat||_1 * I when mat is exactly singular."""
+def _superlu(mat):
+    """SuperLU of the CSC mat, or of mat + eps*||mat||_1 * I when mat is
+    exactly singular."""
     try:
         return spla.splu(mat)
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        if not allow_singular:
-            raise ShiftIsEigenvalue(f"singular sparse factorization: {exc}") from exc
+    except RuntimeError:  # SuperLU signals exact singularity this way
         floor = np.finfo(float).eps * spla.norm(mat, 1)
         return spla.splu(mat + floor * sp.identity(mat.shape[0], format="csc"))
 
@@ -211,7 +203,7 @@ class GeneralizedSchur:
 
     An exactly zero diagonal entry of S + lam*T, as at a lam where P +
     lam*Q is exactly singular, is replaced by eps*||S + lam*T||_1, as
-    Factorization(allow_singular=True) floors an exactly zero pivot.
+    Factorization floors an exactly zero pivot.
     """
 
     def __init__(self, P, Q):
@@ -294,21 +286,20 @@ def geig(P, Q, vectors: str = "right", shift=None):
     problem P v = z v, whose pairs are (z, 1).
 
     vectors picks the eigenvectors computed with z: "right" returns
-    (z, vr, n_inf) and "both" returns (z, vr, vl, n_inf). Columns of vr and
-    vl are the right and left eigenvectors of z in the same order, n_inf the
-    count of infinite eigenvalues; z and the vectors are complex128. A
-    pencil goes through LAPACK's QZ driver (zggev), the standard problem
-    through its QR driver (zgeev); within one driver both modes give
-    bit-equal z. A real float64 P (with a real Q, if any) is not made
-    complex, so it runs the cheaper real driver (dgeev, dggev), and its
-    non-real z come in exact conjugate pairs, which the canonical order
+    (z, vr) and "both" returns (z, vr, vl). Columns of vr and vl are the
+    right and left eigenvectors of z in the same order; z and the vectors
+    are complex128. A pencil goes through LAPACK's QZ driver (zggev), the
+    standard problem through its QR driver (zgeev); within one driver both
+    modes give bit-equal z. A real float64 P (with a real Q, if any) is not
+    made complex, so it runs the cheaper real driver (dgeev, dggev), and
+    its non-real z come in exact conjugate pairs, which the canonical order
     puts next to each other, Im z < 0 first. Any other input is made
     complex128 for the complex driver.
 
     shift=s says that P is the shift-invert operator (A - s*B)^-1 B of a
     pencil A v = z B v, with Q None (see shift_invert_eigvals): its
     eigenvalues theta, from zgeev, give z = s + 1/theta, finite by
-    finite_shift_invert, and (z, n_inf) is returned in the same order.
+    finite_shift_invert, and z alone is returned in the same order.
     """
     if shift is not None:
         theta, _, _, info = lapack.zgeev(P, compute_vl=0, compute_vr=0)
@@ -316,7 +307,7 @@ def geig(P, Q, vectors: str = "right", shift=None):
             raise np.linalg.LinAlgError("zgeev did not converge")
         finite = finite_shift_invert(theta)
         z = shift + 1.0 / theta[finite]
-        return z[_canonical_order(z)], int(np.sum(~finite))
+        return z[_canonical_order(z)]
     left = vectors == "both"
     P = _real_or_complex(P)
     if Q is not None:
@@ -327,20 +318,19 @@ def geig(P, Q, vectors: str = "right", shift=None):
     z = alpha[finite] / beta[finite]
     order = _canonical_order(z)
     cols = np.flatnonzero(finite)[order]
-    n_inf = int(np.sum(~finite))
     # scipy returns (w, vr) or (w, vl, vr), real vectors from a real driver
     # when every eigenvalue is real
     vr = out[-1][:, cols].astype(np.complex128, copy=False)
     if left:
-        return z[order], vr, out[1][:, cols].astype(np.complex128, copy=False), n_inf
-    return z[order], vr, n_inf
+        return z[order], vr, out[1][:, cols].astype(np.complex128, copy=False)
+    return z[order], vr
 
 
 def shift_invert_eigvals(P, Q, shift):
-    """The finite eigenvalues z and the infinite count n_inf of geig(P, Q),
-    from the shift-invert spectrum about shift instead of QZ (Ericsson and Ruhe,
-    Math. Comp. 1980): one LU of P - s*Q, the operator T = (P - s*Q)^-1 Q
-    by one solve, and its eigenvalues by geig's shift-invert mode (zgeev).
+    """The finite eigenvalues z of geig(P, Q), from the shift-invert spectrum
+    about shift instead of QZ (Ericsson and Ruhe, Math. Comp. 1980): one LU
+    of P - s*Q, the operator T = (P - s*Q)^-1 Q by one solve, and its
+    eigenvalues by geig's shift-invert mode (zgeev).
     The spectrum is most accurate near s: an eigenvalue at distance d from
     s carries an error of about eps*||T||*d^2.
 
@@ -348,17 +338,17 @@ def shift_invert_eigvals(P, Q, shift):
     when shift is an eigenvalue to working accuracy, s moves by SHIFT_MOVE
     times the pencil's scale ||P - shift*Q||_1/||Q||_1 along
     SHIFT_DIRECTION, at most MAX_SHIFT_MOVES times; the last LU is used
-    whatever its rcond. Each LU is a Factorization with allow_singular,
-    whose rcond is read to decide the move and which never refuses.
+    whatever its rcond. Each LU is a Factorization, whose rcond is read to
+    decide the move.
     """
     s = shift
-    fact = Factorization(P - s * Q, allow_singular=True)
+    fact = Factorization(P - s * Q)
     norm, qnorm = fact._norm, np.linalg.norm(Q, 1)
     for k in range(1, MAX_SHIFT_MOVES + 1):
         if qnorm == 0.0 or fact.rcond >= SHIFT_RCOND_FLOOR:
             break
         s = shift + k * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
-        fact = Factorization(P - s * Q, allow_singular=True)
+        fact = Factorization(P - s * Q)
     return geig(fact.solve(Q), None, shift=s)
 
 

@@ -271,6 +271,9 @@ def _compute_solve(cfg: RunConfig):
     Returns (exit code, payload dict without timings, problem, quadruplets,
     trace or None).
     """
+    if len(cfg.branch_ids) > 1:
+        raise ProblemIOError(f"--branch {','.join(map(str, cfg.branch_ids))}: "
+                             f"{cfg.command} follows one branch; give one id")
     problem = _build_problem(cfg)
     payload = _header(cfg, problem)
     payload["solver"] = cfg.solver
@@ -435,7 +438,7 @@ def _add_common(p):
 
 def _add_branch(p):
     p.add_argument("--branch", dest="branch_ids", type=_branch_ids, metavar="BRANCH",
-                   help="branch id (comma separated for several)")
+                   help="branch id (comma separated for several; solve and cond take one)")
 
 
 def _add_solver(p):

@@ -151,7 +151,7 @@ class TwoParProblem:
 
     @functools.cached_property
     def _reference_spectrum(self) -> tuple:
-        """(mu, y, w, n_inf) of the small pencil at pencil.REFERENCE_LAM: the
+        """(mu, y, w) of the small pencil at pencil.REFERENCE_LAM: the
         problem's one full QZ there, on first use or when c is drawn."""
         from . import pencil
 
@@ -455,7 +455,7 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
     v comes from adjoint inverse iteration to _linalg.NULL_VECTOR_TOL on
     A1 + lam*A2 + mu*A3 (mu taken from the quadruplet, no branch tracking
     needed), which is singular at the solution by design; its LU, dense or
-    sparse, is therefore taken with allow_singular and never refused. w is
+    sparse, is floored rather than refused (_linalg.Factorization). w is
     the left eigenvector of the small pencil at lam nearest mu, from the
     full QZ (pencil._full_qz_point).
     """
@@ -463,7 +463,7 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
 
     rng = np.random.default_rng(seed)
     norm = problem.scale_a(quad.lam, quad.mu)
-    fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu), allow_singular=True)
+    fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu))
     v = _linalg.null_vector_adjoint(fact, norm, rng)
     w = pencil._full_qz_point(problem, quad.lam, quad.mu).w
     return dataclasses.replace(quad, v=v, w=w)

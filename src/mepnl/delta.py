@@ -33,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _linalg, pencil
-from .core import Quadruplet, ResidualRecord, TwoParProblem, _residual_norms, residuals
+from .core import Quadruplet, ResidualRecord, TwoParProblem, _residual_norms
+from .core import residuals  # unused here; benchmarks/tracing.py wraps delta.residuals
 from .errors import SingularProblem, TooLarge
 
 CAP_DEFAULT = 4000
@@ -145,14 +146,6 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
             stepped)
 
 
-def _quadruplets(lams, mus, x, y, c_degenerate) -> list:
-    """Quadruplets from the entries of lams and mus and the rows of x and of
-    y, which c already normalizes where c_degenerate is False, as yet
-    without their residuals records."""
-    return [Quadruplet(lam=lam, mu=mu, x=xi, y=yi, c_normalized=not degen)
-            for lam, mu, xi, yi, degen in zip(lams.tolist(), mus.tolist(), x, y, c_degenerate)]
-
-
 def _is_real(problem: TwoParProblem) -> bool:
     """Whether the imaginary parts of the six coefficient matrices are zero."""
     mats = (problem.A1, problem.A2, problem.A3, problem.B1, problem.B2, problem.B3)
@@ -163,8 +156,9 @@ def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     """The kept quadruplets of the candidates lams[i], with eigenvectors
     vr[:, i] of Gamma1, in their order: solve's rank-one split, mu fit,
     residuals, step screen and Newton step, each one array operation over
-    the candidates. A stepped candidate's record comes from core.residuals.
-    A holds the dense A1, A2, A3."""
+    the candidates. A stepped candidate's row is overwritten and re-scored
+    by one row-wise _residual_norms over the stepped rows; a Quadruplet is
+    built only for a kept candidate. A holds the dense A1, A2, A3."""
     n, m = problem.n, problem.m
     u, s, vh = np.linalg.svd(vr.T.reshape(-1, m, n), full_matrices=False)
     s2 = s[:, 1] if s.shape[1] > 1 else np.zeros(lams.size)
@@ -188,23 +182,22 @@ def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     ax = a12x + mus[:, None] * a3x
     y_c, c_degenerate = pencil._normalize_y(y, problem.c)
     res_a, res_b = _residual_norms(problem, lams, mus, x, y_c, ax)
-    quads = _quadruplets(lams, mus, x, y_c, c_degenerate)
-    for quad, ra, rb in zip(quads, res_a.tolist(), res_b.tolist()):
-        quad.residuals = ResidualRecord(ra, rb)
     step = np.flatnonzero(~((res_a <= STEP_SKIP_TOL) & (res_b <= STEP_SKIP_TOL)))
     if step.size:
         # the step takes the unit y; a candidate that does not take it keeps
-        # its unrefined quadruplet
+        # its unrefined row
         *moved, stepped = _newton_step(
             problem, A, *(v[step] for v in (lams, mus, x, y, a2x, a3x, ax)))
-        lam1, mu1, x1, y1 = (v[stepped] for v in moved)
-        x1 /= np.linalg.norm(x1, axis=1)[:, None]
-        y1, c_degenerate = pencil._normalize_y(y1, problem.c)
-        for i, quad in zip(step[stepped], _quadruplets(lam1, mu1, x1, y1, c_degenerate)):
-            quad.residuals = residuals(problem, quad)
-            quads[i] = quad
-    return [q for q in quads
-            if q.residuals.res_a <= ORACLE_TOL and q.residuals.res_b <= ORACLE_TOL]
+        rows = step[stepped]
+        lams[rows], mus[rows], x[rows], y1 = (v[stepped] for v in moved)
+        x[rows] /= np.linalg.norm(x[rows], axis=1)[:, None]
+        y_c[rows], c_degenerate[rows] = pencil._normalize_y(y1, problem.c)
+        res_a[rows], res_b[rows] = _residual_norms(
+            problem, lams[rows], mus[rows], x[rows], y_c[rows])
+    return [Quadruplet(lam=lams[i].item(), mu=mus[i].item(), x=x[i], y=y_c[i],
+                       residuals=ResidualRecord(res_a[i].item(), res_b[i].item()),
+                       c_normalized=not c_degenerate[i])
+            for i in np.flatnonzero((res_a <= ORACLE_TOL) & (res_b <= ORACLE_TOL))]
 
 
 def solve(problem: TwoParProblem) -> list:
@@ -224,17 +217,18 @@ def solve(problem: TwoParProblem) -> list:
     candidate whose relative residuals, from the products already formed,
     are both at most STEP_SKIP_TOL takes no step, and one whose step is
     singular keeps its unrefined values; either keeps those residuals as
-    its record, so each candidate builds one record. Quadruplets whose
-    relative residuals in both equations are at most ORACLE_TOL are kept,
-    in the canonical order of the eigensolver's lam. Eigenvectors that are not
-    numerically rank-one are dropped with a RankOneExtractionWarning.
+    its record; the stepped ones are re-scored together by one row-wise
+    _residual_norms. Quadruplets whose relative residuals in both equations
+    are at most ORACLE_TOL are kept, in the canonical order of the
+    eigensolver's lam. Eigenvectors that are not numerically rank-one are
+    dropped with a RankOneExtractionWarning.
 
     The refinement runs on array stacks over chunks of at most
     (n*m)^2 // (n+m+2)^2 candidates, so that a chunk's bordered Jacobians
     hold no more entries than Gamma1.
     """
     dp = assemble(problem)
-    fact = _linalg.Factorization(dp.delta0, allow_singular=True)
+    fact = _linalg.Factorization(dp.delta0)
     delta1 = dp.delta1
     del dp  # delta0 lives on in its LU factors only
     if fact.rcond < RCOND_SINGULAR_PROBLEM:
@@ -246,7 +240,7 @@ def solve(problem: TwoParProblem) -> list:
     del delta1, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve
     if _is_real(problem):
         gamma1 = np.ascontiguousarray(gamma1.real)  # rebinding frees the complex copy
-    lams, vr, _ = _linalg.geig(gamma1, None)
+    lams, vr = _linalg.geig(gamma1, None)
     del gamma1
     A = tuple(_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     n, m = problem.n, problem.m

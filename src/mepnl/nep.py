@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from . import _linalg, pencil
 from .core import TwoParProblem
+from .errors import ShiftIsEigenvalue
 
 
 class NepView:
@@ -19,7 +20,7 @@ class NepView:
     as evaluation points move.
     """
 
-    # Always 0 (nothing is kept); they leave with ROADMAP item 7's bench change.
+    # Always 0 (nothing is kept); they leave with ROADMAP item 10's bench change.
     cache_hits = 0
     cache_misses = 0
 
@@ -38,7 +39,13 @@ class NepView:
     def factorization(self, sigma) -> _linalg.Factorization:
         """Factorization of M(sigma) on the branch.
 
-        Raises ShiftIsEigenvalue when M(sigma) is numerically singular.
+        Raises ShiftIsEigenvalue when M(sigma) is numerically singular, its
+        rcond below _linalg.RCOND_SINGULAR: the package's one refusal of an
+        LU, since a Factorization floors an exactly zero pivot.
         """
         bp = self.branch_point(sigma)
-        return _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
+        fact = _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
+        if fact.rcond < _linalg.RCOND_SINGULAR:
+            raise ShiftIsEigenvalue(f"{fact.storage} factorization of M(sigma) is "
+                                    f"numerically singular (rcond={fact.rcond:.2e})")
+        return fact

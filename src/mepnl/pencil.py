@@ -20,9 +20,9 @@ eigenvalues meet, the step follows the branch from above: it takes the
 member nearest the candidate at lam + i*h for a small h, the limit
 lam + i0, so neither the step sizes nor the sign of a rounding-level
 imaginary part of lam choose it. Each of these LUs, like the bordered
-Jacobian's, is a _linalg.Factorization with allow_singular; this module
-calls no LAPACK routine itself. When B3 has rank one, as in the Helmholtz
-and quadratic generators, the pencil has at most one finite eigenvalue,
+Jacobian's, is a _linalg.Factorization, which refuses no matrix; this
+module calls no LAPACK routine itself. When B3 has rank one, as in the
+Helmholtz and quadratic generators, the pencil has at most one finite eigenvalue,
 which needs no step, no shift-invert spectrum and no LU: one generalized
 Schur form of (B1, B2) per problem (TwoParProblem.schur_k) turns a point's
 solves with B1 + lam*B2 into two triangular solves of order m, and
@@ -88,8 +88,7 @@ class BranchPoint:
 
 
 def _raw_eigenpairs(B1, B2, B3, lam):
-    """(mu, y, w, n_inf) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders
-    them."""
+    """(mu, y, w) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders them."""
     return _linalg.geig(-(B1 + lam * B2), B3, vectors="both")
 
 
@@ -113,9 +112,9 @@ def eigenpairs_at(problem: TwoParProblem, lam):
 
 
 def _branch_points(problem: TwoParProblem, lam, spectrum):
-    """The BranchPoints of eigenpairs_at from the spectrum (mu, y, w, n_inf)
-    that _raw_eigenpairs gives at lam."""
-    mus, ys, ws, _ = spectrum
+    """The BranchPoints of eigenpairs_at from the spectrum (mu, y, w) that
+    _raw_eigenpairs gives at lam."""
+    mus, ys, ws = spectrum
     points = []
     for i, mu in enumerate(mus):
         y, degen = _normalize_y(ys[:, i], problem.c)
@@ -166,7 +165,7 @@ def jacobian(problem: TwoParProblem, bp: BranchPoint) -> JacobianJ:
     svals = np.linalg.svd(J, compute_uv=False)
     jac = JacobianJ(bp.lam, bp.mu, float(svals[-1]), float(svals[0]), None)
     if not jac.singular:
-        jac._fact = _linalg.Factorization(J, allow_singular=True)
+        jac._fact = _linalg.Factorization(J)
     return jac
 
 
@@ -294,10 +293,10 @@ def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoi
 def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
     """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
     eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
-    prev.w on one Factorization of B, with allow_singular since B is
-    singular by design. None when they fail _null_vectors_pass.
+    prev.w on one Factorization of B, which floors the exactly zero pivot
+    of a B singular by design. None when they fail _null_vectors_pass.
     """
-    fact = _linalg.Factorization(problem.eval_b(lam, mu), allow_singular=True)
+    fact = _linalg.Factorization(problem.eval_b(lam, mu))
     y, w = prev.y, prev.w
     for _ in range(INVERSE_STEPS):
         y, w = fact.solve(y), fact.solve(w, adjoint=True)
@@ -379,9 +378,8 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
         pred = prev.mu + g_prime_closed_form(problem, prev) * (lam_new - prev.lam)
     except NonSimpleMu:
         pred = prev.mu
-    mus, _ = _linalg.shift_invert_eigvals(-(problem.B1 + lam_new * problem.B2),
-                                          problem.B3, pred)
-    mus = mus.tolist()
+    mus = _linalg.shift_invert_eigvals(-(problem.B1 + lam_new * problem.B2),
+                                       problem.B3, pred).tolist()
     if not mus:
         raise NoFiniteEigenvalue(
             f"no finite eigenvalue at lam={lam_new} while continuing a branch"

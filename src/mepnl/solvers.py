@@ -188,7 +188,7 @@ def rayleigh_candidates(problem: TwoParProblem, v, w):
         )
     P = p3 * problem.B1 - p1 * problem.B3
     Q = p2 * problem.B3 - p3 * problem.B2
-    lams, vr, _ = _linalg.geig(P, Q)
+    lams, vr = _linalg.geig(P, Q)
     out = []
     for lam, y in zip(lams.tolist(), vr.T):
         mu = complex(-(p1 + lam * p2) / p3)

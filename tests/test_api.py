@@ -75,6 +75,20 @@ def test_only_linalg_runs_eigensolvers():
     assert not hits, "\n".join(hits)
 
 
+def test_one_lu_mode_and_one_refusal():
+    """A Factorization refuses no matrix and has no mode: no module names
+    allow_singular. Outside _linalg.py, whose triangular solve raises on a
+    LAPACK error, only nep.py raises ShiftIsEigenvalue, the one refusal of a
+    singular M(sigma) by its rcond."""
+    refusal = re.compile(r"raise\s+(?:\w+\.)?ShiftIsEigenvalue\b")
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "allow_singular" in line
+            or (path.name not in ("_linalg.py", "nep.py") and refusal.search(line))]
+    assert not hits, "\n".join(hits)
+
+
 def test_benchmark_interface_exists():
     """The benchmark wraps these names and reads these counters; tier-1 does
     not run benchmarks/, so a deletion would otherwise go unnoticed."""

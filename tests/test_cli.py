@@ -382,6 +382,22 @@ def test_parse_complex_round_trips_printed_values():
         assert math.copysign(1.0, got.imag) == math.copysign(1.0, z.imag)
 
 
+def test_solve_and_cond_refuse_several_branch_ids(tmp_path, capsys):
+    # solve and cond follow one branch, so several ids are refused before
+    # any work, not recorded in results.json while only the first is solved
+    out = tmp_path / "run"
+    base = ["--gen", "random", "--n", "6", "--m", "3", "--out", out]
+    for command in ("solve", "cond"):
+        for solver in ("newton", "resinv", "delta"):
+            argv = [command, *base, "--solver", solver, "--branch", "1,0"]
+            assert run(argv) == cli.EXIT_IO, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: --branch 1,0:") and "one branch" in err, argv
+            assert not out.exists(), argv
+    assert run(["solve", *base, "--branch", "1"]) == cli.EXIT_OK
+    assert read_results(out)["config"]["branch_ids"] == [1]
+
+
 def test_bad_and_non_finite_values_exit_io(tmp_path, monkeypatch, capsys):
     for text in ("nan", "inf", "-inf+1i", "1e400", "1+nani"):
         with pytest.raises(argparse.ArgumentTypeError):

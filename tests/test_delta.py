@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import mepnl
-from mepnl import delta, problems
+from mepnl import core, delta, problems
 from mepnl.errors import SingularProblem, TooLarge
 
 
@@ -298,6 +298,29 @@ def test_singular_candidate_in_a_batch_keeps_unrefined_values(monkeypatch):
         assert q.lam != u.lam or q.mu != u.mu, i
         assert abs(q.lam - r.lam) <= 1e-12 * max(1.0, abs(r.lam)), i
         assert abs(q.mu - r.mu) <= 1e-12 * max(1.0, abs(r.mu)), i
+
+
+def test_stepped_records_come_from_one_row_pass(monkeypatch):
+    # every candidate steps; a chunk's stepped rows are re-scored by one
+    # row-wise _residual_norms, and no candidate calls core.residuals
+    p = problems.gen_random(10, 4, seed=3, alphas=(1.0, 1.0, 1.0), betas=(1.0, 1.0, 1.0))
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("delta.solve called core.residuals")
+
+    monkeypatch.setattr(core, "residuals", refused)
+    monkeypatch.setattr(delta, "residuals", refused)
+    quads = delta.solve(p)
+    assert len(quads) == p.n * p.m
+    chunk = (p.n * p.m) ** 2 // (p.n + p.m + 2) ** 2
+    for start in range(0, len(quads), chunk):
+        rows = quads[start:start + chunk]
+        res_a, res_b = core._residual_norms(
+            p, np.array([q.lam for q in rows]), np.array([q.mu for q in rows]),
+            np.stack([q.x for q in rows]), np.stack([q.y for q in rows]))
+        assert [(q.residuals.res_a, q.residuals.res_b) for q in rows] == \
+            list(zip(res_a.tolist(), res_b.tolist()))
 
 
 def test_solve_peaks_below_four_matrices_of_order_nm():

@@ -8,7 +8,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mepnl import _linalg, problems
+import mepnl
+from mepnl import _linalg, nep, problems
 from mepnl.errors import ShiftIsEigenvalue
 
 
@@ -73,18 +74,22 @@ def zero_column(M, j):
     return M.tocsr()
 
 
-@pytest.mark.parametrize("M, storage, refusal", [
-    (zero_column(sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30)), 11), "band", "rcond"),
-    (zero_column(arrow(30), 11), "sparse", "singular sparse factorization"),
+def singular_band():
+    """A tridiagonal matrix with an exactly zero column 11."""
+    return zero_column(sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30)), 11)
+
+
+@pytest.mark.parametrize("M, storage", [
+    (singular_band(), "band"),
+    (zero_column(arrow(30), 11), "sparse"),
 ])
-def test_exactly_singular_sparse_matrix(M, storage, refusal):
-    # an exactly zero column: the band LU meets an exactly zero pivot, which
-    # the one rcond test refuses, and SuperLU refuses to factorize; with
-    # allow_singular one solve gives the null vector e11, as the first step
-    # of inverse iteration should
-    with pytest.raises(ShiftIsEigenvalue, match=refusal):
-        _linalg.Factorization(M)
-    fact = _linalg.Factorization(M, allow_singular=True)
+def test_exactly_singular_sparse_matrix(M, storage):
+    # an exactly zero column: the band LU meets an exactly zero pivot and
+    # floors it, SuperLU refuses to factorize and is handed M + eps*||M||_1 I;
+    # neither raises, the floored rcond is below RCOND_SINGULAR, on which
+    # a NepView refuses it (next test), and one solve gives the null vector
+    # e11, as the first step of inverse iteration should
+    fact = _linalg.Factorization(M)
     assert fact.storage == storage
     assert fact.rcond < _linalg.RCOND_SINGULAR
     if storage == "band":
@@ -97,6 +102,22 @@ def test_exactly_singular_sparse_matrix(M, storage, refusal):
     assert np.linalg.norm(M @ x) <= 1e-10 * spla.norm(M, 1) * np.linalg.norm(x)
     np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), np.eye(M.shape[0])[11],
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("M, storage", [
+    (singular_band().toarray(), "dense"),
+    (singular_band(), "band"),
+    (zero_column(arrow(30), 11), "sparse"),
+])
+def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
+    # NepView.factorization is the one place an LU is refused: on each
+    # storage path the floored factorization of M(sigma) = M is built, and
+    # the view's rcond test refuses it
+    assert _linalg.Factorization(M).storage == storage
+    p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2),
+                            np.eye(2), np.ones(2))
+    with pytest.raises(ShiftIsEigenvalue, match=f"^{storage} .*rcond"):
+        nep.NepView(p).factorization(0.3)
 
 
 def test_band_factorization_keeps_only_its_band():

@@ -56,11 +56,14 @@ def test_shift_at_exact_singularity_raises():
     np.array([[1.0, 0.0, 3.0], [4.0, 0.0, 6.0], [5.0, 0.0, 2.0]]),
 ])
 def test_dense_factorization_refuses_on_rcond_alone(mat):
-    # zgecon gives rcond = 0 for an exactly zero pivot and for a zero matrix,
-    # so the one rcond test refuses every exactly singular matrix
+    # the LU refuses nothing and floors an exactly zero pivot; zgecon then
+    # gives an rcond below RCOND_SINGULAR, for a zero matrix too, so the
+    # view's one rcond test refuses M(sigma) = mat
+    assert _linalg.Factorization(mat).rcond < _linalg.RCOND_SINGULAR
+    p = mepnl.TwoParProblem(mat, 0 * mat, 0 * mat, np.diag([1.0, 2.0]), np.eye(2),
+                            np.eye(2), np.ones(2))
     with pytest.raises(ShiftIsEigenvalue, match="rcond"):
-        _linalg.Factorization(mat)
-    assert _linalg.Factorization(mat, allow_singular=True).rcond < _linalg.RCOND_SINGULAR
+        nep.NepView(p).factorization(0.3)
 
 
 def test_view_continues_from_last_resolved_point():
