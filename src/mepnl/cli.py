@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import _linalg, delta, mmio, problems
-from .core import Quadruplet, attach_left_vectors, condition_numbers, residuals
+from .core import Quadruplet, attach_left_vectors, condition_numbers
 from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
                      ProblemIOError, TooLarge)
 from .nep import NepView
@@ -123,8 +123,11 @@ _count = _int_at_least(0)
 
 
 def _branch_ids(text) -> tuple:
-    """Comma-separated branch ids, each >= 0."""
-    return tuple(_count(tok) for tok in str(text).split(","))
+    """Comma-separated branch ids, each >= 0 and none repeated."""
+    ids = tuple(_count(tok) for tok in str(text).split(","))
+    if len(set(ids)) < len(ids):
+        raise argparse.ArgumentTypeError(f"repeated branch id in {text!r}")
+    return ids
 
 
 def _file_list(text) -> tuple:
@@ -209,7 +212,7 @@ def _header(cfg: RunConfig, problem):
 
 
 def _quad_json(problem, quad: Quadruplet):
-    rec = quad.residuals or residuals(problem, quad)
+    rec = quad.residuals
     out = {
         "lam": _c2j(quad.lam),
         "mu": _c2j(quad.mu),
@@ -438,7 +441,7 @@ def _add_common(p):
 
 def _add_branch(p):
     p.add_argument("--branch", dest="branch_ids", type=_branch_ids, metavar="BRANCH",
-                   help="branch id (comma separated for several; solve and cond take one)")
+                   help="branch id (distinct, comma separated; solve and cond take one)")
 
 
 def _add_solver(p):

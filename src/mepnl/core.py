@@ -26,8 +26,8 @@ from .errors import (
 # Scaled thresholds below which an eigenvalue is treated as non-simple and
 # conditioning is refused.
 TOL_SIMPLE = 1e-12
-# max|B3 - u v^H| at or below this times the largest |B3| entry makes B3 rank
-# one; forming np.outer(u, v.conj()) in floating point leaves about 2 eps.
+# A misfit of _rank_one_factors at or below this makes B3 rank one; forming
+# the outer product in floating point leaves about 2 eps.
 TOL_RANK_ONE = 8 * np.finfo(float).eps
 # |c^T y| below this times ||c|| ||y|| means the normalization functional is
 # useless for that eigenvector.
@@ -51,18 +51,21 @@ def _check_square(mat, name, order=None):
     return mat
 
 
-def _rank_one_factors(B3):
-    """(u, v) with B3 = u v^H to within TOL_RANK_ONE, or None when B3 is zero
-    or of rank two or more. Pivots on the largest entry B3[i, j]: u = B3[:, j]
-    and v^H = B3[i, :] / B3[i, j]. O(m^2), no SVD."""
-    i, j = np.unravel_index(np.argmax(np.abs(B3)), B3.shape)
-    pivot = B3[i, j]
-    if pivot == 0:
-        return None
-    u, vh = B3[:, j].copy(), B3[i, :] / pivot
-    if not np.max(np.abs(B3 - np.outer(u, vh))) <= TOL_RANK_ONE * abs(pivot):
-        return None  # rank two or more, or not finite
-    return u, vh.conj()
+def _rank_one_factors(Z):
+    """The package's one rank-one split, of B3 and of the oracle's
+    eigenvectors: (u, vh, miss) for a stack Z of shape (K, m, n), with
+    u[k] = Z[k, :, j] and vh[k] = Z[k, i, :] / Z[k, i, j] for the largest
+    entry Z[k, i, j], so Z[k] ~ outer(u[k], vh[k]), and the relative misfit
+    miss[k] = max|Z[k] - outer(u[k], vh[k])| / |Z[k, i, j]|, NaN for a zero
+    or non-finite matrix. O(Kmn), no SVD."""
+    k = np.arange(Z.shape[0])
+    i, j = np.unravel_index(np.abs(Z).reshape(k.size, -1).argmax(axis=1), Z.shape[1:])
+    pivot = Z[k, i, j]
+    u = Z[k, :, j]
+    with np.errstate(divide="ignore", invalid="ignore"):  # miss is NaN then
+        vh = Z[k, i, :] / pivot[:, None]
+        miss = np.abs(Z - u[:, :, None] * vh[:, None, :]).max(axis=(1, 2)) / np.abs(pivot)
+    return u, vh, miss
 
 
 def _c_normalizable(cy, c_norm, y_norm):
@@ -127,7 +130,8 @@ class TwoParProblem:
             raise ValueError("normalization vector c must be nonzero")
         self.c = c
         self.label = str(label)
-        self.b3_rank_one = _rank_one_factors(B3)
+        u, vh, miss = _rank_one_factors(B3[None])
+        self.b3_rank_one = (u[0], vh[0].conj()) if miss[0] <= TOL_RANK_ONE else None
         for mat in (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3, self.c,
                     *(self.b3_rank_one or ())):
             if not sp.issparse(mat):
@@ -450,20 +454,18 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
 
 def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
                         seed: int = 0) -> Quadruplet:
-    """Return a copy of the quadruplet with left vectors v and w filled in.
-
-    v comes from adjoint inverse iteration to _linalg.NULL_VECTOR_TOL on
-    A1 + lam*A2 + mu*A3 (mu taken from the quadruplet, no branch tracking
-    needed), which is singular at the solution by design; its LU, dense or
-    sparse, is floored rather than refused (_linalg.Factorization). w is
-    the left eigenvector of the small pencil at lam nearest mu, from the
-    full QZ (pencil._full_qz_point).
+    """Return a copy of the quadruplet with left vectors v and w filled in,
+    each by adjoint inverse iteration (_linalg.null_vector_adjoint) on an LU
+    at the quadruplet's (lam, mu): v of A1 + lam*A2 + mu*A3 to
+    NULL_VECTOR_TOL times scale_a, w of B1 + lam*B2 + mu*B3 times scale_b,
+    with no branch tracking and no eigensolver. Both are singular at a
+    solution by design, so their LUs are floored rather than refused; a lam,
+    or a mu at lam, that is not an eigenvalue raises ConvergenceFailure.
     """
-    from . import pencil
-
     rng = np.random.default_rng(seed)
-    norm = problem.scale_a(quad.lam, quad.mu)
-    fact = _linalg.Factorization(problem.eval_a(quad.lam, quad.mu))
-    v = _linalg.null_vector_adjoint(fact, norm, rng)
-    w = pencil._full_qz_point(problem, quad.lam, quad.mu).w
+    lam, mu = quad.lam, quad.mu
+    v = _linalg.null_vector_adjoint(_linalg.Factorization(problem.eval_a(lam, mu)),
+                                    problem.scale_a(lam, mu), rng)
+    w = _linalg.null_vector_adjoint(_linalg.Factorization(problem.eval_b(lam, mu)),
+                                    problem.scale_b(lam, mu), rng)
     return dataclasses.replace(quad, v=v, w=w)

@@ -13,9 +13,10 @@ on the Kronecker product space, with decomposable eigenvectors z = y (x) x:
 
 The oracle forms delta0 and delta1 only. It solves the first problem as the
 standard eigenvalue problem of Gamma1 = delta0^-1 delta1 (Atkinson,
-Multiparameter Eigenvalue Problems, 1972), recovers mu from the large
-equation, so delta2 is never needed, and refines each quadruplet not yet at
-working accuracy by one Newton step on the two-parameter system itself.
+Multiparameter Eigenvalue Problems, 1972), splits each eigenvector into y
+and x by the pivoted split that also tests B3 (core._rank_one_factors),
+recovers mu from the large equation, so delta2 is never needed, and refines
+each quadruplet not yet at working accuracy by one Newton step.
 For a problem whose six matrices are real, Gamma1 is real and its
 eigenvalues come from LAPACK's real driver. The candidates are refined by
 array operations over chunks, each chunk's stack of bordered Jacobians
@@ -33,14 +34,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _linalg, pencil
-from .core import Quadruplet, ResidualRecord, TwoParProblem, _residual_norms
+from .core import (Quadruplet, ResidualRecord, TwoParProblem, _rank_one_factors,
+                   _residual_norms)
 from .core import residuals  # unused here; benchmarks/tracing.py wraps delta.residuals
 from .errors import SingularProblem, TooLarge
 
 CAP_DEFAULT = 4000
 CAP_ENV = "MEPNL_CAP"
-# second singular value above this fraction of the first fails the
-# rank-one test for an eigenvector of the linearization
+# a relative misfit of the rank-one split (core._rank_one_factors) above
+# this fails the rank-one test for an eigenvector of the linearization
 RANK_ONE_TOL = 0.01
 # both relative residuals must beat this for a quadruplet to be kept
 ORACLE_TOL = 1e-8
@@ -154,25 +156,25 @@ def _is_real(problem: TwoParProblem) -> bool:
 
 def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     """The kept quadruplets of the candidates lams[i], with eigenvectors
-    vr[:, i] of Gamma1, in their order: solve's rank-one split, mu fit,
-    residuals, step screen and Newton step, each one array operation over
-    the candidates. A stepped candidate's row is overwritten and re-scored
-    by one row-wise _residual_norms over the stepped rows; a Quadruplet is
-    built only for a kept candidate. A holds the dense A1, A2, A3."""
+    vr[:, i] of Gamma1, in their order. Each eigenvector is split as
+    z = y (x) x by core._rank_one_factors; one whose misfit exceeds
+    RANK_ONE_TOL is dropped with a RankOneExtractionWarning. mu comes by
+    least squares from the large equation, and one Newton step on the full
+    two-parameter system (_newton_step) refines (lam, mu, x, y), except for
+    a candidate whose relative residuals, from the products already formed,
+    are both at most STEP_SKIP_TOL; one whose step is singular keeps its
+    unrefined values. The stepped rows are re-scored by one row-wise
+    _residual_norms, and a Quadruplet is built only for a candidate whose
+    residuals are both at most ORACLE_TOL. Each stage is one array
+    operation over the candidates. A holds the dense A1, A2, A3."""
     n, m = problem.n, problem.m
-    u, s, vh = np.linalg.svd(vr.T.reshape(-1, m, n), full_matrices=False)
-    s2 = s[:, 1] if s.shape[1] > 1 else np.zeros(lams.size)
-    flat = s2 > RANK_ONE_TOL * s[:, 0]
-    for lam, r in zip(lams[flat].tolist(), s2[flat] / s[flat, 0]):
-        warnings.warn(
-            f"eigenvector at lam={lam:.6g} is not rank-one "
-            f"(s2/s1 = {r:.2e}); dropped",
-            RankOneExtractionWarning,
-            stacklevel=3,
-        )
-    # Z = outer(y, x) = s[0] * outer(u[:,0], vh[0]): the vh row already
-    # carries the unconjugated second factor
-    y, x = u[:, :, 0], vh[:, 0]
+    y, x, miss = _rank_one_factors(vr.T.reshape(-1, m, n))
+    flat = ~(miss <= RANK_ONE_TOL)
+    for lam, r in zip(lams[flat].tolist(), miss[flat].tolist()):
+        warnings.warn(f"eigenvector at lam={lam:.6g} is not rank-one (relative "
+                      f"misfit {r:.2e}); dropped", RankOneExtractionWarning, stacklevel=3)
+    y /= np.linalg.norm(y, axis=1)[:, None]  # unit rows, as _newton_step wants
+    x /= np.linalg.norm(x, axis=1)[:, None]
     a2x, a3x = x @ A[1].T, x @ A[2].T
     denom = np.einsum("ij,ij->i", a3x.conj(), a3x).real
     keep = ~flat & (denom != 0.0)
@@ -208,24 +210,12 @@ def solve(problem: TwoParProblem) -> list:
     the LU of delta0 that also measures its condition, and solved by
     _linalg.geig(Gamma1, None); an rcond of delta0 below
     RCOND_SINGULAR_PROBLEM raises SingularProblem. When the six matrices
-    of the problem are real, the LU leaves Gamma1 an exactly zero imaginary
-    part, and geig gets its real part, so it runs LAPACK's real driver and
-    the non-real lam come in exact conjugate pairs. Each finite eigenvector
-    is split into its rank-one factors z = y (x) x, mu comes by least
-    squares from the large equation, and one Newton step on the full
-    two-parameter system (_newton_step) refines (lam, mu, x, y). A
-    candidate whose relative residuals, from the products already formed,
-    are both at most STEP_SKIP_TOL takes no step, and one whose step is
-    singular keeps its unrefined values; either keeps those residuals as
-    its record; the stepped ones are re-scored together by one row-wise
-    _residual_norms. Quadruplets whose relative residuals in both equations
-    are at most ORACLE_TOL are kept, in the canonical order of the
-    eigensolver's lam. Eigenvectors that are not numerically rank-one are
-    dropped with a RankOneExtractionWarning.
-
-    The refinement runs on array stacks over chunks of at most
-    (n*m)^2 // (n+m+2)^2 candidates, so that a chunk's bordered Jacobians
-    hold no more entries than Gamma1.
+    are real, the LU leaves Gamma1 an exactly zero imaginary part, and geig
+    gets its real part, so it runs LAPACK's real driver and the non-real
+    lam come in exact conjugate pairs. _refine turns the eigenpairs into
+    quadruplets, in the canonical order of the eigensolver's lam, over
+    chunks of at most (n*m)^2 // (n+m+2)^2 candidates, so that a chunk's
+    bordered Jacobians hold no more entries than Gamma1.
     """
     dp = assemble(problem)
     fact = _linalg.Factorization(dp.delta0)

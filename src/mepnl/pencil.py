@@ -277,8 +277,8 @@ def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
 
 
 def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoint:
-    """The point of eigenpairs_at(lam) nearest mu, for a step whose y and w
-    failed their residual test and for core.attach_left_vectors. It carries
+    """The point of eigenpairs_at(lam) nearest mu, for a step or a rank-one
+    batch entry whose y and w failed their residual test. It carries
     branch_id when given, the tracked branch's id, else its position in
     eigenpairs_at."""
     points = eigenpairs_at(problem, lam)

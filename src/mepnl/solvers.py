@@ -162,7 +162,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
                       c_normalized=not bp.c_degenerate), trace
 
 
-def rayleigh_candidates(problem: TwoParProblem, v, w):
+def rayleigh_candidates(problem: TwoParProblem, v, w, av=None):
     """All finite (lam, mu, y) of the scalar-projected problem.
 
     Projecting the large equation onto single vectors (w^T on the left, v on
@@ -173,14 +173,15 @@ def rayleigh_candidates(problem: TwoParProblem, v, w):
         mu = -(p1 + lam p2)/p3.
 
     Every returned triple solves the small equation at (lam, mu) exactly;
-    they come in the canonical order of lam (see _linalg.geig).
-    Raises DegenerateProjection when p3 = w^T A3 v is numerically zero.
+    they come in the canonical order of lam (see _linalg.geig). av is
+    (A1 v, A2 v, A3 v) if formed already. Raises DegenerateProjection
+    when p3 = w^T A3 v is numerically zero.
     """
     v = np.asarray(v, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    p1 = w @ (problem.A1 @ v)
-    p2 = w @ (problem.A2 @ v)
-    p3 = w @ (problem.A3 @ v)
+    if av is None:
+        av = (problem.A1 @ v, problem.A2 @ v, problem.A3 @ v)
+    p1, p2, p3 = (w @ a for a in av)
     scale = np.linalg.norm(w) * np.linalg.norm(v) * problem.norms_a[2]
     if abs(p3) <= TOL_PROJECTION * scale:
         raise DegenerateProjection(
@@ -197,11 +198,11 @@ def rayleigh_candidates(problem: TwoParProblem, v, w):
     return out
 
 
-def rayleigh_gep(problem: TwoParProblem, v, w, select):
+def rayleigh_gep(problem: TwoParProblem, v, w, select, av=None):
     """One (lam, mu, y) from the scalar-projected problem: the candidate
     nearest the complex reference select, the first in canonical order on
-    a tie."""
-    cands = rayleigh_candidates(problem, v, w)
+    a tie. av is as in rayleigh_candidates."""
+    cands = rayleigh_candidates(problem, v, w, av)
     if not cands:
         raise DegenerateProjection("scalar-projected pencil has no finite eigenvalue")
     ref = complex(select)
@@ -217,8 +218,8 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     iteration solves the scalar-projected small problem at the current
     iterate for (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the
     previous one (nearest sigma initially), then corrects
-    x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k); the product
-    M(lam_{k+1}) x_k also gives the residual of that iterate.
+    x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k); the products
+    A_j x_k of the projection also give M(lam_{k+1}) x_k and its residual.
 
     Returns (Quadruplet, SolveTrace); non-convergence is a trace flag,
     "maxit" or "nonfinite" (a correction that is not finite ends the run at
@@ -238,13 +239,14 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     trace = SolveTrace()
     t0 = time.perf_counter()
     for k in range(config.maxit + 1):
+        av = (problem.A1 @ x, problem.A2 @ x, problem.A3 @ x)
         try:
-            lam, mu, y = rayleigh_gep(problem, x, w, ref)
+            lam, mu, y = rayleigh_gep(problem, x, w, ref, av)
         except DegenerateProjection as exc:
             raise DegenerateProjection(
                 f"iteration {k} (lam_ref={ref}): {exc}"
             ) from exc
-        z = problem.apply_a(lam, mu, x)
+        z = av[0] + lam * av[1] + mu * av[2]  # apply_a's sum, in its order
         rec = core.residuals(problem, Quadruplet(lam, mu, x, y), ax=z)
         if trace.record(lam, mu, rec, t0, config):
             break

@@ -75,6 +75,19 @@ def test_only_linalg_runs_eigensolvers():
     assert not hits, "\n".join(hits)
 
 
+def test_oracle_and_core_run_no_svd():
+    """The one rank-one split, core._rank_one_factors, pivots on the largest
+    entry, and core.attach_left_vectors takes w by inverse iteration, so
+    delta.py and core.py call or import no SVD."""
+    banned = re.compile(r"\.svd(?:vals)?\b|\bimport\b.*\bsvd")
+    hits = [f"{name}:{number}: {line.strip()}"
+            for name in ("delta.py", "core.py")
+            for number, line in enumerate(
+                (Path(mepnl.__file__).parent / name).read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert not hits, "\n".join(hits)
+
+
 def test_one_lu_mode_and_one_refusal():
     """A Factorization refuses no matrix and has no mode: no module names
     allow_singular. Outside _linalg.py, whose triangular solve raises on a

@@ -398,6 +398,30 @@ def test_solve_and_cond_refuse_several_branch_ids(tmp_path, capsys):
     assert read_results(out)["config"]["branch_ids"] == [1]
 
 
+def test_repeated_branch_id_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # a repeated id would tabulate one branch twice under a repeated header
+    out = tmp_path / "run"
+    base = ["--gen", "random", "--n", "6", "--m", "3", "--out", out]
+    branches = ["branches", *base, "--grid", "-1:0.5:1"]
+
+    def no_problem(cfg):
+        raise AssertionError("a problem was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_build_problem", no_problem)
+        for argv in ([*branches, "--branch", "0,0"], [*branches, "--branch", "1,0,1"],
+                     ["solve", *base, "--branch", "1,1"], ["cond", *base, "--branch", "0,0"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == cli.EXIT_IO, argv
+            assert "repeated branch id" in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+    assert run([*branches, "--branch", "1,0"]) == cli.EXIT_OK
+    with open(out / "branches.csv") as fh:
+        assert fh.readline() == "lam,g1_re,g1_im,g0_re,g0_im,flagged\n"
+    assert read_results(out)["branches"]["branch_ids"] == [1, 0]
+
+
 def test_bad_and_non_finite_values_exit_io(tmp_path, monkeypatch, capsys):
     for text in ("nan", "inf", "-inf+1i", "1e400", "1+nani"):
         with pytest.raises(argparse.ArgumentTypeError):

@@ -1,12 +1,13 @@
 """Problem container, residuals, and conditioning."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mepnl
-from mepnl import _linalg, problems
+from mepnl import _linalg, core, problems
 from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
                         condition_numbers, residuals, worst_case_perturbation)
 from mepnl.errors import (ConvergenceFailure, DimensionMismatch,
@@ -182,13 +183,109 @@ def test_attach_left_vectors_far_from_spectrum_fails(monkeypatch):
 def test_attach_left_vectors_at_exactly_singular_m():
     # M(lam, mu) = A1 = diag(0, 1, 2) is exactly singular and A2 = 0, so no
     # move of lam could make it factorizable; the LU that inverse iteration
-    # takes is never refused, dense or sparse, and v is e0
+    # takes is never refused, dense or sparse, and v is e0. B(0.5, 0) =
+    # diag(-0.5, 1) + 0.5*I is exactly singular too, and w is e0
     A1, A2, A3 = np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)), np.eye(3)
+    B1 = np.diag([-0.5, 1.0])
     for mats in ((A1, A2, A3), tuple(sp.csr_matrix(M) for M in (A1, A2, A3))):
-        p = mepnl.TwoParProblem(*mats, np.eye(2), np.eye(2), np.eye(2), np.ones(2))
+        p = mepnl.TwoParProblem(*mats, B1, np.eye(2), np.eye(2), np.ones(2))
         q = Quadruplet(lam=0.5, mu=0.0, x=np.array([1.0, 0, 0]), y=np.array([1.0, 0]))
-        v = attach_left_vectors(p, q).v
-        np.testing.assert_allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-14)
+        q = attach_left_vectors(p, q)
+        np.testing.assert_allclose(np.abs(q.v), [1.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(q.w), [1.0, 0.0], atol=1e-14)
+
+
+def test_attach_left_vectors_refuses_mu_off_the_small_spectrum():
+    # M(lam, mu) = diag(0, 1 + mu, 2 + mu) is singular at every mu, so v
+    # exists; B(0.5, 0.3) = diag(0.3, 1.8) is not, and a w of another
+    # eigenvalue must not be returned in its place
+    A1, A2, A3 = np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)), np.diag([0.0, 1.0, 1.0])
+    p = mepnl.TwoParProblem(A1, A2, A3, np.diag([-0.5, 1.0]), np.eye(2), np.eye(2),
+                            np.ones(2))
+    q = Quadruplet(lam=0.5, mu=0.3, x=np.array([1.0, 0, 0]), y=np.array([1.0, 0]))
+    with pytest.raises(ConvergenceFailure):
+        attach_left_vectors(p, q)
+    # and on a random problem, with mu moved off its eigenvalue at lam while
+    # v stays a left null vector of the unchanged M(lam, mu)
+    p = small_problem(seed=4)
+    q = solved_quad(p, index=2, with_left=False)
+    moved = mepnl.TwoParProblem(p.A1 + q.mu * p.A3, p.A2, np.zeros_like(p.A3),
+                                p.B1, p.B2, p.B3, p.c)
+    attach_left_vectors(moved, q)  # mu on the small spectrum: both vectors found
+    with pytest.raises(ConvergenceFailure):
+        attach_left_vectors(moved, dataclasses.replace(q, mu=q.mu + 0.5))
+
+
+def test_attach_left_vectors_runs_no_eigensolver(monkeypatch):
+    p = small_problem(seed=4)
+    quads = mepnl.delta.solve(p)
+
+    def no_geig(*args, **kwargs):
+        raise AssertionError("attach_left_vectors ran an eigensolver")
+
+    monkeypatch.setattr(_linalg, "geig", no_geig)
+    for q in quads:
+        w = attach_left_vectors(p, q).w
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+        assert np.linalg.norm(p.eval_b(q.lam, q.mu).conj().T @ w) <= 1e-8 * p.scale_b(q.lam, q.mu)
+
+
+def test_rank_one_split_of_a_stack():
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    rank_two = np.outer(u, v) + np.outer(v, u)
+    nan = np.outer(u, v)
+    nan[1, 2] = np.nan
+    Z = np.stack([np.outer(u, v), rank_two, np.zeros((4, 4)), nan, np.full((4, 4), np.inf)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        fu, fvh, miss = core._rank_one_factors(Z)
+    assert miss[0] <= core.TOL_RANK_ONE and miss[1] > 0.01
+    assert np.isnan(miss[2:]).all()
+    err = np.abs(np.outer(fu[0], fvh[0]) - Z[0]).max()
+    assert err <= 4 * np.finfo(float).eps * np.abs(Z[0]).max()
+
+
+def _scalar_rank_one_test(B3):
+    """The rank-one test of one B3 with the pivot written out and the misfit
+    compared unscaled, max|B3 - u vh| <= TOL_RANK_ONE |pivot|: (u, v) or
+    None."""
+    i, j = np.unravel_index(np.argmax(np.abs(B3)), B3.shape)
+    pivot = B3[i, j]
+    if pivot == 0:
+        return None
+    u, vh = B3[:, j].copy(), B3[i, :] / pivot
+    if not np.max(np.abs(B3 - np.outer(u, vh))) <= core.TOL_RANK_ONE * abs(pivot):
+        return None
+    return u, vh.conj()
+
+
+def test_b3_rank_one_matches_the_scalar_pivot_test():
+    rng = np.random.default_rng(11)
+    mats = [problems.gen_random(4, m, seed=s).B3 for m in (1, 2, 5) for s in range(3)]
+    A = rng.standard_normal((3, 6, 6))
+    mats += [problems.gen_qep(*A).B3, problems.gen_sqrt_nep(*A)[0].B3,
+             problems.gen_helmholtz(problems.HelmholtzConfig(n=20, m=8)).problem.B3]
+    eps = np.finfo(float).eps
+    for k in range(120):
+        m = int(rng.integers(2, 12))
+        u, v = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        outer = np.outer(u, v.conj())
+        # noise of 6e-16 and 1e-13, and levels around TOL_RANK_ONE itself
+        level = (6e-16, 1e-13, 2 * eps * 10 ** rng.uniform(0, 1))[k % 3]
+        mats.append(outer + level * np.abs(outer).max() * rng.uniform(-1, 1, (m, m)))
+    decisions = set()
+    for B3 in mats:
+        B3 = np.asarray(B3, dtype=np.complex128)
+        p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.eye(B3.shape[0]),
+                                np.eye(B3.shape[0]), B3, np.ones(B3.shape[0]))
+        want = _scalar_rank_one_test(B3)
+        decisions.add(want is None)
+        if want is None:
+            assert p.b3_rank_one is None
+        else:
+            assert all(np.array_equal(got, ref) for got, ref in zip(p.b3_rank_one, want))
+    assert decisions == {True, False}
 
 
 def cli_problem(gen, n, m, seed):

@@ -339,6 +339,20 @@ def test_solve_peaks_below_four_matrices_of_order_nm():
     assert peak < 4 * 400 ** 2 * 16, peak
 
 
+def test_solve_splits_eigenvectors_without_an_svd(monkeypatch):
+    p = problems.gen_random(6, 4, 2)
+    want = delta.solve(p)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the rank-one split ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    got = delta.solve(p)
+    assert len(got) == len(want) == p.n * p.m
+    assert [q.lam for q in got] == [q.lam for q in want]
+    assert max(max(q.residuals.res_a, q.residuals.res_b) for q in got) <= 1e-12
+
+
 def test_every_dropped_candidate_warns_once(monkeypatch):
     p = random_problem(4, 3, seed=0)
     monkeypatch.setattr(delta, "RANK_ONE_TOL", -1.0)  # no eigenvector is rank-one

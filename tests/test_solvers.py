@@ -172,6 +172,26 @@ def test_newton_three_a_side_products_per_iterate(monkeypatch):
     assert CountedMatvecs.calls == 3 * trace.iterations
 
 
+def test_resinv_three_a_side_products_per_iterate(monkeypatch):
+    p = make_problem(seed=8)
+    quad = pick_isolated(delta.solve(p))
+    view = view_through(p, quad)
+    for name in ("A1", "A2", "A3"):
+        monkeypatch.setattr(p, name, getattr(p, name).view(CountedMatvecs))
+    monkeypatch.setattr(CountedMatvecs, "calls", 0)
+
+    def no_apply_a(*args):
+        raise AssertionError("apply_a forms A1 x, A2 x and A3 x again")
+
+    monkeypatch.setattr(core.TwoParProblem, "apply_a", no_apply_a)
+    cfg = solvers.SolverConfig(sigma=quad.lam + 0.02, tol=1e-10, maxit=60)
+    _, trace = solvers.resinv(view, quad.x + 0.05 * np.ones(p.n), cfg)
+    assert trace.converged and trace.iterations >= 3
+    # A1 x, A2 x, A3 x once per iterate serve the projection, M(lam) x and
+    # the residual alike
+    assert CountedMatvecs.calls == 3 * trace.iterations
+
+
 def count_calls(monkeypatch, targets):
     """Wrap each (owner, name) so that calls to it are counted by name."""
     counts = dict.fromkeys((name for _, name in targets), 0)
@@ -301,6 +321,21 @@ def test_rayleigh_candidates_satisfy_small_equation_exactly():
         assert rb <= 1e-12
     mags = [abs(lam) for lam, _, _ in cands]
     assert mags == sorted(mags)
+
+
+def test_rayleigh_candidates_take_formed_products():
+    p = make_problem(seed=6)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+    w = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+    av = (p.A1 @ v, p.A2 @ v, p.A3 @ v)
+    plain = solvers.rayleigh_candidates(p, v, w)
+    given = solvers.rayleigh_candidates(p, v, w, av)
+    assert len(plain) == len(given) >= 2
+    for (lam, mu, y), (lam2, mu2, y2) in zip(plain, given):
+        assert lam == lam2 and mu == mu2 and np.array_equal(y, y2)
+    lam, mu, _ = solvers.rayleigh_gep(p, v, w, 0.0, av)
+    assert (lam, mu) == solvers.rayleigh_gep(p, v, w, 0.0)[:2]
 
 
 def test_rayleigh_degenerate_projection():
