@@ -132,6 +132,8 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         if trace.record(lam, bp.mu, rec, t0, config):
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
+        rhs = a2x + gprime * a3x
+        del a1x, a2x, a3x  # n-vectors not held across the LU of M(lam_k)
         try:
             fact = nep.factorization(lam)
         except ShiftIsEigenvalue:
@@ -139,7 +141,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
                 raise
             trace.termination = "stagnated"
             break
-        u = fact.solve(a2x + gprime * a3x)
+        u = fact.solve(rhs)
         del fact  # free M(lam_k)'s LU before M(lam_k+1) is assembled
         dtu = d @ u
         if dtu == 0:
@@ -152,6 +154,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
             break
         alpha = 1.0 / dtu
         lam_next, x_next = lam - alpha, alpha * u
+        del u  # nor across the next one
         if not (np.isfinite(lam_next) and np.all(np.isfinite(x_next))):
             trace.termination = "nonfinite"
             break

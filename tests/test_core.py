@@ -102,6 +102,44 @@ def test_eval_and_scale():
     assert p.scale_a(lam, mu) == pytest.approx(expected)
 
 
+def helmholtz_like_a(n, rng, far=False):
+    """A1 tridiagonal plus one entry two below the diagonal (or, with far,
+    one in the corner), A2 diagonal and A3 a single entry, as the patterns
+    of the split Helmholtz problem differ."""
+    def cplx(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    A1 = sp.diags([cplx(n - 1), cplx(n), cplx(n - 1)], [-1, 0, 1], format="lil")
+    A1[n - 1 if far else n // 2, 0 if far else n // 2 - 2] = cplx(1)[0]
+    A2 = sp.diags(cplx(n))
+    A3 = sp.csr_array(([cplx(1)[0]], ([n // 2], [n // 2])), shape=(n, n))
+    return A1.tocsr(), A2, A3
+
+
+@pytest.mark.parametrize("kind, storage, bandwidths", [
+    ("band", "band", (2, 1)),
+    ("wide", "sparse", None),
+    ("dense", "dense", None),
+])
+def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
+    rng = np.random.default_rng(11)
+    n = 50  # more rows than one block of the dense sum
+    A = helmholtz_like_a(n, rng, far=kind == "wide")
+    if kind == "dense":
+        A = [M.toarray() for M in A]
+    B = np.eye(2)
+    p = mepnl.TwoParProblem(*A, B, B, B, [1, 0])
+    lam, mu = 0.7 - 0.2j, 1.1 + 0.3j
+    M = p.eval_a(lam, mu)
+    want = p.A1 + lam * p.A2 + mu * p.A3
+    assert sp.issparse(M) == (kind != "dense")
+    assert (M.format == "dia") if kind == "band" else type(M) is type(want)
+    got, want = _linalg.to_dense(M), _linalg.to_dense(want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    fact = _linalg.Factorization(M)
+    assert fact.storage == storage and fact.bandwidths == bandwidths
+
+
 def test_norm2_bound_lies_between_2_norm_and_frobenius():
     rng = np.random.default_rng(3)
 

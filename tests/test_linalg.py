@@ -14,8 +14,8 @@ from mepnl.errors import ShiftIsEigenvalue
 
 
 def helmholtz_m(n, lam=1.0 + 1.0j, mu=0.5):
-    """The split Helmholtz M(lam) = A1 + lam*A2 + mu*A3, CSR, at a complex lam
-    away from the real spectrum."""
+    """The split Helmholtz M(lam) = A1 + lam*A2 + mu*A3, a dia_array as
+    eval_a builds it, at a complex lam away from the real spectrum."""
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
     return p.eval_a(lam, mu)
 
@@ -121,22 +121,57 @@ def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
 
 
 def test_band_factorization_keeps_only_its_band():
-    # SuperLU's own allocations are invisible to tracemalloc, hence the path
+    # SuperLU's own allocations are invisible to tracemalloc, hence the path;
+    # M comes as eval_a builds it, a dia_array, and as CSR
     n = 100_000
-    M = helmholtz_m(n)
+    band_bytes = (2 * 2 + 1 + 1) * n * 16
+    for fmt in ("dia", "csr"):
+        M = helmholtz_m(n).asformat(fmt)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fact = _linalg.Factorization(M)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fact.storage == "band" and fact.bandwidths == (2, 1)
+        assert peak < 2 * band_bytes
+        # the band array and the pivot indices, nothing of the size of a copy of M
+        assert kept < band_bytes + 4 * n + 4096
+        ref = weakref.ref(M)
+        del M
+        gc.collect()
+        assert ref() is None
+
+
+def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
+    # M(sigma) arrives as its four diagonals, and the band is read from
+    # their offsets: the pattern scan runs once per matrix of the problem,
+    # and no CSR sum or int64 pattern array is alive beside the factors
+    n = 100_000
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
+    scans = []
+    half_bandwidths = _linalg.half_bandwidths
+
+    def counted(mat):
+        scans.append(mat.nnz)
+        return half_bandwidths(mat)
+
+    monkeypatch.setattr(_linalg, "half_bandwidths", counted)
+    view = nep.NepView(p)
+    view.factorization(1.0 + 1.0j)
+    m_bytes = (2 + 1 + 1) * n * 16
     band_bytes = (2 * 2 + 1 + 1) * n * 16
     gc.collect()
     tracemalloc.start()
     try:
-        fact = _linalg.Factorization(M)
-        kept, peak = tracemalloc.get_traced_memory()
+        fact = view.factorization(1.5 + 1.0j)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    assert peak < 2 * band_bytes
-    # the band array and the pivot indices, nothing of the size of a copy of M
-    assert kept < band_bytes + 4 * n + 4096
-    ref = weakref.ref(M)
-    del M
-    gc.collect()
-    assert ref() is None
+    # M's diagonals, the band array and the pivot indices; anything else
+    # is smaller than one array of length n
+    assert peak < m_bytes + band_bytes + 4 * n + n
+    view.factorization(2.0 + 1.0j)
+    assert scans == [p.A1.nnz, p.A2.nnz, p.A3.nnz]

@@ -195,6 +195,22 @@ def test_geig_modes_give_bit_equal_eigenvalues():
     assert z.size == 1
 
 
+def test_geig_standard_real_problem_gives_exact_conjugate_pairs():
+    # the real standard driver (dgeev), unlike the real QZ (dggev), returns
+    # each non-real pair as exact conjugates with conjugate vectors
+    pairs = 0
+    for seed in range(200):
+        P = np.random.default_rng(seed).standard_normal((10, 10))
+        z, vr = _linalg.geig(P, None)
+        lower = np.flatnonzero(z.imag < 0)
+        assert np.count_nonzero(z.imag > 0) == lower.size
+        for i in lower:
+            assert z[i + 1] == z[i].conjugate()
+            assert np.array_equal(vr[:, i + 1], vr[:, i].conj())
+        pairs += lower.size
+    assert pairs == 709
+
+
 def assert_mu_within_ulps(p, bp, ref_mu):
     """A stepped mu comes from the shift-invert spectrum, not from QZ, so it
     agrees with QZ's mu to a few ulps of scale_b, in the backward sense: to
