@@ -40,6 +40,15 @@ SHIFT_RCOND_FLOOR = 1e-8
 SHIFT_MOVE = 1e-3
 SHIFT_DIRECTION = complex(0.6, 0.8)
 MAX_SHIFT_MOVES = 4
+# The certificate of shift_invert_eigvals (certified_dominant) power-iterates
+# at most POWER_STEPS times, until ||T y - theta y|| <= POWER_TOL * |theta|
+# for a unit y; an iterate that gets no nearer leaves the choice to zgeev.
+# On the 220 continuation steps of 24 bench-like Newton solves
+# (gen_random(300, 100)), a budget of 16, 24, 40 and 60 steps decided 76%,
+# 85%, 91% and 92% of them; the undecided ones had the runner-up at most
+# 2.2 times as far from the shift as the nearest.
+POWER_STEPS = 40
+POWER_TOL = 1e-13
 # null_vector_adjoint's target ||M^H v|| / ||M|| and its step budget.
 NULL_VECTOR_TOL = 1e-8
 NULL_VECTOR_MAXIT = 50
@@ -338,30 +347,86 @@ def geig(P, Q, vectors: str = "right", shift=None):
     return z[order], vr
 
 
-def shift_invert_eigvals(P, Q, shift):
-    """The finite eigenvalues z of geig(P, Q), from the shift-invert spectrum
-    about shift instead of QZ (Ericsson and Ruhe, Math. Comp. 1980): one LU
-    of P - s*Q, the operator T = (P - s*Q)^-1 Q by one solve, and its
-    eigenvalues by geig's shift-invert mode (zgeev).
-    The spectrum is most accurate near s: an eigenvalue at distance d from
-    s carries an error of about eps*||T||*d^2.
+def certified_dominant(T, y, u, gap):
+    """theta, the eigenvalue of T of largest modulus, when the bound below
+    shows that every other eigenvalue theta_j has 1/|theta_j| - 1/|theta| >
+    gap; None when it cannot. For a shift-invert operator 1/|theta| is an
+    eigenvalue's distance from the shift, so this is the step rule's test
+    of the nearest candidate against the runner-up.
 
-    s starts at shift. While rcond(P - s*Q) is below SHIFT_RCOND_FLOOR, as
-    when shift is an eigenvalue to working accuracy, s moves by SHIFT_MOVE
-    times the pencil's scale ||P - shift*Q||_1/||Q||_1 along
-    SHIFT_DIRECTION, at most MAX_SHIFT_MOVES times; the last LU is used
-    whatever its rcond. Each LU is a Factorization, whose rcond is read to
-    decide the move.
+    Power iteration on T from y and on T^H from u (Saad, Numerical Methods
+    for Large Eigenvalue Problems, ch. 4), at most POWER_STEPS steps, until
+    the unit y has ||T y - theta y|| <= POWER_TOL * |theta| with theta the
+    two-sided Rayleigh quotient u^H T y / u^H y. Wielandt deflation
+    T' = T - theta y u^H / (u^H y) sends theta to 0 and keeps every other
+    eigenvalue of T, so |theta_j| <= rho(T') <= ||T'^4||_F^(1/4), and
+    L = ||T'^4||_F^(-1/4), from two products of order m and no SVD, bounds
+    every other 1/|theta_j| from below; theta is returned when L - 1/|theta|
+    > gap. An iterate that settles on a subdominant eigenvalue leaves the
+    dominant one in T', so L < 1/|theta| and nothing is returned.
+    """
+    th = T.conj().T
+    y, u = y / np.linalg.norm(y), u / np.linalg.norm(u)
+    for _ in range(POWER_STEPS):
+        ty, tu, uy = T @ y, th @ u, np.vdot(u, y)
+        norm_ty, norm_tu = np.linalg.norm(ty), np.linalg.norm(tu)
+        if not (uy != 0 and 0 < norm_ty < np.inf and 0 < norm_tu < np.inf):
+            return None
+        theta = np.vdot(u, ty) / uy
+        if np.linalg.norm(ty - theta * y) <= POWER_TOL * abs(theta):
+            break
+        y, u = ty / norm_ty, tu / norm_tu
+    else:
+        return None
+    deflated = T - (theta / uy) * np.outer(y, u.conj())
+    squared = deflated @ deflated
+    norm4 = np.linalg.norm(squared @ squared)
+    bound = norm4 ** -0.25 if norm4 > 0.0 else np.inf
+    return theta if bound - 1.0 / abs(theta) > gap else None
+
+
+def shift_invert_eigvals(P, Q, shift, start=None, gap=0.0):
+    """The finite eigenvalues z of geig(P, Q) that can be the one nearest
+    shift, from the shift-invert operator about it instead of QZ (Ericsson
+    and Ruhe, Math. Comp. 1980): one LU of P - s*Q at s = shift and T =
+    (P - s*Q)^-1 Q by one solve, whatever the LU's rcond.
+
+    With start = (y, w), estimates of the right and left eigenvectors of P v
+    = z Q v at the eigenvalue nearest shift, the certificate runs first:
+    certified_dominant on T from y and from Q^H w, which is parallel to T's
+    left eigenvector (P - s*Q)^H w when w is exact. When it shows that one
+    z0 = s + 1/theta is nearer shift than every other candidate by more than
+    gap, z0 alone is returned, for two products of order m and a few dozen
+    matrix-vector products, with no zgeev.
+
+    Otherwise every finite eigenvalue is returned, in canonical order, from
+    geig's shift-invert mode (zgeev) on the same T. Only when rcond(P - s*Q)
+    is below SHIFT_RCOND_FLOOR, as when shift is an eigenvalue to working
+    accuracy, does s move first, by SHIFT_MOVE times the pencil's scale
+    ||P - shift*Q||_1/||Q||_1 along SHIFT_DIRECTION, at most
+    MAX_SHIFT_MOVES times, each move one more LU, and T is solved again
+    from the last LU whatever its rcond: at a shift on an eigenvalue the
+    operator's norm would swamp the finite test. The spectrum is most accurate near s: an
+    eigenvalue at distance d from s carries an error of about
+    eps*||T||*d^2.
     """
     s = shift
     fact = Factorization(P - s * Q)
+    T = fact.solve(Q)
+    if start is not None:
+        y, w = start
+        theta = certified_dominant(T, y, Q.conj().T @ w, gap)
+        if theta is not None:
+            return np.array([s + 1.0 / theta])
     norm, qnorm = fact._norm, np.linalg.norm(Q, 1)
-    for k in range(1, MAX_SHIFT_MOVES + 1):
-        if qnorm == 0.0 or fact.rcond >= SHIFT_RCOND_FLOOR:
-            break
-        s = shift + k * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
+    moves = 0
+    while moves < MAX_SHIFT_MOVES and qnorm != 0.0 and fact.rcond < SHIFT_RCOND_FLOOR:
+        moves += 1
+        s = shift + moves * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
         fact = Factorization(P - s * Q)
-    return geig(fact.solve(Q), None, shift=s)
+    if moves:
+        T = fact.solve(Q)
+    return geig(T, None, shift=s)
 
 
 def null_vector_adjoint(fact: Factorization, norm: float, rng):

@@ -9,12 +9,15 @@ path all live here. Slopes g' come from their closed form
 (g_prime_closed_form); the bordered-Jacobian recursion serves higher orders.
 
 A continuation step chooses the followed eigenvalue from the shift-invert
-spectrum about its first-order prediction s: one LU of order m of
-B(lam, s), one solve for B(lam, s)^-1 B3 and one zgeev of that operator
-(_linalg.shift_invert_eigvals), with no QZ. One more LU of order m, of
-B(lam, mu) at the chosen eigenvalue, gives its y and w by inverse
-iteration, and their residual test certifies the point's backward error
-whatever routine found mu. Where a real pencil at real lam offers a
+operator T = B(lam, s)^-1 B3 about its first-order prediction s
+(_linalg.shift_invert_eigvals), with no QZ: one LU of order m of B(lam, s)
+and one solve for T, then power iteration on T and T^H from the previous
+point's y and w and two products of order m, which certify the nearest
+candidate when a lower bound on the runner-up's distance decides the step
+rule; zgeev of the same T runs only when the bound cannot decide. One more
+LU of order m, of B(lam, mu) at the chosen eigenvalue, gives its y and w by
+inverse iteration, and their residual test certifies the point's backward
+error whatever routine found mu. Where a real pencil at real lam offers a
 conjugate pair equally near the prediction, as past a point where two real
 eigenvalues meet, the step follows the branch from above: it takes the
 member nearest the candidate at lam + i*h for a small h, the limit
@@ -362,10 +365,16 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
     """(mus, i): the candidates at lam_new and the index of the one nearest
     the first-order prediction pred = mu_prev + g'(lam_prev)*(lam_new -
     lam_prev), with g' in closed form (mu_prev itself when mu_prev is not
-    simple). The candidates are the pencil's finite eigenvalues in geig's
-    order, from the shift-invert spectrum about pred
-    (_linalg.shift_invert_eigvals): one LU of order m, one solve and one
-    zgeev, most accurate next to pred, where the choice is made.
+    simple). The candidates come from the shift-invert operator T about
+    pred (_linalg.shift_invert_eigvals): one LU of order m and one solve
+    for T. Power iteration on T and T^H from prev.y and prev.w, and a lower
+    bound on every other candidate's distance from two products of order m
+    (_linalg.certified_dominant), give the nearest candidate alone, with
+    no zgeev, when the bound shows it nearer than the runner-up by more
+    than TOL_AMBIGUOUS * max(1, |pred|), the rule applied below. Otherwise
+    the candidates are the pencil's finite eigenvalues in geig's order, by
+    zgeev of the same T, most accurate next to pred, where the choice is
+    made.
 
     Two candidates about equally near are resolved in two cases: copies of
     one semisimple value give the first copy, and a conjugate pair, as a
@@ -378,8 +387,9 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
         pred = prev.mu + g_prime_closed_form(problem, prev) * (lam_new - prev.lam)
     except NonSimpleMu:
         pred = prev.mu
+    gap = TOL_AMBIGUOUS * max(1.0, abs(pred))
     mus = _linalg.shift_invert_eigvals(-(problem.B1 + lam_new * problem.B2),
-                                       problem.B3, pred).tolist()
+                                       problem.B3, pred, (prev.y, prev.w), gap).tolist()
     if not mus:
         raise NoFiniteEigenvalue(
             f"no finite eigenvalue at lam={lam_new} while continuing a branch"
@@ -387,7 +397,7 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
     dists = np.array([abs(mu - pred) for mu in mus])
     order = np.argsort(dists, kind="stable")
     i0 = order[0]
-    if len(mus) < 2 or dists[order[1]] - dists[i0] > TOL_AMBIGUOUS * max(1.0, abs(pred)):
+    if len(mus) < 2 or dists[order[1]] - dists[i0] > gap:
         return mus, i0
     i1 = order[1]
     mu0, mu1 = mus[i0], mus[i1]
@@ -408,10 +418,13 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     _nearest_candidate. Raises AmbiguousBranch when it cannot choose,
     NoFiniteEigenvalue when the pencil has no finite eigenvalue at lam_new.
 
-    The step's cost is two LUs of order m and one zgeev of order m: one LU
-    and the zgeev give the candidates, and the winner's y and w come from
-    one LU of B(lam_new, mu) (_inverse_iteration), or, when those fail
-    their residual test, from the point of eigenpairs_at nearest mu.
+    The step's cost is two LUs of order m, one solve with m right-hand
+    sides, a few dozen matrix-vector products and two matrix products of
+    order m: one LU and the rest choose the candidate, adding one zgeev of
+    order m only when the certificate of _nearest_candidate refuses, and
+    the winner's y and w come from one LU of B(lam_new, mu)
+    (_inverse_iteration), or, when those fail their residual test, from
+    the point of eigenpairs_at nearest mu.
     """
     mus, i0 = _nearest_candidate(problem, prev, lam_new)
     mu = mus[i0]

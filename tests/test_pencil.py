@@ -7,7 +7,7 @@ import pytest
 
 import mepnl
 from mepnl import _linalg, pencil, problems
-from mepnl.errors import NoFiniteEigenvalue, SingularJacobian
+from mepnl.errors import AmbiguousBranch, NoFiniteEigenvalue, SingularJacobian
 
 # closed-form branch values of the square-root problem with coefficients
 # (a, b, c, d, e, f) = (3, 2, -1, -2, 2, 1) at lam = 0.3, frozen from an
@@ -212,8 +212,8 @@ def test_geig_standard_real_problem_gives_exact_conjugate_pairs():
 
 
 def assert_mu_within_ulps(p, bp, ref_mu):
-    """A stepped mu comes from the shift-invert spectrum, not from QZ, so it
-    agrees with QZ's mu to a few ulps of scale_b, in the backward sense: to
+    """A stepped mu comes from the shift-invert operator, by power iteration
+    or zgeev, not from QZ, so it agrees with QZ's mu to a few ulps of scale_b, in the backward sense: to
     4 eps * scale_b times the condition ||w|| ||y|| / |w^H B3 y| of mu."""
     cond = np.linalg.norm(bp.w) * np.linalg.norm(bp.y) / abs(bp.w.conj() @ p.B3 @ bp.y)
     tol = 4 * np.finfo(float).eps * p.scale_b(bp.lam, ref_mu) * cond
@@ -302,6 +302,34 @@ def count_geig(monkeypatch):
     return counts
 
 
+def count_certificate(monkeypatch):
+    """Count the certificate's decisions: "certified" when it chose a step's
+    candidate with no zgeev, "refused" when it left the choice to zgeev."""
+    counts = {"certified": 0, "refused": 0}
+    original = _linalg.certified_dominant
+
+    def counted(*args, **kwargs):
+        theta = original(*args, **kwargs)
+        counts["refused" if theta is None else "certified"] += 1
+        return theta
+
+    monkeypatch.setattr(_linalg, "certified_dominant", counted)
+    return counts
+
+
+def count_steps(monkeypatch):
+    """Count pencil._continue_step calls in a dict's "steps"."""
+    counts = {"steps": 0}
+    original = pencil._continue_step
+
+    def counted(*args, **kwargs):
+        counts["steps"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pencil, "_continue_step", counted)
+    return counts
+
+
 def test_rank_one_detection_of_floating_point_outer_product():
     eps = np.finfo(float).eps
     for seed in range(40):
@@ -336,8 +364,16 @@ def test_zero_and_nearly_rank_one_b3_stay_on_qz_path(monkeypatch):
     assert p.b3_rank_one is None
     start = pencil.reference_point(p, 0)
     counts = count_geig(monkeypatch)
+    certificate = count_certificate(monkeypatch)
+    steps = count_steps(monkeypatch)
     bp = pencil.continue_branch(p, start, 0.01)
-    assert counts["shift"] >= 1
+    # continuation steps, not the rank-one evaluation: each step's candidate
+    # comes from the shift-invert operator, by its certificate or by zgeev,
+    # and no pencil QZ runs
+    assert steps["steps"] >= 1
+    assert certificate["certified"] + counts["shift"] == steps["steps"]
+    assert certificate["certified"] + certificate["refused"] == steps["steps"]
+    assert counts["right"] == counts["both"] == 0
     monkeypatch.undo()
     assert_mu_within_ulps(p, bp, pencil.eigenpairs_at(p, 0.01)[0].mu)
 
@@ -651,15 +687,19 @@ def test_continuation_step_runs_no_pencil_qz(monkeypatch):
         monkeypatch.setattr(_linalg, "geig", counted_geig)
         monkeypatch.setattr(pencil, "eigenpairs_at", counted_eigenpairs_at)
         monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", tol)
-        steps = 0
+        certificate = count_certificate(monkeypatch)
+        steps = count_steps(monkeypatch)
         for lam in (0.05, 0.1 + 0.05j, 0.2):
             for b, point in enumerate(last):
                 last[b] = pencil.continue_branch(p, point, lam)
-                steps += 1
         monkeypatch.undo()
+        # each step's candidate comes from its certificate or, when that
+        # refuses, from one zgeev of the shift-invert operator
         assert calls["pencil QZ"] == 0
-        assert calls["shift-invert"] >= steps
-        assert calls["fallback"] == (0 if tol >= 0 else steps)
+        assert steps["steps"] >= 3 * len(last)
+        assert certificate["certified"] + calls["shift-invert"] == steps["steps"]
+        assert certificate["certified"] + certificate["refused"] == steps["steps"]
+        assert calls["fallback"] == (0 if tol >= 0 else steps["steps"])
         calls.update({"shift-invert": 0, "fallback": 0})
 
 
@@ -729,3 +769,174 @@ def test_generators_without_poles(monkeypatch):
         assert pencil.branch_poles(p).size == 0
     assert counts == {"shift": 0, "right": 0, "both": 0}
     assert pencil.branch_poles(qep_problem()).size == 0
+
+
+def shift_invert_operator(P, Q, s):
+    """T = (P - s*Q)^-1 Q as shift_invert_eigvals forms it."""
+    return _linalg.Factorization(P - s * Q).solve(Q)
+
+
+@pytest.mark.parametrize("m", (5, 20, 100))
+def test_certificate_is_sound(m):
+    # predictions from next to an eigenvalue z0 to past the midpoint of z0
+    # and its nearest neighbour, with start vectors those of z0 plus noise,
+    # as a step's prev.y and prev.w are
+    decided = refused = 0
+    for seed in range(12 if m < 100 else 3):
+        rng = np.random.default_rng([m, seed])
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        P, Q = cplx(m, m), cplx(m, m)
+        z, vr, vl = _linalg.geig(P, Q, vectors="both")
+        k = int(rng.integers(z.size))
+        neighbour = np.min(np.abs(np.delete(z, k) - z[k]))
+        for frac in (1e-12, 1e-6, 1e-2, 0.2, 0.45, 0.7):
+            s = z[k] + frac * neighbour * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            y, w = vr[:, k] + 1e-4 * cplx(m), vl[:, k] + 1e-4 * cplx(m)
+            mus = _linalg.shift_invert_eigvals(P, Q, s)
+            d = np.sort(np.abs(mus - s))
+            gap = pencil.TOL_AMBIGUOUS * max(1.0, abs(s))
+            got = _linalg.shift_invert_eigvals(P, Q, s, (y, w), gap)
+            if got.size == 1:
+                decided += 1
+                nearest = mus[np.argmin(np.abs(mus - s))]
+                assert abs(got[0] - nearest) <= 1e-10 * abs(nearest), (seed, frac)
+            else:
+                refused += 1
+                assert np.array_equal(got, mus)
+            # the bound L never exceeds the runner-up's distance d[1]: given
+            # the true margin d[1] - d[0] (plus rounding) as the gap, the
+            # certificate never decides
+            T = shift_invert_operator(P, Q, s)
+            margin = d[1] - d[0] + 1e-9 * d[1]
+            assert _linalg.certified_dominant(T, y, Q.conj().T @ w, margin) is None
+    assert decided > 0 and refused > 0
+
+
+def test_certificate_refuses_another_eigenvalues_vectors():
+    # a step from prev.y and prev.w of a farther eigenvalue: power iteration
+    # settles on that one, and the deflated operator keeps the nearest, so
+    # the certificate refuses and zgeev chooses; or the iteration moves on
+    # to the nearest, which the certificate may then take. Never the other.
+    p = mepnl.gen_random(6, 8, seed=4)
+    points = p.reference_points
+    for b, point in enumerate(points):
+        for other in points:
+            if other is point:
+                continue
+            for lam in (1e-9, 0.02, 0.05 + 0.02j):
+                prev = dataclasses.replace(point, y=other.y, w=other.w)
+                mus, i = pencil._nearest_candidate(p, prev, lam)
+                pred = prev.mu + pencil.g_prime_closed_form(p, prev) * lam
+                every = _linalg.shift_invert_eigvals(-(p.B1 + lam * p.B2), p.B3, pred)
+                nearest = every[np.argmin(np.abs(every - pred))]
+                assert abs(mus[i] - nearest) <= 1e-10 * abs(nearest), (b, lam)
+    # the exact eigenvectors of each other eigenvalue of random pencils, at a
+    # shift a tenth of the way from z0 to its nearest neighbour
+    refused = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        P, Q = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
+        z, vr, vl = _linalg.geig(P, Q, vectors="both")
+        for k0 in range(z.size):
+            s = z[k0] + 0.1 * np.sort(np.abs(z - z[k0]))[1]
+            T = shift_invert_operator(P, Q, s)
+            for k in np.flatnonzero(np.arange(z.size) != k0):
+                theta = _linalg.certified_dominant(T, vr[:, k], Q.conj().T @ vl[:, k], 1e-12)
+                refused += theta is None
+                if theta is not None:
+                    assert abs(s + 1.0 / theta - z[k0]) <= 1e-10 * abs(z[k0])
+    assert refused >= 200
+    # no certificate from a start in T's null space, as an infinite
+    # eigenvalue's vector is, from a left start orthogonal to the right one,
+    # or from a zero T
+    T, e = np.diag([0.0, 1.0, 2.0]), np.eye(3)
+    assert _linalg.certified_dominant(T, e[0], np.ones(3), 0.0) is None
+    assert _linalg.certified_dominant(T, e[2], e[1], 0.0) is None
+    assert _linalg.certified_dominant(0 * T, np.ones(3), np.ones(3), 0.0) is None
+
+
+def test_equally_near_candidates_go_through_zgeev(monkeypatch):
+    # mu = -diag(B1) and g' = 0, so pred = prev.mu; start vectors e0
+    def problem(diag):
+        return mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag(diag),
+                                   np.zeros((3, 3)), np.eye(3), np.ones(3))
+
+    e0 = np.array([1.0, 0.0, 0.0])
+    counts = count_geig(monkeypatch)
+    certificate = count_certificate(monkeypatch)
+    # mu = 1 and -1 are equally near pred = 0: the bound cannot decide, and
+    # zgeev's candidates make the tie
+    p = problem([-1.0, 1.0, -4.0])
+    prev = pencil.BranchPoint(lam=0.0, mu=0.0, y=e0, w=e0, branch_id=0)
+    with pytest.raises(AmbiguousBranch):
+        pencil._nearest_candidate(p, prev, 0.1)
+    assert certificate == {"certified": 0, "refused": 1} and counts["shift"] == 1
+    # a double eigenvalue mu = 1 nearest pred = 0.3: the deflated operator
+    # keeps the second copy, so zgeev runs and the first copy is taken
+    p = problem([-1.0, -1.0, -4.0])
+    prev = dataclasses.replace(prev, mu=0.3)
+    mus, i = pencil._nearest_candidate(p, prev, 0.1)
+    assert len(mus) == 3 and mus[i] == pytest.approx(1.0, abs=1e-14)
+    assert certificate == {"certified": 0, "refused": 2} and counts["shift"] == 2
+    # acceptance criterion 02's conjugate tie: a one-step continuation
+    # through the branch point takes zgeev and the tie rule at lam + i*h
+    p = problems.gen_random(10, 2, seed=53, alphas=(1.0, 1.0, 1.0),
+                            betas=(1.0, 1.0, 1.0))
+    nearest = pencil._nearest_candidate
+    tie_rule = []
+
+    def spy(problem, prev, lam_new, break_conjugate_tie=True):
+        tie_rule.append(not break_conjugate_tie)
+        return nearest(problem, prev, lam_new, break_conjugate_tie)
+
+    monkeypatch.setattr(pencil, "_nearest_candidate", spy)
+    for b in (0, 1):
+        tie_rule.clear()
+        counts["shift"] = 0
+        point = pencil.reference_point(p, b, SEED53_LAM)
+        end = pencil.continue_branch(p, point, SEED53_LAM + 1e-3)
+        assert any(tie_rule) and counts["shift"] >= 1, b
+        assert (end.mu.imag > 0.5) == (b == 0)
+
+
+def test_refused_certificate_gives_todays_step(monkeypatch):
+    # with the certificate refusing, a step reuses its LU and T for zgeev:
+    # the candidates are bit-equal to shift_invert_eigvals without start
+    # vectors, from as many LUs and solves, shift moves included
+    p = mepnl.gen_random(6, 8, seed=4)
+    monkeypatch.setattr(_linalg, "certified_dominant", lambda *args: None)
+    lus, solves = [], []
+    init, solve = _linalg.Factorization.__init__, _linalg.Factorization.solve
+
+    def counted_init(self, *args, **kwargs):
+        lus.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_solve(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_linalg.Factorization, "__init__", counted_init)
+    monkeypatch.setattr(_linalg.Factorization, "solve", counted_solve)
+    moved = 0
+    for b, point in enumerate(p.reference_points):
+        for lam in (0.03, 0.05 + 0.02j):
+            pred = point.mu + pencil.g_prime_closed_form(p, point) * lam
+            P = -(p.B1 + lam * p.B2)
+            # a generic prediction, and one on the eigenvalue, which moves s
+            on_mu = pencil.continue_branch(p, point, lam).mu
+            for s in (pred, on_mu):
+                counts = []
+                for start in ((point.y, point.w), None):
+                    lus.clear()
+                    solves.clear()
+                    mus = _linalg.shift_invert_eigvals(P, p.B3, s, start, 1e-12)
+                    counts.append((mus, len(lus), len(solves)))
+                (mus, n_lu, n_solve), (ref, ref_lu, ref_solve) = counts
+                assert np.array_equal(mus, ref)
+                assert (n_lu, n_solve) == (ref_lu, ref_solve)
+                moved += n_lu > 1
+    assert moved > 0

@@ -253,11 +253,10 @@ def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
 
 def test_qz_work_per_continuation_step(monkeypatch):
     p = make_problem(seed=1)
-    assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
+    assert p.b3_rank_one is None  # a full-rank B3 takes continuation steps
     quad = pick_isolated(delta.solve(p))
     view = view_through(p, quad)
-    counts = dict.fromkeys(("geig.shift", "geig.right", "geig.both", "eigenpairs_at",
-                            "reference_point", "_continue_step", "inverse", "fallback"), 0)
+    counts = collections.Counter()
 
     def count(owner, name, key):
         original = getattr(owner, name)
@@ -271,6 +270,8 @@ def test_qz_work_per_continuation_step(monkeypatch):
 
     count(_linalg, "geig", lambda kw, _: "geig.shift" if kw.get("shift") is not None
           else "geig." + kw.get("vectors", "right"))
+    count(_linalg, "certified_dominant",
+          lambda kw, theta: "refused" if theta is None else "certified")
     for owner, name in ((pencil, "eigenpairs_at"), (pencil, "reference_point"),
                         (pencil, "_continue_step")):
         count(owner, name, lambda kw, _, name=name: name)
@@ -282,14 +283,27 @@ def test_qz_work_per_continuation_step(monkeypatch):
     problems.tabulate_branches(p, np.linspace(-1.0, 1.0, 41))
     steps = counts["_continue_step"]
     assert steps >= 40 * p.m
-    # the shift-invert spectrum chooses every step and one LU gives the
-    # vectors; the full QZ runs only on counted fallbacks, since each sweep's
-    # reference points are the ones gen_random's QZ gave to draw c, before
-    # counting
-    assert counts["geig.shift"] == steps == counts["inverse"] + counts["fallback"]
+    # every step runs the certificate; the steps it refuses take one zgeev of
+    # the shift-invert operator, and one LU gives the vectors; the full QZ
+    # runs only on counted fallbacks, since each sweep's reference points are
+    # the ones gen_random's QZ gave to draw c, before counting
+    assert counts["certified"] + counts["refused"] == steps
+    assert counts["certified"] + counts["geig.shift"] == steps
+    assert counts["inverse"] + counts["fallback"] == steps
     assert counts["reference_point"] == 2 * len(p.reference_points)
     assert counts["geig.both"] == counts["eigenpairs_at"] == counts["fallback"]
     assert counts["geig.right"] == 0
+    # a Newton solve at m = 20 from a start near the origin, as the bench's:
+    # the certificate decides most steps, so zgeev runs on at most half
+    p = problems.gen_random(40, 20, seed=4)
+    counts.clear()
+    _, trace = solvers.augmented_newton(nep.NepView(p), 0.1 + 0.05j, np.ones(p.n))
+    assert trace.converged
+    steps = counts["_continue_step"]
+    assert steps >= trace.iterations - 1
+    assert counts["certified"] + counts["geig.shift"] == steps
+    assert counts["geig.shift"] <= 0.5 * steps
+    assert counts["geig.both"] == counts["eigenpairs_at"] == counts["fallback"]
 
 
 def test_newton_from_c_degenerate_point():
