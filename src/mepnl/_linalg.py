@@ -31,18 +31,10 @@ from .errors import ConvergenceFailure, ShiftIsEigenvalue
 RCOND_SINGULAR = 1e-14
 # |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
 TOL_INF = 1e-10
-# rcond of P - s*Q below this moves the shift s of shift_invert_eigvals: at a
-# shift on an eigenvalue the operator's norm would swamp the finite test.
-SHIFT_RCOND_FLOOR = 1e-8
-# Each move adds SHIFT_MOVE times the pencil's scale ||P - s*Q||_1/||Q||_1
-# along the fixed non-real direction SHIFT_DIRECTION, at most MAX_SHIFT_MOVES
-# times.
-SHIFT_MOVE = 1e-3
-SHIFT_DIRECTION = complex(0.6, 0.8)
-MAX_SHIFT_MOVES = 4
-# The certificate of shift_invert_eigvals (certified_dominant) power-iterates
-# at most POWER_STEPS times, until ||T y - theta y|| <= POWER_TOL * |theta|
-# for a unit y; an iterate that gets no nearer leaves the choice to zgeev.
+# The power iteration of shift_invert_eigvals and shift_invert_vectors
+# (_power_iterates) takes at most POWER_STEPS steps, until ||T y - theta y||
+# <= POWER_TOL * |theta| for a unit y; an iterate that gets no nearer leaves
+# the choice to zgeev, or a step's vectors to the full QZ.
 # On the 220 continuation steps of 24 bench-like Newton solves
 # (gen_random(300, 100)), a budget of 16, 24, 40 and 60 steps decided 76%,
 # 85%, 91% and 92% of them; the undecided ones had the runner-up at most
@@ -275,11 +267,11 @@ def finite_shift_invert(theta):
     leaves at about eps*||operator||, so theta is judged relative to the
     spectrum, not to 1 as finite_pair would judge the pair (theta, 1): near
     convergence the shift is an eigenvalue to working accuracy, and the
-    nearest candidate's |theta| can exceed 1/TOL_INF. On 900 random cases
-    (m = 2 to 11; Q of full rank, of rank 1 to m-1, the identity, or 1e6
-    times ||P||; shifts generic, on an eigenvalue and 1e-9 from one) it
-    counts as many finite eigenvalues as finite_pair does on QZ's pairs
-    (tests/test_pencil.py, test_shift_invert_spectrum_matches_qz)."""
+    nearest candidate's |theta| can exceed 1/TOL_INF. So a finite z is
+    dropped only when it is more than 1/TOL_INF times as far from the shift
+    as the nearest one, too far to tie with it in a step's rule, which reads
+    no more than the two nearest (tests/test_pencil.py,
+    test_shift_invert_spectrum_matches_qz)."""
     mag = np.abs(theta)
     return mag > TOL_INF * mag.max(initial=0.0)
 
@@ -347,86 +339,103 @@ def geig(P, Q, vectors: str = "right", shift=None):
     return z[order], vr
 
 
-def certified_dominant(T, y, u, gap):
-    """theta, the eigenvalue of T of largest modulus, when the bound below
-    shows that every other eigenvalue theta_j has 1/|theta_j| - 1/|theta| >
-    gap; None when it cannot. For a shift-invert operator 1/|theta| is an
-    eigenvalue's distance from the shift, so this is the step rule's test
-    of the nearest candidate against the runner-up.
-
-    Power iteration on T from y and on T^H from u (Saad, Numerical Methods
-    for Large Eigenvalue Problems, ch. 4), at most POWER_STEPS steps, until
-    the unit y has ||T y - theta y|| <= POWER_TOL * |theta| with theta the
-    two-sided Rayleigh quotient u^H T y / u^H y. Wielandt deflation
-    T' = T - theta y u^H / (u^H y) sends theta to 0 and keeps every other
-    eigenvalue of T, so |theta_j| <= rho(T') <= ||T'^4||_F^(1/4), and
-    L = ||T'^4||_F^(-1/4), from two products of order m and no SVD, bounds
-    every other 1/|theta_j| from below; theta is returned when L - 1/|theta|
-    > gap. An iterate that settles on a subdominant eigenvalue leaves the
-    dominant one in T', so L < 1/|theta| and nothing is returned.
-    """
-    th = T.conj().T
+def _power_iterates(apply, apply_adjoint, y, u):
+    """(theta, y, u): power iteration on an operator T from y and on T^H
+    from u (Saad, Numerical Methods for Large Eigenvalue Problems, ch. 4),
+    with apply(x) = T x and apply_adjoint(x) = T^H x, at most POWER_STEPS
+    steps, until the unit y has ||T y - theta y|| <= POWER_TOL * |theta|
+    with theta the two-sided Rayleigh quotient u^H T y / u^H y; u is unit
+    too. None when it does not get there."""
     y, u = y / np.linalg.norm(y), u / np.linalg.norm(u)
     for _ in range(POWER_STEPS):
-        ty, tu, uy = T @ y, th @ u, np.vdot(u, y)
+        ty, tu, uy = apply(y), apply_adjoint(u), np.vdot(u, y)
         norm_ty, norm_tu = np.linalg.norm(ty), np.linalg.norm(tu)
         if not (uy != 0 and 0 < norm_ty < np.inf and 0 < norm_tu < np.inf):
             return None
         theta = np.vdot(u, ty) / uy
         if np.linalg.norm(ty - theta * y) <= POWER_TOL * abs(theta):
-            break
+            return theta, y, u
         y, u = ty / norm_ty, tu / norm_tu
-    else:
+    return None
+
+
+def certified_dominant(T, y, u, gap):
+    """(theta, y, u) of _power_iterates from y and u when theta is the
+    eigenvalue of T of largest modulus and the bound below shows that every
+    other eigenvalue theta_j has 1/|theta_j| - 1/|theta| > gap; None when it
+    cannot. For a shift-invert operator 1/|theta| is an eigenvalue's
+    distance from the shift, so this is the step rule's test of the nearest
+    candidate against the runner-up.
+
+    Wielandt deflation T' = T - theta y u^H / (u^H y) sends theta to 0 and
+    keeps every other eigenvalue of T, so |theta_j| <= rho(T') <=
+    ||T'^4||_F^(1/4), and L = ||T'^4||_F^(-1/4), from two products of
+    order m and no SVD, bounds every other 1/|theta_j| from below; theta is
+    returned when L - 1/|theta| > gap. An iterate that settles on a
+    subdominant eigenvalue leaves the dominant one in T', so L < 1/|theta|
+    and nothing is returned.
+    """
+    th = T.conj().T
+    found = _power_iterates(lambda x: T @ x, lambda x: th @ x, y, u)
+    if found is None:
         return None
-    deflated = T - (theta / uy) * np.outer(y, u.conj())
+    theta, y, u = found
+    deflated = T - (theta / np.vdot(u, y)) * np.outer(y, u.conj())
     squared = deflated @ deflated
     norm4 = np.linalg.norm(squared @ squared)
     bound = norm4 ** -0.25 if norm4 > 0.0 else np.inf
-    return theta if bound - 1.0 / abs(theta) > gap else None
+    return found if bound - 1.0 / abs(theta) > gap else None
 
 
-def shift_invert_eigvals(P, Q, shift, start=None, gap=0.0):
-    """The finite eigenvalues z of geig(P, Q) that can be the one nearest
-    shift, from the shift-invert operator about it instead of QZ (Ericsson
-    and Ruhe, Math. Comp. 1980): one LU of P - s*Q at s = shift and T =
-    (P - s*Q)^-1 Q by one solve, whatever the LU's rcond.
+def _pencil_vectors(fact, y, u):
+    """Unit (y, w) of P v = z Q v from the unit y and u of T and T^H at theta,
+    fact the LU of P - s*Q: w = (P - s*Q)^-H u, as u^H T = theta u^H."""
+    w = fact.solve(u, adjoint=True)
+    return y, w / np.linalg.norm(w)
 
-    With start = (y, w), estimates of the right and left eigenvectors of P v
-    = z Q v at the eigenvalue nearest shift, the certificate runs first:
+
+def shift_invert_eigvals(P, Q, shift, start, gap=0.0):
+    """(z, vectors): the finite eigenvalues z of geig(P, Q) that can be the
+    one nearest shift, from the shift-invert operator about it instead of
+    QZ (Ericsson and Ruhe, Math. Comp. 1980): one LU of P - s*Q at s =
+    shift, whatever its rcond, and T = (P - s*Q)^-1 Q by one solve.
+
+    start = (y, w) estimates the right and left eigenvectors of P v = z Q v
+    at the eigenvalue nearest shift. The certificate runs first:
     certified_dominant on T from y and from Q^H w, which is parallel to T's
     left eigenvector (P - s*Q)^H w when w is exact. When it shows that one
     z0 = s + 1/theta is nearer shift than every other candidate by more than
-    gap, z0 alone is returned, for two products of order m and a few dozen
-    matrix-vector products, with no zgeev.
+    gap, z is z0 alone and vectors its unit right and left eigenvectors,
+    from the certificate's iterates and one more solve with the same LU
+    (_pencil_vectors): no zgeev and no second LU.
 
-    Otherwise every finite eigenvalue is returned, in canonical order, from
-    geig's shift-invert mode (zgeev) on the same T. Only when rcond(P - s*Q)
-    is below SHIFT_RCOND_FLOOR, as when shift is an eigenvalue to working
-    accuracy, does s move first, by SHIFT_MOVE times the pencil's scale
-    ||P - shift*Q||_1/||Q||_1 along SHIFT_DIRECTION, at most
-    MAX_SHIFT_MOVES times, each move one more LU, and T is solved again
-    from the last LU whatever its rcond: at a shift on an eigenvalue the
-    operator's norm would swamp the finite test. The spectrum is most accurate near s: an
-    eigenvalue at distance d from s carries an error of about
-    eps*||T||*d^2.
+    Otherwise z is every finite eigenvalue, in canonical order, from geig's
+    shift-invert mode (zgeev) on the same T, and vectors is None. The
+    spectrum is most accurate near s: an eigenvalue at distance d from s
+    carries an error of about eps*||T||*d^2.
     """
-    s = shift
-    fact = Factorization(P - s * Q)
+    fact = Factorization(P - shift * Q)
     T = fact.solve(Q)
-    if start is not None:
-        y, w = start
-        theta = certified_dominant(T, y, Q.conj().T @ w, gap)
-        if theta is not None:
-            return np.array([s + 1.0 / theta])
-    norm, qnorm = fact._norm, np.linalg.norm(Q, 1)
-    moves = 0
-    while moves < MAX_SHIFT_MOVES and qnorm != 0.0 and fact.rcond < SHIFT_RCOND_FLOOR:
-        moves += 1
-        s = shift + moves * SHIFT_MOVE * (norm / qnorm) * SHIFT_DIRECTION
-        fact = Factorization(P - s * Q)
-    if moves:
-        T = fact.solve(Q)
-    return geig(T, None, shift=s)
+    y, w = start
+    found = certified_dominant(T, y, Q.conj().T @ w, gap)
+    if found is None:
+        return geig(T, None, shift=shift), None
+    theta, y, u = found
+    return np.array([shift + 1.0 / theta]), _pencil_vectors(fact, y, u)
+
+
+def shift_invert_vectors(P, Q, shift, start):
+    """Unit (y, w) of P v = z Q v at the eigenvalue nearest shift, or None:
+    the power iterates of shift_invert_eigvals's certificate from start, on
+    T about shift applied by solves with one LU, with no bound and no zgeev.
+    At a shift on an eigenvalue, as chosen from zgeev's candidates, this is
+    inverse iteration and settles in a step or two."""
+    fact = Factorization(P - shift * Q)
+    qh = Q.conj().T
+    y, w = start
+    found = _power_iterates(lambda x: fact.solve(Q @ x),
+                            lambda x: qh @ fact.solve(x, adjoint=True), y, qh @ w)
+    return None if found is None else _pencil_vectors(fact, *found[1:])
 
 
 def null_vector_adjoint(fact: Factorization, norm: float, rng):

@@ -14,9 +14,10 @@ operator T = B(lam, s)^-1 B3 about its first-order prediction s
 and one solve for T, then power iteration on T and T^H from the previous
 point's y and w and two products of order m, which certify the nearest
 candidate when a lower bound on the runner-up's distance decides the step
-rule; zgeev of the same T runs only when the bound cannot decide. One more
-LU of order m, of B(lam, mu) at the chosen eigenvalue, gives its y and w by
-inverse iteration, and their residual test certifies the point's backward
+rule, and give its y and w with one more solve: one LU in all. zgeev of
+the same T runs only when the bound cannot decide, and then the same power
+iteration on a second LU, of B(lam, mu) at the chosen eigenvalue, gives y
+and w. Their residual test certifies the point's backward
 error whatever routine found mu. Where a real pencil at real lam offers a
 conjugate pair equally near the prediction, as past a point where two real
 eigenvalues meet, the step follows the branch from above: it takes the
@@ -63,11 +64,9 @@ TOL_SINGULAR_J = 1e-12
 REFERENCE_LAM = 0.0
 # Interval splits one continue_branch call may make to resolve ambiguity.
 MAX_BISECTIONS = 12
-# Inverse-iteration steps that take the followed branch's y and w from one LU
-# of B(lam, mu) at its eigenvalue mu.
-INVERSE_STEPS = 3
-# Those vectors are kept when ||B y|| and ||B^H w|| (unit y and w) are at most
-# this times the 2-norm bound scale_b, about 450 eps; else the full QZ does.
+# A continuation step's y and w, or a rank-one batch entry's, are kept when
+# ||B y|| and ||B^H w|| (unit y and w) are at most this times the 2-norm bound
+# scale_b, about 450 eps; else the full QZ gives them.
 TOL_INVERSE_RESIDUAL = 1e-13
 # A conjugate tie at lam_new is broken at lam_new + i*h, with h this fraction
 # of the step length |lam_new - lam_prev|.
@@ -293,20 +292,6 @@ def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoi
     return dataclasses.replace(point, branch_id=branch_id)
 
 
-def _inverse_iteration(problem: TwoParProblem, prev: BranchPoint, lam, mu):
-    """Unit (y, w) with B y ~ 0 and B^H w ~ 0 for B = B(lam, mu) at an
-    eigenvalue mu: INVERSE_STEPS steps of inverse iteration from prev.y and
-    prev.w on one Factorization of B, which floors the exactly zero pivot
-    of a B singular by design. None when they fail _null_vectors_pass.
-    """
-    fact = _linalg.Factorization(problem.eval_b(lam, mu))
-    y, w = prev.y, prev.w
-    for _ in range(INVERSE_STEPS):
-        y, w = fact.solve(y), fact.solve(w, adjoint=True)
-        y, w = y / np.linalg.norm(y), w / np.linalg.norm(w)
-    return (y, w) if _null_vectors_pass(problem, lam, mu, y, w)[0] else None
-
-
 def _rank_one_points(problem: TwoParProblem, lams):
     """The points of the one branch at each of lams when B3 = u v^H has rank
     one, as arrays in the order of lams: (mu, y, w, c_degenerate, failed).
@@ -362,19 +347,20 @@ def _rank_one_points(problem: TwoParProblem, lams):
 
 def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
                        break_conjugate_tie: bool = True):
-    """(mus, i): the candidates at lam_new and the index of the one nearest
-    the first-order prediction pred = mu_prev + g'(lam_prev)*(lam_new -
-    lam_prev), with g' in closed form (mu_prev itself when mu_prev is not
-    simple). The candidates come from the shift-invert operator T about
-    pred (_linalg.shift_invert_eigvals): one LU of order m and one solve
-    for T. Power iteration on T and T^H from prev.y and prev.w, and a lower
-    bound on every other candidate's distance from two products of order m
-    (_linalg.certified_dominant), give the nearest candidate alone, with
-    no zgeev, when the bound shows it nearer than the runner-up by more
-    than TOL_AMBIGUOUS * max(1, |pred|), the rule applied below. Otherwise
-    the candidates are the pencil's finite eigenvalues in geig's order, by
-    zgeev of the same T, most accurate next to pred, where the choice is
-    made.
+    """(mu, vectors): the candidate at lam_new nearest the first-order
+    prediction pred = mu_prev + g'(lam_prev)*(lam_new - lam_prev), with g'
+    in closed form (mu_prev itself when mu_prev is not simple), and its unit
+    y and w when they came with it, else None. The candidates come from the
+    shift-invert operator T about pred (_linalg.shift_invert_eigvals): one
+    LU of order m and one solve for T. Power iteration on T and T^H from
+    prev.y and prev.w, and a lower bound on every other candidate's distance
+    from two products of order m (_linalg.certified_dominant), give the
+    nearest candidate alone, with its y and w from the same iterates and
+    LU, and no zgeev, when the bound shows it nearer than the runner-up by
+    more than TOL_AMBIGUOUS * max(1, |pred|), the rule applied below.
+    Otherwise the candidates are the pencil's finite eigenvalues in geig's
+    order, by zgeev of the same T, most accurate next to pred, where the
+    choice is made.
 
     Two candidates about equally near are resolved in two cases: copies of
     one semisimple value give the first copy, and a conjugate pair, as a
@@ -388,8 +374,9 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
     except NonSimpleMu:
         pred = prev.mu
     gap = TOL_AMBIGUOUS * max(1.0, abs(pred))
-    mus = _linalg.shift_invert_eigvals(-(problem.B1 + lam_new * problem.B2),
-                                       problem.B3, pred, (prev.y, prev.w), gap).tolist()
+    candidates, vectors = _linalg.shift_invert_eigvals(
+        -(problem.B1 + lam_new * problem.B2), problem.B3, pred, (prev.y, prev.w), gap)
+    mus = candidates.tolist()
     if not mus:
         raise NoFiniteEigenvalue(
             f"no finite eigenvalue at lam={lam_new} while continuing a branch"
@@ -398,18 +385,18 @@ def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
     order = np.argsort(dists, kind="stable")
     i0 = order[0]
     if len(mus) < 2 or dists[order[1]] - dists[i0] > gap:
-        return mus, i0
+        return mus[i0], vectors
     i1 = order[1]
     mu0, mu1 = mus[i0], mus[i1]
     tol = TOL_DEDUPE * max(1.0, abs(mu0), abs(mu1))
     if abs(mu0 - mu1) <= tol:
         # numerically one semisimple eigenvalue reported twice; the
         # candidates are in canonical order, so take the first copy
-        return mus, min(i0, i1)
+        return mus[min(i0, i1)], None
     if break_conjugate_tie and abs(mu0 - mu1.conjugate()) <= tol:
         h = TIE_SHIFT * abs(lam_new - prev.lam)
-        above, j = _nearest_candidate(problem, prev, lam_new + 1j * h, False)
-        return mus, min((i0, i1), key=lambda i: abs(mus[i] - above[j]))
+        above, _ = _nearest_candidate(problem, prev, lam_new + 1j * h, False)
+        return min((mu0, mu1), key=lambda mu: abs(mu - above)), None
     raise AmbiguousBranch(lam_new, (mu0, mu1))
 
 
@@ -418,18 +405,20 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     _nearest_candidate. Raises AmbiguousBranch when it cannot choose,
     NoFiniteEigenvalue when the pencil has no finite eigenvalue at lam_new.
 
-    The step's cost is two LUs of order m, one solve with m right-hand
-    sides, a few dozen matrix-vector products and two matrix products of
-    order m: one LU and the rest choose the candidate, adding one zgeev of
-    order m only when the certificate of _nearest_candidate refuses, and
-    the winner's y and w come from one LU of B(lam_new, mu)
-    (_inverse_iteration), or, when those fail their residual test, from
-    the point of eigenpairs_at nearest mu.
+    A step the certificate of _nearest_candidate decides costs one LU of
+    order m, one solve with m right-hand sides and one more with the LU, a
+    few dozen matrix-vector products and two matrix products of order m,
+    and its power iterates are the winner's y and w. One it refuses adds
+    one zgeev of order m, and the same power iteration on a second LU, of
+    B(lam_new, mu) (_linalg.shift_invert_vectors), gives y and w. Vectors
+    that fail their residual test, or an iteration that does not settle,
+    leave the point to the full QZ: the point of eigenpairs_at nearest mu.
     """
-    mus, i0 = _nearest_candidate(problem, prev, lam_new)
-    mu = mus[i0]
-    vectors = _inverse_iteration(problem, prev, lam_new, mu)
+    mu, vectors = _nearest_candidate(problem, prev, lam_new)
     if vectors is None:
+        vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam_new * problem.B2),
+                                               problem.B3, mu, (prev.y, prev.w))
+    if vectors is None or not _null_vectors_pass(problem, lam_new, mu, *vectors)[0]:
         return _full_qz_point(problem, lam_new, mu, prev.branch_id)
     y, degen = _normalize_y(vectors[0], problem.c)
     return BranchPoint(lam=complex(lam_new), mu=mu, y=y, w=vectors[1],

@@ -4,6 +4,7 @@ No linter runs on this package. With ``from __future__ import annotations``
 an annotation naming an object its module never imports still imports
 cleanly, so resolving every annotation here stands in for that check.
 """
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -100,6 +101,24 @@ def test_one_lu_mode_and_one_refusal():
             if "allow_singular" in line
             or (path.name not in ("_linalg.py", "nep.py") and refusal.search(line))]
     assert not hits, "\n".join(hits)
+
+
+def test_every_module_constant_is_read():
+    """Every UPPER_CASE constant a mepnl module assigns is read somewhere in
+    the package's code, as a name or an attribute: a mechanism deleted with
+    its knobs left behind fails here, since a docstring or a comment that
+    still names a knob is no read."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))]
+    constants = {target.id for tree in trees for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)}
+    reads = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(constants - reads)
+    assert constants and not unread, unread
 
 
 def test_benchmark_interface_exists():

@@ -1,5 +1,7 @@
 """Branch-bound nonlinear operator view: branch points, factorizations, and
 the reference spectrum its views share."""
+import collections
+
 import numpy as np
 import pytest
 
@@ -95,25 +97,27 @@ def test_unknown_branch_rejected():
 
 
 def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
-    full_qz, fallbacks = 0, 0
-    geig, inverse_iteration = _linalg.geig, pencil._inverse_iteration
+    counts = collections.Counter()
 
-    def counted_geig(*args, **kwargs):
-        nonlocal full_qz
-        full_qz += kwargs.get("vectors") == "both"
-        return geig(*args, **kwargs)
+    def count(owner, name, key):
+        original = getattr(owner, name)
 
-    def counted_inverse(*args):
-        nonlocal fallbacks
-        vectors = inverse_iteration(*args)
-        fallbacks += vectors is None
-        return vectors
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[key(kwargs, result)] += 1
+            return result
 
-    monkeypatch.setattr(_linalg, "geig", counted_geig)
-    monkeypatch.setattr(pencil, "_inverse_iteration", counted_inverse)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(_linalg, "geig", lambda kw, _: "full QZ" if kw.get("vectors") == "both" else "geig")
+    count(_linalg, "certified_dominant",
+          lambda kw, found: "refused" if found is None else "certified vectors")
+    count(_linalg, "shift_invert_vectors", lambda kw, _: "power-loop vectors")
+    count(pencil, "_continue_step", lambda kw, _: "steps")
+    count(pencil, "_full_qz_point", lambda kw, _: "step full QZ")
     p = problems.gen_random(40, 4, seed=3)
     assert p.b3_rank_one is None  # rank(B3) >= 2: branches are continued
-    assert full_qz == 1  # the reference QZ, run to draw c
+    assert counts["full QZ"] == 1  # the reference QZ, run to draw c
     views = [nep.NepView(p, branch_id=b) for b in (0, 1)]
     shared = p.reference_points
     assert isinstance(shared, tuple) and len(shared) == p.m
@@ -125,9 +129,12 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
         assert trace.iterations >= 2
     table = problems.tabulate_branches(p, np.linspace(-0.5, 0.5, 11))
     assert np.all(np.isfinite(table.values))
-    # one full QZ at the reference for c, both views and both sweeps; any
-    # other full QZ is a counted fallback of a continuation step
-    assert full_qz == 1 + fallbacks
+    # one full QZ at the reference for c, both views and both sweeps; each
+    # step's y and w come from its certificate or, when that refuses, from
+    # the power loop at the chosen mu, and no step falls back to the full QZ
+    assert counts["full QZ"] == 1 and counts["step full QZ"] == 0
+    assert counts["certified vectors"] + counts["power-loop vectors"] + \
+        counts["step full QZ"] == counts["steps"] > 0
     assert p.reference_points is shared
     for point in shared:
         assert not point.y.flags.writeable and not point.w.flags.writeable

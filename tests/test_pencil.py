@@ -269,22 +269,26 @@ def test_failed_residual_test_falls_back_to_full_qz(monkeypatch):
 
 
 def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
-    # B(lam, mu) = diag(mu, 1 + mu, 2 + mu) is exactly singular at the
-    # eigenvalue mu = -1, so its LU meets an exactly zero pivot
+    # B(lam, mu) = diag(mu, 1 + mu, 2 + mu) and g' = 0, so a step from
+    # mu = -1 predicts exactly that eigenvalue, where B is exactly singular:
+    # the step's one LU floors the zero pivot, and the certificate's power
+    # iterates, inverse iteration in effect, are the step's y and w
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([0.0, 1.0, 2.0]),
                             np.zeros((3, 3)), np.eye(3), np.ones(3))
     assert p.b3_rank_one is None
     start = pencil.reference_point(p, 1)
     prev = dataclasses.replace(start, y=np.ones(3), w=np.ones(3))
-    y, w = pencil._inverse_iteration(p, prev, 0.5, -1.0)
-    np.testing.assert_allclose(np.abs(y), [0.0, 1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(np.abs(w), [0.0, 1.0, 0.0], atol=1e-15)
 
     def full_qz(*args):
         raise AssertionError("a step fell back to the full QZ")
 
     monkeypatch.setattr(pencil, "eigenpairs_at", full_qz)
-    assert_mu_within_ulps(p, pencil.continue_branch(p, start, 0.5), -1.0)
+    counts, lus = count_geig(monkeypatch), count_lus(monkeypatch)
+    point = pencil._continue_step(p, prev, 0.5)
+    assert counts["shift"] == 0 and len(lus) == 1
+    np.testing.assert_allclose(np.abs(point.y), [0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(point.w), [0.0, 1.0, 0.0], atol=1e-15)
+    assert_mu_within_ulps(p, point, -1.0)
 
 
 def count_geig(monkeypatch):
@@ -302,6 +306,19 @@ def count_geig(monkeypatch):
     return counts
 
 
+def count_lus(monkeypatch):
+    """A list that grows by one with each Factorization built."""
+    lus = []
+    factorization = _linalg.Factorization.__init__
+
+    def counted_lu(self, *args, **kwargs):
+        lus.append(1)
+        factorization(self, *args, **kwargs)
+
+    monkeypatch.setattr(_linalg.Factorization, "__init__", counted_lu)
+    return lus
+
+
 def count_certificate(monkeypatch):
     """Count the certificate's decisions: "certified" when it chose a step's
     candidate with no zgeev, "refused" when it left the choice to zgeev."""
@@ -309,9 +326,9 @@ def count_certificate(monkeypatch):
     original = _linalg.certified_dominant
 
     def counted(*args, **kwargs):
-        theta = original(*args, **kwargs)
-        counts["refused" if theta is None else "certified"] += 1
-        return theta
+        found = original(*args, **kwargs)
+        counts["refused" if found is None else "certified"] += 1
+        return found
 
     monkeypatch.setattr(_linalg, "certified_dominant", counted)
     return counts
@@ -635,15 +652,7 @@ def shift_invert_battery():
 
 
 def test_shift_invert_spectrum_matches_qz(monkeypatch):
-    lus = []
-    factorization = _linalg.Factorization.__init__
-
-    def counted_lu(self, *args, **kwargs):
-        lus.append(1)
-        factorization(self, *args, **kwargs)
-
-    monkeypatch.setattr(_linalg.Factorization, "__init__", counted_lu)
-    moved = 0
+    lus = count_lus(monkeypatch)
     for P, Q in shift_invert_battery():
         z_qz, _ = _linalg.geig(P, Q)
         z0 = z_qz[len(z_qz) // 2]
@@ -651,14 +660,21 @@ def test_shift_invert_spectrum_matches_qz(monkeypatch):
         rng = np.random.default_rng(len(z_qz))
         # a generic shift within the spectrum's own scale, as a prediction is
         generic = z0 + (rng.standard_normal() + 1j * rng.standard_normal()) * abs(z_qz).max()
+        start = (np.ones(len(P)), np.ones(len(P)))
         for shift in (generic, z0, near):
             lus.clear()
-            z = _linalg.shift_invert_eigvals(P, Q, shift)
-            moved += shift == z0 and len(lus) > 1
-            assert z.size == z_qz.size, (shift, z, z_qz)
+            # an infinite gap: the certificate never decides, and zgeev of
+            # the one LU's T gives every candidate
+            z, vectors = _linalg.shift_invert_eigvals(P, Q, shift, start, np.inf)
+            assert vectors is None and len(lus) == 1
             i, j = (np.argmin(np.abs(v - shift)) for v in (z, z_qz))
             assert abs(z[i] - z_qz[j]) <= 1e-12 * abs(z_qz[j]), (z[i], z_qz[j])
-    assert moved > 0  # a shift on an eigenvalue moved off it
+            # no finite eigenvalue within 1/TOL_INF times the nearest one's
+            # distance from the shift is taken for infinite, even at a shift
+            # on an eigenvalue, and no infinite one for finite
+            d = np.abs(z_qz - shift)
+            within = np.count_nonzero(d <= d.min() / _linalg.TOL_INF)
+            assert within <= z.size <= z_qz.size, (shift, z, z_qz)
 
 
 def test_continuation_step_runs_no_pencil_qz(monkeypatch):
@@ -776,12 +792,20 @@ def shift_invert_operator(P, Q, s):
     return _linalg.Factorization(P - s * Q).solve(Q)
 
 
+def assert_same_direction(got, want, tol):
+    """got and want, unit got, are parallel up to phase to within tol."""
+    want = want / np.linalg.norm(want)
+    inner = np.vdot(want, got)
+    assert np.linalg.norm(got - want * inner / abs(inner)) <= tol
+
+
 @pytest.mark.parametrize("m", (5, 20, 100))
 def test_certificate_is_sound(m):
     # predictions from next to an eigenvalue z0 to past the midpoint of z0
     # and its nearest neighbour, with start vectors those of z0 plus noise,
     # as a step's prev.y and prev.w are
     decided = refused = 0
+    eye = np.eye(2)
     for seed in range(12 if m < 100 else 3):
         rng = np.random.default_rng([m, seed])
 
@@ -789,23 +813,30 @@ def test_certificate_is_sound(m):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         P, Q = cplx(m, m), cplx(m, m)
+        # the pencil P v = z Q v is the small pencil at lam = 0 of this one
+        p = mepnl.TwoParProblem(eye, eye, eye, -P, np.zeros((m, m)), Q, None)
         z, vr, vl = _linalg.geig(P, Q, vectors="both")
         k = int(rng.integers(z.size))
         neighbour = np.min(np.abs(np.delete(z, k) - z[k]))
         for frac in (1e-12, 1e-6, 1e-2, 0.2, 0.45, 0.7):
             s = z[k] + frac * neighbour * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
             y, w = vr[:, k] + 1e-4 * cplx(m), vl[:, k] + 1e-4 * cplx(m)
-            mus = _linalg.shift_invert_eigvals(P, Q, s)
-            d = np.sort(np.abs(mus - s))
+            mus, _ = _linalg.shift_invert_eigvals(P, Q, s, (y, w), np.inf)
+            d = np.sort(np.abs(z - s))
             gap = pencil.TOL_AMBIGUOUS * max(1.0, abs(s))
-            got = _linalg.shift_invert_eigvals(P, Q, s, (y, w), gap)
+            got, vectors = _linalg.shift_invert_eigvals(P, Q, s, (y, w), gap)
             if got.size == 1:
                 decided += 1
                 nearest = mus[np.argmin(np.abs(mus - s))]
                 assert abs(got[0] - nearest) <= 1e-10 * abs(nearest), (seed, frac)
+                # its y and w are the pencil's, as QZ gives them
+                assert pencil._null_vectors_pass(p, 0.0, got[0], *vectors)[0]
+                j = np.argmin(np.abs(z - got[0]))
+                assert_same_direction(vectors[0], vr[:, j], 1e-10)
+                assert_same_direction(vectors[1], vl[:, j], 1e-10)
             else:
                 refused += 1
-                assert np.array_equal(got, mus)
+                assert vectors is None and np.array_equal(got, mus)
             # the bound L never exceeds the runner-up's distance d[1]: given
             # the true margin d[1] - d[0] (plus rounding) as the gap, the
             # certificate never decides
@@ -828,11 +859,12 @@ def test_certificate_refuses_another_eigenvalues_vectors():
                 continue
             for lam in (1e-9, 0.02, 0.05 + 0.02j):
                 prev = dataclasses.replace(point, y=other.y, w=other.w)
-                mus, i = pencil._nearest_candidate(p, prev, lam)
+                mu, _ = pencil._nearest_candidate(p, prev, lam)
                 pred = prev.mu + pencil.g_prime_closed_form(p, prev) * lam
-                every = _linalg.shift_invert_eigvals(-(p.B1 + lam * p.B2), p.B3, pred)
+                every, _ = _linalg.shift_invert_eigvals(-(p.B1 + lam * p.B2), p.B3, pred,
+                                                        (prev.y, prev.w), np.inf)
                 nearest = every[np.argmin(np.abs(every - pred))]
-                assert abs(mus[i] - nearest) <= 1e-10 * abs(nearest), (b, lam)
+                assert abs(mu - nearest) <= 1e-10 * abs(nearest), (b, lam)
     # the exact eigenvectors of each other eigenvalue of random pencils, at a
     # shift a tenth of the way from z0 to its nearest neighbour
     refused = 0
@@ -844,10 +876,10 @@ def test_certificate_refuses_another_eigenvalues_vectors():
             s = z[k0] + 0.1 * np.sort(np.abs(z - z[k0]))[1]
             T = shift_invert_operator(P, Q, s)
             for k in np.flatnonzero(np.arange(z.size) != k0):
-                theta = _linalg.certified_dominant(T, vr[:, k], Q.conj().T @ vl[:, k], 1e-12)
-                refused += theta is None
-                if theta is not None:
-                    assert abs(s + 1.0 / theta - z[k0]) <= 1e-10 * abs(z[k0])
+                found = _linalg.certified_dominant(T, vr[:, k], Q.conj().T @ vl[:, k], 1e-12)
+                refused += found is None
+                if found is not None:
+                    assert abs(s + 1.0 / found[0] - z[k0]) <= 1e-10 * abs(z[k0])
     assert refused >= 200
     # no certificate from a start in T's null space, as an infinite
     # eigenvalue's vector is, from a left start orthogonal to the right one,
@@ -878,8 +910,8 @@ def test_equally_near_candidates_go_through_zgeev(monkeypatch):
     # keeps the second copy, so zgeev runs and the first copy is taken
     p = problem([-1.0, -1.0, -4.0])
     prev = dataclasses.replace(prev, mu=0.3)
-    mus, i = pencil._nearest_candidate(p, prev, 0.1)
-    assert len(mus) == 3 and mus[i] == pytest.approx(1.0, abs=1e-14)
+    mu, vectors = pencil._nearest_candidate(p, prev, 0.1)
+    assert vectors is None and mu == pytest.approx(1.0, abs=1e-14)
     assert certificate == {"certified": 0, "refused": 2} and counts["shift"] == 2
     # acceptance criterion 02's conjugate tie: a one-step continuation
     # through the branch point takes zgeev and the tie rule at lam + i*h
@@ -904,39 +936,30 @@ def test_equally_near_candidates_go_through_zgeev(monkeypatch):
 
 def test_refused_certificate_gives_todays_step(monkeypatch):
     # with the certificate refusing, a step reuses its LU and T for zgeev:
-    # the candidates are bit-equal to shift_invert_eigvals without start
-    # vectors, from as many LUs and solves, shift moves included
+    # the candidates are bit-equal to zgeev of T formed anew, from one LU
+    # and one solve, at a shift on an eigenvalue too
     p = mepnl.gen_random(6, 8, seed=4)
-    monkeypatch.setattr(_linalg, "certified_dominant", lambda *args: None)
     lus, solves = [], []
-    init, solve = _linalg.Factorization.__init__, _linalg.Factorization.solve
-
-    def counted_init(self, *args, **kwargs):
-        lus.append(1)
-        init(self, *args, **kwargs)
+    solve = _linalg.Factorization.solve
 
     def counted_solve(self, *args, **kwargs):
         solves.append(1)
         return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(_linalg.Factorization, "__init__", counted_init)
-    monkeypatch.setattr(_linalg.Factorization, "solve", counted_solve)
-    moved = 0
     for b, point in enumerate(p.reference_points):
         for lam in (0.03, 0.05 + 0.02j):
             pred = point.mu + pencil.g_prime_closed_form(p, point) * lam
             P = -(p.B1 + lam * p.B2)
-            # a generic prediction, and one on the eigenvalue, which moves s
+            # a generic prediction, and one on the eigenvalue
             on_mu = pencil.continue_branch(p, point, lam).mu
             for s in (pred, on_mu):
-                counts = []
-                for start in ((point.y, point.w), None):
-                    lus.clear()
-                    solves.clear()
-                    mus = _linalg.shift_invert_eigvals(P, p.B3, s, start, 1e-12)
-                    counts.append((mus, len(lus), len(solves)))
-                (mus, n_lu, n_solve), (ref, ref_lu, ref_solve) = counts
+                monkeypatch.setattr(_linalg, "certified_dominant", lambda *args: None)
+                lus = count_lus(monkeypatch)
+                monkeypatch.setattr(_linalg.Factorization, "solve", counted_solve)
+                solves.clear()
+                mus, vectors = _linalg.shift_invert_eigvals(P, p.B3, s, (point.y, point.w),
+                                                            1e-12)
+                monkeypatch.undo()
+                assert vectors is None and (len(lus), len(solves)) == (1, 1)
+                ref = _linalg.geig(shift_invert_operator(P, p.B3, s), None, shift=s)
                 assert np.array_equal(mus, ref)
-                assert (n_lu, n_solve) == (ref_lu, ref_solve)
-                moved += n_lu > 1
-    assert moved > 0

@@ -283,16 +283,19 @@ def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
     counts = count_calls(monkeypatch, ((_linalg, "geig", "geig"),
                                        (pencil, "reference_point", "reference_point"),
                                        (pencil, "_continue_step", "step"),
-                                       (pencil, "_inverse_iteration", "inverse")))
+                                       (_linalg, "certified_dominant", "certificate"),
+                                       (_linalg, "shift_invert_vectors", "power loop"),
+                                       (pencil, "_full_qz_point", "full QZ")))
+    no_step = {"step": 0, "certificate": 0, "power loop": 0, "full QZ": 0}
     problems.tabulate_branches(p, np.linspace(-2.0, 3.0, 51), branch_ids=[0])
     # the grid is evaluated at once, after one reference point's only QZ run
-    assert counts == {"geig": 1, "reference_point": 1, "step": 0, "inverse": 0}
+    assert counts == {"geig": 1, "reference_point": 1, **no_step}
     lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
     view = nep.NepView(p, branch_id=0, reference_lam=lam1 + 0.01)
     _, trace = solvers.augmented_newton(view, lam1 + 0.01, np.ones(cfg.n))
     assert trace.converged and trace.iterations >= 3
     # Newton's view adds one reference and no QZ per iterate
-    assert counts == {"geig": 2, "reference_point": 2, "step": 0, "inverse": 0}
+    assert counts == {"geig": 2, "reference_point": 2, **no_step}
 
 
 def test_rank_one_tabulation_runs_one_schur_reduction(monkeypatch):
@@ -304,13 +307,16 @@ def test_rank_one_tabulation_runs_one_schur_reduction(monkeypatch):
         (_linalg.Factorization, "__init__", "lu"),
         (pencil, "continue_branch", "continue"),
         (pencil, "_continue_step", "step"),
-        (pencil, "_inverse_iteration", "inverse")))
+        (_linalg, "certified_dominant", "certificate"),
+        (_linalg, "shift_invert_vectors", "power loop"),
+        (pencil, "_full_qz_point", "full QZ")))
     for p in (qep, helmholtz):
         for grid in (np.linspace(-2.0, 3.0, 51), np.arange(-10.0, 100.0 + 1e-9, 0.125)):
             table = problems.tabulate_branches(p, grid, branch_ids=[0])
             assert np.isfinite(table.column(0)).all()
     # one reduction per problem, shared by both tabulations of it
-    assert counts == {"schur": 2, "lu": 0, "continue": 0, "step": 0, "inverse": 0}
+    assert counts == {"schur": 2, "lu": 0, "continue": 0, "step": 0, "certificate": 0,
+                      "power loop": 0, "full QZ": 0}
 
 
 def test_rank_one_tabulation_certifies_without_formed_b(monkeypatch):

@@ -273,25 +273,26 @@ def test_qz_work_per_continuation_step(monkeypatch):
     count(_linalg, "certified_dominant",
           lambda kw, theta: "refused" if theta is None else "certified")
     for owner, name in ((pencil, "eigenpairs_at"), (pencil, "reference_point"),
-                        (pencil, "_continue_step")):
+                        (pencil, "_continue_step"), (pencil, "_full_qz_point"),
+                        (_linalg, "shift_invert_vectors")):
         count(owner, name, lambda kw, _, name=name: name)
-    count(pencil, "_inverse_iteration",
-          lambda kw, vectors: "fallback" if vectors is None else "inverse")
     _, trace = solvers.augmented_newton(view, quad.lam + 1e-3, quad.x + 1e-3 * np.ones(p.n))
     assert trace.converged
     assert counts["_continue_step"] >= trace.iterations - 1
     problems.tabulate_branches(p, np.linspace(-1.0, 1.0, 41))
     steps = counts["_continue_step"]
     assert steps >= 40 * p.m
-    # every step runs the certificate; the steps it refuses take one zgeev of
-    # the shift-invert operator, and one LU gives the vectors; the full QZ
-    # runs only on counted fallbacks, since each sweep's reference points are
-    # the ones gen_random's QZ gave to draw c, before counting
+    # every step runs the certificate, whose iterates give a certified
+    # step's vectors; the steps it refuses take one zgeev of the shift-invert
+    # operator, and the power loop at the chosen mu gives their vectors; the
+    # full QZ runs on no step, since each sweep's reference points are the
+    # ones gen_random's QZ gave to draw c, before counting
     assert counts["certified"] + counts["refused"] == steps
     assert counts["certified"] + counts["geig.shift"] == steps
-    assert counts["inverse"] + counts["fallback"] == steps
+    assert counts["certified"] + counts["shift_invert_vectors"] + \
+        counts["_full_qz_point"] == steps
     assert counts["reference_point"] == 2 * len(p.reference_points)
-    assert counts["geig.both"] == counts["eigenpairs_at"] == counts["fallback"]
+    assert counts["geig.both"] == counts["eigenpairs_at"] == counts["_full_qz_point"] == 0
     assert counts["geig.right"] == 0
     # a Newton solve at m = 20 from a start near the origin, as the bench's:
     # the certificate decides most steps, so zgeev runs on at most half
@@ -303,7 +304,53 @@ def test_qz_work_per_continuation_step(monkeypatch):
     assert steps >= trace.iterations - 1
     assert counts["certified"] + counts["geig.shift"] == steps
     assert counts["geig.shift"] <= 0.5 * steps
-    assert counts["geig.both"] == counts["eigenpairs_at"] == counts["fallback"]
+    assert counts["certified"] + counts["shift_invert_vectors"] + \
+        counts["_full_qz_point"] == steps
+    assert counts["geig.both"] == counts["eigenpairs_at"] == counts["_full_qz_point"] == 0
+
+
+def test_one_lu_per_certified_continuation_step(monkeypatch):
+    # per step: a certified one builds one LU of order m and runs no zgeev;
+    # one the certificate refuses runs one zgeev, and its vectors take one
+    # more LU, of B(lam, mu)
+    p = problems.gen_random(40, 20, seed=4)
+    assert p.b3_rank_one is None
+    lus = count_lus_by_order(monkeypatch)
+    events = collections.Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            events[key(kwargs, result)] += 1
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(_linalg, "geig", lambda kw, _: "zgeev" if kw.get("shift") is not None else "QZ")
+    count(_linalg, "certified_dominant",
+          lambda kw, found: "refused" if found is None else "certified")
+    count(pencil, "_full_qz_point", lambda kw, _: "full QZ")
+    steps = collections.Counter()
+    step = pencil._continue_step
+
+    def counted_step(*args, **kwargs):
+        before = lus[p.m], events["certified"], events["zgeev"]
+        point = step(*args, **kwargs)
+        certified = events["certified"] - before[1]
+        steps[("certified" if certified else "refused", lus[p.m] - before[0],
+               events["zgeev"] - before[2])] += 1
+        return point
+
+    monkeypatch.setattr(pencil, "_continue_step", counted_step)
+    _, trace = solvers.augmented_newton(nep.NepView(p), 0.1 + 0.05j, np.ones(p.n))
+    assert trace.converged
+    problems.tabulate_branches(p, np.linspace(-0.5, 0.5, 21))
+    assert steps[("certified", 1, 0)] >= 20 * p.m
+    assert steps[("refused", 1, 1)] + steps[("refused", 2, 1)] >= 1
+    assert set(steps) <= {("certified", 1, 0), ("refused", 1, 1), ("refused", 2, 1)}
+    assert events["full QZ"] == 0
 
 
 def test_newton_from_c_degenerate_point():
