@@ -5,10 +5,13 @@ scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this). A
 Factorization picks one of three storage paths from its input: LAPACK's
-dense LU (zgetrf) for a dense matrix, LAPACK's band LU (zgbtrf) for a
-sparse matrix with kl + ku <= BAND_MAX, and SuperLU for any other sparse
-matrix. rcond is the zgecon estimate on the dense path and the ratio of the
-smallest to the largest |U| diagonal entry on the two sparse ones. No LU
+dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a sparse matrix
+with kl + ku <= BAND_MAX, and SuperLU for any other sparse matrix. The
+dense and SuperLU paths work in complex arithmetic; the band LU works in
+the matrix's own dtype, dgbtrf for a float64 matrix (as eval_a builds a
+real M(lam)) and zgbtrf otherwise. rcond is the zgecon estimate on the
+dense path and the ratio of the smallest to the largest |U| diagonal
+entry on the two sparse ones. No LU
 is refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
 the dense and band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
 A caller that must refuse a singular matrix tests rcond against
@@ -99,16 +102,20 @@ class Factorization:
     storage names the path taken. A dense matrix is "dense": LAPACK's LU
     (zgetrf). A sparse matrix whose half-bandwidths kl and ku add up to at
     most BAND_MAX is "band": it is packed into LAPACK band storage and
-    factorized by the band LU (zgbtrf), with bandwidths = (kl, ku); the
-    split Helmholtz M(lam) has (2, 1). kl and ku of a dia_array, the form
-    in which TwoParProblem.eval_a delivers a narrow-band M(lam), are read
-    from its offsets; those of any other sparse matrix from its CSR
-    pattern. A sparse matrix of wider band is "sparse": SuperLU. Neither
-    sparse path keeps the matrix.
+    factorized by the band LU, with bandwidths = (kl, ku); the split
+    Helmholtz M(lam) has (2, 1). The band LU keeps a float64 matrix real
+    (dgbtrf), at half the bytes of the complex one (zgbtrf) that any other
+    dtype gets. kl and ku of a dia_array, the form in which
+    TwoParProblem.eval_a delivers a narrow-band M(lam), are read from its
+    offsets; those of any other sparse matrix from its CSR pattern. A
+    sparse matrix of wider band is "sparse": SuperLU. Neither sparse path
+    keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
-    the single factorization. rcond is the reciprocal condition measure:
-    the LAPACK 1-norm estimate (zgecon) for a dense matrix, the smallest
+    the single factorization; a solve returns complex128 on every path, a
+    real band LU solving the real and imaginary parts of b together in one
+    dgbtrs call. rcond is the reciprocal condition measure: the LAPACK
+    1-norm estimate (zgecon) for a dense matrix, the smallest
     over the largest |U| diagonal entry, in O(n), on both sparse paths. It
     is computed when first read, so a factorization nobody asks about pays
     nothing for it; a caller judges it against its own threshold.
@@ -130,13 +137,12 @@ class Factorization:
             else:
                 mat = mat.tocsr()
                 kl, ku = half_bandwidths(mat)
-            mat = mat.astype(np.complex128, copy=False)
             if kl + ku <= BAND_MAX:
                 self.storage, self.bandwidths = "band", (kl, ku)
                 self._lu = _band_lu(mat, kl, ku)
             else:
                 self.storage = "sparse"
-                self._lu = _superlu(mat.tocsc())
+                self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
         else:
             self.storage = "dense"
             a = np.asarray(mat, dtype=np.complex128)
@@ -163,9 +169,7 @@ class Factorization:
             return self._lu.solve(b, trans="H" if adjoint else "N")
         trans = 2 if adjoint else 0
         if self.storage == "band":
-            lu, piv = self._lu
-            x, info = lapack.zgbtrs(lu, *self.bandwidths, b.reshape(len(b), -1), piv,
-                                    trans=trans)
+            x, info = _band_solve(*self._lu, *self.bandwidths, b.reshape(len(b), -1), trans)
             x = x.reshape(b.shape)
         else:
             x, info = lapack.zgetrs(*self._lu, b, trans=trans)
@@ -175,21 +179,42 @@ class Factorization:
 
 
 def _band_lu(mat, kl, ku):
-    """(lu, ipiv) of zgbtrf for the CSR or DIA mat of half-bandwidths
-    (kl, ku). Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran
+    """(lu, ipiv) of the band LU of the CSR or DIA mat of half-bandwidths
+    (kl, ku): dgbtrf when mat is float64, zgbtrf of mat made complex
+    otherwise. Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran
     order, with kl rows on top for the fill of row interchanges; U's
     diagonal ends up in row kl + ku. Diagonal k of mat is copied from a
     view of a DIA row, or in one O(nnz) pass of a CSR one, so nothing but
     the band array has the size of mat."""
     n = mat.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
+    real = mat.dtype == np.float64
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.float64 if real else np.complex128,
+                  order="F")
     for k in range(-kl, ku + 1):
         ab[kl + ku - k, max(k, 0):n + min(k, 0)] = mat.diagonal(k)
-    lu, piv, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    gbtrf = lapack.dgbtrf if real else lapack.zgbtrf
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:  # U has an exactly zero pivot
         udiag = lu[kl + ku]
         udiag[udiag == 0] = np.finfo(float).eps * spla.norm(mat, 1)
     return lu, piv
+
+
+def _band_solve(lu, piv, kl, ku, b, trans):
+    """(x, info) of a solve with the band LU (lu, piv) for the complex n x k
+    b, as zgbtrs gives them: by zgbtrs for a complex lu; for a real one by
+    one dgbtrs call on the real and imaginary parts of b, held as the 2k
+    columns of one Fortran-ordered array that it overwrites. trans 2 is the
+    conjugate transpose, which for a real lu is the transpose."""
+    if lu.dtype == np.complex128:
+        return lapack.zgbtrs(lu, kl, ku, b, piv, trans=trans)
+    k = b.shape[1]
+    parts = np.empty((b.shape[0], 2 * k), order="F")
+    parts[:, :k], parts[:, k:] = b.real, b.imag
+    parts, info = lapack.dgbtrs(lu, kl, ku, parts, piv, trans=trans, overwrite_b=1)
+    x = np.empty(b.shape, dtype=np.complex128)
+    x.real, x.imag = parts[:, :k], parts[:, k:]
+    return x, info
 
 
 def _superlu(mat):

@@ -99,8 +99,10 @@ class TwoParProblem:
     """Immutable container for the six coefficient matrices and the normalization c.
 
     A1, A2, A3 are n x n (dense ndarray or scipy.sparse, stored as CSR);
-    B1, B2, B3 are m x m dense; c is a complex m-vector fixing the eigenvector
-    scaling of the small equation through c^T y = 1 (unconjugated transpose).
+    B1, B2, B3 are m x m dense; all six are stored complex128, and is_real
+    says whether their imaginary parts are all zero. c is a complex
+    m-vector fixing the eigenvector scaling of the small equation through
+    c^T y = 1 (unconjugated transpose).
     c=None draws one that can normalize every finite eigenvector at
     pencil.REFERENCE_LAM (_default_c), from the full QZ there that
     reference_points then reuses.
@@ -194,6 +196,15 @@ class TwoParProblem:
         return any(sp.issparse(M) for M in (self.A1, self.A2, self.A3))
 
     @functools.cached_property
+    def is_real(self) -> bool:
+        """Whether the imaginary parts of all six coefficient matrices are
+        exactly zero: the package's one realness rule, read by eval_a and
+        by the oracle (delta.solve). Decided once per problem, on first
+        use, from the stored entries; the matrices are read-only."""
+        mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)
+        return not any(np.any((M.data if sp.issparse(M) else M).imag) for M in mats)
+
+    @functools.cached_property
     def _a_bands(self):
         """The half-bandwidths (kl, ku) of A1, A2 and A3 when all three are
         sparse and M(lam)'s, the largest kl and ku, add up to at most
@@ -211,17 +222,27 @@ class TwoParProblem:
         a dia_array built diagonal by diagonal, each summed as
         (a1 + lam*a2) + mu*a3 from the diagonals each matrix has, so no CSR
         sum is formed and _linalg.Factorization reads its band from the
-        offsets. Any other sparse M is the CSR sum; a dense M is summed in
-        one output array, DENSE_SUM_ROWS rows at a time."""
+        offsets. When the problem is real (is_real) and lam and mu have
+        exactly zero imaginary parts, that dia_array is float64, summed from
+        the real parts of the same diagonals: each entry is the real part of
+        the complex sum, whose imaginary part is exactly 0 there, and the
+        band is factorized in real arithmetic. Any other sparse M is the
+        complex CSR sum; a dense M is summed in one complex output array,
+        DENSE_SUM_ROWS rows at a time."""
         bands = self._a_bands
         if bands is not None:
             n = self.n
             kl, ku = np.max(bands, axis=0)
-            data = np.zeros((kl + ku + 1, n), dtype=np.complex128)
+            real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
+            if real:
+                lam, mu = np.real(lam), np.real(mu)
+            data = np.zeros((kl + ku + 1, n), dtype=np.float64 if real else np.complex128)
             for mat, scale, (lo, hi) in zip((self.A1, self.A2, self.A3), (None, lam, mu),
                                             bands):
                 for k in range(-lo, hi + 1):
                     term = mat.diagonal(k)
+                    if real:
+                        term = term.real
                     if scale is not None:
                         term *= scale  # as scipy's scalar product, data * scale
                     # a dia_array keeps entry (j - k, j) of diagonal k in column j

@@ -31,7 +31,6 @@ import os
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _linalg, pencil
 from .core import (Quadruplet, ResidualRecord, TwoParProblem, _rank_one_factors,
@@ -148,12 +147,6 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
             stepped)
 
 
-def _is_real(problem: TwoParProblem) -> bool:
-    """Whether the imaginary parts of the six coefficient matrices are zero."""
-    mats = (problem.A1, problem.A2, problem.A3, problem.B1, problem.B2, problem.B3)
-    return not any(np.any((M.data if sp.issparse(M) else M).imag) for M in mats)
-
-
 def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     """The kept quadruplets of the candidates lams[i], with eigenvectors
     vr[:, i] of Gamma1, in their order. Each eigenvector is split as
@@ -210,12 +203,13 @@ def solve(problem: TwoParProblem) -> list:
     the LU of delta0 that also measures its condition, and solved by
     _linalg.geig(Gamma1, None); an rcond of delta0 below
     RCOND_SINGULAR_PROBLEM raises SingularProblem. When the six matrices
-    are real, the LU leaves Gamma1 an exactly zero imaginary part, and geig
-    gets its real part, so it runs LAPACK's real driver and the non-real
-    lam come in exact conjugate pairs. _refine turns the eigenpairs into
-    quadruplets, in the canonical order of the eigensolver's lam, over
-    chunks of at most (n*m)^2 // (n+m+2)^2 candidates, so that a chunk's
-    bordered Jacobians hold no more entries than Gamma1.
+    are real (TwoParProblem.is_real), the LU leaves Gamma1 an exactly zero
+    imaginary part, and geig gets its real part, so it runs LAPACK's real
+    driver and the non-real lam come in exact conjugate pairs. _refine
+    turns the eigenpairs into quadruplets, in the canonical order of the
+    eigensolver's lam, over chunks of at most (n*m)^2 // (n+m+2)^2
+    candidates, so that a chunk's bordered Jacobians hold no more entries
+    than Gamma1.
     """
     dp = assemble(problem)
     fact = _linalg.Factorization(dp.delta0)
@@ -228,7 +222,7 @@ def solve(problem: TwoParProblem) -> list:
         )
     gamma1 = fact.solve(delta1)
     del delta1, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve
-    if _is_real(problem):
+    if problem.is_real:
         gamma1 = np.ascontiguousarray(gamma1.real)  # rebinding frees the complex copy
     lams, vr = _linalg.geig(gamma1, None)
     del gamma1

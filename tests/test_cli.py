@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from mepnl import cli, delta, mmio, pencil, problems
 
@@ -234,6 +235,30 @@ def test_cond_after_newton_on_singular_solution(tmp_path):
     assert code == 0
     reports = read_results(out)["condition_reports"]
     assert len(reports) == 1 and np.isfinite(reports[0]["kappa_total"])
+
+
+def test_cond_helmholtz(tmp_path, monkeypatch):
+    # the split Helmholtz problem is real: Newton's first M(lam), at the real
+    # start lam = 0 with an exactly real mu there, takes the real band LU
+    # (dgbtrf) and a complex solve on it; the later iterates and the left
+    # vectors, at a lam and mu with rounding-level imaginary parts, the
+    # complex one
+    real_lus = []
+    dgbtrf = lapack.dgbtrf
+
+    def counted(*args, **kwargs):
+        real_lus.append(args[0].shape)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", counted)
+    out = tmp_path / "run"
+    assert run(["cond", "--gen", "helmholtz", "--out", out]) == 0
+    reports = read_results(out)["condition_reports"]
+    assert len(reports) == 1
+    for key in ("kappa_a", "kappa_g_b", "kappa_g_lambda", "kappa_total",
+                "backward_lambda_bound"):
+        assert math.isfinite(reports[0][key]) and reports[0][key] > 0
+    assert real_lus
 
 
 @pytest.mark.parametrize("problem", [["--gen", "qep", "--n", "10", "--seed", "3"],

@@ -1,4 +1,5 @@
-"""The one LU type, _linalg.Factorization, on its band and SuperLU paths."""
+"""The one LU type, _linalg.Factorization, on its band and SuperLU paths,
+and the real band path of a real narrow-band M(lam)."""
 import gc
 import tracemalloc
 import weakref
@@ -7,29 +8,36 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import mepnl
-from mepnl import _linalg, nep, problems
+from mepnl import _linalg, nep, problems, solvers
 from mepnl.errors import ShiftIsEigenvalue
+
+
+def helmholtz(n, **config):
+    return problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30, **config)).problem
 
 
 def helmholtz_m(n, lam=1.0 + 1.0j, mu=0.5):
     """The split Helmholtz M(lam) = A1 + lam*A2 + mu*A3, a dia_array as
     eval_a builds it, at a complex lam away from the real spectrum."""
-    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
-    return p.eval_a(lam, mu)
+    return helmholtz(n).eval_a(lam, mu)
 
 
 def backward_error(M, x, b):
     return np.linalg.norm(M @ x - b) / (spla.norm(M, 1) * np.linalg.norm(x) + np.linalg.norm(b))
 
 
-def test_band_lu_agrees_with_superlu():
-    n = 20000
-    M = helmholtz_m(n)
+def assert_band_lu_agrees_with_superlu(M):
+    """The band Factorization of M against SuperLU's LU of M made complex:
+    rcond within a factor of 10, and 1-D and 2-D complex solves, with M and
+    with M^H, within 1e-9 of SuperLU's and at most twice its backward error."""
+    n = M.shape[0]
     fact = _linalg.Factorization(M)
     assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    ref = spla.splu(M.tocsc())
+    assert fact._lu[0].dtype == M.dtype
+    ref = spla.splu(M.astype(np.complex128, copy=False).tocsc())
     udiag = np.abs(ref.U.diagonal())
     ref_rcond = udiag.min() / udiag.max()
     assert ref_rcond / 10 <= fact.rcond <= 10 * ref_rcond
@@ -40,8 +48,51 @@ def test_band_lu_agrees_with_superlu():
             x = fact.solve(b, adjoint=adjoint)
             x_ref = ref.solve(b, trans="H" if adjoint else "N")
             assert x.shape == b.shape
+            assert x.dtype == np.complex128
             assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
             assert backward_error(op, x, b) <= 2 * backward_error(op, x_ref, b)
+
+
+def test_band_lu_agrees_with_superlu():
+    M = helmholtz_m(20000)
+    assert M.dtype == np.complex128
+    assert_band_lu_agrees_with_superlu(M)
+
+
+def test_real_band_m_is_built_and_factorized_in_float64():
+    # all six Helmholtz matrices are real, so at a real (lam, mu) M(lam) is
+    # summed in float64, entry for entry the real part of the complex sum,
+    # and its band LU is dgbtrf's; complex solves still agree with SuperLU
+    p = helmholtz(20000)
+    lam, mu = 1.5 + 0j, 0.5
+    assert p.is_real
+    M = p.eval_a(lam, mu)
+    assert M.format == "dia" and M.dtype == np.float64
+    ref = p.A1 + lam * p.A2 + mu * p.A3
+    assert ref.dtype == np.complex128 and not np.any(ref.data.imag)
+    for k in M.offsets:
+        np.testing.assert_array_equal(M.diagonal(k), ref.diagonal(k).real)
+    assert_band_lu_agrees_with_superlu(M)
+
+
+@pytest.mark.parametrize("lam, mu, imaginary_a", [
+    (1.5 + 1e-3j, 0.5, 0.0),
+    (1.5, 0.5 + 1e-3j, 0.0),
+    (1.5, 0.5, 1e-3),
+])
+def test_complex_lam_mu_or_matrices_keep_m_complex(lam, mu, imaginary_a):
+    # a nonzero imaginary part of lam, of mu or of a matrix keeps M(lam) and
+    # its band LU complex128, summed as before
+    p = helmholtz(20000)
+    if imaginary_a:
+        p = mepnl.TwoParProblem(p.A1 * (1 + imaginary_a * 1j), p.A2, p.A3,
+                                p.B1, p.B2, p.B3, p.c)
+        assert not p.is_real
+    M = p.eval_a(lam, mu)
+    assert M.format == "dia" and M.dtype == np.complex128
+    assert (M != p.A1 + lam * p.A2 + mu * p.A3).nnz == 0
+    fact = _linalg.Factorization(M)
+    assert fact.storage == "band" and fact._lu[0].dtype == np.complex128
 
 
 def arrow(n):
@@ -94,6 +145,8 @@ def test_exactly_singular_sparse_matrix(M, storage):
     assert fact.rcond < _linalg.RCOND_SINGULAR
     if storage == "band":
         # the zero pivot is floored in place, as the dense LU floors it
+        # M is float64, and so is its band LU
+        assert fact._lu[0].dtype == np.float64
         kl, ku = fact.bandwidths
         floor = np.finfo(float).eps * spla.norm(M, 1)
         assert np.abs(fact._lu[0][kl + ku]).min() == floor
@@ -175,3 +228,59 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     assert peak < m_bytes + band_bytes + 4 * n + n
     view.factorization(2.0 + 1.0j)
     assert scans == [p.A1.nnz, p.A2.nnz, p.A3.nnz]
+
+
+def test_view_factorization_builds_real_band_m_in_float64():
+    # the real-sigma twin of the test above: the bench's Helmholtz problem,
+    # whose branch keeps mu exactly real at a real sigma, gives a float64
+    # M(sigma) and a float64 band LU, so each holds 8 bytes an entry
+    n = 100_000
+    p = helmholtz(n, x1=3.7, x2=5.0, kappa_a=2.0, kappa_b=2.0)
+    view = nep.NepView(p, reference_lam=1.5)
+    view.factorization(1.5)
+    m_bytes = (2 + 1 + 1) * n * 8
+    band_bytes = (2 * 2 + 1 + 1) * n * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fact = view.factorization(1.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.point.mu.imag == 0
+    assert fact.storage == "band" and fact.bandwidths == (2, 1)
+    assert fact._lu[0].dtype == np.float64
+    # M's diagonals, the band array and the pivot indices; anything else
+    # is smaller than one array of length n
+    assert peak < m_bytes + band_bytes + 4 * n + n
+
+
+def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
+    # Newton on the bench's Helmholtz problem from a real start near mode 1:
+    # every iterate stays real, so each factorized M(lam) goes to dgbtrf
+    # and none to zgbtrf, and the solve still lands on the analytic value
+    n = 20000
+    kappa, x2 = 2.0, 5.0
+    disc = problems.gen_helmholtz(problems.HelmholtzConfig(
+        x1=3.7, x2=x2, n=n, m=30, kappa_a=kappa, kappa_b=kappa))
+    calls = {"dgbtrf": 0, "zgbtrf": 0, "factorization": 0}
+    for name in ("dgbtrf", "zgbtrf"):
+        def counted(*args, _routine=getattr(lapack, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    factorization = nep.NepView.factorization
+
+    def counted_view(self, sigma):
+        calls["factorization"] += 1
+        return factorization(self, sigma)
+
+    monkeypatch.setattr(nep.NepView, "factorization", counted_view)
+    lam_k = problems.helmholtz_analytic_eigenvalues(kappa, x2, 1)[0]
+    lam0 = lam_k + 4e-3
+    x0 = np.sin(0.5 * np.pi / x2 * disc.grid_a)
+    view = nep.NepView(disc.problem, reference_lam=lam0)
+    quad, info = solvers.augmented_newton(view, lam0, x0, solvers.SolverConfig(tol=1e-13))
+    assert info.converged and abs(quad.lam - lam_k) <= 1e-4
+    assert calls["factorization"] >= 2
+    assert calls["dgbtrf"] == calls["factorization"] and calls["zgbtrf"] == 0
