@@ -5,13 +5,14 @@ scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this). A
 Factorization picks one of three storage paths from its input: LAPACK's
-dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a sparse matrix
-with kl + ku <= BAND_MAX, and SuperLU for any other sparse matrix. The
-dense and SuperLU paths work in complex arithmetic; the band LU works in
-the matrix's own dtype, dgbtrf for a float64 matrix (as eval_a builds a
-real M(lam)) and zgbtrf otherwise. rcond is the zgecon estimate on the
-dense path and the ratio of the smallest to the largest |U| diagonal
-entry on the two sparse ones. No LU
+dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a dia_array
+with kl + ku <= BAND_MAX, as eval_a builds an M(lam) that the problem has
+found narrow (core.TwoParProblem._a_bands), and SuperLU for any other
+sparse matrix. The dense and SuperLU paths work in complex arithmetic;
+the band LU works in the matrix's own dtype, dgbtrf for a float64 matrix
+(as eval_a builds a real M(lam)) and zgbtrf otherwise. rcond is the
+zgecon estimate on the dense path and the ratio of the smallest to the
+largest |U| diagonal entry on the two sparse ones. No LU
 is refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
 the dense and band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
 A caller that must refuse a singular matrix tests rcond against
@@ -47,8 +48,8 @@ POWER_TOL = 1e-13
 # null_vector_adjoint's target ||M^H v|| / ||M|| and its step budget.
 NULL_VECTOR_TOL = 1e-8
 NULL_VECTOR_MAXIT = 50
-# Largest kl + ku of a sparse matrix that Factorization packs into LAPACK
-# band storage instead of handing to SuperLU. At n = 1e5 (one BLAS thread,
+# Largest kl + ku of an M(lam) that is built as a dia_array and packed into
+# LAPACK band storage instead of handed to SuperLU. At n = 1e5 (one BLAS thread,
 # 2 vCPUs), full bands and 2-D five-point strips with kl + ku <= 8 were
 # factorized 2.3 to 5.8 times faster by zgbtrf than by SuperLU, in at most
 # 1.3 times SuperLU's entries (2kl + ku + 1 a column). At kl + ku = 32 the
@@ -89,7 +90,8 @@ def norm2_bound(mat) -> float:
 
 def half_bandwidths(mat) -> tuple[int, int]:
     """(kl, ku) of a CSR mat: the largest distance below and above the
-    diagonal of a stored entry, from its pattern in O(nnz)."""
+    diagonal of a stored entry, from its pattern in O(nnz). Read once per
+    problem, for A1, A2 and A3, by TwoParProblem._a_bands alone."""
     offsets = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
@@ -100,15 +102,15 @@ class Factorization:
     pencil of a continuation step and of delta0 alike.
 
     storage names the path taken. A dense matrix is "dense": LAPACK's LU
-    (zgetrf). A sparse matrix whose half-bandwidths kl and ku add up to at
-    most BAND_MAX is "band": it is packed into LAPACK band storage and
-    factorized by the band LU, with bandwidths = (kl, ku); the split
-    Helmholtz M(lam) has (2, 1). The band LU keeps a float64 matrix real
-    (dgbtrf), at half the bytes of the complex one (zgbtrf) that any other
-    dtype gets. kl and ku of a dia_array, the form in which
-    TwoParProblem.eval_a delivers a narrow-band M(lam), are read from its
-    offsets; those of any other sparse matrix from its CSR pattern. A
-    sparse matrix of wider band is "sparse": SuperLU. Neither sparse path
+    (zgetrf). A dia_array, the form in which TwoParProblem.eval_a delivers
+    a narrow-band M(lam), whose half-bandwidths kl and ku, read from its
+    offsets, add up to at most BAND_MAX is "band": it is packed into LAPACK
+    band storage and factorized by the band LU, with bandwidths = (kl, ku);
+    the split Helmholtz M(lam) has (2, 1). The band LU keeps a float64
+    matrix real (dgbtrf), at half the bytes of the complex one (zgbtrf)
+    that any other dtype gets. Any other sparse matrix is "sparse":
+    SuperLU, with no scan of its pattern, since the problem has already
+    found its band too wide (TwoParProblem._a_bands). Neither sparse path
     keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
@@ -131,19 +133,7 @@ class Factorization:
     def __init__(self, mat):
         self.shape = mat.shape
         self.bandwidths = None
-        if sp.issparse(mat):
-            if mat.format == "dia":
-                kl, ku = -int(mat.offsets.min(initial=0)), int(mat.offsets.max(initial=0))
-            else:
-                mat = mat.tocsr()
-                kl, ku = half_bandwidths(mat)
-            if kl + ku <= BAND_MAX:
-                self.storage, self.bandwidths = "band", (kl, ku)
-                self._lu = _band_lu(mat, kl, ku)
-            else:
-                self.storage = "sparse"
-                self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
-        else:
+        if not sp.issparse(mat):
             self.storage = "dense"
             a = np.asarray(mat, dtype=np.complex128)
             self._norm = np.linalg.norm(a, 1) if a.size else 0.0
@@ -151,6 +141,15 @@ class Factorization:
             zero = np.flatnonzero(lu.diagonal() == 0)
             lu[zero, zero] = np.finfo(float).eps * self._norm
             self._lu = (lu, piv)
+            return
+        if mat.format == "dia":
+            kl, ku = -int(mat.offsets.min(initial=0)), int(mat.offsets.max(initial=0))
+            if kl + ku <= BAND_MAX:
+                self.storage, self.bandwidths = "band", (kl, ku)
+                self._lu = _band_lu(mat, kl, ku)
+                return
+        self.storage = "sparse"
+        self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
 
     @functools.cached_property
     def rcond(self) -> float:
@@ -179,19 +178,21 @@ class Factorization:
 
 
 def _band_lu(mat, kl, ku):
-    """(lu, ipiv) of the band LU of the CSR or DIA mat of half-bandwidths
+    """(lu, ipiv) of the band LU of the dia_array mat of half-bandwidths
     (kl, ku): dgbtrf when mat is float64, zgbtrf of mat made complex
     otherwise. Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran
     order, with kl rows on top for the fill of row interchanges; U's
-    diagonal ends up in row kl + ku. Diagonal k of mat is copied from a
-    view of a DIA row, or in one O(nnz) pass of a CSR one, so nothing but
-    the band array has the size of mat."""
+    diagonal ends up in row kl + ku. A dia_array keeps entry (j - k, j) of
+    diagonal k in column j as well, so each stored row is copied into its
+    row of band storage as it is, and nothing but the band array has the
+    size of mat."""
     n = mat.shape[0]
     real = mat.dtype == np.float64
     ab = np.zeros((2 * kl + ku + 1, n), dtype=np.float64 if real else np.complex128,
                   order="F")
-    for k in range(-kl, ku + 1):
-        ab[kl + ku - k, max(k, 0):n + min(k, 0)] = mat.diagonal(k)
+    for k, row in zip(mat.offsets, mat.data):
+        cols = slice(max(k, 0), min(n + min(k, 0), row.size))
+        ab[kl + ku - k, cols] = row[cols]
     gbtrf = lapack.dgbtrf if real else lapack.zgbtrf
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:  # U has an exactly zero pivot
@@ -419,7 +420,7 @@ def _pencil_vectors(fact, y, u):
     return y, w / np.linalg.norm(w)
 
 
-def shift_invert_eigvals(P, Q, shift, start, gap=0.0):
+def shift_invert_eigvals(P, Q, shift, start, gap):
     """(z, vectors): the finite eigenvalues z of geig(P, Q) that can be the
     one nearest shift, from the shift-invert operator about it instead of
     QZ (Ericsson and Ruhe, Math. Comp. 1980): one LU of P - s*Q at s =

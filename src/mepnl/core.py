@@ -209,7 +209,9 @@ class TwoParProblem:
         """The half-bandwidths (kl, ku) of A1, A2 and A3 when all three are
         sparse and M(lam)'s, the largest kl and ku, add up to at most
         _linalg.BAND_MAX; else None. Read from the three patterns once per
-        problem, on first use."""
+        problem, on first use: the package's one narrow-band decision,
+        which eval_a carries to _linalg.Factorization by building a
+        narrow M(lam) as a dia_array and any other as CSR."""
         mats = (self.A1, self.A2, self.A3)
         if not all(sp.issparse(M) for M in mats):
             return None

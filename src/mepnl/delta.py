@@ -73,8 +73,6 @@ class DeltaPencil:
 
     delta0: np.ndarray
     delta1: np.ndarray
-    n: int
-    m: int
 
 
 def assemble(problem: TwoParProblem) -> DeltaPencil:
@@ -93,7 +91,7 @@ def assemble(problem: TwoParProblem) -> DeltaPencil:
     d0 -= np.kron(B3, A2)
     d1 = np.kron(B3, A1)
     d1 -= np.kron(B1, A3)
-    return DeltaPencil(d0, d1, n, m)
+    return DeltaPencil(d0, d1)
 
 
 def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):

@@ -19,9 +19,6 @@ from . import pencil
 from .core import TwoParProblem
 from .errors import AmbiguousBranch, NoFiniteEigenvalue
 
-# A-side matrices are assembled sparse from this order on.
-SPARSE_MIN_N = 500
-
 
 def gen_random(n, m, seed, alphas=(1.0, 1.0 / 500.0, 1.0 / 50.0),
                betas=(1.0, 1.0 / 500.0, 1.0 / 50.0)) -> TwoParProblem:
@@ -225,13 +222,13 @@ class HelmholtzDiscretization:
 def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretization:
     """Assemble the split Helmholtz problem of the given configuration.
 
-    Large equation (n x n, sparse from n >= 500): second-order central
+    Large equation (n x n, sparse at every n): second-order central
     differences for u'' + kappa^2 u - lam u on [0, x1], a Dirichlet row at
     0, and a one-sided second-order stencil at x1 for the interface
     condition u'(x1) - mu u(x1) = 0 (the mu term is the only entry of A3).
     It is assembled directly in CSR from flat real arrays, in O(n) time and
-    memory, and cast to complex only when each matrix is made; below
-    SPARSE_MIN_N the matrices are then densified.
+    memory, and cast to complex only when each matrix is made. Its M(lam)
+    has two sub-diagonals and one super-diagonal, so it takes the band LU.
     Small equation (m x m, dense): Chebyshev collocation on [x1, x2] with
     the same interface condition in row 0 and a Neumann row at x2. Both
     equations are row-scaled to unit diagonal at (lam, mu) = (1, 1); row
@@ -299,8 +296,6 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     db = np.diag(B1 + B2 + B3)
     B1, B2, B3 = B1 / db[:, None], B2 / db[:, None], B3 / db[:, None]
 
-    if n < SPARSE_MIN_N:
-        A1, A2, A3 = A1.toarray(), A2.toarray(), A3.toarray()
     c = np.zeros(m)
     c[0] = 1.0
     problem = TwoParProblem(

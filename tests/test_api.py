@@ -62,6 +62,19 @@ def test_only_linalg_builds_lus():
     assert not hits, "\n".join(hits)
 
 
+def test_only_core_decides_the_band():
+    """TwoParProblem._a_bands is the package's one narrow-band decision:
+    no module but core.py calls _linalg.half_bandwidths, so Factorization
+    scans no pattern of its own."""
+    callers = sorted({path.name
+                      for path in Path(mepnl.__file__).parent.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(node.func, "id", None))
+                      == "half_bandwidths"})
+    assert callers == ["core.py"]
+
+
 def test_only_linalg_runs_eigensolvers():
     """Every eigenvalue problem the package solves goes through _linalg.geig,
     so it keeps geig's finite test and canonical order: no other module

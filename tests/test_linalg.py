@@ -130,8 +130,21 @@ def singular_band():
     return zero_column(sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30)), 11)
 
 
+def test_band_lu_reads_only_the_stored_columns_of_a_dia_array():
+    # todia stores no column past the last nonzero one, so its rows of
+    # data can be shorter than n: the band LU is that of the zero-padded rows
+    M = zero_column(sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30)), 29).todia()
+    assert M.data.shape[1] < 30
+    padded = sp.dia_array((np.pad(M.data, ((0, 0), (0, 30 - M.data.shape[1]))), M.offsets),
+                          shape=M.shape)
+    got, want = _linalg.Factorization(M), _linalg.Factorization(padded)
+    assert got.storage == want.storage == "band"
+    for g, w in zip(got._lu, want._lu):
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("M, storage", [
-    (singular_band(), "band"),
+    (singular_band().todia(), "band"),
     (zero_column(arrow(30), 11), "sparse"),
 ])
 def test_exactly_singular_sparse_matrix(M, storage):
@@ -159,7 +172,7 @@ def test_exactly_singular_sparse_matrix(M, storage):
 
 @pytest.mark.parametrize("M, storage", [
     (singular_band().toarray(), "dense"),
-    (singular_band(), "band"),
+    (singular_band().todia(), "band"),
     (zero_column(arrow(30), 11), "sparse"),
 ])
 def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
@@ -175,34 +188,33 @@ def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
 
 def test_band_factorization_keeps_only_its_band():
     # SuperLU's own allocations are invisible to tracemalloc, hence the path;
-    # M comes as eval_a builds it, a dia_array, and as CSR
+    # M comes as eval_a builds it, a dia_array
     n = 100_000
     band_bytes = (2 * 2 + 1 + 1) * n * 16
-    for fmt in ("dia", "csr"):
-        M = helmholtz_m(n).asformat(fmt)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            fact = _linalg.Factorization(M)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert fact.storage == "band" and fact.bandwidths == (2, 1)
-        assert peak < 2 * band_bytes
-        # the band array and the pivot indices, nothing of the size of a copy of M
-        assert kept < band_bytes + 4 * n + 4096
-        ref = weakref.ref(M)
-        del M
-        gc.collect()
-        assert ref() is None
+    M = helmholtz_m(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fact = _linalg.Factorization(M)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fact.storage == "band" and fact.bandwidths == (2, 1)
+    assert peak < 2 * band_bytes
+    # the band array and the pivot indices, nothing of the size of a copy of M
+    assert kept < band_bytes + 4 * n + 4096
+    ref = weakref.ref(M)
+    del M
+    gc.collect()
+    assert ref() is None
 
 
 def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     # M(sigma) arrives as its four diagonals, and the band is read from
     # their offsets: the pattern scan runs once per matrix of the problem,
-    # and no CSR sum or int64 pattern array is alive beside the factors
-    n = 100_000
-    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
+    # and no CSR sum or int64 pattern array is alive beside the factors.
+    # A wide M(sigma) goes to SuperLU unscanned, and so does a narrow CSR
+    # matrix handed to Factorization directly: only a dia_array is banded
     scans = []
     half_bandwidths = _linalg.half_bandwidths
 
@@ -211,6 +223,17 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
         return half_bandwidths(mat)
 
     monkeypatch.setattr(_linalg, "half_bandwidths", counted)
+    wide = mepnl.TwoParProblem(arrow(40), sp.eye(40, format="csr"), 0.5 * sp.eye(40),
+                               np.diag([1.0, 2.0]), np.eye(2), np.eye(2), np.ones(2))
+    view = nep.NepView(wide)
+    for sigma in (0.3, 0.4):
+        assert view.factorization(sigma).storage == "sparse"
+    tridiagonal = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30), format="csr")
+    assert _linalg.Factorization(tridiagonal).storage == "sparse"
+    assert scans == [wide.A1.nnz, wide.A2.nnz, wide.A3.nnz]
+    scans.clear()
+    n = 100_000
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
     view = nep.NepView(p)
     view.factorization(1.0 + 1.0j)
     m_bytes = (2 + 1 + 1) * n * 16

@@ -99,7 +99,7 @@ def test_helmholtz_assembly_structure():
                                    kappa_a=2.0, kappa_b=2.0)
     disc = problems.gen_helmholtz(cfg)
     p = disc.problem
-    A1, A2, A3 = (np.asarray(M) for M in (p.A1, p.A2, p.A3))
+    A1, A2, A3 = (M.toarray() for M in (p.A1, p.A2, p.A3))
     n = cfg.n
     h = cfg.x1 / (n - 1)
     # boundary closure row: plain Dirichlet identity, no lam or mu coupling
@@ -129,11 +129,15 @@ def test_helmholtz_assembly_structure():
     np.testing.assert_array_equal(p.c, np.eye(cfg.m)[0])
 
 
-def test_helmholtz_sparse_threshold():
-    small = problems.gen_helmholtz(problems.HelmholtzConfig(n=41, m=6))
-    assert not sp.issparse(small.problem.A1)
-    big = problems.gen_helmholtz(problems.HelmholtzConfig(n=600, m=6))
-    assert sp.issparse(big.problem.A1)
+def test_small_helmholtz_keeps_csr_and_a_band_m():
+    # no order densifies the A side: a small problem's M(lam) takes the
+    # band LU as a large one's does
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=41, m=6)).problem
+    assert all(M.format == "csr" for M in (p.A1, p.A2, p.A3))
+    M = p.eval_a(1.0 + 1.0j, 0.5)
+    assert M.format == "dia"
+    fact = _linalg.Factorization(M)
+    assert fact.storage == "band" and fact.bandwidths == (2, 1)
 
 
 def lil_reference(cfg):
@@ -161,17 +165,12 @@ def lil_reference(cfg):
     A3[n - 1, n - 1] = -1.0
     sa = sp.diags([1.0 / (A1 + A2 + A3).diagonal()], [0])
     A1, A2, A3 = sa @ A1, sa @ A2, sa @ A3
-    if n < problems.SPARSE_MIN_N:
-        return [M.toarray() for M in (A1, A2, A3)]
     return [M.tocsr() for M in (A1, A2, A3)]
 
 
 def assert_same_bytes(got, want):
-    assert sp.issparse(got) == sp.issparse(want)
+    assert sp.issparse(got) and sp.issparse(want)
     assert got.dtype == want.dtype and got.shape == want.shape
-    if not sp.issparse(want):
-        assert got.tobytes() == want.tobytes()
-        return
     assert got.has_canonical_format and want.has_canonical_format
     for attr in ("data", "indices", "indptr"):
         g, w = getattr(got, attr), getattr(want, attr)
