@@ -464,16 +464,16 @@ def shift_invert_vectors(P, Q, shift, start):
     return None if found is None else _pencil_vectors(fact, *found[1:])
 
 
-def null_vector_adjoint(fact: Factorization, norm: float, rng):
-    """Approximate null vector of M^H by inverse iteration on a factorization of M.
+def null_vector_adjoint(fact: Factorization, norm: float, start):
+    """Approximate null vector of M^H by inverse iteration on a factorization
+    of M, from the caller's nonzero start: the iterate is a function of M
+    and start alone.
 
     Returns the unit vector v once ||M^H v|| <= NULL_VECTOR_TOL * norm, where
     norm should be a norm of M. Raises ConvergenceFailure otherwise.
     """
     tol, maxit = NULL_VECTOR_TOL, NULL_VECTOR_MAXIT
-    n = fact.shape[0]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = start / np.linalg.norm(start)
     res = np.inf
     for _ in range(maxit):
         w = fact.solve(v, adjoint=True)

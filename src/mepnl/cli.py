@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import _linalg, delta, mmio, problems
-from .core import Quadruplet, attach_left_vectors, condition_numbers
+from .core import Quadruplet, condition_numbers
 from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
                      ProblemIOError, TooLarge)
 from .nep import NepView
@@ -342,7 +342,6 @@ def cmd_cond(cfg: RunConfig) -> int:
     code, payload, problem, quads, trace = _compute_solve(cfg)
     reports = []
     for quad in quads:
-        quad = attach_left_vectors(problem, quad, seed=cfg.seed)
         rep = dataclasses.asdict(condition_numbers(problem, quad))
         del rep["weights"]
         rep["det_c0"] = _c2j(rep["det_c0"])
@@ -432,7 +431,9 @@ def _add_common(p):
                    help="problem generator (alternative to --matrix-files)")
     p.add_argument("--n", type=_positive_int, help="large equation order")
     p.add_argument("--m", type=_positive_int, help="small equation order")
-    p.add_argument("--seed", type=_count)
+    p.add_argument("--seed", type=_count,
+                   help="seed of the --gen random, qep and sqrt generators; "
+                        "nothing else reads it")
     p.add_argument("--matrix-files", type=_file_list, metavar="A1,A2,A3,B1,B2,B3",
                    help="six Matrix Market files, comma separated")
     p.add_argument("--c-file", help="Matrix Market file with the c vector")

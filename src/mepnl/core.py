@@ -16,12 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _linalg
-from .errors import (
-    DimensionMismatch,
-    MissingLeftVectors,
-    NonSimpleLambda,
-    NonSimpleMu,
-)
+from .errors import DimensionMismatch, NonSimpleLambda, NonSimpleMu
 
 # Scaled thresholds below which an eigenvalue is treated as non-simple and
 # conditioning is refused.
@@ -348,10 +343,9 @@ class Weights:
     gamma: float = 1.0
 
     @classmethod
-    def relative(cls, problem: TwoParProblem, lam=None) -> "Weights":
-        """Norm-based weights; gamma = |lam| when lam is given, else 1."""
-        gamma = abs(lam) if lam is not None else 1.0
-        return cls(problem.norms_a, problem.norms_b, float(gamma))
+    def relative(cls, problem: TwoParProblem, lam) -> "Weights":
+        """Norm-based weights at lam: gamma = |lam|."""
+        return cls(problem.norms_a, problem.norms_b, float(abs(lam)))
 
 
 @dataclasses.dataclass
@@ -369,11 +363,12 @@ class ConditionReport:
     theta2_relative: float
 
 
-def _require_left(quad: Quadruplet):
+def _with_left(problem: TwoParProblem, quad: Quadruplet) -> Quadruplet:
+    """quad when it carries both left vectors, else attach_left_vectors's
+    copy: the conditioning routines' one way to get v and w."""
     if quad.v is None or quad.w is None:
-        raise MissingLeftVectors(
-            "quadruplet lacks left vectors; fill them with core.attach_left_vectors"
-        )
+        return attach_left_vectors(problem, quad)
+    return quad
 
 
 def _branch_slope(problem, w, y):
@@ -414,9 +409,10 @@ def c0_matrix(problem: TwoParProblem, quad: Quadruplet) -> np.ndarray:
     """The 2x2 coupling matrix [[v^H A2 x, v^H A3 x], [w^H B2 y, w^H B3 y]].
 
     Its determinant equals (w^H B3 y)(v^H M'(lam) x); a zero determinant marks
-    a critical point of the coupled problem.
+    a critical point of the coupled problem. A quadruplet without v or w
+    has both attached first (attach_left_vectors).
     """
-    _require_left(quad)
+    quad = _with_left(problem, quad)
     v, w, x, y = quad.v, quad.w, quad.x, quad.y
     return np.array(
         [
@@ -437,8 +433,10 @@ def condition_numbers(problem: TwoParProblem, quad: Quadruplet,
     kappa_total combines the A- and B-channels into the full first-order
     bound |d lam| <= eps * kappa_total for perturbations of size eps in the
     given weights. Defaults to relative (norm-based) weights with gamma=|lam|.
+    A quadruplet without v or w has both attached first
+    (attach_left_vectors), once per call.
     """
-    _require_left(quad)
+    quad = _with_left(problem, quad)
     if weights is None:
         weights = Weights.relative(problem, quad.lam)
     b1, _, b3 = weights.betas
@@ -482,22 +480,22 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
     cancelling. A side (A or B) whose weights are all zero is passed through
     as it is, so a sparse problem stays sparse under backward weights; a
     side with a nonzero weight becomes dense. Weights default as in
-    condition_numbers. Returns (perturbed TwoParProblem, predicted |d lam|).
+    condition_numbers, and so does the attaching of missing left vectors,
+    once per call. Returns (perturbed TwoParProblem, predicted |d lam|),
+    the prediction being eps * kappa_total of condition_numbers.
     Weights((0, 0, 0), (beta1, 0, beta3)) gives the perturbation of a
     backward-stable small solve; its prediction is eps *
     backward_lambda_bound of condition_numbers under weights with the same
     beta1 and beta3.
     """
-    _require_left(quad)
+    quad = _with_left(problem, quad)
     if weights is None:
         weights = Weights.relative(problem, quad.lam)
     a1, a2, a3 = weights.alphas
     b1, b2, b3 = weights.betas
     lam, mu = quad.lam, quad.mu
-    v, w, x, y = quad.v, quad.w, quad.x, quad.y
-    _, va3x, _, wb3y, vmpx = _bilinears(problem, quad)
-    rho = va3x / wb3y
-    psi = _phase(rho).conjugate()
+    _, va3x, _, wb3y, _ = _bilinears(problem, quad)
+    psi = _phase(va3x / wb3y).conjugate()
 
     def perturbed(mats, side_weights, coefs, left, right):
         if not any(side_weights):
@@ -507,33 +505,29 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
 
     As = perturbed((problem.A1, problem.A2, problem.A3), weights.alphas, (
         -eps * a1, -eps * a2 * _phase(lam).conjugate(),
-        -eps * a3 * _phase(mu).conjugate()), v, x)
+        -eps * a3 * _phase(mu).conjugate()), quad.v, quad.x)
     Bs = perturbed((problem.B1, problem.B2, problem.B3), weights.betas, (
         eps * b1 * psi, eps * b2 * _phase(lam).conjugate() * psi,
-        eps * b3 * _phase(mu).conjugate() * psi), w, y)
-    sa = _weighted(weights.alphas, lam, mu)
-    sb = _weighted(weights.betas, lam, mu)
-    nv, nx = np.linalg.norm(v), np.linalg.norm(x)
-    nw, ny = np.linalg.norm(w), np.linalg.norm(y)
-    predicted = eps * (nv * nx * sa + nw * ny * sb * abs(rho)) / abs(vmpx)
+        eps * b3 * _phase(mu).conjugate() * psi), quad.w, quad.y)
     pert = TwoParProblem(*As, *Bs, problem.c, label=problem.label + ":perturbed")
-    return pert, float(predicted)
+    return pert, eps * condition_numbers(problem, quad, weights).kappa_total
 
 
-def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet,
-                        seed: int = 0) -> Quadruplet:
+def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet) -> Quadruplet:
     """Return a copy of the quadruplet with left vectors v and w filled in,
     each by adjoint inverse iteration (_linalg.null_vector_adjoint) on an LU
     at the quadruplet's (lam, mu): v of A1 + lam*A2 + mu*A3 to
-    NULL_VECTOR_TOL times scale_a, w of B1 + lam*B2 + mu*B3 times scale_b,
-    with no branch tracking and no eigensolver. Both are singular at a
-    solution by design, so their LUs are floored rather than refused; a lam,
-    or a mu at lam, that is not an eigenvalue raises ConvergenceFailure.
+    NULL_VECTOR_TOL times scale_a, started from the quadruplet's own x, and
+    w of B1 + lam*B2 + mu*B3 times scale_b, started from its own y, the
+    classical start of inverse iteration (Ipsen, SIAM Review 1997). So v
+    and w are a function of the quadruplet, found with no branch tracking
+    and no eigensolver. Both matrices are singular at a solution by design,
+    so their LUs are floored rather than refused; a lam, or a mu at lam,
+    that is not an eigenvalue raises ConvergenceFailure.
     """
-    rng = np.random.default_rng(seed)
     lam, mu = quad.lam, quad.mu
     v = _linalg.null_vector_adjoint(_linalg.Factorization(problem.eval_a(lam, mu)),
-                                    problem.scale_a(lam, mu), rng)
+                                    problem.scale_a(lam, mu), quad.x)
     w = _linalg.null_vector_adjoint(_linalg.Factorization(problem.eval_b(lam, mu)),
-                                    problem.scale_b(lam, mu), rng)
+                                    problem.scale_b(lam, mu), quad.y)
     return dataclasses.replace(quad, v=v, w=w)

@@ -55,14 +55,6 @@ class NonSimpleLambda(MepnlError):
     """v^H M'(lambda) x is numerically zero: lambda is not simple, conditioning undefined."""
 
 
-class MissingLeftVectors(MepnlError):
-    """Left eigenvectors are required but absent from the quadruplet.
-
-    Fill v and w with core.attach_left_vectors before calling conditioning
-    routines.
-    """
-
-
 class ConvergenceFailure(MepnlError):
     """An inner iteration that must converge did not."""
 

@@ -102,6 +102,39 @@ def test_oracle_and_core_run_no_svd():
     assert not hits, "\n".join(hits)
 
 
+def test_only_generators_draw_random_numbers():
+    """A result is a function of the problem and the run's options: only
+    the problem generators (problems.gen_random and cli._build_problem)
+    and the fixed-seed draw of a default normalization vector
+    (core._default_c) call default_rng or name np.random."""
+    allowed = {"problems.gen_random", "cli._build_problem", "core._default_c"}
+
+    def draws(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "default_rng" or (
+                node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"))
+        if isinstance(node, ast.Name):
+            return node.id == "default_rng"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            return any(name in ("random", "default_rng") or name.endswith(".random")
+                       for name in names)
+        return False
+
+    def scopes(node, scope):
+        """The enclosing function or class of each node that draws."""
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if draws(node):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from scopes(child, scope)
+
+    found = sorted({scope for path in Path(mepnl.__file__).parent.glob("*.py")
+                    for scope in scopes(ast.parse(path.read_text()), path.stem)} - allowed)
+    assert not found, found
+
+
 def test_one_lu_mode_and_one_refusal():
     """A Factorization refuses no matrix and has no mode: no module names
     allow_singular. Outside _linalg.py, whose triangular solve raises on a

@@ -275,6 +275,23 @@ def test_cond_delta_where_m_stays_singular_off_lam(tmp_path, problem):
     assert all(np.isfinite(rep["kappa_total"]) for rep in reports)
 
 
+def test_cond_reports_do_not_depend_on_seed(tmp_path):
+    # --seed seeds generated problems only: on a problem read from files the
+    # left vectors, and so the condition numbers, are the same at any seed
+    gen_dir = tmp_path / "problem"
+    assert run(["generate", "--gen", "random", "--n", "6", "--m", "3", "--seed", "2",
+                "--out", gen_dir]) == 0
+    files = ",".join(str(gen_dir / f"{name}.mtx")
+                     for name in ("A1", "A2", "A3", "B1", "B2", "B3"))
+    reports = []
+    for seed in (0, 7):
+        out = tmp_path / f"seed{seed}"
+        assert run(["cond", "--matrix-files", files, "--c-file", gen_dir / "c.mtx",
+                    "--solver", "delta", "--seed", seed, "--out", out]) == 0
+        reports.append(read_results(out)["condition_reports"])
+    assert reports[0] and reports[0] == reports[1]
+
+
 def test_generate_check_solve_round_trip(tmp_path, capsys):
     gen_dir = tmp_path / "problem"
     assert run(["generate", "--gen", "random", "--n", "5", "--m", "3",

@@ -10,8 +10,7 @@ import mepnl
 from mepnl import _linalg, core, problems
 from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
                         condition_numbers, residuals, worst_case_perturbation)
-from mepnl.errors import (ConvergenceFailure, DimensionMismatch,
-                          MissingLeftVectors, NonSimpleMu)
+from mepnl.errors import ConvergenceFailure, DimensionMismatch, NonSimpleMu
 
 
 def small_problem(seed=1, n=8, m=3):
@@ -190,11 +189,22 @@ def test_weights_modes():
     assert wr.gamma == 2.0
 
 
-def test_condition_numbers_requires_left_vectors():
+def test_condition_numbers_attaches_missing_left_vectors():
     p = small_problem()
     q = solved_quad(p, with_left=False)
-    with pytest.raises(MissingLeftVectors):
-        condition_numbers(p, q)
+    assert q.v is None and q.w is None
+    assert condition_numbers(p, q) == condition_numbers(p, attach_left_vectors(p, q))
+
+
+def test_perturbation_and_c0_attach_missing_left_vectors():
+    p = small_problem(seed=3, n=6, m=3)
+    q = solved_quad(p, index=8, with_left=False)
+    attached = attach_left_vectors(p, q)
+    np.testing.assert_array_equal(c0_matrix(p, q), c0_matrix(p, attached))
+    for weights in (None, Weights((0.0, 0.0, 0.0), (1.0, 0.0, 1.0))):
+        # the prediction is condition_numbers' kappa_total, bit for bit
+        _, predicted = worst_case_perturbation(p, q, weights, 1e-7)
+        assert predicted == 1e-7 * condition_numbers(p, attached, weights).kappa_total
 
 
 def test_attach_left_vectors_quality():
@@ -348,7 +358,7 @@ def test_attach_left_vectors_where_m_stays_singular_off_lam(gen, n, m, seed):
         # and v is a left null vector to that accuracy
         bound = 16 * max(q.residuals.res_a, np.finfo(float).eps)
         for prob in (p, ps):
-            v = attach_left_vectors(prob, q, seed=seed).v
+            v = attach_left_vectors(prob, q).v
             res_v = np.linalg.norm(v.conj() @ prob.eval_a(q.lam, q.mu))
             assert res_v <= bound * prob.scale_a(q.lam, q.mu)
 

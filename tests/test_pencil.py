@@ -268,6 +268,57 @@ def test_failed_residual_test_falls_back_to_full_qz(monkeypatch):
         np.testing.assert_array_equal(got.w, ref.w)
 
 
+def ambiguous_beyond(monkeypatch, h):
+    """Make pencil._continue_step raise AmbiguousBranch on every step longer
+    than h; returns the list of lams that steps were tried to."""
+    tried = []
+    step = pencil._continue_step
+
+    def tie(problem, prev, lam_new):
+        tried.append(lam_new)
+        if abs(lam_new - prev.lam) > h:
+            raise AmbiguousBranch(lam_new, (prev.mu, prev.mu))
+        return step(problem, prev, lam_new)
+
+    monkeypatch.setattr(pencil, "_continue_step", tie)
+    return tried
+
+
+def test_ambiguous_step_is_bisected(monkeypatch):
+    p = mepnl.gen_random(6, 5, seed=8)
+    assert p.b3_rank_one is None
+    start = pencil.reference_point(p, 1)
+    lam = 0.2 + 0.1j
+    # the explicit halved steps: to lam/4 and lam/2, then to lam through the
+    # midpoint that bisecting the refused step from lam/2 gives
+    half = start.lam + 0.5 * (lam - start.lam)
+    quarter = start.lam + 0.5 * (half - start.lam)
+    lams = [quarter, half, half + 0.5 * (lam - half), lam]
+    want = start
+    for target in lams:
+        want = pencil._continue_step(p, want, target)
+    tried = ambiguous_beyond(monkeypatch, 0.3 * abs(lam - start.lam))
+    got = pencil.continue_branch(p, start, lam)
+    # three refused steps, each split once, then the four halved steps
+    assert tried == [lam, half, quarter, half, lam, lams[2], lam]
+    assert got.lam == want.lam and got.mu == want.mu
+    assert got.branch_id == want.branch_id and got.c_degenerate == want.c_degenerate
+    np.testing.assert_array_equal(got.y, want.y)
+    np.testing.assert_array_equal(got.w, want.w)
+
+
+def test_unresolved_tie_raises_after_max_bisections(monkeypatch):
+    p = mepnl.gen_random(6, 5, seed=8)
+    start = pencil.reference_point(p, 1)
+    tried = ambiguous_beyond(monkeypatch, 0.0)  # every step is a tie
+    with pytest.raises(AmbiguousBranch):
+        pencil.continue_branch(p, start, 0.2 + 0.1j)
+    # the first try and one per split, each half as long as the one before
+    assert len(tried) == pencil.MAX_BISECTIONS + 1
+    for longer, shorter in zip(tried, tried[1:]):
+        assert shorter == start.lam + 0.5 * (longer - start.lam)
+
+
 def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
     # B(lam, mu) = diag(mu, 1 + mu, 2 + mu) and g' = 0, so a step from
     # mu = -1 predicts exactly that eigenvalue, where B is exactly singular:
@@ -494,6 +545,56 @@ def test_random_rank_one_pencils_certified_without_full_qz(monkeypatch):
         for k in (0, 49):
             ref = pencil.eigenpairs_at(p, lams[k])[0].mu
             assert abs(mus[k] - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
+
+
+def test_rank_one_entry_failing_its_residual_test_takes_full_qz(monkeypatch):
+    rng = np.random.default_rng(21)
+    m = 5
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), cplx(m, m), cplx(m, m),
+                            np.outer(cplx(m), cplx(m).conj()), None)
+    assert p.b3_rank_one is not None
+    grid = np.linspace(-1.0, 1.0, 21)
+    k = 13
+    mus, ys, ws, degen, failed = pencil._rank_one_points(p, grid)
+    assert not failed
+    passes = pencil._null_vectors_pass
+
+    def fail_entry_k(problem, lams, *args):
+        certified = passes(problem, lams, *args)
+        if certified.size == grid.size:
+            certified[k] = False
+        return certified
+
+    monkeypatch.setattr(pencil, "_null_vectors_pass", fail_entry_k)
+    got = pencil._rank_one_points(p, grid)
+    assert not got[4]
+    others = np.arange(grid.size) != k
+    for forced, batch in zip(got[:4], (mus, ys, ws, degen)):
+        assert np.array_equal(forced[others], batch[others])
+    ref = min(pencil.eigenpairs_at(p, grid[k]), key=lambda q: abs(q.mu - mus[k]))
+    assert got[0][k] == ref.mu and got[3][k] == ref.c_degenerate
+    np.testing.assert_array_equal(got[1][k], ref.y)
+    np.testing.assert_array_equal(got[2][k], ref.w)
+
+    # and when the full QZ finds no finite eigenvalue there, the entry is a gap
+    def no_finite(problem, lam, mu, branch_id=None):
+        raise NoFiniteEigenvalue(f"no finite eigenvalue at lam={lam}")
+
+    monkeypatch.setattr(pencil, "_full_qz_point", no_finite)
+    got = pencil._rank_one_points(p, grid)
+    assert list(got[4]) == [k] and isinstance(got[4][k], NoFiniteEigenvalue)
+    assert np.isnan(got[0][k]) and np.all(np.isnan(got[1][k])) and np.all(np.isnan(got[2][k]))
+    for forced, batch in zip(got[:4], (mus, ys, ws, degen)):
+        assert np.array_equal(forced[others], batch[others])
+    table = problems.tabulate_branches(p, grid)
+    assert np.isnan(table.values[k, 0])
+    assert np.array_equal(table.values[others, 0], mus[others])
+    assert [gap[:2] for gap in table.gaps] == [(k, 0)]
+    assert table.gaps[0][2].startswith("NoFiniteEigenvalue")
 
 
 def formed_b_residuals(p, lams, mus, y, w):
