@@ -10,17 +10,13 @@ with kl + ku <= BAND_MAX, as eval_a builds an M(lam) that the problem has
 found narrow (core.TwoParProblem._a_bands), and SuperLU for any other
 sparse matrix. The dense and SuperLU paths work in complex arithmetic;
 the band LU works in the matrix's own dtype, dgbtrf for a float64 matrix
-(as eval_a builds a real M(lam)) and zgbtrf otherwise. rcond is the
-zgecon estimate on the dense path and the ratio of the smallest to the
-largest |U| diagonal entry on the two sparse ones. No LU
-is refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
+(as eval_a builds a real M(lam)) and zgbtrf otherwise. No LU is
+refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
 the dense and band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
-A caller that must refuse a singular matrix tests rcond against
-RCOND_SINGULAR itself, as nep.NepView.factorization does for M(sigma).
+A caller that must refuse a singular matrix reads it from a solve, by
+proves_singular, the same test on every storage path.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,8 +26,8 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceFailure, ShiftIsEigenvalue
 
-# Relative reciprocal-condition threshold below which a factorization is
-# treated as singular.
+# The tolerance of proves_singular for M(lam): a solve A x = b with ||b|| <
+# RCOND_SINGULAR * scale * ||x|| proves A numerically singular.
 RCOND_SINGULAR = 1e-14
 # |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
 TOL_INF = 1e-10
@@ -116,11 +112,7 @@ class Factorization:
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization; a solve returns complex128 on every path, a
     real band LU solving the real and imaginary parts of b together in one
-    dgbtrs call. rcond is the reciprocal condition measure: the LAPACK
-    1-norm estimate (zgecon) for a dense matrix, the smallest
-    over the largest |U| diagonal entry, in O(n), on both sparse paths. It
-    is computed when first read, so a factorization nobody asks about pays
-    nothing for it; a caller judges it against its own threshold.
+    dgbtrs call.
 
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
@@ -136,10 +128,10 @@ class Factorization:
         if not sp.issparse(mat):
             self.storage = "dense"
             a = np.asarray(mat, dtype=np.complex128)
-            self._norm = np.linalg.norm(a, 1) if a.size else 0.0
             lu, piv, _ = lapack.zgetrf(a)
             zero = np.flatnonzero(lu.diagonal() == 0)
-            lu[zero, zero] = np.finfo(float).eps * self._norm
+            if zero.size:
+                lu[zero, zero] = np.finfo(float).eps * np.linalg.norm(a, 1)
             self._lu = (lu, piv)
             return
         if mat.format == "dia":
@@ -150,17 +142,6 @@ class Factorization:
                 return
         self.storage = "sparse"
         self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
-
-    @functools.cached_property
-    def rcond(self) -> float:
-        if self.storage == "dense":
-            return float(lapack.zgecon(self._lu[0], self._norm, norm="1")[0])
-        if self.storage == "band":
-            udiag = np.abs(self._lu[0][sum(self.bandwidths)])
-        else:
-            udiag = np.abs(self._lu.U.diagonal())
-        umax = udiag.max(initial=0.0)
-        return float(udiag.min() / umax) if umax > 0.0 else 0.0
 
     def solve(self, b, adjoint: bool = False):
         b = np.asarray(b, dtype=np.complex128)
@@ -175,6 +156,15 @@ class Factorization:
         if info != 0:
             raise ShiftIsEigenvalue(f"triangular solve failed (info={info})")
         return x
+
+
+def proves_singular(b, x, scale, tol) -> bool:
+    """Whether the solve A x = b proves A numerically singular: ||b|| < tol *
+    scale * ||x||, as sigma_min(A) <= ||b||/||x|| (Ipsen, SIAM Review 1997),
+    scale a norm of A. A non-finite x or a zero scale proves it too."""
+    norm_x = np.linalg.norm(x)
+    return not (np.isfinite(norm_x) and scale > 0
+                and np.linalg.norm(b) >= tol * scale * norm_x)
 
 
 def _band_lu(mat, kl, ku):
@@ -424,7 +414,7 @@ def shift_invert_eigvals(P, Q, shift, start, gap):
     """(z, vectors): the finite eigenvalues z of geig(P, Q) that can be the
     one nearest shift, from the shift-invert operator about it instead of
     QZ (Ericsson and Ruhe, Math. Comp. 1980): one LU of P - s*Q at s =
-    shift, whatever its rcond, and T = (P - s*Q)^-1 Q by one solve.
+    shift, singular or not, and T = (P - s*Q)^-1 Q by one solve.
 
     start = (y, w) estimates the right and left eigenvectors of P v = z Q v
     at the eigenvalue nearest shift. The certificate runs first:

@@ -36,7 +36,7 @@ from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
 from .nep import NepView
 from .solvers import SolverConfig, augmented_newton, resinv
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # eigenvectors go into results.json only up to this order
 VECTOR_LIMIT = 200
 
@@ -344,15 +344,14 @@ def cmd_cond(cfg: RunConfig) -> int:
     for quad in quads:
         rep = dataclasses.asdict(condition_numbers(problem, quad))
         del rep["weights"]
-        rep["det_c0"] = _c2j(rep["det_c0"])
+        rep["det_c0"] = abs(rep["det_c0"])  # phase: that of x and v, arbitrary
         reports.append({"lam": _c2j(quad.lam), **rep})
     payload["condition_reports"] = reports
     _write_artifacts(cfg, payload, trace, t_start)
     for rep in reports:
         lam = rep["lam"]
         print(f"lam = {lam[0]:+.6e}{lam[1]:+.6e}i   kappa_total = "
-              f"{rep['kappa_total']:.3e}   |det C0| = "
-              f"{abs(complex(*rep['det_c0'])):.3e}")
+              f"{rep['kappa_total']:.3e}   |det C0| = {rep['det_c0']:.3e}")
     return code
 
 

@@ -48,7 +48,8 @@ ORACLE_TOL = 1e-8
 # a candidate whose relative residuals are both at most this, a few hundred
 # eps, is at working accuracy already and takes no Newton step
 STEP_SKIP_TOL = 1e-13
-# reciprocal condition of delta0 below this means the oracle cannot solve the problem
+# a solve that proves delta0 singular at this tolerance of
+# _linalg.proves_singular means the oracle cannot solve the problem
 RCOND_SINGULAR_PROBLEM = 1e-12
 
 
@@ -198,9 +199,12 @@ def solve(problem: TwoParProblem) -> list:
 
     For nonsingular delta0 the coupled problem is the standard eigenvalue
     problem of Gamma1 = delta0^-1 delta1 (Atkinson's operator), formed with
-    the LU of delta0 that also measures its condition, and solved by
-    _linalg.geig(Gamma1, None); an rcond of delta0 below
-    RCOND_SINGULAR_PROBLEM raises SingularProblem. When the six matrices
+    the LU of delta0 and solved by _linalg.geig(Gamma1, None). SingularProblem
+    is raised when one step of inverse iteration from a fixed pseudo-random
+    start proves delta0 singular (_linalg.proves_singular at ||delta0||_1):
+    the solve for Gamma1 cannot, as delta1 may lie in a singular delta0's
+    range, and one solve from the start bounds sigma_min only to a factor of
+    about sqrt(n*m). When the six matrices
     are real (TwoParProblem.is_real), the LU leaves Gamma1 an exactly zero
     imaginary part, and geig gets its real part, so it runs LAPACK's real
     driver and the non-real lam come in exact conjugate pairs. _refine
@@ -210,14 +214,14 @@ def solve(problem: TwoParProblem) -> list:
     than Gamma1.
     """
     dp = assemble(problem)
+    norm = np.linalg.norm(dp.delta0, 1)
     fact = _linalg.Factorization(dp.delta0)
     delta1 = dp.delta1
     del dp  # delta0 lives on in its LU factors only
-    if fact.rcond < RCOND_SINGULAR_PROBLEM:
+    x = fact.solve(np.random.default_rng(0).standard_normal(len(delta1)))
+    if _linalg.proves_singular(x, fact.solve(x, adjoint=True), norm, RCOND_SINGULAR_PROBLEM):
         raise SingularProblem(
-            f"delta0 is numerically singular (rcond={fact.rcond:.2e}), so the "
-            "oracle cannot solve this problem"
-        )
+            "delta0 is numerically singular, so the oracle cannot solve this problem")
     gamma1 = fact.solve(delta1)
     del delta1, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve
     if problem.is_real:

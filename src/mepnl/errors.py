@@ -39,8 +39,8 @@ class SingularJacobian(MepnlError):
 
 
 class ShiftIsEigenvalue(MepnlError):
-    """A matrix that must be factorized is numerically singular, as M(sigma)
-    is when the shift sigma is an eigenvalue."""
+    """A solve with M(sigma) proves it numerically singular, as it is when
+    the shift sigma is an eigenvalue."""
 
 
 class DegenerateProjection(MepnlError):

@@ -3,7 +3,7 @@
 Fixing one branch mu = g(lam) of the small pencil turns the large equation
 into a nonlinear eigenvalue problem in lam alone. A NepView binds a problem
 to one branch through that branch's last BranchPoint and provides its
-branch points and factorizations of M(sigma) on that branch.
+branch points, its factorizations of M(sigma) and their one refusal.
 """
 from __future__ import annotations
 
@@ -37,15 +37,17 @@ class NepView:
         return self.point
 
     def factorization(self, sigma) -> _linalg.Factorization:
-        """Factorization of M(sigma) on the branch.
-
-        Raises ShiftIsEigenvalue when M(sigma) is numerically singular, its
-        rcond below _linalg.RCOND_SINGULAR: the package's one refusal of an
-        LU, since a Factorization floors an exactly zero pivot.
-        """
+        """Factorization of M(sigma) on the branch, singular or not (the LU
+        floors an exactly zero pivot); refuse_singular judges it by a solve."""
         bp = self.branch_point(sigma)
-        fact = _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
-        if fact.rcond < _linalg.RCOND_SINGULAR:
-            raise ShiftIsEigenvalue(f"{fact.storage} factorization of M(sigma) is "
-                                    f"numerically singular (rcond={fact.rcond:.2e})")
-        return fact
+        return _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
+
+    def refuse_singular(self, sigma, b, x):
+        """Raise ShiftIsEigenvalue when x, solved from b with M(sigma) or its
+        adjoint, proves M(sigma) numerically singular (proves_singular at
+        RCOND_SINGULAR and scale_a): the package's one refusal of an M(sigma)."""
+        bp = self.branch_point(sigma)  # the point factorization(sigma) took, at no cost
+        if _linalg.proves_singular(b, x, self.problem.scale_a(bp.lam, bp.mu),
+                                   _linalg.RCOND_SINGULAR):
+            raise ShiftIsEigenvalue("a solve with M(sigma) proves it numerically "
+                                    f"singular at sigma={bp.lam}")

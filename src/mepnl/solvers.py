@@ -50,11 +50,11 @@ class SolveTrace:
     """Per-iteration record of a solver run.
 
     termination says why the run stopped: "converged" (res_a <= tol),
-    "maxit" (the step budget ran out), "stagnated" (Newton only: M(lam_k)
-    at an iterate past the start is numerically singular, so the iterate sits
-    at the accuracy limit and no further step can be taken) or "nonfinite"
-    (the next iterate's lam or x is not finite; the last finite iterate is
-    the one returned).
+    "maxit" (the step budget ran out), "stagnated" (Newton only: a solve
+    proves M(lam_k) at an iterate past the start numerically singular, so
+    the iterate sits at the accuracy limit and no further step can be
+    taken) or "nonfinite" (the next iterate's lam or x is not finite; the
+    last finite iterate is the one returned).
     """
 
     lam: list = dataclasses.field(default_factory=list)
@@ -109,11 +109,12 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
 
     Returns (Quadruplet, SolveTrace); trace.termination is "converged",
     "maxit", "stagnated" or "nonfinite" (non-convergence is reported, not
-    raised). A run stagnates when M(lam_k) at some iterate k >= 1 is too
-    close to singular to factorize (ShiftIsEigenvalue); that iterate is
-    returned. At k = 0 the exception propagates, since the singular point is
-    the caller's own start. A run is nonfinite when an update would make lam
-    or x non-finite; the last finite iterate is returned.
+    raised). A run is nonfinite when u is not finite or an update would make
+    lam or x non-finite; the last finite iterate is returned. Otherwise a run
+    stagnates when u proves M(lam_k) at an iterate k >= 1 singular
+    (NepView.refuse_singular) and returns that iterate; at k = 0
+    ShiftIsEigenvalue propagates, the singular point being the caller's own
+    start. d^T u = 0, as when M'(lam_k) x_k = 0, raises ConvergenceFailure.
     """
     if config is None:
         config = SolverConfig()
@@ -134,24 +135,23 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         gprime = pencil.g_prime_closed_form(problem, bp)
         rhs = a2x + gprime * a3x
         del a1x, a2x, a3x  # n-vectors not held across the LU of M(lam_k)
+        u = nep.factorization(lam).solve(rhs)  # M(lam_k)'s LU is freed here
+        dtu = d @ u
+        if not np.isfinite(dtu):
+            trace.termination = "nonfinite"
+            break
         try:
-            fact = nep.factorization(lam)
+            nep.refuse_singular(lam, rhs, u)
         except ShiftIsEigenvalue:
             if k == 0:
                 raise
             trace.termination = "stagnated"
             break
-        u = fact.solve(rhs)
-        del fact  # free M(lam_k)'s LU before M(lam_k+1) is assembled
-        dtu = d @ u
         if dtu == 0:
             raise ConvergenceFailure(
                 f"normalization functional annihilated the Newton direction "
                 f"at iteration {k} (lam={lam})"
             )
-        if not np.isfinite(dtu):
-            trace.termination = "nonfinite"
-            break
         alpha = 1.0 / dtu
         lam_next, x_next = lam - alpha, alpha * u
         del u  # nor across the next one
@@ -217,7 +217,10 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     Numer. Anal. 1985).
 
     M(sigma) is factorized once (NepView.factorization); that LU also gives
-    the fixed left projection vector w = M(sigma)^{-H} x0, normalized. Each
+    the fixed left projection vector w = M(sigma)^{-H} x0, normalized, a
+    solve that refuses M(sigma) when it proves it singular
+    (NepView.refuse_singular). It can do so only when x0 has a component on
+    ker M(sigma); otherwise the run goes on with the floored LU. Each
     iteration solves the scalar-projected small problem at the current
     iterate for (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the
     previous one (nearest sigma initially), then corrects
@@ -237,6 +240,7 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     x0 = np.asarray(x0, dtype=np.complex128)
     x = x0 / np.linalg.norm(x0)
     w = fact.solve(x0, adjoint=True)
+    nep.refuse_singular(sigma, x0, w)
     w = w / np.linalg.norm(w)
     ref = sigma
     trace = SolveTrace()

@@ -105,9 +105,11 @@ def test_oracle_and_core_run_no_svd():
 def test_only_generators_draw_random_numbers():
     """A result is a function of the problem and the run's options: only
     the problem generators (problems.gen_random and cli._build_problem)
-    and the fixed-seed draw of a default normalization vector
-    (core._default_c) call default_rng or name np.random."""
-    allowed = {"problems.gen_random", "cli._build_problem", "core._default_c"}
+    and the fixed-seed draws of a default normalization vector
+    (core._default_c) and of the start of the oracle's singularity test
+    (delta.solve) call default_rng or name np.random."""
+    allowed = {"problems.gen_random", "cli._build_problem", "core._default_c",
+               "delta.solve"}
 
     def draws(node):
         if isinstance(node, ast.Attribute):
@@ -138,8 +140,9 @@ def test_only_generators_draw_random_numbers():
 def test_one_lu_mode_and_one_refusal():
     """A Factorization refuses no matrix and has no mode: no module names
     allow_singular. Outside _linalg.py, whose triangular solve raises on a
-    LAPACK error, only nep.py raises ShiftIsEigenvalue, the one refusal of a
-    singular M(sigma) by its rcond."""
+    LAPACK error, only nep.py raises ShiftIsEigenvalue, the one refusal of
+    an M(sigma) that a solve with its LU proves singular
+    (NepView.refuse_singular)."""
     refusal = re.compile(r"raise\s+(?:\w+\.)?ShiftIsEigenvalue\b")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))

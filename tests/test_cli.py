@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+import mepnl
 from mepnl import cli, delta, mmio, pencil, problems
 
 
@@ -55,7 +56,7 @@ def test_solve_delta_schema(tmp_path):
                 "--seed", "1", "--solver", "delta", "--out", out])
     assert code == 0
     res = read_results(out)
-    assert res["schema_version"] == 1
+    assert res["schema_version"] == 2
     assert res["converged"] is True
     assert res["problem"]["n"] == 6 and res["problem"]["m"] == 3
     assert res["config"]["solver"] == "delta"
@@ -223,7 +224,7 @@ def test_cond_reports(tmp_path):
     for rep in reports:
         assert rep["kappa_total"] >= rep["kappa_a"] > 0
         assert np.isfinite(rep["kappa_g_b"])
-        assert abs(complex(*rep["det_c0"])) > 0
+        assert rep["det_c0"] > 0  # |det C0|, as printed
 
 
 def test_cond_after_newton_on_singular_solution(tmp_path):
@@ -266,7 +267,8 @@ def test_cond_helmholtz(tmp_path, monkeypatch):
                                       "--seed", "9"]])
 def test_cond_delta_where_m_stays_singular_off_lam(tmp_path, problem):
     # these exited 3 (ShiftIsEigenvalue) while the left vector v was sought
-    # at a lam moved off the solution, where M still had rcond about 2e-15
+    # at a lam moved off the solution, where M still had a reciprocal
+    # condition of about 2e-15
     out = tmp_path / "run"
     assert run(["cond", "--solver", "delta", *problem, "--out", out]) == 0
     res = read_results(out)
@@ -290,6 +292,41 @@ def test_cond_reports_do_not_depend_on_seed(tmp_path):
                     "--solver", "delta", "--seed", seed, "--out", out]) == 0
         reports.append(read_results(out)["condition_reports"])
     assert reports[0] and reports[0] == reports[1]
+
+
+def test_cond_reports_do_not_depend_on_the_phase_of_x0(tmp_path):
+    # x0 = i*ones scales every Newton iterate x by i, which leaves the
+    # solution as it was, to rounding; but v, from a solve with M(lam)
+    # singular to rounding, takes the phase of its rounding-level pivot, and
+    # det C0 the phase of v^H x: the reports carry |det C0|, and nothing in
+    # them moves by more than rounding
+    x0 = tmp_path / "x0.mtx"
+    mmio.write_matrix(x0, 1j * np.ones((6, 1)))
+    reports = []
+    for start in ([], ["--x0-file", x0]):
+        out = tmp_path / f"run{len(start)}"
+        assert run(["cond", "--gen", "random", "--n", "6", "--m", "3", "--seed", "0",
+                    "--solver", "newton", *start, "--out", out]) == 0
+        reports += read_results(out)["condition_reports"]
+    assert len(reports) == 2 and reports[0].keys() == reports[1].keys()
+    for key, value in reports[0].items():
+        np.testing.assert_allclose(reports[1][key], value, rtol=1e-12, err_msg=key)
+
+
+def test_newton_annihilated_direction_exits_not_converged(tmp_path, capsys):
+    # M'(lam) x = 0 (A2 = A3 = 0) gives the Newton direction u = 0, which no
+    # solve can prove singular though M = A1 is: d^T u = 0 is a
+    # ConvergenceFailure, exit 2, and no artifact is written
+    A1 = np.diag([0.0, 1.0, 2.0, 3.0])
+    Z = np.zeros((4, 4))
+    files = mmio.save_problem(mepnl.TwoParProblem(A1, Z, Z, np.diag([1.0, 2.0]), np.eye(2),
+                                                  np.eye(2), np.ones(2)), tmp_path / "p")
+    out = tmp_path / "run"
+    code = run(["solve", "--matrix-files", ",".join(files[k] for k in mmio.MATRIX_NAMES),
+                "--c-file", files["c"], "--solver", "newton", "--out", out])
+    assert code == cli.EXIT_NOT_CONVERGED
+    assert "annihilated the Newton direction at iteration 0" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
 
 
 def test_generate_check_solve_round_trip(tmp_path, capsys):

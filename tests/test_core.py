@@ -347,7 +347,7 @@ def cli_problem(gen, n, m, seed):
 @pytest.mark.parametrize("gen, n, m, seed", [("qep", 10, 2, 3), ("random", 12, 5, 9)])
 def test_attach_left_vectors_where_m_stays_singular_off_lam(gen, n, m, seed):
     # at some oracle quadruplets of these problems M(lam + d, mu) was still
-    # singular (rcond about 2e-15) after lam moved by d = 1e-10 of the scale
+    # singular (reciprocal condition about 2e-15) after lam moved by d = 1e-10 of the scale
     p = cli_problem(gen, n, m, seed)
     ps = mepnl.TwoParProblem(*(sp.csr_matrix(M) for M in (p.A1, p.A2, p.A3)),
                              p.B1, p.B2, p.B3, p.c)

@@ -105,6 +105,20 @@ def test_singular_problem_detected():
         delta.solve(p)
 
 
+def test_singular_problem_with_delta1_in_the_range_of_delta0_detected():
+    # A3 = 0 and a singular B3 leave delta0 = -B3 (x) A2 with exactly zero
+    # columns and delta1 = B3 (x) A1 with an exactly zero bottom half, in the range of
+    # delta0: the solve for Gamma1 does not amplify, so the oracle's own test
+    # must still refuse delta0
+    rng = np.random.default_rng(2)
+    n, m = 3, 2
+    A1, A2, B1, B2 = (rng.standard_normal((k, k)) for k in (n, n, m, m))
+    p = mepnl.TwoParProblem(A1, A2, np.zeros((n, n)), B1, B2, np.diag([1.0, 0.0]),
+                            np.ones(m))
+    with pytest.raises(SingularProblem, match="the oracle cannot solve this problem"):
+        delta.solve(p)
+
+
 def test_rank_one_coupling_is_refused_as_beyond_the_oracle():
     # A3 and B3 of rank one, as in the Helmholtz generator, leave delta0 of
     # rank about n + m, though Newton solves the problem
@@ -160,7 +174,8 @@ def test_one_factorization_and_one_standard_eigensolve(monkeypatch):
     record(_linalg.sla, "eig", eig_label)
     quads = delta.solve(p)
     assert len(quads) == p.n * p.m
-    assert sorted(calls) == ["Factorization", "Factorization.solve", "eig", "geig"]
+    # one solve for Gamma1 and the singularity test's two vector solves
+    assert sorted(calls) == ["Factorization"] + 3 * ["Factorization.solve"] + ["eig", "geig"]
     # the problem is real, so both see a real Gamma1 and LAPACK's real driver runs
     assert dtypes == [np.float64, np.float64]
 

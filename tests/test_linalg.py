@@ -31,16 +31,15 @@ def backward_error(M, x, b):
 
 def assert_band_lu_agrees_with_superlu(M):
     """The band Factorization of M against SuperLU's LU of M made complex:
-    rcond within a factor of 10, and 1-D and 2-D complex solves, with M and
-    with M^H, within 1e-9 of SuperLU's and at most twice its backward error."""
+    1-D and 2-D complex solves, with M and with M^H, within 1e-9 of
+    SuperLU's, at most twice its backward error, and neither proving M
+    singular."""
     n = M.shape[0]
     fact = _linalg.Factorization(M)
     assert fact.storage == "band" and fact.bandwidths == (2, 1)
     assert fact._lu[0].dtype == M.dtype
     ref = spla.splu(M.astype(np.complex128, copy=False).tocsc())
-    udiag = np.abs(ref.U.diagonal())
-    ref_rcond = udiag.min() / udiag.max()
-    assert ref_rcond / 10 <= fact.rcond <= 10 * ref_rcond
+    norm = spla.norm(M, 1)
     rng = np.random.default_rng(0)
     for shape in ((n,), (n, 3)):
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -51,6 +50,8 @@ def assert_band_lu_agrees_with_superlu(M):
             assert x.dtype == np.complex128
             assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
             assert backward_error(op, x, b) <= 2 * backward_error(op, x_ref, b)
+            for sol in (x, x_ref):
+                assert not _linalg.proves_singular(b, sol, norm, _linalg.RCOND_SINGULAR)
 
 
 def test_band_lu_agrees_with_superlu():
@@ -150,12 +151,11 @@ def test_band_lu_reads_only_the_stored_columns_of_a_dia_array():
 def test_exactly_singular_sparse_matrix(M, storage):
     # an exactly zero column: the band LU meets an exactly zero pivot and
     # floors it, SuperLU refuses to factorize and is handed M + eps*||M||_1 I;
-    # neither raises, the floored rcond is below RCOND_SINGULAR, on which
-    # a NepView refuses it (next test), and one solve gives the null vector
-    # e11, as the first step of inverse iteration should
+    # neither raises, and one solve gives the null vector e11, as the first
+    # step of inverse iteration should, and so proves M singular, on which
+    # a NepView refuses it (next test)
     fact = _linalg.Factorization(M)
     assert fact.storage == storage
-    assert fact.rcond < _linalg.RCOND_SINGULAR
     if storage == "band":
         # the zero pivot is floored in place, as the dense LU floors it
         # M is float64, and so is its band LU
@@ -163,8 +163,10 @@ def test_exactly_singular_sparse_matrix(M, storage):
         kl, ku = fact.bandwidths
         floor = np.finfo(float).eps * spla.norm(M, 1)
         assert np.abs(fact._lu[0][kl + ku]).min() == floor
-    x = fact.solve(np.ones(M.shape[0]))
+    b = np.ones(M.shape[0])
+    x = fact.solve(b)
     assert np.all(np.isfinite(x))
+    assert _linalg.proves_singular(b, x, spla.norm(M, 1), _linalg.RCOND_SINGULAR)
     assert np.linalg.norm(M @ x) <= 1e-10 * spla.norm(M, 1) * np.linalg.norm(x)
     np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), np.eye(M.shape[0])[11],
                                atol=1e-12)
@@ -176,14 +178,16 @@ def test_exactly_singular_sparse_matrix(M, storage):
     (zero_column(arrow(30), 11), "sparse"),
 ])
 def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
-    # NepView.factorization is the one place an LU is refused: on each
+    # NepView.refuse_singular is the one refusal of M(sigma): on each
     # storage path the floored factorization of M(sigma) = M is built, and
-    # the view's rcond test refuses it
+    # resinv's first solve with it proves M singular, by the same test
     assert _linalg.Factorization(M).storage == storage
     p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2),
                             np.eye(2), np.ones(2))
-    with pytest.raises(ShiftIsEigenvalue, match=f"^{storage} .*rcond"):
-        nep.NepView(p).factorization(0.3)
+    view = nep.NepView(p)
+    assert view.factorization(0.3).storage == storage
+    with pytest.raises(ShiftIsEigenvalue, match="^a solve with M\\(sigma\\) proves it"):
+        solvers.resinv(view, np.ones(M.shape[0]), solvers.SolverConfig(sigma=0.3))
 
 
 def test_band_factorization_keeps_only_its_band():

@@ -51,6 +51,13 @@ def test_missing_file_reports_path(tmp_path):
      "line 4"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n",
      "outside"),
+    ("", "line 1: empty file"),
+    ("%%MatrixMarket vector coordinate real general\n2 2 1\n1 1 1.0\n",
+     "line 1: malformed header"),
+    ("%%MatrixMarket matrix coordinate quaternion general\n2 2 1\n1 1 1.0\n",
+     "line 1: unsupported format/field coordinate/quaternion"),
+    ("%%MatrixMarket matrix array real general\n% only a comment\n",
+     "line 2: missing size line"),
 ])
 def test_parse_failures_are_located(tmp_path, content, fragment):
     path = tmp_path / "bad.mtx"

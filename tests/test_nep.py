@@ -48,8 +48,25 @@ def test_shift_at_exact_singularity_raises():
                             np.diag([1.0, 2.0]), np.eye(m), np.eye(m),
                             np.ones(m))
     view = nep.NepView(p, branch_id=0)
+    view.factorization(0.0)  # built, floored, not refused
     with pytest.raises(ShiftIsEigenvalue):
-        view.factorization(0.0)
+        solvers.resinv(view, np.ones(n), solvers.SolverConfig(sigma=0.0))
+
+
+def test_resinv_refuses_a_singular_shift_only_through_x0():
+    # M(0) = diag(0, 9, 19, 29) on the branch mu = -1: resinv's one solve
+    # with M(sigma), w = M(sigma)^-H x0, proves it singular only when x0
+    # meets its null vector e0; a start without that component runs on with
+    # the floored LU and never reaches the eigenvalue at sigma
+    B = (np.diag([1.0, 2.0]), np.eye(2), np.eye(2))
+    p = mepnl.TwoParProblem(np.diag([1.0, 10.0, 20.0, 30.0]), np.zeros((4, 4)),
+                            np.eye(4), *B, np.ones(2))
+    assert nep.NepView(p).branch_point(0.0).mu == -1
+    cfg = solvers.SolverConfig(sigma=0.0, maxit=20)
+    with pytest.raises(ShiftIsEigenvalue):
+        solvers.resinv(nep.NepView(p), np.ones(4), cfg)
+    quad, trace = solvers.resinv(nep.NepView(p), np.array([0.0, 1.0, 1.0, 1.0]), cfg)
+    assert trace.termination == "maxit" and quad.x[0] == 0 and abs(quad.lam) > 1
 
 
 @pytest.mark.parametrize("mat", [
@@ -57,15 +74,17 @@ def test_shift_at_exact_singularity_raises():
     np.array([[1.0, 2.0], [2.0, 4.0]]),  # its LU meets an exactly zero pivot
     np.array([[1.0, 0.0, 3.0], [4.0, 0.0, 6.0], [5.0, 0.0, 2.0]]),
 ])
-def test_dense_factorization_refuses_on_rcond_alone(mat):
-    # the LU refuses nothing and floors an exactly zero pivot; zgecon then
-    # gives an rcond below RCOND_SINGULAR, for a zero matrix too, so the
-    # view's one rcond test refuses M(sigma) = mat
-    assert _linalg.Factorization(mat).rcond < _linalg.RCOND_SINGULAR
+def test_dense_factorization_refuses_through_the_solve_alone(mat):
+    # the LU refuses nothing and floors an exactly zero pivot; a solve with
+    # it then proves M(sigma) = mat singular, a zero mat by its zero scale,
+    # so the view's one test refuses it at resinv's first solve
+    b = np.ones(len(mat))
+    x = _linalg.Factorization(mat).solve(b)
+    assert _linalg.proves_singular(b, x, np.linalg.norm(mat, 1), _linalg.RCOND_SINGULAR)
     p = mepnl.TwoParProblem(mat, 0 * mat, 0 * mat, np.diag([1.0, 2.0]), np.eye(2),
                             np.eye(2), np.ones(2))
-    with pytest.raises(ShiftIsEigenvalue, match="rcond"):
-        nep.NepView(p).factorization(0.3)
+    with pytest.raises(ShiftIsEigenvalue, match="^a solve with M\\(sigma\\) proves it"):
+        solvers.resinv(nep.NepView(p), b, solvers.SolverConfig(sigma=0.3))
 
 
 def test_view_continues_from_last_resolved_point():

@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import mepnl
 from mepnl import _linalg, core, delta, nep, pencil, problems, solvers
-from mepnl.errors import DegenerateProjection, ShiftIsEigenvalue
+from mepnl.errors import ConvergenceFailure, DegenerateProjection, ShiftIsEigenvalue
 
 
 def make_problem(seed=0, n=8, m=3):
@@ -121,6 +122,58 @@ def test_newton_singular_start_raises():
     view = nep.NepView(p, branch_id=0, reference_lam=0.0)
     with pytest.raises(ShiftIsEigenvalue):
         solvers.augmented_newton(view, 0.0, np.ones(p.n))
+
+
+def test_newton_annihilated_direction_raises_convergence_failure():
+    # A2 = A3 = 0: M'(lam) x = 0, so the Newton direction u is 0 and d^T u = 0.
+    # M = A1 is singular, but a solve for b = 0 proves nothing: the run
+    # ends in ConvergenceFailure, not ShiftIsEigenvalue
+    A1 = np.diag([0.0, 1.0, 2.0, 3.0])
+    Z = np.zeros((4, 4))
+    p = mepnl.TwoParProblem(A1, Z, Z, np.diag([1.0, 2.0]), np.eye(2), np.eye(2),
+                            np.ones(2))
+    with pytest.raises(ConvergenceFailure, match="annihilated the Newton direction "
+                                                 "at iteration 0 "):
+        solvers.augmented_newton(nep.NepView(p), 0.0, np.ones(4))
+
+
+def test_resinv_names_the_iteration_of_a_degenerate_projection():
+    # A3 = 0 makes w^T A3 v vanish at the first projection; resinv re-raises
+    # DegenerateProjection with the iteration and the reference lam
+    rng = np.random.default_rng(1)
+    n, m = 4, 2
+    p = mepnl.TwoParProblem(
+        rng.standard_normal((n, n)), rng.standard_normal((n, n)), np.zeros((n, n)),
+        rng.standard_normal((m, m)), rng.standard_normal((m, m)), np.eye(m),
+        np.ones(m))
+    with pytest.raises(DegenerateProjection,
+                       match=r"^iteration 0 \(lam_ref=\(0\.3\+0j\)\): w\^T A3 v"):
+        solvers.resinv(nep.NepView(p), np.ones(n), solvers.SolverConfig(sigma=0.3))
+
+
+def test_dense_newton_iterate_runs_one_lu_and_no_condition_estimate(monkeypatch):
+    # the singularity test reads the step's own solve: one zgetrf of order
+    # n per Newton step and one per resinv run, and no zgecon
+    calls = collections.Counter()
+    for name in ("zgetrf", "zgecon"):
+        def counted(a, *args, _routine=getattr(lapack, name), _name=name, **kwargs):
+            calls[_name, a.shape[0]] += 1
+            return _routine(a, *args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    p = make_problem(seed=1)
+    quad = pick_isolated(delta.solve(p))
+    calls.clear()
+    _, trace = solvers.augmented_newton(view_through(p, quad), quad.lam + 1e-3,
+                                        quad.x + 1e-3 * np.ones(p.n))
+    assert trace.converged and trace.iterations >= 3
+    assert calls["zgetrf", p.n] == trace.iterations - 1
+    assert not any(name == "zgecon" for name, _ in calls)
+    calls.clear()
+    cfg = solvers.SolverConfig(sigma=quad.lam + 0.02, maxit=60)
+    _, trace = solvers.resinv(view_through(p, quad), quad.x + 0.05 * np.ones(p.n), cfg)
+    assert trace.converged and calls["zgetrf", p.n] == 1
+    assert not any(name == "zgecon" for name, _ in calls)
+    assert not hasattr(_linalg.Factorization, "rcond")
 
 
 def test_newton_nonfinite_update_returns_last_finite_iterate(nan_at_second_solve):
