@@ -36,7 +36,7 @@ from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
 from .nep import NepView
 from .solvers import SolverConfig, augmented_newton, resinv
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # eigenvectors go into results.json only up to this order
 VECTOR_LIMIT = 200
 
@@ -82,8 +82,8 @@ def parse_float(text) -> float:
     return x
 
 
-def parse_grid(text) -> np.ndarray:
-    """lo:step:hi with finite bounds, inclusive of hi up to half a step."""
+def _grid_bounds(text) -> tuple:
+    """(lo, step, hi) of lo:step:hi, finite, with lo <= hi and step > 0."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:step:hi, got {text!r}")
@@ -94,12 +94,18 @@ def parse_grid(text) -> np.ndarray:
     _require_finite((lo, step, hi), text)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0 in {text!r}")
+    return lo, step, hi
+
+
+def parse_grid(text) -> np.ndarray:
+    """lo:step:hi with finite bounds, inclusive of hi up to half a step."""
+    lo, step, hi = _grid_bounds(text)
     return np.arange(lo, hi + step / 2.0, step)
 
 
 def _grid_text(text) -> str:
-    """The --grid text, once parse_grid accepts it."""
-    parse_grid(text)
+    """The --grid text, once its bounds pass; cmd_branches builds the grid."""
+    _grid_bounds(text)
     return text
 
 
@@ -344,22 +350,28 @@ def cmd_cond(cfg: RunConfig) -> int:
     for quad in quads:
         rep = dataclasses.asdict(condition_numbers(problem, quad))
         del rep["weights"]
-        rep["det_c0"] = abs(rep["det_c0"])  # phase: that of x and v, arbitrary
+        # |det C0| / (||x|| ||y||), as v and w are unit: x and y carry the
+        # scales of x0 and c, and x and v an arbitrary phase
+        scale = np.linalg.norm(quad.x) * np.linalg.norm(quad.y)
+        rep["det_c0"] = abs(rep["det_c0"]) / scale
         reports.append({"lam": _c2j(quad.lam), **rep})
     payload["condition_reports"] = reports
     _write_artifacts(cfg, payload, trace, t_start)
     for rep in reports:
         lam = rep["lam"]
         print(f"lam = {lam[0]:+.6e}{lam[1]:+.6e}i   kappa_total = "
-              f"{rep['kappa_total']:.3e}   |det C0| = {rep['det_c0']:.3e}")
+              f"{rep['kappa_total']:.3e}   |det C0|/(||x|| ||y||) = {rep['det_c0']:.3e}")
     return code
 
 
 def cmd_branches(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
+    try:
+        grid = parse_grid(cfg.grid)
+    except (MemoryError, ValueError) as exc:  # numpy's size limit or the memory's
+        raise ProblemIOError(f"--grid {cfg.grid}: {exc}") from exc
     problem = _build_problem(cfg)
     _require_branches(problem, cfg.branch_ids)
-    grid = parse_grid(cfg.grid)
     table = problems.tabulate_branches(problem, grid, cfg.branch_ids)
     intervals = problems.flag_singularities(problem, table)
     payload = _header(cfg, problem)

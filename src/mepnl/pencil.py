@@ -25,11 +25,14 @@ member nearest the candidate at lam + i*h for a small h, the limit
 lam + i0, so neither the step sizes nor the sign of a rounding-level
 imaginary part of lam choose it. Each of these LUs, like the bordered
 Jacobian's, is a _linalg.Factorization, which refuses no matrix; this
-module calls no LAPACK routine itself. When B3 has rank one, as in the
-Helmholtz and quadratic generators, the pencil has at most one finite eigenvalue,
-which needs no step, no shift-invert spectrum and no LU: one generalized
-Schur form of (B1, B2) per problem (TwoParProblem.schur_k) turns a point's
-solves with B1 + lam*B2 into two triangular solves of order m, and
+module calls no LAPACK routine itself. continue_branch takes one such step
+per call, and a step that cannot choose raises AmbiguousBranch: the
+caller's grid or iterates set the step lengths, and no step is split.
+When B3 has rank one, as in the Helmholtz and quadratic generators, the
+pencil has at most one finite eigenvalue, which needs no step, no
+shift-invert spectrum and no LU: one generalized Schur form of (B1, B2)
+per problem (TwoParProblem.schur_k) turns a point's solves with
+B1 + lam*B2 into two triangular solves of order m, and
 problems.tabulate_branches takes them for its whole grid in one batch
 (_rank_one_points), returned as arrays. Every residual test
 (_null_vectors_pass), of a batch or of one step, takes products with B1,
@@ -62,8 +65,6 @@ TOL_DEDUPE = 1e-9
 TOL_SINGULAR_J = 1e-12
 # Branch ids are fixed by the eigenvalue order here unless a caller says otherwise.
 REFERENCE_LAM = 0.0
-# Interval splits one continue_branch call may make to resolve ambiguity.
-MAX_BISECTIONS = 12
 # A continuation step's y and w, or a rank-one batch entry's, are kept when
 # ||B y|| and ||B^H w|| (unit y and w) are at most this times the 2-norm bound
 # scale_b, about 450 eps; else the full QZ gives them.
@@ -425,30 +426,6 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
                        branch_id=prev.branch_id, c_degenerate=degen)
 
 
-def _bisected_steps(problem: TwoParProblem, point: BranchPoint, lam_new):
-    """Continuation steps from point to lam_new. A step whose destination is
-    ambiguous (two candidates about equally close, as happens when the step
-    jumps over most of the gap between two nearby branches) is bisected and
-    retried, up to MAX_BISECTIONS interval splits in total. Ambiguity that
-    survives the smallest step is genuine (the branches meet on the way)
-    and AmbiguousBranch propagates."""
-    pending = [lam_new]
-    splits = 0
-    while pending:
-        target = pending[-1]
-        try:
-            point = _continue_step(problem, point, target)
-        except AmbiguousBranch:
-            splits += 1
-            mid = point.lam + 0.5 * (target - point.lam)
-            if splits > MAX_BISECTIONS or mid == point.lam or mid == target:
-                raise
-            pending.append(mid)
-            continue
-        pending.pop()
-    return point
-
-
 def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> BranchPoint:
     """The point of point's branch at lam_new, continued from point, which is
     left unchanged; at lam_new == point.lam it is point itself.
@@ -456,12 +433,13 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
     When B3 has rank one (problem.b3_rank_one) the pencil has at most one
     finite eigenvalue, so the point at lam_new is evaluated directly
     (_rank_one_points, as a batch of one): two triangular solves of order m
-    with the problem's generalized Schur form of (B1, B2), with no step, no
-    bisection and no LU. Otherwise the branch is followed by continuation
-    steps, bisected on ambiguity (_bisected_steps); a conjugate pair equally
-    near a step's prediction is resolved from above, in the limit lam + i0
-    (_nearest_candidate). NoFiniteEigenvalue is raised when the pencil
-    degenerates at lam_new, ValueError when lam_new is not finite.
+    with the problem's generalized Schur form of (B1, B2), with no step and
+    no LU. Otherwise the branch is followed by one continuation step
+    (_continue_step) from point to lam_new; a conjugate pair equally near its
+    prediction is resolved from above, in the limit lam + i0
+    (_nearest_candidate). AmbiguousBranch is raised when the step cannot
+    choose, NoFiniteEigenvalue when the pencil degenerates at lam_new,
+    ValueError when lam_new is not finite.
     """
     lam_new = complex(lam_new)
     if not np.isfinite(lam_new):
@@ -469,7 +447,7 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
     if lam_new == point.lam:
         return point
     if problem.b3_rank_one is None:
-        return _bisected_steps(problem, point, lam_new)
+        return _continue_step(problem, point, lam_new)
     mu, y, w, degen, failed = _rank_one_points(problem, [lam_new])
     if failed:
         raise failed[0]

@@ -56,7 +56,7 @@ def test_solve_delta_schema(tmp_path):
                 "--seed", "1", "--solver", "delta", "--out", out])
     assert code == 0
     res = read_results(out)
-    assert res["schema_version"] == 2
+    assert res["schema_version"] == 3
     assert res["converged"] is True
     assert res["problem"]["n"] == 6 and res["problem"]["m"] == 3
     assert res["config"]["solver"] == "delta"
@@ -294,16 +294,13 @@ def test_cond_reports_do_not_depend_on_seed(tmp_path):
     assert reports[0] and reports[0] == reports[1]
 
 
-def test_cond_reports_do_not_depend_on_the_phase_of_x0(tmp_path):
-    # x0 = i*ones scales every Newton iterate x by i, which leaves the
-    # solution as it was, to rounding; but v, from a solve with M(lam)
-    # singular to rounding, takes the phase of its rounding-level pivot, and
-    # det C0 the phase of v^H x: the reports carry |det C0|, and nothing in
-    # them moves by more than rounding
-    x0 = tmp_path / "x0.mtx"
-    mmio.write_matrix(x0, 1j * np.ones((6, 1)))
+def assert_cond_reports_ignore_x0(tmp_path, x0):
+    """cond on random n=6 m=3 seed 0 gives the same reports from x0 as from
+    the default x0 = ones, to rtol 1e-12."""
+    x0_file = tmp_path / "x0.mtx"
+    mmio.write_matrix(x0_file, x0[:, None])
     reports = []
-    for start in ([], ["--x0-file", x0]):
+    for start in ([], ["--x0-file", x0_file]):
         out = tmp_path / f"run{len(start)}"
         assert run(["cond", "--gen", "random", "--n", "6", "--m", "3", "--seed", "0",
                     "--solver", "newton", *start, "--out", out]) == 0
@@ -311,6 +308,21 @@ def test_cond_reports_do_not_depend_on_the_phase_of_x0(tmp_path):
     assert len(reports) == 2 and reports[0].keys() == reports[1].keys()
     for key, value in reports[0].items():
         np.testing.assert_allclose(reports[1][key], value, rtol=1e-12, err_msg=key)
+
+
+def test_cond_reports_do_not_depend_on_the_phase_of_x0(tmp_path):
+    # x0 = i*ones scales every Newton iterate x by i, which leaves the
+    # solution as it was, to rounding; but v, from a solve with M(lam)
+    # singular to rounding, takes the phase of its rounding-level pivot, and
+    # det C0 the phase of v^H x: the reports carry |det C0|, and nothing in
+    # them moves by more than rounding
+    assert_cond_reports_ignore_x0(tmp_path, 1j * np.ones(6))
+
+
+def test_cond_reports_do_not_depend_on_the_scale_of_x0(tmp_path):
+    # x0 = 2*ones doubles x, and with it det C0 = (v^H A2 x)(w^H B3 y) -
+    # (v^H A3 x)(w^H B2 y); the reports carry |det C0| / (||x|| ||y||)
+    assert_cond_reports_ignore_x0(tmp_path, 2.0 * np.ones(6))
 
 
 def test_newton_annihilated_direction_exits_not_converged(tmp_path, capsys):
@@ -499,6 +511,30 @@ def test_repeated_branch_id_is_refused_before_any_work(tmp_path, monkeypatch, ca
     with open(out / "branches.csv") as fh:
         assert fh.readline() == "lam,g1_re,g1_im,g0_re,g0_im,flagged\n"
     assert read_results(out)["branches"]["branch_ids"] == [1, 0]
+
+
+def test_grid_beyond_memory_exits_io_before_any_work(tmp_path, monkeypatch, capsys):
+    # a grid past numpy's size limit, and one whose allocation fails (a
+    # stand-in MemoryError, so nothing is allocated), both exit 4 with one
+    # line naming the grid; the grid is built once, before the problem
+    out = tmp_path / "run"
+    base = ["branches", "--gen", "random", "--n", "6", "--m", "3", "--out", out]
+
+    def no_problem(cfg):
+        raise AssertionError("a problem was built")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000001,) and data type float64")
+
+    monkeypatch.setattr(cli, "_build_problem", no_problem)
+    for grid, arange in (("0:1e-300:1e300", np.arange), ("0:1e-9:1e3", no_memory)):
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "arange", arange)
+            assert run([*base, "--grid", grid]) == cli.EXIT_IO, grid
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --grid {grid}: ") and err.count("\n") == 1, err
+        assert not out.exists(), grid
 
 
 def test_bad_and_non_finite_values_exit_io(tmp_path, monkeypatch, capsys):

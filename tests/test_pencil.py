@@ -1,4 +1,5 @@
 """Branches of the small pencil: eigenpairs, derivatives, continuation."""
+import collections
 import dataclasses
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 
 import mepnl
 from mepnl import _linalg, pencil, problems
-from mepnl.errors import AmbiguousBranch, NoFiniteEigenvalue, SingularJacobian
+from mepnl.errors import AmbiguousBranch, NoFiniteEigenvalue, NonSimpleMu, SingularJacobian
 
 # closed-form branch values of the square-root problem with coefficients
 # (a, b, c, d, e, f) = (3, 2, -1, -2, 2, 1) at lam = 0.3, frozen from an
@@ -115,6 +116,28 @@ def test_jacobian_singular_for_jordan_chain():
     assert J.sigma_min <= 1e-12 * J.norm
     with pytest.raises(SingularJacobian):
         pencil.derivatives(p, bp, 1)
+
+
+def test_step_from_a_jordan_point_predicts_mu_prev():
+    # B2 = I moves the double eigenvalue of the Jordan block to mu = -lam;
+    # g' has no closed form there (w^H B3 y = 0), so the step predicts
+    # mu_prev itself and finds the copies of mu = -0.1 at lam = 0.1
+    B1 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2),
+                            B1, np.eye(2), np.eye(2), [1.0, 1.0])
+    bp = pencil.BranchPoint(lam=0.0, mu=0.0, y=np.array([1.0, 0.0]),
+                            w=np.array([0.0, 1.0]), branch_id=0)
+    with pytest.raises(NonSimpleMu):
+        pencil.g_prime_closed_form(p, bp)
+    got = pencil.continue_branch(p, bp, 0.1)
+    assert got.mu == -0.1 and got.branch_id == 0
+    np.testing.assert_allclose(np.abs(got.y), [1.0, 0.0], atol=1e-15)
+
+
+def test_derivatives_refuse_order_zero():
+    p = mepnl.gen_random(6, 4, seed=2)
+    with pytest.raises(ValueError, match="order"):
+        pencil.derivatives(p, pencil.reference_point(p, 0), 0)
 
 
 def test_jacobian_regular_for_simple_branches():
@@ -284,39 +307,37 @@ def ambiguous_beyond(monkeypatch, h):
     return tried
 
 
-def test_ambiguous_step_is_bisected(monkeypatch):
-    p = mepnl.gen_random(6, 5, seed=8)
-    assert p.b3_rank_one is None
-    start = pencil.reference_point(p, 1)
-    lam = 0.2 + 0.1j
-    # the explicit halved steps: to lam/4 and lam/2, then to lam through the
-    # midpoint that bisecting the refused step from lam/2 gives
-    half = start.lam + 0.5 * (lam - start.lam)
-    quarter = start.lam + 0.5 * (half - start.lam)
-    lams = [quarter, half, half + 0.5 * (lam - half), lam]
-    want = start
-    for target in lams:
-        want = pencil._continue_step(p, want, target)
-    tried = ambiguous_beyond(monkeypatch, 0.3 * abs(lam - start.lam))
-    got = pencil.continue_branch(p, start, lam)
-    # three refused steps, each split once, then the four halved steps
-    assert tried == [lam, half, quarter, half, lam, lams[2], lam]
-    assert got.lam == want.lam and got.mu == want.mu
-    assert got.branch_id == want.branch_id and got.c_degenerate == want.c_degenerate
-    np.testing.assert_array_equal(got.y, want.y)
-    np.testing.assert_array_equal(got.w, want.w)
-
-
-def test_unresolved_tie_raises_after_max_bisections(monkeypatch):
+def test_ambiguous_step_raises_after_one_try(monkeypatch):
     p = mepnl.gen_random(6, 5, seed=8)
     start = pencil.reference_point(p, 1)
     tried = ambiguous_beyond(monkeypatch, 0.0)  # every step is a tie
-    with pytest.raises(AmbiguousBranch):
-        pencil.continue_branch(p, start, 0.2 + 0.1j)
-    # the first try and one per split, each half as long as the one before
-    assert len(tried) == pencil.MAX_BISECTIONS + 1
-    for longer, shorter in zip(tried, tried[1:]):
-        assert shorter == start.lam + 0.5 * (longer - start.lam)
+    lam = 0.2 + 0.1j
+    with pytest.raises(AmbiguousBranch) as exc:
+        pencil.continue_branch(p, start, lam)
+    # one step, to the lam asked for: no step is split and retried
+    assert tried == [lam] and exc.value.lam == lam
+
+
+def test_tabulation_takes_one_step_per_cell(monkeypatch):
+    # the square-root branches +-sqrt((2 + 2 lam)(lam - 1)) meet at lam = +-1;
+    # past lam = 1 two real branches leave that point equally near a step's
+    # prediction, so those cells are gaps, each after the one step that
+    # found the tie
+    rng = np.random.default_rng(0)
+    p, _ = mepnl.gen_sqrt_nep(*(rng.standard_normal((4, 4)) for _ in range(3)),
+                              a=0, b=2, c=-1, d=0, e=2, f=1)
+    grid = np.arange(-3.0, 3.005, 0.01)
+    cells = collections.Counter()
+    step = pencil._continue_step
+
+    def counted(problem, prev, lam_new):
+        cells[lam_new, prev.branch_id] += 1
+        return step(problem, prev, lam_new)
+
+    monkeypatch.setattr(pencil, "_continue_step", counted)
+    table = problems.tabulate_branches(p, grid)
+    assert table.values.shape == (grid.size, 2) and table.gaps
+    assert sum(cells.values()) == len(cells) <= table.values.size
 
 
 def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):

@@ -464,6 +464,19 @@ def test_rayleigh_degenerate_projection():
         solvers.rayleigh_candidates(p, np.ones(n), np.ones(n))
 
 
+def test_rayleigh_gep_refuses_a_projection_without_finite_eigenvalue():
+    # A2 = A3 gives p2 = p3, and B2 = B3 = I then Q = p2 B3 - p3 B2 = 0: every
+    # eigenvalue of the projected pencil is infinite
+    rng = np.random.default_rng(1)
+    n, m = 4, 2
+    A3 = rng.standard_normal((n, n))
+    p = mepnl.TwoParProblem(rng.standard_normal((n, n)), A3, A3,
+                            rng.standard_normal((m, m)), np.eye(m), np.eye(m), np.ones(m))
+    assert solvers.rayleigh_candidates(p, np.ones(n), np.ones(n)) == []
+    with pytest.raises(DegenerateProjection, match="no finite eigenvalue"):
+        solvers.rayleigh_gep(p, np.ones(n), np.ones(n), 0.0)
+
+
 def test_rayleigh_gep_select_modes():
     p = make_problem(seed=7)
     rng = np.random.default_rng(2)
