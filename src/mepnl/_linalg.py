@@ -112,7 +112,7 @@ class Factorization:
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization; a solve returns complex128 on every path, a
     real band LU solving the real and imaginary parts of b together in one
-    dgbtrs call.
+    dgbtrs call, or the real part alone when b is real (_band_solve).
 
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
@@ -195,16 +195,24 @@ def _band_solve(lu, piv, kl, ku, b, trans):
     """(x, info) of a solve with the band LU (lu, piv) for the complex n x k
     b, as zgbtrs gives them: by zgbtrs for a complex lu; for a real one by
     one dgbtrs call on the real and imaginary parts of b, held as the 2k
-    columns of one Fortran-ordered array that it overwrites. trans 2 is the
+    columns of one Fortran-ordered array that it overwrites, or on the k
+    real parts alone when b's imaginary part is exactly zero, as Newton's
+    right-hand side is at a real iterate; x is then real too. dgbtrs solves
+    each column on its own, so x is bit-equal either way. trans 2 is the
     conjugate transpose, which for a real lu is the transpose."""
     if lu.dtype == np.complex128:
         return lapack.zgbtrs(lu, kl, ku, b, piv, trans=trans)
     k = b.shape[1]
-    parts = np.empty((b.shape[0], 2 * k), order="F")
-    parts[:, :k], parts[:, k:] = b.real, b.imag
+    real = not b.imag.any()
+    parts = np.empty((b.shape[0], k if real else 2 * k), order="F")
+    parts[:, :k] = b.real
+    if not real:
+        parts[:, k:] = b.imag
     parts, info = lapack.dgbtrs(lu, kl, ku, parts, piv, trans=trans, overwrite_b=1)
-    x = np.empty(b.shape, dtype=np.complex128)
-    x.real, x.imag = parts[:, :k], parts[:, k:]
+    x = np.zeros(b.shape, dtype=np.complex128)
+    x.real = parts[:, :k]
+    if not real:
+        x.imag = parts[:, k:]
     return x, info
 
 
@@ -310,12 +318,15 @@ def geig(P, Q, vectors: str = "right", shift=None):
     fails finite_pair is infinite and dropped. Q=None means the standard
     problem P v = z v, whose pairs are (z, 1).
 
-    vectors picks the eigenvectors computed with z: "right" returns
-    (z, vr) and "both" returns (z, vr, vl). Columns of vr and vl are the
-    right and left eigenvectors of z in the same order; z and the vectors
-    are complex128. A pencil goes through LAPACK's QZ driver (zggev), the
-    standard problem through its QR driver (zgeev); within one driver both
-    modes give bit-equal z. A real float64 P (with a real Q, if any) is not
+    vectors picks the eigenvectors computed with z: "none" returns z
+    alone, "right" returns (z, vr) and "both" returns (z, vr, vl). Columns
+    of vr and vl are the right and left eigenvectors of z in the same
+    order; z and the vectors are complex128. A pencil goes through LAPACK's
+    QZ driver (zggev), the standard problem through its QR driver (zgeev);
+    within one driver all three modes give bit-equal z
+    (tests/test_pencil.py), so an eigenvalues-only call, at about half the
+    cost of one with both vector sets at order 100, numbers the same
+    eigenvalues in the same order. A real float64 P (with a real Q, if any) is not
     made complex, so it runs the cheaper real driver (dgeev, dggev). For
     the standard problem (dgeev) the non-real z come in exact conjugate
     pairs with conjugate vectors, which the canonical order puts next to
@@ -337,15 +348,17 @@ def geig(P, Q, vectors: str = "right", shift=None):
         finite = finite_shift_invert(theta)
         z = shift + 1.0 / theta[finite]
         return z[_canonical_order(z)]
-    left = vectors == "both"
+    left, right = vectors == "both", vectors != "none"
     P = _real_or_complex(P)
     if Q is not None:
         Q = _real_or_complex(Q)
-    out = sla.eig(P, Q, left=left, right=True, homogeneous_eigvals=True)
-    alpha, beta = out[0]
+    out = sla.eig(P, Q, left=left, right=right, homogeneous_eigvals=True)
+    alpha, beta = out[0] if right else out
     finite = finite_pair(alpha, beta)
     z = alpha[finite] / beta[finite]
     order = _canonical_order(z)
+    if not right:
+        return z[order]
     cols = np.flatnonzero(finite)[order]
     # scipy returns (w, vr) or (w, vl, vr), real vectors from a real driver
     # when every eigenvalue is real
@@ -444,8 +457,9 @@ def shift_invert_vectors(P, Q, shift, start):
     """Unit (y, w) of P v = z Q v at the eigenvalue nearest shift, or None:
     the power iterates of shift_invert_eigvals's certificate from start, on
     T about shift applied by solves with one LU, with no bound and no zgeev.
-    At a shift on an eigenvalue, as chosen from zgeev's candidates, this is
-    inverse iteration and settles in a step or two."""
+    At a shift on an eigenvalue, as chosen from zgeev's candidates or taken
+    from QZ at a reference point, this is inverse iteration and settles in
+    a step or two."""
     fact = Factorization(P - shift * Q)
     qh = Q.conj().T
     y, w = start

@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import _linalg, delta, mmio, problems
+from . import _linalg, delta, mmio, pencil, problems
 from .core import Quadruplet, condition_numbers
 from .errors import (ConvergenceFailure, DimensionMismatch, MepnlError,
                      ProblemIOError, TooLarge)
@@ -203,7 +203,7 @@ def _build_problem(cfg: RunConfig):
 def _require_branches(problem, branch_ids):
     """Refuse a branch id that the problem does not have at lam = 0. A problem
     with no finite branch there is left to NoFiniteEigenvalue."""
-    have, b = len(problem.reference_points), max(branch_ids)
+    have, b = problem.reference_mus.size, max(branch_ids)
     if have and b >= have:
         raise ProblemIOError(f"--branch {b}: the problem has branches 0..{have - 1} at lam = 0")
 
@@ -422,7 +422,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     problem = _build_problem(cfg)
-    points = problem.reference_points
+    points = [pencil.reference_point(problem, b) for b in range(problem.reference_mus.size)]
     cap = delta.size_cap()
     print(f"label: {problem.label}")
     print(f"orders: n={problem.n} ({'sparse' if problem.is_sparse else 'dense'}), "

@@ -27,8 +27,6 @@ TOL_RANK_ONE = 8 * np.finfo(float).eps
 # |c^T y| below this times ||c|| ||y|| means the normalization functional is
 # useless for that eigenvector.
 TOL_C_DEGENERATE = 1e-10
-# Seeded draws of a default normalization vector c tried before giving up.
-MAX_C_DRAWS = 16
 # Rows of a dense M(lam) that eval_a sums at a time, so that a block's three
 # passes stay in cache: at n = 700 the sum takes 2.2 ms, against 3.2 ms for
 # A1 + lam*A2 + mu*A3 with its four n x n temporaries (one BLAS thread, 2 vCPUs).
@@ -73,21 +71,14 @@ def _c_normalizable(cy, c_norm, y_norm):
     return abs(cy) > TOL_C_DEGENERATE * c_norm * y_norm
 
 
-def _default_c(ys) -> np.ndarray:
-    """Deterministic pseudo-random unit complex c: drawn from a fixed seed and
-    re-drawn (next seed) while it cannot normalize some column of ys, the
-    finite eigenvectors at the reference point."""
-    m = ys.shape[0]
-    y_norms = np.linalg.norm(ys, axis=0)
-    for attempt in range(MAX_C_DRAWS):
-        rng = np.random.default_rng(1000003 + attempt)
-        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        c /= np.linalg.norm(c)
-        if np.all(_c_normalizable(c @ ys, np.linalg.norm(c), y_norms)):
-            return c
-    raise ValueError(
-        "no normalization vector found after re-draws; pencil may be degenerate"
-    )
+def _default_c(m) -> np.ndarray:
+    """Deterministic pseudo-random unit complex c of length m, drawn from a
+    fixed seed. No eigenvector is consulted: a point whose y this c cannot
+    normalize is flagged c_degenerate, at the reference as at every other
+    lam (pencil._normalize_y)."""
+    rng = np.random.default_rng(1000003)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return c / np.linalg.norm(c)
 
 
 class TwoParProblem:
@@ -98,9 +89,12 @@ class TwoParProblem:
     says whether their imaginary parts are all zero. c is a complex
     m-vector fixing the eigenvector scaling of the small equation through
     c^T y = 1 (unconjugated transpose).
-    c=None draws one that can normalize every finite eigenvector at
-    pencil.REFERENCE_LAM (_default_c), from the full QZ there that
-    reference_points then reuses.
+    c=None takes the fixed-seed draw of _default_c.
+    reference_mus holds the finite eigenvalues of the small pencil at
+    pencil.REFERENCE_LAM, read-only, from one eigenvalues-only QZ at
+    construction (pencil.eigvals_at); branch ids are positions in their
+    order, and pencil.reference_point builds a branch's point there on
+    first use.
     b3_rank_one is (u, v) with B3 = u v^H when B3 has rank exactly one, else
     None; the small pencil then has at most one finite eigenvalue.
     """
@@ -123,7 +117,7 @@ class TwoParProblem:
         _check_square(B3, "B3", m)
         self.B1, self.B2, self.B3 = B1, B2, B3
         if c is None:
-            c = _default_c(self._reference_spectrum[1])
+            c = _default_c(m)
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         if c.shape[0] != m:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {m}")
@@ -145,6 +139,12 @@ class TwoParProblem:
                 arr.flags.writeable = False
         self.norms_a = tuple(_linalg.norm2_bound(M) for M in (self.A1, self.A2, self.A3))
         self.norms_b = tuple(_linalg.norm2_bound(M) for M in (self.B1, self.B2, self.B3))
+        from . import pencil
+
+        self.reference_mus = pencil.eigvals_at(self, pencil.REFERENCE_LAM)
+        self.reference_mus.flags.writeable = False
+        # pencil.reference_point's points at REFERENCE_LAM, by branch id
+        self._reference_cache = {}
 
     @property
     def n(self) -> int:
@@ -155,26 +155,13 @@ class TwoParProblem:
         return self.B1.shape[0]
 
     @functools.cached_property
-    def _reference_spectrum(self) -> tuple:
-        """(mu, y, w) of the small pencil at pencil.REFERENCE_LAM: the
-        problem's one full QZ there, on first use or when c is drawn."""
+    def _reference_qz(self) -> list:
+        """eigenpairs_at(pencil.REFERENCE_LAM): the full QZ there, run at most
+        once per problem, on the first reference point whose vectors fail
+        their residual test (pencil.reference_point)."""
         from . import pencil
 
-        return pencil._raw_eigenpairs(self.B1, self.B2, self.B3, pencil.REFERENCE_LAM)
-
-    @functools.cached_property
-    def reference_points(self) -> tuple:
-        """The small pencil's eigenpairs at pencil.REFERENCE_LAM, which fix
-        branch ids: the points of eigenpairs_at there, built on first use
-        from the reference spectrum, with read-only y and w."""
-        from . import pencil
-
-        points = tuple(pencil._branch_points(self, pencil.REFERENCE_LAM,
-                                             self._reference_spectrum))
-        for point in points:
-            point.y.flags.writeable = False
-            point.w.flags.writeable = False
-        return points
+        return pencil.eigenpairs_at(self, pencil.REFERENCE_LAM)
 
     @functools.cached_property
     def schur_k(self) -> _linalg.GeneralizedSchur:

@@ -96,9 +96,8 @@ def load_problem(matrix_paths, c_path=None) -> TwoParProblem:
     """Build a problem from six matrix files (A1, A2, A3, B1, B2, B3 order)
     plus an optional c vector file, labelled "loaded:" plus the A1 file name.
 
-    Without c_path the normalization vector is TwoParProblem's seeded
-    draw, non-orthogonal to the eigenvectors at lam = 0; a given c must not
-    be zero. Dimension inconsistencies report all six shapes at once.
+    Without c_path the normalization vector is TwoParProblem's fixed-seed
+    draw; a given c must not be zero. Dimension inconsistencies report all six shapes at once.
     """
     paths = list(matrix_paths)
     if len(paths) != 6:

@@ -38,10 +38,15 @@ problems.tabulate_branches takes them for its whole grid in one batch
 (_null_vectors_pass), of a batch or of one step, takes products with B1,
 B2 and B3 and scales them by the 2-norm bound scale_b(lam, mu) of the
 problem's residuals, so a grid builds no m x m matrix per lam.
-The full QZ with left and right eigenvectors (eigenpairs_at) runs once
-per problem at REFERENCE_LAM (TwoParProblem.reference_points, the same QZ
-that draws a default c), at other reference points, and when those
-vectors fail their residual test.
+Branch ids are positions in the canonical order of the eigenvalues at a
+reference lam, which an eigenvalues-only QZ gives (eigvals_at): at
+REFERENCE_LAM one per problem, at its construction
+(TwoParProblem.reference_mus). A branch's reference y and w come when it
+is first followed, by inverse iteration at its mu on one LU of order m
+(reference_point), certified by the same residual test as a step's. The
+full QZ with left and right eigenvectors (eigenpairs_at) runs only when
+vectors fail their residual test, or a reference mu is a double
+eigenvalue: at REFERENCE_LAM at most once per problem.
 The branches' poles take one QZ per problem, of a bordered pencil of order
 m + rank(B3) (branch_poles), which no continuation step needs.
 """
@@ -90,11 +95,6 @@ class BranchPoint:
     c_degenerate: bool = False
 
 
-def _raw_eigenpairs(B1, B2, B3, lam):
-    """(mu, y, w) of -(B1 + lam*B2) y = mu B3 y, as _linalg.geig orders them."""
-    return _linalg.geig(-(B1 + lam * B2), B3, vectors="both")
-
-
 def _normalize_y(y, c):
     """(y scaled to c^T y = 1, False), or (unit y, True) when c cannot normalize
     y; row by row, with an array of flags, for the rows of a 2-D y."""
@@ -104,20 +104,25 @@ def _normalize_y(y, c):
     return y / np.where(degen, y_norm, cy)[..., None], degen
 
 
+def eigvals_at(problem: TwoParProblem, lam) -> np.ndarray:
+    """The finite eigenvalues mu of the small pencil at lam, in geig's
+    canonical order, from one QZ that computes no eigenvector: branch ids
+    are positions in this order. eigenpairs_at, which computes every
+    eigenvector too, gives the same mu bit for bit, in the same order."""
+    return _linalg.geig(-(problem.B1 + lam * problem.B2), problem.B3, vectors="none")
+
+
 def eigenpairs_at(problem: TwoParProblem, lam):
     """All finite eigenpairs of the small pencil at lam, sorted by |mu|.
 
     Returns a list of BranchPoint with branch_id set to the position in that
-    ordering; eigenvalues at infinity are never branches.
+    ordering; eigenvalues at infinity are never branches. The full QZ, with
+    every right and left eigenvector: the package's one caller of geig's
+    "both" mode (tests/test_api.py), the fallback of a point whose vectors
+    fail their residual test.
     """
-    spectrum = _raw_eigenpairs(problem.B1, problem.B2, problem.B3, lam)
-    return _branch_points(problem, lam, spectrum)
-
-
-def _branch_points(problem: TwoParProblem, lam, spectrum):
-    """The BranchPoints of eigenpairs_at from the spectrum (mu, y, w) that
-    _raw_eigenpairs gives at lam."""
-    mus, ys, ws = spectrum
+    mus, ys, ws = _linalg.geig(-(problem.B1 + lam * problem.B2), problem.B3,
+                               vectors="both")
     points = []
     for i, mu in enumerate(mus):
         y, degen = _normalize_y(ys[:, i], problem.c)
@@ -240,24 +245,68 @@ def branch_poles(problem: TwoParProblem) -> np.ndarray:
     return _linalg.geig(P, Q)[0]
 
 
-def reference_point(problem: TwoParProblem, branch_id: int,
-                    lam=REFERENCE_LAM) -> BranchPoint:
-    """The point of branch branch_id at a reference lam, where branch ids are
-    positions in the |mu| ordering of eigenpairs_at(lam); at REFERENCE_LAM it
-    is one of the problem's reference_points, one full QZ per problem.
-    Raises NoFiniteEigenvalue when the pencil has no finite eigenvalue at
-    lam, KeyError when it has no branch branch_id there."""
-    points = problem.reference_points if lam == REFERENCE_LAM else eigenpairs_at(problem, lam)
-    if not points:
+def _branch_mu(mus, branch_id: int, lam):
+    """mus[branch_id], the eigenvalue of branch branch_id among the finite
+    eigenvalues mus at lam. Raises NoFiniteEigenvalue when mus is empty,
+    KeyError when it has no entry branch_id."""
+    if not mus.size:
         raise NoFiniteEigenvalue(
             f"small pencil has no finite eigenvalue at reference lam={lam}"
         )
-    if not 0 <= branch_id < len(points):
+    if not 0 <= branch_id < mus.size:
         raise KeyError(
             f"branch {branch_id} not present at reference lam={lam} "
-            f"(have 0..{len(points) - 1})"
+            f"(have 0..{mus.size - 1})"
         )
-    return points[branch_id]
+    return complex(mus[branch_id])
+
+
+def reference_point(problem: TwoParProblem, branch_id: int,
+                    lam=REFERENCE_LAM) -> BranchPoint:
+    """The point of branch branch_id at a reference lam, where branch ids are
+    positions in the canonical order of eigvals_at(lam). Its mu is that
+    eigenvalue, and its y and w come from inverse iteration at mu
+    (_linalg.shift_invert_vectors, Ipsen, SIAM Review 1997): one LU of
+    order m, from the fixed start of all ones, as a continuation step gets
+    its vectors, and certified by the same residual test
+    (_null_vectors_pass). When they fail it, or mu is listed twice within
+    TOL_DEDUPE, the point is the full QZ's (eigenpairs_at), which has the
+    same mu at the same position.
+
+    At REFERENCE_LAM the eigenvalues are the problem's reference_mus, from
+    its construction, and each branch's point is built once, on first use,
+    and kept on the problem with read-only y and w, so every view and
+    tabulation that starts there shares it; the full QZ of a fallback runs
+    at most once per problem (TwoParProblem._reference_qz). At any other
+    lam nothing is kept. Raises NoFiniteEigenvalue when the pencil has no
+    finite eigenvalue at lam, KeyError when it has no branch branch_id
+    there.
+    """
+    at_reference = lam == REFERENCE_LAM
+    if at_reference:
+        point = problem._reference_cache.get(branch_id)
+        if point is not None:
+            return point
+    mus = problem.reference_mus if at_reference else eigvals_at(problem, lam)
+    mu = _branch_mu(mus, branch_id, lam)
+    copies = np.abs(mus - mu) <= TOL_DEDUPE * np.maximum(np.abs(mus), max(1.0, abs(mu)))
+    vectors = None
+    if np.count_nonzero(copies) == 1:
+        start = np.ones(problem.m, dtype=np.complex128)
+        vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam * problem.B2),
+                                               problem.B3, mu, (start, start))
+    if vectors is None or not _null_vectors_pass(problem, lam, mu, *vectors)[0]:
+        points = problem._reference_qz if at_reference else eigenpairs_at(problem, lam)
+        point = points[branch_id]
+    else:
+        y, degen = _normalize_y(vectors[0], problem.c)
+        point = BranchPoint(lam=complex(lam), mu=mu, y=y, w=vectors[1],
+                            branch_id=branch_id, c_degenerate=bool(degen))
+    if at_reference:
+        point.y.flags.writeable = False
+        point.w.flags.writeable = False
+        problem._reference_cache[branch_id] = point
+    return point
 
 
 def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):

@@ -27,8 +27,7 @@ def gen_random(n, m, seed, alphas=(1.0, 1.0 / 500.0, 1.0 / 50.0),
     V, U and the diagonal f are standard normal, drawn from a single
     generator seeded with seed, so instances are bit-reproducible. The
     default scalings keep the lam and mu terms small against the constant
-    term. The normalization vector is drawn to be non-orthogonal to every
-    finite eigenvector of the small pencil at lam = 0.
+    term. The normalization vector is TwoParProblem's fixed-seed draw.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
@@ -348,8 +347,8 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
 
     Branch identities are fixed by the |mu| ordering at pencil.REFERENCE_LAM. The
     grid is walked outward from the sample nearest the reference, each
-    direction from the problem's reference points (one full QZ for both), so
-    steps stay small. Where a step cannot be resolved (no finite eigenvalue,
+    direction from the branch's reference point (pencil.reference_point,
+    built once for both), so steps stay small. Where a step cannot be resolved (no finite eigenvalue,
     or two candidates genuinely indistinguishable) the value is NaN and the
     walk continues from the last resolved point. When B3 has rank one a
     point does not depend on the one before it, so the whole grid is
@@ -363,7 +362,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     if not np.all(np.isfinite(grid)):
         raise ValueError("lambda grid has a non-finite entry")
     if branch_ids is None:
-        branch_ids = tuple(range(len(problem.reference_points)))
+        branch_ids = tuple(range(problem.reference_mus.size))
     else:
         branch_ids = tuple(branch_ids)
     values = np.full((grid.size, len(branch_ids)), np.nan, dtype=np.complex128)
@@ -372,9 +371,9 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
 
     if problem.b3_rank_one is not None:
         # the one branch there is has id 0; a start the walk could not take
-        # raises here as it would there
+        # raises here as it would there, with no reference vectors built
         for b in branch_ids:
-            pencil.reference_point(problem, b)
+            pencil._branch_mu(problem.reference_mus, b, pencil.REFERENCE_LAM)
         if branch_ids:
             mu, _, _, _, failed = pencil._rank_one_points(problem, grid)
             values[:] = mu[:, None]

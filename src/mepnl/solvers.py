@@ -52,9 +52,10 @@ class SolveTrace:
     termination says why the run stopped: "converged" (res_a <= tol),
     "maxit" (the step budget ran out), "stagnated" (Newton only: a solve
     proves M(lam_k) at an iterate past the start numerically singular, so
-    the iterate sits at the accuracy limit and no further step can be
-    taken) or "nonfinite" (the next iterate's lam or x is not finite; the
-    last finite iterate is the one returned).
+    lam_k sits at the accuracy limit; the step from it, an inverse-iteration
+    step, is still taken, and its iterate, the last recorded, does not meet
+    tol either) or "nonfinite" (the next iterate's lam or x is not finite;
+    the last finite iterate is the one returned).
     """
 
     lam: list = dataclasses.field(default_factory=list)
@@ -110,11 +111,14 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     Returns (Quadruplet, SolveTrace); trace.termination is "converged",
     "maxit", "stagnated" or "nonfinite" (non-convergence is reported, not
     raised). A run is nonfinite when u is not finite or an update would make
-    lam or x non-finite; the last finite iterate is returned. Otherwise a run
-    stagnates when u proves M(lam_k) at an iterate k >= 1 singular
-    (NepView.refuse_singular) and returns that iterate; at k = 0
-    ShiftIsEigenvalue propagates, the singular point being the caller's own
-    start. d^T u = 0, as when M'(lam_k) x_k = 0, raises ConvergenceFailure.
+    lam or x non-finite; the last finite iterate is returned. When u proves
+    M(lam_k) at an iterate k >= 1 singular (NepView.refuse_singular), u is
+    still the inverse-iteration direction at the accuracy limit: the step is
+    taken and its iterate k + 1, one of the maxit steps, recorded, and the
+    run ends there, "converged" when it meets tol and "stagnated"
+    otherwise. At k = 0 ShiftIsEigenvalue propagates, the singular point
+    being the caller's own start. d^T u = 0, as when M'(lam_k) x_k = 0,
+    raises ConvergenceFailure.
     """
     if config is None:
         config = SolverConfig()
@@ -126,11 +130,14 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     trace = SolveTrace()
     t0 = time.perf_counter()
     bp = nep.branch_point(lam)
+    singular = False  # whether the last solve proved M(lam_k) singular
     for k in range(config.maxit + 1):
         a1x, a2x, a3x = problem.A1 @ x, problem.A2 @ x, problem.A3 @ x
         rec = core.residuals(problem, Quadruplet(lam, bp.mu, x, bp.y),
                              ax=(a1x + lam * a2x) + bp.mu * a3x)
-        if trace.record(lam, bp.mu, rec, t0, config):
+        if trace.record(lam, bp.mu, rec, t0, config) or singular:
+            if singular and not trace.converged:
+                trace.termination = "stagnated"
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
         rhs = a2x + gprime * a3x
@@ -145,8 +152,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         except ShiftIsEigenvalue:
             if k == 0:
                 raise
-            trace.termination = "stagnated"
-            break
+            singular = True
         if dtu == 0:
             raise ConvergenceFailure(
                 f"normalization functional annihilated the Newton direction "

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mepnl import nep
+from mepnl import nep, pencil
 
 
 @pytest.fixture
@@ -26,3 +26,23 @@ def nan_at_second_solve(monkeypatch):
         return fact
 
     monkeypatch.setattr(nep.NepView, "factorization", factorization)
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """Wrap pencil.reference_point: the returned dict counts its calls in
+    "calls" and holds "inside" True while one runs, so that a counter can
+    tell a reference point's own work from a continuation step's."""
+    state = {"calls": 0, "inside": False}
+    original = pencil.reference_point
+
+    def wrapped(*args, **kwargs):
+        state["calls"] += 1
+        state["inside"] = True
+        try:
+            return original(*args, **kwargs)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(pencil, "reference_point", wrapped)
+    return state

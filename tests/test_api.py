@@ -89,6 +89,31 @@ def test_only_linalg_runs_eigensolvers():
     assert not hits, "\n".join(hits)
 
 
+def test_only_the_full_qz_asks_geig_for_both_vector_sets():
+    """Branch ids need only eigenvalues and a followed branch only its own
+    y and w, so the QZ with every right and left eigenvector runs in one
+    place, the fallback pencil.eigenpairs_at: no other function calls geig
+    with vectors="both", or with a vectors argument that is not a literal."""
+
+    def asks_both(call):
+        if getattr(call.func, "attr", getattr(call.func, "id", None)) != "geig":
+            return False
+        vectors = [k.value for k in call.keywords if k.arg == "vectors"] + call.args[2:3]
+        return any(not isinstance(v, ast.Constant) or v.value == "both" for v in vectors)
+
+    def scopes(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and asks_both(node):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from scopes(child, scope)
+
+    found = sorted({scope for path in Path(mepnl.__file__).parent.glob("*.py")
+                    for scope in scopes(ast.parse(path.read_text()), path.stem)})
+    assert found == ["pencil.eigenpairs_at"], found
+
+
 def test_oracle_and_core_run_no_svd():
     """The one rank-one split, core._rank_one_factors, pivots on the largest
     entry, and core.attach_left_vectors takes w by inverse iteration, so

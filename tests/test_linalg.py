@@ -311,3 +311,36 @@ def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
     assert info.converged and abs(quad.lam - lam_k) <= 1e-4
     assert calls["factorization"] >= 2
     assert calls["dgbtrf"] == calls["factorization"] and calls["zgbtrf"] == 0
+
+
+def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
+    # a real b on a real band LU goes to dgbtrs as its real part alone, one
+    # column, not two; dgbtrs solves each column on its own, so x equals
+    # the real part of the two-column solve bit for bit, in both directions
+    rng = np.random.default_rng(2)
+    fact = _linalg.Factorization(helmholtz(5000).eval_a(1.5, 0.5))
+    lu, piv = fact._lu
+    assert fact.storage == "band" and lu.dtype == np.float64
+    kl, ku = fact.bandwidths
+    columns = []
+    dgbtrs = lapack.dgbtrs
+
+    def counted(lu, kl, ku, b, *args, **kwargs):
+        columns.append(b.shape[1])
+        return dgbtrs(lu, kl, ku, b, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrs", counted)
+    b = rng.standard_normal(lu.shape[1])
+    for adjoint in (False, True):
+        columns.clear()
+        x = fact.solve(b.astype(np.complex128), adjoint=adjoint)
+        assert columns == [1] and x.dtype == np.complex128
+        assert np.array_equal(x.imag, np.zeros_like(b))
+        both = np.zeros((b.size, 2), order="F")
+        both[:, 0] = b
+        want, _ = dgbtrs(lu, kl, ku, both, piv, trans=2 if adjoint else 0)
+        assert np.array_equal(x.real, want[:, 0])
+        # a b with any nonzero imaginary part keeps both columns
+        columns.clear()
+        fact.solve(b + 1j * rng.standard_normal(b.size), adjoint=adjoint)
+        assert columns == [2]

@@ -115,7 +115,7 @@ def test_unknown_branch_rejected():
         nep.NepView(p, branch_id=5, reference_lam=0.1)
 
 
-def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
+def test_views_and_tabulation_share_one_reference_qz(monkeypatch, reference_calls):
     counts = collections.Counter()
 
     def count(owner, name, key):
@@ -128,18 +128,20 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(_linalg, "geig", lambda kw, _: "full QZ" if kw.get("vectors") == "both" else "geig")
+    count(_linalg, "geig", lambda kw, _: "geig." + kw.get("vectors", "right"))
     count(_linalg, "certified_dominant",
           lambda kw, found: "refused" if found is None else "certified vectors")
-    count(_linalg, "shift_invert_vectors", lambda kw, _: "power-loop vectors")
+    count(_linalg, "shift_invert_vectors", lambda kw, _: "reference vectors"
+          if reference_calls["inside"] else "power-loop vectors")
     count(pencil, "_continue_step", lambda kw, _: "steps")
     count(pencil, "_full_qz_point", lambda kw, _: "step full QZ")
     p = problems.gen_random(40, 4, seed=3)
     assert p.b3_rank_one is None  # rank(B3) >= 2: branches are continued
-    assert counts["full QZ"] == 1  # the reference QZ, run to draw c
+    # construction runs the one eigenvalues-only QZ, and no vectors
+    assert counts == {"geig.none": 1}
+    assert p.reference_mus.size == p.m and not p.reference_mus.flags.writeable
     views = [nep.NepView(p, branch_id=b) for b in (0, 1)]
-    shared = p.reference_points
-    assert isinstance(shared, tuple) and len(shared) == p.m
+    shared = [pencil.reference_point(p, b) for b in range(p.m)]
     for view in views:
         assert view.point is shared[view.branch_id]
     for view, lam0 in zip(views, (0.05, -0.05 + 0.02j)):
@@ -148,20 +150,26 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch):
         assert trace.iterations >= 2
     table = problems.tabulate_branches(p, np.linspace(-0.5, 0.5, 11))
     assert np.all(np.isfinite(table.values))
-    # one full QZ at the reference for c, both views and both sweeps; each
-    # step's y and w come from its certificate or, when that refuses, from
-    # the power loop at the chosen mu, and no step falls back to the full QZ
-    assert counts["full QZ"] == 1 and counts["step full QZ"] == 0
+    # one inverse iteration per branch at the reference, for both views and
+    # both sweeps, and no full QZ; each step's y and w come from its
+    # certificate or, when that refuses, from the power loop at the chosen
+    # mu, and no step falls back to the full QZ
+    assert counts["reference vectors"] == p.m
+    assert counts["geig.none"] == 1 and counts["geig.both"] == counts["geig.right"] == 0
+    assert counts["step full QZ"] == 0
     assert counts["certified vectors"] + counts["power-loop vectors"] + \
         counts["step full QZ"] == counts["steps"] > 0
-    assert p.reference_points is shared
+    assert [pencil.reference_point(p, b) for b in range(p.m)] == shared
     for point in shared:
         assert not point.y.flags.writeable and not point.w.flags.writeable
     # the shared points are untouched by the solves: a fresh problem's
-    # reference spectrum equals them bit for bit
-    fresh = pencil.eigenpairs_at(problems.gen_random(40, 4, seed=3), pencil.REFERENCE_LAM)
-    assert len(fresh) == len(shared)
-    for got, want in zip(shared, fresh):
+    # reference points equal them bit for bit, and the full QZ has the same
+    # mu at each position
+    fresh = problems.gen_random(40, 4, seed=3)
+    full_qz = pencil.eigenpairs_at(fresh, pencil.REFERENCE_LAM)
+    for b, got in enumerate(shared):
+        want = pencil.reference_point(fresh, b)
         assert (got.lam, got.mu, got.branch_id, got.c_degenerate) == \
             (want.lam, want.mu, want.branch_id, want.c_degenerate)
         assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
+        assert full_qz[b].mu == got.mu

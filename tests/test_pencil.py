@@ -23,6 +23,11 @@ SQRT_DERIVS = (
 )
 
 
+def reference_points(p):
+    """Every branch's point at REFERENCE_LAM."""
+    return [pencil.reference_point(p, b) for b in range(p.reference_mus.size)]
+
+
 def qep_problem(n=5, seed=0):
     rng = np.random.default_rng(seed)
     return mepnl.gen_qep(*(rng.standard_normal((n, n)) for _ in range(3)))
@@ -190,32 +195,87 @@ def test_no_finite_eigenvalue_raised():
         pencil.reference_point(p, 0)
 
 
+def test_reference_point_falls_back_to_one_full_qz(monkeypatch):
+    # a reference point takes mu from the eigenvalues-only QZ and y and w
+    # from inverse iteration; when those fail their residual test, or mu is
+    # a double eigenvalue, the point is the full QZ's at the same position,
+    # and at REFERENCE_LAM that QZ runs once for all of the problem's
+    # branches
+    p = mepnl.gen_random(6, 5, seed=8)
+    counts = count_geig(monkeypatch)
+    monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", -1.0)  # always fails
+    points = reference_points(p)
+    assert counts == {"shift": 0, "none": 0, "right": 0, "both": 1}
+    full_qz = pencil.eigenpairs_at(p, pencil.REFERENCE_LAM)
+    for got, want in zip(points, full_qz):
+        assert got.mu == want.mu and got.branch_id == want.branch_id
+        assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
+        assert not got.y.flags.writeable and not got.w.flags.writeable
+    # away from REFERENCE_LAM nothing is kept: one full QZ per point
+    for b in (0, 1):
+        pencil.reference_point(p, b, 0.3)
+    assert counts == {"shift": 0, "none": 2, "right": 0, "both": 4}
+    monkeypatch.undo()
+    # mu = 1 twice: no inverse iteration, which cannot settle there; mu = 4
+    # once: inverse iteration, and no full QZ
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([-1.0, -1.0, -4.0]),
+                            np.zeros((3, 3)), np.eye(3), np.ones(3))
+    counts = count_geig(monkeypatch)
+    single = pencil.reference_point(p, 2)
+    assert single.mu == 4.0 and counts["both"] == 0
+    for b in (0, 1):
+        point = pencil.reference_point(p, b)
+        assert point.mu == 1.0
+        assert np.linalg.norm(p.eval_b(0.0, 1.0) @ point.y) == 0.0
+    assert counts["both"] == 1
+
+
 def test_default_c_not_orthogonal():
     rng = np.random.default_rng(5)
     B1, B2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
     B3 = rng.standard_normal((4, 4))
     c = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None).c
     assert np.linalg.norm(c) == pytest.approx(1.0)
-    mus, ys, _ = pencil._raw_eigenpairs(
-        B1.astype(complex), B2.astype(complex), B3.astype(complex), 0.0)
+    _, ys = _linalg.geig(-B1.astype(complex), B3.astype(complex))
     for i in range(ys.shape[1]):
         y = ys[:, i]
         assert abs(c @ y) > 1e-10 * np.linalg.norm(y)
 
 
 def test_geig_modes_give_bit_equal_eigenvalues():
+    # branch ids are positions among the eigenvalues-only QZ's z, and a
+    # fallback point takes its y and w from the QZ with both vector sets at
+    # the same position: the three modes must give z bit for bit, for the
+    # real driver (dggev) and the complex one (zggev) alike, with and
+    # without infinite eigenvalues
     pencils = []
     for seed in range(4):
         p = mepnl.gen_random(3, 12, seed=40 + seed)
         pencils.append((-(p.B1 + (0.3 - 0.1j) * p.B2), p.B3))
         pencils.append((-(p.B1 + 0.7 * p.B2), p.B3))
+    for seed in range(12):
+        rng = np.random.default_rng(900 + seed)
+        m = int(rng.integers(4, 101))
+        P, Q = rng.standard_normal((2, m, m))
+        Pc = P + 1j * rng.standard_normal((m, m))
+        rank = int(rng.integers(1, m + 1))
+        low_rank = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, m))
+        pencils += [(P, Q), (Pc, Q), (P, low_rank), (Pc, low_rank)]
     q = qep_problem()  # B3 is singular: one infinite eigenvalue
     pencils.append((-(q.B1 + 1.3 * q.B2), q.B3))
     for P, Q in pencils:
-        z, _ = _linalg.geig(P, Q)
+        z = _linalg.geig(P, Q, vectors="none")
+        z_right, _ = _linalg.geig(P, Q)
         z_both, _, _ = _linalg.geig(P, Q, vectors="both")
-        assert np.array_equal(z, z_both)
+        assert z.dtype == np.complex128 and z.size <= len(P)
+        assert np.array_equal(z, z_right) and np.array_equal(z, z_both)
     assert z.size == 1
+    # the problems' own reference eigenvalues: the bench's m = 100, and the
+    # rank-one B3 of the Helmholtz generator
+    for p in (mepnl.gen_random(3, 100, seed=1),
+              problems.gen_helmholtz(problems.HelmholtzConfig(n=50, m=30)).problem):
+        points = pencil.eigenpairs_at(p, pencil.REFERENCE_LAM)
+        assert np.array_equal(p.reference_mus, [q.mu for q in points])
 
 
 def test_geig_standard_real_problem_gives_exact_conjugate_pairs():
@@ -246,7 +306,7 @@ def assert_mu_within_ulps(p, bp, ref_mu):
 def test_stepped_point_matches_full_qz(monkeypatch):
     p = mepnl.gen_random(6, 8, seed=4)
     assert p.b3_rank_one is None  # a full-rank B3 takes QZ continuation steps
-    last = list(p.reference_points)
+    last = reference_points(p)
 
     def full_qz(*args):
         raise AssertionError("a step fell back to the full QZ")
@@ -366,7 +426,7 @@ def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):
 def count_geig(monkeypatch):
     """Count _linalg.geig calls by their mode: shift-invert, or the vectors
     computed."""
-    counts = {"shift": 0, "right": 0, "both": 0}
+    counts = {"shift": 0, "none": 0, "right": 0, "both": 0}
     original = _linalg.geig
 
     def counted(*args, **kwargs):
@@ -485,7 +545,7 @@ def test_rank_one_qep_branch_is_lambda_squared(monkeypatch):
         assert np.linalg.norm(bp.w) == pytest.approx(1.0)
     # no eigensolve at all: the one finite eigenvalue comes from two
     # triangular solves per point with the Schur form of (B1, B2)
-    assert counts == {"shift": 0, "right": 0, "both": 0}
+    assert counts == {"shift": 0, "none": 0, "right": 0, "both": 0}
 
 
 def test_rank_one_infinite_mu_raises():
@@ -821,7 +881,7 @@ def test_continuation_step_runs_no_pencil_qz(monkeypatch):
             in_fallback[0] = False
 
     for tol in (pencil.TOL_INVERSE_RESIDUAL, -1.0):  # -1: every step falls back
-        last = list(p.reference_points)
+        last = reference_points(p)
         monkeypatch.setattr(_linalg, "geig", counted_geig)
         monkeypatch.setattr(pencil, "eigenpairs_at", counted_eigenpairs_at)
         monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", tol)
@@ -905,7 +965,7 @@ def test_generators_without_poles(monkeypatch):
     counts = count_geig(monkeypatch)
     for p in no_pole:
         assert pencil.branch_poles(p).size == 0
-    assert counts == {"shift": 0, "right": 0, "both": 0}
+    assert counts == {"shift": 0, "none": 0, "right": 0, "both": 0}
     assert pencil.branch_poles(qep_problem()).size == 0
 
 
@@ -974,7 +1034,7 @@ def test_certificate_refuses_another_eigenvalues_vectors():
     # the certificate refuses and zgeev chooses; or the iteration moves on
     # to the nearest, which the certificate may then take. Never the other.
     p = mepnl.gen_random(6, 8, seed=4)
-    points = p.reference_points
+    points = reference_points(p)
     for b, point in enumerate(points):
         for other in points:
             if other is point:
@@ -1068,7 +1128,7 @@ def test_refused_certificate_gives_todays_step(monkeypatch):
         solves.append(1)
         return solve(self, *args, **kwargs)
 
-    for b, point in enumerate(p.reference_points):
+    for b, point in enumerate(reference_points(p)):
         for lam in (0.03, 0.05 + 0.02j):
             pred = point.mu + pencil.g_prime_closed_form(p, point) * lam
             P = -(p.B1 + lam * p.B2)

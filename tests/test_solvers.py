@@ -113,6 +113,41 @@ def test_newton_stagnates_at_accuracy_limit():
     assert quad.residuals.res_b <= 1e-14
 
 
+def test_newton_takes_the_step_from_a_refused_iterate(monkeypatch):
+    # a solve at iterate k >= 1 that proves M(lam_k) singular still gives
+    # the inverse-iteration direction: the step is taken and its iterate
+    # recorded, and the run ends there, converged when that iterate meets
+    # tol and stagnated otherwise, within the step budget
+    p = problems.gen_random(60, 5, seed=11)
+    x0 = np.ones(p.n)
+    _, free = solvers.augmented_newton(nep.NepView(p), 0.0, x0)
+    assert free.converged and free.iterations >= 4
+    refuse_singular = nep.NepView.refuse_singular
+
+    def refuse_at(k_refused):
+        calls = []
+
+        def refuse(self, sigma, b, x):
+            calls.append(sigma)
+            if len(calls) == k_refused + 1:
+                raise ShiftIsEigenvalue("forced")
+            return refuse_singular(self, sigma, b, x)
+
+        monkeypatch.setattr(nep.NepView, "refuse_singular", refuse)
+
+    last = free.iterations - 1
+    for k_refused, maxit, termination in ((1, 100, "stagnated"), (1, 2, "stagnated"),
+                                          (last - 1, 100, "converged")):
+        refuse_at(k_refused)
+        quad, trace = solvers.augmented_newton(nep.NepView(p), 0.0, x0,
+                                               solvers.SolverConfig(maxit=maxit))
+        assert trace.termination == termination, k_refused
+        assert trace.iterations == k_refused + 2 <= maxit + 1
+        assert trace.lam == free.lam[:k_refused + 2]
+        assert trace.res_a == free.res_a[:k_refused + 2]
+        assert quad.lam == trace.lam[-1]
+
+
 def test_newton_singular_start_raises():
     # M(lam0) singular at the caller's own start is an error, not stagnation
     rng = np.random.default_rng(6)
@@ -304,7 +339,7 @@ def test_work_per_newton_step_resinv_solve_and_tabulation(monkeypatch):
     assert counts["jacobian"] == 0 and counts["derivatives"] == 0
 
 
-def test_qz_work_per_continuation_step(monkeypatch):
+def test_qz_work_per_continuation_step(monkeypatch, reference_calls):
     p = make_problem(seed=1)
     assert p.b3_rank_one is None  # a full-rank B3 takes continuation steps
     quad = pick_isolated(delta.solve(p))
@@ -325,9 +360,11 @@ def test_qz_work_per_continuation_step(monkeypatch):
           else "geig." + kw.get("vectors", "right"))
     count(_linalg, "certified_dominant",
           lambda kw, theta: "refused" if theta is None else "certified")
-    for owner, name in ((pencil, "eigenpairs_at"), (pencil, "reference_point"),
-                        (pencil, "_continue_step"), (pencil, "_full_qz_point"),
-                        (_linalg, "shift_invert_vectors")):
+    reference_calls["calls"] = 0
+    count(_linalg, "shift_invert_vectors", lambda kw, _: "reference vectors"
+          if reference_calls["inside"] else "shift_invert_vectors")
+    for owner, name in ((pencil, "eigenpairs_at"), (pencil, "_continue_step"),
+                        (pencil, "_full_qz_point")):
         count(owner, name, lambda kw, _, name=name: name)
     _, trace = solvers.augmented_newton(view, quad.lam + 1e-3, quad.x + 1e-3 * np.ones(p.n))
     assert trace.converged
@@ -338,15 +375,16 @@ def test_qz_work_per_continuation_step(monkeypatch):
     # every step runs the certificate, whose iterates give a certified
     # step's vectors; the steps it refuses take one zgeev of the shift-invert
     # operator, and the power loop at the chosen mu gives their vectors; the
-    # full QZ runs on no step, since each sweep's reference points are the
-    # ones gen_random's QZ gave to draw c, before counting
+    # full QZ runs on no step. Each sweep starts from every branch's
+    # reference point, whose vectors take one power loop the first time
     assert counts["certified"] + counts["refused"] == steps
     assert counts["certified"] + counts["geig.shift"] == steps
     assert counts["certified"] + counts["shift_invert_vectors"] + \
         counts["_full_qz_point"] == steps
-    assert counts["reference_point"] == 2 * len(p.reference_points)
+    assert reference_calls["calls"] == 2 * p.reference_mus.size
+    assert counts["reference vectors"] == p.reference_mus.size
     assert counts["geig.both"] == counts["eigenpairs_at"] == counts["_full_qz_point"] == 0
-    assert counts["geig.right"] == 0
+    assert counts["geig.right"] == counts["geig.none"] == 0
     # a Newton solve at m = 20 from a start near the origin, as the bench's:
     # the certificate decides most steps, so zgeev runs on at most half
     p = problems.gen_random(40, 20, seed=4)
@@ -572,3 +610,31 @@ def test_newton_on_large_helmholtz_ends_at_the_analytic_eigenvalue():
         quad, trace = solvers.augmented_newton(view, lam0, x0, config=tight)
         assert trace.converged, (k, trace.termination)
         assert abs(quad.lam - lam_k) <= 1e-6, (k, abs(quad.lam - lam_k))
+
+
+def test_problem_and_newton_run_one_eigenvalues_only_qz(monkeypatch, reference_calls):
+    # building a problem at the bench's m = 100 and one Newton solve from a
+    # start near the origin, as the bench's: one QZ, eigenvalues only, at
+    # the construction, none with vectors, and one LU of order m for the
+    # followed branch's reference y and w
+    counts = collections.Counter()
+    geig, factorization = _linalg.geig, _linalg.Factorization.__init__
+
+    def counted_geig(P, Q, vectors="right", shift=None):
+        counts["zgeev" if shift is not None else f"qz.{vectors}"] += 1
+        return geig(P, Q, vectors, shift)
+
+    def counted_lu(self, mat):
+        if reference_calls["inside"]:
+            counts[f"reference lu, order {mat.shape[0]}"] += 1
+        factorization(self, mat)
+
+    monkeypatch.setattr(_linalg, "geig", counted_geig)
+    monkeypatch.setattr(_linalg.Factorization, "__init__", counted_lu)
+    p = problems.gen_random(30, 100, seed=1)
+    assert dict(counts) == {"qz.none": 1}
+    _, trace = solvers.augmented_newton(nep.NepView(p), 0.1 + 0.05j, np.ones(p.n))
+    assert trace.converged
+    assert counts["qz.none"] == 1 and counts["qz.right"] == counts["qz.both"] == 0
+    assert counts["reference lu, order 100"] == 1
+    assert sum(v for k, v in counts.items() if k.startswith("reference lu")) == 1
