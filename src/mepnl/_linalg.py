@@ -5,11 +5,11 @@ scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this). A
 Factorization picks one of three storage paths from its input: LAPACK's
-dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a dia_array
-with kl + ku <= BAND_MAX, as eval_a builds an M(lam) that the problem has
-found narrow (core.TwoParProblem._a_bands), and SuperLU for any other
-sparse matrix. The dense and SuperLU paths work in complex arithmetic;
-the band LU works in the matrix's own dtype, dgbtrf for a float64 matrix
+dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a dia_array,
+as eval_a builds an M(lam) that the problem has found narrow
+(core.TwoParProblem._a_bands, the one reader of BAND_MAX), and SuperLU
+for any other sparse matrix. The dense and SuperLU paths work in complex
+arithmetic; the band LU works in the matrix's own dtype, dgbtrf for a float64 matrix
 (as eval_a builds a real M(lam)) and zgbtrf otherwise. No LU is
 refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
 the dense and band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
@@ -99,12 +99,12 @@ class Factorization:
 
     storage names the path taken. A dense matrix is "dense": LAPACK's LU
     (zgetrf). A dia_array, the form in which TwoParProblem.eval_a delivers
-    a narrow-band M(lam), whose half-bandwidths kl and ku, read from its
-    offsets, add up to at most BAND_MAX is "band": it is packed into LAPACK
-    band storage and factorized by the band LU, with bandwidths = (kl, ku);
-    the split Helmholtz M(lam) has (2, 1). The band LU keeps a float64
-    matrix real (dgbtrf), at half the bytes of the complex one (zgbtrf)
-    that any other dtype gets. Any other sparse matrix is "sparse":
+    an M(lam) that the problem has found narrow (_a_bands, the package's
+    one band decision), is "band": packed into LAPACK band storage and
+    factorized by the band LU, with bandwidths = (kl, ku) read from its
+    offsets; the split Helmholtz M(lam) has (2, 1). The band LU keeps a
+    float64 matrix real (dgbtrf), at half the bytes of the complex one
+    (zgbtrf) that any other dtype gets. Any other sparse matrix is "sparse":
     SuperLU, with no scan of its pattern, since the problem has already
     found its band too wide (TwoParProblem._a_bands). Neither sparse path
     keeps the matrix.
@@ -136,10 +136,9 @@ class Factorization:
             return
         if mat.format == "dia":
             kl, ku = -int(mat.offsets.min(initial=0)), int(mat.offsets.max(initial=0))
-            if kl + ku <= BAND_MAX:
-                self.storage, self.bandwidths = "band", (kl, ku)
-                self._lu = _band_lu(mat, kl, ku)
-                return
+            self.storage, self.bandwidths = "band", (kl, ku)
+            self._lu = _band_lu(mat, kl, ku)
+            return
         self.storage = "sparse"
         self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
 
@@ -231,8 +230,8 @@ class GeneralizedSchur:
     P + lam*Q and its conjugate transpose at any number of lam (Laub, IEEE
     TAC 1981): P = X S Y^H and Q = X T Y^H with X, Y unitary and S, T upper
     triangular, from one complex QZ (zgges). After that O(m^3) reduction a
-    lam costs two O(m^2) products with X and Y and one triangular solve
-    with S + lam*T; no LU is taken.
+    lam costs two O(m^2) products with X and Y and one substitution with
+    S + lam*T, row by row for every lam at once; no LU is taken.
 
     An exactly zero diagonal entry of S + lam*T, as at a lam where P +
     lam*Q is exactly singular, is replaced by eps*||S + lam*T||_1, as
@@ -244,11 +243,9 @@ class GeneralizedSchur:
 
     def solve(self, lams, b, adjoint: bool = False):
         """Rows (P + lams[k]*Q)^-1 b, or (P + lams[k]*Q)^-H b with adjoint, as
-        an array of shape (len(lams), m). The substitution loops in Python
-        over the shorter of two ranges: over at most m lams, one LAPACK
-        triangular solve (ztrtrs) each, as for the single point of a Newton
-        iterate; over the m rows of S + lam*T otherwise, each row for every
-        lam at once, as for a tabulation's grid."""
+        an array of shape (len(lams), m), for one lam or a whole grid alike:
+        one substitution over the m rows of S + lam*T, each row for every
+        lam at once."""
         lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
         S, T = self.S, self.T
         m = S.shape[0]
@@ -257,13 +254,6 @@ class GeneralizedSchur:
             floor = np.finfo(float).eps * np.linalg.norm(S + lams[k] * T, 1)
             diag[k, diag[k] == 0] = floor
         rhs = (self._y if adjoint else self._x).conj().T @ b
-        if lams.size <= m:
-            out = np.empty((lams.size, m), dtype=np.complex128)
-            for k, lam in enumerate(lams):
-                R = S + lam * T
-                np.fill_diagonal(R, diag[k])
-                out[k], _ = lapack.ztrtrs(R, rhs, trans=2 if adjoint else 0)
-            return out @ (self._x if adjoint else self._y).T
         # back substitution with S + lam*T, or forward substitution with its
         # conjugate transpose S^H + conj(lam)*T^H
         if adjoint:

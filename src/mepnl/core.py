@@ -155,15 +155,6 @@ class TwoParProblem:
         return self.B1.shape[0]
 
     @functools.cached_property
-    def _reference_qz(self) -> list:
-        """eigenpairs_at(pencil.REFERENCE_LAM): the full QZ there, run at most
-        once per problem, on the first reference point whose vectors fail
-        their residual test (pencil.reference_point)."""
-        from . import pencil
-
-        return pencil.eigenpairs_at(self, pencil.REFERENCE_LAM)
-
-    @functools.cached_property
     def schur_k(self) -> _linalg.GeneralizedSchur:
         """The generalized Schur form of (B1, B2), which solves with
         K(lam) = B1 + lam*B2 at any number of lam for the rank-one branch

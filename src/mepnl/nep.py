@@ -15,9 +15,9 @@ from .errors import ShiftIsEigenvalue
 class NepView:
     """One branch of the small pencil viewed as a nonlinear operator family:
     a handle over (problem, the branch's last point) that keeps no
-    factorization. The branch is fixed by its index in the |mu|-ordering at
-    reference_lam and followed by continuation from its last resolved point
-    as evaluation points move.
+    factorization. The branch is fixed by its index in the canonical
+    (|mu|, Re mu, Im mu) order at reference_lam and followed by
+    continuation from its last resolved point as evaluation points move.
     """
 
     # Always 0 (nothing is kept); they leave with ROADMAP item 10's bench change.

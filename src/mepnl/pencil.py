@@ -41,12 +41,12 @@ problem's residuals, so a grid builds no m x m matrix per lam.
 Branch ids are positions in the canonical order of the eigenvalues at a
 reference lam, which an eigenvalues-only QZ gives (eigvals_at): at
 REFERENCE_LAM one per problem, at its construction
-(TwoParProblem.reference_mus). A branch's reference y and w come when it
-is first followed, by inverse iteration at its mu on one LU of order m
-(reference_point), certified by the same residual test as a step's. The
-full QZ with left and right eigenvectors (eigenpairs_at) runs only when
-vectors fail their residual test, or a reference mu is a double
-eigenvalue: at REFERENCE_LAM at most once per problem.
+(TwoParProblem.reference_mus). A branch's reference point is built on
+first use (reference_point) by the builder of every step's point
+(_point_at): y and w by inverse iteration at mu on one LU of order m,
+certified by the residual test. The full QZ with every eigenvector
+(eigenpairs_at) runs only for a point whose vectors fail that test or
+whose reference mu is double, and gives its point nearest mu.
 The branches' poles take one QZ per problem, of a bordered pencil of order
 m + rank(B3) (branch_poles), which no continuation step needs.
 """
@@ -113,10 +113,11 @@ def eigvals_at(problem: TwoParProblem, lam) -> np.ndarray:
 
 
 def eigenpairs_at(problem: TwoParProblem, lam):
-    """All finite eigenpairs of the small pencil at lam, sorted by |mu|.
+    """All finite eigenpairs of the small pencil at lam, in geig's canonical
+    (|mu|, Re mu, Im mu) order.
 
     Returns a list of BranchPoint with branch_id set to the position in that
-    ordering; eigenvalues at infinity are never branches. The full QZ, with
+    order; eigenvalues at infinity are never branches. The full QZ, with
     every right and left eigenvector: the package's one caller of geig's
     "both" mode (tests/test_api.py), the fallback of a point whose vectors
     fail their residual test.
@@ -242,7 +243,7 @@ def branch_poles(problem: TwoParProblem) -> np.ndarray:
     P[:m, m:] = U
     P[m:, :m] = Vh
     Q[:m, :m] = -problem.B2
-    return _linalg.geig(P, Q)[0]
+    return _linalg.geig(P, Q, vectors="none")
 
 
 def _branch_mu(mus, branch_id: int, lam):
@@ -265,48 +266,49 @@ def reference_point(problem: TwoParProblem, branch_id: int,
                     lam=REFERENCE_LAM) -> BranchPoint:
     """The point of branch branch_id at a reference lam, where branch ids are
     positions in the canonical order of eigvals_at(lam). Its mu is that
-    eigenvalue, and its y and w come from inverse iteration at mu
-    (_linalg.shift_invert_vectors, Ipsen, SIAM Review 1997): one LU of
-    order m, from the fixed start of all ones, as a continuation step gets
-    its vectors, and certified by the same residual test
-    (_null_vectors_pass). When they fail it, or mu is listed twice within
-    TOL_DEDUPE, the point is the full QZ's (eigenpairs_at), which has the
-    same mu at the same position.
+    eigenvalue, and _point_at builds it from the fixed start of all ones,
+    or from the full QZ when mu is listed twice within TOL_DEDUPE, where
+    inverse iteration cannot settle.
 
     At REFERENCE_LAM the eigenvalues are the problem's reference_mus, from
     its construction, and each branch's point is built once, on first use,
     and kept on the problem with read-only y and w, so every view and
-    tabulation that starts there shares it; the full QZ of a fallback runs
-    at most once per problem (TwoParProblem._reference_qz). At any other
-    lam nothing is kept. Raises NoFiniteEigenvalue when the pencil has no
-    finite eigenvalue at lam, KeyError when it has no branch branch_id
-    there.
+    tabulation that starts there shares it. At any other lam nothing is
+    kept. Raises NoFiniteEigenvalue when the pencil has no finite eigenvalue
+    at lam, KeyError when it has no branch branch_id there.
     """
     at_reference = lam == REFERENCE_LAM
-    if at_reference:
-        point = problem._reference_cache.get(branch_id)
-        if point is not None:
-            return point
+    if at_reference and branch_id in problem._reference_cache:
+        return problem._reference_cache[branch_id]
     mus = problem.reference_mus if at_reference else eigvals_at(problem, lam)
     mu = _branch_mu(mus, branch_id, lam)
     copies = np.abs(mus - mu) <= TOL_DEDUPE * np.maximum(np.abs(mus), max(1.0, abs(mu)))
-    vectors = None
-    if np.count_nonzero(copies) == 1:
-        start = np.ones(problem.m, dtype=np.complex128)
-        vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam * problem.B2),
-                                               problem.B3, mu, (start, start))
-    if vectors is None or not _null_vectors_pass(problem, lam, mu, *vectors)[0]:
-        points = problem._reference_qz if at_reference else eigenpairs_at(problem, lam)
-        point = points[branch_id]
-    else:
-        y, degen = _normalize_y(vectors[0], problem.c)
-        point = BranchPoint(lam=complex(lam), mu=mu, y=y, w=vectors[1],
-                            branch_id=branch_id, c_degenerate=bool(degen))
+    ones = np.ones(problem.m, dtype=np.complex128)
+    start = (ones, ones) if np.count_nonzero(copies) == 1 else None
+    point = _point_at(problem, lam, mu, branch_id, start)
     if at_reference:
         point.y.flags.writeable = False
         point.w.flags.writeable = False
         problem._reference_cache[branch_id] = point
     return point
+
+
+def _point_at(problem: TwoParProblem, lam, mu, branch_id: int, start,
+              vectors=None) -> BranchPoint:
+    """The point of branch branch_id at lam with eigenvalue mu, the one
+    builder of a reference point and of a step's point. Its unit y and w
+    are vectors when given, else inverse iteration at mu from start = (y,
+    w) when that is given (_linalg.shift_invert_vectors, Ipsen, SIAM Review
+    1997), kept when they pass _null_vectors_pass; with none that pass, the
+    point is the full QZ's nearest mu (_full_qz_point)."""
+    if vectors is None and start is not None:
+        vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam * problem.B2),
+                                               problem.B3, mu, start)
+    if vectors is None or not _null_vectors_pass(problem, lam, mu, *vectors)[0]:
+        return _full_qz_point(problem, lam, mu, branch_id)
+    y, degen = _normalize_y(vectors[0], problem.c)
+    return BranchPoint(lam=complex(lam), mu=mu, y=y, w=vectors[1],
+                       branch_id=branch_id, c_degenerate=bool(degen))
 
 
 def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
@@ -321,24 +323,22 @@ def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
     mus = np.asarray(mus, dtype=np.complex128).reshape(-1)
     y, w = np.atleast_2d(y), np.atleast_2d(w)
     by = np.linalg.norm(problem.apply_b(lams, mus, y.T), axis=0)
-    # the rows of w @ conj(B) are B^H w, as long as w^H B, with no copy of w
-    bhw = (w @ problem.B1.conj() + lams.conj()[:, None] * (w @ problem.B2.conj())
-           + mus.conj()[:, None] * (w @ problem.B3.conj()))
+    wh = w.conj()  # the rows of wh @ B are w^H B, with no copy of B
+    bhw = (wh @ problem.B1 + lams[:, None] * (wh @ problem.B2)
+           + mus[:, None] * (wh @ problem.B3))
     residual = np.maximum(by, np.linalg.norm(bhw, axis=1))
     return residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)
 
 
-def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id=None) -> BranchPoint:
-    """The point of eigenpairs_at(lam) nearest mu, for a step or a rank-one
-    batch entry whose y and w failed their residual test. It carries
-    branch_id when given, the tracked branch's id, else its position in
-    eigenpairs_at."""
+def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id: int) -> BranchPoint:
+    """The point of eigenpairs_at(lam) nearest mu, with branch_id: the
+    fallback of _point_at and of a rank-one batch entry. A tie goes to the
+    point at position branch_id, else to the first, so each copy of a
+    double reference mu keeps its own eigenvector."""
     points = eigenpairs_at(problem, lam)
     if not points:
         raise NoFiniteEigenvalue(f"full QZ finds no finite eigenvalue at lam={lam}")
-    point = min(points, key=lambda p: abs(p.mu - mu))
-    if branch_id is None:
-        return point
+    point = min(points, key=lambda p: (abs(p.mu - mu), p.branch_id != branch_id))
     return dataclasses.replace(point, branch_id=branch_id)
 
 
@@ -386,7 +386,7 @@ def _rank_one_points(problem: TwoParProblem, lams):
     }
     for i in np.flatnonzero(finite & ~certified):
         try:
-            point = _full_qz_point(problem, lams[i], mu[i])
+            point = _full_qz_point(problem, lams[i], mu[i], 0)  # the batch reads no id
         except NoFiniteEigenvalue as exc:
             failed[int(i)] = exc
             mu[i], y[i], w[i] = np.nan, np.nan, np.nan
@@ -459,20 +459,12 @@ def _continue_step(problem: TwoParProblem, prev: BranchPoint, lam_new):
     order m, one solve with m right-hand sides and one more with the LU, a
     few dozen matrix-vector products and two matrix products of order m,
     and its power iterates are the winner's y and w. One it refuses adds
-    one zgeev of order m, and the same power iteration on a second LU, of
-    B(lam_new, mu) (_linalg.shift_invert_vectors), gives y and w. Vectors
-    that fail their residual test, or an iteration that does not settle,
-    leave the point to the full QZ: the point of eigenpairs_at nearest mu.
+    one zgeev of order m, and _point_at's inverse iteration from prev's y
+    and w, on a second LU, gives y and w; it certifies them, or takes the
+    full QZ's point, as it does for a reference point.
     """
     mu, vectors = _nearest_candidate(problem, prev, lam_new)
-    if vectors is None:
-        vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam_new * problem.B2),
-                                               problem.B3, mu, (prev.y, prev.w))
-    if vectors is None or not _null_vectors_pass(problem, lam_new, mu, *vectors)[0]:
-        return _full_qz_point(problem, lam_new, mu, prev.branch_id)
-    y, degen = _normalize_y(vectors[0], problem.c)
-    return BranchPoint(lam=complex(lam_new), mu=mu, y=y, w=vectors[1],
-                       branch_id=prev.branch_id, c_degenerate=degen)
+    return _point_at(problem, lam_new, mu, prev.branch_id, (prev.y, prev.w), vectors)
 
 
 def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> BranchPoint:

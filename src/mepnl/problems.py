@@ -345,11 +345,12 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     """Follow branches across a sorted lam grid, recording gaps instead of
     raising.
 
-    Branch identities are fixed by the |mu| ordering at pencil.REFERENCE_LAM. The
-    grid is walked outward from the sample nearest the reference, each
-    direction from the branch's reference point (pencil.reference_point,
-    built once for both), so steps stay small. Where a step cannot be resolved (no finite eigenvalue,
-    or two candidates genuinely indistinguishable) the value is NaN and the
+    Branch identities are fixed by the canonical (|mu|, Re mu, Im mu) order
+    at pencil.REFERENCE_LAM. The grid is walked outward from the sample
+    nearest the reference, each direction from the branch's reference point
+    (pencil.reference_point, built once for both), so steps stay small.
+    Where a step cannot be resolved (no finite eigenvalue, or two
+    candidates genuinely indistinguishable) the value is NaN and the
     walk continues from the last resolved point. When B3 has rank one a
     point does not depend on the one before it, so the whole grid is
     evaluated in one call (pencil._rank_one_points) instead of walked, and

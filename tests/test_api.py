@@ -16,6 +16,29 @@ from pathlib import Path
 import mepnl
 
 
+def _scopes(node, scope, hit):
+    """The enclosing function or class, as module.name, of each node under
+    node for which hit is true; scope is node's own."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if hit(node):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _scopes(child, scope, hit)
+
+
+def _package_scopes(hit):
+    """The sorted scopes of _scopes over every mepnl module."""
+    return sorted({scope for path in Path(mepnl.__file__).parent.glob("*.py")
+                   for scope in _scopes(ast.parse(path.read_text()), path.stem, hit)})
+
+
+def _calls(name):
+    """A hit for _scopes: a call of the function or method name."""
+    return lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == name
+
+
 def _annotated_objects():
     """(qualified name, object) of every function, class and method defined
     in a mepnl module."""
@@ -63,16 +86,26 @@ def test_only_linalg_builds_lus():
 
 
 def test_only_core_decides_the_band():
-    """TwoParProblem._a_bands is the package's one narrow-band decision:
-    no module but core.py calls _linalg.half_bandwidths, so Factorization
-    scans no pattern of its own."""
-    callers = sorted({path.name
-                      for path in Path(mepnl.__file__).parent.glob("*.py")
-                      for node in ast.walk(ast.parse(path.read_text()))
-                      if isinstance(node, ast.Call)
-                      and getattr(node.func, "attr", getattr(node.func, "id", None))
-                      == "half_bandwidths"})
-    assert callers == ["core.py"]
+    """TwoParProblem._a_bands is the package's one narrow-band decision: no
+    module but core.py calls _linalg.half_bandwidths or reads BAND_MAX, so
+    Factorization scans no pattern of its own and bands every dia_array
+    without a second test of its width."""
+    assert _package_scopes(_calls("half_bandwidths")) == ["core.TwoParProblem._a_bands"]
+
+    def reads_band_max(node):
+        return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                and getattr(node, "id", getattr(node, "attr", None)) == "BAND_MAX")
+
+    assert _package_scopes(reads_band_max) == ["core.TwoParProblem._a_bands"]
+
+
+def test_one_builder_of_a_branch_point():
+    """pencil._point_at builds every reference point and continuation step's
+    point, so it alone runs inverse iteration at a known mu, and the full
+    QZ's points are reached only through its fallback, pencil._full_qz_point,
+    which a rank-one batch entry shares."""
+    assert _package_scopes(_calls("shift_invert_vectors")) == ["pencil._point_at"]
+    assert _package_scopes(_calls("eigenpairs_at")) == ["pencil._full_qz_point"]
 
 
 def test_only_linalg_runs_eigensolvers():
@@ -101,16 +134,7 @@ def test_only_the_full_qz_asks_geig_for_both_vector_sets():
         vectors = [k.value for k in call.keywords if k.arg == "vectors"] + call.args[2:3]
         return any(not isinstance(v, ast.Constant) or v.value == "both" for v in vectors)
 
-    def scopes(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}"
-        if isinstance(node, ast.Call) and asks_both(node):
-            yield scope
-        for child in ast.iter_child_nodes(node):
-            yield from scopes(child, scope)
-
-    found = sorted({scope for path in Path(mepnl.__file__).parent.glob("*.py")
-                    for scope in scopes(ast.parse(path.read_text()), path.stem)})
+    found = _package_scopes(lambda node: isinstance(node, ast.Call) and asks_both(node))
     assert found == ["pencil.eigenpairs_at"], found
 
 
@@ -148,17 +172,7 @@ def test_only_generators_draw_random_numbers():
                        for name in names)
         return False
 
-    def scopes(node, scope):
-        """The enclosing function or class of each node that draws."""
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}"
-        if draws(node):
-            yield scope
-        for child in ast.iter_child_nodes(node):
-            yield from scopes(child, scope)
-
-    found = sorted({scope for path in Path(mepnl.__file__).parent.glob("*.py")
-                    for scope in scopes(ast.parse(path.read_text()), path.stem)} - allowed)
+    found = sorted(set(_package_scopes(draws)) - allowed)
     assert not found, found
 
 

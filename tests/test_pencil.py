@@ -198,14 +198,18 @@ def test_no_finite_eigenvalue_raised():
 def test_reference_point_falls_back_to_one_full_qz(monkeypatch):
     # a reference point takes mu from the eigenvalues-only QZ and y and w
     # from inverse iteration; when those fail their residual test, or mu is
-    # a double eigenvalue, the point is the full QZ's at the same position,
-    # and at REFERENCE_LAM that QZ runs once for all of the problem's
-    # branches
+    # a double eigenvalue, the point is the full QZ's nearest mu, which has
+    # the same mu at the same position: one full QZ per such point, as a
+    # continuation step falls back
     p = mepnl.gen_random(6, 5, seed=8)
     counts = count_geig(monkeypatch)
     monkeypatch.setattr(pencil, "TOL_INVERSE_RESIDUAL", -1.0)  # always fails
     points = reference_points(p)
-    assert counts == {"shift": 0, "none": 0, "right": 0, "both": 1}
+    assert p.reference_mus.size == 5
+    assert counts == {"shift": 0, "none": 0, "right": 0, "both": 5}
+    # at REFERENCE_LAM the points are kept: asking again runs no QZ
+    assert all(a is b for a, b in zip(reference_points(p), points))
+    assert counts["both"] == 5
     full_qz = pencil.eigenpairs_at(p, pencil.REFERENCE_LAM)
     for got, want in zip(points, full_qz):
         assert got.mu == want.mu and got.branch_id == want.branch_id
@@ -214,20 +218,32 @@ def test_reference_point_falls_back_to_one_full_qz(monkeypatch):
     # away from REFERENCE_LAM nothing is kept: one full QZ per point
     for b in (0, 1):
         pencil.reference_point(p, b, 0.3)
-    assert counts == {"shift": 0, "none": 2, "right": 0, "both": 4}
+    # the 5 points, the check's own full QZ above, and these 2 points
+    assert counts == {"shift": 0, "none": 2, "right": 0, "both": 8}
     monkeypatch.undo()
-    # mu = 1 twice: no inverse iteration, which cannot settle there; mu = 4
-    # once: inverse iteration, and no full QZ
+    # mu = 1 twice: no inverse iteration, which cannot settle there, and one
+    # full QZ per branch, whose point at the branch's own position keeps the
+    # two copies' eigenvectors apart; mu = 4 once: inverse iteration, and no
+    # full QZ
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([-1.0, -1.0, -4.0]),
                             np.zeros((3, 3)), np.eye(3), np.ones(3))
     counts = count_geig(monkeypatch)
     single = pencil.reference_point(p, 2)
     assert single.mu == 4.0 and counts["both"] == 0
-    for b in (0, 1):
-        point = pencil.reference_point(p, b)
-        assert point.mu == 1.0
+    double = [pencil.reference_point(p, b) for b in (0, 1)]
+    for b, point in enumerate(double):
+        assert point.mu == 1.0 and point.branch_id == b
         assert np.linalg.norm(p.eval_b(0.0, 1.0) @ point.y) == 0.0
-    assert counts["both"] == 1
+    assert counts["both"] == 2
+    assert np.vdot(double[0].y, double[1].y) == 0.0
+    # so the two branches that meet there are followed apart: mu = 1 +- lam
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), np.diag([-1.0, -1.0, -4.0]),
+                            np.diag([1.0, -1.0, 0.0]), np.eye(3), np.ones(3))
+    grid = np.linspace(-0.2, 0.2, 5)
+    table = problems.tabulate_branches(p, grid, branch_ids=[0, 1])
+    np.testing.assert_allclose(np.sort(table.values.real, axis=1),
+                               np.column_stack((1 - np.abs(grid), 1 + np.abs(grid))),
+                               rtol=0, atol=1e-14)
 
 
 def test_default_c_not_orthogonal():
@@ -571,7 +587,8 @@ def test_generalized_schur_solves_match_dense():
     P, Q = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
     b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     schur = _linalg.GeneralizedSchur(P, Q)
-    # at most m lams take one LAPACK solve each, more the row-by-row loop
+    # one substitution serves any number of lams: fewer than m, as a Newton
+    # iterate asks, and more, as a tabulation's grid does
     few = np.concatenate((rng.standard_normal(3) + 1j * rng.standard_normal(3), [0.0, 2.5]))
     many = np.concatenate((few, rng.standard_normal(20)))
     for lams in (few, many):
@@ -591,7 +608,8 @@ def test_rank_one_singular_k_gives_lambda_squared(monkeypatch):
     assert np.any(np.diagonal(p.schur_k.S) == 0)
     monkeypatch.setattr(pencil, "_full_qz_point", fail_full_qz)
     eps = np.finfo(float).eps
-    # one lam takes the LAPACK solves, 41 the row-by-row loop
+    # the floor holds for one lam, as a Newton iterate asks, and for a
+    # grid of 41, as a tabulation asks
     for grid in (np.zeros(1), np.linspace(-1.0, 1.0, 41)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -913,15 +931,32 @@ def test_branch_poles_of_constant_kappa_helmholtz():
         assert np.min(np.abs(poles - exact)) <= 1e-9, f"j = {j}"
 
 
-def test_branch_poles_of_rank_two_b3():
-    # B3 = Q diag(1, 1, 0) Z with B1 and B2 under the same Q and Z: the
-    # bordered determinant is B1[2, 2] + lam*B2[2, 2] up to a constant
+def rank_two_b3_problem():
+    """(problem, its one pole): B3 = Q diag(1, 1, 0) Z with B1 and B2 under
+    the same Q and Z, so the bordered determinant is B1[2, 2] + lam*B2[2, 2]
+    up to a constant."""
     rng = np.random.default_rng(0)
     B1, B2 = rng.standard_normal((2, 3, 3))
     Q, Z = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
     p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), Q @ B1 @ Z, Q @ B2 @ Z,
                             Q @ np.diag([1.0, 1.0, 0.0]) @ Z, None)
-    exact = -B1[2, 2] / B2[2, 2]
+    return p, -B1[2, 2] / B2[2, 2]
+
+
+def noisy_rank_one_b3_problem(seed, m=30):
+    """(problem, its m - 1 poles): B3 = e0 e0^T plus noise of 6 eps, which
+    passes the rank-one test, so the poles are where K[1:, 1:] =
+    B1[1:, 1:] + lam*B2[1:, 1:] is singular."""
+    rng = np.random.default_rng(seed)
+    B3 = 6 * np.finfo(float).eps * rng.uniform(-1.0, 1.0, (m, m))
+    B3[0, 0] += 1.0
+    B1, B2 = rng.standard_normal((2, m, m))
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None)
+    return p, _linalg.geig(B1[1:, 1:], -B2[1:, 1:])[0]
+
+
+def test_branch_poles_of_rank_two_b3():
+    p, exact = rank_two_b3_problem()
     poles = pencil.branch_poles(p)
     assert poles.shape == (1,)
     assert abs(poles[0] - exact) <= 1e-12
@@ -931,19 +966,12 @@ def test_branch_poles_of_rank_two_b3():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_branch_poles_of_noisy_rank_one_b3(seed):
-    # B3 = e0 e0^T plus noise of 6 eps passes the rank-one test, so the
-    # followed branch is the rank-one one, and its poles are where
-    # K[1:, 1:] = B1[1:, 1:] + lam*B2[1:, 1:] is singular: all m - 1 of them
-    m = 30
-    rng = np.random.default_rng(seed)
-    B3 = 6 * np.finfo(float).eps * rng.uniform(-1.0, 1.0, (m, m))
-    B3[0, 0] += 1.0
-    B1, B2 = rng.standard_normal((2, m, m))
-    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, B3, None)
+    # the followed branch is the rank-one one, and its poles are all m - 1
+    # of noisy_rank_one_b3_problem's
+    p, exact = noisy_rank_one_b3_problem(seed)
     assert p.b3_rank_one is not None
-    exact = _linalg.geig(B1[1:, 1:], -B2[1:, 1:])[0]
     poles = pencil.branch_poles(p)
-    assert poles.size == m - 1
+    assert poles.size == p.m - 1
     for q in poles:
         assert np.min(np.abs(exact - q)) <= 1e-9 * max(1.0, abs(q))
     # every flagged interval brackets one of those poles, and each pole next
@@ -956,6 +984,27 @@ def test_branch_poles_of_noisy_rank_one_b3(seed):
         assert any(iv.contains(e) and abs(e.imag) <= step for e in exact), iv
     for e in exact[(np.abs(exact.real) <= 3.0) & (np.abs(exact.imag) <= step / 2)]:
         assert any(iv.contains(e) for iv in found), e
+
+
+def test_branch_poles_take_an_eigenvalues_only_qz(monkeypatch):
+    # the poles are the bordered pencil's eigenvalues alone, and the mode
+    # that computes no eigenvector gives them bit for bit as the one that
+    # computes the right eigenvectors
+    calls = []
+    original = _linalg.geig
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "geig", recorded)
+    with_poles = [rank_two_b3_problem()[0]] + [noisy_rank_one_b3_problem(s)[0] for s in (0, 1)]
+    for p in with_poles:
+        calls.clear()
+        poles = pencil.branch_poles(p)
+        assert len(calls) == 1 and calls[0][1] == {"vectors": "none"}
+        (P, Q), _ = calls[0]
+        assert poles.size and np.array_equal(poles, original(P, Q)[0])
 
 
 def test_generators_without_poles(monkeypatch):
