@@ -93,8 +93,8 @@ class TwoParProblem:
     reference_mus holds the finite eigenvalues of the small pencil at
     pencil.REFERENCE_LAM, read-only, from one eigenvalues-only QZ at
     construction (pencil.eigvals_at); branch ids are positions in their
-    order, and pencil.reference_point builds a branch's point there on
-    first use.
+    order. The problem keeps no branch point: pencil.reference_point
+    builds one on each call.
     b3_rank_one is (u, v) with B3 = u v^H when B3 has rank exactly one, else
     None; the small pencil then has at most one finite eigenvalue.
     """
@@ -143,8 +143,6 @@ class TwoParProblem:
 
         self.reference_mus = pencil.eigvals_at(self, pencil.REFERENCE_LAM)
         self.reference_mus.flags.writeable = False
-        # pencil.reference_point's points at REFERENCE_LAM, by branch id
-        self._reference_cache = {}
 
     @property
     def n(self) -> int:
@@ -171,9 +169,10 @@ class TwoParProblem:
     @functools.cached_property
     def is_real(self) -> bool:
         """Whether the imaginary parts of all six coefficient matrices are
-        exactly zero: the package's one realness rule, read by eval_a and
-        by the oracle (delta.solve). Decided once per problem, on first
-        use, from the stored entries; the matrices are read-only."""
+        exactly zero: the package's one realness rule, read by eval_a, by
+        the rank-one branch (pencil._rank_one_points) and by the oracle
+        (delta.solve). Decided once per problem, on first use, from the
+        stored entries; the matrices are read-only."""
         mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)
         return not any(np.any((M.data if sp.issparse(M) else M).imag) for M in mats)
 

@@ -32,21 +32,21 @@ When B3 has rank one, as in the Helmholtz and quadratic generators, the
 pencil has at most one finite eigenvalue, which needs no step, no
 shift-invert spectrum and no LU: one generalized Schur form of (B1, B2)
 per problem (TwoParProblem.schur_k) turns a point's solves with
-B1 + lam*B2 into two triangular solves of order m, and
-problems.tabulate_branches takes them for its whole grid in one batch
-(_rank_one_points), returned as arrays. Every residual test
-(_null_vectors_pass), of a batch or of one step, takes products with B1,
-B2 and B3 and scales them by the 2-norm bound scale_b(lam, mu) of the
-problem's residuals, so a grid builds no m x m matrix per lam.
+B1 + lam*B2 into two triangular solves of order m, for a whole grid at
+once (_rank_one_points), exactly real at a real lam of a real problem.
+Every residual test (_null_vectors_pass), of a batch or of one step,
+takes products with B1, B2 and B3 and scales them by the 2-norm bound
+scale_b(lam, mu), so a grid builds no m x m matrix per lam.
 Branch ids are positions in the canonical order of the eigenvalues at a
 reference lam, which an eigenvalues-only QZ gives (eigvals_at): at
 REFERENCE_LAM one per problem, at its construction
-(TwoParProblem.reference_mus). A branch's reference point is built on
-first use (reference_point) by the builder of every step's point
-(_point_at): y and w by inverse iteration at mu on one LU of order m,
-certified by the residual test. The full QZ with every eigenvector
-(eigenpairs_at) runs only for a point whose vectors fail that test or
-whose reference mu is double, and gives its point nearest mu.
+(TwoParProblem.reference_mus). Each rank of B3 has one builder of a
+point, reference or continued, and nothing is kept: for rank one
+_rank_one_point, a batch of one; else _point_at, with y and w by inverse
+iteration at mu on one LU of order m, certified by the residual test.
+The full QZ with every eigenvector (eigenpairs_at) runs only for a point
+whose vectors fail that test or whose reference mu is double, and gives
+its point nearest mu.
 The branches' poles take one QZ per problem, of a bordered pencil of order
 m + rank(B3) (branch_poles), which no continuation step needs.
 """
@@ -265,42 +265,33 @@ def _branch_mu(mus, branch_id: int, lam):
 def reference_point(problem: TwoParProblem, branch_id: int,
                     lam=REFERENCE_LAM) -> BranchPoint:
     """The point of branch branch_id at a reference lam, where branch ids are
-    positions in the canonical order of eigvals_at(lam). Its mu is that
-    eigenvalue, and _point_at builds it from the fixed start of all ones,
-    or from the full QZ when mu is listed twice within TOL_DEDUPE, where
-    inverse iteration cannot settle.
-
-    At REFERENCE_LAM the eigenvalues are the problem's reference_mus, from
-    its construction, and each branch's point is built once, on first use,
-    and kept on the problem with read-only y and w, so every view and
-    tabulation that starts there shares it. At any other lam nothing is
-    kept. Raises NoFiniteEigenvalue when the pencil has no finite eigenvalue
-    at lam, KeyError when it has no branch branch_id there.
+    positions in the canonical order of eigvals_at(lam) (at REFERENCE_LAM,
+    the problem's reference_mus). When B3 has rank one _rank_one_point
+    builds it, as at any lam. Otherwise its mu is that eigenvalue, and
+    _point_at builds it from the fixed start of all ones, or from the full
+    QZ when mu is listed twice within TOL_DEDUPE, where inverse iteration
+    cannot settle. Nothing is kept. Raises NoFiniteEigenvalue when the
+    pencil has no finite eigenvalue at lam, KeyError when it has no branch
+    branch_id there.
     """
-    at_reference = lam == REFERENCE_LAM
-    if at_reference and branch_id in problem._reference_cache:
-        return problem._reference_cache[branch_id]
-    mus = problem.reference_mus if at_reference else eigvals_at(problem, lam)
+    mus = problem.reference_mus if lam == REFERENCE_LAM else eigvals_at(problem, lam)
     mu = _branch_mu(mus, branch_id, lam)
+    if problem.b3_rank_one is not None:
+        return _rank_one_point(problem, lam, branch_id)
     copies = np.abs(mus - mu) <= TOL_DEDUPE * np.maximum(np.abs(mus), max(1.0, abs(mu)))
     ones = np.ones(problem.m, dtype=np.complex128)
     start = (ones, ones) if np.count_nonzero(copies) == 1 else None
-    point = _point_at(problem, lam, mu, branch_id, start)
-    if at_reference:
-        point.y.flags.writeable = False
-        point.w.flags.writeable = False
-        problem._reference_cache[branch_id] = point
-    return point
+    return _point_at(problem, lam, mu, branch_id, start)
 
 
 def _point_at(problem: TwoParProblem, lam, mu, branch_id: int, start,
               vectors=None) -> BranchPoint:
     """The point of branch branch_id at lam with eigenvalue mu, the one
-    builder of a reference point and of a step's point. Its unit y and w
-    are vectors when given, else inverse iteration at mu from start = (y,
-    w) when that is given (_linalg.shift_invert_vectors, Ipsen, SIAM Review
-    1997), kept when they pass _null_vectors_pass; with none that pass, the
-    point is the full QZ's nearest mu (_full_qz_point)."""
+    builder of a reference point and of a step's point when rank(B3) >= 2.
+    Its unit y and w are vectors when given, else inverse iteration at mu
+    from start = (y, w) when that is given (_linalg.shift_invert_vectors,
+    Ipsen, SIAM Review 1997), kept when they pass _null_vectors_pass; with
+    none that pass, the point is the full QZ's nearest mu (_full_qz_point)."""
     if vectors is None and start is not None:
         vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam * problem.B2),
                                                problem.B3, mu, start)
@@ -355,7 +346,9 @@ def _rank_one_points(problem: TwoParProblem, lams):
     tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v. Both solves come from the
     problem's one generalized Schur form of (B1, B2)
     (TwoParProblem.schur_k): two triangular solves per lam, for all of
-    lams at once, and no LU.
+    lams at once, and no LU. At a real lam of a real problem (is_real)
+    their real parts are kept: K^-1 u and K^-H v are real there, and the
+    imaginary parts are the rounding of complex Schur factors.
     mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
     test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1.
     y and w are certified for all of lams at once by _null_vectors_pass,
@@ -367,6 +360,9 @@ def _rank_one_points(problem: TwoParProblem, lams):
     u, v = problem.b3_rank_one
     x = problem.schur_k.solve(lams, u)
     z = problem.schur_k.solve(lams, v, adjoint=True)
+    if problem.is_real:
+        real = lams.imag == 0
+        x[real], z[real] = x[real].real, z[real].real
     tau = x @ v.conj()
     finite = _linalg.finite_pair(-1.0, tau)
     mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=np.complex128),
@@ -393,6 +389,16 @@ def _rank_one_points(problem: TwoParProblem, lams):
             continue
         mu[i], y[i], w[i], degen[i] = point.mu, point.y, point.w, point.c_degenerate
     return mu, y, w, degen, failed
+
+
+def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:
+    """The point of branch branch_id at lam, _rank_one_points as a batch of
+    one: the one builder of a rank-one problem's points. Raises its failure."""
+    mu, y, w, degen, failed = _rank_one_points(problem, [lam])
+    if failed:
+        raise failed[0]
+    return BranchPoint(lam=complex(lam), mu=complex(mu[0]), y=y[0], w=w[0],
+                       branch_id=branch_id, c_degenerate=bool(degen[0]))
 
 
 def _nearest_candidate(problem: TwoParProblem, prev: BranchPoint, lam_new,
@@ -471,16 +477,14 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
     """The point of point's branch at lam_new, continued from point, which is
     left unchanged; at lam_new == point.lam it is point itself.
 
-    When B3 has rank one (problem.b3_rank_one) the pencil has at most one
-    finite eigenvalue, so the point at lam_new is evaluated directly
-    (_rank_one_points, as a batch of one): two triangular solves of order m
-    with the problem's generalized Schur form of (B1, B2), with no step and
-    no LU. Otherwise the branch is followed by one continuation step
-    (_continue_step) from point to lam_new; a conjugate pair equally near its
-    prediction is resolved from above, in the limit lam + i0
-    (_nearest_candidate). AmbiguousBranch is raised when the step cannot
-    choose, NoFiniteEigenvalue when the pencil degenerates at lam_new,
-    ValueError when lam_new is not finite.
+    When B3 has rank one (problem.b3_rank_one) the point at lam_new is
+    _rank_one_point's, from the problem's generalized Schur form of
+    (B1, B2), with no step and no LU. Otherwise the branch is followed by
+    one continuation step (_continue_step) from point to lam_new; a
+    conjugate pair equally near its prediction is resolved from above, in
+    the limit lam + i0 (_nearest_candidate). AmbiguousBranch is raised when
+    the step cannot choose, NoFiniteEigenvalue when the pencil degenerates
+    at lam_new, ValueError when lam_new is not finite.
     """
     lam_new = complex(lam_new)
     if not np.isfinite(lam_new):
@@ -489,8 +493,4 @@ def continue_branch(problem: TwoParProblem, point: BranchPoint, lam_new) -> Bran
         return point
     if problem.b3_rank_one is None:
         return _continue_step(problem, point, lam_new)
-    mu, y, w, degen, failed = _rank_one_points(problem, [lam_new])
-    if failed:
-        raise failed[0]
-    return BranchPoint(lam=lam_new, mu=complex(mu[0]), y=y[0], w=w[0],
-                       branch_id=point.branch_id, c_degenerate=bool(degen[0]))
+    return _rank_one_point(problem, lam_new, point.branch_id)

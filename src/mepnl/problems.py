@@ -384,8 +384,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
                             for b in branch_ids)
         return BranchTable(grid, branch_ids, values, gaps)
 
-    def sweep(indices):
-        last = {b: pencil.reference_point(problem, b) for b in branch_ids}
+    def sweep(indices, last):
         for i in indices:
             for j, b in enumerate(branch_ids):
                 try:
@@ -394,8 +393,9 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
                 except (AmbiguousBranch, NoFiniteEigenvalue) as exc:
                     gaps.append((i, b, f"{type(exc).__name__}: {exc}"))
 
-    sweep(range(start, grid.size))
-    sweep(range(start - 1, -1, -1))
+    reference = {b: pencil.reference_point(problem, b) for b in branch_ids}
+    sweep(range(start, grid.size), dict(reference))
+    sweep(range(start - 1, -1, -1), reference)
     return BranchTable(grid, branch_ids, values, gaps)
 
 

@@ -100,12 +100,56 @@ def test_only_core_decides_the_band():
 
 
 def test_one_builder_of_a_branch_point():
-    """pencil._point_at builds every reference point and continuation step's
-    point, so it alone runs inverse iteration at a known mu, and the full
-    QZ's points are reached only through its fallback, pencil._full_qz_point,
-    which a rank-one batch entry shares."""
+    """One builder per rank of B3 makes every reference point and every
+    continued point. When rank(B3) >= 2 it is pencil._point_at, so it alone
+    runs inverse iteration at a known mu, and the full QZ's points are
+    reached only through its fallback, pencil._full_qz_point, which a
+    rank-one batch entry shares. When B3 has rank one it is
+    pencil._rank_one_point, a batch of one, so the Schur form's batch,
+    pencil._rank_one_points, has no other caller but the tabulation of a
+    whole grid."""
     assert _package_scopes(_calls("shift_invert_vectors")) == ["pencil._point_at"]
     assert _package_scopes(_calls("eigenpairs_at")) == ["pencil._full_qz_point"]
+    assert _package_scopes(_calls("_rank_one_points")) == [
+        "pencil._rank_one_point", "problems.tabulate_branches"]
+
+
+def test_a_problem_keeps_no_branch_points():
+    """A TwoParProblem is set once, in its __init__: no other function
+    assigns to an attribute or an item of a problem (problem.<attr>,
+    problem.<attr>[...], self.problem.<attr>, or self.<attr> in another
+    TwoParProblem method), so no point or other result is kept on it and a
+    result cannot depend on what ran before on the same problem. Its
+    cached_property values are functions of its matrices alone."""
+
+    def assigns_to(base):
+        """A hit for _scopes: an assignment or deletion whose target is an
+        attribute or an item, at any depth, of an object that base accepts."""
+
+        def hit(node):
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                return False
+            tops = getattr(node, "targets", None) or [node.target]
+            for target in (t for top in tops for t in ast.walk(top)
+                           if isinstance(getattr(t, "ctx", None), (ast.Store, ast.Del))):
+                while isinstance(target, (ast.Attribute, ast.Subscript)):
+                    target = target.value
+                    if base(target):
+                        return True
+            return False
+
+        return hit
+
+    def named_problem(node):
+        return getattr(node, "id", getattr(node, "attr", "")).endswith("problem")
+
+    def named_self(node):
+        return getattr(node, "id", None) == "self"
+
+    found = _package_scopes(assigns_to(named_problem)) + [
+        scope for scope in _package_scopes(assigns_to(named_self))
+        if scope.startswith("core.TwoParProblem.")]
+    assert sorted(set(found) - {"core.TwoParProblem.__init__"}) == []
 
 
 def test_only_linalg_runs_eigensolvers():

@@ -239,19 +239,17 @@ def test_cond_after_newton_on_singular_solution(tmp_path):
 
 
 def test_cond_helmholtz(tmp_path, monkeypatch):
-    # the split Helmholtz problem is real: Newton's first M(lam), at the real
-    # start lam = 0 with an exactly real mu there, takes the real band LU
-    # (dgbtrf) and a complex solve on it; the later iterates and the left
-    # vectors, at a lam and mu with rounding-level imaginary parts, the
-    # complex one
-    real_lus = []
-    dgbtrf = lapack.dgbtrf
+    # the split Helmholtz problem is real, and its rank-one branch point at a
+    # real lam is exactly real: every M(lam) that Newton's iterates and the
+    # left vectors factorize, at a real lam and mu, takes the real band LU
+    # (dgbtrf)
+    band_lus = {"dgbtrf": 0, "zgbtrf": 0}
+    for name in band_lus:
+        def counted(*args, _name=name, _original=getattr(lapack, name), **kwargs):
+            band_lus[_name] += 1
+            return _original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        real_lus.append(args[0].shape)
-        return dgbtrf(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "dgbtrf", counted)
+        monkeypatch.setattr(lapack, name, counted)
     out = tmp_path / "run"
     assert run(["cond", "--gen", "helmholtz", "--out", out]) == 0
     reports = read_results(out)["condition_reports"]
@@ -259,7 +257,7 @@ def test_cond_helmholtz(tmp_path, monkeypatch):
     for key in ("kappa_a", "kappa_g_b", "kappa_g_lambda", "kappa_total",
                 "backward_lambda_bound"):
         assert math.isfinite(reports[0][key]) and reports[0][key] > 0
-    assert real_lus
+    assert band_lus["dgbtrf"] > 0 and band_lus["zgbtrf"] == 0
 
 
 @pytest.mark.parametrize("problem", [["--gen", "qep", "--n", "10", "--seed", "3"],

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import mepnl
-from mepnl import core, delta, problems
+from mepnl import core, delta, nep, problems, solvers
 from mepnl.errors import SingularProblem, TooLarge
 
 
@@ -375,3 +375,32 @@ def test_every_dropped_candidate_warns_once(monkeypatch):
         assert delta.solve(p) == []
     assert len(record) == p.n * p.m
     assert {w.filename for w in record} == {__file__}
+
+
+def test_oracle_and_newton_against_a_40_digit_reference():
+    # the paper's error claim on one live case: |lam - lam_ref| stays within
+    # a fraction of kappa_total * u, with lam_ref an eigenvalue of
+    # Gamma1 = Delta0^-1 Delta1 at 40 digits, from Delta0 and Delta1 formed
+    # here with np.kron and no mepnl linear algebra
+    mpmath = pytest.importorskip("mpmath")
+    p = problems.gen_random(6, 3, seed=1)
+    A1, A2, A3 = (np.asarray(M) for M in (p.A1, p.A2, p.A3))
+    delta0 = np.kron(A2, p.B3) - np.kron(A3, p.B2)
+    delta1 = np.kron(A3, p.B1) - np.kron(A1, p.B3)
+    with mpmath.workdps(40):
+        gamma1 = mpmath.inverse(mpmath.matrix(delta0.tolist())) * mpmath.matrix(delta1.tolist())
+        ref = np.array([complex(e) for e in mpmath.eig(gamma1, left=False, right=False)])
+    assert ref.size == p.n * p.m
+
+    def error(lam):
+        return np.min(np.abs(ref - lam))
+
+    quads = delta.solve(p)
+    assert len(quads) == ref.size
+    assert max(error(q.lam) / abs(q.lam) for q in quads) <= 1e-11
+    u = np.finfo(float).eps / 2
+    for lam0 in (0.05, -0.1 + 0.05j, 0.2j):
+        quad, trace = solvers.augmented_newton(nep.NepView(p), lam0, np.ones(p.n),
+                                               solvers.SolverConfig(tol=1e-13))
+        assert trace.converged
+        assert error(quad.lam) <= 0.25 * core.condition_numbers(p, quad).kappa_total * u

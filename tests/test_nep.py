@@ -141,35 +141,33 @@ def test_views_and_tabulation_share_one_reference_qz(monkeypatch, reference_call
     assert counts == {"geig.none": 1}
     assert p.reference_mus.size == p.m and not p.reference_mus.flags.writeable
     views = [nep.NepView(p, branch_id=b) for b in (0, 1)]
-    shared = [pencil.reference_point(p, b) for b in range(p.m)]
-    for view in views:
-        assert view.point is shared[view.branch_id]
+    starts = [view.point for view in views]
+    # the problem keeps no point: each view builds its own reference point
+    assert counts["reference vectors"] == 2
     for view, lam0 in zip(views, (0.05, -0.05 + 0.02j)):
         _, trace = solvers.augmented_newton(view, lam0, np.ones(p.n),
                                             solvers.SolverConfig(maxit=6))
         assert trace.iterations >= 2
     table = problems.tabulate_branches(p, np.linspace(-0.5, 0.5, 11))
     assert np.all(np.isfinite(table.values))
-    # one inverse iteration per branch at the reference, for both views and
-    # both sweeps, and no full QZ; each step's y and w come from its
-    # certificate or, when that refuses, from the power loop at the chosen
-    # mu, and no step falls back to the full QZ
-    assert counts["reference vectors"] == p.m
+    # one inverse iteration at the reference per view and per tabulated
+    # branch, whose point serves both sweeps, and no full QZ; each step's y
+    # and w come from its certificate or, when that refuses, from the power
+    # loop at the chosen mu, and no step falls back to the full QZ
+    assert counts["reference vectors"] == 2 + p.m
     assert counts["geig.none"] == 1 and counts["geig.both"] == counts["geig.right"] == 0
     assert counts["step full QZ"] == 0
     assert counts["certified vectors"] + counts["power-loop vectors"] + \
         counts["step full QZ"] == counts["steps"] > 0
-    assert [pencil.reference_point(p, b) for b in range(p.m)] == shared
-    for point in shared:
-        assert not point.y.flags.writeable and not point.w.flags.writeable
-    # the shared points are untouched by the solves: a fresh problem's
-    # reference points equal them bit for bit, and the full QZ has the same
-    # mu at each position
+    # a reference point is a function of the problem: the views' starts, the
+    # points built again after the solves and a fresh problem's points are
+    # equal bit for bit, and the full QZ has the same mu at each position
     fresh = problems.gen_random(40, 4, seed=3)
     full_qz = pencil.eigenpairs_at(fresh, pencil.REFERENCE_LAM)
-    for b, got in enumerate(shared):
-        want = pencil.reference_point(fresh, b)
-        assert (got.lam, got.mu, got.branch_id, got.c_degenerate) == \
-            (want.lam, want.mu, want.branch_id, want.c_degenerate)
-        assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
+    for b in range(p.m):
+        got, want = pencil.reference_point(p, b), pencil.reference_point(fresh, b)
+        for point in [got] + [start for start in starts if start.branch_id == b]:
+            assert (point.lam, point.mu, point.branch_id, point.c_degenerate) == \
+                (want.lam, want.mu, want.branch_id, want.c_degenerate)
+            assert np.array_equal(point.y, want.y) and np.array_equal(point.w, want.w)
         assert full_qz[b].mu == got.mu

@@ -207,19 +207,20 @@ def test_reference_point_falls_back_to_one_full_qz(monkeypatch):
     points = reference_points(p)
     assert p.reference_mus.size == 5
     assert counts == {"shift": 0, "none": 0, "right": 0, "both": 5}
-    # at REFERENCE_LAM the points are kept: asking again runs no QZ
-    assert all(a is b for a, b in zip(reference_points(p), points))
-    assert counts["both"] == 5
+    # the problem keeps no point: asking again runs the 5 full QZs again,
+    # and gives equal points
+    again = reference_points(p)
+    assert counts["both"] == 10
     full_qz = pencil.eigenpairs_at(p, pencil.REFERENCE_LAM)
-    for got, want in zip(points, full_qz):
-        assert got.mu == want.mu and got.branch_id == want.branch_id
+    for got, repeat, want in zip(points, again, full_qz):
+        assert got.mu == repeat.mu == want.mu and got.branch_id == want.branch_id
         assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
-        assert not got.y.flags.writeable and not got.w.flags.writeable
-    # away from REFERENCE_LAM nothing is kept: one full QZ per point
+        assert np.array_equal(repeat.y, want.y) and np.array_equal(repeat.w, want.w)
+    # away from REFERENCE_LAM too: one full QZ per point
     for b in (0, 1):
         pencil.reference_point(p, b, 0.3)
-    # the 5 points, the check's own full QZ above, and these 2 points
-    assert counts == {"shift": 0, "none": 2, "right": 0, "both": 8}
+    # the 10 points, the check's own full QZ above, and these 2 points
+    assert counts == {"shift": 0, "none": 2, "right": 0, "both": 13}
     monkeypatch.undo()
     # mu = 1 twice: no inverse iteration, which cannot settle there, and one
     # full QZ per branch, whose point at the branch's own position keeps the

@@ -273,6 +273,41 @@ def test_rank_one_helmholtz_branch_matches_closed_form():
     assert err_rank_one <= err_full_qz <= 1e-10
 
 
+def test_rank_one_point_does_not_depend_on_the_reference():
+    # one builder makes every point of a rank-one problem, so a view whose
+    # reference is lam0 has, at lam0, the point continued there from the
+    # default reference, bit for bit
+    rng = np.random.default_rng(5)
+    qep = problems.gen_qep(*(rng.standard_normal((4, 4)) for _ in range(3)))
+    helmholtz = bench_helmholtz_small_side()
+    modes = problems.helmholtz_analytic_eigenvalues(2.0, 3.7, 4)
+    for p, lams in ((helmholtz, [*(modes + 3e-3), 1.5 + 0.25j]),
+                    (qep, [0.1, -0.7, 1.3, 0.4 - 0.2j])):
+        assert p.b3_rank_one is not None
+        for lam0 in lams:
+            got = nep.NepView(p, 0, reference_lam=lam0).branch_point(lam0)
+            want = pencil.continue_branch(p, pencil.reference_point(p, 0), lam0)
+            assert (got.lam, got.mu, got.branch_id, got.c_degenerate) == \
+                (want.lam, want.mu, want.branch_id, want.c_degenerate)
+            assert np.array_equal(got.y, want.y) and np.array_equal(got.w, want.w)
+
+
+def test_rank_one_points_of_a_real_problem_are_real_at_real_lam():
+    # the default kappa profiles give complex Schur factors of the real
+    # (B1, B2); K(lam)^-1 u is real at a real lam all the same, and so is
+    # every point the Schur form gives there, batch or single
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=50)).problem
+    assert p.is_real and p.b3_rank_one is not None
+    grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
+    mu, y, w, _, failed = pencil._rank_one_points(p, grid)
+    assert not failed
+    single = [pencil.continue_branch(p, pencil.reference_point(p, 0), lam) for lam in grid]
+    for got in (mu, y, w, [bp.mu for bp in single], [bp.y for bp in single],
+                [bp.w for bp in single]):
+        assert np.all(np.imag(got) == 0)
+    assert pencil.reference_point(p, 0).mu.imag == 0
+
+
 def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
     kappa0 = 2.0
     cfg = problems.HelmholtzConfig(x1=1.0, x2=1.5, n=201, m=12,
@@ -284,19 +319,24 @@ def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
                                        (pencil, "_continue_step", "step"),
                                        (_linalg, "certified_dominant", "certificate"),
                                        (_linalg, "shift_invert_vectors", "power loop"),
-                                       (pencil, "_full_qz_point", "full QZ")))
-    no_step = {"step": 0, "certificate": 0, "full QZ": 0}
+                                       (pencil, "_full_qz_point", "full QZ"),
+                                       (_linalg.Factorization, "__init__", "lu")))
+    no_step = {"step": 0, "certificate": 0, "full QZ": 0, "power loop": 0}
     problems.tabulate_branches(p, np.linspace(-2.0, 3.0, 51), branch_ids=[0])
     # the grid is evaluated at once; the branch's id is checked against the
     # reference eigenvalues of the problem's construction, and no QZ runs
-    assert counts == {"geig": 0, "reference_point": 0, "power loop": 0, **no_step}
+    assert counts == {"geig": 0, "reference_point": 0, "lu": 0, **no_step}
     lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
     view = nep.NepView(p, branch_id=0, reference_lam=lam1 + 0.01)
+    # Newton's view adds one reference point: the eigenvalues-only QZ that
+    # checks its branch id, and the Schur form's point, with no LU, no
+    # inverse iteration and no step
+    assert counts == {"geig": 1, "reference_point": 1, "lu": 0, **no_step}
     _, trace = solvers.augmented_newton(view, lam1 + 0.01, np.ones(cfg.n))
     assert trace.converged and trace.iterations >= 3
-    # Newton's view adds one reference, an eigenvalues-only QZ and one
-    # inverse iteration for its vectors, and no QZ per iterate
-    assert counts == {"geig": 1, "reference_point": 1, "power loop": 1, **no_step}
+    # and no QZ per iterate; the LUs are Newton's, of M(lam)
+    lus = counts.pop("lu")
+    assert counts == {"geig": 1, "reference_point": 1, **no_step} and lus > 0
 
 
 def test_rank_one_tabulation_runs_one_schur_reduction(monkeypatch):
