@@ -123,7 +123,6 @@ class Factorization:
     """
 
     def __init__(self, mat):
-        self.shape = mat.shape
         self.bandwidths = None
         if not sp.issparse(mat):
             self.storage = "dense"

@@ -184,12 +184,10 @@ def _build_problem(cfg: RunConfig):
     gen = cfg.gen or "random"
     if gen == "helmholtz":
         given = {k: v for k, v in (("n", cfg.n), ("m", cfg.m)) if v is not None}
-        config = problems.HelmholtzConfig(**given)
         try:
-            config.validate()
+            return problems.gen_helmholtz(problems.HelmholtzConfig(**given)).problem
         except ValueError as exc:
             raise ProblemIOError(f"--gen helmholtz: {exc}") from exc
-        return problems.gen_helmholtz(config).problem
     n = 20 if cfg.n is None else cfg.n
     if gen == "random":
         return problems.gen_random(n, 4 if cfg.m is None else cfg.m, cfg.seed)
@@ -349,7 +347,6 @@ def cmd_cond(cfg: RunConfig) -> int:
     reports = []
     for quad in quads:
         rep = dataclasses.asdict(condition_numbers(problem, quad))
-        del rep["weights"]
         # |det C0| / (||x|| ||y||), as v and w are unit: x and y carry the
         # scales of x0 and c, and x and v an arbitrary phase
         scale = np.linalg.norm(quad.x) * np.linalg.norm(quad.y)

@@ -327,7 +327,8 @@ class Weights:
 
 @dataclasses.dataclass
 class ConditionReport:
-    """Condition numbers of a simple quadruplet under weighted perturbations."""
+    """Condition numbers of a simple quadruplet under weighted perturbations
+    (condition_numbers), without the weights, which the caller has."""
 
     kappa_a: float
     kappa_g_b: float
@@ -335,7 +336,6 @@ class ConditionReport:
     kappa_total: float
     det_c0: complex
     backward_lambda_bound: float
-    weights: Weights
     theta2_absolute: float
     theta2_relative: float
 
@@ -436,7 +436,6 @@ def condition_numbers(problem: TwoParProblem, quad: Quadruplet,
         kappa_total=float(kappa_total),
         det_c0=complex(det_c0),
         backward_lambda_bound=float(backward),
-        weights=weights,
         theta2_absolute=float(_weighted((1.0, 1.0, 1.0), lam, mu)),
         theta2_relative=float(problem.scale_b(lam, mu)),
     )

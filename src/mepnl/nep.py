@@ -3,7 +3,8 @@
 Fixing one branch mu = g(lam) of the small pencil turns the large equation
 into a nonlinear eigenvalue problem in lam alone. A NepView binds a problem
 to one branch through that branch's last BranchPoint and provides its
-branch points, its factorizations of M(sigma) and their one refusal.
+branch points, its factorizations of M(sigma) and their one refusal, at
+the point of the last factorization.
 """
 from __future__ import annotations
 
@@ -42,11 +43,12 @@ class NepView:
         bp = self.branch_point(sigma)
         return _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
 
-    def refuse_singular(self, sigma, b, x):
-        """Raise ShiftIsEigenvalue when x, solved from b with M(sigma) or its
-        adjoint, proves M(sigma) numerically singular (proves_singular at
-        RCOND_SINGULAR and scale_a): the package's one refusal of an M(sigma)."""
-        bp = self.branch_point(sigma)  # the point factorization(sigma) took, at no cost
+    def refuse_singular(self, b, x):
+        """Raise ShiftIsEigenvalue when x, solved from b with the last
+        factorization(sigma) or its adjoint, proves M(sigma) numerically
+        singular (proves_singular at RCOND_SINGULAR and scale_a at the point
+        that factorization took): the package's one refusal of an M(sigma)."""
+        bp = self.point
         if _linalg.proves_singular(b, x, self.problem.scale_a(bp.lam, bp.mu),
                                    _linalg.RCOND_SINGULAR):
             raise ShiftIsEigenvalue("a solve with M(sigma) proves it numerically "

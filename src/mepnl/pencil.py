@@ -40,10 +40,11 @@ scale_b(lam, mu), so a grid builds no m x m matrix per lam.
 Branch ids are positions in the canonical order of the eigenvalues at a
 reference lam, which an eigenvalues-only QZ gives (eigvals_at): at
 REFERENCE_LAM one per problem, at its construction
-(TwoParProblem.reference_mus). Each rank of B3 has one builder of a
-point, reference or continued, and nothing is kept: for rank one
-_rank_one_point, a batch of one; else _point_at, with y and w by inverse
-iteration at mu on one LU of order m, certified by the residual test.
+(TwoParProblem.reference_mus); a rank-one B3 has one branch, 0, and needs
+none. Each rank of B3 has one builder of a point, reference or continued,
+and nothing is kept: for rank one _rank_one_point, a batch of one, with no
+QZ; else _point_at, with y and w by inverse iteration at mu on one LU of
+order m, certified by the residual test.
 The full QZ with every eigenvector (eigenpairs_at) runs only for a point
 whose vectors fail that test or whose reference mu is double, and gives
 its point nearest mu.
@@ -266,18 +267,20 @@ def reference_point(problem: TwoParProblem, branch_id: int,
                     lam=REFERENCE_LAM) -> BranchPoint:
     """The point of branch branch_id at a reference lam, where branch ids are
     positions in the canonical order of eigvals_at(lam) (at REFERENCE_LAM,
-    the problem's reference_mus). When B3 has rank one _rank_one_point
-    builds it, as at any lam. Otherwise its mu is that eigenvalue, and
-    _point_at builds it from the fixed start of all ones, or from the full
-    QZ when mu is listed twice within TOL_DEDUPE, where inverse iteration
-    cannot settle. Nothing is kept. Raises NoFiniteEigenvalue when the
-    pencil has no finite eigenvalue at lam, KeyError when it has no branch
-    branch_id there.
+    the problem's reference_mus). When B3 has rank one its one branch 0
+    has its point from _rank_one_point, as at any lam, with no QZ.
+    Otherwise its mu is that eigenvalue, and _point_at builds it from the
+    fixed start of all ones, or from the full QZ when mu is listed twice
+    within TOL_DEDUPE, where inverse iteration cannot settle. Nothing is
+    kept. Raises NoFiniteEigenvalue when the pencil has no finite eigenvalue
+    at lam, KeyError when it has no branch branch_id there.
     """
+    if problem.b3_rank_one is not None:
+        if branch_id != 0:
+            raise KeyError(f"branch {branch_id}: a rank-one B3 has the one branch 0")
+        return _rank_one_point(problem, lam, 0)
     mus = problem.reference_mus if lam == REFERENCE_LAM else eigvals_at(problem, lam)
     mu = _branch_mu(mus, branch_id, lam)
-    if problem.b3_rank_one is not None:
-        return _rank_one_point(problem, lam, branch_id)
     copies = np.abs(mus - mu) <= TOL_DEDUPE * np.maximum(np.abs(mus), max(1.0, abs(mu)))
     ones = np.ones(problem.m, dtype=np.complex128)
     start = (ones, ones) if np.count_nonzero(copies) == 1 else None

@@ -146,9 +146,8 @@ def _profile_values(profile, x, fallback):
 
 
 def _cheb(N):
-    """Chebyshev differentiation matrix and points t_j = cos(j*pi/N) on [-1, 1]."""
-    if N == 0:
-        return np.zeros((1, 1)), np.ones(1)
+    """Chebyshev differentiation matrix and points t_j = cos(j*pi/N) on [-1, 1],
+    N >= 1."""
     t = np.cos(np.pi * np.arange(N + 1) / N)
     sign = (-1.0) ** np.arange(N + 1)
     cvec = np.concatenate(([2.0], np.ones(N - 1), [2.0])) * sign
@@ -161,20 +160,15 @@ def _cheb(N):
 
 @dataclasses.dataclass
 class HelmholtzDiscretization:
-    """Assembled split Helmholtz problem plus everything needed to interpret it.
+    """Assembled split Helmholtz problem plus what its interface check reads.
 
-    grid_a and grid_b are the physical points of the two subdomains (both
-    include the interface x1); kappa_a/kappa_b the wavenumber samples there;
-    deriv_row_b is the spectral first-derivative row at x1 before scaling,
-    used for interface checks; h the finite-difference step.
+    grid_a is the finite-difference grid of [0, x1], interface included, and
+    h its step; deriv_row_b is the spectral first-derivative row at x1
+    before scaling, for interface_mismatch.
     """
 
     problem: TwoParProblem
-    config: HelmholtzConfig
     grid_a: np.ndarray
-    grid_b: np.ndarray
-    kappa_a: np.ndarray
-    kappa_b: np.ndarray
     h: float
     deriv_row_b: np.ndarray
 
@@ -182,29 +176,6 @@ class HelmholtzDiscretization:
         """Second-order one-sided derivative of the FD eigenvector at x1."""
         x = np.asarray(x).reshape(-1)
         return (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * self.h)
-
-    def reconstruct(self, quad):
-        """Merge a quadruplet into one eigenfunction on [0, x2].
-
-        The spectral part is rescaled so both one-sided derivatives at the
-        interface agree; value continuity at x1 is then a genuine
-        consistency check, not a construction artifact. Returns
-        (grid, values).
-        """
-        x = np.asarray(quad.x).reshape(-1)
-        y = np.asarray(quad.y).reshape(-1)
-        s1 = self.one_sided_slope(x)
-        s2 = self.deriv_row_b @ y
-        span = self.config.x2 - self.config.x1
-        # slope matching needs a usable slope; a mu ~ 0 eigenfunction is
-        # nearly flat at x1, fall back to value matching there
-        if abs(s2) * span > 1e-8 * np.max(np.abs(y)):
-            w = s1 / s2
-        else:
-            w = x[-1] / y[0]
-        grid = np.concatenate([self.grid_a, self.grid_b[1:]])
-        vals = np.concatenate([x, w * y[1:]])
-        return grid, vals
 
     def interface_mismatch(self, quad) -> float:
         """Relative disagreement of the two subdomain values at x1 after
@@ -218,8 +189,9 @@ class HelmholtzDiscretization:
         return float(abs(v1 - v2) / max(abs(v1), abs(v2)))
 
 
-def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretization:
-    """Assemble the split Helmholtz problem of the given configuration.
+def gen_helmholtz(config: HelmholtzConfig) -> HelmholtzDiscretization:
+    """Assemble the split Helmholtz problem of the given configuration,
+    which is validated first (ValueError when it is not valid).
 
     Large equation (n x n, sparse at every n): second-order central
     differences for u'' + kappa^2 u - lam u on [0, x1], a Dirichlet row at
@@ -235,8 +207,6 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
     vector is c = e_0, so c^T y = 1 pins the spectral eigenfunction to value
     one at the interface.
     """
-    if config is None:
-        config = HelmholtzConfig()
     config.validate()
     n, m = config.n, config.m
     grid_a = np.linspace(0.0, config.x1, n)
@@ -302,8 +272,7 @@ def gen_helmholtz(config: HelmholtzConfig | None = None) -> HelmholtzDiscretizat
         label=f"helmholtz(n={n},m={m})",
     )
     return HelmholtzDiscretization(
-        problem=problem, config=config, grid_a=grid_a, grid_b=grid_b,
-        kappa_a=ka, kappa_b=kb, h=h, deriv_row_b=D_x[0, :].copy(),
+        problem=problem, grid_a=grid_a, h=h, deriv_row_b=D_x[0, :].copy(),
     )
 
 

@@ -112,7 +112,8 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     "maxit", "stagnated" or "nonfinite" (non-convergence is reported, not
     raised). A run is nonfinite when u is not finite or an update would make
     lam or x non-finite; the last finite iterate is returned. When u proves
-    M(lam_k) at an iterate k >= 1 singular (NepView.refuse_singular), u is
+    M(lam_k) at an iterate k >= 1 singular (NepView.refuse_singular, which
+    reads the point that the factorization of M(lam_k) took), u is
     still the inverse-iteration direction at the accuracy limit: the step is
     taken and its iterate k + 1, one of the maxit steps, recorded, and the
     run ends there, "converged" when it meets tol and "stagnated"
@@ -148,7 +149,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
             trace.termination = "nonfinite"
             break
         try:
-            nep.refuse_singular(lam, rhs, u)
+            nep.refuse_singular(rhs, u)
         except ShiftIsEigenvalue:
             if k == 0:
                 raise
@@ -225,11 +226,12 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     M(sigma) is factorized once (NepView.factorization); that LU also gives
     the fixed left projection vector w = M(sigma)^{-H} x0, normalized, a
     solve that refuses M(sigma) when it proves it singular
-    (NepView.refuse_singular). It can do so only when x0 has a component on
-    ker M(sigma); otherwise the run goes on with the floored LU. Each
-    iteration solves the scalar-projected small problem at the current
-    iterate for (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the
-    previous one (nearest sigma initially), then corrects
+    (NepView.refuse_singular, at the point that factorization took). It
+    can do so only when x0 has a component on ker M(sigma); otherwise the
+    run goes on with the floored LU. Each iteration solves the
+    scalar-projected small problem at the current iterate for
+    (lam_{k+1}, mu_{k+1}), selecting the eigenvalue nearest the previous
+    one (nearest sigma initially), then corrects
     x_{k+1} = normalize(x_k - M(sigma)^{-1} M(lam_{k+1}) x_k); the products
     A_j x_k of the projection also give M(lam_{k+1}) x_k and its residual.
 
@@ -246,7 +248,7 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     x0 = np.asarray(x0, dtype=np.complex128)
     x = x0 / np.linalg.norm(x0)
     w = fact.solve(x0, adjoint=True)
-    nep.refuse_singular(sigma, x0, w)
+    nep.refuse_singular(x0, w)
     w = w / np.linalg.norm(w)
     ref = sigma
     trace = SolveTrace()

@@ -152,6 +152,31 @@ def test_a_problem_keeps_no_branch_points():
     assert sorted(set(found) - {"core.TwoParProblem.__init__"}) == []
 
 
+def test_only_a_factorization_moves_a_view():
+    """A NepView's point is set in its __init__ and moved only by
+    NepView.branch_point, which only NepView.factorization calls on the
+    view: so refuse_singular, which reads the view's point, judges M(sigma)
+    at the point of the last factorization and continues nothing."""
+    tree = ast.parse((Path(mepnl.__file__).parent / "nep.py").read_text())
+
+    def on_self(attr, node):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and getattr(node.value, "id", None) == "self")
+
+    def assigns_point(node):
+        return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+            on_self("point", target)
+            for target in getattr(node, "targets", None) or [node.target])
+
+    def calls_branch_point(node):
+        return isinstance(node, ast.Call) and on_self("branch_point", node.func)
+
+    assert sorted(set(_scopes(tree, "nep", assigns_point))) == [
+        "nep.NepView.__init__", "nep.NepView.branch_point"]
+    assert sorted(set(_scopes(tree, "nep", calls_branch_point))) == [
+        "nep.NepView.factorization"]
+
+
 def test_only_linalg_runs_eigensolvers():
     """Every eigenvalue problem the package solves goes through _linalg.geig,
     so it keeps geig's finite test and canonical order: no other module

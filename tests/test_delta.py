@@ -1,4 +1,7 @@
 """Determinant-operator linearization: structure, cap, and oracle quality."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -390,6 +393,12 @@ def test_oracle_and_newton_against_a_40_digit_reference():
     with mpmath.workdps(40):
         gamma1 = mpmath.inverse(mpmath.matrix(delta0.tolist())) * mpmath.matrix(delta1.tolist())
         ref = np.array([complex(e) for e in mpmath.eig(gamma1, left=False, right=False)])
+    assert_error_claim(p, ref)
+
+
+def assert_error_claim(p, ref):
+    """The oracle's lam within 1e-11 relative of the reference eigenvalues
+    ref, and Newton's from three fixed starts within 0.25 kappa_total u."""
     assert ref.size == p.n * p.m
 
     def error(lam):
@@ -404,3 +413,17 @@ def test_oracle_and_newton_against_a_40_digit_reference():
                                                solvers.SolverConfig(tol=1e-13))
         assert trace.converged
         assert error(quad.lam) <= 0.25 * core.condition_numbers(p, quad).kappa_total * u
+
+
+REFERENCES = json.loads((Path(__file__).parent / "reference_eigenvalues.json").read_text())
+
+
+@pytest.mark.parametrize("case", REFERENCES["cases"], ids=lambda case: case["name"])
+def test_oracle_and_newton_against_committed_40_digit_references(case):
+    # the error claim of the live case above, against eigenvalues that
+    # reference_eigenvalues.py computed at 40 digits and committed to 20:
+    # no mpmath runs here
+    p = getattr(problems, case["generator"])(*(np.array(a) for a in case["A"]))
+    if case["generator"] == "gen_sqrt_nep":
+        p = p[0]
+    assert_error_claim(p, np.array([complex(float(re), float(im)) for re, im in case["lam"]]))

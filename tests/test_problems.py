@@ -230,9 +230,6 @@ def test_helmholtz_matches_separated_solution():
     mu1 = problems.helmholtz_analytic_mu(kappa0, quad.lam, 1.0)
     assert abs(quad.mu - mu1) / abs(mu1) <= 1e-3
     assert disc.interface_mismatch(quad) <= 1e-4
-    xs, us = disc.reconstruct(quad)
-    assert xs.shape == us.shape and xs.size == cfg.n + cfg.m - 1
-    assert np.all(np.diff(xs) > 0)
 
 
 def bench_helmholtz_small_side(n=3):
@@ -328,15 +325,14 @@ def test_rank_one_problems_run_qz_only_at_references(monkeypatch):
     assert counts == {"geig": 0, "reference_point": 0, "lu": 0, **no_step}
     lam1 = problems.helmholtz_analytic_eigenvalues(kappa0, 1.5, 1)[0]
     view = nep.NepView(p, branch_id=0, reference_lam=lam1 + 0.01)
-    # Newton's view adds one reference point: the eigenvalues-only QZ that
-    # checks its branch id, and the Schur form's point, with no LU, no
-    # inverse iteration and no step
-    assert counts == {"geig": 1, "reference_point": 1, "lu": 0, **no_step}
+    # Newton's view adds one reference point, the Schur form's point of the
+    # one branch 0: no QZ, no LU, no inverse iteration and no step
+    assert counts == {"geig": 0, "reference_point": 1, "lu": 0, **no_step}
     _, trace = solvers.augmented_newton(view, lam1 + 0.01, np.ones(cfg.n))
     assert trace.converged and trace.iterations >= 3
-    # and no QZ per iterate; the LUs are Newton's, of M(lam)
+    # and no QZ per iterate either; the LUs are Newton's, of M(lam)
     lus = counts.pop("lu")
-    assert counts == {"geig": 1, "reference_point": 1, **no_step} and lus > 0
+    assert counts == {"geig": 0, "reference_point": 1, **no_step} and lus > 0
 
 
 def test_rank_one_tabulation_runs_one_schur_reduction(monkeypatch):
@@ -370,6 +366,20 @@ def test_rank_one_tabulation_certifies_without_formed_b(monkeypatch):
                                        branch_ids=[0])
     assert np.isfinite(table.column(0)).all()
     assert counts == {"full QZ": 0, "geig": 0}
+
+
+def test_rank_one_reference_point_runs_no_qz(monkeypatch):
+    # a rank-one problem has the one branch 0 at every lam: its reference
+    # point is the Schur form's, and any other id is refused, with no QZ
+    p = bench_helmholtz_small_side()
+    counts = count_calls(monkeypatch, ((_linalg, "geig", "geig"),))
+    for lam0 in (pencil.REFERENCE_LAM, 2.5, 30.0 + 1.0j):
+        with pytest.raises(KeyError):
+            pencil.reference_point(p, 1, lam0)
+        point = pencil.reference_point(p, 0, lam0)
+        want = pencil._rank_one_point(p, lam0, 0)
+        assert point.mu == want.mu and np.array_equal(point.y, want.y)
+    assert counts == {"geig": 0}
 
 
 def test_rank_one_tabulation_peaks_below_one_stack_of_b():

@@ -127,11 +127,11 @@ def test_newton_takes_the_step_from_a_refused_iterate(monkeypatch):
     def refuse_at(k_refused):
         calls = []
 
-        def refuse(self, sigma, b, x):
-            calls.append(sigma)
+        def refuse(self, b, x):
+            calls.append(self.point.lam)
             if len(calls) == k_refused + 1:
                 raise ShiftIsEigenvalue("forced")
-            return refuse_singular(self, sigma, b, x)
+            return refuse_singular(self, b, x)
 
         monkeypatch.setattr(nep.NepView, "refuse_singular", refuse)
 
@@ -146,6 +146,27 @@ def test_newton_takes_the_step_from_a_refused_iterate(monkeypatch):
         assert trace.lam == free.lam[:k_refused + 2]
         assert trace.res_a == free.res_a[:k_refused + 2]
         assert quad.lam == trace.lam[-1]
+
+
+def test_refusal_reads_the_point_of_the_last_factorization(monkeypatch):
+    # refuse_singular judges M(sigma) at the point factorization(sigma) took,
+    # so it continues nothing: Newton continues the branch once to each
+    # iterate it takes, and once more when it factorizes there
+    p = problems.gen_random(60, 5, seed=11)
+    counts = count_calls(monkeypatch, ((pencil, "continue_branch"),))
+    view = nep.NepView(p)
+    b = np.ones(p.n)
+    x = view.factorization(0.3).solve(b)
+    point = view.point
+    assert point.lam == 0.3 and counts == {"continue_branch": 1}
+    view.refuse_singular(b, x)
+    with pytest.raises(ShiftIsEigenvalue, match=r"sigma=\(0\.3\+0j\)"):
+        view.refuse_singular(1e-300 * b, x)
+    assert view.point is point and counts == {"continue_branch": 1}
+    counts["continue_branch"] = 0
+    _, trace = solvers.augmented_newton(nep.NepView(p), 0.0, np.ones(p.n))
+    assert trace.converged
+    assert counts["continue_branch"] == 1 + 2 * len(trace.alpha)
 
 
 def test_newton_singular_start_raises():
