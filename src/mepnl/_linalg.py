@@ -6,15 +6,16 @@ storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this). A
 Factorization picks one of three storage paths from its input: LAPACK's
 dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a dia_array,
-as eval_a builds an M(lam) that the problem has found narrow
-(core.TwoParProblem._a_bands, the one reader of BAND_MAX), and SuperLU
-for any other sparse matrix. The dense and SuperLU paths work in complex
-arithmetic; the band LU works in the matrix's own dtype, dgbtrf for a float64 matrix
-(as eval_a builds a real M(lam)) and zgbtrf otherwise. No LU is
-refused: an exactly zero pivot is floored at eps*||mat||_1 in place by
-the dense and band LUs; SuperLU instead factorizes mat + eps*||mat||_1 * I.
-A caller that must refuse a singular matrix reads it from a solve, by
-proves_singular, the same test on every storage path.
+as eval_a builds an M(lam) of a problem that TwoParProblem.__init__ has
+found narrow (the one reader of BAND_MAX) and stored by its diagonals
+(to_diagonals), and SuperLU for any other sparse matrix. The dense and
+SuperLU paths work in complex arithmetic; the band LU works in the
+matrix's own dtype, dgbtrf for a float64 matrix (as eval_a builds a real
+M(lam)) and zgbtrf otherwise. No LU is refused: an exactly zero pivot is
+floored at eps*||mat||_1 in place by the dense and band LUs; SuperLU
+instead factorizes mat + eps*||mat||_1 * I. A caller that must refuse a
+singular matrix reads it from a solve, by proves_singular, the same test
+on every storage path.
 """
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ POWER_TOL = 1e-13
 # null_vector_adjoint's target ||M^H v|| / ||M|| and its step budget.
 NULL_VECTOR_TOL = 1e-8
 NULL_VECTOR_MAXIT = 50
-# Largest kl + ku of an M(lam) that is built as a dia_array and packed into
-# LAPACK band storage instead of handed to SuperLU. At n = 1e5 (one BLAS thread,
+# Largest kl + ku of an M(lam) whose problem stores A1-A3 by their diagonals,
+# so that M(lam) is built as a dia_array and packed into LAPACK band storage
+# instead of handed to SuperLU. At n = 1e5 (one BLAS thread,
 # 2 vCPUs), full bands and 2-D five-point strips with kl + ku <= 8 were
 # factorized 2.3 to 5.8 times faster by zgbtrf than by SuperLU, in at most
 # 1.3 times SuperLU's entries (2kl + ku + 1 a column). At kl + ku = 32 the
@@ -66,11 +68,43 @@ def to_dense(mat):
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
+def to_diagonals(mat, kl, ku, dtype):
+    """The square sparse mat as a dia_array of dtype (float64 keeps the real
+    part) holding its diagonals -kl..ku in ascending order, each a row of
+    length n with entry (j - k, j) of diagonal k in column j. A dia_array
+    already in that form is returned as it is; any other has each diagonal
+    copied once into a row that is zero outside mat."""
+    n = mat.shape[0]
+    offsets = np.arange(-kl, ku + 1)
+    if (isinstance(mat, sp.dia_array) and mat.dtype == dtype and mat.data.shape[1] == n
+            and np.array_equal(mat.offsets, offsets)):
+        return mat
+    data = np.zeros((offsets.size, n), dtype=dtype)
+    for row, k in zip(data, offsets):
+        diagonal = mat.diagonal(k)
+        row[max(k, 0):n + min(k, 0)] = diagonal.real if dtype == np.float64 else diagonal
+    return sp.dia_array((data, offsets), shape=(n, n))
+
+
+def _in_range(mat):
+    """(k, row, cols, rows) for each diagonal k of the dia_array mat in
+    ascending order: its row of data, and the slices of the columns, in
+    row, and of the rows of mat that the diagonal meets; the rest of row is
+    padding, which no reader sees."""
+    n, width = mat.shape[0], min(mat.data.shape[1], mat.shape[1])
+    for d in np.argsort(mat.offsets):
+        k = int(mat.offsets[d])
+        start, stop = max(k, 0), max(min(n + k, width), max(k, 0))
+        yield k, mat.data[d], slice(start, stop), slice(start - k, stop - k)
+
+
 def norm2_bound(mat) -> float:
     """min(||mat||_F, sqrt(||mat||_1 ||mat||_inf)) >= ||mat||_2 of a square
     mat, which unlike ||mat||_F does not grow like sqrt(n) for a stencil. One
-    pass over |mat|: for a sparse mat, one matvec each way with its |data|
-    in its pattern."""
+    pass over |mat|: for a CSR mat, one matvec each way with its |data| in
+    its pattern; a dia_array is read as _dia_norm2_bound says."""
+    if sp.issparse(mat) and mat.format == "dia":
+        return _dia_norm2_bound(mat)
     if sp.issparse(mat):
         mat = mat.tocsr()
         absolute = np.abs(mat.data)
@@ -84,11 +118,53 @@ def norm2_bound(mat) -> float:
     return float(min(fro, np.sqrt(col_sums.max(initial=0.0) * row_sums.max(initial=0.0))))
 
 
+def _dia_norm2_bound(mat) -> float:
+    """norm2_bound of the dia_array mat, from its |data| without its padding.
+    Each row sum adds its terms by ascending column and each column sum by
+    ascending row, as the CSR matvecs do, and ||mat||_F is taken over the
+    nonzero entries row by row, as the CSR stores them, so a mat with no
+    stored zeros has the bound of its CSR form bit for bit. The sums run
+    over blocks of 2^14 rows and columns, which stay in cache. The
+    row-by-row pass is skipped when ||mat||_F summed in the diagonals'
+    order is above the other bound by more than rounding, as a band of
+    many rows has it."""
+    n = mat.shape[0]
+    diagonals = list(_in_range(mat))
+    block = 1 << 14
+    row_max = col_max = squares = 0.0
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        row_sums, col_sums = np.zeros(hi - lo), np.zeros(hi - lo)
+        for k, row, _, rows in diagonals:
+            start = max(rows.start, lo)
+            stop = max(min(rows.stop, hi), start)
+            row_sums[start - lo:stop - lo] += np.abs(row[start + k:stop + k])
+        for _, row, cols, _ in diagonals[::-1]:
+            start = max(cols.start, lo)
+            absolute = np.abs(row[start:max(min(cols.stop, hi), start)])
+            col_sums[start - lo:start - lo + absolute.size] += absolute
+            squares += absolute @ absolute
+        row_max, col_max = max(row_max, row_sums.max()), max(col_max, col_sums.max())
+    bound = np.sqrt(col_max * row_max)
+    # two orders of a sum of size nonnegative terms differ by less than
+    # size * eps of it, so above this margin fro is not the minimum
+    if np.sqrt(squares) > bound * (1.0 + 2.0 * n * len(diagonals) * np.finfo(float).eps):
+        return float(bound)
+    by_row = np.zeros((len(diagonals), n))
+    for out, (_, row, cols, rows) in zip(by_row, diagonals):
+        out[rows] = np.abs(row[cols])
+    return float(min(np.linalg.norm(by_row.T[by_row.T != 0]), bound))
+
+
 def half_bandwidths(mat) -> tuple[int, int]:
-    """(kl, ku) of a CSR mat: the largest distance below and above the
-    diagonal of a stored entry, from its pattern in O(nnz). Read once per
-    problem, for A1, A2 and A3, by TwoParProblem._a_bands alone."""
-    offsets = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    """(kl, ku) of a dia_array or CSR mat: the largest distance below and
+    above the diagonal of a stored entry, from the offsets or from the
+    pattern in O(nnz). Read once per problem, for A1, A2 and A3, by
+    TwoParProblem.__init__ alone."""
+    if mat.format == "dia":
+        offsets = mat.offsets
+    else:
+        offsets = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
 
@@ -99,15 +175,14 @@ class Factorization:
 
     storage names the path taken. A dense matrix is "dense": LAPACK's LU
     (zgetrf). A dia_array, the form in which TwoParProblem.eval_a delivers
-    an M(lam) that the problem has found narrow (_a_bands, the package's
+    M(lam) for a problem whose __init__ has found it narrow (the package's
     one band decision), is "band": packed into LAPACK band storage and
     factorized by the band LU, with bandwidths = (kl, ku) read from its
     offsets; the split Helmholtz M(lam) has (2, 1). The band LU keeps a
     float64 matrix real (dgbtrf), at half the bytes of the complex one
     (zgbtrf) that any other dtype gets. Any other sparse matrix is "sparse":
     SuperLU, with no scan of its pattern, since the problem has already
-    found its band too wide (TwoParProblem._a_bands). Neither sparse path
-    keeps the matrix.
+    found its band too wide. Neither sparse path keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization; a solve returns complex128 on every path, a
@@ -171,15 +246,14 @@ def _band_lu(mat, kl, ku):
     otherwise. Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran
     order, with kl rows on top for the fill of row interchanges; U's
     diagonal ends up in row kl + ku. A dia_array keeps entry (j - k, j) of
-    diagonal k in column j as well, so each stored row is copied into its
-    row of band storage as it is, and nothing but the band array has the
-    size of mat."""
+    diagonal k in column j as well, so the columns of each stored row that
+    lie in mat are copied into its row of band storage as they are, and
+    nothing but the band array has the size of mat."""
     n = mat.shape[0]
     real = mat.dtype == np.float64
     ab = np.zeros((2 * kl + ku + 1, n), dtype=np.float64 if real else np.complex128,
                   order="F")
-    for k, row in zip(mat.offsets, mat.data):
-        cols = slice(max(k, 0), min(n + min(k, 0), row.size))
+    for k, row, cols, _ in _in_range(mat):
         ab[kl + ku - k, cols] = row[cols]
     gbtrf = lapack.dgbtrf if real else lapack.zgbtrf
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)

@@ -84,9 +84,16 @@ def _default_c(m) -> np.ndarray:
 class TwoParProblem:
     """Immutable container for the six coefficient matrices and the normalization c.
 
-    A1, A2, A3 are n x n (dense ndarray or scipy.sparse, stored as CSR);
-    B1, B2, B3 are m x m dense; all six are stored complex128, and is_real
-    says whether their imaginary parts are all zero. c is a complex
+    A1, A2, A3 are n x n, dense ndarray or scipy.sparse; B1, B2, B3 are
+    m x m and stored dense. The band is decided once, here: when A1, A2 and
+    A3 are all sparse and M(lam) = A1 + lam*A2 + mu*A3, whose half-bandwidths
+    are the largest of theirs (_linalg.half_bandwidths), has kl + ku at most
+    _linalg.BAND_MAX, each is stored as a dia_array of its own diagonals
+    (_linalg.to_diagonals), float64 when all three have exactly zero
+    imaginary parts and complex128 otherwise, with no CSR copy beside it.
+    Any other sparse A side is stored as complex CSR, a dense one as
+    complex128, and the B side is complex128. is_real says whether the
+    imaginary parts of all six are zero. c is a complex
     m-vector fixing the eigenvector scaling of the small equation through
     c^T y = 1 (unconjugated transpose).
     c=None takes the fixed-seed draw of _default_c.
@@ -100,13 +107,22 @@ class TwoParProblem:
     """
 
     def __init__(self, A1, A2, A3, B1, B2, B3, c, label="2ep"):
-        self.A1 = _linalg.to_complex(A1)
-        self.A2 = _linalg.to_complex(A2)
-        self.A3 = _linalg.to_complex(A3)
-        _check_square(self.A1, "A1")
-        n = self.A1.shape[0]
-        _check_square(self.A2, "A2", n)
-        _check_square(self.A3, "A3", n)
+        A = [M if sp.issparse(M) else np.asarray(M) for M in (A1, A2, A3)]
+        _check_square(A[0], "A1")
+        n = A[0].shape[0]
+        _check_square(A[1], "A2", n)
+        _check_square(A[2], "A3", n)
+        bands = None
+        if all(sp.issparse(M) for M in A):
+            A = [M if M.format == "dia" else M.tocsr() for M in A]
+            bands = [_linalg.half_bandwidths(M) for M in A]
+        if bands is not None and sum(np.max(bands, axis=0)) <= _linalg.BAND_MAX:
+            real = not any(np.iscomplexobj(M.data) and np.any(M.data.imag) for M in A)
+            dtype = np.float64 if real else np.complex128
+            A = [_linalg.to_diagonals(M, *band, dtype) for M, band in zip(A, bands)]
+        else:
+            A = [_linalg.to_complex(M) for M in A]
+        self.A1, self.A2, self.A3 = A
         B1, B2, B3 = (
             _linalg.to_dense(M).astype(np.complex128)
             for M in (B1, B2, B3)
@@ -131,12 +147,14 @@ class TwoParProblem:
                     *(self.b3_rank_one or ())):
             if not sp.issparse(mat):
                 mat.flags.writeable = False
-                continue
-            # canonical first, so that scipy never needs to sort or merge
-            # the frozen arrays in place later
-            mat.sum_duplicates()
-            for arr in (mat.data, mat.indices, mat.indptr):
-                arr.flags.writeable = False
+            elif mat.format == "dia":
+                mat.data.flags.writeable = mat.offsets.flags.writeable = False
+            else:
+                # canonical first, so that scipy never needs to sort or
+                # merge the frozen arrays in place later
+                mat.sum_duplicates()
+                for arr in (mat.data, mat.indices, mat.indptr):
+                    arr.flags.writeable = False
         self.norms_a = tuple(_linalg.norm2_bound(M) for M in (self.A1, self.A2, self.A3))
         self.norms_b = tuple(_linalg.norm2_bound(M) for M in (self.B1, self.B2, self.B3))
         from . import pencil
@@ -172,55 +190,37 @@ class TwoParProblem:
         exactly zero: the package's one realness rule, read by eval_a, by
         the rank-one branch (pencil._rank_one_points) and by the oracle
         (delta.solve). Decided once per problem, on first use, from the
-        stored entries; the matrices are read-only."""
+        stored entries, which a float64 A side has none of; the matrices
+        are read-only."""
         mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)
-        return not any(np.any((M.data if sp.issparse(M) else M).imag) for M in mats)
-
-    @functools.cached_property
-    def _a_bands(self):
-        """The half-bandwidths (kl, ku) of A1, A2 and A3 when all three are
-        sparse and M(lam)'s, the largest kl and ku, add up to at most
-        _linalg.BAND_MAX; else None. Read from the three patterns once per
-        problem, on first use: the package's one narrow-band decision,
-        which eval_a carries to _linalg.Factorization by building a
-        narrow M(lam) as a dia_array and any other as CSR."""
-        mats = (self.A1, self.A2, self.A3)
-        if not all(sp.issparse(M) for M in mats):
-            return None
-        bands = [_linalg.half_bandwidths(M) for M in mats]
-        return bands if sum(np.max(bands, axis=0)) <= _linalg.BAND_MAX else None
+        return not any(np.iscomplexobj(M) and np.any(M.imag)
+                       for M in (M.data if sp.issparse(M) else M for M in mats))
 
     def eval_a(self, lam, mu):
         """M(lam) = A1 + lam*A2 + mu*A3, for factorizing: the one builder of
-        M(lam), bit-equal to that expression. A narrow-band M (_a_bands) is
-        a dia_array built diagonal by diagonal, each summed as
-        (a1 + lam*a2) + mu*a3 from the diagonals each matrix has, so no CSR
-        sum is formed and _linalg.Factorization reads its band from the
-        offsets. When the problem is real (is_real) and lam and mu have
-        exactly zero imaginary parts, that dia_array is float64, summed from
-        the real parts of the same diagonals: each entry is the real part of
-        the complex sum, whose imaginary part is exactly 0 there, and the
-        band is factorized in real arithmetic. Any other sparse M is the
-        complex CSR sum; a dense M is summed in one complex output array,
-        DENSE_SUM_ROWS rows at a time."""
-        bands = self._a_bands
-        if bands is not None:
+        M(lam), bit-equal to that expression. When A1-A3 are stored by their
+        diagonals (the band decision of __init__), M is a dia_array of
+        diagonals -kl..ku, the widest of theirs, each the sum
+        (a1 + lam*a2) + mu*a3 of the stored rows of the matrices that have
+        it, so no CSR sum is formed and _linalg.Factorization reads its band
+        from the offsets. When the problem is real (is_real) and lam and mu
+        have exactly zero imaginary parts, that dia_array is float64: each
+        entry is the real part of the complex sum, whose imaginary part is
+        exactly 0 there, and the band is factorized in real arithmetic. Any
+        other sparse M is the complex CSR sum; a dense M is summed in one
+        complex output array, DENSE_SUM_ROWS rows at a time."""
+        if isinstance(self.A1, sp.dia_array):
             n = self.n
-            kl, ku = np.max(bands, axis=0)
+            mats = (self.A1, self.A2, self.A3)
+            offsets = np.concatenate([M.offsets for M in mats])
+            kl, ku = -offsets.min(), offsets.max()
             real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
             if real:
                 lam, mu = np.real(lam), np.real(mu)
             data = np.zeros((kl + ku + 1, n), dtype=np.float64 if real else np.complex128)
-            for mat, scale, (lo, hi) in zip((self.A1, self.A2, self.A3), (None, lam, mu),
-                                            bands):
-                for k in range(-lo, hi + 1):
-                    term = mat.diagonal(k)
-                    if real:
-                        term = term.real
-                    if scale is not None:
-                        term *= scale  # as scipy's scalar product, data * scale
-                    # a dia_array keeps entry (j - k, j) of diagonal k in column j
-                    data[kl + k, max(k, 0):n + min(k, 0)] += term
+            for mat, scale in zip(mats, (None, lam, mu)):
+                for k, row in zip(mat.offsets, mat.data):
+                    data[kl + k] += row if scale is None else row * scale
             return sp.dia_array((data, np.arange(-kl, ku + 1)), shape=(n, n))
         if self.is_sparse:
             return self.A1 + lam * self.A2 + mu * self.A3

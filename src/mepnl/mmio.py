@@ -1,8 +1,10 @@
 """Matrix Market persistence for problems.
 
 A problem is stored as seven files: A1..A3, B1..B3 and the normalization
-vector c (as an m x 1 array). Sparse matrices use the coordinate format
-with explicit zeros kept in the pattern, dense ones the array format.
+vector c (as an m x 1 array). Sparse matrices use the coordinate format,
+in their own field (real for a problem's float64 diagonals), with the
+explicit zeros of a CSR or COO pattern kept and those of a dia_array's
+diagonals left out; dense ones use the array format.
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 Fixing one branch mu = g(lam) of the small pencil turns the large equation
 into a nonlinear eigenvalue problem in lam alone. A NepView binds a problem
 to one branch through that branch's last BranchPoint and provides its
-branch points, its factorizations of M(sigma) and their one refusal, at
-the point of the last factorization.
+branch points, and the factorization of M(sigma) and its one refusal at
+the point where the last branch_point call left the view.
 """
 from __future__ import annotations
 
@@ -37,17 +37,20 @@ class NepView:
         self.point = pencil.continue_branch(self.problem, self.point, lam)
         return self.point
 
-    def factorization(self, sigma) -> _linalg.Factorization:
-        """Factorization of M(sigma) on the branch, singular or not (the LU
-        floors an exactly zero pivot); refuse_singular judges it by a solve."""
-        bp = self.branch_point(sigma)
+    def factorization(self) -> _linalg.Factorization:
+        """Factorization of M(sigma) at the view's point, where the last
+        branch_point(sigma) left it, singular or not (the LU floors an
+        exactly zero pivot); refuse_singular judges it by a solve. It
+        continues nothing."""
+        bp = self.point
         return _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
 
     def refuse_singular(self, b, x):
-        """Raise ShiftIsEigenvalue when x, solved from b with the last
-        factorization(sigma) or its adjoint, proves M(sigma) numerically
-        singular (proves_singular at RCOND_SINGULAR and scale_a at the point
-        that factorization took): the package's one refusal of an M(sigma)."""
+        """Raise ShiftIsEigenvalue when x, solved from b with factorization()
+        or its adjoint, proves M(sigma) numerically singular
+        (proves_singular at RCOND_SINGULAR and scale_a at the view's point,
+        which that factorization took): the package's one refusal of an
+        M(sigma)."""
         bp = self.point
         if _linalg.proves_singular(b, x, self.problem.scale_a(bp.lam, bp.mu),
                                    _linalg.RCOND_SINGULAR):

@@ -197,9 +197,11 @@ def gen_helmholtz(config: HelmholtzConfig) -> HelmholtzDiscretization:
     differences for u'' + kappa^2 u - lam u on [0, x1], a Dirichlet row at
     0, and a one-sided second-order stencil at x1 for the interface
     condition u'(x1) - mu u(x1) = 0 (the mu term is the only entry of A3).
-    It is assembled directly in CSR from flat real arrays, in O(n) time and
-    memory, and cast to complex only when each matrix is made. Its M(lam)
-    has two sub-diagonals and one super-diagonal, so it takes the band LU.
+    Each matrix is assembled directly as a float64 dia_array of its
+    diagonals, -2..1 for A1 and the main one for A2 and A3, from flat real
+    arrays in O(n) time and memory: the form TwoParProblem stores a narrow
+    A side in, so it keeps them without a copy. Its M(lam) has two
+    sub-diagonals and one super-diagonal, so it takes the band LU.
     Small equation (m x m, dense): Chebyshev collocation on [x1, x2] with
     the same interface condition in row 0 and a Neumann row at x2. Both
     equations are row-scaled to unit diagonal at (lam, mu) = (1, 1); row
@@ -213,39 +215,31 @@ def gen_helmholtz(config: HelmholtzConfig) -> HelmholtzDiscretization:
     h = config.x1 / (n - 1)
     ka = config.kappa_a_values(grid_a)
 
-    # A1 in CSR arrays: the Dirichlet row 0, then three entries per row, the
-    # interior stencil on rows 1..n-2 and the one-sided interface row n-1
-    stencil = np.empty((n - 1, 3))
-    stencil[:, 0] = 1.0 / h**2
-    stencil[:, 1] = -2.0 / h**2 + ka[1:] ** 2
-    stencil[:, 2] = 1.0 / h**2
-    stencil[-1] = (1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h))
-    cols = np.arange(n - 1)[:, None] + np.arange(3)  # row i: i-1, i, i+1
-    cols[-1] -= 1  # row n-1: n-3, n-2, n-1
-    a1_head = np.array([1.0])
-    a1_diag = np.concatenate((a1_head, stencil[:-1, 1], stencil[-1:, 2]))
+    # A1 by its diagonals -2..1, diagonal k in row k + 2 holding entry
+    # (j - k, j) in column j, as a dia_array keeps it: the Dirichlet row 0,
+    # the interior stencil on rows 1..n-2 at columns i-1, i, i+1 and the
+    # one-sided interface row n-1 at columns n-3, n-2, n-1
+    a1 = np.zeros((4, n))
+    a1[2, 0] = 1.0
+    a1[1, :n - 2] = a1[3, 2:] = 1.0 / h**2
+    a1[2, 1:n - 1] = -2.0 / h**2 + ka[1:-1] ** 2
+    a1[0, n - 3], a1[1, n - 2], a1[2, n - 1] = 1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h)
     # A2 is -1 on the interior diagonal, A3 a single -1 at (n-1, n-1)
-    a2_diag = np.zeros(n)
-    a2_diag[1:-1] = -1.0
-    a3_diag = np.zeros(n)
-    a3_diag[-1] = -1.0
-    # unit diagonal at (1, 1); real arithmetic keeps the imaginary zeros
-    # +0.0 after the cast
-    s = 1.0 / ((a1_diag + a2_diag) + a3_diag)
-    a1_head = a1_head * s[0]
-    stencil = stencil * s[1:, None]
-    a2_diag = a2_diag * s
-    a3_diag = a3_diag * s
-
-    def csr(data, indices, indptr):
-        return sp.csr_matrix((data.astype(np.complex128), indices, indptr), shape=(n, n))
-
-    A1 = csr(np.concatenate((a1_head, stencil.ravel())),
-             np.concatenate(([0], cols.ravel())),
-             np.concatenate(([0], np.arange(1, 3 * n - 1, 3))))
-    A2 = csr(a2_diag[1:-1], np.arange(1, n - 1),
-             np.concatenate(([0], np.arange(n - 1), [n - 2])))
-    A3 = csr(a3_diag[-1:], [n - 1], np.concatenate((np.zeros(n, dtype=int), [1])))
+    a2 = np.zeros((1, n))
+    a2[0, 1:-1] = -1.0
+    a3 = np.zeros((1, n))
+    a3[0, -1] = -1.0
+    # unit diagonal at (1, 1): each entry of row i is scaled by s[i] in
+    # place, and no zero of a diagonal is, so every zero stays +0.0
+    s = 1.0 / ((a1[2] + a2[0]) + a3[0])
+    a1[0, n - 3] *= s[-1]
+    a1[1, :n - 1] *= s[1:]
+    a1[2] *= s
+    a1[3, 2:] *= s[1:-1]
+    a2[0, 1:-1] *= s[1:-1]
+    a3[0, -1] *= s[-1]
+    A1 = sp.dia_array((a1, np.arange(-2, 2)), shape=(n, n))
+    A2, A3 = (sp.dia_array((a, [0]), shape=(n, n)) for a in (a2, a3))
 
     N = m - 1
     D_t, t = _cheb(N)

@@ -113,7 +113,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     raised). A run is nonfinite when u is not finite or an update would make
     lam or x non-finite; the last finite iterate is returned. When u proves
     M(lam_k) at an iterate k >= 1 singular (NepView.refuse_singular, which
-    reads the point that the factorization of M(lam_k) took), u is
+    reads the view's point at lam_k, where the factorization took M), u is
     still the inverse-iteration direction at the accuracy limit: the step is
     taken and its iterate k + 1, one of the maxit steps, recorded, and the
     run ends there, "converged" when it meets tol and "stagnated"
@@ -143,7 +143,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         gprime = pencil.g_prime_closed_form(problem, bp)
         rhs = a2x + gprime * a3x
         del a1x, a2x, a3x  # n-vectors not held across the LU of M(lam_k)
-        u = nep.factorization(lam).solve(rhs)  # M(lam_k)'s LU is freed here
+        u = nep.factorization().solve(rhs)  # M(lam_k)'s LU is freed here
         dtu = d @ u
         if not np.isfinite(dtu):
             trace.termination = "nonfinite"
@@ -223,7 +223,8 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     """Residual inverse iteration with a fixed shift sigma (Neumaier, SIAM J.
     Numer. Anal. 1985).
 
-    M(sigma) is factorized once (NepView.factorization); that LU also gives
+    M(sigma) is factorized once (NepView.factorization, with the view moved
+    to sigma by branch_point); that LU also gives
     the fixed left projection vector w = M(sigma)^{-H} x0, normalized, a
     solve that refuses M(sigma) when it proves it singular
     (NepView.refuse_singular, at the point that factorization took). It
@@ -244,7 +245,8 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     _require_budget(config)
     problem = nep.problem
     sigma = complex(config.sigma)
-    fact = nep.factorization(sigma)
+    nep.branch_point(sigma)
+    fact = nep.factorization()
     x0 = np.asarray(x0, dtype=np.complex128)
     x = x0 / np.linalg.norm(x0)
     w = fact.solve(x0, adjoint=True)

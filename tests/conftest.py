@@ -13,8 +13,8 @@ def nan_at_second_solve(monkeypatch):
     original = nep.NepView.factorization
     calls = []
 
-    def factorization(self, sigma):
-        fact = original(self, sigma)
+    def factorization(self):
+        fact = original(self)
         solve = fact.solve
 
         def nan_on_second(b, adjoint=False):

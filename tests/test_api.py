@@ -86,17 +86,17 @@ def test_only_linalg_builds_lus():
 
 
 def test_only_core_decides_the_band():
-    """TwoParProblem._a_bands is the package's one narrow-band decision: no
-    module but core.py calls _linalg.half_bandwidths or reads BAND_MAX, so
+    """TwoParProblem.__init__ is the package's one narrow-band decision: no
+    other function calls _linalg.half_bandwidths or reads BAND_MAX, so
     Factorization scans no pattern of its own and bands every dia_array
     without a second test of its width."""
-    assert _package_scopes(_calls("half_bandwidths")) == ["core.TwoParProblem._a_bands"]
+    assert _package_scopes(_calls("half_bandwidths")) == ["core.TwoParProblem.__init__"]
 
     def reads_band_max(node):
         return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                 and getattr(node, "id", getattr(node, "attr", None)) == "BAND_MAX")
 
-    assert _package_scopes(reads_band_max) == ["core.TwoParProblem._a_bands"]
+    assert _package_scopes(reads_band_max) == ["core.TwoParProblem.__init__"]
 
 
 def test_one_builder_of_a_branch_point():
@@ -152,11 +152,12 @@ def test_a_problem_keeps_no_branch_points():
     assert sorted(set(found) - {"core.TwoParProblem.__init__"}) == []
 
 
-def test_only_a_factorization_moves_a_view():
+def test_only_branch_point_moves_a_view():
     """A NepView's point is set in its __init__ and moved only by
-    NepView.branch_point, which only NepView.factorization calls on the
-    view: so refuse_singular, which reads the view's point, judges M(sigma)
-    at the point of the last factorization and continues nothing."""
+    NepView.branch_point, which no method of the view calls: so
+    factorization and refuse_singular, which read the view's point, take
+    and judge M(sigma) where the caller's last branch_point left it, and
+    continue nothing."""
     tree = ast.parse((Path(mepnl.__file__).parent / "nep.py").read_text())
 
     def on_self(attr, node):
@@ -173,8 +174,7 @@ def test_only_a_factorization_moves_a_view():
 
     assert sorted(set(_scopes(tree, "nep", assigns_point))) == [
         "nep.NepView.__init__", "nep.NepView.branch_point"]
-    assert sorted(set(_scopes(tree, "nep", calls_branch_point))) == [
-        "nep.NepView.factorization"]
+    assert sorted(set(_scopes(tree, "nep", calls_branch_point))) == []
 
 
 def test_only_linalg_runs_eigensolvers():

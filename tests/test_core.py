@@ -52,33 +52,50 @@ def test_matrices_read_only_and_complex():
 
 
 def test_sparse_matrices_read_only():
+    # a narrow A side is kept as its diagonals, a wide one as CSR; each
+    # array of either form is frozen
     p = mepnl.gen_helmholtz(mepnl.HelmholtzConfig(n=600, m=10)).problem
     assert sp.issparse(p.A1)
     with pytest.raises(ValueError):
         p.A1.data[0] = 5.0
     for mat in (p.A1, p.A2, p.A3):
+        assert mat.format == "dia"
+        for arr in (mat.data, mat.offsets):
+            assert not arr.flags.writeable
+    full = sp.csr_matrix(np.ones((12, 12)))
+    q = mepnl.TwoParProblem(full, full, full, np.eye(2), np.eye(2), np.eye(2), [1, 0])
+    for mat in (q.A1, q.A2, q.A3):
+        assert mat.format == "csr"
         for arr in (mat.data, mat.indices, mat.indptr):
             assert not arr.flags.writeable
 
 
 def test_sparse_duplicates_summed_before_freezing():
-    # a complex CSR matrix, which the container keeps without a copy,
-    # holding entry (0, 0) twice and unsorted column indices
-    dup = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0j]),
-                         np.array([0, 0, 1, 2, 1]), np.array([0, 2, 3, 5])),
-                        shape=(3, 3))
-    dense = dup.toarray()
-    eye = sp.identity(3, format="csr")
-    p = mepnl.TwoParProblem(dup, eye, eye, np.eye(2), np.eye(2), np.eye(2), [1, 0])
-    assert p.A1.has_canonical_format and p.A1.nnz == 4
-    np.testing.assert_array_equal(p.A1.toarray(), dense)
-    x = np.arange(1.0, 4.0)
-    lam, mu = 0.5, -0.25j
-    want = (dense + lam * np.eye(3) + mu * np.eye(3)) @ x
-    np.testing.assert_allclose(p.apply_a(lam, mu, x), want, rtol=1e-15)
-    np.testing.assert_allclose(p.eval_a(lam, mu) @ x, want, rtol=1e-15)
-    fact = mepnl._linalg.Factorization(p.eval_a(lam, mu))
-    np.testing.assert_allclose(fact.solve(want), x, rtol=1e-12)
+    # a complex CSR matrix holding entry (0, 0) twice and unsorted column
+    # indices: narrow, it is stored by its diagonals, which sum the
+    # duplicates; wide (an entry in the far corner), it is kept without a
+    # copy and made canonical before it is frozen
+    n = 12
+    for corner in ([], [6.0]):
+        dup = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0j] + corner),
+                             np.array([0, 0, 1, 2, 1] + [0] * len(corner)),
+                             np.array([0, 2, 3] + [5] * (n - 3) + [5 + len(corner)])),
+                            shape=(n, n))
+        dense = dup.toarray()
+        eye = sp.identity(n, format="csr")
+        p = mepnl.TwoParProblem(dup, eye, eye, np.eye(2), np.eye(2), np.eye(2), [1, 0])
+        if corner:
+            assert p.A1 is dup and p.A1.has_canonical_format and p.A1.nnz == 5
+        else:
+            assert p.A1.format == "dia"
+        np.testing.assert_array_equal(p.A1.toarray(), dense)
+        x = np.arange(1.0, n + 1.0)
+        lam, mu = 0.5, -0.25j
+        want = (dense + lam * np.eye(n) + mu * np.eye(n)) @ x
+        np.testing.assert_allclose(p.apply_a(lam, mu, x), want, rtol=1e-15)
+        np.testing.assert_allclose(p.eval_a(lam, mu) @ x, want, rtol=1e-15)
+        fact = mepnl._linalg.Factorization(p.eval_a(lam, mu))
+        np.testing.assert_allclose(fact.solve(want), x, rtol=1e-12)
 
 
 def test_sparse_a_side_and_sparse_b_densified():
@@ -139,19 +156,27 @@ def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
     assert fact.storage == storage and fact.bandwidths == bandwidths
 
 
-def test_norm2_bound_lies_between_2_norm_and_frobenius():
+def norm_bound_matrices(n=60):
+    """Dense and sparse matrices of orders 1 to n for norm2_bound: complex
+    dense ones, a stencil (the fourth), a full rank-one CSR matrix, a
+    sparse one with an empty row and column, and a zero one."""
     rng = np.random.default_rng(3)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    n = 60
     stencil = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n))
     holed = sp.random(n, n, density=0.1, random_state=4, format="lil")
     holed[5, :] = 0.0
     holed[:, 7] = 0.0
-    mats = [cplx(k, k) for k in (1, 3, 20)] + [
+    return [cplx(k, k) for k in (1, 3, 20)] + [
         stencil, sp.csr_matrix(np.outer(cplx(n), cplx(n))), holed, np.zeros((n, n))]
+
+
+def test_norm2_bound_lies_between_2_norm_and_frobenius():
+    n = 60
+    mats = norm_bound_matrices(n)
+    stencil = mats[3]
     for mat in mats:
         dense = _linalg.to_dense(mat)
         bound = _linalg.norm2_bound(dense)
@@ -161,6 +186,47 @@ def test_norm2_bound_lies_between_2_norm_and_frobenius():
     # sqrt(||M||_1 ||M||_inf) of a stencil stays at 4 whatever its order
     assert _linalg.norm2_bound(stencil) == 4.0
     assert _linalg.norm2_bound(np.zeros((n, n))) == 0.0
+
+
+def test_norm2_bound_of_diagonals_is_the_csr_value_bit_for_bit():
+    # each matrix of the set as a dia_array: its bound equals that of its
+    # CSR form to the last bit, whatever the padding outside the matrix holds
+    for mat in norm_bound_matrices():
+        csr = sp.csr_array(_linalg.to_dense(mat))
+        with warnings.catch_warnings():  # the full matrices have 2n - 1 diagonals
+            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+            dia = sp.dia_array(csr)
+        want = _linalg.norm2_bound(csr)
+        assert _linalg.norm2_bound(dia) == want
+        n, width = dia.shape[0], dia.data.shape[1]
+        cols = np.arange(width)
+        inside = (cols >= np.maximum(dia.offsets, 0)[:, None]) & (
+            cols < np.minimum(n + dia.offsets, n)[:, None])
+        padded = sp.dia_array((np.where(inside, dia.data, np.nan), dia.offsets),
+                              shape=dia.shape)
+        assert _linalg.norm2_bound(padded) == want
+
+
+def test_stored_diagonals_multiply_as_complex_csr_bit_for_bit():
+    # a real Helmholtz A side, stored by its float64 diagonals: A_i @ x,
+    # apply_a and eval_a give the bits of the complex CSR products and sum,
+    # since a dia_array adds its diagonals in the CSR's column order
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=2000)).problem
+    csr = [M.tocsr().astype(np.complex128) for M in (p.A1, p.A2, p.A3)]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+
+    def same(got, want):
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    for M, ref in zip((p.A1, p.A2, p.A3), csr):
+        assert same(M @ x, ref @ x)
+    for lam, mu in ((1.5, 0.5), (1.5 + 0j, -0.25 + 0j), (0.7 - 0.2j, 1.1 + 0.3j)):
+        want = csr[0] @ x + lam * (csr[1] @ x) + mu * (csr[2] @ x)
+        assert same(p.apply_a(lam, mu, x), want)
+        M = _linalg.to_dense(p.eval_a(lam, mu))
+        total = _linalg.to_dense(csr[0] + lam * csr[1] + mu * csr[2])
+        assert same(M.astype(np.complex128), total)
 
 
 def test_helmholtz_scale_does_not_grow_with_n():

@@ -25,6 +25,12 @@ def helmholtz_m(n, lam=1.0 + 1.0j, mu=0.5):
     return helmholtz(n).eval_a(lam, mu)
 
 
+def complex_csr_sum(p, lam, mu):
+    """A1 + lam*A2 + mu*A3 of p summed as complex CSR matrices."""
+    A1, A2, A3 = (M.tocsr().astype(np.complex128) for M in (p.A1, p.A2, p.A3))
+    return A1 + lam * A2 + mu * A3
+
+
 def backward_error(M, x, b):
     return np.linalg.norm(M @ x - b) / (spla.norm(M, 1) * np.linalg.norm(x) + np.linalg.norm(b))
 
@@ -69,7 +75,7 @@ def test_real_band_m_is_built_and_factorized_in_float64():
     assert p.is_real
     M = p.eval_a(lam, mu)
     assert M.format == "dia" and M.dtype == np.float64
-    ref = p.A1 + lam * p.A2 + mu * p.A3
+    ref = complex_csr_sum(p, lam, mu)
     assert ref.dtype == np.complex128 and not np.any(ref.data.imag)
     for k in M.offsets:
         np.testing.assert_array_equal(M.diagonal(k), ref.diagonal(k).real)
@@ -91,7 +97,7 @@ def test_complex_lam_mu_or_matrices_keep_m_complex(lam, mu, imaginary_a):
         assert not p.is_real
     M = p.eval_a(lam, mu)
     assert M.format == "dia" and M.dtype == np.complex128
-    assert (M != p.A1 + lam * p.A2 + mu * p.A3).nnz == 0
+    assert (M != complex_csr_sum(p, lam, mu)).nnz == 0
     fact = _linalg.Factorization(M)
     assert fact.storage == "band" and fact._lu[0].dtype == np.complex128
 
@@ -185,7 +191,8 @@ def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
     p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2),
                             np.eye(2), np.ones(2))
     view = nep.NepView(p)
-    assert view.factorization(0.3).storage == storage
+    view.branch_point(0.3)
+    assert view.factorization().storage == storage
     with pytest.raises(ShiftIsEigenvalue, match="^a solve with M\\(sigma\\) proves it"):
         solvers.resinv(view, np.ones(M.shape[0]), solvers.SolverConfig(sigma=0.3))
 
@@ -231,7 +238,8 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
                                np.diag([1.0, 2.0]), np.eye(2), np.eye(2), np.ones(2))
     view = nep.NepView(wide)
     for sigma in (0.3, 0.4):
-        assert view.factorization(sigma).storage == "sparse"
+        view.branch_point(sigma)
+        assert view.factorization().storage == "sparse"
     tridiagonal = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30), format="csr")
     assert _linalg.Factorization(tridiagonal).storage == "sparse"
     assert scans == [wide.A1.nnz, wide.A2.nnz, wide.A3.nnz]
@@ -239,13 +247,15 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     n = 100_000
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
     view = nep.NepView(p)
-    view.factorization(1.0 + 1.0j)
+    view.branch_point(1.0 + 1.0j)
+    view.factorization()
     m_bytes = (2 + 1 + 1) * n * 16
     band_bytes = (2 * 2 + 1 + 1) * n * 16
     gc.collect()
     tracemalloc.start()
     try:
-        fact = view.factorization(1.5 + 1.0j)
+        view.branch_point(1.5 + 1.0j)
+        fact = view.factorization()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -253,7 +263,8 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     # M's diagonals, the band array and the pivot indices; anything else
     # is smaller than one array of length n
     assert peak < m_bytes + band_bytes + 4 * n + n
-    view.factorization(2.0 + 1.0j)
+    view.branch_point(2.0 + 1.0j)
+    view.factorization()
     assert scans == [p.A1.nnz, p.A2.nnz, p.A3.nnz]
 
 
@@ -264,13 +275,15 @@ def test_view_factorization_builds_real_band_m_in_float64():
     n = 100_000
     p = helmholtz(n, x1=3.7, x2=5.0, kappa_a=2.0, kappa_b=2.0)
     view = nep.NepView(p, reference_lam=1.5)
-    view.factorization(1.5)
+    view.branch_point(1.5)
+    view.factorization()
     m_bytes = (2 + 1 + 1) * n * 8
     band_bytes = (2 * 2 + 1 + 1) * n * 8
     gc.collect()
     tracemalloc.start()
     try:
-        fact = view.factorization(1.6)
+        view.branch_point(1.6)
+        fact = view.factorization()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -298,9 +311,9 @@ def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
         monkeypatch.setattr(lapack, name, counted)
     factorization = nep.NepView.factorization
 
-    def counted_view(self, sigma):
+    def counted_view(self):
         calls["factorization"] += 1
-        return factorization(self, sigma)
+        return factorization(self)
 
     monkeypatch.setattr(nep.NepView, "factorization", counted_view)
     lam_k = problems.helmholtz_analytic_eigenvalues(kappa, x2, 1)[0]

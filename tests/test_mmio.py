@@ -107,6 +107,27 @@ def test_load_problem_dimension_errors(tmp_path):
         mmio.load_problem(paths[:5])
 
 
+def test_narrow_real_problem_round_trip(tmp_path):
+    # the A side goes out as real coordinate files and comes back as the
+    # same float64 diagonals, so M(lam) is the same to the last bit
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=300, m=6)).problem
+    written = mmio.save_problem(p, tmp_path)
+    for name in ("A1", "A2", "A3"):
+        with open(written[name]) as fh:
+            assert fh.readline().split() == [
+                "%%MatrixMarket", "matrix", "coordinate", "real", "general"]
+    back = mmio.load_problem([written[k] for k in mmio.MATRIX_NAMES],
+                             c_path=written["c"])
+    for name in ("A1", "A2", "A3"):
+        got, want = getattr(back, name), getattr(p, name)
+        assert got.format == "dia" and got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        assert got.data.tobytes() == want.data.tobytes()
+    for lam, mu in ((1.5, 0.5), (0.7 - 0.2j, 1.1 + 0.3j)):
+        got, want = back.eval_a(lam, mu), p.eval_a(lam, mu)
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+
+
 def test_sparse_problem_round_trip(tmp_path):
     disc = problems.gen_helmholtz(problems.HelmholtzConfig(n=600, m=6))
     p = disc.problem

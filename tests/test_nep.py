@@ -32,7 +32,8 @@ def test_solve_shifted_inverts_operator():
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
     sigma = 0.4 + 0.1j
-    fact = view.factorization(sigma)
+    view.branch_point(sigma)
+    fact = view.factorization()
     bp = view.point
     assert bp.lam == sigma
     u = fact.solve(rhs)
@@ -48,7 +49,8 @@ def test_shift_at_exact_singularity_raises():
                             np.diag([1.0, 2.0]), np.eye(m), np.eye(m),
                             np.ones(m))
     view = nep.NepView(p, branch_id=0)
-    view.factorization(0.0)  # built, floored, not refused
+    view.branch_point(0.0)
+    view.factorization()  # built, floored, not refused
     with pytest.raises(ShiftIsEigenvalue):
         solvers.resinv(view, np.ones(n), solvers.SolverConfig(sigma=0.0))
 

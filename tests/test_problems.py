@@ -129,11 +129,11 @@ def test_helmholtz_assembly_structure():
     np.testing.assert_array_equal(p.c, np.eye(cfg.m)[0])
 
 
-def test_small_helmholtz_keeps_csr_and_a_band_m():
-    # no order densifies the A side: a small problem's M(lam) takes the
-    # band LU as a large one's does
+def test_small_helmholtz_keeps_its_diagonals_and_a_band_m():
+    # no order densifies the A side: a small problem keeps A1-A3 by their
+    # diagonals, and its M(lam) takes the band LU, as a large one's does
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=41, m=6)).problem
-    assert all(M.format == "csr" for M in (p.A1, p.A2, p.A3))
+    assert all(M.format == "dia" for M in (p.A1, p.A2, p.A3))
     M = p.eval_a(1.0 + 1.0j, 0.5)
     assert M.format == "dia"
     fact = _linalg.Factorization(M)
@@ -141,8 +141,8 @@ def test_small_helmholtz_keeps_csr_and_a_band_m():
 
 
 def lil_reference(cfg):
-    """The A side by the LIL recipe that the direct CSR build replaced: kept
-    here as the oracle for byte-identical assembly."""
+    """The A side by a LIL recipe, as CSR matrices: the oracle for
+    byte-identical assembly."""
     n = cfg.n
     h = cfg.x1 / (n - 1)
     ka = cfg.kappa_a_values(np.linspace(0.0, cfg.x1, n))
@@ -170,11 +170,10 @@ def lil_reference(cfg):
 
 def assert_same_bytes(got, want):
     assert sp.issparse(got) and sp.issparse(want)
+    assert got.format == want.format == "dia"
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.has_canonical_format and want.has_canonical_format
-    for attr in ("data", "indices", "indptr"):
-        g, w = getattr(got, attr), getattr(want, attr)
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+    np.testing.assert_array_equal(got.offsets, want.offsets)
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
 # the ids' "True" names the row scaling, which the assembly always applies
@@ -186,7 +185,8 @@ def assert_same_bytes(got, want):
 def test_helmholtz_csr_assembly_matches_lil_recipe(n, kappa_a):
     cfg = problems.HelmholtzConfig(n=n, m=10, kappa_a=kappa_a)
     p = problems.gen_helmholtz(cfg).problem
-    # frozen the same way, so both sides are canonical and complex
+    # the direct build of the diagonals and a problem made from the recipe's
+    # complex CSR store the same float64 diagonals, byte for byte
     ref = mepnl.TwoParProblem(*lil_reference(cfg), p.B1, p.B2, p.B3, p.c)
     for name in ("A1", "A2", "A3"):
         assert_same_bytes(getattr(p, name), getattr(ref, name))
@@ -201,14 +201,34 @@ def test_helmholtz_assembly_builds_no_lil(monkeypatch):
         problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=6))
 
 
+def test_helmholtz_stores_its_diagonals_and_no_csr():
+    # A1-A3 are read-only float64 dia_arrays of their own diagonals, 6n
+    # entries in all; a problem made from their CSR forms stores the same
+    # diagonals, byte for byte, so either input meets one band decision
+    n = 2000
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n)).problem
+    mats = (p.A1, p.A2, p.A3)
+    for M in mats:
+        assert isinstance(M, sp.dia_array) and M.dtype == np.float64
+        assert np.all(np.diff(M.offsets) > 0)
+        assert not (M.data.flags.writeable or M.offsets.flags.writeable)
+    assert sum(M.data.size for M in mats) == 6 * n
+    assert not [name for name, value in vars(p).items()
+                if sp.issparse(value) and value.format != "dia"]
+    q = mepnl.TwoParProblem(*(M.tocsr() for M in mats), p.B1, p.B2, p.B3, p.c)
+    for got, want in zip((q.A1, q.A2, q.A3), mats):
+        assert_same_bytes(got, want)
+
+
 def test_helmholtz_large_assembly_structure():
     n = 200_000
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=6)).problem
-    for M, nnz in ((p.A1, 3 * n - 2), (p.A2, n - 2), (p.A3, 1)):
-        assert M.format == "csr" and M.has_canonical_format
-        assert M.dtype == np.complex128 and M.nnz == nnz
-        assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
-        for arr in (M.data, M.indices, M.indptr):
+    for M, offsets, nnz in ((p.A1, [-2, -1, 0, 1], 3 * n - 2), (p.A2, [0], n - 2),
+                            (p.A3, [0], 1)):
+        assert M.format == "dia" and list(M.offsets) == offsets
+        assert M.dtype == np.float64 and M.data.shape == (len(offsets), n)
+        assert np.count_nonzero(M.data) == nnz
+        for arr in (M.data, M.offsets):
             assert not arr.flags.writeable
 
 

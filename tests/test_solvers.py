@@ -149,14 +149,16 @@ def test_newton_takes_the_step_from_a_refused_iterate(monkeypatch):
 
 
 def test_refusal_reads_the_point_of_the_last_factorization(monkeypatch):
-    # refuse_singular judges M(sigma) at the point factorization(sigma) took,
-    # so it continues nothing: Newton continues the branch once to each
-    # iterate it takes, and once more when it factorizes there
+    # factorization() and refuse_singular both read the view's point, where
+    # branch_point(sigma) left it, so neither continues anything: Newton
+    # continues the branch once to its start and once per step, to the
+    # iterate the step takes, and resinv once, to its shift
     p = problems.gen_random(60, 5, seed=11)
     counts = count_calls(monkeypatch, ((pencil, "continue_branch"),))
     view = nep.NepView(p)
     b = np.ones(p.n)
-    x = view.factorization(0.3).solve(b)
+    view.branch_point(0.3)
+    x = view.factorization().solve(b)
     point = view.point
     assert point.lam == 0.3 and counts == {"continue_branch": 1}
     view.refuse_singular(b, x)
@@ -166,7 +168,12 @@ def test_refusal_reads_the_point_of_the_last_factorization(monkeypatch):
     counts["continue_branch"] = 0
     _, trace = solvers.augmented_newton(nep.NepView(p), 0.0, np.ones(p.n))
     assert trace.converged
-    assert counts["continue_branch"] == 1 + 2 * len(trace.alpha)
+    assert len(trace.alpha) >= 2
+    assert counts["continue_branch"] == 1 + len(trace.alpha)
+    counts["continue_branch"] = 0
+    _, trace = solvers.resinv(nep.NepView(p), np.ones(p.n),
+                              solvers.SolverConfig(sigma=trace.lam[-1] + 0.01))
+    assert trace.iterations >= 2 and counts["continue_branch"] == 1
 
 
 def test_newton_singular_start_raises():
