@@ -299,44 +299,90 @@ def _superlu(mat):
 
 
 class GeneralizedSchur:
-    """The complex generalized Schur form of a pencil (P, Q), for solves with
+    """The generalized Schur form of a pencil (P, Q), for solves with
     P + lam*Q and its conjugate transpose at any number of lam (Laub, IEEE
-    TAC 1981): P = X S Y^H and Q = X T Y^H with X, Y unitary and S, T upper
-    triangular, from one complex QZ (zgges). After that O(m^3) reduction a
-    lam costs two O(m^2) products with X and Y and one substitution with
-    S + lam*T, row by row for every lam at once; no LU is taken.
+    TAC 1981): P = X S Y^H and Q = X T Y^H with X, Y unitary, T upper
+    triangular and S upper quasi-triangular, from one QZ. A float64 pencil
+    keeps to real arithmetic, by geig's dtype rule (_real_or_complex): the
+    real QZ (dgges; Moler and Stewart, SIAM J. Numer. Anal. 1973) gives
+    real S, T, X and Y, and a 2x2 diagonal block of S for each complex
+    conjugate pair of eigenvalues. Any other pencil is made complex for the
+    complex QZ (zgges), whose S is triangular. After that O(m^3) reduction
+    a lam costs two O(m^2) products with X and Y and one substitution with
+    the quasi-triangular S + lam*T, block row by block row for every lam at
+    once; no LU is taken. The substitution runs in the dtype of S, lam and
+    b together, so the real form at a real lam and a real b gives a float64
+    solution.
 
-    An exactly zero diagonal entry of S + lam*T, as at a lam where P +
-    lam*Q is exactly singular, is replaced by eps*||S + lam*T||_1, as
-    Factorization floors an exactly zero pivot.
+    Each diagonal block of S + lam*T, 1x1 or 2x2, is solved by Gaussian
+    elimination with partial pivoting (_block_solve). An exactly zero
+    pivot, as at a lam where P + lam*Q is exactly singular, in a 1x1 block
+    or in an exactly singular 2x2 block, is replaced by eps*||S + lam*T||_1,
+    as Factorization floors an exactly zero pivot.
     """
 
     def __init__(self, P, Q):
-        self.S, self.T, self._x, self._y = sla.qz(P, Q, output="complex")
+        P, Q = _real_or_complex(P), _real_or_complex(Q)
+        real = P.dtype == Q.dtype == np.float64
+        self.S, self.T, self._x, self._y = sla.qz(P, Q, output="real" if real else "complex")
+        # the diagonal blocks of S, a 2x2 one where S has a nonzero entry
+        # below the diagonal
+        m, pair = self.S.shape[0], np.diagonal(self.S, -1) != 0
+        self._blocks, i = [], 0
+        while i < m:
+            size = 2 if i + 1 < m and pair[i] else 1
+            self._blocks.append(slice(i, i + size))
+            i += size
 
     def solve(self, lams, b, adjoint: bool = False):
         """Rows (P + lams[k]*Q)^-1 b, or (P + lams[k]*Q)^-H b with adjoint, as
         an array of shape (len(lams), m), for one lam or a whole grid alike:
-        one substitution over the m rows of S + lam*T, each row for every
-        lam at once."""
-        lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+        one substitution over the diagonal blocks of S + lam*T, each block
+        for every lam at once."""
+        lams = np.asarray(lams).reshape(-1)
         S, T = self.S, self.T
         m = S.shape[0]
-        diag = np.diagonal(S) + lams[:, None] * np.diagonal(T)
-        for k in np.flatnonzero(np.any(diag == 0, axis=1)):
-            floor = np.finfo(float).eps * np.linalg.norm(S + lams[k] * T, 1)
-            diag[k, diag[k] == 0] = floor
+        eps = np.finfo(float).eps
+
+        def floored(pivot):
+            if not pivot.all():
+                zero = np.flatnonzero(pivot == 0)
+                pivot[zero] = [eps * np.linalg.norm(self.S + lam * self.T, 1)
+                               for lam in lams[zero]]
+            return pivot
+
         rhs = (self._y if adjoint else self._x).conj().T @ b
         # back substitution with S + lam*T, or forward substitution with its
         # conjugate transpose S^H + conj(lam)*T^H
+        at = lams
         if adjoint:
-            S, T, lams, diag = S.conj().T, T.conj().T, lams.conj(), diag.conj()
-        out = np.empty((m, lams.size), dtype=np.complex128)
-        for i in range(m) if adjoint else range(m - 1, -1, -1):
-            done = slice(0, i) if adjoint else slice(i + 1, m)
-            rest = rhs[i] - S[i, done] @ out[done] - lams * (T[i, done] @ out[done])
-            out[i] = rest / diag[:, i]
+            S, T, at = S.conj().T, T.conj().T, lams.conj()
+        out = np.empty((m, lams.size), dtype=np.result_type(S, at, rhs))
+        for rows in self._blocks if adjoint else self._blocks[::-1]:
+            done = slice(0, rows.start) if adjoint else slice(rows.stop, m)
+            rest = (rhs[rows, None] - S[rows, done] @ out[done]
+                    - at * (T[rows, done] @ out[done]))
+            block = S[rows, rows, None] + at * T[rows, rows, None]
+            out[rows] = _block_solve(block, rest, floored)
         return out.T @ (self._x if adjoint else self._y).T
+
+
+def _block_solve(block, rest, floored):
+    """The solution of block[:, :, k] x = rest[:, k] for each k, block of
+    shape (1, 1, N) or (2, 2, N), by Gaussian elimination with partial
+    pivoting, floored(pivot) replacing each exactly zero entry of a pivot
+    array in place."""
+    if block.shape[0] == 1:
+        return rest / floored(block[0, 0])
+    (a, b), (c, d) = block
+    r0, r1 = rest
+    swap = np.abs(c) > np.abs(a)
+    a, b, c, d = (np.where(swap, p, q) for p, q in ((c, a), (d, b), (a, c), (b, d)))
+    r0, r1 = np.where(swap, r1, r0), np.where(swap, r0, r1)
+    a = floored(a)
+    factor = c / a
+    x1 = (r1 - factor * r0) / floored(d - factor * b)
+    return np.stack(((r0 - b * x1) / a, x1))
 
 
 def finite_pair(alpha, beta):

@@ -91,9 +91,13 @@ class TwoParProblem:
     _linalg.BAND_MAX, each is stored as a dia_array of its own diagonals
     (_linalg.to_diagonals), float64 when all three have exactly zero
     imaginary parts and complex128 otherwise, with no CSR copy beside it.
-    Any other sparse A side is stored as complex CSR, a dense one as
-    complex128, and the B side is complex128. is_real says whether the
-    imaginary parts of all six are zero. c is a complex
+    scipy cannot add complex data into a float64 dia_array, so with a
+    complex lam, p.A1 + lam*p.A2 on such a real problem raises
+    UFuncTypeError inside scipy: eval_a is the way to form M(lam) =
+    A1 + lam*A2 + mu*A3 and apply_a the way to take products with it, at
+    any lam and mu. Any other sparse A side is stored as complex CSR, a
+    dense one as complex128, and the B side is complex128. is_real says
+    whether the imaginary parts of all six are zero. c is a complex
     m-vector fixing the eigenvector scaling of the small equation through
     c^T y = 1 (unconjugated transpose).
     c=None takes the fixed-seed draw of _default_c.
@@ -174,10 +178,14 @@ class TwoParProblem:
     def schur_k(self) -> _linalg.GeneralizedSchur:
         """The generalized Schur form of (B1, B2), which solves with
         K(lam) = B1 + lam*B2 at any number of lam for the rank-one branch
-        (pencil._rank_one_points): one complex QZ per problem, on first use.
-        The points' residual test then takes products with B1, B2 and B3
-        over the 2-norm bound scale_b (pencil._null_vectors_pass), so no
-        B1 + lam*B2 + mu*B3 is formed per lam either."""
+        (pencil._rank_one_points): one QZ per problem, on first use, the
+        real QZ of their real parts when the problem is real (is_real), so
+        that a real lam's solves run in float64, and the complex QZ
+        otherwise. The points' residual test then takes products with B1,
+        B2 and B3 over the 2-norm bound scale_b (pencil._null_vectors_pass),
+        so no B1 + lam*B2 + mu*B3 is formed per lam either."""
+        if self.is_real:
+            return _linalg.GeneralizedSchur(self.B1.real, self.B2.real)
         return _linalg.GeneralizedSchur(self.B1, self.B2)
 
     @property
@@ -188,8 +196,8 @@ class TwoParProblem:
     def is_real(self) -> bool:
         """Whether the imaginary parts of all six coefficient matrices are
         exactly zero: the package's one realness rule, read by eval_a, by
-        the rank-one branch (pencil._rank_one_points) and by the oracle
-        (delta.solve). Decided once per problem, on first use, from the
+        the rank-one branch (schur_k, pencil._rank_one_points and
+        pencil._null_vectors_pass) and by the oracle (delta.solve). Decided once per problem, on first use, from the
         stored entries, which a float64 A side has none of; the matrices
         are read-only."""
         mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)

@@ -32,8 +32,10 @@ When B3 has rank one, as in the Helmholtz and quadratic generators, the
 pencil has at most one finite eigenvalue, which needs no step, no
 shift-invert spectrum and no LU: one generalized Schur form of (B1, B2)
 per problem (TwoParProblem.schur_k) turns a point's solves with
-B1 + lam*B2 into two triangular solves of order m, for a whole grid at
-once (_rank_one_points), exactly real at a real lam of a real problem.
+B1 + lam*B2 into two quasi-triangular substitutions of order m, for a
+whole grid at once (_rank_one_points). A real problem's form is real, and
+its real lams run in float64 throughout, so their points are exactly real
+by real arithmetic.
 Every residual test (_null_vectors_pass), of a batch or of one step,
 takes products with B1, B2 and B3 and scales them by the 2-norm bound
 scale_b(lam, mu), so a grid builds no m x m matrix per lam.
@@ -311,15 +313,20 @@ def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
     mu), the 2-norm bound ||B1|| + |lam| ||B2|| + |mu| ||B3|| that
     core._residual_norms divides by; elementwise over lams and mus with the
     rows of 2-D y and w. Both residuals are three products with B1, B2 and
-    B3 for all entries at once, so no B is formed per entry.
+    B3 for all entries at once, so no B is formed per entry. When the
+    problem is real (is_real) and lams, mus, y and w are all float64, the
+    products are taken with the real parts of B1, B2 and B3, in float64.
     """
-    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
-    mus = np.asarray(mus, dtype=np.complex128).reshape(-1)
+    lams, mus = np.asarray(lams).reshape(-1), np.asarray(mus).reshape(-1)
     y, w = np.atleast_2d(y), np.atleast_2d(w)
-    by = np.linalg.norm(problem.apply_b(lams, mus, y.T), axis=0)
+    mats = (problem.B1, problem.B2, problem.B3)
+    if problem.is_real and not any(map(np.iscomplexobj, (lams, mus, y, w))):
+        mats = tuple(np.ascontiguousarray(M.real) for M in mats)
+    B1, B2, B3 = mats
+    yt = y.T
+    by = np.linalg.norm(B1 @ yt + lams * (B2 @ yt) + mus * (B3 @ yt), axis=0)
     wh = w.conj()  # the rows of wh @ B are w^H B, with no copy of B
-    bhw = (wh @ problem.B1 + lams[:, None] * (wh @ problem.B2)
-           + mus[:, None] * (wh @ problem.B3))
+    bhw = wh @ B1 + lams[:, None] * (wh @ B2) + mus[:, None] * (wh @ B3)
     residual = np.maximum(by, np.linalg.norm(bhw, axis=1))
     return residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)
 
@@ -342,38 +349,34 @@ def _rank_one_points(problem: TwoParProblem, lams):
     mu has one entry per lam, y and w one row (y scaled as in BranchPoint, w
     unit), and c_degenerate one flag; failed maps the index of each lam
     where the pencil has no finite eigenvalue to its NoFiniteEigenvalue,
-    and mu, y and w are NaN there.
+    and mu, y and w are NaN there. mu, y and w are complex128 throughout.
 
     With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
     of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
     tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v. Both solves come from the
     problem's one generalized Schur form of (B1, B2)
-    (TwoParProblem.schur_k): two triangular solves per lam, for all of
-    lams at once, and no LU. At a real lam of a real problem (is_real)
-    their real parts are kept: K^-1 u and K^-H v are real there, and the
-    imaginary parts are the rounding of complex Schur factors.
-    mu is finite when the pair (-1, tau) passes _linalg.finite_pair, the
-    test geig applies to QZ's pairs, which here means |mu| < 1/TOL_INF - 1.
-    y and w are certified for all of lams at once by _null_vectors_pass,
-    from products with B1, B2 and B3, with no B(lam, mu) formed per lam;
-    an entry that fails it takes mu, y and w from the full QZ at its lam
+    (TwoParProblem.schur_k): two substitutions per lam, for all of lams at
+    once, and no LU (_rank_one_batch). When the problem is real (is_real)
+    that form is real, and its real lams make one batch in float64, from
+    the solves to the residual test, so their mu, y and w are exactly real;
+    its other lams make a second batch, in complex arithmetic on the same
+    form. mu is finite when the pair (-1, tau) passes _linalg.finite_pair,
+    the test geig applies to QZ's pairs, which here means
+    |mu| < 1/TOL_INF - 1. y and w are certified by _null_vectors_pass, from
+    products with B1, B2 and B3, with no B(lam, mu) formed per lam; an
+    entry that fails it takes mu, y and w from the full QZ at its lam
     instead (_full_qz_point).
     """
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
-    u, v = problem.b3_rank_one
-    x = problem.schur_k.solve(lams, u)
-    z = problem.schur_k.solve(lams, v, adjoint=True)
-    if problem.is_real:
-        real = lams.imag == 0
-        x[real], z[real] = x[real].real, z[real].real
-    tau = x @ v.conj()
-    finite = _linalg.finite_pair(-1.0, tau)
-    mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=np.complex128),
-                   where=finite)
-    y = x / np.linalg.norm(x, axis=1)[:, None]
-    w = z / np.linalg.norm(z, axis=1)[:, None]
-    # NaN mu fails the test, so only finite entries can be certified
-    certified = _null_vectors_pass(problem, lams, mu, y, w)
+    mu, tau = np.empty((2, lams.size), dtype=np.complex128)
+    y, w = np.empty((2, lams.size, problem.m), dtype=np.complex128)
+    certified = np.empty(lams.size, dtype=bool)
+    real = problem.is_real & (lams.imag == 0)
+    for batch, at in ((real, lams.real), (~real, lams)):
+        if batch.any():
+            (mu[batch], tau[batch], y[batch], w[batch],
+             certified[batch]) = _rank_one_batch(problem, at[batch])
+    finite = ~np.isnan(mu)
     y, degen = _normalize_y(y, problem.c)
     y[~finite] = w[~finite] = np.nan
     failed = {
@@ -392,6 +395,25 @@ def _rank_one_points(problem: TwoParProblem, lams):
             continue
         mu[i], y[i], w[i], degen[i] = point.mu, point.y, point.w, point.c_degenerate
     return mu, y, w, degen, failed
+
+
+def _rank_one_batch(problem: TwoParProblem, lams):
+    """(mu, tau, y, w, certified) of _rank_one_points at each of lams, in
+    float64 for float64 lams, which only a real problem's real lams are,
+    and in complex arithmetic otherwise: tau = v^H K^-1 u, mu = -1/tau
+    where the pair (-1, tau) is finite and NaN elsewhere, unit y and w, and
+    the residual test of each entry, which a NaN mu fails."""
+    u, v = problem.b3_rank_one
+    if lams.dtype == np.float64:
+        u, v = u.real, v.real
+    x = problem.schur_k.solve(lams, u)
+    z = problem.schur_k.solve(lams, v, adjoint=True)
+    tau = x @ v.conj()
+    mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=tau.dtype),
+                   where=_linalg.finite_pair(-1.0, tau))
+    y = x / np.linalg.norm(x, axis=1)[:, None]
+    w = z / np.linalg.norm(z, axis=1)[:, None]
+    return mu, tau, y, w, _null_vectors_pass(problem, lams, mu, y, w)
 
 
 def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:

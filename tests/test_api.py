@@ -179,9 +179,11 @@ def test_only_branch_point_moves_a_view():
 
 def test_only_linalg_runs_eigensolvers():
     """Every eigenvalue problem the package solves goes through _linalg.geig,
-    so it keeps geig's finite test and canonical order: no other module
-    calls or imports an eigensolver of numpy, scipy or LAPACK."""
-    solvers = r"(?:eig|eigvals|qz|ordqz|zggev|zgeev)\b"
+    so it keeps geig's finite test and canonical order, and every QZ
+    through _linalg too (geig or GeneralizedSchur): no other module calls
+    or imports an eigensolver of numpy, scipy or LAPACK, by scipy's name or
+    by its LAPACK driver's."""
+    solvers = r"(?:eig|eigvals|qz|ordqz|dgges|zgges|dggev|zggev|dgeev|zgeev)\b"
     banned = re.compile(rf"\.{solvers}|\bimport\b.*\b{solvers}")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))

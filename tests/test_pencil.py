@@ -585,21 +585,54 @@ def test_rank_one_infinite_mu_raises():
 def test_generalized_schur_solves_match_dense():
     rng = np.random.default_rng(11)
     m = 6
-    P, Q = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+    complex_pencil = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+    # a real pencil gets the real form, whose S has a 2x2 diagonal block for
+    # each complex conjugate pair of eigenvalues
+    real_pencil = rng.standard_normal((2, m, m))
     b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    schur = _linalg.GeneralizedSchur(P, Q)
     # one substitution serves any number of lams: fewer than m, as a Newton
     # iterate asks, and more, as a tabulation's grid does
     few = np.concatenate((rng.standard_normal(3) + 1j * rng.standard_normal(3), [0.0, 2.5]))
     many = np.concatenate((few, rng.standard_normal(20)))
-    for lams in (few, many):
-        for adjoint in (False, True):
-            got = schur.solve(lams, b, adjoint=adjoint)
-            assert got.shape == (lams.size, m)
-            for lam, x in zip(lams, got):
-                K = P + lam * Q
-                want = np.linalg.solve(K.conj().T if adjoint else K, b)
-                np.testing.assert_allclose(x, want, rtol=1e-10, atol=0)
+    for (P, Q), real in ((complex_pencil, False), (real_pencil, True)):
+        schur = _linalg.GeneralizedSchur(P, Q)
+        assert schur.S.dtype == (np.float64 if real else np.complex128)
+        assert np.any(np.diagonal(schur.S, -1) != 0) == real
+        for lams in (few, many, many.real):
+            for rhs in (b, b.real):
+                for adjoint in (False, True):
+                    got = schur.solve(lams, rhs, adjoint=adjoint)
+                    assert got.shape == (lams.size, m)
+                    # the real form keeps a real lam and a real b real
+                    real_solve = real and np.isrealobj(lams) and np.isrealobj(rhs)
+                    assert got.dtype == (np.float64 if real_solve else np.complex128)
+                    for lam, x in zip(lams, got):
+                        K = P + lam * Q
+                        want = np.linalg.solve(K.conj().T if adjoint else K, rhs)
+                        np.testing.assert_allclose(x, want, rtol=1e-10, atol=0)
+
+
+def test_generalized_schur_floors_an_exactly_singular_2x2_block():
+    # the real form of (P, I) is (P, I) itself, one 2x2 block, and
+    # P + lam*I is exactly singular at lam = +-2i; the second pivot of its
+    # elimination is then exactly zero, and is floored as a zero pivot is
+    P = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    schur = _linalg.GeneralizedSchur(P, np.eye(2))
+    assert np.array_equal(schur.S, P) and np.array_equal(schur.T, np.eye(2))
+    eps = np.finfo(float).eps
+    b = np.array([1.0, 0.0])
+    for adjoint in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = schur.solve([2j, -2j], b, adjoint=adjoint)
+        for lam, x in zip((2j, -2j), got):
+            K = P + lam * np.eye(2)
+            K = K.conj().T if adjoint else K
+            scale = np.linalg.norm(K, 1)
+            # the solve of a matrix within eps*||K||_1 of K: x is about a
+            # null vector of K, of norm about 1/(eps*||K||_1)
+            assert np.all(np.isfinite(x)) and np.linalg.norm(x) >= 0.1 / (eps * scale)
+            assert np.linalg.norm(K @ x - b) <= 4 * eps * scale * np.linalg.norm(x)
 
 
 def test_rank_one_singular_k_gives_lambda_squared(monkeypatch):
@@ -645,6 +678,93 @@ def test_random_rank_one_pencils_certified_without_full_qz(monkeypatch):
         for k in (0, 49):
             ref = pencil.eigenpairs_at(p, lams[k])[0].mu
             assert abs(mus[k] - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
+
+
+def test_random_real_rank_one_pencils_certified_without_full_qz(monkeypatch):
+    monkeypatch.setattr(pencil, "_full_qz_point", fail_full_qz)
+    batch = pencil._rank_one_batch
+    dtypes = []
+
+    def recorded(problem, lams):
+        out = batch(problem, lams)
+        dtypes.append((lams.dtype, *(a.dtype for a in out[:4])))
+        return out
+
+    monkeypatch.setattr(pencil, "_rank_one_batch", recorded)
+    seeds_with_pairs = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 13))
+        B3 = np.outer(rng.standard_normal(m), rng.standard_normal(m))
+        # a real c, so that c^T y = 1 keeps a real y real
+        p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), rng.standard_normal((m, m)),
+                                rng.standard_normal((m, m)), B3, rng.standard_normal(m))
+        assert p.is_real and p.b3_rank_one is not None
+        assert p.schur_k.S.dtype == np.float64
+        seeds_with_pairs += np.any(np.diagonal(p.schur_k.S, -1) != 0)
+        lams = np.concatenate((rng.standard_normal(25),
+                               rng.standard_normal(25) + 1j * rng.standard_normal(25)))
+        rng.shuffle(lams)
+        real = lams.imag == 0
+        dtypes.clear()
+        mus, ys, ws, degen, failed = pencil._rank_one_points(p, lams)
+        assert not failed and np.all(np.isfinite(mus)), f"seed {seed}"
+        # a real lam's point is computed in float64, mu, tau, y and w alike,
+        # so it is exactly real; the complex lams make a second batch
+        assert dtypes == [(np.float64,) * 5, (np.complex128,) * 5], f"seed {seed}"
+        for got in (mus, ys, ws):
+            assert np.all(got[real].imag == 0), f"seed {seed}"
+        # a complex lam's point agrees with the full QZ's one finite eigenvalue
+        for k in np.flatnonzero(~real)[[0, -1]]:
+            ref = pencil.eigenpairs_at(p, lams[k])[0].mu
+            assert abs(mus[k] - ref) <= 1e-8 * max(1.0, abs(ref)), f"seed {seed}"
+        # the real and the complex lams are two batches, each as if alone
+        for part in (real, ~real):
+            alone = pencil._rank_one_points(p, lams[part])
+            for mixed, separate in zip((mus, ys, ws, degen), alone[:4]):
+                assert np.array_equal(mixed[part], separate), f"seed {seed}"
+    # most real pencils have a complex conjugate pair, so a 2x2 block
+    assert seeds_with_pairs >= 150, seeds_with_pairs
+
+
+def test_schur_form_dtype_follows_the_problem():
+    # the real Helmholtz problem's form is real; a complex rank-one
+    # problem's is complex
+    helmholtz = problems.gen_helmholtz(problems.HelmholtzConfig(n=50)).problem
+    rng = np.random.default_rng(2)
+    m = 4
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    complex_problem = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), cplx(m, m),
+                                          cplx(m, m), np.outer(cplx(m), cplx(m).conj()), None)
+    for p, dtype in ((helmholtz, np.float64), (complex_problem, np.complex128)):
+        assert p.b3_rank_one is not None
+        schur = p.schur_k
+        assert {a.dtype for a in (schur.S, schur.T, schur._x, schur._y)} == {np.dtype(dtype)}
+    # the complex form is triangular: its substitution meets no 2x2 block
+    assert not np.any(np.tril(complex_problem.schur_k.S, -1))
+
+
+def test_rank_one_singular_2x2_block_gives_mu_zero(monkeypatch):
+    # K(lam) = B1 + lam*I holds the block [[lam, 2], [-2, lam]], exactly
+    # singular at lam = +-2i, so the pencil's one finite eigenvalue is
+    # mu = 0 there; the real form keeps the block as it is
+    B1 = np.array([[0.0, 2.0, 1.0], [-2.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, np.eye(3),
+                            np.outer([1.0, 0.5, 0.25], [1.0, 2.0, 0.0]), [1.0, 0.0, 0.0])
+    assert p.is_real and p.b3_rank_one is not None
+    assert np.array_equal(p.schur_k.S, B1) and np.array_equal(p.schur_k.T, np.eye(3))
+    monkeypatch.setattr(pencil, "_full_qz_point", fail_full_qz)
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mus, ys, _, _, failed = pencil._rank_one_points(p, [2j, -2j])
+    assert not failed
+    for lam, mu, y in zip((2j, -2j), mus, ys):
+        assert abs(mu) <= 4 * eps * p.scale_b(lam, 0.0), lam
+        np.testing.assert_allclose(y, [1.0, -lam / 2, 0.0], rtol=0, atol=4 * eps)
 
 
 def test_rank_one_entry_failing_its_residual_test_takes_full_qz(monkeypatch):
