@@ -5,17 +5,18 @@ scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this). A
 Factorization picks one of three storage paths from its input: LAPACK's
-dense LU (zgetrf) for a dense matrix, LAPACK's band LU for a dia_array,
-as eval_a builds an M(lam) of a problem that TwoParProblem.__init__ has
-found narrow (the one reader of BAND_MAX) and stored by its diagonals
+dense LU for a dense matrix, LAPACK's band LU for a dia_array, as eval_a
+builds an M(lam) of a problem that TwoParProblem.__init__ has found
+narrow (the one reader of BAND_MAX) and stored by its diagonals
 (to_diagonals), and SuperLU for any other sparse matrix. The dense and
-SuperLU paths work in complex arithmetic; the band LU works in the
-matrix's own dtype, dgbtrf for a float64 matrix (as eval_a builds a real
-M(lam)) and zgbtrf otherwise. No LU is refused: an exactly zero pivot is
-floored at eps*||mat||_1 in place by the dense and band LUs; SuperLU
-instead factorizes mat + eps*||mat||_1 * I. A caller that must refuse a
-singular matrix reads it from a solve, by proves_singular, the same test
-on every storage path.
+band LUs work in the matrix's own dtype, real (dgetrf, dgbtrf) for a
+float64 matrix, as the oracle's delta0 of a real problem and eval_a's
+real M(lam) are, and complex (zgetrf, zgbtrf) otherwise; SuperLU works in
+complex arithmetic. No LU is refused: an exactly zero pivot is floored at
+eps*||mat||_1 in place by the dense and band LUs; SuperLU instead
+factorizes mat + eps*||mat||_1 * I. A caller that must refuse a singular
+matrix reads it from a solve, by proves_singular, the same test on every
+storage path.
 """
 from __future__ import annotations
 
@@ -173,21 +174,25 @@ class Factorization:
     of the package, of M(lam), of the bordered Jacobian, of the shifted small
     pencil of a continuation step and of delta0 alike.
 
-    storage names the path taken. A dense matrix is "dense": LAPACK's LU
-    (zgetrf). A dia_array, the form in which TwoParProblem.eval_a delivers
-    M(lam) for a problem whose __init__ has found it narrow (the package's
-    one band decision), is "band": packed into LAPACK band storage and
+    storage names the path taken. A dense matrix is "dense": LAPACK's LU.
+    A dia_array, the form in which TwoParProblem.eval_a delivers M(lam)
+    for a problem whose __init__ has found it narrow (the package's one
+    band decision), is "band": packed into LAPACK band storage and
     factorized by the band LU, with bandwidths = (kl, ku) read from its
-    offsets; the split Helmholtz M(lam) has (2, 1). The band LU keeps a
-    float64 matrix real (dgbtrf), at half the bytes of the complex one
-    (zgbtrf) that any other dtype gets. Any other sparse matrix is "sparse":
-    SuperLU, with no scan of its pattern, since the problem has already
-    found its band too wide. Neither sparse path keeps the matrix.
+    offsets; the split Helmholtz M(lam) has (2, 1). Both LAPACK paths keep
+    a float64 matrix real (dgetrf, dgbtrf), at half the bytes of the
+    complex LU (zgetrf, zgbtrf) that any other dtype gets; the oracle's
+    delta0 of a real problem is the one dense float64 matrix the package
+    factorizes. Any other sparse matrix is "sparse": SuperLU, with no scan
+    of its pattern, since the problem has already found its band too wide.
+    Neither sparse path keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
-    the single factorization; a solve returns complex128 on every path, a
-    real band LU solving the real and imaginary parts of b together in one
-    dgbtrs call, or the real part alone when b is real (_band_solve).
+    the single factorization. A real LU solves a float64 b in float64 and
+    returns float64; any other b gets complex128, a real LU solving its
+    real and imaginary parts together in one dgetrs or dgbtrs call, or the
+    real part alone when the imaginary part is exactly zero (_real_solve).
+    A complex LU and SuperLU solve b made complex and return complex128.
 
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
@@ -201,8 +206,9 @@ class Factorization:
         self.bandwidths = None
         if not sp.issparse(mat):
             self.storage = "dense"
-            a = np.asarray(mat, dtype=np.complex128)
-            lu, piv, _ = lapack.zgetrf(a)
+            a = _real_or_complex(mat)
+            getrf = lapack.dgetrf if a.dtype == np.float64 else lapack.zgetrf
+            lu, piv, _ = getrf(a)
             zero = np.flatnonzero(lu.diagonal() == 0)
             if zero.size:
                 lu[zero, zero] = np.finfo(float).eps * np.linalg.norm(a, 1)
@@ -217,15 +223,27 @@ class Factorization:
         self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
 
     def solve(self, b, adjoint: bool = False):
-        b = np.asarray(b, dtype=np.complex128)
         if self.storage == "sparse":
-            return self._lu.solve(b, trans="H" if adjoint else "N")
+            return self._lu.solve(np.asarray(b, dtype=np.complex128),
+                                  trans="H" if adjoint else "N")
+        # trans 2 is the conjugate transpose, which for a real LU is the transpose
         trans = 2 if adjoint else 0
-        if self.storage == "band":
-            x, info = _band_solve(*self._lu, *self.bandwidths, b.reshape(len(b), -1), trans)
+        lu, piv = self._lu
+        if lu.dtype == np.float64:
+            if self.storage == "band":
+                kl, ku = self.bandwidths
+                x, info = _real_solve(lambda parts: lapack.dgbtrs(
+                    lu, kl, ku, parts, piv, trans=trans, overwrite_b=1), b)
+            else:
+                x, info = _real_solve(lambda parts: lapack.dgetrs(
+                    lu, piv, parts, trans=trans, overwrite_b=1), b)
+        elif self.storage == "band":
+            b = np.asarray(b, dtype=np.complex128)
+            x, info = lapack.zgbtrs(lu, *self.bandwidths, b.reshape(len(b), -1), piv,
+                                    trans=trans)
             x = x.reshape(b.shape)
         else:
-            x, info = lapack.zgetrs(*self._lu, b, trans=trans)
+            x, info = lapack.zgetrs(lu, piv, np.asarray(b, dtype=np.complex128), trans=trans)
         if info != 0:
             raise ShiftIsEigenvalue(f"triangular solve failed (info={info})")
         return x
@@ -263,29 +281,34 @@ def _band_lu(mat, kl, ku):
     return lu, piv
 
 
-def _band_solve(lu, piv, kl, ku, b, trans):
-    """(x, info) of a solve with the band LU (lu, piv) for the complex n x k
-    b, as zgbtrs gives them: by zgbtrs for a complex lu; for a real one by
-    one dgbtrs call on the real and imaginary parts of b, held as the 2k
-    columns of one Fortran-ordered array that it overwrites, or on the k
-    real parts alone when b's imaginary part is exactly zero, as Newton's
-    right-hand side is at a real iterate; x is then real too. dgbtrs solves
-    each column on its own, so x is bit-equal either way. trans 2 is the
-    conjugate transpose, which for a real lu is the transpose."""
-    if lu.dtype == np.complex128:
-        return lapack.zgbtrs(lu, kl, ku, b, piv, trans=trans)
-    k = b.shape[1]
-    real = not b.imag.any()
-    parts = np.empty((b.shape[0], k if real else 2 * k), order="F")
-    parts[:, :k] = b.real
+def _real_solve(getrs, b):
+    """(x, info) of a solve with a real LU for b of shape (n,) or (n, k),
+    getrs(parts) solving the float64 n x j Fortran-ordered parts in place
+    (dgetrs or dgbtrs) and returning (parts, info). A float64 b is copied
+    into parts and x is float64. Any other b is made complex and its real
+    and imaginary parts are held as the 2k columns of parts, or its k real
+    parts alone when its imaginary part is exactly zero, as Newton's
+    right-hand side is at a real iterate; x is complex128 either way.
+    dgbtrs solves each column on its own, so its x is bit-equal either way;
+    dgetrs's blocked triangular solves may round a column apart with the
+    width of parts."""
+    b = _real_or_complex(b)
+    flat = b.reshape(len(b), -1)
+    if b.dtype == np.float64:
+        parts, info = getrs(np.array(flat, order="F"))
+        return parts.reshape(b.shape), info
+    k = flat.shape[1]
+    real = not flat.imag.any()
+    parts = np.empty((len(b), k if real else 2 * k), order="F")
+    parts[:, :k] = flat.real
     if not real:
-        parts[:, k:] = b.imag
-    parts, info = lapack.dgbtrs(lu, kl, ku, parts, piv, trans=trans, overwrite_b=1)
-    x = np.zeros(b.shape, dtype=np.complex128)
+        parts[:, k:] = flat.imag
+    parts, info = getrs(parts)
+    x = np.zeros(flat.shape, dtype=np.complex128)
     x.real = parts[:, :k]
     if not real:
         x.imag = parts[:, k:]
-    return x, info
+    return x.reshape(b.shape), info
 
 
 def _superlu(mat):

@@ -17,11 +17,13 @@ Multiparameter Eigenvalue Problems, 1972), splits each eigenvector into y
 and x by the pivoted split that also tests B3 (core._rank_one_factors),
 recovers mu from the large equation, so delta2 is never needed, and refines
 each quadruplet not yet at working accuracy by one Newton step.
-For a problem whose six matrices are real, Gamma1 is real and its
-eigenvalues come from LAPACK's real driver. The candidates are refined by
-array operations over chunks, each chunk's stack of bordered Jacobians
-holding no more entries than Gamma1. Everything here is dense of order
-n*m, so it is capped and meant for verification at desk scale, not
+For a problem whose six matrices are real, the oracle works in float64
+from delta0 on: real delta0 and delta1, a real LU and a real Gamma1,
+whose eigenvalues come from LAPACK's real driver in exact conjugate
+pairs; one Newton step serves both members of a pair. The candidates are
+refined by array operations over chunks, each chunk's stack of bordered
+Jacobians holding no more entries than Gamma1. Everything here is dense of
+order n*m, so it is capped and meant for verification at desk scale, not
 production solves.
 """
 from __future__ import annotations
@@ -77,7 +79,9 @@ class DeltaPencil:
 
 
 def assemble(problem: TwoParProblem) -> DeltaPencil:
-    """Assemble delta0 and delta1, enforcing the size cap of size_cap()."""
+    """Assemble delta0 and delta1, enforcing the size cap of size_cap():
+    float64 from the real parts of the six matrices when the problem is
+    real (TwoParProblem.is_real), complex128 otherwise."""
     cap = size_cap()
     n, m = problem.n, problem.m
     if n * m > cap:
@@ -87,6 +91,8 @@ def assemble(problem: TwoParProblem) -> DeltaPencil:
         )
     A1, A2, A3 = (_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     B1, B2, B3 = problem.B1, problem.B2, problem.B3
+    if problem.is_real:
+        A1, A2, A3, B1, B2, B3 = (M.real for M in (A1, A2, A3, B1, B2, B3))
     # in place, so that no more than three order-n*m matrices are alive
     d0 = np.kron(B2, A3)
     d0 -= np.kron(B3, A2)
@@ -146,19 +152,42 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
             stepped)
 
 
-def _refine(problem: TwoParProblem, A, lams, vr) -> list:
-    """The kept quadruplets of the candidates lams[i], with eigenvectors
-    vr[:, i] of Gamma1, in their order. Each eigenvector is split as
-    z = y (x) x by core._rank_one_factors; one whose misfit exceeds
-    RANK_ONE_TOL is dropped with a RankOneExtractionWarning. mu comes by
-    least squares from the large equation, and one Newton step on the full
-    two-parameter system (_newton_step) refines (lam, mu, x, y), except for
-    a candidate whose relative residuals, from the products already formed,
-    are both at most STEP_SKIP_TOL; one whose step is singular keeps its
-    unrefined values. The stepped rows are re-scored by one row-wise
-    _residual_norms, and a Quadruplet is built only for a candidate whose
-    residuals are both at most ORACLE_TOL. Each stage is one array
-    operation over the candidates. A holds the dense A1, A2, A3."""
+def _mirrored(held, carry):
+    """Mask of the rows of held = (lam, mu, x, y), a real problem's stepping
+    candidates in canonical order, that are the exact conjugates of the row
+    before them, which has Im lam < 0: the second member of a conjugate
+    pair, which dgeev's conjugate eigenvectors give exactly conjugate
+    values throughout. The row before the first is carry's held values,
+    when carry is given. No mirrored row follows another, as its Im lam is
+    positive."""
+    if carry is not None:
+        held = [np.concatenate((c, v)) for c, v in zip(carry[0], held)]
+    lam, mu, x, y = held
+    mask = ((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()) & (mu[1:] == mu[:-1].conj())
+            & (x[1:] == x[:-1].conj()).all(axis=1) & (y[1:] == y[:-1].conj()).all(axis=1))
+    return mask if carry is not None else np.concatenate(([False], mask))
+
+
+def _refine(problem: TwoParProblem, A, lams, vr, carry=None) -> tuple:
+    """(quads, carry): the kept quadruplets of the candidates lams[i], with
+    eigenvectors vr[:, i] of Gamma1, in their order. Each eigenvector is
+    split as z = y (x) x by core._rank_one_factors; one whose misfit
+    exceeds RANK_ONE_TOL is dropped with a RankOneExtractionWarning. mu
+    comes by least squares from the large equation, and one Newton step on
+    the full two-parameter system (_newton_step) refines (lam, mu, x, y),
+    except for a candidate whose relative residuals, from the products
+    already formed, are both at most STEP_SKIP_TOL; one whose step is
+    singular keeps its unrefined values. For a real problem, of two
+    stepping candidates whose values are exact conjugates (_mirrored) only
+    the first, with Im lam < 0, takes the step, and the second gets the
+    exact conjugates of its results, as its own step would give them. A
+    pair that the chunk's end splits is joined by carry: the returned carry
+    holds the last stepping candidate's values before and after its step
+    when it may lead such a pair, and the next chunk's call takes it. The
+    stepped rows are re-scored by one row-wise _residual_norms, and a
+    Quadruplet is built only for a candidate whose residuals are both at
+    most ORACLE_TOL. Each stage is one array operation over the candidates.
+    A holds the dense A1, A2, A3."""
     n, m = problem.n, problem.m
     y, x, miss = _rank_one_factors(vr.T.reshape(-1, m, n))
     flat = ~(miss <= RANK_ONE_TOL)
@@ -177,21 +206,42 @@ def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     y_c, c_degenerate = pencil._normalize_y(y, problem.c)
     res_a, res_b = _residual_norms(problem, lams, mus, x, y_c, ax)
     step = np.flatnonzero(~((res_a <= STEP_SKIP_TOL) & (res_b <= STEP_SKIP_TOL)))
-    if step.size:
+    if not step.size:
+        carry = None
+    else:
         # the step takes the unit y; a candidate that does not take it keeps
         # its unrefined row
-        *moved, stepped = _newton_step(
-            problem, A, *(v[step] for v in (lams, mus, x, y, a2x, a3x, ax)))
+        held = [v[step] for v in (lams, mus, x, y)]
+        mirror = (_mirrored(held, carry) if problem.is_real
+                  else np.zeros(step.size, dtype=bool))
+        own = ~mirror
+        moved = _newton_step(problem, A, *(v[own] for v in held),
+                             *(v[step[own]] for v in (a2x, a3x, ax)))
+        # each row's source among the steps taken, after carry's when the
+        # first row mirrors it
+        src = np.cumsum(own) - 1
+        if mirror[0]:
+            moved = [np.concatenate(pair) for pair in zip(carry[1], moved)]
+            src += 1
+        *moved, stepped = (v[src] for v in moved)
+        for v in moved:
+            v[mirror] = v[mirror].conj()
+        last = slice(step.size - 1, None)
+        carry = None
+        if own[-1] and held[0][-1].imag < 0:
+            carry = [v[last] for v in held], [v[last] for v in (*moved, stepped)]
         rows = step[stepped]
         lams[rows], mus[rows], x[rows], y1 = (v[stepped] for v in moved)
         x[rows] /= np.linalg.norm(x[rows], axis=1)[:, None]
         y_c[rows], c_degenerate[rows] = pencil._normalize_y(y1, problem.c)
         res_a[rows], res_b[rows] = _residual_norms(
             problem, lams[rows], mus[rows], x[rows], y_c[rows])
-    return [Quadruplet(lam=lams[i].item(), mu=mus[i].item(), x=x[i], y=y_c[i],
-                       residuals=ResidualRecord(res_a[i].item(), res_b[i].item()),
-                       c_normalized=not c_degenerate[i])
-            for i in np.flatnonzero((res_a <= ORACLE_TOL) & (res_b <= ORACLE_TOL))]
+    kept = np.flatnonzero((res_a <= ORACLE_TOL) & (res_b <= ORACLE_TOL))
+    quads = [Quadruplet(lam=lam, mu=mu, x=x[i], y=y_c[i], residuals=ResidualRecord(ra, rb),
+                        c_normalized=not degenerate)
+             for i, lam, mu, ra, rb, degenerate in zip(
+                 kept, *(v[kept].tolist() for v in (lams, mus, res_a, res_b, c_degenerate)))]
+    return quads, carry
 
 
 def solve(problem: TwoParProblem) -> list:
@@ -204,14 +254,16 @@ def solve(problem: TwoParProblem) -> list:
     start proves delta0 singular (_linalg.proves_singular at ||delta0||_1):
     the solve for Gamma1 cannot, as delta1 may lie in a singular delta0's
     range, and one solve from the start bounds sigma_min only to a factor of
-    about sqrt(n*m). When the six matrices
-    are real (TwoParProblem.is_real), the LU leaves Gamma1 an exactly zero
-    imaginary part, and geig gets its real part, so it runs LAPACK's real
-    driver and the non-real lam come in exact conjugate pairs. _refine
-    turns the eigenpairs into quadruplets, in the canonical order of the
-    eigensolver's lam, over chunks of at most (n*m)^2 // (n+m+2)^2
-    candidates, so that a chunk's bordered Jacobians hold no more entries
-    than Gamma1.
+    about sqrt(n*m). When the six matrices are real
+    (TwoParProblem.is_real), delta0 and delta1 are float64, the LU is
+    LAPACK's real one and Gamma1 comes out float64, so geig runs
+    LAPACK's real driver and the non-real lam come in exact conjugate pairs,
+    Im lam < 0 first, with conjugate eigenvectors. _refine turns the
+    eigenpairs into quadruplets, in the canonical order of the eigensolver's
+    lam, over chunks of at most (n*m)^2 // (n+m+2)^2 candidates, so that a
+    chunk's bordered Jacobians hold no more entries than Gamma1, each chunk
+    passing the next its carry for a conjugate pair that the chunk boundary
+    splits.
     """
     dp = assemble(problem)
     norm = np.linalg.norm(dp.delta0, 1)
@@ -224,14 +276,14 @@ def solve(problem: TwoParProblem) -> list:
             "delta0 is numerically singular, so the oracle cannot solve this problem")
     gamma1 = fact.solve(delta1)
     del delta1, fact  # of the order-n*m matrices, only gamma1 enters the eigensolve
-    if problem.is_real:
-        gamma1 = np.ascontiguousarray(gamma1.real)  # rebinding frees the complex copy
     lams, vr = _linalg.geig(gamma1, None)
     del gamma1
     A = tuple(_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     n, m = problem.n, problem.m
     chunk = max(1, (n * m) ** 2 // (n + m + 2) ** 2)
-    quads = []
+    quads, carry = [], None
     for start in range(0, lams.size, chunk):
-        quads += _refine(problem, A, lams[start:start + chunk], vr[:, start:start + chunk])
+        kept, carry = _refine(problem, A, lams[start:start + chunk],
+                              vr[:, start:start + chunk], carry)
+        quads += kept
     return quads

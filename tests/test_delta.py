@@ -258,6 +258,129 @@ def test_real_problem_gives_adjacent_exact_conjugate_pairs():
             i += 2
 
 
+def assert_exact_conjugate_pairs(quads):
+    """Each non-real lam of quads is followed by its partner, Im < 0 first,
+    whose lam, mu and x are its exact conjugates; returns the pair count."""
+    pairs, i = 0, 0
+    while i < len(quads):
+        q = quads[i]
+        if q.lam.imag == 0.0:
+            i += 1
+            continue
+        partner = quads[i + 1]
+        assert q.lam.imag < 0.0 and partner.lam == q.lam.conjugate(), i
+        assert partner.mu == q.mu.conjugate(), i
+        assert np.array_equal(partner.x, q.x.conj()), i
+        pairs, i = pairs + 1, i + 2
+    return pairs
+
+
+@pytest.mark.parametrize("n, m, skip_tol", [(4, 2, delta.STEP_SKIP_TOL), (4, 2, -1.0),
+                                            (25, 16, delta.STEP_SKIP_TOL)])
+def test_real_problem_steps_once_per_conjugate_pair(monkeypatch, n, m, skip_tol):
+    # the stacked Jacobians number the real candidates stepped plus the
+    # pairs stepped: no Im lam > 0 member of a pair steps, and its quadruplet
+    # is the exact conjugate of its partner's. At (4, 2) a chunk holds one
+    # candidate, so every pair spans two chunks.
+    p = problems.gen_random(n, m, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", skip_tol)
+    step = delta._newton_step
+    stacked = []
+
+    def recorded(problem, A, lam, *args):
+        stacked.append(lam.copy())
+        return step(problem, A, lam, *args)
+
+    monkeypatch.setattr(delta, "_newton_step", recorded)
+    quads = delta.solve(p)
+    assert len(quads) == n * m
+    pairs = assert_exact_conjugate_pairs(quads)
+    lams = np.concatenate([np.empty(0, complex), *stacked])
+    real = np.count_nonzero(lams.imag == 0)
+    leaders = np.count_nonzero(lams.imag < 0)
+    assert lams.size == real + leaders and leaders <= pairs
+    if n * m == 400:
+        # at working accuracy already, a few candidates take no step
+        assert leaders >= 150 and lams.size < 300
+    if skip_tol < 0:
+        assert (real, leaders) == (n * m - 2 * pairs, pairs)
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (10, 4), (25, 16)])
+def test_mirrored_partner_is_its_own_newton_step_bit_for_bit(monkeypatch, n, m):
+    # a partner gets the exact conjugates of its leader's step; the step of
+    # the conjugated stack, each partner taking its leader's row, gives
+    # exactly those, so a BLAS that breaks conjugation symmetry fails here
+    # rather than making a partner drift from the step it would take itself
+    from mepnl import _linalg
+
+    p = problems.gen_random(n, m, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)  # every candidate steps
+    step = delta._newton_step
+    calls = []
+
+    def recorded(problem, A, *args):
+        out = step(problem, A, *args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(delta, "_newton_step", recorded)
+    quads = delta.solve(p)
+    assert len(quads) == n * m and assert_exact_conjugate_pairs(quads) > 0
+    A = tuple(_linalg.to_dense(M) for M in (p.A1, p.A2, p.A3))
+    leaders = 0
+    for args, out in calls:
+        leaders += np.count_nonzero(args[0].imag < 0)
+        partners = step(p, A, *(v.conj() for v in args))
+        for got, want in zip(partners[:4], out[:4]):
+            assert np.array_equal(got, want.conj())
+        assert np.array_equal(partners[4], out[4])
+    assert leaders > 0
+
+
+def test_real_problem_runs_one_real_lu_and_no_complex_one(monkeypatch):
+    import collections
+
+    from scipy.linalg import lapack
+
+    from mepnl import _linalg
+
+    calls = collections.Counter()
+    for name in ("dgetrf", "dgetrs", "zgetrf", "zgetrs"):
+        def counted(a, *args, _routine=getattr(lapack, name), _name=name, **kwargs):
+            calls[_name, a.shape[0]] += 1
+            return _routine(a, *args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    dtypes = []
+    assemble, geig = delta.assemble, _linalg.geig
+
+    def assembled(problem):
+        dp = assemble(problem)
+        dtypes.extend((dp.delta0.dtype, dp.delta1.dtype))
+        return dp
+
+    def recorded(P, Q, **kw):
+        dtypes.append(P.dtype)
+        return geig(P, Q, **kw)
+
+    p = random_problem(5, 3, seed=4)
+    rng = np.random.default_rng(0)
+    q = mepnl.TwoParProblem(p.A1, p.A2, p.A3, p.B1 + 1j * rng.standard_normal((3, 3)),
+                            p.B2, p.B3, p.c)
+    assert p.is_real and not q.is_real
+    monkeypatch.setattr(delta, "assemble", assembled)
+    monkeypatch.setattr(_linalg, "geig", recorded)
+    assert len(delta.solve(p)) == p.n * p.m
+    # one LU of delta0 and the solves of the singularity test and of Gamma1
+    assert calls == {("dgetrf", 15): 1, ("dgetrs", 15): 3}
+    assert dtypes == [np.float64] * 3
+    calls.clear()
+    dtypes.clear()
+    assert len(delta.solve(q)) == q.n * q.m
+    assert calls == {("zgetrf", 15): 1, ("zgetrs", 15): 3}
+    assert dtypes == [np.complex128] * 3
+
+
 def test_complex_problem_takes_the_complex_path(monkeypatch):
     from mepnl import _linalg
 
@@ -281,11 +404,15 @@ def test_complex_problem_takes_the_complex_path(monkeypatch):
 
 
 def test_singular_candidate_in_a_batch_keeps_unrefined_values(monkeypatch):
-    # chunks of 1600 // 256 = 6 candidates: the stacked solve of the first
-    # chunk raises, and so does the own solve of its third candidate
+    # chunks of 1600 // 256 = 6 candidates, here three conjugate pairs, so
+    # the first chunk stacks the steps of candidates 0, 2 and 4, each
+    # serving its partner too: the stacked solve raises, and so does the own
+    # solve of the third step, candidate 4's
     p = problems.gen_random(10, 4, seed=3, alphas=(1.0, 1.0, 1.0), betas=(1.0, 1.0, 1.0))
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)  # every candidate steps
     refined = delta.solve(p)
+    assert all(refined[i + 1].lam == refined[i].lam.conjugate() != refined[i].lam
+               for i in (0, 2, 4))
     solve = np.linalg.solve
 
     def never(a, b):
@@ -306,12 +433,14 @@ def test_singular_candidate_in_a_batch_keeps_unrefined_values(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular_batch)
     quads = delta.solve(p)
     assert len(quads) == len(refined) == len(unrefined) == p.n * p.m
-    # only the third candidate keeps its unrefined values and residuals, bit for bit
-    q, u = quads[2], unrefined[2]
-    assert (q.lam, q.mu, q.residuals) == (u.lam, u.mu, u.residuals)
-    assert np.array_equal(q.x, u.x) and np.array_equal(q.y, u.y)
+    # only candidate 4 and its partner keep their unrefined values and
+    # residuals, bit for bit
+    for i in (4, 5):
+        q, u = quads[i], unrefined[i]
+        assert (q.lam, q.mu, q.residuals) == (u.lam, u.mu, u.residuals), i
+        assert np.array_equal(q.x, u.x) and np.array_equal(q.y, u.y), i
     for i, (q, r, u) in enumerate(zip(quads, refined, unrefined)):
-        if i == 2:
+        if i in (4, 5):
             continue
         assert q.lam != u.lam or q.mu != u.mu, i
         assert abs(q.lam - r.lam) <= 1e-12 * max(1.0, abs(r.lam)), i

@@ -178,6 +178,66 @@ def test_exactly_singular_sparse_matrix(M, storage):
                                atol=1e-12)
 
 
+def test_exactly_singular_real_dense_matrix_is_floored_by_dgetrf(monkeypatch):
+    # a float64 dense matrix keeps to real arithmetic: its exactly zero
+    # pivot is floored on the dgetrf path as on zgetrf's, and a real solve
+    # gives the null vector e11 and proves it singular
+    M = zero_column(arrow(30), 11).toarray()
+    calls = []
+    for name in ("dgetrf", "zgetrf"):
+        def counted(a, *args, _routine=getattr(lapack, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _routine(a, *args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    fact = _linalg.Factorization(M)
+    assert fact.storage == "dense" and calls == ["dgetrf"]
+    lu = fact._lu[0]
+    assert lu.dtype == np.float64
+    assert np.abs(lu.diagonal()).min() == np.finfo(float).eps * np.linalg.norm(M, 1)
+    b = np.ones(30)
+    for adjoint, op in ((False, M), (True, M.T)):
+        x = fact.solve(b, adjoint=adjoint)
+        assert x.dtype == np.float64 and np.all(np.isfinite(x))
+        assert _linalg.proves_singular(b, x, np.linalg.norm(M, 1), _linalg.RCOND_SINGULAR)
+        assert np.linalg.norm(op @ x) <= 1e-10 * np.linalg.norm(M, 1) * np.linalg.norm(x)
+    np.testing.assert_allclose(np.abs(fact.solve(b)) / np.linalg.norm(fact.solve(b)),
+                               np.eye(30)[11], atol=1e-12)
+
+
+def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
+    # a complex b on a real dense LU goes to one dgetrs call as its real and
+    # imaginary parts, to the accuracy of a float64 b's own solve; dgetrs's
+    # blocked triangular solves may round a column apart with the width of b
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((20, 20))
+    fact = _linalg.Factorization(M)
+    assert fact._lu[0].dtype == np.float64
+    columns = []
+    dgetrs = lapack.dgetrs
+
+    def counted(lu, piv, b, *args, **kwargs):
+        columns.append(b.shape[1] if b.ndim == 2 else 1)
+        return dgetrs(lu, piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgetrs", counted)
+    for shape in ((20,), (20, 3)):
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        k = b.size // 20
+        for adjoint, op in ((False, M), (True, M.T)):
+            columns.clear()
+            x = fact.solve(b, adjoint=adjoint)
+            assert columns == [2 * k] and x.dtype == np.complex128 and x.shape == b.shape
+            for part, got in ((b.real, x.real), (b.imag, x.imag)):
+                want = fact.solve(part, adjoint=adjoint)
+                assert want.dtype == np.float64
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(x, np.linalg.solve(op, b), rtol=1e-10)
+            # an exactly zero imaginary part is left out of the solve
+            columns.clear()
+            x = fact.solve(b.real.astype(np.complex128), adjoint=adjoint)
+            assert columns == [k] and x.dtype == np.complex128 and not x.imag.any()
+
+
 @pytest.mark.parametrize("M, storage", [
     (singular_band().toarray(), "dense"),
     (singular_band().todia(), "band"),
