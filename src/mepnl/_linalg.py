@@ -3,7 +3,9 @@
 Thin wrappers around LAPACK (via scipy.linalg) and SuperLU (via
 scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
-module calls an LU routine (tests/test_api.py checks this). A
+module calls an LU routine (tests/test_api.py checks this), but for one:
+delta._newton_step solves its stack of bordered Jacobians with
+np.linalg.solve, an LU of each matrix of the stack. A
 Factorization picks one of three storage paths from its input: LAPACK's
 dense LU for a dense matrix, LAPACK's band LU for a dia_array, as eval_a
 builds an M(lam) of a problem that TwoParProblem.__init__ has found
@@ -172,7 +174,9 @@ def half_bandwidths(mat) -> tuple[int, int]:
 class Factorization:
     """LU factorization of a dense or sparse square matrix: the one LU type
     of the package, of M(lam), of the bordered Jacobian, of the shifted small
-    pencil of a continuation step and of delta0 alike.
+    pencil of a continuation step and of delta0 alike. The one LU that is
+    not a Factorization is np.linalg.solve's of the oracle's stacked
+    Jacobians, in delta._newton_step.
 
     storage names the path taken. A dense matrix is "dense": LAPACK's LU.
     A dia_array, the form in which TwoParProblem.eval_a delivers M(lam)

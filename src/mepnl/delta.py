@@ -21,10 +21,10 @@ For a problem whose six matrices are real, the oracle works in float64
 from delta0 on: real delta0 and delta1, a real LU and a real Gamma1,
 whose eigenvalues come from LAPACK's real driver in exact conjugate
 pairs; one Newton step serves both members of a pair. The candidates are
-refined by array operations over chunks, each chunk's stack of bordered
-Jacobians holding no more entries than Gamma1. Everything here is dense of
-order n*m, so it is capped and meant for verification at desk scale, not
-production solves.
+refined by array operations over chunks that split no pair, each chunk's
+stack of bordered Jacobians holding at most one more than fit in Gamma1's
+entries. Everything here is dense of order n*m, so it is capped and meant
+for verification at desk scale, not production solves.
 """
 from __future__ import annotations
 
@@ -152,42 +152,35 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
             stepped)
 
 
-def _mirrored(held, carry):
+def _mirrored(held):
     """Mask of the rows of held = (lam, mu, x, y), a real problem's stepping
     candidates in canonical order, that are the exact conjugates of the row
-    before them, which has Im lam < 0: the second member of a conjugate
-    pair, which dgeev's conjugate eigenvectors give exactly conjugate
-    values throughout. The row before the first is carry's held values,
-    when carry is given. No mirrored row follows another, as its Im lam is
-    positive."""
-    if carry is not None:
-        held = [np.concatenate((c, v)) for c, v in zip(carry[0], held)]
+    before them, which has Im lam < 0: a pair's second member, to which
+    dgeev's conjugate eigenvectors give exactly conjugate values throughout.
+    No mirrored row follows another, as its Im lam is positive."""
     lam, mu, x, y = held
     mask = ((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()) & (mu[1:] == mu[:-1].conj())
             & (x[1:] == x[:-1].conj()).all(axis=1) & (y[1:] == y[:-1].conj()).all(axis=1))
-    return mask if carry is not None else np.concatenate(([False], mask))
+    return np.concatenate(([False], mask))
 
 
-def _refine(problem: TwoParProblem, A, lams, vr, carry=None) -> tuple:
-    """(quads, carry): the kept quadruplets of the candidates lams[i], with
-    eigenvectors vr[:, i] of Gamma1, in their order. Each eigenvector is
-    split as z = y (x) x by core._rank_one_factors; one whose misfit
-    exceeds RANK_ONE_TOL is dropped with a RankOneExtractionWarning. mu
-    comes by least squares from the large equation, and one Newton step on
-    the full two-parameter system (_newton_step) refines (lam, mu, x, y),
-    except for a candidate whose relative residuals, from the products
-    already formed, are both at most STEP_SKIP_TOL; one whose step is
-    singular keeps its unrefined values. For a real problem, of two
-    stepping candidates whose values are exact conjugates (_mirrored) only
-    the first, with Im lam < 0, takes the step, and the second gets the
-    exact conjugates of its results, as its own step would give them. A
-    pair that the chunk's end splits is joined by carry: the returned carry
-    holds the last stepping candidate's values before and after its step
-    when it may lead such a pair, and the next chunk's call takes it. The
-    stepped rows are re-scored by one row-wise _residual_norms, and a
-    Quadruplet is built only for a candidate whose residuals are both at
-    most ORACLE_TOL. Each stage is one array operation over the candidates.
-    A holds the dense A1, A2, A3."""
+def _refine(problem: TwoParProblem, A, lams, vr) -> list:
+    """The kept quadruplets of the candidates lams[i], with eigenvectors
+    vr[:, i] of Gamma1, in their order. Each eigenvector is split as
+    z = y (x) x by core._rank_one_factors; one whose misfit exceeds
+    RANK_ONE_TOL is dropped with a RankOneExtractionWarning. mu comes by
+    least squares from the large equation, and one Newton step on the full
+    two-parameter system (_newton_step) refines (lam, mu, x, y), except for
+    a candidate whose relative residuals, from the products already formed,
+    are both at most STEP_SKIP_TOL; one whose step is singular keeps its
+    unrefined values. For a real problem, of two stepping candidates whose
+    values are exact conjugates (_mirrored), never split by solve, only the
+    first, with Im lam < 0, takes the step; the second gets the exact
+    conjugates of its results, as its own step would give them. The stepped
+    rows are re-scored by one row-wise _residual_norms, and a Quadruplet is
+    built only for a candidate whose residuals are both at most ORACLE_TOL.
+    Each stage is one array operation over the candidates. A holds the
+    dense A1, A2, A3."""
     n, m = problem.n, problem.m
     y, x, miss = _rank_one_factors(vr.T.reshape(-1, m, n))
     flat = ~(miss <= RANK_ONE_TOL)
@@ -206,30 +199,18 @@ def _refine(problem: TwoParProblem, A, lams, vr, carry=None) -> tuple:
     y_c, c_degenerate = pencil._normalize_y(y, problem.c)
     res_a, res_b = _residual_norms(problem, lams, mus, x, y_c, ax)
     step = np.flatnonzero(~((res_a <= STEP_SKIP_TOL) & (res_b <= STEP_SKIP_TOL)))
-    if not step.size:
-        carry = None
-    else:
+    if step.size:
         # the step takes the unit y; a candidate that does not take it keeps
         # its unrefined row
         held = [v[step] for v in (lams, mus, x, y)]
-        mirror = (_mirrored(held, carry) if problem.is_real
-                  else np.zeros(step.size, dtype=bool))
+        mirror = _mirrored(held) if problem.is_real else np.zeros(step.size, dtype=bool)
         own = ~mirror
         moved = _newton_step(problem, A, *(v[own] for v in held),
                              *(v[step[own]] for v in (a2x, a3x, ax)))
-        # each row's source among the steps taken, after carry's when the
-        # first row mirrors it
-        src = np.cumsum(own) - 1
-        if mirror[0]:
-            moved = [np.concatenate(pair) for pair in zip(carry[1], moved)]
-            src += 1
-        *moved, stepped = (v[src] for v in moved)
+        # each row's source among the steps taken: its own, or its leader's
+        *moved, stepped = (v[np.cumsum(own) - 1] for v in moved)
         for v in moved:
             v[mirror] = v[mirror].conj()
-        last = slice(step.size - 1, None)
-        carry = None
-        if own[-1] and held[0][-1].imag < 0:
-            carry = [v[last] for v in held], [v[last] for v in (*moved, stepped)]
         rows = step[stepped]
         lams[rows], mus[rows], x[rows], y1 = (v[stepped] for v in moved)
         x[rows] /= np.linalg.norm(x[rows], axis=1)[:, None]
@@ -237,11 +218,10 @@ def _refine(problem: TwoParProblem, A, lams, vr, carry=None) -> tuple:
         res_a[rows], res_b[rows] = _residual_norms(
             problem, lams[rows], mus[rows], x[rows], y_c[rows])
     kept = np.flatnonzero((res_a <= ORACLE_TOL) & (res_b <= ORACLE_TOL))
-    quads = [Quadruplet(lam=lam, mu=mu, x=x[i], y=y_c[i], residuals=ResidualRecord(ra, rb),
-                        c_normalized=not degenerate)
-             for i, lam, mu, ra, rb, degenerate in zip(
-                 kept, *(v[kept].tolist() for v in (lams, mus, res_a, res_b, c_degenerate)))]
-    return quads, carry
+    return [Quadruplet(lam=lam, mu=mu, x=x[i], y=y_c[i], residuals=ResidualRecord(ra, rb),
+                       c_normalized=not degenerate)
+            for i, lam, mu, ra, rb, degenerate in zip(
+                kept, *(v[kept].tolist() for v in (lams, mus, res_a, res_b, c_degenerate)))]
 
 
 def solve(problem: TwoParProblem) -> list:
@@ -260,10 +240,11 @@ def solve(problem: TwoParProblem) -> list:
     LAPACK's real driver and the non-real lam come in exact conjugate pairs,
     Im lam < 0 first, with conjugate eigenvectors. _refine turns the
     eigenpairs into quadruplets, in the canonical order of the eigensolver's
-    lam, over chunks of at most (n*m)^2 // (n+m+2)^2 candidates, so that a
-    chunk's bordered Jacobians hold no more entries than Gamma1, each chunk
-    passing the next its carry for a conjugate pair that the chunk boundary
-    splits.
+    lam, over chunks of (n*m)^2 // (n+m+2)^2 candidates, whose bordered
+    Jacobians fit in Gamma1's entries. A chunk that would end on a pair's
+    Im lam < 0 member takes the partner too, which stacks a Jacobian, one
+    over the chunk size, only when its leader takes no step. No chunk passes
+    anything to the next.
     """
     dp = assemble(problem)
     norm = np.linalg.norm(dp.delta0, 1)
@@ -281,9 +262,13 @@ def solve(problem: TwoParProblem) -> list:
     A = tuple(_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     n, m = problem.n, problem.m
     chunk = max(1, (n * m) ** 2 // (n + m + 2) ** 2)
-    quads, carry = [], None
-    for start in range(0, lams.size, chunk):
-        kept, carry = _refine(problem, A, lams[start:start + chunk],
-                              vr[:, start:start + chunk], carry)
-        quads += kept
+    quads, start = [], 0
+    while start < lams.size:
+        end = start + chunk
+        # no chunk ends inside a conjugate pair
+        if (problem.is_real and end < lams.size and lams[end - 1].imag < 0
+                and lams[end] == lams[end - 1].conjugate()):
+            end += 1
+        quads += _refine(problem, A, lams[start:end], vr[:, start:end])
+        start = end
     return quads

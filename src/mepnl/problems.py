@@ -123,7 +123,7 @@ class HelmholtzConfig:
             raise ValueError(f"need n, m >= 3, got n={self.n}, m={self.m}")
 
     def kappa_a_values(self, x):
-        return _profile_values(self.kappa_a, x, lambda z: default_kappa_a(z))
+        return _profile_values(self.kappa_a, x, default_kappa_a)
 
     def kappa_b_values(self, x):
         return _profile_values(

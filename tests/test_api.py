@@ -77,14 +77,26 @@ def test_only_linalg_builds_lus():
     """Every LU the package builds is a _linalg.Factorization: no other module
     names LAPACK's wrappers, its LU routines, real or complex, or another LU
     routine. A real one is matched from the start of a word, as "budget"
-    holds "dget"."""
-    banned = re.compile(r"lapack|lu_factor|lu_solve|splu|zget|\bdget")
+    holds "dget". The one exception is numpy's or scipy's linalg.solve,
+    an LU of each matrix it is given, which only delta._newton_step calls,
+    on its stack of bordered Jacobians."""
+    banned = re.compile(r"lapack|lu_factor|lu_solve|splu|spsolve|zget|\bdget")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
             if path.name != "_linalg.py"
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if banned.search(line)]
     assert not hits, "\n".join(hits)
+
+    def linalg_solve(node):
+        # np.linalg.solve, scipy.linalg's as sla, or a solve imported from linalg
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").endswith("linalg") and any(
+                alias.name == "solve" for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr == "solve" and re.search(
+            r"linalg$|^sla$", ast.unparse(node.value)) is not None
+
+    assert _package_scopes(linalg_solve) == ["delta._newton_step"]
 
 
 def test_only_core_decides_the_band():

@@ -275,35 +275,50 @@ def assert_exact_conjugate_pairs(quads):
     return pairs
 
 
-@pytest.mark.parametrize("n, m, skip_tol", [(4, 2, delta.STEP_SKIP_TOL), (4, 2, -1.0),
-                                            (25, 16, delta.STEP_SKIP_TOL)])
+@pytest.mark.parametrize("n, m, skip_tol", [
+    (4, 2, delta.STEP_SKIP_TOL), (4, 2, -1.0), (6, 3, -1.0), (7, 3, -1.0), (10, 4, -1.0),
+    (25, 16, delta.STEP_SKIP_TOL), (25, 16, -1.0)])
 def test_real_problem_steps_once_per_conjugate_pair(monkeypatch, n, m, skip_tol):
     # the stacked Jacobians number the real candidates stepped plus the
     # pairs stepped: no Im lam > 0 member of a pair steps, and its quadruplet
-    # is the exact conjugate of its partner's. At (4, 2) a chunk holds one
-    # candidate, so every pair spans two chunks.
+    # is the exact conjugate of its partner's. Chunks of 1, 2 and 3
+    # candidates, at (4, 2), (6, 3) and (7, 3), would end inside pairs; a
+    # chunk that would end on a leader takes its partner instead.
     p = problems.gen_random(n, m, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", skip_tol)
-    step = delta._newton_step
-    stacked = []
+    refine, step = delta._refine, delta._newton_step
+    calls, stacked = [], []
+
+    def refined(problem, A, lams, vr):
+        calls.append(lams.copy())
+        return refine(problem, A, lams, vr)
 
     def recorded(problem, A, lam, *args):
         stacked.append(lam.copy())
         return step(problem, A, lam, *args)
 
+    monkeypatch.setattr(delta, "_refine", refined)
     monkeypatch.setattr(delta, "_newton_step", recorded)
     quads = delta.solve(p)
     assert len(quads) == n * m
     pairs = assert_exact_conjugate_pairs(quads)
+    chunk = (n * m) ** 2 // (n + m + 2) ** 2
+    for before, after in zip(calls, calls[1:]):
+        assert not (before[-1].imag < 0 and after[0] == before[-1].conjugate())
+    for lams in calls:
+        assert lams.size <= chunk or (
+            lams.size == chunk + 1 and lams[-2].imag < 0 and lams[-1] == lams[-2].conjugate())
     lams = np.concatenate([np.empty(0, complex), *stacked])
     real = np.count_nonzero(lams.imag == 0)
     leaders = np.count_nonzero(lams.imag < 0)
     assert lams.size == real + leaders and leaders <= pairs
-    if n * m == 400:
+    if n * m == 400 and skip_tol > 0:
         # at working accuracy already, a few candidates take no step
         assert leaders >= 150 and lams.size < 300
     if skip_tol < 0:
+        # every leader steps, so no added partner steps alone
         assert (real, leaders) == (n * m - 2 * pairs, pairs)
+        assert max(stack.size for stack in stacked) <= chunk
 
 
 @pytest.mark.parametrize("n, m", [(4, 2), (10, 4), (25, 16)])
@@ -458,11 +473,15 @@ def test_stepped_records_come_from_one_row_pass(monkeypatch):
 
     monkeypatch.setattr(core, "residuals", refused)
     monkeypatch.setattr(delta, "residuals", refused)
-    quads = delta.solve(p)
-    assert len(quads) == p.n * p.m
-    chunk = (p.n * p.m) ** 2 // (p.n + p.m + 2) ** 2
-    for start in range(0, len(quads), chunk):
-        rows = quads[start:start + chunk]
+    refine, chunks = delta._refine, []
+
+    def recorded(*args):
+        chunks.append(refine(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(delta, "_refine", recorded)
+    assert len(delta.solve(p)) == p.n * p.m
+    for rows in chunks:
         res_a, res_b = core._residual_norms(
             p, np.array([q.lam for q in rows]), np.array([q.mu for q in rows]),
             np.stack([q.x for q in rows]), np.stack([q.y for q in rows]))
