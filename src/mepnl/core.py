@@ -197,7 +197,8 @@ class TwoParProblem:
         """Whether the imaginary parts of all six coefficient matrices are
         exactly zero: the package's one realness rule, read by eval_a, by
         the rank-one branch (schur_k, pencil._rank_one_points and
-        pencil._null_vectors_pass) and by the oracle (delta.solve). Decided once per problem, on first use, from the
+        pencil._null_vectors_pass) and by the oracle (delta.solve and
+        delta._refine). Decided once per problem, on first use, from the
         stored entries, which a float64 A side has none of; the matrices
         are read-only."""
         mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)

@@ -20,15 +20,15 @@ each quadruplet not yet at working accuracy by one Newton step.
 For a problem whose six matrices are real, the oracle works in float64
 from delta0 on: real delta0 and delta1, a real LU and a real Gamma1,
 whose eigenvalues come from LAPACK's real driver in exact conjugate
-pairs; one Newton step serves both members of a pair. The candidates are
-refined by array operations over chunks that split no pair, each chunk's
-stack of bordered Jacobians holding at most one more than fit in Gamma1's
+pairs. Only the candidates with Im lam <= 0 are refined; each with
+Im lam < 0 is followed by its partner, the exact conjugates of its values,
+which carries its residuals. The candidates are refined by array
+operations over chunks whose stacks of bordered Jacobians fit in Gamma1's
 entries. Everything here is dense of order n*m, so it is capped and meant
 for verification at desk scale, not production solves.
 """
 from __future__ import annotations
 
-import dataclasses
 import os
 import warnings
 
@@ -70,16 +70,8 @@ def size_cap() -> int:
         raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
-@dataclasses.dataclass
-class DeltaPencil:
-    """The dense operator determinants delta0 and delta1 of a problem."""
-
-    delta0: np.ndarray
-    delta1: np.ndarray
-
-
-def assemble(problem: TwoParProblem) -> DeltaPencil:
-    """Assemble delta0 and delta1, enforcing the size cap of size_cap():
+def assemble(problem: TwoParProblem):
+    """(delta0, delta1), enforcing the size cap of size_cap():
     float64 from the real parts of the six matrices when the problem is
     real (TwoParProblem.is_real), complex128 otherwise."""
     cap = size_cap()
@@ -98,7 +90,7 @@ def assemble(problem: TwoParProblem) -> DeltaPencil:
     d0 -= np.kron(B3, A2)
     d1 = np.kron(B3, A1)
     d1 -= np.kron(B1, A3)
-    return DeltaPencil(d0, d1)
+    return d0, d1
 
 
 def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
@@ -152,18 +144,6 @@ def _newton_step(problem: TwoParProblem, A, lam, mu, x, y, a2x, a3x, ax):
             stepped)
 
 
-def _mirrored(held):
-    """Mask of the rows of held = (lam, mu, x, y), a real problem's stepping
-    candidates in canonical order, that are the exact conjugates of the row
-    before them, which has Im lam < 0: a pair's second member, to which
-    dgeev's conjugate eigenvectors give exactly conjugate values throughout.
-    No mirrored row follows another, as its Im lam is positive."""
-    lam, mu, x, y = held
-    mask = ((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()) & (mu[1:] == mu[:-1].conj())
-            & (x[1:] == x[:-1].conj()).all(axis=1) & (y[1:] == y[:-1].conj()).all(axis=1))
-    return np.concatenate(([False], mask))
-
-
 def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     """The kept quadruplets of the candidates lams[i], with eigenvectors
     vr[:, i] of Gamma1, in their order. Each eigenvector is split as
@@ -173,26 +153,31 @@ def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     two-parameter system (_newton_step) refines (lam, mu, x, y), except for
     a candidate whose relative residuals, from the products already formed,
     are both at most STEP_SKIP_TOL; one whose step is singular keeps its
-    unrefined values. For a real problem, of two stepping candidates whose
-    values are exact conjugates (_mirrored), never split by solve, only the
-    first, with Im lam < 0, takes the step; the second gets the exact
-    conjugates of its results, as its own step would give them. The stepped
-    rows are re-scored by one row-wise _residual_norms, and a Quadruplet is
-    built only for a candidate whose residuals are both at most ORACLE_TOL.
-    Each stage is one array operation over the candidates. A holds the
-    dense A1, A2, A3."""
+    unrefined values. The stepped rows are re-scored by one row-wise
+    _residual_norms, and a Quadruplet is built only for a candidate whose
+    residuals are both at most ORACLE_TOL. For a real problem solve passes
+    only the candidates with Im lam <= 0, and each kept one whose lam had
+    Im lam < 0 before its step is followed by its partner: the exact
+    conjugates of its lam, mu, x and y, with y then normalized by c as
+    every row's is, and its residuals, which are equal in exact
+    arithmetic. A dropped one drops its partner too and warns for both
+    lam. Each stage is one array operation over the candidates. A holds
+    the dense A1, A2, A3."""
     n, m = problem.n, problem.m
     y, x, miss = _rank_one_factors(vr.T.reshape(-1, m, n))
     flat = ~(miss <= RANK_ONE_TOL)
     for lam, r in zip(lams[flat].tolist(), miss[flat].tolist()):
-        warnings.warn(f"eigenvector at lam={lam:.6g} is not rank-one (relative "
-                      f"misfit {r:.2e}); dropped", RankOneExtractionWarning, stacklevel=3)
+        for z in [lam, lam.conjugate()] if problem.is_real and lam.imag < 0 else [lam]:
+            warnings.warn(f"eigenvector at lam={z:.6g} is not rank-one (relative "
+                          f"misfit {r:.2e}); dropped", RankOneExtractionWarning, stacklevel=3)
     y /= np.linalg.norm(y, axis=1)[:, None]  # unit rows, as _newton_step wants
     x /= np.linalg.norm(x, axis=1)[:, None]
     a2x, a3x = x @ A[1].T, x @ A[2].T
     denom = np.einsum("ij,ij->i", a3x.conj(), a3x).real
     keep = ~flat & (denom != 0.0)
     lams, x, y, a2x, a3x, denom = (v[keep] for v in (lams, x, y, a2x, a3x, denom))
+    # the leaders of pairs, by the lam solve chose them by, not the refined one
+    lead = problem.is_real & (lams.imag < 0)
     a12x = x @ A[0].T + lams[:, None] * a2x
     mus = -np.einsum("ij,ij->i", a3x.conj(), a12x) / denom
     ax = a12x + mus[:, None] * a3x
@@ -202,26 +187,26 @@ def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     if step.size:
         # the step takes the unit y; a candidate that does not take it keeps
         # its unrefined row
-        held = [v[step] for v in (lams, mus, x, y)]
-        mirror = _mirrored(held) if problem.is_real else np.zeros(step.size, dtype=bool)
-        own = ~mirror
-        moved = _newton_step(problem, A, *(v[own] for v in held),
-                             *(v[step[own]] for v in (a2x, a3x, ax)))
-        # each row's source among the steps taken: its own, or its leader's
-        *moved, stepped = (v[np.cumsum(own) - 1] for v in moved)
-        for v in moved:
-            v[mirror] = v[mirror].conj()
+        *moved, stepped = _newton_step(
+            problem, A, *(v[step] for v in (lams, mus, x, y, a2x, a3x, ax)))
         rows = step[stepped]
-        lams[rows], mus[rows], x[rows], y1 = (v[stepped] for v in moved)
+        lams[rows], mus[rows], x[rows], y[rows] = (v[stepped] for v in moved)
         x[rows] /= np.linalg.norm(x[rows], axis=1)[:, None]
-        y_c[rows], c_degenerate[rows] = pencil._normalize_y(y1, problem.c)
+        y_c[rows], c_degenerate[rows] = pencil._normalize_y(y[rows], problem.c)
         res_a[rows], res_b[rows] = _residual_norms(
             problem, lams[rows], mus[rows], x[rows], y_c[rows])
     kept = np.flatnonzero((res_a <= ORACLE_TOL) & (res_b <= ORACLE_TOL))
-    return [Quadruplet(lam=lam, mu=mu, x=x[i], y=y_c[i], residuals=ResidualRecord(ra, rb),
+    kept = np.repeat(kept, np.where(lead[kept], 2, 1))
+    partner = np.diff(kept, prepend=-1) == 0
+    lams, mus, x, y, y_c, c_degenerate, res_a, res_b = (
+        v[kept] for v in (lams, mus, x, y, y_c, c_degenerate, res_a, res_b))
+    lams[partner], mus[partner], x[partner] = (v[partner].conj() for v in (lams, mus, x))
+    y_c[partner], c_degenerate[partner] = pencil._normalize_y(y[partner].conj(), problem.c)
+    return [Quadruplet(lam=lam, mu=mu, x=xi, y=yi, residuals=ResidualRecord(ra, rb),
                        c_normalized=not degenerate)
-            for i, lam, mu, ra, rb, degenerate in zip(
-                kept, *(v[kept].tolist() for v in (lams, mus, res_a, res_b, c_degenerate)))]
+            for lam, mu, xi, yi, ra, rb, degenerate in zip(
+                lams.tolist(), mus.tolist(), x, y_c, res_a.tolist(), res_b.tolist(),
+                c_degenerate.tolist())]
 
 
 def solve(problem: TwoParProblem) -> list:
@@ -238,19 +223,17 @@ def solve(problem: TwoParProblem) -> list:
     (TwoParProblem.is_real), delta0 and delta1 are float64, the LU is
     LAPACK's real one and Gamma1 comes out float64, so geig runs
     LAPACK's real driver and the non-real lam come in exact conjugate pairs,
-    Im lam < 0 first, with conjugate eigenvectors. _refine turns the
-    eigenpairs into quadruplets, in the canonical order of the eigensolver's
-    lam, over chunks of (n*m)^2 // (n+m+2)^2 candidates, whose bordered
-    Jacobians fit in Gamma1's entries. A chunk that would end on a pair's
-    Im lam < 0 member takes the partner too, which stacks a Jacobian, one
-    over the chunk size, only when its leader takes no step. No chunk passes
-    anything to the next.
+    Im lam < 0 first, with conjugate eigenvectors. _refine then gets only
+    the candidates with Im lam <= 0 and follows each non-real one by its
+    partner. _refine turns the eigenpairs into quadruplets, in the
+    canonical order of the eigensolver's lam, over chunks of
+    (n*m)^2 // (n+m+2)^2 candidates, whose bordered Jacobians fit in
+    Gamma1's entries.
     """
-    dp = assemble(problem)
-    norm = np.linalg.norm(dp.delta0, 1)
-    fact = _linalg.Factorization(dp.delta0)
-    delta1 = dp.delta1
-    del dp  # delta0 lives on in its LU factors only
+    delta0, delta1 = assemble(problem)
+    norm = np.linalg.norm(delta0, 1)
+    fact = _linalg.Factorization(delta0)
+    del delta0  # delta0 lives on in its LU factors only
     x = fact.solve(np.random.default_rng(0).standard_normal(len(delta1)))
     if _linalg.proves_singular(x, fact.solve(x, adjoint=True), norm, RCOND_SINGULAR_PROBLEM):
         raise SingularProblem(
@@ -262,13 +245,9 @@ def solve(problem: TwoParProblem) -> list:
     A = tuple(_linalg.to_dense(M) for M in (problem.A1, problem.A2, problem.A3))
     n, m = problem.n, problem.m
     chunk = max(1, (n * m) ** 2 // (n + m + 2) ** 2)
-    quads, start = [], 0
-    while start < lams.size:
-        end = start + chunk
-        # no chunk ends inside a conjugate pair
-        if (problem.is_real and end < lams.size and lams[end - 1].imag < 0
-                and lams[end] == lams[end - 1].conjugate()):
-            end += 1
-        quads += _refine(problem, A, lams[start:end], vr[:, start:end])
-        start = end
+    cols = np.flatnonzero(lams.imag <= 0) if problem.is_real else np.arange(lams.size)
+    quads = []
+    for start in range(0, cols.size, chunk):
+        at = cols[start:start + chunk]
+        quads += _refine(problem, A, lams[at], vr[:, at])
     return quads

@@ -377,7 +377,8 @@ def _rank_one_points(problem: TwoParProblem, lams):
             (mu[batch], tau[batch], y[batch], w[batch],
              certified[batch]) = _rank_one_batch(problem, at[batch])
     finite = ~np.isnan(mu)
-    y, degen = _normalize_y(y, problem.c)
+    with np.errstate(invalid="ignore"):  # NaN y rows, from _rank_one_batch
+        y, degen = _normalize_y(y, problem.c)
     y[~finite] = w[~finite] = np.nan
     failed = {
         int(i): NoFiniteEigenvalue(
@@ -411,8 +412,11 @@ def _rank_one_batch(problem: TwoParProblem, lams):
     tau = x @ v.conj()
     mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=tau.dtype),
                    where=_linalg.finite_pair(-1.0, tau))
-    y = x / np.linalg.norm(x, axis=1)[:, None]
-    w = z / np.linalg.norm(z, axis=1)[:, None]
+    # at large enough |lam| the norm of K^-1 u or K^-H v underflows to 0:
+    # NaN rows there, where mu is NaN too or the residual test fails
+    nx, nz = (np.linalg.norm(s, axis=1)[:, None] for s in (x, z))
+    y = np.divide(x, nx, out=np.full_like(x, np.nan), where=nx > 0)
+    w = np.divide(z, nz, out=np.full_like(z, np.nan), where=nz > 0)
     return mu, tau, y, w, _null_vectors_pass(problem, lams, mu, y, w)
 
 

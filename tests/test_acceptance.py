@@ -108,12 +108,12 @@ def test_criterion_03_companion_linearization_identity():
     n = 4
     A1, A2, A3 = (rng.standard_normal((n, n)) for _ in range(3))
     p = problems.gen_qep(A1, A2, A3)
-    dp = delta.assemble(p)
+    delta0, delta1 = delta.assemble(p)
     Z = np.zeros((n, n))
     c.check("delta1 equals [[-A1, 0], [0, A3]] entrywise",
-            np.array_equal(dp.delta1, np.block([[-A1, Z], [Z, A3]])))
+            np.array_equal(delta1, np.block([[-A1, Z], [Z, A3]])))
     c.check("delta0 equals [[A2, A3], [A3, 0]] entrywise",
-            np.array_equal(dp.delta0, np.block([[A2, A3], [A3, Z]])))
+            np.array_equal(delta0, np.block([[A2, A3], [A3, Z]])))
 
     quads = delta.solve(p)
     eye = np.eye(n)

@@ -17,13 +17,13 @@ def random_problem(n=4, m=3, seed=0):
 
 def test_assemble_shapes_and_definitions():
     p = random_problem(3, 2, seed=5)
-    dp = delta.assemble(p)
+    delta0, delta1 = delta.assemble(p)
     nm = p.n * p.m
-    assert dp.delta0.shape == (nm, nm)
-    assert dp.delta1.shape == (nm, nm)
+    assert delta0.shape == (nm, nm)
+    assert delta1.shape == (nm, nm)
     A1, A2, A3 = (np.asarray(M) for M in (p.A1, p.A2, p.A3))
-    np.testing.assert_array_equal(dp.delta0, np.kron(p.B2, A3) - np.kron(p.B3, A2))
-    np.testing.assert_array_equal(dp.delta1, np.kron(p.B3, A1) - np.kron(p.B1, A3))
+    np.testing.assert_array_equal(delta0, np.kron(p.B2, A3) - np.kron(p.B3, A2))
+    np.testing.assert_array_equal(delta1, np.kron(p.B3, A1) - np.kron(p.B1, A3))
 
 
 def test_quadratic_coupling_block_structure():
@@ -33,12 +33,12 @@ def test_quadratic_coupling_block_structure():
     n = 4
     A1, A2, A3 = (rng.standard_normal((n, n)) for _ in range(3))
     p = problems.gen_qep(A1, A2, A3)
-    dp = delta.assemble(p)
+    delta0, delta1 = delta.assemble(p)
     Z = np.zeros((n, n))
     d1_expected = np.block([[-A1, Z], [Z, A3]])
     d0_expected = np.block([[A2, A3], [A3, Z]])
-    np.testing.assert_allclose(dp.delta1, d1_expected, atol=1e-14)
-    np.testing.assert_allclose(dp.delta0, d0_expected, atol=1e-14)
+    np.testing.assert_allclose(delta1, d1_expected, atol=1e-14)
+    np.testing.assert_allclose(delta0, d0_expected, atol=1e-14)
 
 
 def test_solve_residuals_on_random_problems():
@@ -200,8 +200,8 @@ def test_singular_bordered_jacobian_keeps_unrefined_candidate(monkeypatch):
     p = random_problem(4, 3, seed=2)
     # every candidate takes the step, also those already at working accuracy
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)
-    dp = delta.assemble(p)
-    gamma1 = _linalg.Factorization(dp.delta0).solve(dp.delta1)
+    delta0, delta1 = delta.assemble(p)
+    gamma1 = _linalg.Factorization(delta0).solve(delta1)
     # the problem is real, so the eigensolve gets the real part of gamma1
     assert not gamma1.imag.any()
     lams = _linalg.geig(gamma1.real, None)[0]
@@ -280,10 +280,9 @@ def assert_exact_conjugate_pairs(quads):
     (25, 16, delta.STEP_SKIP_TOL), (25, 16, -1.0)])
 def test_real_problem_steps_once_per_conjugate_pair(monkeypatch, n, m, skip_tol):
     # the stacked Jacobians number the real candidates stepped plus the
-    # pairs stepped: no Im lam > 0 member of a pair steps, and its quadruplet
-    # is the exact conjugate of its partner's. Chunks of 1, 2 and 3
-    # candidates, at (4, 2), (6, 3) and (7, 3), would end inside pairs; a
-    # chunk that would end on a leader takes its partner instead.
+    # pairs stepped: no Im lam > 0 member of a pair reaches _refine, and its
+    # quadruplet is the exact conjugate of its partner's. Chunks hold 1, 2
+    # and 3 candidates at (4, 2), (6, 3) and (7, 3).
     p = problems.gen_random(n, m, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", skip_tol)
     refine, step = delta._refine, delta._newton_step
@@ -302,12 +301,11 @@ def test_real_problem_steps_once_per_conjugate_pair(monkeypatch, n, m, skip_tol)
     quads = delta.solve(p)
     assert len(quads) == n * m
     pairs = assert_exact_conjugate_pairs(quads)
+    # every row's y, a partner's too, is normalized by c
+    assert all(q.c_normalized and abs(q.y @ p.c - 1) <= 1e-12 for q in quads)
     chunk = (n * m) ** 2 // (n + m + 2) ** 2
-    for before, after in zip(calls, calls[1:]):
-        assert not (before[-1].imag < 0 and after[0] == before[-1].conjugate())
-    for lams in calls:
-        assert lams.size <= chunk or (
-            lams.size == chunk + 1 and lams[-2].imag < 0 and lams[-1] == lams[-2].conjugate())
+    assert not any((lams.imag > 0).any() for lams in calls)
+    assert max(lams.size for lams in calls + stacked) <= chunk
     lams = np.concatenate([np.empty(0, complex), *stacked])
     real = np.count_nonzero(lams.imag == 0)
     leaders = np.count_nonzero(lams.imag < 0)
@@ -316,9 +314,30 @@ def test_real_problem_steps_once_per_conjugate_pair(monkeypatch, n, m, skip_tol)
         # at working accuracy already, a few candidates take no step
         assert leaders >= 150 and lams.size < 300
     if skip_tol < 0:
-        # every leader steps, so no added partner steps alone
         assert (real, leaders) == (n * m - 2 * pairs, pairs)
-        assert max(stack.size for stack in stacked) <= chunk
+
+
+def test_leader_whose_step_makes_lam_real_keeps_its_partner(monkeypatch):
+    # a nearly real pair's Newton correction can exceed its Im lam; the
+    # leader is the candidate solve passed for the pair, so it keeps its
+    # partner whatever sign its refined Im lam has. Every candidate steps,
+    # and none is dropped for its residuals, so the count shows the pairing
+    p = problems.gen_random(10, 4, 1006, alphas=(1, 1, 1), betas=(1, 1, 1))
+    monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)
+    monkeypatch.setattr(delta, "ORACLE_TOL", np.inf)
+    step = delta._newton_step
+    leaders = []
+
+    def made_real(problem, A, lam, *args):
+        leaders.append(np.count_nonzero(lam.imag < 0))
+        out_lam, *rest = step(problem, A, lam, *args)
+        return (out_lam.real.astype(complex), *rest)
+
+    monkeypatch.setattr(delta, "_newton_step", made_real)
+    quads = delta.solve(p)
+    assert sum(leaders) > 0
+    assert len(quads) == p.n * p.m
+    assert all(q.lam.imag == 0 for q in quads)
 
 
 @pytest.mark.parametrize("n, m", [(4, 2), (10, 4), (25, 16)])
@@ -370,9 +389,9 @@ def test_real_problem_runs_one_real_lu_and_no_complex_one(monkeypatch):
     assemble, geig = delta.assemble, _linalg.geig
 
     def assembled(problem):
-        dp = assemble(problem)
-        dtypes.extend((dp.delta0.dtype, dp.delta1.dtype))
-        return dp
+        delta0, delta1 = assemble(problem)
+        dtypes.extend((delta0.dtype, delta1.dtype))
+        return delta0, delta1
 
     def recorded(P, Q, **kw):
         dtypes.append(P.dtype)
@@ -419,10 +438,11 @@ def test_complex_problem_takes_the_complex_path(monkeypatch):
 
 
 def test_singular_candidate_in_a_batch_keeps_unrefined_values(monkeypatch):
-    # chunks of 1600 // 256 = 6 candidates, here three conjugate pairs, so
-    # the first chunk stacks the steps of candidates 0, 2 and 4, each
-    # serving its partner too: the stacked solve raises, and so does the own
-    # solve of the third step, candidate 4's
+    # chunks of 1600 // 256 = 6 candidates with Im lam <= 0; the first opens
+    # with the leaders of three conjugate pairs, candidates 0, 2 and 4, each
+    # giving its partner its values, so its stack opens with their steps:
+    # the stacked solve raises, and so does the own solve of the third
+    # step, candidate 4's
     p = problems.gen_random(10, 4, seed=3, alphas=(1.0, 1.0, 1.0), betas=(1.0, 1.0, 1.0))
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)  # every candidate steps
     refined = delta.solve(p)
@@ -463,8 +483,9 @@ def test_singular_candidate_in_a_batch_keeps_unrefined_values(monkeypatch):
 
 
 def test_stepped_records_come_from_one_row_pass(monkeypatch):
-    # every candidate steps; a chunk's stepped rows are re-scored by one
-    # row-wise _residual_norms, and no candidate calls core.residuals
+    # every candidate steps; a chunk's stepped rows, all but the partners,
+    # are re-scored by one row-wise _residual_norms, each partner carries
+    # its leader's record, and no candidate calls core.residuals
     p = problems.gen_random(10, 4, seed=3, alphas=(1.0, 1.0, 1.0), betas=(1.0, 1.0, 1.0))
     monkeypatch.setattr(delta, "STEP_SKIP_TOL", -1.0)
 
@@ -481,12 +502,21 @@ def test_stepped_records_come_from_one_row_pass(monkeypatch):
 
     monkeypatch.setattr(delta, "_refine", recorded)
     assert len(delta.solve(p)) == p.n * p.m
-    for rows in chunks:
+    partners = 0
+    for quads in chunks:
+        rows = []
+        for q in quads:
+            if rows and rows[-1].lam.imag < 0 and q.lam == rows[-1].lam.conjugate():
+                assert q.residuals == rows[-1].residuals
+                partners += 1
+            else:
+                rows.append(q)
         res_a, res_b = core._residual_norms(
             p, np.array([q.lam for q in rows]), np.array([q.mu for q in rows]),
             np.stack([q.x for q in rows]), np.stack([q.y for q in rows]))
         assert [(q.residuals.res_a, q.residuals.res_b) for q in rows] == \
             list(zip(res_a.tolist(), res_b.tolist()))
+    assert partners > 0
 
 
 def test_solve_peaks_below_four_matrices_of_order_nm():

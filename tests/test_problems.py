@@ -452,6 +452,20 @@ def test_rank_one_tabulation_records_infinite_mu_as_gap():
     ]
 
 
+@pytest.mark.parametrize("lam", [-1e160, -1e200, 1e300, -1e300j])
+def test_rank_one_tabulation_records_underflowed_solve_as_gap(lam):
+    # at such |lam| the norm of K^-1 u underflows to 0 (not yet at 1e160),
+    # tau is 0 or subnormal and mu infinite: a gap like any other, with no
+    # RuntimeWarning (an error here)
+    rng = np.random.default_rng(0)
+    p = problems.gen_qep(*(rng.standard_normal((4, 4)) for _ in range(3)))
+    table = problems.tabulate_branches(p, [lam, 0.0])
+    assert np.isnan(table.column(0)[0]) and np.isfinite(table.column(0)[1])
+    assert [gap[:2] for gap in table.gaps] == [(0, 0)]
+    assert table.gaps[0][2].startswith(
+        "NoFiniteEigenvalue: the rank-one pencil has no finite eigenvalue at ")
+
+
 def test_tabulate_rejects_nonfinite_grid():
     rng = np.random.default_rng(4)
     qep = problems.gen_qep(*(rng.standard_normal((3, 3)) for _ in range(3)))
