@@ -18,7 +18,8 @@ complex arithmetic. No LU is refused: an exactly zero pivot is floored at
 eps*||mat||_1 in place by the dense and band LUs; SuperLU instead
 factorizes mat + eps*||mat||_1 * I. A caller that must refuse a singular
 matrix reads it from a solve, by proves_singular, the same test on every
-storage path.
+storage path: M(lam) from the caller's own solve, delta0 and the bordered
+Jacobian from one step of inverse iteration (proves_singular_from_start).
 """
 from __future__ import annotations
 
@@ -28,11 +29,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import ConvergenceFailure, ShiftIsEigenvalue
+from .errors import ConvergenceFailure
 
 # The tolerance of proves_singular for M(lam): a solve A x = b with ||b|| <
 # RCOND_SINGULAR * scale * ||x|| proves A numerically singular.
 RCOND_SINGULAR = 1e-14
+# The tolerance of proves_singular_from_start, for delta0 and the bordered Jacobian.
+RCOND_SINGULAR_FROM_START = 1e-12
 # |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
 TOL_INF = 1e-10
 # The power iteration of shift_invert_eigvals and shift_invert_vectors
@@ -159,6 +162,18 @@ def _dia_norm2_bound(mat) -> float:
     return float(min(np.linalg.norm(by_row.T[by_row.T != 0]), bound))
 
 
+def vector_norms(a, axis: int):
+    """np.linalg.norm(a, axis=axis), but a norm whose squares overflow (past
+    about 1e154 an entry) is taken from its slice scaled by its largest modulus."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(a, axis=axis)
+        if np.isinf(norms).any():
+            peak = np.where(np.isinf(norms), np.abs(a).max(axis=axis), 1.0)
+            scaled = peak * np.linalg.norm(a / np.expand_dims(peak, axis), axis=axis)
+            norms = np.where(np.isfinite(peak), scaled, norms)
+    return norms
+
+
 def half_bandwidths(mat) -> tuple[int, int]:
     """(kl, ku) of a dia_array or CSR mat: the largest distance below and
     above the diagonal of a stored entry, from the offsets or from the
@@ -248,8 +263,8 @@ class Factorization:
             x = x.reshape(b.shape)
         else:
             x, info = lapack.zgetrs(lu, piv, np.asarray(b, dtype=np.complex128), trans=trans)
-        if info != 0:
-            raise ShiftIsEigenvalue(f"triangular solve failed (info={info})")
+        if info != 0:  # ?getrs and ?gbtrs fail only on an illegal argument
+            raise RuntimeError(f"LAPACK triangular solve rejected argument {-info}")
         return x
 
 
@@ -260,6 +275,14 @@ def proves_singular(b, x, scale, tol) -> bool:
     norm_x = np.linalg.norm(x)
     return not (np.isfinite(norm_x) and scale > 0
                 and np.linalg.norm(b) >= tol * scale * norm_x)
+
+
+def proves_singular_from_start(fact: Factorization, n: int, scale) -> bool:
+    """proves_singular of A^H x' = x, x = A^-1 s, for the order-n A that fact
+    factorizes, s a fixed default_rng(0) draw and scale a norm of A, at
+    RCOND_SINGULAR_FROM_START: one step of inverse iteration from a fixed start."""
+    x = fact.solve(np.random.default_rng(0).standard_normal(n))
+    return proves_singular(x, fact.solve(x, adjoint=True), scale, RCOND_SINGULAR_FROM_START)
 
 
 def _band_lu(mat, kl, ku):

@@ -50,13 +50,11 @@ ORACLE_TOL = 1e-8
 # a candidate whose relative residuals are both at most this, a few hundred
 # eps, is at working accuracy already and takes no Newton step
 STEP_SKIP_TOL = 1e-13
-# a solve that proves delta0 singular at this tolerance of
-# _linalg.proves_singular means the oracle cannot solve the problem
-RCOND_SINGULAR_PROBLEM = 1e-12
 
 
 class RankOneExtractionWarning(UserWarning):
-    """An eigenvector of the linearization was not numerically decomposable."""
+    """A candidate of the linearization was dropped: its eigenvector was not
+    numerically rank-one, or A3 x = 0 left mu free in the large equation."""
 
 
 def size_cap() -> int:
@@ -148,33 +146,34 @@ def _refine(problem: TwoParProblem, A, lams, vr) -> list:
     """The kept quadruplets of the candidates lams[i], with eigenvectors
     vr[:, i] of Gamma1, in their order. Each eigenvector is split as
     z = y (x) x by core._rank_one_factors; one whose misfit exceeds
-    RANK_ONE_TOL is dropped with a RankOneExtractionWarning. mu comes by
-    least squares from the large equation, and one Newton step on the full
-    two-parameter system (_newton_step) refines (lam, mu, x, y), except for
-    a candidate whose relative residuals, from the products already formed,
-    are both at most STEP_SKIP_TOL; one whose step is singular keeps its
-    unrefined values. The stepped rows are re-scored by one row-wise
-    _residual_norms, and a Quadruplet is built only for a candidate whose
-    residuals are both at most ORACLE_TOL. For a real problem solve passes
-    only the candidates with Im lam <= 0, and each kept one whose lam had
-    Im lam < 0 before its step is followed by its partner: the exact
-    conjugates of its lam, mu, x and y, with y then normalized by c as
-    every row's is, and its residuals, which are equal in exact
-    arithmetic. A dropped one drops its partner too and warns for both
-    lam. Each stage is one array operation over the candidates. A holds
-    the dense A1, A2, A3."""
+    RANK_ONE_TOL, or with A3 x = 0, which leaves mu free, is dropped with a
+    RankOneExtractionWarning. mu comes by least squares from the large
+    equation, and one Newton step on the full two-parameter system
+    (_newton_step) refines (lam, mu, x, y), except for a candidate whose
+    relative residuals, from the products already formed, are both at most
+    STEP_SKIP_TOL; one whose step is singular keeps its unrefined values.
+    The stepped rows are re-scored by one row-wise _residual_norms, and a
+    Quadruplet is built only for a candidate whose residuals are both at
+    most ORACLE_TOL. For a real problem solve passes only the candidates
+    with Im lam <= 0, and each kept one whose lam had Im lam < 0 before its
+    step is followed by its partner: the exact conjugates of its lam, mu, x
+    and y, with y then normalized by c as every row's is, and its
+    residuals, which are equal in exact arithmetic. A dropped one drops its
+    partner too and warns for both lam. Each stage is one array operation
+    over the candidates. A holds the dense A1, A2, A3."""
     n, m = problem.n, problem.m
     y, x, miss = _rank_one_factors(vr.T.reshape(-1, m, n))
     flat = ~(miss <= RANK_ONE_TOL)
-    for lam, r in zip(lams[flat].tolist(), miss[flat].tolist()):
-        for z in [lam, lam.conjugate()] if problem.is_real and lam.imag < 0 else [lam]:
-            warnings.warn(f"eigenvector at lam={z:.6g} is not rank-one (relative "
-                          f"misfit {r:.2e}); dropped", RankOneExtractionWarning, stacklevel=3)
     y /= np.linalg.norm(y, axis=1)[:, None]  # unit rows, as _newton_step wants
     x /= np.linalg.norm(x, axis=1)[:, None]
     a2x, a3x = x @ A[1].T, x @ A[2].T
     denom = np.einsum("ij,ij->i", a3x.conj(), a3x).real
     keep = ~flat & (denom != 0.0)
+    for lam, r, split in zip(lams[~keep], miss[~keep], flat[~keep]):
+        why = f"is not rank-one (relative misfit {r:.2e})" if split else "has A3 x = 0"
+        for z in [lam, lam.conjugate()] if problem.is_real and lam.imag < 0 else [lam]:
+            warnings.warn(f"eigenvector at lam={z:.6g} {why}; dropped",
+                          RankOneExtractionWarning, stacklevel=3)
     lams, x, y, a2x, a3x, denom = (v[keep] for v in (lams, x, y, a2x, a3x, denom))
     # the leaders of pairs, by the lam solve chose them by, not the refined one
     lead = problem.is_real & (lams.imag < 0)
@@ -216,10 +215,10 @@ def solve(problem: TwoParProblem) -> list:
     problem of Gamma1 = delta0^-1 delta1 (Atkinson's operator), formed with
     the LU of delta0 and solved by _linalg.geig(Gamma1, None). SingularProblem
     is raised when one step of inverse iteration from a fixed pseudo-random
-    start proves delta0 singular (_linalg.proves_singular at ||delta0||_1):
-    the solve for Gamma1 cannot, as delta1 may lie in a singular delta0's
-    range, and one solve from the start bounds sigma_min only to a factor of
-    about sqrt(n*m). When the six matrices are real
+    start proves delta0 singular (_linalg.proves_singular_from_start at
+    ||delta0||_1), the test that refuses the bordered Jacobian too: the
+    solve for Gamma1 cannot, as delta1 may lie in a singular delta0's
+    range. When the six matrices are real
     (TwoParProblem.is_real), delta0 and delta1 are float64, the LU is
     LAPACK's real one and Gamma1 comes out float64, so geig runs
     LAPACK's real driver and the non-real lam come in exact conjugate pairs,
@@ -234,8 +233,7 @@ def solve(problem: TwoParProblem) -> list:
     norm = np.linalg.norm(delta0, 1)
     fact = _linalg.Factorization(delta0)
     del delta0  # delta0 lives on in its LU factors only
-    x = fact.solve(np.random.default_rng(0).standard_normal(len(delta1)))
-    if _linalg.proves_singular(x, fact.solve(x, adjoint=True), norm, RCOND_SINGULAR_PROBLEM):
+    if _linalg.proves_singular_from_start(fact, len(delta1), norm):
         raise SingularProblem(
             "delta0 is numerically singular, so the oracle cannot solve this problem")
     gamma1 = fact.solve(delta1)

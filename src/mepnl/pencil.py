@@ -7,6 +7,8 @@ locally analytic function wherever the eigenvalue stays simple. Branches,
 their derivatives, and the continuation that follows one branch along a
 path all live here. Slopes g' come from their closed form
 (g_prime_closed_form); the bordered-Jacobian recursion serves higher orders.
+It refuses a singular Jacobian, as at a Jordan chain, by the oracle's test
+of delta0 (_linalg.proves_singular_from_start).
 
 A continuation step chooses the followed eigenvalue from the shift-invert
 operator T = B(lam, s)^-1 B3 about its first-order prediction s
@@ -69,8 +71,6 @@ from .errors import AmbiguousBranch, NoFiniteEigenvalue, NonSimpleMu, SingularJa
 TOL_AMBIGUOUS = 1e-12
 # Eigenvalues closer than this (relative) are copies of one semisimple value.
 TOL_DEDUPE = 1e-9
-# sigma_min(J) / ||J|| at or below this means J is numerically singular.
-TOL_SINGULAR_J = 1e-12
 # Branch ids are fixed by the eigenvalue order here unless a caller says otherwise.
 REFERENCE_LAM = 0.0
 # A continuation step's y and w, or a rank-one batch entry's, are kept when
@@ -140,45 +140,16 @@ def eigenpairs_at(problem: TwoParProblem, lam):
     return points
 
 
-@dataclasses.dataclass
-class JacobianJ:
-    """Bordered Jacobian [[B(lam, mu), B3 y], [c^T, 0]] of the branch system.
-
-    Nonsingular exactly when the branch is locally analytic with c^T y = 1
-    enforceable; sigma_min/norm quantifies the margin.
-    """
-
-    lam: complex
-    mu: complex
-    sigma_min: float
-    norm: float
-    _fact: _linalg.Factorization | None
-
-    def solve(self, rhs):
-        if self._fact is None:
-            raise SingularJacobian(
-                f"bordered Jacobian singular at lam={self.lam}, mu={self.mu} "
-                f"(sigma_min/norm = {self.sigma_min / max(self.norm, 1e-300):.2e})"
-            )
-        return self._fact.solve(rhs)
-
-    @property
-    def singular(self) -> bool:
-        return self.sigma_min <= TOL_SINGULAR_J * self.norm
-
-
-def jacobian(problem: TwoParProblem, bp: BranchPoint) -> JacobianJ:
-    """Assemble and factorize the bordered Jacobian at a branch point."""
+def jacobian(problem: TwoParProblem, bp: BranchPoint) -> np.ndarray:
+    """The bordered Jacobian [[B(lam, mu), B3 y], [c^T, 0]] of the branch
+    system at a branch point, of order m + 1: nonsingular exactly when the
+    branch is locally analytic with c^T y = 1 enforceable."""
     m = problem.m
     J = np.zeros((m + 1, m + 1), dtype=np.complex128)
     J[:m, :m] = problem.eval_b(bp.lam, bp.mu)
     J[:m, m] = problem.B3 @ bp.y
     J[m, :m] = problem.c
-    svals = np.linalg.svd(J, compute_uv=False)
-    jac = JacobianJ(bp.lam, bp.mu, float(svals[-1]), float(svals[0]), None)
-    if not jac.singular:
-        jac._fact = _linalg.Factorization(J)
-    return jac
+    return J
 
 
 def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
@@ -191,11 +162,17 @@ def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
     term is the Leibniz factor from d^k/dlam^k of lam*B2*y).
 
     Returns (g_derivs, y_derivs) with shapes (order,) and (order, m).
+    Raises SingularJacobian when one step of inverse iteration with J from
+    the fixed start proves it singular (_linalg.proves_singular_from_start
+    at ||J||_1), the oracle's test of delta0.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     J = jacobian(problem, bp)
     m = problem.m
+    fact = _linalg.Factorization(J)
+    if _linalg.proves_singular_from_start(fact, m + 1, np.linalg.norm(J, 1)):
+        raise SingularJacobian(f"bordered Jacobian singular at lam={bp.lam}, mu={bp.mu}")
     g = np.zeros(order + 1, dtype=np.complex128)
     y = np.zeros((order + 1, m), dtype=np.complex128)
     g[0] = bp.mu
@@ -206,7 +183,7 @@ def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
         for j in range(1, k):
             bk += comb(k, j) * g[k - j] * (problem.B3 @ y[j])
         rhs[:m] = -bk
-        sol = J.solve(rhs)
+        sol = fact.solve(rhs)
         y[k] = sol[:m]
         g[k] = sol[m]
     return g[1:], y[1:]
@@ -324,10 +301,10 @@ def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
         mats = tuple(np.ascontiguousarray(M.real) for M in mats)
     B1, B2, B3 = mats
     yt = y.T
-    by = np.linalg.norm(B1 @ yt + lams * (B2 @ yt) + mus * (B3 @ yt), axis=0)
+    by = _linalg.vector_norms(B1 @ yt + lams * (B2 @ yt) + mus * (B3 @ yt), 0)
     wh = w.conj()  # the rows of wh @ B are w^H B, with no copy of B
     bhw = wh @ B1 + lams[:, None] * (wh @ B2) + mus[:, None] * (wh @ B3)
-    residual = np.maximum(by, np.linalg.norm(bhw, axis=1))
+    residual = np.maximum(by, _linalg.vector_norms(bhw, 1))
     return residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)
 
 
@@ -412,11 +389,12 @@ def _rank_one_batch(problem: TwoParProblem, lams):
     tau = x @ v.conj()
     mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=tau.dtype),
                    where=_linalg.finite_pair(-1.0, tau))
-    # at large enough |lam| the norm of K^-1 u or K^-H v underflows to 0:
-    # NaN rows there, where mu is NaN too or the residual test fails
-    nx, nz = (np.linalg.norm(s, axis=1)[:, None] for s in (x, z))
-    y = np.divide(x, nx, out=np.full_like(x, np.nan), where=nx > 0)
-    w = np.divide(z, nz, out=np.full_like(z, np.nan), where=nz > 0)
+    # at large enough |lam| the norm of K^-1 u or K^-H v underflows to 0, or
+    # lies past the float range: NaN rows there, which the residual test
+    # fails, where a zero row would pass it
+    nx, nz = (_linalg.vector_norms(s, 1)[:, None] for s in (x, z))
+    y = np.divide(x, nx, out=np.full_like(x, np.nan), where=(0 < nx) & (nx < np.inf))
+    w = np.divide(z, nz, out=np.full_like(z, np.nan), where=(0 < nz) & (nz < np.inf))
     return mu, tau, y, w, _null_vectors_pass(problem, lams, mu, y, w)
 
 

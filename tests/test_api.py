@@ -223,27 +223,31 @@ def test_only_the_full_qz_asks_geig_for_both_vector_sets():
     assert found == ["pencil.eigenpairs_at"], found
 
 
-def test_oracle_and_core_run_no_svd():
-    """The one rank-one split, core._rank_one_factors, pivots on the largest
-    entry, and core.attach_left_vectors takes w by inverse iteration, so
-    delta.py and core.py call or import no SVD."""
-    banned = re.compile(r"\.svd(?:vals)?\b|\bimport\b.*\bsvd")
-    hits = [f"{name}:{number}: {line.strip()}"
-            for name in ("delta.py", "core.py")
-            for number, line in enumerate(
-                (Path(mepnl.__file__).parent / name).read_text().splitlines(), 1)
-            if banned.search(line)]
-    assert not hits, "\n".join(hits)
+def test_only_branch_poles_runs_an_svd():
+    """Every singularity test reads solves (_linalg.proves_singular), the one
+    rank-one split, core._rank_one_factors, pivots on the largest entry, and
+    core.attach_left_vectors takes w by inverse iteration, so the one scope
+    that calls or imports an SVD is pencil.branch_poles, for the rank split
+    of B3."""
+    names = ("svd", "svdvals")
+
+    def svd(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any(alias.name.rsplit(".", 1)[-1] in names for alias in node.names)
+        return getattr(node, "attr", getattr(node, "id", None)) in names
+
+    assert _package_scopes(svd) == ["pencil.branch_poles"]
 
 
 def test_only_generators_draw_random_numbers():
     """A result is a function of the problem and the run's options: only
     the problem generators (problems.gen_random and cli._build_problem)
     and the fixed-seed draws of a default normalization vector
-    (core._default_c) and of the start of the oracle's singularity test
-    (delta.solve) call default_rng or name np.random."""
+    (core._default_c) and of the start of the singularity test of delta0
+    and the bordered Jacobian (_linalg.proves_singular_from_start) call
+    default_rng or name np.random."""
     allowed = {"problems.gen_random", "cli._build_problem", "core._default_c",
-               "delta.solve"}
+               "_linalg.proves_singular_from_start"}
 
     def draws(node):
         if isinstance(node, ast.Attribute):
@@ -263,8 +267,7 @@ def test_only_generators_draw_random_numbers():
 
 def test_one_lu_mode_and_one_refusal():
     """A Factorization refuses no matrix and has no mode: no module names
-    allow_singular. Outside _linalg.py, whose triangular solve raises on a
-    LAPACK error, only nep.py raises ShiftIsEigenvalue, the one refusal of
+    allow_singular. Only nep.py raises ShiftIsEigenvalue, the one refusal of
     an M(sigma) that a solve with its LU proves singular
     (NepView.refuse_singular)."""
     refusal = re.compile(r"raise\s+(?:\w+\.)?ShiftIsEigenvalue\b")
@@ -272,7 +275,7 @@ def test_one_lu_mode_and_one_refusal():
             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if "allow_singular" in line
-            or (path.name not in ("_linalg.py", "nep.py") and refusal.search(line))]
+            or (path.name != "nep.py" and refusal.search(line))]
     assert not hits, "\n".join(hits)
 
 

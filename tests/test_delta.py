@@ -558,6 +558,24 @@ def test_every_dropped_candidate_warns_once(monkeypatch):
     assert {w.filename for w in record} == {__file__}
 
 
+def test_candidate_with_a3x_zero_warns_when_dropped():
+    # x = e4 has A3 x = 0 and (A1 + lam A2) x = 0 at lam = -2, so the large
+    # equation leaves mu free: the two genuine quadruplets there, one for
+    # each eigenvalue of the small pencil at lam = -2, are dropped, each
+    # with a warning
+    rng = np.random.default_rng(3)
+    A = [rng.standard_normal((4, 4)) for _ in range(3)]
+    for M, corner in zip(A, (2.0, 1.0, 0.0)):
+        M[3, :] = M[:, 3] = 0.0
+        M[3, 3] = corner
+    B = [rng.standard_normal((2, 2)) for _ in range(3)]
+    p = mepnl.TwoParProblem(*A, *B, None)
+    with pytest.warns(delta.RankOneExtractionWarning, match="A3 x = 0") as record:
+        quads = delta.solve(p)
+    assert len(quads) == 6 and len(record) == 2
+    assert all(abs(q.lam + 2.0) > 1e-6 for q in quads)
+
+
 def test_oracle_and_newton_against_a_40_digit_reference():
     # the paper's error claim on one live case: |lam - lam_ref| stays within
     # a fraction of kappa_total * u, with lam_ref an eigenvalue of

@@ -12,7 +12,7 @@ from scipy.linalg import lapack
 
 import mepnl
 from mepnl import _linalg, nep, problems, solvers
-from mepnl.errors import ShiftIsEigenvalue
+from mepnl.errors import MepnlError, ShiftIsEigenvalue
 
 
 def helmholtz(n, **config):
@@ -417,3 +417,17 @@ def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
         columns.clear()
         fact.solve(b + 1j * rng.standard_normal(b.size), adjoint=adjoint)
         assert columns == [2]
+
+
+@pytest.mark.parametrize("routine", ["dgetrs", "zgetrs", "dgbtrs", "zgbtrs"])
+def test_triangular_solve_argument_error_is_no_refusal(monkeypatch, routine):
+    # ?getrs and ?gbtrs return a nonzero info only for an illegal argument,
+    # a programming error that the CLI must not report as a singular shift
+    real = routine.startswith("d")
+    mat = helmholtz_m(50, lam=1.5 if real else 1.0 + 1.0j, mu=0.5)
+    fact = _linalg.Factorization(mat if routine.endswith("gbtrs") else mat.toarray())
+    solve = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine, lambda *a, **k: (solve(*a, **k)[0], -3))
+    with pytest.raises(RuntimeError, match="argument 3") as info:
+        fact.solve(np.ones(50))
+    assert not isinstance(info.value, MepnlError)
