@@ -162,14 +162,16 @@ def _dia_norm2_bound(mat) -> float:
     return float(min(np.linalg.norm(by_row.T[by_row.T != 0]), bound))
 
 
-def vector_norms(a, axis: int):
+def vector_norms(a, axis):
     """np.linalg.norm(a, axis=axis), but a norm whose squares overflow (past
-    about 1e154 an entry) is taken from its slice scaled by its largest modulus."""
+    about 1e154 an entry) is taken from its slice scaled by its largest
+    modulus; axis None takes the one norm of the whole of a."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(a, axis=axis)
         if np.isinf(norms).any():
             peak = np.where(np.isinf(norms), np.abs(a).max(axis=axis), 1.0)
-            scaled = peak * np.linalg.norm(a / np.expand_dims(peak, axis), axis=axis)
+            slices = peak if axis is None else np.expand_dims(peak, axis)
+            scaled = peak * np.linalg.norm(a / slices, axis=axis)
             norms = np.where(np.isfinite(peak), scaled, norms)
     return norms
 

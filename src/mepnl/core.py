@@ -313,9 +313,9 @@ def _residual_norms(problem: TwoParProblem, lam, mu, x, y, ax=None) -> tuple:
     # one vector's norm is numpy's whole-vector norm, which rounds apart
     # from the row-wise reduction in about a third of cases
     axis = None if np.ndim(x) == 1 else -1
-    ra = np.linalg.norm(ax, axis=axis)
+    ra = _linalg.vector_norms(ax, axis)
     ra /= problem.scale_a(lam, mu) * np.linalg.norm(x, axis=axis)
-    rb = np.linalg.norm(by, axis=axis)
+    rb = _linalg.vector_norms(by, axis)
     rb /= problem.scale_b(lam, mu) * np.linalg.norm(y, axis=axis)
     return ra, rb
 

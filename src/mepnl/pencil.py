@@ -35,7 +35,9 @@ pencil has at most one finite eigenvalue, which needs no step, no
 shift-invert spectrum and no LU: one generalized Schur form of (B1, B2)
 per problem (TwoParProblem.schur_k) turns a point's solves with
 B1 + lam*B2 into two quasi-triangular substitutions of order m, for a
-whole grid at once (_rank_one_points). A real problem's form is real, and
+whole grid at once (_rank_one_points). A table reads mu alone, which
+takes one substitution, for y, and is certified by y's residual alone,
+where a point also certifies w. A real problem's form is real, and
 its real lams run in float64 throughout, so their points are exactly real
 by real arithmetic.
 Every residual test (_null_vectors_pass), of a batch or of one step,
@@ -75,7 +77,8 @@ TOL_DEDUPE = 1e-9
 REFERENCE_LAM = 0.0
 # A continuation step's y and w, or a rank-one batch entry's, are kept when
 # ||B y|| and ||B^H w|| (unit y and w) are at most this times the 2-norm bound
-# scale_b, about 450 eps; else the full QZ gives them.
+# scale_b, about 450 eps (||B y|| alone for a table's mu); else the full QZ
+# gives them.
 TOL_INVERSE_RESIDUAL = 1e-13
 # A conjugate tie at lam_new is broken at lam_new + i*h, with h this fraction
 # of the step length |lam_new - lam_prev|.
@@ -284,27 +287,29 @@ def _point_at(problem: TwoParProblem, lam, mu, branch_id: int, start,
                        branch_id=branch_id, c_degenerate=bool(degen))
 
 
-def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w):
+def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w=None):
     """The residual test of unit y and w at an eigenvalue mu of B = B(lam,
     mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * scale_b(lam,
     mu), the 2-norm bound ||B1|| + |lam| ||B2|| + |mu| ||B3|| that
     core._residual_norms divides by; elementwise over lams and mus with the
-    rows of 2-D y and w. Both residuals are three products with B1, B2 and
-    B3 for all entries at once, so no B is formed per entry. When the
-    problem is real (is_real) and lams, mus, y and w are all float64, the
-    products are taken with the real parts of B1, B2 and B3, in float64.
+    rows of 2-D y and w. Each residual is three products with B1, B2 and B3
+    for all entries at once, so no B is formed per entry. Without w the
+    test is y's alone: a table certifies mu by it (_rank_one_points without
+    vectors), where a point also certifies w. When the problem is
+    real (is_real) and lams, mus, y and w are all float64, the products are
+    taken with the real parts of B1, B2 and B3, in float64.
     """
     lams, mus = np.asarray(lams).reshape(-1), np.asarray(mus).reshape(-1)
-    y, w = np.atleast_2d(y), np.atleast_2d(w)
     mats = (problem.B1, problem.B2, problem.B3)
     if problem.is_real and not any(map(np.iscomplexobj, (lams, mus, y, w))):
         mats = tuple(np.ascontiguousarray(M.real) for M in mats)
     B1, B2, B3 = mats
-    yt = y.T
-    by = _linalg.vector_norms(B1 @ yt + lams * (B2 @ yt) + mus * (B3 @ yt), 0)
-    wh = w.conj()  # the rows of wh @ B are w^H B, with no copy of B
-    bhw = wh @ B1 + lams[:, None] * (wh @ B2) + mus[:, None] * (wh @ B3)
-    residual = np.maximum(by, _linalg.vector_norms(bhw, 1))
+    yt = np.atleast_2d(y).T
+    residual = _linalg.vector_norms(B1 @ yt + lams * (B2 @ yt) + mus * (B3 @ yt), 0)
+    if w is not None:
+        wh = np.atleast_2d(w).conj()  # the rows of wh @ B are w^H B, with no copy of B
+        bhw = wh @ B1 + lams[:, None] * (wh @ B2) + mus[:, None] * (wh @ B3)
+        residual = np.maximum(residual, _linalg.vector_norms(bhw, 1))
     return residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)
 
 
@@ -320,43 +325,47 @@ def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id: int) -> BranchPoi
     return dataclasses.replace(point, branch_id=branch_id)
 
 
-def _rank_one_points(problem: TwoParProblem, lams):
+def _rank_one_points(problem: TwoParProblem, lams, vectors: bool = True):
     """The points of the one branch at each of lams when B3 = u v^H has rank
     one, as arrays in the order of lams: (mu, y, w, c_degenerate, failed).
     mu has one entry per lam, y and w one row (y scaled as in BranchPoint, w
     unit), and c_degenerate one flag; failed maps the index of each lam
     where the pencil has no finite eigenvalue to its NoFiniteEigenvalue,
     and mu, y and w are NaN there. mu, y and w are complex128 throughout.
+    With vectors False, for a caller that reads mu and failed alone
+    (problems.tabulate_branches), y, w and c_degenerate are None.
 
     With K = B1 + lam*B2, det(K + mu u v^H) = det(K) (1 + mu v^H K^-1 u) is
     of degree one in mu, so the one finite eigenvalue is mu = -1/tau with
-    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v. Both solves come from the
+    tau = v^H K^-1 u, y ~ K^-1 u and w ~ K^-H v. The solves come from the
     problem's one generalized Schur form of (B1, B2)
-    (TwoParProblem.schur_k): two substitutions per lam, for all of lams at
-    once, and no LU (_rank_one_batch). When the problem is real (is_real)
-    that form is real, and its real lams make one batch in float64, from
-    the solves to the residual test, so their mu, y and w are exactly real;
-    its other lams make a second batch, in complex arithmetic on the same
-    form. mu is finite when the pair (-1, tau) passes _linalg.finite_pair,
-    the test geig applies to QZ's pairs, which here means
-    |mu| < 1/TOL_INF - 1. y and w are certified by _null_vectors_pass, from
-    products with B1, B2 and B3, with no B(lam, mu) formed per lam; an
-    entry that fails it takes mu, y and w from the full QZ at its lam
-    instead (_full_qz_point).
+    (TwoParProblem.schur_k): a substitution per vector per lam, for all of
+    lams at once, and no LU (_rank_one_batch). When the problem is real
+    (is_real) that form is real, and its real lams make one batch in
+    float64, from the solves to the residual test, so their mu, y and w are
+    exactly real; its other lams make a second batch, in complex arithmetic
+    on the same form. mu is finite when the pair (-1, tau) passes
+    _linalg.finite_pair, the test geig applies to QZ's pairs, which here
+    means |mu| < 1/TOL_INF - 1. The point is certified by
+    _null_vectors_pass, from products with B1, B2 and B3, with no B(lam, mu)
+    formed per lam: y and w, or y alone without vectors, which takes one
+    substitution per lam and certifies mu by y's residual. An entry that
+    fails it takes its point from the full QZ at its lam instead
+    (_full_qz_point).
     """
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     mu, tau = np.empty((2, lams.size), dtype=np.complex128)
-    y, w = np.empty((2, lams.size, problem.m), dtype=np.complex128)
     certified = np.empty(lams.size, dtype=bool)
+    if vectors:
+        y, w = np.empty((2, lams.size, problem.m), dtype=np.complex128)
     real = problem.is_real & (lams.imag == 0)
     for batch, at in ((real, lams.real), (~real, lams)):
         if batch.any():
-            (mu[batch], tau[batch], y[batch], w[batch],
-             certified[batch]) = _rank_one_batch(problem, at[batch])
+            mu[batch], tau[batch], y_batch, w_batch, certified[batch] = _rank_one_batch(
+                problem, at[batch], vectors)
+            if vectors:
+                y[batch], w[batch] = y_batch, w_batch
     finite = ~np.isnan(mu)
-    with np.errstate(invalid="ignore"):  # NaN y rows, from _rank_one_batch
-        y, degen = _normalize_y(y, problem.c)
-    y[~finite] = w[~finite] = np.nan
     failed = {
         int(i): NoFiniteEigenvalue(
             f"the rank-one pencil has no finite eigenvalue at lam={complex(lams[i])} "
@@ -364,37 +373,49 @@ def _rank_one_points(problem: TwoParProblem, lams):
         )
         for i in np.flatnonzero(~finite)
     }
+    full_qz = {}
     for i in np.flatnonzero(finite & ~certified):
         try:
-            point = _full_qz_point(problem, lams[i], mu[i], 0)  # the batch reads no id
+            full_qz[i] = _full_qz_point(problem, lams[i], mu[i], 0)  # the batch reads no id
         except NoFiniteEigenvalue as exc:
             failed[int(i)] = exc
-            mu[i], y[i], w[i] = np.nan, np.nan, np.nan
-            continue
-        mu[i], y[i], w[i], degen[i] = point.mu, point.y, point.w, point.c_degenerate
+            mu[i] = np.nan
+        else:
+            mu[i] = full_qz[i].mu
+    if not vectors:
+        return mu, None, None, None, failed
+    with np.errstate(invalid="ignore"):  # NaN y rows, from _rank_one_batch
+        y, degen = _normalize_y(y, problem.c)
+    for i, point in full_qz.items():
+        y[i], w[i], degen[i] = point.y, point.w, point.c_degenerate
+    y[list(failed)] = w[list(failed)] = np.nan
     return mu, y, w, degen, failed
 
 
-def _rank_one_batch(problem: TwoParProblem, lams):
+def _rank_one_batch(problem: TwoParProblem, lams, vectors: bool = True):
     """(mu, tau, y, w, certified) of _rank_one_points at each of lams, in
     float64 for float64 lams, which only a real problem's real lams are,
     and in complex arithmetic otherwise: tau = v^H K^-1 u, mu = -1/tau
     where the pair (-1, tau) is finite and NaN elsewhere, unit y and w, and
-    the residual test of each entry, which a NaN mu fails."""
+    the residual test of each entry, which a NaN mu fails. Without vectors
+    w is None, its solve is not taken, and the test is y's alone."""
     u, v = problem.b3_rank_one
     if lams.dtype == np.float64:
         u, v = u.real, v.real
     x = problem.schur_k.solve(lams, u)
-    z = problem.schur_k.solve(lams, v, adjoint=True)
     tau = x @ v.conj()
     mu = np.divide(-1.0, tau, out=np.full(lams.size, np.nan, dtype=tau.dtype),
                    where=_linalg.finite_pair(-1.0, tau))
-    # at large enough |lam| the norm of K^-1 u or K^-H v underflows to 0, or
-    # lies past the float range: NaN rows there, which the residual test
-    # fails, where a zero row would pass it
-    nx, nz = (_linalg.vector_norms(s, 1)[:, None] for s in (x, z))
-    y = np.divide(x, nx, out=np.full_like(x, np.nan), where=(0 < nx) & (nx < np.inf))
-    w = np.divide(z, nz, out=np.full_like(z, np.nan), where=(0 < nz) & (nz < np.inf))
+
+    def unit(s):
+        # at large enough |lam| the norm of K^-1 u or K^-H v underflows to 0,
+        # or lies past the float range: NaN rows there, which the residual
+        # test fails, where a zero row would pass it
+        ns = _linalg.vector_norms(s, 1)[:, None]
+        return np.divide(s, ns, out=np.full_like(s, np.nan), where=(0 < ns) & (ns < np.inf))
+
+    y = unit(x)
+    w = unit(problem.schur_k.solve(lams, v, adjoint=True)) if vectors else None
     return mu, tau, y, w, _null_vectors_pass(problem, lams, mu, y, w)
 
 

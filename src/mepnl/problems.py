@@ -317,8 +317,10 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
     walk continues from the last resolved point. When B3 has rank one a
     point does not depend on the one before it, so the whole grid is
     evaluated in one call (pencil._rank_one_points) instead of walked, and
-    its arrays fill the values directly; its gaps are listed in the walk's
-    order all the same. A grid entry that is not finite raises ValueError.
+    its mu fills the values directly; its gaps are listed in the walk's
+    order all the same. That call computes no vectors: one substitution per
+    lam, and mu certified by y's residual alone, where a point also
+    certifies w. A grid entry that is not finite raises ValueError.
     """
     grid = np.asarray(lambda_grid, dtype=np.complex128).reshape(-1)
     if grid.size == 0:
@@ -339,7 +341,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
         for b in branch_ids:
             pencil._branch_mu(problem.reference_mus, b, pencil.REFERENCE_LAM)
         if branch_ids:
-            mu, _, _, _, failed = pencil._rank_one_points(problem, grid)
+            mu, _, _, _, failed = pencil._rank_one_points(problem, grid, vectors=False)
             values[:] = mu[:, None]
             # the walk's order: start up to the end, then start - 1 down to 0
             for i in sorted(failed, key=lambda i: i - start if i >= start else grid.size - i):

@@ -121,11 +121,19 @@ def test_one_builder_of_a_branch_point():
     rank-one batch entry shares. When B3 has rank one it is
     pencil._rank_one_point, a batch of one, so the Schur form's batch,
     pencil._rank_one_points, has no other caller but the tabulation of a
-    whole grid."""
+    whole grid, which alone asks it for mu without vectors; the solves and
+    the residual test of both are pencil._rank_one_batch's alone."""
     assert _package_scopes(_calls("shift_invert_vectors")) == ["pencil._point_at"]
     assert _package_scopes(_calls("eigenpairs_at")) == ["pencil._full_qz_point"]
     assert _package_scopes(_calls("_rank_one_points")) == [
         "pencil._rank_one_point", "problems.tabulate_branches"]
+
+    def without_vectors(node):
+        return _calls("_rank_one_points")(node) and any(
+            k.arg == "vectors" for k in node.keywords)
+
+    assert _package_scopes(without_vectors) == ["problems.tabulate_branches"]
+    assert _package_scopes(_calls("_rank_one_batch")) == ["pencil._rank_one_points"]
 
 
 def test_a_problem_keeps_no_branch_points():
@@ -324,3 +332,11 @@ def test_benchmark_interface_exists():
     ]
     for fn, positional, keywords in calls:
         inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_no_line_of_the_package_exceeds_100_characters():
+    long = [f"{path.name}:{number}"
+            for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 100]
+    assert not long, long

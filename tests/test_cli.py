@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,18 @@ def test_newton_annihilated_direction_exits_not_converged(tmp_path, capsys):
     assert code == cli.EXIT_NOT_CONVERGED
     assert "annihilated the Newton direction at iteration 0" in capsys.readouterr().err
     assert not (out / "results.json").exists()
+
+
+def test_newton_at_the_edge_of_the_float_range_warns_of_no_overflow(tmp_path, capsys):
+    # at lam = 1e308 M(lam) x lies past the float range, so its residual
+    # norm is taken scaled; the point's mu is not simple, exit 3, and no
+    # RuntimeWarning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["solve", "--gen", "helmholtz", "--n", "20", "--m", "4",
+                    "--lambda0", "1e308", "--out", tmp_path / "run"])
+    assert code == 3
+    assert "NonSimpleMu" in capsys.readouterr().err
 
 
 def test_generate_check_solve_round_trip(tmp_path, capsys):

@@ -431,3 +431,19 @@ def test_triangular_solve_argument_error_is_no_refusal(monkeypatch, routine):
     with pytest.raises(RuntimeError, match="argument 3") as info:
         fact.solve(np.ones(50))
     assert not isinstance(info.value, MepnlError)
+
+
+def test_vector_norms_whole_array_is_numpys_norm_until_it_overflows():
+    # axis None is one norm of the whole array: numpy's own wherever that is
+    # finite, and the scaled norm, with no RuntimeWarning, past the float range
+    rng = np.random.default_rng(11)
+    for shape in ((7,), (3, 5)):
+        for scale in (1.0, 1e-200, 1e150):
+            a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            assert _linalg.vector_norms(a, None) == np.linalg.norm(a)
+            assert _linalg.vector_norms(a, -1).tolist() == np.linalg.norm(a, axis=-1).tolist()
+    a = np.array([3e300, 4e300j, 0.0])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(a))
+    assert _linalg.vector_norms(a, None) == pytest.approx(5e300, rel=1e-15)
+    assert np.isinf(_linalg.vector_norms(np.array([np.inf, 1.0]), None))

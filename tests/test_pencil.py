@@ -685,8 +685,8 @@ def test_random_real_rank_one_pencils_certified_without_full_qz(monkeypatch):
     batch = pencil._rank_one_batch
     dtypes = []
 
-    def recorded(problem, lams):
-        out = batch(problem, lams)
+    def recorded(problem, lams, *args):
+        out = batch(problem, lams, *args)
         dtypes.append((lams.dtype, *(a.dtype for a in out[:4])))
         return out
 
@@ -799,8 +799,10 @@ def test_rank_one_entry_failing_its_residual_test_takes_full_qz(monkeypatch):
     mus, ys, ws, degen, failed = pencil._rank_one_points(p, grid)
     assert not failed
     passes = pencil._null_vectors_pass
+    w_tested = []  # whether each test is given w: a table's tests y alone
 
     def fail_entry_k(problem, lams, *args):
+        w_tested.append(args[2] is not None)
         certified = passes(problem, lams, *args)
         if certified.size == grid.size:
             certified[k] = False
@@ -816,6 +818,11 @@ def test_rank_one_entry_failing_its_residual_test_takes_full_qz(monkeypatch):
     assert got[0][k] == ref.mu and got[3][k] == ref.c_degenerate
     np.testing.assert_array_equal(got[1][k], ref.y)
     np.testing.assert_array_equal(got[2][k], ref.w)
+    # a table's test is y's alone, and its failing entry k takes the same mu
+    w_tested.clear()
+    table = problems.tabulate_branches(p, grid)
+    assert w_tested == [False] and not table.gaps
+    np.testing.assert_array_equal(table.column(0), got[0])
 
     # and when the full QZ finds no finite eigenvalue there, the entry is a gap
     def no_finite(problem, lam, mu, branch_id=None):

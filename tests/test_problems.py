@@ -433,6 +433,73 @@ def test_rank_one_tabulation_matches_walk():
     np.testing.assert_allclose(table.column(0), walked, rtol=1e-12, atol=0)
 
 
+def test_rank_one_tabulation_solves_for_y_alone(monkeypatch):
+    # a table reads mu alone: one substitution per batch, for y, and no
+    # c-normalization; a point still solves for y and w and scales y
+    solve = _linalg.GeneralizedSchur.solve
+    adjoints = []
+
+    def recorded(self, lams, b, adjoint=False):
+        adjoints.append(adjoint)
+        return solve(self, lams, b, adjoint)
+
+    monkeypatch.setattr(_linalg.GeneralizedSchur, "solve", recorded)
+    counts = count_calls(monkeypatch, ((pencil, "_normalize_y", "normalize"),))
+    p = bench_helmholtz_small_side()
+    problems.tabulate_branches(p, np.arange(-10.0, 100.0 + 1e-9, 0.125), branch_ids=[0])
+    assert adjoints == [False] and counts == {"normalize": 0}
+    # real and complex lams of a real problem make two batches
+    adjoints.clear()
+    problems.tabulate_branches(p, [-1.0, 0.5 + 1.0j, 2.0])
+    assert adjoints == [False, False] and counts == {"normalize": 0}
+    adjoints.clear()
+    pencil._rank_one_point(p, 2.0, 0)
+    assert adjoints == [False, True] and counts == {"normalize": 1}
+
+
+def random_rank_one_problem(seed, m=12):
+    """A seeded random problem with rank-one B3 = u v^H: real for an even
+    seed, complex for an odd one."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        if seed % 2 == 0:
+            return rng.standard_normal(shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), draw(m, m), draw(m, m),
+                               np.outer(draw(m), draw(m).conj()), draw(m))
+
+
+def test_rank_one_table_holds_the_points_mu_and_failures():
+    # a table certifies mu by y's residual alone, a point by y's and w's;
+    # the two agree while no finite cell passes the one and fails the other,
+    # which none of these does, on grids on and off the real axis and 1e-10
+    # from every pole, where some cells are gaps
+    line = np.linspace(-3.0, 3.0, 161)
+    samples = [(bench_helmholtz_small_side(), np.arange(-10.0, 100.0 + 1e-9, 0.125))]
+    for seed in range(40):
+        p = random_rank_one_problem(seed)
+        samples.append((p, np.concatenate((line, line + 0.25j,
+                                           pencil.branch_poles(p) + 1e-10))))
+    finite = y_alone = gaps = 0
+    for p, grid in samples:
+        assert p.b3_rank_one is not None
+        table = problems.tabulate_branches(p, grid, branch_ids=[0])
+        mu, _, _, _, failed = pencil._rank_one_points(p, grid)
+        assert np.array_equal(table.column(0), mu, equal_nan=True)
+        assert sorted(table.gaps) == sorted(
+            (i, 0, f"{type(exc).__name__}: {exc}") for i, exc in failed.items())
+        gaps += len(failed)
+        real = p.is_real & (grid.imag == 0)
+        for part, at in ((real, grid.real), (~real, grid)):
+            mu, _, y, w, _ = pencil._rank_one_batch(p, at[part])
+            both = pencil._null_vectors_pass(p, at[part], mu, y, w)
+            finite += np.isfinite(mu).sum()
+            y_alone += (pencil._null_vectors_pass(p, at[part], mu, y) & ~both).sum()
+    assert (finite, gaps, y_alone) == (881 + 13_257, 63, 0)
+
+
 def test_rank_one_tabulation_records_infinite_mu_as_gap():
     # K = B1 + lam*B2 = diag(1 + lam, 2) and B3 = e0 e0^T give mu = -(1 + lam),
     # infinite by geig's test from |mu| >= 1/TOL_INF on
