@@ -17,9 +17,11 @@ real M(lam) are, and complex (zgetrf, zgbtrf) otherwise; SuperLU works in
 complex arithmetic. No LU is refused: an exactly zero pivot is floored at
 eps*||mat||_1 in place by the dense and band LUs; SuperLU instead
 factorizes mat + eps*||mat||_1 * I. A caller that must refuse a singular
-matrix reads it from a solve, by proves_singular, the same test on every
-storage path: M(lam) from the caller's own solve, delta0 and the bordered
-Jacobian from one step of inverse iteration (proves_singular_from_start).
+matrix reads it from a solve, by proves_singular, the same test at the
+same tolerance on every storage path: M(lam) from the caller's own solve,
+delta0 and the bordered Jacobian from one step of inverse iteration
+(proves_singular_from_start). geig solves every eigenvalue problem but one:
+shift_invert_eigvals takes a continuation step's candidates from zgeev.
 """
 from __future__ import annotations
 
@@ -31,11 +33,10 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceFailure
 
-# The tolerance of proves_singular for M(lam): a solve A x = b with ||b|| <
-# RCOND_SINGULAR * scale * ||x|| proves A numerically singular.
+# The tolerance of proves_singular, for M(lam), delta0 and the bordered
+# Jacobian alike: a solve A x = b with ||b|| < RCOND_SINGULAR * scale * ||x||
+# proves A numerically singular.
 RCOND_SINGULAR = 1e-14
-# The tolerance of proves_singular_from_start, for delta0 and the bordered Jacobian.
-RCOND_SINGULAR_FROM_START = 1e-12
 # |beta| <= TOL_INF * (|alpha| + |beta|) classifies a pencil eigenvalue as infinite.
 TOL_INF = 1e-10
 # The power iteration of shift_invert_eigvals and shift_invert_vectors
@@ -209,11 +210,13 @@ class Factorization:
     Neither sparse path keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
-    the single factorization. A real LU solves a float64 b in float64 and
-    returns float64; any other b gets complex128, a real LU solving its
-    real and imaginary parts together in one dgetrs or dgbtrs call, or the
-    real part alone when the imaginary part is exactly zero (_real_solve).
-    A complex LU and SuperLU solve b made complex and return complex128.
+    the single factorization, by one LAPACK routine per storage, ?getrs for
+    the dense LU and ?gbtrs for the band LU, real or complex as the LU is.
+    A real LU solves a float64 b in float64 and returns float64; any other
+    b gets complex128, from two float64 solves, of its real part and then
+    of its imaginary part, which is left out when it is exactly zero, as
+    Newton's right-hand side is at a real iterate. A complex LU and
+    SuperLU solve b made complex and return complex128.
 
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
@@ -247,44 +250,44 @@ class Factorization:
         if self.storage == "sparse":
             return self._lu.solve(np.asarray(b, dtype=np.complex128),
                                   trans="H" if adjoint else "N")
+        lu, piv = self._lu
+        real = lu.dtype == np.float64
+        b = _real_or_complex(b)
+        if real and b.dtype == np.complex128:
+            x = self.solve(b.real, adjoint).astype(np.complex128)
+            if b.imag.any():
+                x.imag = self.solve(b.imag, adjoint)
+            return x
+        flat = b.reshape(len(b), -1).astype(lu.dtype, copy=False)
         # trans 2 is the conjugate transpose, which for a real LU is the transpose
         trans = 2 if adjoint else 0
-        lu, piv = self._lu
-        if lu.dtype == np.float64:
-            if self.storage == "band":
-                kl, ku = self.bandwidths
-                x, info = _real_solve(lambda parts: lapack.dgbtrs(
-                    lu, kl, ku, parts, piv, trans=trans, overwrite_b=1), b)
-            else:
-                x, info = _real_solve(lambda parts: lapack.dgetrs(
-                    lu, piv, parts, trans=trans, overwrite_b=1), b)
-        elif self.storage == "band":
-            b = np.asarray(b, dtype=np.complex128)
-            x, info = lapack.zgbtrs(lu, *self.bandwidths, b.reshape(len(b), -1), piv,
-                                    trans=trans)
-            x = x.reshape(b.shape)
+        if self.storage == "band":
+            gbtrs = lapack.dgbtrs if real else lapack.zgbtrs
+            x, info = gbtrs(lu, *self.bandwidths, flat, piv, trans=trans)
         else:
-            x, info = lapack.zgetrs(lu, piv, np.asarray(b, dtype=np.complex128), trans=trans)
+            getrs = lapack.dgetrs if real else lapack.zgetrs
+            x, info = getrs(lu, piv, flat, trans=trans)
         if info != 0:  # ?getrs and ?gbtrs fail only on an illegal argument
             raise RuntimeError(f"LAPACK triangular solve rejected argument {-info}")
-        return x
+        return x.reshape(b.shape)
 
 
-def proves_singular(b, x, scale, tol) -> bool:
-    """Whether the solve A x = b proves A numerically singular: ||b|| < tol *
-    scale * ||x||, as sigma_min(A) <= ||b||/||x|| (Ipsen, SIAM Review 1997),
-    scale a norm of A. A non-finite x or a zero scale proves it too."""
+def proves_singular(b, x, scale) -> bool:
+    """Whether the solve A x = b proves A numerically singular: ||b|| <
+    RCOND_SINGULAR * scale * ||x||, as sigma_min(A) <= ||b||/||x|| (Ipsen,
+    SIAM Review 1997), scale a norm of A. A non-finite x or a zero scale
+    proves it too."""
     norm_x = np.linalg.norm(x)
     return not (np.isfinite(norm_x) and scale > 0
-                and np.linalg.norm(b) >= tol * scale * norm_x)
+                and np.linalg.norm(b) >= RCOND_SINGULAR * scale * norm_x)
 
 
 def proves_singular_from_start(fact: Factorization, n: int, scale) -> bool:
     """proves_singular of A^H x' = x, x = A^-1 s, for the order-n A that fact
-    factorizes, s a fixed default_rng(0) draw and scale a norm of A, at
-    RCOND_SINGULAR_FROM_START: one step of inverse iteration from a fixed start."""
+    factorizes, s a fixed default_rng(0) draw and scale a norm of A: one
+    step of inverse iteration from a fixed start."""
     x = fact.solve(np.random.default_rng(0).standard_normal(n))
-    return proves_singular(x, fact.solve(x, adjoint=True), scale, RCOND_SINGULAR_FROM_START)
+    return proves_singular(x, fact.solve(x, adjoint=True), scale)
 
 
 def _band_lu(mat, kl, ku):
@@ -308,36 +311,6 @@ def _band_lu(mat, kl, ku):
         udiag = lu[kl + ku]
         udiag[udiag == 0] = np.finfo(float).eps * spla.norm(mat, 1)
     return lu, piv
-
-
-def _real_solve(getrs, b):
-    """(x, info) of a solve with a real LU for b of shape (n,) or (n, k),
-    getrs(parts) solving the float64 n x j Fortran-ordered parts in place
-    (dgetrs or dgbtrs) and returning (parts, info). A float64 b is copied
-    into parts and x is float64. Any other b is made complex and its real
-    and imaginary parts are held as the 2k columns of parts, or its k real
-    parts alone when its imaginary part is exactly zero, as Newton's
-    right-hand side is at a real iterate; x is complex128 either way.
-    dgbtrs solves each column on its own, so its x is bit-equal either way;
-    dgetrs's blocked triangular solves may round a column apart with the
-    width of parts."""
-    b = _real_or_complex(b)
-    flat = b.reshape(len(b), -1)
-    if b.dtype == np.float64:
-        parts, info = getrs(np.array(flat, order="F"))
-        return parts.reshape(b.shape), info
-    k = flat.shape[1]
-    real = not flat.imag.any()
-    parts = np.empty((len(b), k if real else 2 * k), order="F")
-    parts[:, :k] = flat.real
-    if not real:
-        parts[:, k:] = flat.imag
-    parts, info = getrs(parts)
-    x = np.zeros(flat.shape, dtype=np.complex128)
-    x.real = parts[:, :k]
-    if not real:
-        x.imag = parts[:, k:]
-    return x.reshape(b.shape), info
 
 
 def _superlu(mat):
@@ -446,16 +419,16 @@ def finite_pair(alpha, beta):
 
 
 def finite_shift_invert(theta):
-    """Whether each eigenvalue theta = 1/(z - s) of a shift-invert operator
-    stands for a finite eigenvalue z of its pencil: |theta| > TOL_INF *
-    max|theta|; elementwise. An infinite z maps to theta = 0, which rounding
-    leaves at about eps*||operator||, so theta is judged relative to the
-    spectrum, not to 1 as finite_pair would judge the pair (theta, 1): near
-    convergence the shift is an eigenvalue to working accuracy, and the
-    nearest candidate's |theta| can exceed 1/TOL_INF. So a finite z is
-    dropped only when it is more than 1/TOL_INF times as far from the shift
-    as the nearest one, too far to tie with it in a step's rule, which reads
-    no more than the two nearest (tests/test_pencil.py,
+    """Whether each eigenvalue theta = 1/(z - s) of the shift-invert operator
+    of shift_invert_eigvals stands for a finite eigenvalue z of its pencil:
+    |theta| > TOL_INF * max|theta|; elementwise. An infinite z maps to
+    theta = 0, which rounding leaves at about eps*||operator||, so theta is
+    judged relative to the spectrum, not to 1 as finite_pair would judge the
+    pair (theta, 1): near convergence the shift is an eigenvalue to working
+    accuracy, and the nearest candidate's |theta| can exceed 1/TOL_INF. So
+    a finite z is dropped only when it is more than 1/TOL_INF times as far
+    from the shift as the nearest one, too far to tie with it in a step's
+    rule, which reads no more than the two nearest (tests/test_pencil.py,
     test_shift_invert_spectrum_matches_qz)."""
     mag = np.abs(theta)
     return mag > TOL_INF * mag.max(initial=0.0)
@@ -463,7 +436,8 @@ def finite_shift_invert(theta):
 
 def _canonical_order(z):
     """Indices sorting z ascending by (|z|, Re z, Im z), stable for exact
-    ties: the one eigenvalue order, of geig and of its shift-invert mode."""
+    ties: the one eigenvalue order, of geig and of shift_invert_eigvals's
+    spectrum."""
     return np.lexsort((z.imag, z.real, np.abs(z)))
 
 
@@ -473,7 +447,7 @@ def _real_or_complex(mat):
     return mat if mat.dtype == np.float64 else mat.astype(np.complex128, copy=False)
 
 
-def geig(P, Q, vectors: str = "right", shift=None):
+def geig(P, Q, vectors: str = "right"):
     """The finite eigenvalues z of P v = z Q v in canonical order: ascending
     (|z|, Re z, Im z), stable for exact ties. One whose homogeneous pair
     fails finite_pair is infinite and dropped. Q=None means the standard
@@ -496,19 +470,7 @@ def geig(P, Q, vectors: str = "right", shift=None):
     conjugate only to rounding (478 of 616 pairs of 200 seeded real
     pencils of order 10 are not exact), and rounding decides their order.
     Any other input is made complex128 for the complex driver.
-
-    shift=s says that P is the shift-invert operator (A - s*B)^-1 B of a
-    pencil A v = z B v, with Q None (see shift_invert_eigvals): its
-    eigenvalues theta, from zgeev, give z = s + 1/theta, finite by
-    finite_shift_invert, and z alone is returned in the same order.
     """
-    if shift is not None:
-        theta, _, _, info = lapack.zgeev(P, compute_vl=0, compute_vr=0)
-        if info > 0:
-            raise np.linalg.LinAlgError("zgeev did not converge")
-        finite = finite_shift_invert(theta)
-        z = shift + 1.0 / theta[finite]
-        return z[_canonical_order(z)]
     left, right = vectors == "both", vectors != "none"
     P = _real_or_complex(P)
     if Q is not None:
@@ -599,17 +561,22 @@ def shift_invert_eigvals(P, Q, shift, start, gap):
     from the certificate's iterates and one more solve with the same LU
     (_pencil_vectors): no zgeev and no second LU.
 
-    Otherwise z is every finite eigenvalue, in canonical order, from geig's
-    shift-invert mode (zgeev) on the same T, and vectors is None. The
-    spectrum is most accurate near s: an eigenvalue at distance d from s
-    carries an error of about eps*||T||*d^2.
+    Otherwise z is every finite eigenvalue, in geig's canonical order, and
+    vectors is None: zgeev of the same T gives its eigenvalues theta, which
+    give z = s + 1/theta, finite by finite_shift_invert. The spectrum is
+    most accurate near s: an eigenvalue at distance d from s carries an
+    error of about eps*||T||*d^2.
     """
     fact = Factorization(P - shift * Q)
     T = fact.solve(Q)
     y, w = start
     found = certified_dominant(T, y, Q.conj().T @ w, gap)
     if found is None:
-        return geig(T, None, shift=shift), None
+        theta, _, _, info = lapack.zgeev(T, compute_vl=0, compute_vr=0)
+        if info > 0:
+            raise np.linalg.LinAlgError("zgeev did not converge")
+        z = shift + 1.0 / theta[finite_shift_invert(theta)]
+        return z[_canonical_order(z)], None
     theta, y, u = found
     return np.array([shift + 1.0 / theta]), _pencil_vectors(fact, y, u)
 

@@ -216,9 +216,9 @@ def solve(problem: TwoParProblem) -> list:
     the LU of delta0 and solved by _linalg.geig(Gamma1, None). SingularProblem
     is raised when one step of inverse iteration from a fixed pseudo-random
     start proves delta0 singular (_linalg.proves_singular_from_start at
-    ||delta0||_1), the test that refuses the bordered Jacobian too: the
-    solve for Gamma1 cannot, as delta1 may lie in a singular delta0's
-    range. When the six matrices are real
+    ||delta0||_1), the test and tolerance that refuse the bordered Jacobian
+    and M(sigma) too: the solve for Gamma1 cannot, as delta1 may lie in a
+    singular delta0's range. When the six matrices are real
     (TwoParProblem.is_real), delta0 and delta1 are float64, the LU is
     LAPACK's real one and Gamma1 comes out float64, so geig runs
     LAPACK's real driver and the non-real lam come in exact conjugate pairs,

@@ -48,11 +48,10 @@ class NepView:
     def refuse_singular(self, b, x):
         """Raise ShiftIsEigenvalue when x, solved from b with factorization()
         or its adjoint, proves M(sigma) numerically singular
-        (proves_singular at RCOND_SINGULAR and scale_a at the view's point,
-        which that factorization took): the package's one refusal of an
-        M(sigma)."""
+        (proves_singular at scale_a at the view's point, which that
+        factorization took, the test of delta0 and of the bordered Jacobian
+        too): the package's one refusal of an M(sigma)."""
         bp = self.point
-        if _linalg.proves_singular(b, x, self.problem.scale_a(bp.lam, bp.mu),
-                                   _linalg.RCOND_SINGULAR):
+        if _linalg.proves_singular(b, x, self.problem.scale_a(bp.lam, bp.mu)):
             raise ShiftIsEigenvalue("a solve with M(sigma) proves it numerically "
                                     f"singular at sigma={bp.lam}")

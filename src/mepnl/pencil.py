@@ -8,7 +8,8 @@ their derivatives, and the continuation that follows one branch along a
 path all live here. Slopes g' come from their closed form
 (g_prime_closed_form); the bordered-Jacobian recursion serves higher orders.
 It refuses a singular Jacobian, as at a Jordan chain, by the oracle's test
-of delta0 (_linalg.proves_singular_from_start).
+of delta0 (_linalg.proves_singular_from_start), at the tolerance that
+refuses M(sigma).
 
 A continuation step chooses the followed eigenvalue from the shift-invert
 operator T = B(lam, s)^-1 B3 about its first-order prediction s
@@ -17,10 +18,10 @@ and one solve for T, then power iteration on T and T^H from the previous
 point's y and w and two products of order m, which certify the nearest
 candidate when a lower bound on the runner-up's distance decides the step
 rule, and give its y and w with one more solve: one LU in all. zgeev of
-the same T runs only when the bound cannot decide, and then the same power
-iteration on a second LU, of B(lam, mu) at the chosen eigenvalue, gives y
-and w. Their residual test certifies the point's backward
-error whatever routine found mu. Where a real pencil at real lam offers a
+the same T, within shift_invert_eigvals, runs only when the bound cannot
+decide, and then the same power iteration on a second LU, of B(lam, mu)
+at the chosen eigenvalue, gives y and w. Their residual test certifies
+the point's backward error whatever routine found mu. Where a real pencil at real lam offers a
 conjugate pair equally near the prediction, as past a point where two real
 eigenvalues meet, the step follows the branch from above: it takes the
 member nearest the candidate at lam + i*h for a small h, the limit
@@ -167,7 +168,8 @@ def derivatives(problem: TwoParProblem, bp: BranchPoint, order: int):
     Returns (g_derivs, y_derivs) with shapes (order,) and (order, m).
     Raises SingularJacobian when one step of inverse iteration with J from
     the fixed start proves it singular (_linalg.proves_singular_from_start
-    at ||J||_1), the oracle's test of delta0.
+    at ||J||_1), the oracle's test of delta0, at the one tolerance of
+    _linalg.proves_singular.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

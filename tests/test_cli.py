@@ -123,6 +123,37 @@ def test_solve_resinv_maxit_exit_code(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_tol_that_is_no_number_or_negative_exits_io(tmp_path, capsys):
+    # parse_float's two refusals, as the README's exit table promises: exit
+    # 4 with argparse's message, and no artifact
+    out = tmp_path / "run"
+    base = ["solve", "--gen", "random", "--n", "6", "--m", "3", "--out", out]
+    for tol, message in (("abc", "not a number: 'abc'"), ("-1", "must be >= 0, got '-1'")):
+        with pytest.raises(SystemExit) as exc:
+            run([*base, "--tol", tol])
+        assert exc.value.code == cli.EXIT_IO, tol
+        assert f"argument --tol: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_sqrt_generator_converges(tmp_path):
+    # the square-root generator from the command line: its A1-A3 are the
+    # seed's three standard normal draws, and the answer solves both
+    # equations, with mu on one of the closed-form branches
+    out = tmp_path / "run"
+    assert run(["solve", "--gen", "sqrt", "--n", "6", "--seed", "1", "--out", out]) == 0
+    res = read_results(out)
+    assert res["converged"] is True and res["problem"] == {"label": "sqrt", "n": 6, "m": 2}
+    rng = np.random.default_rng(1)
+    p, branch = problems.gen_sqrt_nep(*(rng.standard_normal((6, 6)) for _ in range(3)))
+    got = res["quadruplets"][0]
+    lam, mu = complex(*got["lam"]), complex(*got["mu"])
+    x, y = (np.array([complex(*z) for z in got[k]]) for k in ("x", "y"))
+    rec = mepnl.residuals(p, mepnl.Quadruplet(lam, mu, x, y))
+    assert rec.res_a <= 1e-10 and rec.res_b <= 1e-10
+    assert min(abs(mu - branch(lam, sign)) for sign in (1, -1)) <= 1e-10 * abs(mu)
+
+
 def test_newton_at_accuracy_limit_exits_not_converged(tmp_path):
     # tol below the attainable accuracy: M(lam_k) turns numerically singular
     # near the solution, which is a stagnated run (exit 2), not a singular

@@ -7,10 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 import mepnl
-from mepnl import _linalg, core, problems
+from mepnl import _linalg, core, pencil, problems
 from mepnl.core import (Quadruplet, Weights, attach_left_vectors, c0_matrix,
                         condition_numbers, residuals, worst_case_perturbation)
-from mepnl.errors import ConvergenceFailure, DimensionMismatch, NonSimpleMu
+from mepnl.errors import ConvergenceFailure, DimensionMismatch, NonSimpleLambda, NonSimpleMu
 
 
 def small_problem(seed=1, n=8, m=3):
@@ -458,6 +458,24 @@ def test_non_simple_mu_guard():
     w = np.array([0.0, 1.0])  # left null vector of -B1 for mu = 0
     q = Quadruplet(lam=0.0, mu=0.0, x=np.ones(2), y=y, v=np.ones(2), w=w)
     with pytest.raises(NonSimpleMu):
+        condition_numbers(p, q)
+
+
+def test_condition_numbers_refuse_a_double_lambda():
+    # a 1x1 large equation m(lam) = a1 + lam*a2 + g(lam) on a square-root
+    # branch g, with a2 = -g'(lam*) and a1 = -(lam*a2 + g(lam*)): m and m'
+    # both vanish at lam*, a double eigenvalue, while mu = g(lam*) stays
+    # simple; v^H M'(lam) x = 0 there, so conditioning refuses it
+    lam, zero = 0.3, np.zeros((1, 1))
+    probe, _ = problems.gen_sqrt_nep(zero, zero, np.ones((1, 1)))
+    bp = pencil.reference_point(probe, 0, lam)
+    a2 = -pencil.g_prime_closed_form(probe, bp)
+    p, _ = problems.gen_sqrt_nep(np.full((1, 1), -(lam * a2 + bp.mu)), np.full((1, 1), a2),
+                                 np.ones((1, 1)))
+    one = np.ones(1, dtype=np.complex128)
+    q = Quadruplet(lam=lam, mu=bp.mu, x=one, y=bp.y, v=one, w=bp.w)
+    assert core.residuals(p, q).res_a <= 1e-15
+    with pytest.raises(NonSimpleLambda, match="lam is \\(numerically\\) not simple"):
         condition_numbers(p, q)
 
 

@@ -57,7 +57,7 @@ def assert_band_lu_agrees_with_superlu(M):
             assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
             assert backward_error(op, x, b) <= 2 * backward_error(op, x_ref, b)
             for sol in (x, x_ref):
-                assert not _linalg.proves_singular(b, sol, norm, _linalg.RCOND_SINGULAR)
+                assert not _linalg.proves_singular(b, sol, norm)
 
 
 def test_band_lu_agrees_with_superlu():
@@ -172,7 +172,7 @@ def test_exactly_singular_sparse_matrix(M, storage):
     b = np.ones(M.shape[0])
     x = fact.solve(b)
     assert np.all(np.isfinite(x))
-    assert _linalg.proves_singular(b, x, spla.norm(M, 1), _linalg.RCOND_SINGULAR)
+    assert _linalg.proves_singular(b, x, spla.norm(M, 1))
     assert np.linalg.norm(M @ x) <= 1e-10 * spla.norm(M, 1) * np.linalg.norm(x)
     np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), np.eye(M.shape[0])[11],
                                atol=1e-12)
@@ -198,16 +198,15 @@ def test_exactly_singular_real_dense_matrix_is_floored_by_dgetrf(monkeypatch):
     for adjoint, op in ((False, M), (True, M.T)):
         x = fact.solve(b, adjoint=adjoint)
         assert x.dtype == np.float64 and np.all(np.isfinite(x))
-        assert _linalg.proves_singular(b, x, np.linalg.norm(M, 1), _linalg.RCOND_SINGULAR)
+        assert _linalg.proves_singular(b, x, np.linalg.norm(M, 1))
         assert np.linalg.norm(op @ x) <= 1e-10 * np.linalg.norm(M, 1) * np.linalg.norm(x)
     np.testing.assert_allclose(np.abs(fact.solve(b)) / np.linalg.norm(fact.solve(b)),
                                np.eye(30)[11], atol=1e-12)
 
 
 def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
-    # a complex b on a real dense LU goes to one dgetrs call as its real and
-    # imaginary parts, to the accuracy of a float64 b's own solve; dgetrs's
-    # blocked triangular solves may round a column apart with the width of b
+    # a complex b on a real dense LU goes to two dgetrs calls, of its real
+    # and of its imaginary part, each bit-equal to that float64 b's own solve
     rng = np.random.default_rng(3)
     M = rng.standard_normal((20, 20))
     fact = _linalg.Factorization(M)
@@ -226,11 +225,11 @@ def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
         for adjoint, op in ((False, M), (True, M.T)):
             columns.clear()
             x = fact.solve(b, adjoint=adjoint)
-            assert columns == [2 * k] and x.dtype == np.complex128 and x.shape == b.shape
+            assert columns == [k, k] and x.dtype == np.complex128 and x.shape == b.shape
             for part, got in ((b.real, x.real), (b.imag, x.imag)):
                 want = fact.solve(part, adjoint=adjoint)
                 assert want.dtype == np.float64
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+                assert np.array_equal(got, want)
             np.testing.assert_allclose(x, np.linalg.solve(op, b), rtol=1e-10)
             # an exactly zero imaginary part is left out of the solve
             columns.clear()
@@ -413,10 +412,10 @@ def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
         both[:, 0] = b
         want, _ = dgbtrs(lu, kl, ku, both, piv, trans=2 if adjoint else 0)
         assert np.array_equal(x.real, want[:, 0])
-        # a b with any nonzero imaginary part keeps both columns
+        # a b with any nonzero imaginary part takes a second solve, of that part
         columns.clear()
         fact.solve(b + 1j * rng.standard_normal(b.size), adjoint=adjoint)
-        assert columns == [2]
+        assert columns == [1, 1]
 
 
 @pytest.mark.parametrize("routine", ["dgetrs", "zgetrs", "dgbtrs", "zgbtrs"])

@@ -105,6 +105,15 @@ def test_load_problem_dimension_errors(tmp_path):
     assert "B3=(2, 2)" in str(info.value)
     with pytest.raises(ProblemIOError, match="6 matrix files"):
         mmio.load_problem(paths[:5])
+    # a non-square file, and B matrices of two sizes
+    wide = tmp_path / "wide.mtx"
+    mmio.write_matrix(wide, np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch, match="^non-square matrix among inputs: ") as info:
+        mmio.load_problem(paths[:4] + [str(wide), paths[5]])
+    assert "B2=(2, 3)" in str(info.value)
+    with pytest.raises(DimensionMismatch, match="^B sizes disagree: ") as info:
+        mmio.load_problem(paths[:5] + [str(odd)])
+    assert "B2=(2, 2)" in str(info.value) and "B3=(3, 3)" in str(info.value)
 
 
 def test_narrow_real_problem_round_trip(tmp_path):

@@ -85,6 +85,15 @@ def test_helmholtz_config_validation():
     assert np.all(np.isfinite(cfg.kappa_b_values(np.linspace(4, 5, 50))))
 
 
+def test_helmholtz_refuses_a_non_finite_wavenumber():
+    # a profile, given as a constant or as a function, that is not finite
+    # somewhere on its subdomain is refused before any matrix is built
+    for config in (dict(kappa_a=np.inf),
+                   dict(kappa_b=lambda x: np.where(x > 4.5, np.nan, 1.0))):
+        with pytest.raises(ValueError, match="^wavenumber profile produced non-finite"):
+            problems.gen_helmholtz(problems.HelmholtzConfig(n=40, m=4, **config))
+
+
 def test_helmholtz_default_profiles():
     x = np.linspace(0.0, 4.0, 101)
     ka = problems.default_kappa_a(x)
@@ -545,6 +554,8 @@ def test_tabulate_rejects_nonfinite_grid():
                 grid[i] = bad
                 with pytest.raises(ValueError):
                     problems.tabulate_branches(p, grid)
+        with pytest.raises(ValueError, match="^lambda grid is empty$"):
+            problems.tabulate_branches(p, [])
 
 
 def test_tabulate_qep_square_branch():

@@ -263,6 +263,48 @@ def test_resinv_nonfinite_correction_returns_last_finite_iterate(nan_at_second_s
     assert quad.lam == trace.lam[-1] and np.all(np.isfinite(quad.x))
 
 
+def test_newton_stops_nonfinite_on_an_overflowing_iterate(monkeypatch):
+    # a Newton solve u whose d^T u is finite but tiny: lam - 1/d^T u stays
+    # finite while x = u / d^T u overflows, and the run ends as "nonfinite"
+    # at the start, the last finite iterate
+    p = problems.gen_random(30, 4, seed=5)
+    x0 = np.eye(p.n)[0]  # d = e0, so d^T u = u[0]
+    u = np.full(p.n, 1e10, dtype=np.complex128)
+    u[0] = 1e-300
+    factorization = nep.NepView.factorization
+
+    def overflowing(self):
+        fact = factorization(self)
+        fact.solve = lambda b, adjoint=False: u.copy()
+        return fact
+
+    monkeypatch.setattr(nep.NepView, "factorization", overflowing)
+    with np.errstate(over="ignore"):  # the product alpha * u overflows
+        quad, trace = solvers.augmented_newton(nep.NepView(p), 0.0, x0)
+    assert trace.termination == "nonfinite" and not trace.converged
+    assert trace.iterations == 1 and trace.alpha == []
+    assert quad.lam == 0.0 and np.array_equal(quad.x, x0)
+
+
+def test_resinv_vanishing_correction_raises(monkeypatch):
+    # a solve with M(sigma) that gives back the iterate x exactly leaves the
+    # correction u = x - M(sigma)^-1 z at zero, which ConvergenceFailure names
+    p = problems.gen_random(30, 4, seed=5)
+    x0 = np.ones(p.n, dtype=np.complex128)
+    unit = x0 / np.linalg.norm(x0)
+    factorization = nep.NepView.factorization
+
+    def giving_back_x(self):
+        fact = factorization(self)
+        solve = fact.solve
+        fact.solve = lambda b, adjoint=False: solve(b, adjoint) if adjoint else unit.copy()
+        return fact
+
+    monkeypatch.setattr(nep.NepView, "factorization", giving_back_x)
+    with pytest.raises(ConvergenceFailure, match=r"^correction vanished at iteration 0 "):
+        solvers.resinv(nep.NepView(p), x0, solvers.SolverConfig(sigma=0.0))
+
+
 class CountedMatvecs(np.ndarray):
     """Dense array that counts the products A @ x taken with it."""
 
@@ -384,8 +426,8 @@ def test_qz_work_per_continuation_step(monkeypatch, reference_calls):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(_linalg, "geig", lambda kw, _: "geig.shift" if kw.get("shift") is not None
-          else "geig." + kw.get("vectors", "right"))
+    count(_linalg, "geig", lambda kw, _: "geig." + kw.get("vectors", "right"))
+    count(_linalg.lapack, "zgeev", lambda kw, _: "zgeev")
     count(_linalg, "certified_dominant",
           lambda kw, theta: "refused" if theta is None else "certified")
     reference_calls["calls"] = 0
@@ -406,7 +448,7 @@ def test_qz_work_per_continuation_step(monkeypatch, reference_calls):
     # full QZ runs on no step. Both sweeps start from every branch's
     # reference point, built once, with one power loop for its vectors
     assert counts["certified"] + counts["refused"] == steps
-    assert counts["certified"] + counts["geig.shift"] == steps
+    assert counts["certified"] + counts["zgeev"] == steps
     assert counts["certified"] + counts["shift_invert_vectors"] + \
         counts["_full_qz_point"] == steps
     assert reference_calls["calls"] == p.reference_mus.size
@@ -421,8 +463,8 @@ def test_qz_work_per_continuation_step(monkeypatch, reference_calls):
     assert trace.converged
     steps = counts["_continue_step"]
     assert steps >= trace.iterations - 1
-    assert counts["certified"] + counts["geig.shift"] == steps
-    assert counts["geig.shift"] <= 0.5 * steps
+    assert counts["certified"] + counts["zgeev"] == steps
+    assert counts["zgeev"] <= 0.5 * steps
     assert counts["certified"] + counts["shift_invert_vectors"] + \
         counts["_full_qz_point"] == steps
     assert counts["geig.both"] == counts["eigenpairs_at"] == counts["_full_qz_point"] == 0
@@ -447,7 +489,8 @@ def test_one_lu_per_certified_continuation_step(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(_linalg, "geig", lambda kw, _: "zgeev" if kw.get("shift") is not None else "QZ")
+    count(_linalg, "geig", lambda kw, _: "QZ")
+    count(_linalg.lapack, "zgeev", lambda kw, _: "zgeev")
     count(_linalg, "certified_dominant",
           lambda kw, found: "refused" if found is None else "certified")
     count(pencil, "_full_qz_point", lambda kw, _: "full QZ")
@@ -646,11 +689,16 @@ def test_problem_and_newton_run_one_eigenvalues_only_qz(monkeypatch, reference_c
     # the construction, none with vectors, and one LU of order m for the
     # followed branch's reference y and w
     counts = collections.Counter()
-    geig, factorization = _linalg.geig, _linalg.Factorization.__init__
+    geig, zgeev = _linalg.geig, _linalg.lapack.zgeev
+    factorization = _linalg.Factorization.__init__
 
-    def counted_geig(P, Q, vectors="right", shift=None):
-        counts["zgeev" if shift is not None else f"qz.{vectors}"] += 1
-        return geig(P, Q, vectors, shift)
+    def counted_geig(P, Q, vectors="right"):
+        counts[f"qz.{vectors}"] += 1
+        return geig(P, Q, vectors)
+
+    def counted_zgeev(*args, **kwargs):
+        counts["zgeev"] += 1
+        return zgeev(*args, **kwargs)
 
     def counted_lu(self, mat):
         if reference_calls["inside"]:
@@ -658,6 +706,7 @@ def test_problem_and_newton_run_one_eigenvalues_only_qz(monkeypatch, reference_c
         factorization(self, mat)
 
     monkeypatch.setattr(_linalg, "geig", counted_geig)
+    monkeypatch.setattr(_linalg.lapack, "zgeev", counted_zgeev)
     monkeypatch.setattr(_linalg.Factorization, "__init__", counted_lu)
     p = problems.gen_random(30, 100, seed=1)
     assert dict(counts) == {"qz.none": 1}
