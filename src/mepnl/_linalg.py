@@ -221,9 +221,10 @@ class Factorization:
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
     singular by design. The dense and band LUs replace an exactly zero
-    pivot, common when mat is real, by eps*||mat||_1 as in LAPACK's inverse
-    iteration (zlaein); SuperLU cannot, so an exactly singular matrix on
-    the "sparse" path is factorized as mat + eps*||mat||_1 * I.
+    pivot, common when mat is real, by _pivot_floor's eps*||mat||_1 as in
+    LAPACK's inverse iteration (zlaein), or the smallest normal float for
+    a zero mat; SuperLU cannot, so an exactly singular matrix on the
+    "sparse" path is factorized as mat + _pivot_floor(||mat||_1) * I.
     """
 
     def __init__(self, mat):
@@ -235,7 +236,7 @@ class Factorization:
             lu, piv, _ = getrf(a)
             zero = np.flatnonzero(lu.diagonal() == 0)
             if zero.size:
-                lu[zero, zero] = np.finfo(float).eps * np.linalg.norm(a, 1)
+                lu[zero, zero] = _pivot_floor(np.linalg.norm(a, 1))
             self._lu = (lu, piv)
             return
         if mat.format == "dia":
@@ -276,10 +277,11 @@ def proves_singular(b, x, scale) -> bool:
     """Whether the solve A x = b proves A numerically singular: ||b|| <
     RCOND_SINGULAR * scale * ||x||, as sigma_min(A) <= ||b||/||x|| (Ipsen,
     SIAM Review 1997), scale a norm of A. A non-finite x or a zero scale
-    proves it too."""
-    norm_x = np.linalg.norm(x)
+    proves it too. The norms do not overflow (vector_norms), as the squares
+    of x solved on a floored zero pivot would."""
+    norm_x = vector_norms(x, None)
     return not (np.isfinite(norm_x) and scale > 0
-                and np.linalg.norm(b) >= RCOND_SINGULAR * scale * norm_x)
+                and vector_norms(b, None) >= RCOND_SINGULAR * scale * norm_x)
 
 
 def proves_singular_from_start(fact: Factorization, n: int, scale) -> bool:
@@ -309,18 +311,26 @@ def _band_lu(mat, kl, ku):
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:  # U has an exactly zero pivot
         udiag = lu[kl + ku]
-        udiag[udiag == 0] = np.finfo(float).eps * spla.norm(mat, 1)
+        udiag[udiag == 0] = _pivot_floor(spla.norm(mat, 1))
     return lu, piv
 
 
 def _superlu(mat):
-    """SuperLU of the CSC mat, or of mat + eps*||mat||_1 * I when mat is
-    exactly singular."""
+    """SuperLU of the CSC mat, or of mat + _pivot_floor(||mat||_1) * I when
+    mat is exactly singular."""
     try:
         return spla.splu(mat)
     except RuntimeError:  # SuperLU signals exact singularity this way
-        floor = np.finfo(float).eps * spla.norm(mat, 1)
+        floor = _pivot_floor(spla.norm(mat, 1))
         return spla.splu(mat + floor * sp.identity(mat.shape[0], format="csc"))
+
+
+def _pivot_floor(norm1) -> float:
+    """The value that stands in for an exactly zero pivot of a matrix of
+    1-norm norm1: eps*norm1, as LAPACK's inverse iteration (zlaein) takes,
+    and never below the smallest normal float, which a zero matrix gets, as
+    zhsein takes for a zero Hessenberg norm."""
+    return max(np.finfo(float).eps * norm1, np.finfo(float).tiny)
 
 
 class GeneralizedSchur:
@@ -609,7 +619,7 @@ def null_vector_adjoint(fact: Factorization, norm: float, start):
     res = np.inf
     for _ in range(maxit):
         w = fact.solve(v, adjoint=True)
-        nw = np.linalg.norm(w)
+        nw = vector_norms(w, None)  # a floored zero matrix gives w near 1/tiny
         v = w / nw
         res = 1.0 / nw  # exactly ||M^H v|| because the previous v was unit
         if res <= tol * norm:

@@ -197,10 +197,10 @@ class TwoParProblem:
         """Whether the imaginary parts of all six coefficient matrices are
         exactly zero: the package's one realness rule, read by eval_a, by
         the rank-one branch (schur_k, pencil._rank_one_points and
-        pencil._null_vectors_pass) and by the oracle (delta.solve and
-        delta._refine). Decided once per problem, on first use, from the
-        stored entries, which a float64 A side has none of; the matrices
-        are read-only."""
+        pencil._null_vectors_pass), by the oracle (delta.solve and
+        delta._refine) and by Newton (solvers._iterate_arithmetic). Decided
+        once per problem, on first use, from the stored entries, which a
+        float64 A side has none of; the matrices are read-only."""
         mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)
         return not any(np.iscomplexobj(M) and np.any(M.imag)
                        for M in (M.data if sp.issparse(M) else M for M in mats))

@@ -108,6 +108,11 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     simple); M(lam_k) is formed only to be factorized, and the single linear
     solve per iteration serves both updates.
 
+    An iterate runs in float64 (x, d, lam, mu and g') while the problem is
+    real and lam, mu and x are real, and in complex arithmetic from the
+    first iterate that is not (_iterate_arithmetic); the Quadruplet's x is
+    complex128 and the trace's lam, mu and alpha are complex either way.
+
     Returns (Quadruplet, SolveTrace); trace.termination is "converged",
     "maxit", "stagnated" or "nonfinite" (non-convergence is reported, not
     raised). A run is nonfinite when u is not finite or an update would make
@@ -125,7 +130,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
         config = SolverConfig()
     _require_budget(config)
     problem = nep.problem
-    x = np.asarray(x0, dtype=np.complex128).copy()
+    x = np.array(x0)  # a copy: the caller's start is never the result's x
     d = x.conj() / (np.linalg.norm(x) ** 2)
     lam = complex(lam0)
     trace = SolveTrace()
@@ -133,14 +138,17 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     bp = nep.branch_point(lam)
     singular = False  # whether the last solve proved M(lam_k) singular
     for k in range(config.maxit + 1):
+        lam_k, mu_k, x, d = _iterate_arithmetic(problem, lam, bp.mu, x, d)
         a1x, a2x, a3x = problem.A1 @ x, problem.A2 @ x, problem.A3 @ x
         rec = core.residuals(problem, Quadruplet(lam, bp.mu, x, bp.y),
-                             ax=(a1x + lam * a2x) + bp.mu * a3x)
+                             ax=(a1x + lam_k * a2x) + mu_k * a3x)
         if trace.record(lam, bp.mu, rec, t0, config) or singular:
             if singular and not trace.converged:
                 trace.termination = "stagnated"
             break
         gprime = pencil.g_prime_closed_form(problem, bp)
+        if x.dtype == np.float64:  # g' of a real problem's real simple mu is real
+            gprime = gprime.real
         rhs = a2x + gprime * a3x
         del a1x, a2x, a3x  # n-vectors not held across the LU of M(lam_k)
         u = nep.factorization().solve(rhs)  # M(lam_k)'s LU is freed here
@@ -160,16 +168,33 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
                 f"at iteration {k} (lam={lam})"
             )
         alpha = 1.0 / dtu
-        lam_next, x_next = lam - alpha, alpha * u
+        with np.errstate(over="ignore", invalid="ignore"):  # tested on the next line
+            lam_next, x_next = lam - alpha, alpha * u
         del u  # nor across the next one
         if not (np.isfinite(lam_next) and np.all(np.isfinite(x_next))):
             trace.termination = "nonfinite"
             break
-        trace.alpha.append(alpha)
+        trace.alpha.append(np.complex128(alpha))
         lam, x = lam_next, x_next
         bp = nep.branch_point(lam)
-    return Quadruplet(lam, bp.mu, x, bp.y, residuals=rec,
+    return Quadruplet(lam, bp.mu, x.astype(np.complex128, copy=False), bp.y, residuals=rec,
                       c_normalized=not bp.c_degenerate), trace
+
+
+def _iterate_arithmetic(problem: TwoParProblem, lam, mu, x, d):
+    """(lam, mu, x, d) of one augmented_newton iterate in its arithmetic, the
+    solver's one dtype rule, read at every iterate: float64 when lam, mu and
+    x have exactly zero imaginary parts and the problem is real (is_real),
+    complex otherwise. So from a real start on a real problem the products
+    A_i @ x, M(lam)'s LU and solve (TwoParProblem.eval_a, Factorization)
+    and the vector updates run real, and x and d are promoted to complex128
+    at the first iterate whose lam or mu is not real, as a real full-rank
+    B3 can give at a real lam."""
+    if lam.imag == 0 and mu.imag == 0 and problem.is_real and not (
+            np.iscomplexobj(x) and x.imag.any()):
+        x, d = (np.ascontiguousarray(v.real, dtype=np.float64) for v in (x, d))
+        return lam.real, mu.real, x, d
+    return lam, mu, x.astype(np.complex128, copy=False), d.astype(np.complex128, copy=False)
 
 
 def rayleigh_candidates(problem: TwoParProblem, v, w, av=None):
@@ -239,6 +264,11 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     Returns (Quadruplet, SolveTrace); non-convergence is a trace flag,
     "maxit" or "nonfinite" (a correction that is not finite ends the run at
     the last finite iterate).
+
+    Unlike augmented_newton, the run is complex throughout, on a real
+    problem too: the projected problem's eigenvalues come from the complex
+    QZ of the B side, which is stored complex128, so lam is complex from
+    the first update on.
     """
     if config.sigma is None:
         raise ValueError("resinv requires config.sigma")

@@ -477,6 +477,12 @@ def test_condition_numbers_refuse_a_double_lambda():
     assert core.residuals(p, q).res_a <= 1e-15
     with pytest.raises(NonSimpleLambda, match="lam is \\(numerically\\) not simple"):
         condition_numbers(p, q)
+    # M(lam, mu) is the 1x1 zero matrix here: without v and w, adjoint
+    # inverse iteration on its floored LU finds v = 1 and reaches the same
+    # refusal, with no RuntimeWarning (an error in this suite)
+    assert np.array_equal(p.eval_a(lam, bp.mu), np.zeros((1, 1)))
+    with pytest.raises(NonSimpleLambda, match="lam is \\(numerically\\) not simple"):
+        condition_numbers(p, dataclasses.replace(q, v=None, w=None))
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])

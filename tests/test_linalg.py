@@ -178,6 +178,22 @@ def test_exactly_singular_sparse_matrix(M, storage):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("M, storage", [
+    (np.zeros((3, 3)), "dense"),
+    (np.zeros((3, 3), dtype=np.complex128), "dense"),
+    (sp.dia_array((np.zeros((2, 3)), [-1, 0]), shape=(3, 3)), "band"),
+    (sp.csr_array((3, 3)), "sparse"),
+])
+def test_zero_matrix_is_floored_at_the_smallest_normal_float(M, storage):
+    # eps*||M||_1 is 0 for a zero M: each path floors it at the smallest
+    # normal float instead, so a solve stays finite and inverse iteration
+    # can go on
+    fact = _linalg.Factorization(M)
+    assert fact.storage == storage
+    b = np.ones(3)
+    assert np.array_equal(fact.solve(b), b / np.finfo(float).tiny)
+
+
 def test_exactly_singular_real_dense_matrix_is_floored_by_dgetrf(monkeypatch):
     # a float64 dense matrix keeps to real arithmetic: its exactly zero
     # pivot is floored on the dgetrf path as on zgetrf's, and a real solve

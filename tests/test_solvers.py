@@ -56,6 +56,9 @@ def test_newton_converges_and_trace_is_consistent():
     # stored eigenvalue path and step sizes must agree exactly
     for k, alpha in enumerate(trace.alpha):
         assert trace.lam[k + 1] == trace.lam[k] - alpha
+    # x comes back complex128, and each alpha complex, whatever the arithmetic
+    assert got.x.dtype == np.complex128
+    assert all(isinstance(alpha, np.complex128) for alpha in trace.alpha)
 
 
 def test_newton_quadratic_tail():
@@ -279,8 +282,9 @@ def test_newton_stops_nonfinite_on_an_overflowing_iterate(monkeypatch):
         return fact
 
     monkeypatch.setattr(nep.NepView, "factorization", overflowing)
-    with np.errstate(over="ignore"):  # the product alpha * u overflows
-        quad, trace = solvers.augmented_newton(nep.NepView(p), 0.0, x0)
+    # the product alpha * u overflows with no RuntimeWarning, which the
+    # suite turns into an error
+    quad, trace = solvers.augmented_newton(nep.NepView(p), 0.0, x0)
     assert trace.termination == "nonfinite" and not trace.converged
     assert trace.iterations == 1 and trace.alpha == []
     assert quad.lam == 0.0 and np.array_equal(quad.x, x0)
@@ -681,6 +685,95 @@ def test_newton_on_large_helmholtz_ends_at_the_analytic_eigenvalue():
         quad, trace = solvers.augmented_newton(view, lam0, x0, config=tight)
         assert trace.converged, (k, trace.termination)
         assert abs(quad.lam - lam_k) <= 1e-6, (k, abs(quad.lam - lam_k))
+
+
+def helmholtz_newton_dtypes(monkeypatch, lam0, x0):
+    """The dtypes of the vectors that A1, A2 and A3 multiply, in order, and
+    of the right-hand sides solved with M(lam), in a Newton solve from
+    (lam0, x0) on a small split Helmholtz problem, and the solve's
+    (Quadruplet, SolveTrace)."""
+    disc = problems.gen_helmholtz(problems.HelmholtzConfig(n=400, m=12))
+    p = disc.problem
+    matmul_vector, refuse_singular = type(p.A1)._matmul_vector, nep.NepView.refuse_singular
+    products, rhs = [], []
+
+    def recorded_product(mat, other):
+        if any(mat is a for a in (p.A1, p.A2, p.A3)):
+            products.append(other.dtype)
+        return matmul_vector(mat, other)
+
+    def recorded_refusal(view, b, x):  # Newton's right-hand side and its solve
+        rhs.append(b.dtype)
+        return refuse_singular(view, b, x)
+
+    monkeypatch.setattr(type(p.A1), "_matmul_vector", recorded_product)
+    monkeypatch.setattr(nep.NepView, "refuse_singular", recorded_refusal)
+    view = nep.NepView(p, branch_id=0, reference_lam=lam0)
+    return products, rhs, solvers.augmented_newton(view, lam0, x0(disc.grid_a),
+                                                   solvers.SolverConfig(tol=1e-12))
+
+
+@pytest.mark.parametrize("lam0, x0, dtype", [
+    (-3.0, lambda g: np.sin(0.5 * np.pi / 5.0 * g), np.float64),
+    (-3.0 + 1e-3j, lambda g: np.sin(0.5 * np.pi / 5.0 * g), np.complex128),
+    (-3.0, lambda g: np.sin(0.5 * np.pi / 5.0 * g) * (1 + 1e-3j), np.complex128),
+])
+def test_helmholtz_newton_products_follow_the_start(monkeypatch, lam0, x0, dtype):
+    # the split Helmholtz problem is real and its rank-one point at a real
+    # lam is exactly real: from a real lam0 and x0 every product A_i @ x
+    # takes a float64 x and every Newton right-hand side is float64; a
+    # complex lam0 or x0 takes complex128 throughout
+    products, rhs, (quad, trace) = helmholtz_newton_dtypes(monkeypatch, lam0, x0)
+    assert trace.converged and trace.iterations >= 2
+    assert products == [np.dtype(dtype)] * (3 * trace.iterations)
+    assert rhs == [np.dtype(dtype)] * (trace.iterations - 1)
+    # the returned types do not depend on the arithmetic
+    assert quad.x.dtype == np.complex128
+    assert all(isinstance(z, complex) for z in trace.lam + trace.mu + trace.alpha)
+    assert all(isinstance(a, np.complex128) for a in trace.alpha)
+
+
+def test_newton_promotes_where_a_real_iterate_has_a_complex_mu(monkeypatch):
+    # mu = +-sqrt((2 + 2 lam)(lam - 1)) is real for lam > 1 and a conjugate
+    # pair on (-1, 1): from the real start 1.5 four iterates run in float64,
+    # the fifth, at the real lam 0.45, finds mu imaginary and promotes x and
+    # d, and the run ends at a complex lam; the same run forced complex from
+    # the start takes the same steps to the same answer
+    rng = np.random.default_rng(0)
+    p, _ = problems.gen_sqrt_nep(*(rng.standard_normal((4, 4)) for _ in range(3)),
+                                 a=0.0, b=2.0, c=-1.0, d=0.0, e=2.0, f=1.0)
+    assert p.is_real
+    arithmetic = solvers._iterate_arithmetic
+    iterates = []
+
+    def recorded(problem, lam, mu, x, d):
+        out = arithmetic(problem, lam, mu, x, d)
+        iterates.append((complex(lam), complex(mu), out[2].dtype, out[3].dtype))
+        return out
+
+    def solve():
+        view = nep.NepView(p, branch_id=0, reference_lam=1.5)
+        return solvers.augmented_newton(view, 1.5, np.ones(p.n),
+                                        solvers.SolverConfig(tol=1e-13))
+
+    monkeypatch.setattr(solvers, "_iterate_arithmetic", recorded)
+    quad, trace = solve()
+    dtypes = [(xd, dd) for _, _, xd, dd in iterates]
+    assert dtypes[:4] == [(np.float64, np.float64)] * 4
+    assert dtypes[4:] == [(np.complex128, np.complex128)] * (len(iterates) - 4)
+    lam4, mu4 = iterates[4][:2]
+    assert lam4.imag == 0 and -1 < lam4.real < 1 and abs(mu4.imag) > 1
+    assert trace.converged and abs(quad.lam.imag) > 0.5
+    assert quad.x.dtype == np.complex128
+    assert all(isinstance(a, np.complex128) for a in trace.alpha)
+
+    monkeypatch.setattr(solvers, "_iterate_arithmetic",
+                        lambda problem, lam, mu, x, d: (lam, mu, x.astype(np.complex128),
+                                                        d.astype(np.complex128)))
+    forced, forced_trace = solve()
+    assert forced_trace.converged and forced_trace.iterations == trace.iterations
+    assert abs(quad.lam - forced.lam) <= 1e-13 * abs(forced.lam)
+    assert abs(quad.mu - forced.mu) <= 1e-13 * abs(forced.mu)
 
 
 def test_problem_and_newton_run_one_eigenvalues_only_qz(monkeypatch, reference_calls):
