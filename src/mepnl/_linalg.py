@@ -352,8 +352,9 @@ class GeneralizedSchur:
     Each diagonal block of S + lam*T, 1x1 or 2x2, is solved by Gaussian
     elimination with partial pivoting (_block_solve). An exactly zero
     pivot, as at a lam where P + lam*Q is exactly singular, in a 1x1 block
-    or in an exactly singular 2x2 block, is replaced by eps*||S + lam*T||_1,
-    as Factorization floors an exactly zero pivot.
+    or in an exactly singular 2x2 block, is replaced by
+    _pivot_floor(||S + lam*T||_1), as Factorization floors an exactly zero
+    pivot, so a zero S + lam*T gets the smallest normal float, not 0.
     """
 
     def __init__(self, P, Q):
@@ -377,12 +378,11 @@ class GeneralizedSchur:
         lams = np.asarray(lams).reshape(-1)
         S, T = self.S, self.T
         m = S.shape[0]
-        eps = np.finfo(float).eps
 
         def floored(pivot):
             if not pivot.all():
                 zero = np.flatnonzero(pivot == 0)
-                pivot[zero] = [eps * np.linalg.norm(self.S + lam * self.T, 1)
+                pivot[zero] = [_pivot_floor(np.linalg.norm(self.S + lam * self.T, 1))
                                for lam in lams[zero]]
             return pivot
 

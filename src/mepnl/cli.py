@@ -316,22 +316,26 @@ def _write_artifacts(cfg, payload, trace, t_start):
         _write_trace_csv(os.path.join(cfg.out, "trace.csv"), trace)
 
 
+def _status_line(cfg, payload, trace) -> str:
+    """How the solve ended, the line solve prints, and cond when the solve
+    did not converge."""
+    if payload["converged"]:
+        return f"converged: {len(payload['quadruplets'])} quadruplet(s) -> {cfg.out}/results.json"
+    if trace.termination == "stagnated":
+        return (f"stagnated at the accuracy limit after {trace.iterations} "
+                f"iterates -> {cfg.out}/results.json")
+    if trace.termination == "nonfinite":
+        return (f"stopped before a non-finite update after {trace.iterations} "
+                f"iterates -> {cfg.out}/results.json")
+    return f"did not converge within {cfg.maxit} iterations -> {cfg.out}/results.json"
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
     code, payload, _, _, trace = _compute_solve(cfg)
     _write_artifacts(cfg, payload, trace, t_start)
+    print(_status_line(cfg, payload, trace))
     n_quads = len(payload["quadruplets"])
-    if payload["converged"]:
-        print(f"converged: {n_quads} quadruplet(s) -> {cfg.out}/results.json")
-    elif trace.termination == "stagnated":
-        print(f"stagnated at the accuracy limit after {trace.iterations} "
-              f"iterates -> {cfg.out}/results.json")
-    elif trace.termination == "nonfinite":
-        print(f"stopped before a non-finite update after {trace.iterations} "
-              f"iterates -> {cfg.out}/results.json")
-    else:
-        print(f"did not converge within {cfg.maxit} iterations "
-              f"-> {cfg.out}/results.json")
     for q in payload["quadruplets"][:8]:
         lam, mu = q["lam"], q["mu"]
         print(f"  lam = {lam[0]:+.12e}{lam[1]:+.12e}i   "
@@ -342,10 +346,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_cond(cfg: RunConfig) -> int:
+    """solve plus the condition numbers of each quadruplet. A solve that did
+    not converge gives no eigenpair to condition: its artifacts are written
+    with no reports, and its line and exit code are solve's."""
     t_start = time.perf_counter()
     code, payload, problem, quads, trace = _compute_solve(cfg)
     reports = []
-    for quad in quads:
+    for quad in quads if payload["converged"] else ():
         rep = dataclasses.asdict(condition_numbers(problem, quad))
         # |det C0| / (||x|| ||y||), as v and w are unit: x and y carry the
         # scales of x0 and c, and x and v an arbitrary phase
@@ -354,6 +361,8 @@ def cmd_cond(cfg: RunConfig) -> int:
         reports.append({"lam": _c2j(quad.lam), **rep})
     payload["condition_reports"] = reports
     _write_artifacts(cfg, payload, trace, t_start)
+    if not payload["converged"]:
+        print(_status_line(cfg, payload, trace))
     for rep in reports:
         lam = rep["lam"]
         print(f"lam = {lam[0]:+.6e}{lam[1]:+.6e}i   kappa_total = "

@@ -182,8 +182,8 @@ class TwoParProblem:
         real QZ of their real parts when the problem is real (is_real), so
         that a real lam's solves run in float64, and the complex QZ
         otherwise. The points' residual test then takes products with B1,
-        B2 and B3 over the 2-norm bound scale_b (pencil._null_vectors_pass),
-        so no B1 + lam*B2 + mu*B3 is formed per lam either."""
+        B2 and B3 (_small_residual) over the 2-norm bound scale_b, so no
+        B1 + lam*B2 + mu*B3 is formed per lam either."""
         if self.is_real:
             return _linalg.GeneralizedSchur(self.B1.real, self.B2.real)
         return _linalg.GeneralizedSchur(self.B1, self.B2)
@@ -196,8 +196,8 @@ class TwoParProblem:
     def is_real(self) -> bool:
         """Whether the imaginary parts of all six coefficient matrices are
         exactly zero: the package's one realness rule, read by eval_a, by
-        the rank-one branch (schur_k, pencil._rank_one_points and
-        pencil._null_vectors_pass), by the oracle (delta.solve and
+        _small_residual, by the rank-one branch (schur_k and
+        pencil._rank_one_points), by the oracle (delta.solve and
         delta._refine) and by Newton (solvers._iterate_arithmetic). Decided
         once per problem, on first use, from the stored entries, which a
         float64 A side has none of; the matrices are read-only."""
@@ -248,9 +248,6 @@ class TwoParProblem:
     def apply_a(self, lam, mu, x):
         """(A1 + lam*A2 + mu*A3) x by three matvecs, without forming the sum."""
         return self.A1 @ x + lam * (self.A2 @ x) + mu * (self.A3 @ x)
-
-    def apply_b(self, lam, mu, y):
-        return self.B1 @ y + lam * (self.B2 @ y) + mu * (self.B3 @ y)
 
     def scale_a(self, lam, mu) -> float:
         """||A1|| + |lam| ||A2|| + |mu| ||A3||, each norm the 2-norm bound of
@@ -309,15 +306,39 @@ def _residual_norms(problem: TwoParProblem, lam, mu, x, y, ax=None) -> tuple:
     row, as arrays, for arrays lam and mu and the rows of a 2-D x, y and ax."""
     if ax is None:
         ax = problem.apply_a(lam, mu, x.T).T
-    by = problem.apply_b(lam, mu, y.T).T
     # one vector's norm is numpy's whole-vector norm, which rounds apart
     # from the row-wise reduction in about a third of cases
     axis = None if np.ndim(x) == 1 else -1
     ra = _linalg.vector_norms(ax, axis)
     ra /= problem.scale_a(lam, mu) * np.linalg.norm(x, axis=axis)
-    rb = _linalg.vector_norms(by, axis)
+    rb = _small_residual(problem, lam, mu, y)
     rb /= problem.scale_b(lam, mu) * np.linalg.norm(y, axis=axis)
     return ra, rb
+
+
+def _small_residual(problem: TwoParProblem, lam, mu, y, w=None):
+    """||B y||, or given w the larger of ||B y|| and ||w^H B||, unscaled, for
+    B = B1 + lam*B2 + mu*B3: the small equation's one residual routine, of
+    res_b and of every branch point's residual test (pencil._point_at, as a
+    batch of one, and pencil._rank_one_batch). Row by row for arrays lam
+    and mu and the rows of a 2-D y and w, from three products with B1, B2
+    and B3 for all rows at once, so no B is formed; one vector's is its
+    whole-vector norm. A real problem (is_real) takes them with the real
+    parts of B1, B2 and B3 when lam, mu, y and w are all float64."""
+    mats = (problem.B1, problem.B2, problem.B3)
+    if problem.is_real and not any(map(np.iscomplexobj, (lam, mu, y, w))):
+        mats = tuple(np.ascontiguousarray(M.real) for M in mats)
+    B1, B2, B3 = mats
+    axis = None if np.ndim(y) == 1 else 0
+    yt = y.T  # the columns of B @ yt are B y, row by row
+    residual = _linalg.vector_norms(B1 @ yt + lam * (B2 @ yt) + mu * (B3 @ yt), axis)
+    if w is not None:
+        wh = w.conj()  # the rows of wh @ B are w^H B, with no copy of B
+        if axis is not None:
+            lam, mu, axis = np.reshape(lam, (-1, 1)), np.reshape(mu, (-1, 1)), 1
+        bhw = wh @ B1 + lam * (wh @ B2) + mu * (wh @ B3)
+        residual = np.maximum(residual, _linalg.vector_norms(bhw, axis))
+    return residual
 
 
 @dataclasses.dataclass

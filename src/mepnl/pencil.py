@@ -41,9 +41,10 @@ takes one substitution, for y, and is certified by y's residual alone,
 where a point also certifies w. A real problem's form is real, and
 its real lams run in float64 throughout, so their points are exactly real
 by real arithmetic.
-Every residual test (_null_vectors_pass), of a batch or of one step,
-takes products with B1, B2 and B3 and scales them by the 2-norm bound
-scale_b(lam, mu), so a grid builds no m x m matrix per lam.
+Every residual test, of a batch or of one step, reads the small
+equation's one residual routine, core._small_residual, which res_b reads
+too: products with B1, B2 and B3, compared with TOL_INVERSE_RESIDUAL times
+the 2-norm bound scale_b(lam, mu), so a grid builds no m x m matrix per lam.
 Branch ids are positions in the canonical order of the eigenvalues at a
 reference lam, which an eigenvalues-only QZ gives (eigvals_at): at
 REFERENCE_LAM one per problem, at its construction
@@ -66,7 +67,7 @@ from math import comb
 import numpy as np
 
 from . import _linalg
-from .core import TwoParProblem, _branch_slope, _c_normalizable
+from .core import TwoParProblem, _branch_slope, _c_normalizable, _small_residual
 from .errors import AmbiguousBranch, NoFiniteEigenvalue, NonSimpleMu, SingularJacobian
 
 # Two continuation candidates whose distances to the prediction differ by less
@@ -277,42 +278,22 @@ def _point_at(problem: TwoParProblem, lam, mu, branch_id: int, start,
     builder of a reference point and of a step's point when rank(B3) >= 2.
     Its unit y and w are vectors when given, else inverse iteration at mu
     from start = (y, w) when that is given (_linalg.shift_invert_vectors,
-    Ipsen, SIAM Review 1997), kept when they pass _null_vectors_pass; with
-    none that pass, the point is the full QZ's nearest mu (_full_qz_point)."""
+    Ipsen, SIAM Review 1997), kept when they pass the residual test, of
+    core._small_residual as a batch of one; with none that pass, the point
+    is the full QZ's nearest mu (_full_qz_point)."""
     if vectors is None and start is not None:
         vectors = _linalg.shift_invert_vectors(-(problem.B1 + lam * problem.B2),
                                                problem.B3, mu, start)
-    if vectors is None or not _null_vectors_pass(problem, lam, mu, *vectors)[0]:
+    if vectors is not None:
+        lams, mus = np.array([lam]), np.array([mu])  # the residual test of a batch of one
+        residual = _small_residual(problem, lams, mus, *(v[None] for v in vectors))
+        if not residual[0] <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)[0]:
+            vectors = None
+    if vectors is None:
         return _full_qz_point(problem, lam, mu, branch_id)
     y, degen = _normalize_y(vectors[0], problem.c)
     return BranchPoint(lam=complex(lam), mu=mu, y=y, w=vectors[1],
                        branch_id=branch_id, c_degenerate=bool(degen))
-
-
-def _null_vectors_pass(problem: TwoParProblem, lams, mus, y, w=None):
-    """The residual test of unit y and w at an eigenvalue mu of B = B(lam,
-    mu): ||B y|| and ||w^H B|| at most TOL_INVERSE_RESIDUAL * scale_b(lam,
-    mu), the 2-norm bound ||B1|| + |lam| ||B2|| + |mu| ||B3|| that
-    core._residual_norms divides by; elementwise over lams and mus with the
-    rows of 2-D y and w. Each residual is three products with B1, B2 and B3
-    for all entries at once, so no B is formed per entry. Without w the
-    test is y's alone: a table certifies mu by it (_rank_one_points without
-    vectors), where a point also certifies w. When the problem is
-    real (is_real) and lams, mus, y and w are all float64, the products are
-    taken with the real parts of B1, B2 and B3, in float64.
-    """
-    lams, mus = np.asarray(lams).reshape(-1), np.asarray(mus).reshape(-1)
-    mats = (problem.B1, problem.B2, problem.B3)
-    if problem.is_real and not any(map(np.iscomplexobj, (lams, mus, y, w))):
-        mats = tuple(np.ascontiguousarray(M.real) for M in mats)
-    B1, B2, B3 = mats
-    yt = np.atleast_2d(y).T
-    residual = _linalg.vector_norms(B1 @ yt + lams * (B2 @ yt) + mus * (B3 @ yt), 0)
-    if w is not None:
-        wh = np.atleast_2d(w).conj()  # the rows of wh @ B are w^H B, with no copy of B
-        bhw = wh @ B1 + lams[:, None] * (wh @ B2) + mus[:, None] * (wh @ B3)
-        residual = np.maximum(residual, _linalg.vector_norms(bhw, 1))
-    return residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mus)
 
 
 def _full_qz_point(problem: TwoParProblem, lam, mu, branch_id: int) -> BranchPoint:
@@ -348,11 +329,11 @@ def _rank_one_points(problem: TwoParProblem, lams, vectors: bool = True):
     exactly real; its other lams make a second batch, in complex arithmetic
     on the same form. mu is finite when the pair (-1, tau) passes
     _linalg.finite_pair, the test geig applies to QZ's pairs, which here
-    means |mu| < 1/TOL_INF - 1. The point is certified by
-    _null_vectors_pass, from products with B1, B2 and B3, with no B(lam, mu)
-    formed per lam: y and w, or y alone without vectors, which takes one
-    substitution per lam and certifies mu by y's residual. An entry that
-    fails it takes its point from the full QZ at its lam instead
+    means |mu| < 1/TOL_INF - 1. The point is certified by the residual
+    test of core._small_residual, from products with B1, B2 and B3, with no
+    B(lam, mu) formed per lam: y and w, or y alone without vectors, which
+    takes one substitution per lam and certifies mu by y's residual. An
+    entry that fails it takes its point from the full QZ at its lam instead
     (_full_qz_point).
     """
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
@@ -399,7 +380,8 @@ def _rank_one_batch(problem: TwoParProblem, lams, vectors: bool = True):
     float64 for float64 lams, which only a real problem's real lams are,
     and in complex arithmetic otherwise: tau = v^H K^-1 u, mu = -1/tau
     where the pair (-1, tau) is finite and NaN elsewhere, unit y and w, and
-    the residual test of each entry, which a NaN mu fails. Without vectors
+    the residual test of each entry, core._small_residual at most
+    TOL_INVERSE_RESIDUAL * scale_b, which a NaN mu fails. Without vectors
     w is None, its solve is not taken, and the test is y's alone."""
     u, v = problem.b3_rank_one
     if lams.dtype == np.float64:
@@ -418,7 +400,8 @@ def _rank_one_batch(problem: TwoParProblem, lams, vectors: bool = True):
 
     y = unit(x)
     w = unit(problem.schur_k.solve(lams, v, adjoint=True)) if vectors else None
-    return mu, tau, y, w, _null_vectors_pass(problem, lams, mu, y, w)
+    residual = _small_residual(problem, lams, mu, y, w)
+    return mu, tau, y, w, residual <= TOL_INVERSE_RESIDUAL * problem.scale_b(lams, mu)
 
 
 def _rank_one_point(problem: TwoParProblem, lam, branch_id: int) -> BranchPoint:

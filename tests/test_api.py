@@ -137,6 +137,20 @@ def test_one_builder_of_a_branch_point():
     assert _package_scopes(_calls("_rank_one_batch")) == ["pencil._rank_one_points"]
 
 
+def test_one_residual_routine_for_the_small_equation():
+    """core._small_residual is the one residual of the small equation: res_b
+    (core._residual_norms) and the residual test of every branch point, of
+    a point as a batch of one (pencil._point_at) and of a rank-one batch
+    (pencil._rank_one_batch), read it, and no second routine takes the
+    products of B1, B2 and B3 with y or w for either."""
+    from mepnl import core, pencil
+
+    assert _package_scopes(_calls("_small_residual")) == [
+        "core._residual_norms", "pencil._point_at", "pencil._rank_one_batch"]
+    assert not hasattr(pencil, "_null_vectors_pass")
+    assert not hasattr(core.TwoParProblem, "apply_b")
+
+
 def test_a_problem_keeps_no_branch_points():
     """A TwoParProblem is set once, in its __init__: no other function
     assigns to an attribute or an item of a problem (problem.<attr>,

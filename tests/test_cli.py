@@ -270,6 +270,24 @@ def test_cond_after_newton_on_singular_solution(tmp_path):
     assert len(reports) == 1 and np.isfinite(reports[0]["kappa_total"])
 
 
+@pytest.mark.parametrize("solver", [["--solver", "resinv", "--lambda0", "0.1+0.1i"],
+                                    ["--maxit", "1"]])
+def test_cond_after_a_solve_that_did_not_converge(tmp_path, capsys, solver):
+    # no eigenpair to condition: the solve's artifacts, with no reports, and
+    # solve's line and exit code, not the left vectors' ConvergenceFailure
+    out = tmp_path / "run"
+    code = run(["cond", "--gen", "random", "--n", "8", "--m", "3", "--seed", "1",
+                *solver, "--out", out])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NOT_CONVERGED
+    assert "adjoint inverse iteration" not in captured.err
+    assert "did not converge within" in captured.out
+    res = read_results(out)
+    assert res["trace"]["termination"] == "maxit" and res["converged"] is False
+    assert res["condition_reports"] == [] and len(res["quadruplets"]) == 1
+    assert (out / "trace.csv").exists()
+
+
 def test_cond_helmholtz(tmp_path, monkeypatch):
     # the split Helmholtz problem is real, and its rank-one branch point at a
     # real lam is exactly real: every M(lam) that Newton's iterates and the

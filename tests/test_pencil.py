@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lapack
 
 import mepnl
-from mepnl import _linalg, pencil, problems
+from mepnl import _linalg, core, pencil, problems
 from mepnl.errors import AmbiguousBranch, NoFiniteEigenvalue, NonSimpleMu, SingularJacobian
 
 # closed-form branch values of the square-root problem with coefficients
@@ -647,6 +647,18 @@ def test_generalized_schur_floors_an_exactly_singular_2x2_block():
             assert np.linalg.norm(K @ x - b) <= 4 * eps * scale * np.linalg.norm(x)
 
 
+def test_generalized_schur_floors_a_zero_matrix_at_the_smallest_normal():
+    # S + 0*T = 0: eps*||S + 0*T||_1 would floor its pivots at 0, and the
+    # solve would divide by zero; the floor is the smallest normal float
+    schur = _linalg.GeneralizedSchur(np.zeros((3, 3)), np.eye(3))
+    b = np.array([1.0, 2.0, 3.0]) / 4.0
+    for adjoint in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = schur.solve([0.0], b, adjoint=adjoint)
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got) >= 0.2 / np.finfo(float).tiny)
+
+
 def test_rank_one_singular_k_gives_lambda_squared(monkeypatch):
     # K(0) = B1 of the QEP is exactly singular, so S + 0*T has exactly zero
     # diagonal entries, which are floored as a zero pivot is
@@ -810,17 +822,17 @@ def test_rank_one_entry_failing_its_residual_test_takes_full_qz(monkeypatch):
     k = 13
     mus, ys, ws, degen, failed = pencil._rank_one_points(p, grid)
     assert not failed
-    passes = pencil._null_vectors_pass
+    residual_of = pencil._small_residual
     w_tested = []  # whether each test is given w: a table's tests y alone
 
-    def fail_entry_k(problem, lams, *args):
-        w_tested.append(args[2] is not None)
-        certified = passes(problem, lams, *args)
-        if certified.size == grid.size:
-            certified[k] = False
-        return certified
+    def fail_entry_k(problem, lams, mus, y, w=None):
+        w_tested.append(w is not None)
+        residual = residual_of(problem, lams, mus, y, w)
+        if residual.size == grid.size:
+            residual[k] = np.inf
+        return residual
 
-    monkeypatch.setattr(pencil, "_null_vectors_pass", fail_entry_k)
+    monkeypatch.setattr(pencil, "_small_residual", fail_entry_k)
     got = pencil._rank_one_points(p, grid)
     assert not got[4]
     others = np.arange(grid.size) != k
@@ -892,7 +904,8 @@ def test_residual_test_decides_as_formed_b():
         # the three products round apart from the formed B by up to about
         # 1e-3 of a residual at the threshold, so a formed residual within
         # 1/64 of it may be decided either way
-        got = pencil._null_vectors_pass(p, lams, mus, y, w)
+        got = core._small_residual(p, lams, mus, y, w) <= (
+            pencil.TOL_INVERSE_RESIDUAL * p.scale_b(lams, mus))
         ratio = formed_b_residuals(p, lams, mus, y, w)
         clear = np.abs(np.log(ratio)) > np.log1p(1.0 / 64.0)
         np.testing.assert_array_equal(got[clear], ratio[clear] <= 1.0)
@@ -1229,7 +1242,8 @@ def test_certificate_is_sound(m):
                 nearest = mus[np.argmin(np.abs(mus - s))]
                 assert abs(got[0] - nearest) <= 1e-10 * abs(nearest), (seed, frac)
                 # its y and w are the pencil's, as QZ gives them
-                assert pencil._null_vectors_pass(p, 0.0, got[0], *vectors)[0]
+                residual = core._small_residual(p, 0.0, got[0], *vectors)
+                assert residual <= pencil.TOL_INVERSE_RESIDUAL * p.scale_b(0.0, got[0])
                 j = np.argmin(np.abs(z - got[0]))
                 assert_same_direction(vectors[0], vr[:, j], 1e-10)
                 assert_same_direction(vectors[1], vl[:, j], 1e-10)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import mepnl
-from mepnl import _linalg, delta, nep, pencil, problems, solvers
+from mepnl import _linalg, core, delta, nep, pencil, problems, solvers
 
 
 def test_gen_random_reproducible_and_scaled():
@@ -503,9 +503,10 @@ def test_rank_one_table_holds_the_points_mu_and_failures():
         real = p.is_real & (grid.imag == 0)
         for part, at in ((real, grid.real), (~real, grid)):
             mu, _, y, w, _ = pencil._rank_one_batch(p, at[part])
-            both = pencil._null_vectors_pass(p, at[part], mu, y, w)
+            bound = pencil.TOL_INVERSE_RESIDUAL * p.scale_b(at[part], mu)
+            both = core._small_residual(p, at[part], mu, y, w) <= bound
             finite += np.isfinite(mu).sum()
-            y_alone += (pencil._null_vectors_pass(p, at[part], mu, y) & ~both).sum()
+            y_alone += ((core._small_residual(p, at[part], mu, y) <= bound) & ~both).sum()
     assert (finite, gaps, y_alone) == (881 + 13_257, 63, 0)
 
 
