@@ -6,16 +6,20 @@ storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this), but for one:
 delta._newton_step solves its stack of bordered Jacobians with
 np.linalg.solve, an LU of each matrix of the stack. A
-Factorization picks one of three storage paths from its input: LAPACK's
-dense LU for a dense matrix, LAPACK's band LU for a dia_array, as eval_a
-builds an M(lam) of a problem that TwoParProblem.__init__ has found
-narrow (the one reader of BAND_MAX) and stored by its diagonals
-(to_diagonals), and SuperLU for any other sparse matrix. The dense and
-band LUs work in the matrix's own dtype, real (dgetrf, dgbtrf) for a
-float64 matrix, as the oracle's delta0 of a real problem and eval_a's
-real M(lam) are, and complex (zgetrf, zgbtrf) otherwise; SuperLU works in
-complex arithmetic. No LU is refused: an exactly zero pivot is floored at
-eps*||mat||_1 in place by the dense and band LUs; SuperLU instead
+Factorization picks one of four storage paths from its input: LAPACK's
+dense LU for a dense matrix; for a DiagonalSum, the unsummed M(lam) of a
+problem that TwoParProblem.__init__ has found narrow (the one reader of
+BAND_MAX) and stored by its diagonals (to_diagonals), LAPACK's tridiagonal
+LU when that problem has also found every M(lam) tridiagonal but for one
+corner entry (tridiagonal_but_corner), and LAPACK's band LU otherwise, as
+for a dia_array, which is a DiagonalSum of one term; and SuperLU for any
+other sparse matrix. The
+LAPACK LUs work in the matrix's own dtype, real (dgetrf, dgttrf, dgbtrf)
+for a float64 matrix, as the oracle's delta0 of a real problem and a real
+problem's M(lam) at real lam and mu are, and complex (zgetrf, zgttrf,
+zgbtrf) otherwise; SuperLU works in complex arithmetic. No LU is refused:
+an exactly zero pivot is floored at eps*||mat||_1 in place by the LAPACK
+LUs; SuperLU instead
 factorizes mat + eps*||mat||_1 * I. A caller that must refuse a singular
 matrix reads it from a solve, by proves_singular, the same test at the
 same tolerance on every storage path: M(lam) from the caller's own solve,
@@ -24,6 +28,8 @@ delta0 and the bordered Jacobian from one step of inverse iteration
 shift_invert_eigvals takes a continuation step's candidates from zgeev.
 """
 from __future__ import annotations
+
+import typing
 
 import numpy as np
 import scipy.linalg as sla
@@ -53,7 +59,7 @@ POWER_TOL = 1e-13
 NULL_VECTOR_TOL = 1e-8
 NULL_VECTOR_MAXIT = 50
 # Largest kl + ku of an M(lam) whose problem stores A1-A3 by their diagonals,
-# so that M(lam) is built as a dia_array and packed into LAPACK band storage
+# so that M(lam) is summed into the storage of a LAPACK LU (DiagonalSum)
 # instead of handed to SuperLU. At n = 1e5 (one BLAS thread,
 # 2 vCPUs), full bands and 2-D five-point strips with kl + ku <= 8 were
 # factorized 2.3 to 5.8 times faster by zgbtrf than by SuperLU, in at most
@@ -91,6 +97,78 @@ def to_diagonals(mat, kl, ku, dtype):
         diagonal = mat.diagonal(k)
         row[max(k, 0):n + min(k, 0)] = diagonal.real if dtype == np.float64 else diagonal
     return sp.dia_array((data, offsets), shape=(n, n))
+
+
+def split_product(mat, x):
+    """mat @ x. A float64 mat times a complex128 x is taken in float64, of
+    x's real part alone when its imaginary part is exactly zero, and
+    otherwise of its real and imaginary parts side by side, as the two
+    columns per column of x of one float64 product with x's float64 view,
+    whose result viewed as complex is mat @ x: each entry equals that of
+    scipy's complex product, which would first make a complex copy of mat.
+    At n = 5e5 the split Helmholtz A1 takes 5.5 ms so, against 10.8 ms for
+    the complex product (one BLAS thread, 2 vCPUs). Any other product is
+    mat @ x as it is."""
+    if mat.dtype != np.float64 or x.dtype != np.complex128:
+        return mat @ x
+    if not x.imag.any():
+        return (mat @ x.real).astype(np.complex128)
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(len(x), -1)
+    return np.ascontiguousarray(mat @ pairs).view(np.complex128).reshape(x.shape)
+
+
+class DiagonalSum(typing.NamedTuple):
+    """The n x n matrix sum of scale * mat over zip(mats, scales), unsummed,
+    for Factorization to sum into the storage of its own LU: each mat a
+    dia_array, read only where its diagonals meet the matrix (_in_range),
+    and a scale None standing for 1. dtype is that of the sum, float64 or
+    complex128. tridiagonal says that every sum of mats has no nonzero
+    outside diagonals -1..1 but at entry (n - 1, n - 3), as
+    tridiagonal_but_corner decides once per problem for mats of
+    to_diagonals's form, rows of n entries; Factorization then takes the
+    tridiagonal LU, and the band LU otherwise."""
+
+    mats: tuple
+    scales: tuple
+    dtype: type
+    tridiagonal: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.mats[0].shape[0]
+
+    def bandwidths(self) -> tuple[int, int]:
+        """(kl, ku) of the sum, read from the offsets of mats."""
+        offsets = np.concatenate([mat.offsets for mat in self.mats])
+        return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+
+    def add_into(self, dest):
+        """Add the sum into the caller's storage: dest(k, cols) gives the
+        array view that holds the entries of diagonal k in the columns cols
+        of the matrix, and the columns it holds. Each term's diagonals are
+        added in turn, so each entry is (a1 + lam*a2) + mu*a3 for the terms
+        (A1, None), (A2, lam), (A3, mu): TwoParProblem.eval_a's order, and
+        one copy of a1 for a sum of one term."""
+        for mat, scale in zip(self.mats, self.scales):
+            for k, row, cols, _ in _in_range(mat):
+                out, cols = dest(k, cols)
+                out += row[cols] if scale is None else row[cols] * scale
+
+
+def tridiagonal_but_corner(mats) -> bool:
+    """Whether every sum of the square dia_arrays mats, of order n >= 3, is
+    tridiagonal but for entry (n - 1, n - 3): no diagonal outside -2..1 is
+    stored, and diagonal -2 has no nonzero but that one, as the split
+    Helmholtz A1 has its one-sided interface row. Read once per problem,
+    by TwoParProblem.__init__ alone."""
+    n = mats[0].shape[0]
+    if n < 3:
+        return False
+    for mat in mats:
+        for k, row, cols, _ in _in_range(mat):
+            if not -2 <= k <= 1 or (k == -2 and row[:n - 3].any()):
+                return False
+    return True
 
 
 def _in_range(mat):
@@ -197,31 +275,39 @@ class Factorization:
     Jacobians, in delta._newton_step.
 
     storage names the path taken. A dense matrix is "dense": LAPACK's LU.
-    A dia_array, the form in which TwoParProblem.eval_a delivers M(lam)
-    for a problem whose __init__ has found it narrow (the package's one
-    band decision), is "band": packed into LAPACK band storage and
-    factorized by the band LU, with bandwidths = (kl, ku) read from its
-    offsets; the split Helmholtz M(lam) has (2, 1). Both LAPACK paths keep
-    a float64 matrix real (dgetrf, dgbtrf), at half the bytes of the
-    complex LU (zgetrf, zgbtrf) that any other dtype gets; the oracle's
+    A DiagonalSum, the form in which TwoParProblem.factorize_a hands over
+    M(lam) for a problem whose __init__ has found it narrow (the package's
+    one band decision), is summed straight into the storage of a LAPACK
+    LU, so no M(lam) is formed beside it. When that problem has found every
+    M(lam) tridiagonal but for entry (n - 1, n - 3), as the split Helmholtz
+    M(lam) is, it is "tridiagonal": the sum goes into the three diagonals
+    and that corner entry, one Gauss transform with partial pivoting
+    between rows n - 2 and n - 1 removes the corner (_eliminate_corner), and
+    the tridiagonal LU factorizes in place. Otherwise, and for a dia_array,
+    which is a DiagonalSum of one term, it is "band": summed into LAPACK
+    band storage and factorized in place by the band LU, with bandwidths =
+    (kl, ku) read from the offsets. The LAPACK paths keep a float64 matrix
+    real (dgetrf, dgttrf, dgbtrf), at half the bytes of the complex LU
+    (zgetrf, zgttrf, zgbtrf) that any other dtype gets; the oracle's
     delta0 of a real problem is the one dense float64 matrix the package
     factorizes. Any other sparse matrix is "sparse": SuperLU, with no scan
     of its pattern, since the problem has already found its band too wide.
-    Neither sparse path keeps the matrix.
+    No sparse path keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization, by one LAPACK routine per storage, ?getrs for
-    the dense LU and ?gbtrs for the band LU, real or complex as the LU is.
-    A real LU solves a float64 b in float64 and returns float64; any other
-    b gets complex128, from two float64 solves, of its real part and then
-    of its imaginary part, which is left out when it is exactly zero, as
-    Newton's right-hand side is at a real iterate. A complex LU and
-    SuperLU solve b made complex and return complex128.
+    the dense LU, ?gttrs for the tridiagonal LU (after or before the corner's
+    Gauss transform on the right-hand side) and ?gbtrs for the band LU, real
+    or complex as the LU is. A real LU solves a float64 b in float64 and
+    returns float64; any other b gets complex128, from two float64 solves,
+    of its real part and then of its imaginary part, which is left out when
+    it is exactly zero, as Newton's right-hand side is at a real iterate. A
+    complex LU and SuperLU solve b made complex and return complex128.
 
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
-    singular by design. The dense and band LUs replace an exactly zero
-    pivot, common when mat is real, by _pivot_floor's eps*||mat||_1 as in
+    singular by design. The LAPACK LUs replace an exactly zero pivot of U,
+    common when mat is real, by _pivot_floor's eps*||mat||_1 as in
     LAPACK's inverse iteration (zlaein), or the smallest normal float for
     a zero mat; SuperLU cannot, so an exactly singular matrix on the
     "sparse" path is factorized as mat + _pivot_floor(||mat||_1) * I.
@@ -229,6 +315,17 @@ class Factorization:
 
     def __init__(self, mat):
         self.bandwidths = None
+        if sp.issparse(mat) and mat.format == "dia":
+            real = mat.dtype == np.float64
+            mat = DiagonalSum((mat,), (None,), np.float64 if real else np.complex128)
+        if isinstance(mat, DiagonalSum):
+            if mat.tridiagonal:
+                self.storage = "tridiagonal"
+                self._lu, self._corner = _tridiagonal_lu(mat)
+            else:
+                self.storage, self.bandwidths = "band", mat.bandwidths()
+                self._lu = _band_lu(mat, *self.bandwidths)
+            return
         if not sp.issparse(mat):
             self.storage = "dense"
             a = _real_or_complex(mat)
@@ -239,11 +336,6 @@ class Factorization:
                 lu[zero, zero] = _pivot_floor(np.linalg.norm(a, 1))
             self._lu = (lu, piv)
             return
-        if mat.format == "dia":
-            kl, ku = -int(mat.offsets.min(initial=0)), int(mat.offsets.max(initial=0))
-            self.storage, self.bandwidths = "band", (kl, ku)
-            self._lu = _band_lu(mat, kl, ku)
-            return
         self.storage = "sparse"
         self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
 
@@ -251,24 +343,27 @@ class Factorization:
         if self.storage == "sparse":
             return self._lu.solve(np.asarray(b, dtype=np.complex128),
                                   trans="H" if adjoint else "N")
-        lu, piv = self._lu
-        real = lu.dtype == np.float64
+        dtype = self._lu[0].dtype
+        real = dtype == np.float64
         b = _real_or_complex(b)
         if real and b.dtype == np.complex128:
             x = self.solve(b.real, adjoint).astype(np.complex128)
             if b.imag.any():
                 x.imag = self.solve(b.imag, adjoint)
             return x
-        flat = b.reshape(len(b), -1).astype(lu.dtype, copy=False)
+        flat = b.reshape(len(b), -1)
         # trans 2 is the conjugate transpose, which for a real LU is the transpose
         trans = 2 if adjoint else 0
-        if self.storage == "band":
+        if self.storage == "tridiagonal":
+            x, info = _tridiagonal_solve(self._lu, self._corner, flat, adjoint)
+        elif self.storage == "band":
             gbtrs = lapack.dgbtrs if real else lapack.zgbtrs
-            x, info = gbtrs(lu, *self.bandwidths, flat, piv, trans=trans)
+            x, info = gbtrs(self._lu[0], *self.bandwidths, flat.astype(dtype, copy=False),
+                            self._lu[1], trans=trans)
         else:
             getrs = lapack.dgetrs if real else lapack.zgetrs
-            x, info = getrs(lu, piv, flat, trans=trans)
-        if info != 0:  # ?getrs and ?gbtrs fail only on an illegal argument
+            x, info = getrs(*self._lu, flat.astype(dtype, copy=False), trans=trans)
+        if info != 0:  # the LAPACK solves fail only on an illegal argument
             raise RuntimeError(f"LAPACK triangular solve rejected argument {-info}")
         return x.reshape(b.shape)
 
@@ -292,27 +387,111 @@ def proves_singular_from_start(fact: Factorization, n: int, scale) -> bool:
     return proves_singular(x, fact.solve(x, adjoint=True), scale)
 
 
-def _band_lu(mat, kl, ku):
-    """(lu, ipiv) of the band LU of the dia_array mat of half-bandwidths
-    (kl, ku): dgbtrf when mat is float64, zgbtrf of mat made complex
-    otherwise. Band storage holds mat[i, j] at [kl + ku + i - j, j], Fortran
-    order, with kl rows on top for the fill of row interchanges; U's
-    diagonal ends up in row kl + ku. A dia_array keeps entry (j - k, j) of
-    diagonal k in column j as well, so the columns of each stored row that
-    lie in mat are copied into its row of band storage as they are, and
-    nothing but the band array has the size of mat."""
-    n = mat.shape[0]
-    real = mat.dtype == np.float64
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.float64 if real else np.complex128,
-                  order="F")
-    for k, row, cols, _ in _in_range(mat):
-        ab[kl + ku - k, cols] = row[cols]
-    gbtrf = lapack.dgbtrf if real else lapack.zgbtrf
-    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+def _band_lu(total, kl, ku):
+    """(lu, ipiv) of the band LU of the DiagonalSum total of half-bandwidths
+    (kl, ku): dgbtrf when total is float64, zgbtrf otherwise, in place in
+    the band storage that total is summed into (_band_storage), with kl
+    rows on top for the fill of row interchanges; U's diagonal ends up in
+    row kl + ku. Nothing but the band array has the size of the matrix."""
+    gbtrf = lapack.dgbtrf if total.dtype == np.float64 else lapack.zgbtrf
+    lu, piv, info = gbtrf(_band_storage(total, kl, ku, kl), kl, ku, overwrite_ab=1)
     if info > 0:  # U has an exactly zero pivot
         udiag = lu[kl + ku]
-        udiag[udiag == 0] = _pivot_floor(spla.norm(mat, 1))
+        udiag[udiag == 0] = _pivot_floor(_norm1(total))
     return lu, piv
+
+
+def _band_storage(total, kl, ku, fill=0):
+    """The DiagonalSum total of half-bandwidths (kl, ku) summed into LAPACK
+    band storage, an F-order array of fill + kl + ku + 1 rows holding entry
+    (i, j) at [fill + ku + i - j, j], so column j of the array holds column
+    j of the matrix. A dia_array keeps entry (j - k, j) of diagonal k in
+    column j as well, so each diagonal's columns are added as they are."""
+    ab = np.zeros((fill + kl + ku + 1, total.n), dtype=total.dtype, order="F")
+    total.add_into(lambda k, cols: (ab[fill + ku - k, cols], cols))
+    return ab
+
+
+def _norm1(total) -> float:
+    """||total||_1 of a DiagonalSum, from a fresh band storage of it: the
+    floor of an exactly zero pivot, so read only after the LU met one."""
+    return float(np.abs(_band_storage(total, *total.bandwidths())).sum(axis=0).max(initial=0.0))
+
+
+def _tridiagonal_lu(total):
+    """((dl, d, du, du2, ipiv), transform) of the LU of the DiagonalSum
+    total, which is tridiagonal but for entry (n - 1, n - 3): the sum goes
+    straight into its sub-, main and super-diagonals dl, d and du and that
+    corner entry, _eliminate_corner removes the corner by one Gauss
+    transform, whose (swap, factor) or None is transform, and dgttrf or
+    zgttrf, as total is
+    float64 or not, factorizes the tridiagonal result in place, with
+    partial pivoting; du2 and ipiv are its fill and interchanges. An
+    exactly zero pivot of U, on d, is floored at _pivot_floor(||total||_1)."""
+    n = total.n
+    dl, d, du, corner = (np.zeros(size, dtype=total.dtype) for size in (n - 1, n, n - 1, 1))
+    # dl holds columns 0..n-2 and du columns 1..n-1, as the in-range
+    # columns of diagonals -1 and 1 are
+    total.add_into(lambda k, cols: (corner, slice(n - 3, n - 2)) if k == -2
+                   else ((dl, d, du)[k + 1], cols))
+    transform = _eliminate_corner(dl, d, du, corner[0])
+    gttrf = lapack.dgttrf if total.dtype == np.float64 else lapack.zgttrf
+    *lu, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:  # U has an exactly zero pivot
+        udiag = lu[1]
+        udiag[udiag == 0] = _pivot_floor(_norm1(total))
+    return tuple(lu), transform
+
+
+def _eliminate_corner(dl, d, du, corner):
+    """Make the matrix with diagonals dl, d and du and the entry corner at
+    (n - 1, n - 3) tridiagonal, in place, by one Gauss transform with
+    partial pivoting: rows n - 2 and n - 1 are exchanged when |corner|
+    exceeds |dl[n - 3]|, the entry of row n - 2 in that column, and then
+    factor times row n - 2 is subtracted from row n - 1, which clears the
+    corner, with |factor| <= 1. Row n - 2 has no entry left of column
+    n - 3, so the result stays tridiagonal. Returns (swap, factor), or None
+    for a zero corner, which needs no transform."""
+    if corner == 0:
+        return None
+    n = d.size
+    partner = dl[n - 3]
+    swap = abs(corner) > abs(partner)
+    if swap:
+        # the new row n - 2 is the old row n - 1, and the new row n - 1 the
+        # old row n - 2 minus factor times it
+        factor = partner / corner
+        dl[n - 3], d[n - 2], du[n - 2], dl[n - 2], d[n - 1] = (
+            corner, dl[n - 2], d[n - 1], d[n - 2] - factor * dl[n - 2],
+            du[n - 2] - factor * d[n - 1])
+    else:
+        factor = corner / partner
+        dl[n - 2] -= factor * d[n - 2]
+        d[n - 1] -= factor * du[n - 2]
+    return swap, factor
+
+
+def _tridiagonal_solve(lu, transform, b, adjoint):
+    """(x, info) of the tridiagonal LU lu of _tridiagonal_lu, whose corner
+    transform G = L P (P the exchange of rows n - 2 and n - 1 when swap, L
+    the subtraction of factor times row n - 2 from row n - 1; G = I for
+    None) left G M tridiagonal: M x = b is solved as (G M) x = G b, and
+    M^H x = b as (G M)^H z = b, x = G^H z, each by one ?gttrs call in place
+    on one copy of b in the LU's dtype."""
+    x = np.array(b, dtype=lu[0].dtype, order="F")
+    n = len(x)
+    gttrs = lapack.dgttrs if lu[0].dtype == np.float64 else lapack.zgttrs
+    swap, factor = transform or (False, 0)
+    if not adjoint and swap:
+        x[[n - 2, n - 1]] = x[[n - 1, n - 2]]
+    if not adjoint and transform:
+        x[n - 1] -= factor * x[n - 2]
+    x, info = gttrs(*lu, x, trans="C" if adjoint else "N", overwrite_b=1)
+    if adjoint and transform:
+        x[n - 2] -= np.conj(factor) * x[n - 1]
+    if adjoint and swap:
+        x[[n - 2, n - 1]] = x[[n - 1, n - 2]]
+    return x, info
 
 
 def _superlu(mat):

@@ -91,11 +91,15 @@ class TwoParProblem:
     _linalg.BAND_MAX, each is stored as a dia_array of its own diagonals
     (_linalg.to_diagonals), float64 when all three have exactly zero
     imaginary parts and complex128 otherwise, with no CSR copy beside it.
-    scipy cannot add complex data into a float64 dia_array, so with a
-    complex lam, p.A1 + lam*p.A2 on such a real problem raises
-    UFuncTypeError inside scipy: eval_a is the way to form M(lam) =
-    A1 + lam*A2 + mu*A3 and apply_a the way to take products with it, at
-    any lam and mu. Any other sparse A side is stored as complex CSR, a
+    Next to it, from the stored diagonals, is decided whether every M(lam)
+    is tridiagonal but for entry (n - 1, n - 3) of diagonal -2
+    (_linalg.tridiagonal_but_corner), as the split Helmholtz M(lam) is;
+    factorize_a then takes the tridiagonal LU. scipy cannot add complex
+    data into a float64 dia_array, so with a complex lam, p.A1 + lam*p.A2
+    on such a real problem raises UFuncTypeError inside scipy: eval_a is
+    the way to form M(lam) = A1 + lam*A2 + mu*A3, factorize_a the way to
+    factorize it and apply_a the way to take products with it, at any lam
+    and mu. Any other sparse A side is stored as complex CSR, a
     dense one as complex128, and the B side is complex128. is_real says
     whether the imaginary parts of all six are zero. c is a complex
     m-vector fixing the eigenvector scaling of the small equation through
@@ -116,7 +120,7 @@ class TwoParProblem:
         n = A[0].shape[0]
         _check_square(A[1], "A2", n)
         _check_square(A[2], "A3", n)
-        bands = None
+        bands, self._tridiagonal = None, False
         if all(sp.issparse(M) for M in A):
             A = [M if M.format == "dia" else M.tocsr() for M in A]
             bands = [_linalg.half_bandwidths(M) for M in A]
@@ -124,6 +128,7 @@ class TwoParProblem:
             real = not any(np.iscomplexobj(M.data) and np.any(M.data.imag) for M in A)
             dtype = np.float64 if real else np.complex128
             A = [_linalg.to_diagonals(M, *band, dtype) for M, band in zip(A, bands)]
+            self._tridiagonal = _linalg.tridiagonal_but_corner(A)
         else:
             A = [_linalg.to_complex(M) for M in A]
         self.A1, self.A2, self.A3 = A
@@ -195,9 +200,9 @@ class TwoParProblem:
     @functools.cached_property
     def is_real(self) -> bool:
         """Whether the imaginary parts of all six coefficient matrices are
-        exactly zero: the package's one realness rule, read by eval_a, by
-        _small_residual, by the rank-one branch (schur_k and
-        pencil._rank_one_points), by the oracle (delta.solve and
+        exactly zero: the package's one realness rule, read by eval_a and
+        factorize_a, by _small_residual, by the rank-one branch (schur_k
+        and pencil._rank_one_points), by the oracle (delta.solve and
         delta._refine) and by Newton (solvers._iterate_arithmetic). Decided
         once per problem, on first use, from the stored entries, which a
         float64 A side has none of; the matrices are read-only."""
@@ -206,31 +211,24 @@ class TwoParProblem:
                        for M in (M.data if sp.issparse(M) else M for M in mats))
 
     def eval_a(self, lam, mu):
-        """M(lam) = A1 + lam*A2 + mu*A3, for factorizing: the one builder of
-        M(lam), bit-equal to that expression. When A1-A3 are stored by their
+        """M(lam) = A1 + lam*A2 + mu*A3, bit-equal to that expression: the
+        one builder of M(lam) as a matrix. When A1-A3 are stored by their
         diagonals (the band decision of __init__), M is a dia_array of
-        diagonals -kl..ku, the widest of theirs, each the sum
-        (a1 + lam*a2) + mu*a3 of the stored rows of the matrices that have
-        it, so no CSR sum is formed and _linalg.Factorization reads its band
-        from the offsets. When the problem is real (is_real) and lam and mu
-        have exactly zero imaginary parts, that dia_array is float64: each
-        entry is the real part of the complex sum, whose imaginary part is
-        exactly 0 there, and the band is factorized in real arithmetic. Any
-        other sparse M is the complex CSR sum; a dense M is summed in one
-        complex output array, DENSE_SUM_ROWS rows at a time."""
+        diagonals -kl..ku, the widest of theirs, each entry the sum
+        (a1 + lam*a2) + mu*a3 of the matrices that have it
+        (_linalg.DiagonalSum.add_into), so no CSR sum is formed; float64
+        when the problem is real (is_real) and lam and mu have exactly zero
+        imaginary parts, each entry then the real part of the complex sum,
+        whose imaginary part is exactly 0 there. Any other sparse M is the
+        complex CSR sum; a dense M is summed in one complex output array,
+        DENSE_SUM_ROWS rows at a time. factorize_a does not form this M
+        when A1-A3 are stored by their diagonals."""
         if isinstance(self.A1, sp.dia_array):
-            n = self.n
-            mats = (self.A1, self.A2, self.A3)
-            offsets = np.concatenate([M.offsets for M in mats])
-            kl, ku = -offsets.min(), offsets.max()
-            real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
-            if real:
-                lam, mu = np.real(lam), np.real(mu)
-            data = np.zeros((kl + ku + 1, n), dtype=np.float64 if real else np.complex128)
-            for mat, scale in zip(mats, (None, lam, mu)):
-                for k, row in zip(mat.offsets, mat.data):
-                    data[kl + k] += row if scale is None else row * scale
-            return sp.dia_array((data, np.arange(-kl, ku + 1)), shape=(n, n))
+            total = self._diagonal_sum(lam, mu)
+            kl, ku = total.bandwidths()
+            data = np.zeros((kl + ku + 1, self.n), dtype=total.dtype)
+            total.add_into(lambda k, cols: (data[kl + k, cols], cols))
+            return sp.dia_array((data, np.arange(-kl, ku + 1)), shape=(self.n, self.n))
         if self.is_sparse:
             return self.A1 + lam * self.A2 + mu * self.A3
         out = np.empty_like(self.A1)
@@ -242,12 +240,44 @@ class TwoParProblem:
             block += np.multiply(mu, self.A3[rows])
         return out
 
+    def _diagonal_sum(self, lam, mu) -> _linalg.DiagonalSum:
+        """M(lam) unsummed, of a problem that stores A1-A3 by their
+        diagonals: float64 when the problem is real and lam and mu have
+        exactly zero imaginary parts, complex128 otherwise, and tridiagonal
+        as __init__ decided."""
+        real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
+        if real:
+            lam, mu = np.real(lam), np.real(mu)
+        return _linalg.DiagonalSum((self.A1, self.A2, self.A3), (None, lam, mu),
+                                   np.float64 if real else np.complex128, self._tridiagonal)
+
+    def factorize_a(self, lam, mu) -> _linalg.Factorization:
+        """The LU of M(lam) = A1 + lam*A2 + mu*A3 (_linalg.Factorization),
+        of NepView.factorization and attach_left_vectors alike. When A1-A3
+        are stored by their diagonals, no M is formed: the LU sums each
+        entry, in eval_a's order, straight into its own storage, the three
+        diagonals and the corner of the tridiagonal LU when __init__ has
+        found every M(lam) tridiagonal but for that corner, and LAPACK band
+        storage otherwise, with eval_a's float64 rule. Any other M is
+        eval_a's."""
+        if isinstance(self.A1, sp.dia_array):
+            return _linalg.Factorization(self._diagonal_sum(lam, mu))
+        return _linalg.Factorization(self.eval_a(lam, mu))
+
     def eval_b(self, lam, mu):
         return self.B1 + lam * self.B2 + mu * self.B3
 
+    def products_a(self, x):
+        """(A1 @ x, A2 @ x, A3 @ x), each by _linalg.split_product, so a
+        float64 A_i times a complex x is taken in float64, with no complex
+        copy of A_i: Newton's and resinv's products."""
+        return tuple(_linalg.split_product(M, x) for M in (self.A1, self.A2, self.A3))
+
     def apply_a(self, lam, mu, x):
-        """(A1 + lam*A2 + mu*A3) x by three matvecs, without forming the sum."""
-        return self.A1 @ x + lam * (self.A2 @ x) + mu * (self.A3 @ x)
+        """(A1 + lam*A2 + mu*A3) x by three products (_linalg.split_product),
+        without forming the sum, each product freed once it is added."""
+        product = _linalg.split_product
+        return product(self.A1, x) + lam * product(self.A2, x) + mu * product(self.A3, x)
 
     def scale_a(self, lam, mu) -> float:
         """||A1|| + |lam| ||A2|| + |mu| ||A3||, each norm the 2-norm bound of
@@ -397,8 +427,8 @@ def _branch_slope(problem, w, y):
 def _bilinears(problem, quad):
     """The six scalar pairings that drive conditioning, plus simplicity guards."""
     v, x = quad.v, quad.x
-    va2x = v.conj() @ (problem.A2 @ x)
-    va3x = v.conj() @ (problem.A3 @ x)
+    va2x = v.conj() @ _linalg.split_product(problem.A2, x)
+    va3x = v.conj() @ _linalg.split_product(problem.A3, x)
     gprime, wb2y, wb3y = _branch_slope(problem, quad.w, quad.y)
     # v^H M'(lam) x with M'(lam) = A2 + g'(lam) A3
     vmpx = va2x + gprime * va3x
@@ -423,7 +453,8 @@ def c0_matrix(problem: TwoParProblem, quad: Quadruplet) -> np.ndarray:
     v, w, x, y = quad.v, quad.w, quad.x, quad.y
     return np.array(
         [
-            [v.conj() @ (problem.A2 @ x), v.conj() @ (problem.A3 @ x)],
+            [v.conj() @ _linalg.split_product(problem.A2, x),
+             v.conj() @ _linalg.split_product(problem.A3, x)],
             [w.conj() @ (problem.B2 @ y), w.conj() @ (problem.B3 @ y)],
         ],
         dtype=np.complex128,
@@ -522,7 +553,9 @@ def worst_case_perturbation(problem: TwoParProblem, quad: Quadruplet,
 def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet) -> Quadruplet:
     """Return a copy of the quadruplet with left vectors v and w filled in,
     each by adjoint inverse iteration (_linalg.null_vector_adjoint) on an LU
-    at the quadruplet's (lam, mu): v of A1 + lam*A2 + mu*A3 to
+    at the quadruplet's (lam, mu): v of A1 + lam*A2 + mu*A3, from
+    TwoParProblem.factorize_a, which forms no M for a problem stored by its
+    diagonals, to
     NULL_VECTOR_TOL times scale_a, started from the quadruplet's own x, and
     w of B1 + lam*B2 + mu*B3 times scale_b, started from its own y, the
     classical start of inverse iteration (Ipsen, SIAM Review 1997). So v
@@ -532,7 +565,7 @@ def attach_left_vectors(problem: TwoParProblem, quad: Quadruplet) -> Quadruplet:
     that is not an eigenvalue raises ConvergenceFailure.
     """
     lam, mu = quad.lam, quad.mu
-    v = _linalg.null_vector_adjoint(_linalg.Factorization(problem.eval_a(lam, mu)),
+    v = _linalg.null_vector_adjoint(problem.factorize_a(lam, mu),
                                     problem.scale_a(lam, mu), quad.x)
     w = _linalg.null_vector_adjoint(_linalg.Factorization(problem.eval_b(lam, mu)),
                                     problem.scale_b(lam, mu), quad.y)

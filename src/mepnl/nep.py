@@ -41,9 +41,12 @@ class NepView:
         """Factorization of M(sigma) at the view's point, where the last
         branch_point(sigma) left it, singular or not (the LU floors an
         exactly zero pivot); refuse_singular judges it by a solve. It
-        continues nothing."""
+        continues nothing. TwoParProblem.factorize_a takes it, so for a
+        problem stored by its diagonals no M(sigma) is formed: its entries
+        are summed into the LU's own storage, the tridiagonal LU's for the
+        split Helmholtz problem."""
         bp = self.point
-        return _linalg.Factorization(self.problem.eval_a(bp.lam, bp.mu))
+        return self.problem.factorize_a(bp.lam, bp.mu)
 
     def refuse_singular(self, b, x):
         """Raise ShiftIsEigenvalue when x, solved from b with factorization()

@@ -200,8 +200,9 @@ def gen_helmholtz(config: HelmholtzConfig) -> HelmholtzDiscretization:
     Each matrix is assembled directly as a float64 dia_array of its
     diagonals, -2..1 for A1 and the main one for A2 and A3, from flat real
     arrays in O(n) time and memory: the form TwoParProblem stores a narrow
-    A side in, so it keeps them without a copy. Its M(lam) has two
-    sub-diagonals and one super-diagonal, so it takes the band LU.
+    A side in, so it keeps them without a copy. Its M(lam) is tridiagonal
+    but for the interface row's entry at (n-1, n-3), so it takes the
+    tridiagonal LU (TwoParProblem.factorize_a).
     Small equation (m x m, dense): Chebyshev collocation on [x1, x2] with
     the same interface condition in row 0 and a Neumann row at x2. Both
     equations are row-scaled to unit diagonal at (lam, mu) = (1, 1); row

@@ -139,7 +139,7 @@ def augmented_newton(nep: NepView, lam0, x0, config: SolverConfig | None = None)
     singular = False  # whether the last solve proved M(lam_k) singular
     for k in range(config.maxit + 1):
         lam_k, mu_k, x, d = _iterate_arithmetic(problem, lam, bp.mu, x, d)
-        a1x, a2x, a3x = problem.A1 @ x, problem.A2 @ x, problem.A3 @ x
+        a1x, a2x, a3x = problem.products_a(x)
         rec = core.residuals(problem, Quadruplet(lam, bp.mu, x, bp.y),
                              ax=(a1x + lam_k * a2x) + mu_k * a3x)
         if trace.record(lam, bp.mu, rec, t0, config) or singular:
@@ -186,8 +186,8 @@ def _iterate_arithmetic(problem: TwoParProblem, lam, mu, x, d):
     solver's one dtype rule, read at every iterate: float64 when lam, mu and
     x have exactly zero imaginary parts and the problem is real (is_real),
     complex otherwise. So from a real start on a real problem the products
-    A_i @ x, M(lam)'s LU and solve (TwoParProblem.eval_a, Factorization)
-    and the vector updates run real, and x and d are promoted to complex128
+    A_i @ x, M(lam)'s LU and solve (TwoParProblem.factorize_a) and the
+    vector updates run real, and x and d are promoted to complex128
     at the first iterate whose lam or mu is not real, as a real full-rank
     B3 can give at a real lam."""
     if lam.imag == 0 and mu.imag == 0 and problem.is_real and not (
@@ -215,7 +215,7 @@ def rayleigh_candidates(problem: TwoParProblem, v, w, av=None):
     v = np.asarray(v, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     if av is None:
-        av = (problem.A1 @ v, problem.A2 @ v, problem.A3 @ v)
+        av = problem.products_a(v)
     p1, p2, p3 = (w @ a for a in av)
     scale = np.linalg.norm(w) * np.linalg.norm(v) * problem.norms_a[2]
     if abs(p3) <= TOL_PROJECTION * scale:
@@ -286,7 +286,7 @@ def resinv(nep: NepView, x0, config: SolverConfig):
     trace = SolveTrace()
     t0 = time.perf_counter()
     for k in range(config.maxit + 1):
-        av = (problem.A1 @ x, problem.A2 @ x, problem.A3 @ x)
+        av = problem.products_a(x)
         try:
             lam, mu, y = rayleigh_gep(problem, x, w, ref, av)
         except DegenerateProjection as exc:

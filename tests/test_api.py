@@ -104,8 +104,10 @@ def test_only_core_decides_the_band():
     """TwoParProblem.__init__ is the package's one narrow-band decision: no
     other function calls _linalg.half_bandwidths or reads BAND_MAX, so
     Factorization scans no pattern of its own and bands every dia_array
-    without a second test of its width."""
+    without a second test of its width. The decision that M(lam) is
+    tridiagonal but for its corner sits beside it, once per problem."""
     assert _package_scopes(_calls("half_bandwidths")) == ["core.TwoParProblem.__init__"]
+    assert _package_scopes(_calls("tridiagonal_but_corner")) == ["core.TwoParProblem.__init__"]
 
     def reads_band_max(node):
         return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)

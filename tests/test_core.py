@@ -1,5 +1,7 @@
 """Problem container, residuals, and conditioning."""
 import dataclasses
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,6 +156,14 @@ def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     fact = _linalg.Factorization(M)
     assert fact.storage == storage and fact.bandwidths == bandwidths
+    # the problem's own LU sums its diagonals into band storage without
+    # forming M: this band is not tridiagonal but for a corner, and its LU
+    # is bit-equal to that of M
+    own = p.factorize_a(lam, mu)
+    assert own.storage == storage and own.bandwidths == bandwidths
+    if kind == "band":
+        for got, want in zip(own._lu, fact._lu):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def norm_bound_matrices(n=60):
@@ -221,12 +231,43 @@ def test_stored_diagonals_multiply_as_complex_csr_bit_for_bit():
 
     for M, ref in zip((p.A1, p.A2, p.A3), csr):
         assert same(M @ x, ref @ x)
+        # the float64 product of a complex x's parts, or of the real part
+        # alone when the imaginary part is exactly zero, gives the complex
+        # product's bits, for one vector and for the columns of a matrix
+        for z in (x, x.real + 0j, np.stack((x, 2 * x), axis=1), np.stack((x, 2 * x)).T):
+            assert same(_linalg.split_product(M, z), ref @ z)
+        assert same(_linalg.split_product(M, x.real), M @ x.real)
     for lam, mu in ((1.5, 0.5), (1.5 + 0j, -0.25 + 0j), (0.7 - 0.2j, 1.1 + 0.3j)):
         want = csr[0] @ x + lam * (csr[1] @ x) + mu * (csr[2] @ x)
         assert same(p.apply_a(lam, mu, x), want)
         M = _linalg.to_dense(p.eval_a(lam, mu))
         total = _linalg.to_dense(csr[0] + lam * csr[1] + mu * csr[2])
         assert same(M.astype(np.complex128), total)
+
+
+def test_residuals_of_a_complex_x_make_no_complex_copy_of_a1():
+    # core.residuals of a real Helmholtz quadruplet with a complex128 x
+    # takes float64 products (apply_a, _linalg.split_product), so it
+    # allocates less than A1's diagonals cast to complex, which scipy's
+    # complex product with the float64 A1 would make
+    n = 100_000
+    disc = problems.gen_helmholtz(problems.HelmholtzConfig(
+        n=n, m=30, x1=3.7, x2=5.0, kappa_a=2.0, kappa_b=2.0))
+    p = disc.problem
+    x = np.sin(0.3 * disc.grid_a) * (1 + 1e-3j)
+    quad = Quadruplet(1.5, 0.5, x, np.ones(p.m))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rec = core.residuals(p, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.A1.dtype == np.float64
+    assert peak < p.A1.data.size * 16
+    want = core.residuals(mepnl.TwoParProblem(*(M.astype(np.complex128) for M in (
+        p.A1, p.A2, p.A3)), p.B1, p.B2, p.B3, p.c), quad)
+    assert rec.res_a == want.res_a
 
 
 def test_helmholtz_scale_does_not_grow_with_n():

@@ -1,5 +1,6 @@
-"""The one LU type, _linalg.Factorization, on its band and SuperLU paths,
-and the real band path of a real narrow-band M(lam)."""
+"""The one LU type, _linalg.Factorization, on its tridiagonal, band and
+SuperLU paths, and the real path of a real narrow-band M(lam)."""
+import collections
 import gc
 import tracemalloc
 import weakref
@@ -36,13 +37,19 @@ def backward_error(M, x, b):
 
 
 def assert_band_lu_agrees_with_superlu(M):
-    """The band Factorization of M against SuperLU's LU of M made complex:
-    1-D and 2-D complex solves, with M and with M^H, within 1e-9 of
-    SuperLU's, at most twice its backward error, and neither proving M
-    singular."""
-    n = M.shape[0]
+    """The band Factorization of M against SuperLU's LU of M made complex,
+    as assert_lu_agrees_with_superlu says."""
     fact = _linalg.Factorization(M)
     assert fact.storage == "band" and fact.bandwidths == (2, 1)
+    assert_lu_agrees_with_superlu(M, fact)
+
+
+def assert_lu_agrees_with_superlu(M, fact):
+    """fact, a Factorization of M in M's dtype, against SuperLU's LU of M
+    made complex: 1-D and 2-D complex solves, with M and with M^H, within
+    1e-9 of SuperLU's, at most twice its backward error, and neither
+    proving M singular; real solves of a real M stay real."""
+    n = M.shape[0]
     assert fact._lu[0].dtype == M.dtype
     ref = spla.splu(M.astype(np.complex128, copy=False).tocsc())
     norm = spla.norm(M, 1)
@@ -58,6 +65,8 @@ def assert_band_lu_agrees_with_superlu(M):
             assert backward_error(op, x, b) <= 2 * backward_error(op, x_ref, b)
             for sol in (x, x_ref):
                 assert not _linalg.proves_singular(b, sol, norm)
+            if M.dtype == np.float64:
+                assert fact.solve(b.real, adjoint=adjoint).dtype == np.float64
 
 
 def test_band_lu_agrees_with_superlu():
@@ -102,6 +111,48 @@ def test_complex_lam_mu_or_matrices_keep_m_complex(lam, mu, imaginary_a):
     assert fact.storage == "band" and fact._lu[0].dtype == np.complex128
 
 
+def corner_problem(n, corner, imaginary=0.0):
+    """A problem whose M(lam) = A1 + lam*A2 + mu*A3 is tridiagonal but for
+    the entry corner of A1 at (n - 1, n - 3), whose partner in that column,
+    at (n - 2, n - 3), is 1: random diagonals -1..1 of A1, A2 the identity
+    and A3 one entry at (n - 1, n - 1), as the split Helmholtz patterns
+    are; imaginary turns A1 complex."""
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((4, n)) * (1.0 + imaginary * 1j)
+    data[0] = 0.0
+    data[0, n - 3] = corner
+    data[1, n - 3] = 1.0
+    data[2] += 4.0
+    A1 = sp.dia_array((data, np.arange(-2, 2)), shape=(n, n))
+    A3 = sp.dia_array((np.eye(1, n, n - 1), [0]), shape=(n, n))
+    p = mepnl.TwoParProblem(A1, sp.eye_array(n, format="dia"), A3, np.diag([1.0, 2.0]),
+                            np.eye(2), np.eye(2), np.ones(2))
+    assert p.A1.format == "dia" and p.is_real == (imaginary == 0)
+    return p
+
+
+@pytest.mark.parametrize("lam", [1.5, 1.5 + 1.0j])
+@pytest.mark.parametrize("problem, swap", [
+    (lambda: corner_problem(500, 0.25), False),
+    (lambda: corner_problem(500, 3.0), True),
+    (lambda: corner_problem(500, 3.0, imaginary=1e-3), True),
+    (lambda: helmholtz(20000), False),
+])
+def test_tridiagonal_lu_agrees_with_superlu(problem, swap, lam):
+    # an M(lam) that is tridiagonal but for its corner is summed into the
+    # tridiagonal LU, whose Gauss transform exchanges rows n - 2 and n - 1
+    # when the corner is the larger entry of its column: real (dgttrf) at a
+    # real lam and mu of a real problem, complex (zgttrf) otherwise, and in
+    # both directions as accurate as SuperLU's LU of the matrix eval_a forms
+    p = problem()
+    fact = p.factorize_a(lam, 0.5)
+    M = p.eval_a(lam, 0.5)
+    assert fact.storage == "tridiagonal" and fact.bandwidths is None
+    assert fact._corner[0] == swap
+    assert (fact._lu[0].dtype == np.float64) == (p.is_real and np.imag(lam) == 0)
+    assert_lu_agrees_with_superlu(M, fact)
+
+
 def arrow(n):
     """2 on the diagonal and ones in the first row and column: kl = ku = n - 1."""
     M = sp.lil_matrix((n, n))
@@ -132,9 +183,20 @@ def zero_column(M, j):
     return M.tocsr()
 
 
-def singular_band():
-    """A tridiagonal matrix with an exactly zero column 11."""
-    return zero_column(sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30)), 11)
+def singular_band(kl=1):
+    """A matrix of half-bandwidths (kl, 1), entries 1, 4, 1 on diagonals
+    -1..1 and 0.5 on diagonal -2 when kl = 2, with an exactly zero column
+    11."""
+    diagonals = [0.5, 1.0, 4.0, 1.0][2 - kl:]
+    return zero_column(sp.diags(diagonals, range(-kl, 2), shape=(30, 30)), 11)
+
+
+def singular_corner():
+    """singular_band with the entry 2 at (29, 27), which outweighs its
+    partner 1 at (28, 27), as a dia_array of diagonals -2..1."""
+    M = singular_band().tolil()
+    M[29, 27] = 2.0
+    return sp.dia_array(M.tocsr())
 
 
 def test_band_lu_reads_only_the_stored_columns_of_a_dia_array():
@@ -176,6 +238,30 @@ def test_exactly_singular_sparse_matrix(M, storage):
     assert np.linalg.norm(M @ x) <= 1e-10 * spla.norm(M, 1) * np.linalg.norm(x)
     np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), np.eye(M.shape[0])[11],
                                atol=1e-12)
+
+
+def test_exactly_singular_tridiagonal_m_is_floored():
+    # a problem's M(lam), tridiagonal but for a corner that takes the row
+    # exchange, with an exactly zero column: dgttrf meets an exactly zero
+    # pivot, which is floored in place at _pivot_floor(||M||_1), and one
+    # solve each way gives a null vector, e11 for M, proving M singular
+    M = singular_corner()
+    p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2), np.eye(2),
+                            np.ones(2))
+    fact = p.factorize_a(0.3, 0.0)
+    assert fact.storage == "tridiagonal" and fact._corner[0]
+    norm = spla.norm(M, 1)
+    udiag = fact._lu[1]
+    assert udiag.dtype == np.float64
+    assert np.abs(udiag).min() == np.finfo(float).eps * norm
+    b = np.ones(30)
+    for adjoint, op in ((False, M), (True, M.T)):
+        x = fact.solve(b, adjoint=adjoint)
+        assert x.dtype == np.float64 and np.all(np.isfinite(x))
+        assert _linalg.proves_singular(b, x, norm)
+        assert np.linalg.norm(op @ x) <= 1e-10 * norm * np.linalg.norm(x)
+    x = fact.solve(b)
+    np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), np.eye(30)[11], atol=1e-12)
 
 
 @pytest.mark.parametrize("M, storage", [
@@ -255,14 +341,19 @@ def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
 
 @pytest.mark.parametrize("M, storage", [
     (singular_band().toarray(), "dense"),
-    (singular_band().todia(), "band"),
+    (singular_band(kl=2).todia(), "band"),
     (zero_column(arrow(30), 11), "sparse"),
+    (singular_band().todia(), "tridiagonal"),
+    (singular_corner(), "tridiagonal"),
 ])
 def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
     # NepView.refuse_singular is the one refusal of M(sigma): on each
     # storage path the floored factorization of M(sigma) = M is built, and
-    # resinv's first solve with it proves M singular, by the same test
-    assert _linalg.Factorization(M).storage == storage
+    # resinv's first solve with it proves M singular, by the same test. A
+    # dia_array handed to Factorization itself takes the band LU; only a
+    # problem decides that its M(sigma) is tridiagonal but for a corner
+    direct = "band" if storage == "tridiagonal" else storage
+    assert _linalg.Factorization(M).storage == direct
     p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2),
                             np.eye(2), np.ones(2))
     view = nep.NepView(p)
@@ -296,10 +387,11 @@ def test_band_factorization_keeps_only_its_band():
 
 
 def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
-    # M(sigma) arrives as its four diagonals, and the band is read from
-    # their offsets: the pattern scan runs once per matrix of the problem,
-    # and no CSR sum or int64 pattern array is alive beside the factors.
-    # A wide M(sigma) goes to SuperLU unscanned, and so does a narrow CSR
+    # M(sigma) is summed from the problem's stored diagonals straight into
+    # the LU's storage, the tridiagonal LU's for the split Helmholtz
+    # problem: the pattern scan runs once per matrix of the problem, and no
+    # M, CSR sum or int64 pattern array is alive beside the factors. A
+    # wide M(sigma) goes to SuperLU unscanned, and so does a narrow CSR
     # matrix handed to Factorization directly: only a dia_array is banded
     scans = []
     half_bandwidths = _linalg.half_bandwidths
@@ -324,8 +416,7 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     view = nep.NepView(p)
     view.branch_point(1.0 + 1.0j)
     view.factorization()
-    m_bytes = (2 + 1 + 1) * n * 16
-    band_bytes = (2 * 2 + 1 + 1) * n * 16
+    lu_bytes = (1 + 1 + 1 + 1) * n * 16
     gc.collect()
     tracemalloc.start()
     try:
@@ -334,10 +425,10 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    # M's diagonals, the band array and the pivot indices; anything else
-    # is smaller than one array of length n
-    assert peak < m_bytes + band_bytes + 4 * n + n
+    assert fact.storage == "tridiagonal" and fact._lu[0].dtype == np.complex128
+    # the three diagonals, factorized in place, the fill du2 and the pivot
+    # indices; anything else is smaller than one array of length n
+    assert peak < lu_bytes + 4 * n + n
     view.branch_point(2.0 + 1.0j)
     view.factorization()
     assert scans == [p.A1.nnz, p.A2.nnz, p.A3.nnz]
@@ -346,40 +437,43 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
 def test_view_factorization_builds_real_band_m_in_float64():
     # the real-sigma twin of the test above: the bench's Helmholtz problem,
     # whose branch keeps mu exactly real at a real sigma, gives a float64
-    # M(sigma) and a float64 band LU, so each holds 8 bytes an entry
+    # tridiagonal LU, 8 bytes an entry. With one solve the peak is about
+    # 5.5 float64 n-vectors, against 10.5 for the band LU of a dia_array M
     n = 100_000
     p = helmholtz(n, x1=3.7, x2=5.0, kappa_a=2.0, kappa_b=2.0)
     view = nep.NepView(p, reference_lam=1.5)
     view.branch_point(1.5)
     view.factorization()
-    m_bytes = (2 + 1 + 1) * n * 8
-    band_bytes = (2 * 2 + 1 + 1) * n * 8
+    b = np.random.default_rng(0).standard_normal(n)
+    vector = n * 8
     gc.collect()
     tracemalloc.start()
     try:
         view.branch_point(1.6)
         fact = view.factorization()
+        x = fact.solve(b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert view.point.mu.imag == 0
-    assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    assert fact._lu[0].dtype == np.float64
-    # M's diagonals, the band array and the pivot indices; anything else
-    # is smaller than one array of length n
-    assert peak < m_bytes + band_bytes + 4 * n + n
+    assert fact.storage == "tridiagonal" and fact._lu[0].dtype == np.float64
+    assert x.dtype == np.float64
+    # the three diagonals, factorized in place, the fill du2, the pivot
+    # indices and x; anything else is smaller than one array of length n
+    assert peak < 5 * vector + 4 * n + n
 
 
 def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
     # Newton on the bench's Helmholtz problem from a real start near mode 1:
-    # every iterate stays real, so each factorized M(lam) goes to dgbtrf
-    # and none to zgbtrf, and the solve still lands on the analytic value
+    # every iterate stays real, so each factorized M(lam) goes to dgttrf
+    # and none to zgttrf or a band LU, and the solve still lands on the
+    # analytic value
     n = 20000
     kappa, x2 = 2.0, 5.0
     disc = problems.gen_helmholtz(problems.HelmholtzConfig(
         x1=3.7, x2=x2, n=n, m=30, kappa_a=kappa, kappa_b=kappa))
-    calls = {"dgbtrf": 0, "zgbtrf": 0, "factorization": 0}
-    for name in ("dgbtrf", "zgbtrf"):
+    calls = {"dgttrf": 0, "zgttrf": 0, "dgbtrf": 0, "zgbtrf": 0, "factorization": 0}
+    for name in ("dgttrf", "zgttrf", "dgbtrf", "zgbtrf"):
         def counted(*args, _routine=getattr(lapack, name), _name=name, **kwargs):
             calls[_name] += 1
             return _routine(*args, **kwargs)
@@ -398,7 +492,47 @@ def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
     quad, info = solvers.augmented_newton(view, lam0, x0, solvers.SolverConfig(tol=1e-13))
     assert info.converged and abs(quad.lam - lam_k) <= 1e-4
     assert calls["factorization"] >= 2
-    assert calls["dgbtrf"] == calls["factorization"] and calls["zgbtrf"] == 0
+    assert calls["dgttrf"] == calls["factorization"]
+    assert calls["zgttrf"] == calls["dgbtrf"] == calls["zgbtrf"] == 0
+
+
+@pytest.mark.parametrize("imag, routine", [(0.0, "dgttrf"), (1e-3, "zgttrf")])
+def test_helmholtz_newton_takes_one_tridiagonal_lu_per_iterate(monkeypatch, imag, routine):
+    # from a real start every iterate is real, from a complex lam0 none is:
+    # Newton takes one tridiagonal LU, real or complex, per iterate that it
+    # factorizes, and attach_left_vectors one more, with no M(lam) formed,
+    # neither by eval_a nor as any dia_array, and both solves land on mode 1
+    n = 20000
+    kappa, x2 = 2.0, 5.0
+    disc = problems.gen_helmholtz(problems.HelmholtzConfig(
+        x1=3.7, x2=x2, n=n, m=30, kappa_a=kappa, kappa_b=kappa))
+    p = disc.problem
+    lam_k = problems.helmholtz_analytic_eigenvalues(kappa, x2, 1)[0]
+    lam0 = lam_k + 4e-3 + imag * 1j
+    x0 = np.sin(0.5 * np.pi / x2 * disc.grid_a)
+    view = nep.NepView(p, reference_lam=lam0)
+    calls = collections.Counter()
+    for name in ("dgttrf", "zgttrf", "dgbtrf", "zgbtrf"):
+        def counted(*args, _routine=getattr(lapack, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    dia_init = sp.dia_array.__init__
+
+    def counted_dia(self, *args, **kwargs):
+        calls["dia_array"] += 1
+        dia_init(self, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("M(lam) formed by eval_a")
+
+    monkeypatch.setattr(sp.dia_array, "__init__", counted_dia)
+    monkeypatch.setattr(mepnl.TwoParProblem, "eval_a", refused)
+    quad, trace = solvers.augmented_newton(view, lam0, x0, solvers.SolverConfig(tol=1e-13))
+    assert trace.converged and abs(quad.lam - lam_k) <= 1e-4
+    assert calls == {routine: trace.iterations - 1}
+    mepnl.attach_left_vectors(p, quad)
+    assert calls == {routine: trace.iterations}
 
 
 def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
@@ -434,13 +568,17 @@ def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
         assert columns == [1, 1]
 
 
-@pytest.mark.parametrize("routine", ["dgetrs", "zgetrs", "dgbtrs", "zgbtrs"])
+@pytest.mark.parametrize("routine", ["dgetrs", "zgetrs", "dgbtrs", "zgbtrs", "dgttrs",
+                                     "zgttrs"])
 def test_triangular_solve_argument_error_is_no_refusal(monkeypatch, routine):
-    # ?getrs and ?gbtrs return a nonzero info only for an illegal argument,
-    # a programming error that the CLI must not report as a singular shift
-    real = routine.startswith("d")
-    mat = helmholtz_m(50, lam=1.5 if real else 1.0 + 1.0j, mu=0.5)
-    fact = _linalg.Factorization(mat if routine.endswith("gbtrs") else mat.toarray())
+    # ?getrs, ?gbtrs and ?gttrs return a nonzero info only for an illegal
+    # argument, a programming error that the CLI must not report as a
+    # singular shift
+    lam = 1.5 if routine.startswith("d") else 1.0 + 1.0j
+    mat = helmholtz_m(50, lam=lam, mu=0.5)
+    fact = {"getrs": lambda: _linalg.Factorization(mat.toarray()),
+            "gbtrs": lambda: _linalg.Factorization(mat),
+            "gttrs": lambda: helmholtz(50).factorize_a(lam, 0.5)}[routine[1:]]()
     solve = getattr(lapack, routine)
     monkeypatch.setattr(lapack, routine, lambda *a, **k: (solve(*a, **k)[0], -3))
     with pytest.raises(RuntimeError, match="argument 3") as info:

@@ -140,13 +140,20 @@ def test_helmholtz_assembly_structure():
 
 def test_small_helmholtz_keeps_its_diagonals_and_a_band_m():
     # no order densifies the A side: a small problem keeps A1-A3 by their
-    # diagonals, and its M(lam) takes the band LU, as a large one's does
+    # diagonals, its M(lam) is a band matrix, which Factorization takes
+    # into band storage as a dia_array, and the problem's own LU of it is
+    # the tridiagonal one, as a large one's is: M(lam) is tridiagonal but
+    # for the interface row's entry two left of the diagonal
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=41, m=6)).problem
     assert all(M.format == "dia" for M in (p.A1, p.A2, p.A3))
     M = p.eval_a(1.0 + 1.0j, 0.5)
     assert M.format == "dia"
     fact = _linalg.Factorization(M)
     assert fact.storage == "band" and fact.bandwidths == (2, 1)
+    own = p.factorize_a(1.0 + 1.0j, 0.5)
+    assert own.storage == "tridiagonal" and own.bandwidths is None
+    lower = M.diagonal(-2)
+    assert np.flatnonzero(lower).tolist() == [p.n - 3]
 
 
 def lil_reference(cfg):

@@ -688,29 +688,39 @@ def test_newton_on_large_helmholtz_ends_at_the_analytic_eigenvalue():
 
 
 def helmholtz_newton_dtypes(monkeypatch, lam0, x0):
-    """The dtypes of the vectors that A1, A2 and A3 multiply, in order, and
-    of the right-hand sides solved with M(lam), in a Newton solve from
-    (lam0, x0) on a small split Helmholtz problem, and the solve's
-    (Quadruplet, SolveTrace)."""
+    """The dtypes of the vectors that A1, A2 and A3 multiply, in order, of
+    the vectors that scipy's products with them take, and of the
+    right-hand sides solved with M(lam), in a Newton solve from (lam0, x0)
+    on a small split Helmholtz problem, and the solve's (Quadruplet,
+    SolveTrace)."""
     disc = problems.gen_helmholtz(problems.HelmholtzConfig(n=400, m=12))
     p = disc.problem
-    matmul_vector, refuse_singular = type(p.A1)._matmul_vector, nep.NepView.refuse_singular
-    products, rhs = [], []
+    split_product, refuse_singular = _linalg.split_product, nep.NepView.refuse_singular
+    products, kernels, rhs = [], [], []
 
-    def recorded_product(mat, other):
+    def recorded_product(mat, x):
         if any(mat is a for a in (p.A1, p.A2, p.A3)):
-            products.append(other.dtype)
-        return matmul_vector(mat, other)
+            products.append(x.dtype)
+        return split_product(mat, x)
+
+    def recorded_kernel(kernel):
+        def recorded(mat, other):
+            if any(mat is a for a in (p.A1, p.A2, p.A3)):
+                kernels.append(other.dtype)
+            return kernel(mat, other)
+        return recorded
 
     def recorded_refusal(view, b, x):  # Newton's right-hand side and its solve
         rhs.append(b.dtype)
         return refuse_singular(view, b, x)
 
-    monkeypatch.setattr(type(p.A1), "_matmul_vector", recorded_product)
+    monkeypatch.setattr(_linalg, "split_product", recorded_product)
+    for name in ("_matmul_vector", "_matmul_multivector"):
+        monkeypatch.setattr(type(p.A1), name, recorded_kernel(getattr(type(p.A1), name)))
     monkeypatch.setattr(nep.NepView, "refuse_singular", recorded_refusal)
     view = nep.NepView(p, branch_id=0, reference_lam=lam0)
-    return products, rhs, solvers.augmented_newton(view, lam0, x0(disc.grid_a),
-                                                   solvers.SolverConfig(tol=1e-12))
+    return products, kernels, rhs, solvers.augmented_newton(view, lam0, x0(disc.grid_a),
+                                                            solvers.SolverConfig(tol=1e-12))
 
 
 @pytest.mark.parametrize("lam0, x0, dtype", [
@@ -722,11 +732,14 @@ def test_helmholtz_newton_products_follow_the_start(monkeypatch, lam0, x0, dtype
     # the split Helmholtz problem is real and its rank-one point at a real
     # lam is exactly real: from a real lam0 and x0 every product A_i @ x
     # takes a float64 x and every Newton right-hand side is float64; a
-    # complex lam0 or x0 takes complex128 throughout
-    products, rhs, (quad, trace) = helmholtz_newton_dtypes(monkeypatch, lam0, x0)
+    # complex lam0 or x0 takes complex128 throughout. scipy multiplies the
+    # float64 A_i by float64 operands alone, once per product: a complex
+    # x's parts side by side, or its real part (_linalg.split_product)
+    products, kernels, rhs, (quad, trace) = helmholtz_newton_dtypes(monkeypatch, lam0, x0)
     assert trace.converged and trace.iterations >= 2
     assert products == [np.dtype(dtype)] * (3 * trace.iterations)
     assert rhs == [np.dtype(dtype)] * (trace.iterations - 1)
+    assert kernels == [np.dtype(np.float64)] * len(products)
     # the returned types do not depend on the arithmetic
     assert quad.x.dtype == np.complex128
     assert all(isinstance(z, complex) for z in trace.lam + trace.mu + trace.alpha)
