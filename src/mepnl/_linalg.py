@@ -5,22 +5,19 @@ scipy.sparse.linalg) so the rest of the package never branches on the
 storage format of a matrix. Every LU is a Factorization, and no other
 module calls an LU routine (tests/test_api.py checks this), but for one:
 delta._newton_step solves its stack of bordered Jacobians with
-np.linalg.solve, an LU of each matrix of the stack. A
-Factorization picks one of four storage paths from its input: LAPACK's
-dense LU for a dense matrix; for a DiagonalSum, the unsummed M(lam) of a
-problem that TwoParProblem.__init__ has found narrow (the one reader of
-BAND_MAX) and stored by its diagonals (to_diagonals), LAPACK's tridiagonal
-LU when that problem has also found every M(lam) tridiagonal but for one
-corner entry (tridiagonal_but_corner), and LAPACK's band LU otherwise, as
-for a dia_array, which is a DiagonalSum of one term; and SuperLU for any
-other sparse matrix. The
-LAPACK LUs work in the matrix's own dtype, real (dgetrf, dgttrf, dgbtrf)
-for a float64 matrix, as the oracle's delta0 of a real problem and a real
-problem's M(lam) at real lam and mu are, and complex (zgetrf, zgttrf,
-zgbtrf) otherwise; SuperLU works in complex arithmetic. No LU is refused:
-an exactly zero pivot is floored at eps*||mat||_1 in place by the LAPACK
-LUs; SuperLU instead
-factorizes mat + eps*||mat||_1 * I. A caller that must refuse a singular
+np.linalg.solve, an LU of each matrix of the stack. A Factorization
+picks one of three storage paths from its input: LAPACK's dense LU for a
+dense matrix; LAPACK's tridiagonal LU for a DiagonalSum, the unsummed
+M(lam) of a problem that TwoParProblem.__init__ has found tridiagonal but
+for one corner entry (tridiagonal_but_corner) and stored by its
+diagonals (to_diagonals); and SuperLU for any other sparse matrix, a
+narrow one or a dia_array too. The LAPACK LUs work in the matrix's own
+dtype, real (dgetrf, dgttrf) for a float64 matrix, as the oracle's delta0
+of a real problem and a real problem's M(lam) at real lam and mu are, and
+complex (zgetrf, zgttrf) otherwise; SuperLU works in complex arithmetic.
+No LU is refused: an exactly zero pivot is floored at eps*||mat||_1 in
+place by the LAPACK LUs; SuperLU instead factorizes
+mat + eps*||mat||_1 * I. A caller that must refuse a singular
 matrix reads it from a solve, by proves_singular, the same test at the
 same tolerance on every storage path: M(lam) from the caller's own solve,
 delta0 and the bordered Jacobian from one step of inverse iteration
@@ -58,15 +55,6 @@ POWER_TOL = 1e-13
 # null_vector_adjoint's target ||M^H v|| / ||M|| and its step budget.
 NULL_VECTOR_TOL = 1e-8
 NULL_VECTOR_MAXIT = 50
-# Largest kl + ku of an M(lam) whose problem stores A1-A3 by their diagonals,
-# so that M(lam) is summed into the storage of a LAPACK LU (DiagonalSum)
-# instead of handed to SuperLU. At n = 1e5 (one BLAS thread,
-# 2 vCPUs), full bands and 2-D five-point strips with kl + ku <= 8 were
-# factorized 2.3 to 5.8 times faster by zgbtrf than by SuperLU, in at most
-# 1.3 times SuperLU's entries (2kl + ku + 1 a column). At kl + ku = 32 the
-# band LU was only 1.4 times faster, and a strip held 1.7 times SuperLU's
-# entries.
-BAND_MAX = 8
 
 
 def to_complex(mat):
@@ -119,36 +107,26 @@ def split_product(mat, x):
 
 class DiagonalSum(typing.NamedTuple):
     """The n x n matrix sum of scale * mat over zip(mats, scales), unsummed,
-    for Factorization to sum into the storage of its own LU: each mat a
-    dia_array, read only where its diagonals meet the matrix (_in_range),
-    and a scale None standing for 1. dtype is that of the sum, float64 or
-    complex128. tridiagonal says that every sum of mats has no nonzero
-    outside diagonals -1..1 but at entry (n - 1, n - 3), as
-    tridiagonal_but_corner decides once per problem for mats of
-    to_diagonals's form, rows of n entries; Factorization then takes the
-    tridiagonal LU, and the band LU otherwise."""
+    for Factorization to sum into the storage of the tridiagonal LU: each
+    mat a dia_array of to_diagonals's form, rows of n entries, and a scale
+    None standing for 1, of a problem that has found every such sum
+    tridiagonal but for entry (n - 1, n - 3) (tridiagonal_but_corner).
+    dtype is that of the sum, float64 or complex128."""
 
     mats: tuple
     scales: tuple
     dtype: type
-    tridiagonal: bool = False
 
     @property
     def n(self) -> int:
         return self.mats[0].shape[0]
-
-    def bandwidths(self) -> tuple[int, int]:
-        """(kl, ku) of the sum, read from the offsets of mats."""
-        offsets = np.concatenate([mat.offsets for mat in self.mats])
-        return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
     def add_into(self, dest):
         """Add the sum into the caller's storage: dest(k, cols) gives the
         array view that holds the entries of diagonal k in the columns cols
         of the matrix, and the columns it holds. Each term's diagonals are
         added in turn, so each entry is (a1 + lam*a2) + mu*a3 for the terms
-        (A1, None), (A2, lam), (A3, mu): TwoParProblem.eval_a's order, and
-        one copy of a1 for a sum of one term."""
+        (A1, None), (A2, lam), (A3, mu): TwoParProblem.eval_a's order."""
         for mat, scale in zip(self.mats, self.scales):
             for k, row, cols, _ in _in_range(mat):
                 out, cols = dest(k, cols)
@@ -156,19 +134,14 @@ class DiagonalSum(typing.NamedTuple):
 
 
 def tridiagonal_but_corner(mats) -> bool:
-    """Whether every sum of the square dia_arrays mats, of order n >= 3, is
-    tridiagonal but for entry (n - 1, n - 3): no diagonal outside -2..1 is
-    stored, and diagonal -2 has no nonzero but that one, as the split
-    Helmholtz A1 has its one-sided interface row. Read once per problem,
-    by TwoParProblem.__init__ alone."""
+    """Whether every sum of the square sparse mats, dia_arrays or CSR of
+    half-bandwidths within (2, 1), is tridiagonal but for entry
+    (n - 1, n - 3), n >= 3: diagonal -2 has no nonzero but that one, as
+    the split Helmholtz A1 has its one-sided interface row. Read once per
+    problem, from its input before any copy of a diagonal, by
+    TwoParProblem.__init__ alone."""
     n = mats[0].shape[0]
-    if n < 3:
-        return False
-    for mat in mats:
-        for k, row, cols, _ in _in_range(mat):
-            if not -2 <= k <= 1 or (k == -2 and row[:n - 3].any()):
-                return False
-    return True
+    return n >= 3 and not any(mat.diagonal(-2)[:n - 3].any() for mat in mats)
 
 
 def _in_range(mat):
@@ -274,35 +247,31 @@ class Factorization:
     not a Factorization is np.linalg.solve's of the oracle's stacked
     Jacobians, in delta._newton_step.
 
-    storage names the path taken. A dense matrix is "dense": LAPACK's LU.
-    A DiagonalSum, the form in which TwoParProblem.factorize_a hands over
-    M(lam) for a problem whose __init__ has found it narrow (the package's
-    one band decision), is summed straight into the storage of a LAPACK
-    LU, so no M(lam) is formed beside it. When that problem has found every
-    M(lam) tridiagonal but for entry (n - 1, n - 3), as the split Helmholtz
-    M(lam) is, it is "tridiagonal": the sum goes into the three diagonals
-    and that corner entry, one Gauss transform with partial pivoting
-    between rows n - 2 and n - 1 removes the corner (_eliminate_corner), and
-    the tridiagonal LU factorizes in place. Otherwise, and for a dia_array,
-    which is a DiagonalSum of one term, it is "band": summed into LAPACK
-    band storage and factorized in place by the band LU, with bandwidths =
-    (kl, ku) read from the offsets. The LAPACK paths keep a float64 matrix
-    real (dgetrf, dgttrf, dgbtrf), at half the bytes of the complex LU
-    (zgetrf, zgttrf, zgbtrf) that any other dtype gets; the oracle's
-    delta0 of a real problem is the one dense float64 matrix the package
-    factorizes. Any other sparse matrix is "sparse": SuperLU, with no scan
-    of its pattern, since the problem has already found its band too wide.
-    No sparse path keeps the matrix.
+    storage names the path taken, one of three. A dense matrix is "dense":
+    LAPACK's LU. A DiagonalSum, the form in which TwoParProblem.factorize_a
+    hands over M(lam) for a problem whose __init__ has found every M(lam)
+    tridiagonal but for entry (n - 1, n - 3) (the package's one storage
+    decision), as the split Helmholtz M(lam) is, is "tridiagonal": the sum
+    goes straight into the three diagonals and that corner entry, so no
+    M(lam) is formed beside them, one Gauss transform with partial
+    pivoting between rows n - 2 and n - 1 removes the corner
+    (_eliminate_corner), and the tridiagonal LU factorizes in place. The
+    LAPACK paths keep a float64 matrix real (dgetrf, dgttrf), at half the
+    bytes of the complex LU (zgetrf, zgttrf) that any other dtype gets; the
+    oracle's delta0 of a real problem is the one dense float64 matrix the
+    package factorizes. Any other sparse matrix, narrow or wide, a
+    dia_array too, is "sparse": SuperLU, with no scan of its pattern. No
+    sparse path keeps the matrix.
 
     Supports solves with the matrix and with its conjugate transpose from
     the single factorization, by one LAPACK routine per storage, ?getrs for
-    the dense LU, ?gttrs for the tridiagonal LU (after or before the corner's
-    Gauss transform on the right-hand side) and ?gbtrs for the band LU, real
-    or complex as the LU is. A real LU solves a float64 b in float64 and
-    returns float64; any other b gets complex128, from two float64 solves,
-    of its real part and then of its imaginary part, which is left out when
-    it is exactly zero, as Newton's right-hand side is at a real iterate. A
-    complex LU and SuperLU solve b made complex and return complex128.
+    the dense LU and ?gttrs for the tridiagonal LU (after or before the
+    corner's Gauss transform on the right-hand side), real or complex as
+    the LU is. A real LU solves a float64 b in float64 and returns float64;
+    any other b gets complex128, from two float64 solves, of its real part
+    and then of its imaginary part, which is left out when it is exactly
+    zero, as Newton's right-hand side is at a real iterate. A complex LU
+    and SuperLU solve b made complex and return complex128.
 
     No matrix is refused: the factors are those of a matrix within
     eps*||mat||_1 of mat, as inverse iteration wants for a matrix that is
@@ -314,19 +283,13 @@ class Factorization:
     """
 
     def __init__(self, mat):
-        self.bandwidths = None
-        if sp.issparse(mat) and mat.format == "dia":
-            real = mat.dtype == np.float64
-            mat = DiagonalSum((mat,), (None,), np.float64 if real else np.complex128)
         if isinstance(mat, DiagonalSum):
-            if mat.tridiagonal:
-                self.storage = "tridiagonal"
-                self._lu, self._corner = _tridiagonal_lu(mat)
-            else:
-                self.storage, self.bandwidths = "band", mat.bandwidths()
-                self._lu = _band_lu(mat, *self.bandwidths)
-            return
-        if not sp.issparse(mat):
+            self.storage = "tridiagonal"
+            self._lu, self._corner = _tridiagonal_lu(mat)
+        elif sp.issparse(mat):
+            self.storage = "sparse"
+            self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
+        else:
             self.storage = "dense"
             a = _real_or_complex(mat)
             getrf = lapack.dgetrf if a.dtype == np.float64 else lapack.zgetrf
@@ -335,9 +298,6 @@ class Factorization:
             if zero.size:
                 lu[zero, zero] = _pivot_floor(np.linalg.norm(a, 1))
             self._lu = (lu, piv)
-            return
-        self.storage = "sparse"
-        self._lu = _superlu(mat.astype(np.complex128, copy=False).tocsc())
 
     def solve(self, b, adjoint: bool = False):
         if self.storage == "sparse":
@@ -352,17 +312,12 @@ class Factorization:
                 x.imag = self.solve(b.imag, adjoint)
             return x
         flat = b.reshape(len(b), -1)
-        # trans 2 is the conjugate transpose, which for a real LU is the transpose
-        trans = 2 if adjoint else 0
         if self.storage == "tridiagonal":
             x, info = _tridiagonal_solve(self._lu, self._corner, flat, adjoint)
-        elif self.storage == "band":
-            gbtrs = lapack.dgbtrs if real else lapack.zgbtrs
-            x, info = gbtrs(self._lu[0], *self.bandwidths, flat.astype(dtype, copy=False),
-                            self._lu[1], trans=trans)
         else:
             getrs = lapack.dgetrs if real else lapack.zgetrs
-            x, info = getrs(*self._lu, flat.astype(dtype, copy=False), trans=trans)
+            # trans 2 is the conjugate transpose, which for a real LU is the transpose
+            x, info = getrs(*self._lu, flat.astype(dtype, copy=False), trans=2 if adjoint else 0)
         if info != 0:  # the LAPACK solves fail only on an illegal argument
             raise RuntimeError(f"LAPACK triangular solve rejected argument {-info}")
         return x.reshape(b.shape)
@@ -387,53 +342,40 @@ def proves_singular_from_start(fact: Factorization, n: int, scale) -> bool:
     return proves_singular(x, fact.solve(x, adjoint=True), scale)
 
 
-def _band_lu(total, kl, ku):
-    """(lu, ipiv) of the band LU of the DiagonalSum total of half-bandwidths
-    (kl, ku): dgbtrf when total is float64, zgbtrf otherwise, in place in
-    the band storage that total is summed into (_band_storage), with kl
-    rows on top for the fill of row interchanges; U's diagonal ends up in
-    row kl + ku. Nothing but the band array has the size of the matrix."""
-    gbtrf = lapack.dgbtrf if total.dtype == np.float64 else lapack.zgbtrf
-    lu, piv, info = gbtrf(_band_storage(total, kl, ku, kl), kl, ku, overwrite_ab=1)
-    if info > 0:  # U has an exactly zero pivot
-        udiag = lu[kl + ku]
-        udiag[udiag == 0] = _pivot_floor(_norm1(total))
-    return lu, piv
-
-
-def _band_storage(total, kl, ku, fill=0):
-    """The DiagonalSum total of half-bandwidths (kl, ku) summed into LAPACK
-    band storage, an F-order array of fill + kl + ku + 1 rows holding entry
-    (i, j) at [fill + ku + i - j, j], so column j of the array holds column
-    j of the matrix. A dia_array keeps entry (j - k, j) of diagonal k in
-    column j as well, so each diagonal's columns are added as they are."""
-    ab = np.zeros((fill + kl + ku + 1, total.n), dtype=total.dtype, order="F")
-    total.add_into(lambda k, cols: (ab[fill + ku - k, cols], cols))
-    return ab
+def _tridiagonal_storage(total):
+    """(dl, d, du, corner): the DiagonalSum total, tridiagonal but for entry
+    (n - 1, n - 3), summed into fresh sub-, main and super-diagonals and
+    that corner entry, an array of one. dl holds columns 0..n-2 and du
+    columns 1..n-1, as the in-range columns of diagonals -1 and 1 are."""
+    n = total.n
+    dl, d, du, corner = (np.zeros(size, dtype=total.dtype) for size in (n - 1, n, n - 1, 1))
+    total.add_into(lambda k, cols: (corner, slice(n - 3, n - 2)) if k == -2
+                   else ((dl, d, du)[k + 1], cols))
+    return dl, d, du, corner
 
 
 def _norm1(total) -> float:
-    """||total||_1 of a DiagonalSum, from a fresh band storage of it: the
-    floor of an exactly zero pivot, so read only after the LU met one."""
-    return float(np.abs(_band_storage(total, *total.bandwidths())).sum(axis=0).max(initial=0.0))
+    """||total||_1 of a DiagonalSum, from a fresh tridiagonal sum of it
+    (_tridiagonal_storage): the floor of an exactly zero pivot, so read
+    only after the LU met one."""
+    dl, d, du, corner = (np.abs(a) for a in _tridiagonal_storage(total))
+    d[1:] += du
+    d[:-1] += dl
+    d[-3] += corner[0]
+    return float(d.max())
 
 
 def _tridiagonal_lu(total):
     """((dl, d, du, du2, ipiv), transform) of the LU of the DiagonalSum
     total, which is tridiagonal but for entry (n - 1, n - 3): the sum goes
     straight into its sub-, main and super-diagonals dl, d and du and that
-    corner entry, _eliminate_corner removes the corner by one Gauss
-    transform, whose (swap, factor) or None is transform, and dgttrf or
-    zgttrf, as total is
-    float64 or not, factorizes the tridiagonal result in place, with
-    partial pivoting; du2 and ipiv are its fill and interchanges. An
-    exactly zero pivot of U, on d, is floored at _pivot_floor(||total||_1)."""
-    n = total.n
-    dl, d, du, corner = (np.zeros(size, dtype=total.dtype) for size in (n - 1, n, n - 1, 1))
-    # dl holds columns 0..n-2 and du columns 1..n-1, as the in-range
-    # columns of diagonals -1 and 1 are
-    total.add_into(lambda k, cols: (corner, slice(n - 3, n - 2)) if k == -2
-                   else ((dl, d, du)[k + 1], cols))
+    corner entry (_tridiagonal_storage), _eliminate_corner removes the
+    corner by one Gauss transform, whose (swap, factor) or None is
+    transform, and dgttrf or zgttrf, as total is float64 or not,
+    factorizes the tridiagonal result in place, with partial pivoting; du2
+    and ipiv are its fill and interchanges. An exactly zero pivot of U, on
+    d, is floored at _pivot_floor(||total||_1)."""
+    dl, d, du, corner = _tridiagonal_storage(total)
     transform = _eliminate_corner(dl, d, du, corner[0])
     gttrf = lapack.dgttrf if total.dtype == np.float64 else lapack.zgttrf
     *lu, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)

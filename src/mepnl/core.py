@@ -85,25 +85,25 @@ class TwoParProblem:
     """Immutable container for the six coefficient matrices and the normalization c.
 
     A1, A2, A3 are n x n, dense ndarray or scipy.sparse; B1, B2, B3 are
-    m x m and stored dense. The band is decided once, here: when A1, A2 and
-    A3 are all sparse and M(lam) = A1 + lam*A2 + mu*A3, whose half-bandwidths
-    are the largest of theirs (_linalg.half_bandwidths), has kl + ku at most
-    _linalg.BAND_MAX, each is stored as a dia_array of its own diagonals
+    m x m and stored dense. The storage, and with it the LU of every
+    M(lam) = A1 + lam*A2 + mu*A3, is decided once, here, from the input
+    before any copy: when A1, A2 and A3 are all sparse, their
+    half-bandwidths (_linalg.half_bandwidths) are within (2, 1) and their
+    diagonal -2 is zero but at (n - 1, n - 3) (_linalg.tridiagonal_but_corner),
+    so that every M(lam) is tridiagonal but for that corner, as the split
+    Helmholtz M(lam) is, each is stored as a dia_array of its own diagonals
     (_linalg.to_diagonals), float64 when all three have exactly zero
-    imaginary parts and complex128 otherwise, with no CSR copy beside it.
-    Next to it, from the stored diagonals, is decided whether every M(lam)
-    is tridiagonal but for entry (n - 1, n - 3) of diagonal -2
-    (_linalg.tridiagonal_but_corner), as the split Helmholtz M(lam) is;
-    factorize_a then takes the tridiagonal LU. scipy cannot add complex
+    imaginary parts and complex128 otherwise, with no CSR copy beside it,
+    and factorize_a takes the tridiagonal LU. scipy cannot add complex
     data into a float64 dia_array, so with a complex lam, p.A1 + lam*p.A2
     on such a real problem raises UFuncTypeError inside scipy: eval_a is
     the way to form M(lam) = A1 + lam*A2 + mu*A3, factorize_a the way to
     factorize it and apply_a the way to take products with it, at any lam
-    and mu. Any other sparse A side is stored as complex CSR, a
-    dense one as complex128, and the B side is complex128. is_real says
-    whether the imaginary parts of all six are zero. c is a complex
-    m-vector fixing the eigenvector scaling of the small equation through
-    c^T y = 1 (unconjugated transpose).
+    and mu. Any other sparse A side, narrow or wide, is stored as complex
+    CSR, for SuperLU, a dense one as complex128, and the B side is
+    complex128. is_real says whether the imaginary parts of all six are
+    zero. c is a complex m-vector fixing the eigenvector scaling of the
+    small equation through c^T y = 1 (unconjugated transpose).
     c=None takes the fixed-seed draw of _default_c.
     reference_mus holds the finite eigenvalues of the small pencil at
     pencil.REFERENCE_LAM, read-only, from one eigenvalues-only QZ at
@@ -120,15 +120,16 @@ class TwoParProblem:
         n = A[0].shape[0]
         _check_square(A[1], "A2", n)
         _check_square(A[2], "A3", n)
-        bands, self._tridiagonal = None, False
+        tridiagonal = False
         if all(sp.issparse(M) for M in A):
             A = [M if M.format == "dia" else M.tocsr() for M in A]
             bands = [_linalg.half_bandwidths(M) for M in A]
-        if bands is not None and sum(np.max(bands, axis=0)) <= _linalg.BAND_MAX:
+            kl, ku = np.max(bands, axis=0)
+            tridiagonal = kl <= 2 and ku <= 1 and _linalg.tridiagonal_but_corner(A)
+        if tridiagonal:
             real = not any(np.iscomplexobj(M.data) and np.any(M.data.imag) for M in A)
             dtype = np.float64 if real else np.complex128
             A = [_linalg.to_diagonals(M, *band, dtype) for M, band in zip(A, bands)]
-            self._tridiagonal = _linalg.tridiagonal_but_corner(A)
         else:
             A = [_linalg.to_complex(M) for M in A]
         self.A1, self.A2, self.A3 = A
@@ -212,9 +213,9 @@ class TwoParProblem:
 
     def eval_a(self, lam, mu):
         """M(lam) = A1 + lam*A2 + mu*A3, bit-equal to that expression: the
-        one builder of M(lam) as a matrix. When A1-A3 are stored by their
-        diagonals (the band decision of __init__), M is a dia_array of
-        diagonals -kl..ku, the widest of theirs, each entry the sum
+        one builder of M(lam) as a matrix, for any problem. When A1-A3 are
+        stored by their diagonals (the storage decision of __init__), M is
+        a dia_array of diagonals -2..1, each entry the sum
         (a1 + lam*a2) + mu*a3 of the matrices that have it
         (_linalg.DiagonalSum.add_into), so no CSR sum is formed; float64
         when the problem is real (is_real) and lam and mu have exactly zero
@@ -225,10 +226,9 @@ class TwoParProblem:
         when A1-A3 are stored by their diagonals."""
         if isinstance(self.A1, sp.dia_array):
             total = self._diagonal_sum(lam, mu)
-            kl, ku = total.bandwidths()
-            data = np.zeros((kl + ku + 1, self.n), dtype=total.dtype)
-            total.add_into(lambda k, cols: (data[kl + k, cols], cols))
-            return sp.dia_array((data, np.arange(-kl, ku + 1)), shape=(self.n, self.n))
+            data = np.zeros((4, self.n), dtype=total.dtype)
+            total.add_into(lambda k, cols: (data[k + 2, cols], cols))
+            return sp.dia_array((data, np.arange(-2, 2)), shape=(self.n, self.n))
         if self.is_sparse:
             return self.A1 + lam * self.A2 + mu * self.A3
         out = np.empty_like(self.A1)
@@ -243,23 +243,21 @@ class TwoParProblem:
     def _diagonal_sum(self, lam, mu) -> _linalg.DiagonalSum:
         """M(lam) unsummed, of a problem that stores A1-A3 by their
         diagonals: float64 when the problem is real and lam and mu have
-        exactly zero imaginary parts, complex128 otherwise, and tridiagonal
-        as __init__ decided."""
+        exactly zero imaginary parts, complex128 otherwise."""
         real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
         if real:
             lam, mu = np.real(lam), np.real(mu)
         return _linalg.DiagonalSum((self.A1, self.A2, self.A3), (None, lam, mu),
-                                   np.float64 if real else np.complex128, self._tridiagonal)
+                                   np.float64 if real else np.complex128)
 
     def factorize_a(self, lam, mu) -> _linalg.Factorization:
         """The LU of M(lam) = A1 + lam*A2 + mu*A3 (_linalg.Factorization),
         of NepView.factorization and attach_left_vectors alike. When A1-A3
-        are stored by their diagonals, no M is formed: the LU sums each
-        entry, in eval_a's order, straight into its own storage, the three
-        diagonals and the corner of the tridiagonal LU when __init__ has
-        found every M(lam) tridiagonal but for that corner, and LAPACK band
-        storage otherwise, with eval_a's float64 rule. Any other M is
-        eval_a's."""
+        are stored by their diagonals, every M(lam) is tridiagonal but for
+        entry (n - 1, n - 3), and no M is formed: the tridiagonal LU sums
+        each entry, in eval_a's order and with eval_a's float64 rule,
+        straight into its three diagonals and that corner. Any other M is
+        eval_a's, which SuperLU factorizes when it is sparse."""
         if isinstance(self.A1, sp.dia_array):
             return _linalg.Factorization(self._diagonal_sum(lam, mu))
         return _linalg.Factorization(self.eval_a(lam, mu))

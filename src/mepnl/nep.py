@@ -42,9 +42,9 @@ class NepView:
         branch_point(sigma) left it, singular or not (the LU floors an
         exactly zero pivot); refuse_singular judges it by a solve. It
         continues nothing. TwoParProblem.factorize_a takes it, so for a
-        problem stored by its diagonals no M(sigma) is formed: its entries
-        are summed into the LU's own storage, the tridiagonal LU's for the
-        split Helmholtz problem."""
+        problem stored by its diagonals, as the split Helmholtz problem is,
+        no M(sigma) is formed: its entries are summed into the three
+        diagonals and the corner of the tridiagonal LU."""
         bp = self.point
         return self.problem.factorize_a(bp.lam, bp.mu)
 

@@ -101,19 +101,22 @@ def test_only_linalg_builds_lus():
 
 
 def test_only_core_decides_the_band():
-    """TwoParProblem.__init__ is the package's one narrow-band decision: no
-    other function calls _linalg.half_bandwidths or reads BAND_MAX, so
-    Factorization scans no pattern of its own and bands every dia_array
-    without a second test of its width. The decision that M(lam) is
-    tridiagonal but for its corner sits beside it, once per problem."""
+    """TwoParProblem.__init__ is the package's one storage decision for
+    M(lam): no other function calls _linalg.half_bandwidths or
+    tridiagonal_but_corner, so Factorization scans no pattern of its own.
+    A sparse M(lam) takes one of two LUs, the tridiagonal one or SuperLU:
+    the package keeps no band LU, no band storage and no width bound."""
+    from mepnl import _linalg
+
     assert _package_scopes(_calls("half_bandwidths")) == ["core.TwoParProblem.__init__"]
     assert _package_scopes(_calls("tridiagonal_but_corner")) == ["core.TwoParProblem.__init__"]
-
-    def reads_band_max(node):
-        return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-                and getattr(node, "id", getattr(node, "attr", None)) == "BAND_MAX")
-
-    assert _package_scopes(reads_band_max) == ["core.TwoParProblem.__init__"]
+    for gone in ("BAND_MAX", "_band_lu", "_band_storage"):
+        assert not hasattr(_linalg, gone), gone
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"gbtrf|gbtrs|BAND_MAX|_band_lu|_band_storage", line)]
+    assert not hits, "\n".join(hits)
 
 
 def test_one_builder_of_a_branch_point():

@@ -135,11 +135,13 @@ def helmholtz_like_a(n, rng, far=False):
 
 
 @pytest.mark.parametrize("kind, storage, bandwidths", [
-    ("band", "band", (2, 1)),
+    ("band", "sparse", (2, 1)),
     ("wide", "sparse", None),
     ("dense", "dense", None),
 ])
 def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
+    # bandwidths are the half-bandwidths of a narrow M(lam) that is not
+    # tridiagonal but for a corner, so its problem keeps complex CSR
     rng = np.random.default_rng(11)
     n = 50  # more rows than one block of the dense sum
     A = helmholtz_like_a(n, rng, far=kind == "wide")
@@ -151,19 +153,18 @@ def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
     M = p.eval_a(lam, mu)
     want = p.A1 + lam * p.A2 + mu * p.A3
     assert sp.issparse(M) == (kind != "dense")
-    assert (M.format == "dia") if kind == "band" else type(M) is type(want)
+    assert type(M) is type(want)
+    if bandwidths:
+        assert M.format == "csr" and _linalg.half_bandwidths(M) == bandwidths
     got, want = _linalg.to_dense(M), _linalg.to_dense(want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    fact = _linalg.Factorization(M)
-    assert fact.storage == storage and fact.bandwidths == bandwidths
-    # the problem's own LU sums its diagonals into band storage without
-    # forming M: this band is not tridiagonal but for a corner, and its LU
-    # is bit-equal to that of M
-    own = p.factorize_a(lam, mu)
-    assert own.storage == storage and own.bandwidths == bandwidths
-    if kind == "band":
-        for got, want in zip(own._lu, fact._lu):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the problem's own LU is that of M, on the same storage path, and its
+    # solves are bit-equal
+    fact, own = _linalg.Factorization(M), p.factorize_a(lam, mu)
+    assert fact.storage == own.storage == storage
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for adjoint in (False, True):
+        assert np.array_equal(own.solve(b, adjoint), fact.solve(b, adjoint))
 
 
 def norm_bound_matrices(n=60):

@@ -1,9 +1,10 @@
-"""The one LU type, _linalg.Factorization, on its tridiagonal, band and
-SuperLU paths, and the real path of a real narrow-band M(lam)."""
+"""The one LU type, _linalg.Factorization, on its three storage paths
+(dense, tridiagonal, SuperLU): the real path of a real M(lam) that is
+tridiagonal but for one corner, and the SuperLU path of every other sparse
+M(lam), narrow or wide."""
 import collections
 import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -36,14 +37,6 @@ def backward_error(M, x, b):
     return np.linalg.norm(M @ x - b) / (spla.norm(M, 1) * np.linalg.norm(x) + np.linalg.norm(b))
 
 
-def assert_band_lu_agrees_with_superlu(M):
-    """The band Factorization of M against SuperLU's LU of M made complex,
-    as assert_lu_agrees_with_superlu says."""
-    fact = _linalg.Factorization(M)
-    assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    assert_lu_agrees_with_superlu(M, fact)
-
-
 def assert_lu_agrees_with_superlu(M, fact):
     """fact, a Factorization of M in M's dtype, against SuperLU's LU of M
     made complex: 1-D and 2-D complex solves, with M and with M^H, within
@@ -69,16 +62,11 @@ def assert_lu_agrees_with_superlu(M, fact):
                 assert fact.solve(b.real, adjoint=adjoint).dtype == np.float64
 
 
-def test_band_lu_agrees_with_superlu():
-    M = helmholtz_m(20000)
-    assert M.dtype == np.complex128
-    assert_band_lu_agrees_with_superlu(M)
-
-
 def test_real_band_m_is_built_and_factorized_in_float64():
     # all six Helmholtz matrices are real, so at a real (lam, mu) M(lam) is
     # summed in float64, entry for entry the real part of the complex sum,
-    # and its band LU is dgbtrf's; complex solves still agree with SuperLU
+    # and its tridiagonal LU is dgttrf's; complex solves still agree with
+    # SuperLU
     p = helmholtz(20000)
     lam, mu = 1.5 + 0j, 0.5
     assert p.is_real
@@ -88,7 +76,9 @@ def test_real_band_m_is_built_and_factorized_in_float64():
     assert ref.dtype == np.complex128 and not np.any(ref.data.imag)
     for k in M.offsets:
         np.testing.assert_array_equal(M.diagonal(k), ref.diagonal(k).real)
-    assert_band_lu_agrees_with_superlu(M)
+    fact = p.factorize_a(lam, mu)
+    assert fact.storage == "tridiagonal"
+    assert_lu_agrees_with_superlu(M, fact)
 
 
 @pytest.mark.parametrize("lam, mu, imaginary_a", [
@@ -98,7 +88,7 @@ def test_real_band_m_is_built_and_factorized_in_float64():
 ])
 def test_complex_lam_mu_or_matrices_keep_m_complex(lam, mu, imaginary_a):
     # a nonzero imaginary part of lam, of mu or of a matrix keeps M(lam) and
-    # its band LU complex128, summed as before
+    # its tridiagonal LU complex128, summed as before
     p = helmholtz(20000)
     if imaginary_a:
         p = mepnl.TwoParProblem(p.A1 * (1 + imaginary_a * 1j), p.A2, p.A3,
@@ -107,8 +97,8 @@ def test_complex_lam_mu_or_matrices_keep_m_complex(lam, mu, imaginary_a):
     M = p.eval_a(lam, mu)
     assert M.format == "dia" and M.dtype == np.complex128
     assert (M != complex_csr_sum(p, lam, mu)).nnz == 0
-    fact = _linalg.Factorization(M)
-    assert fact.storage == "band" and fact._lu[0].dtype == np.complex128
+    fact = p.factorize_a(lam, mu)
+    assert fact.storage == "tridiagonal" and fact._lu[0].dtype == np.complex128
 
 
 def corner_problem(n, corner, imaginary=0.0):
@@ -147,8 +137,7 @@ def test_tridiagonal_lu_agrees_with_superlu(problem, swap, lam):
     p = problem()
     fact = p.factorize_a(lam, 0.5)
     M = p.eval_a(lam, 0.5)
-    assert fact.storage == "tridiagonal" and fact.bandwidths is None
-    assert fact._corner[0] == swap
+    assert fact.storage == "tridiagonal" and fact._corner[0] == swap
     assert (fact._lu[0].dtype == np.float64) == (p.is_real and np.imag(lam) == 0)
     assert_lu_agrees_with_superlu(M, fact)
 
@@ -167,8 +156,7 @@ def test_wide_sparse_matrix_goes_through_superlu():
     n = 40
     M = arrow(n)
     fact = _linalg.Factorization(M)
-    assert _linalg.BAND_MAX < 2 * (n - 1)
-    assert fact.storage == "sparse" and fact.bandwidths is None
+    assert fact.storage == "sparse"
     dense = M.toarray()
     rng = np.random.default_rng(1)
     b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
@@ -191,6 +179,11 @@ def singular_band(kl=1):
     return zero_column(sp.diags(diagonals, range(-kl, 2), shape=(30, 30)), 11)
 
 
+def singular_pentadiagonal():
+    """singular_band(kl=2) with 0.5 on diagonal 2 as well, as CSR."""
+    return zero_column(sp.diags([0.5, 1.0, 4.0, 1.0, 0.5], range(-2, 3), shape=(30, 30)), 11)
+
+
 def singular_corner():
     """singular_band with the entry 2 at (29, 27), which outweighs its
     partner 1 at (28, 27), as a dia_array of diagonals -2..1."""
@@ -199,38 +192,45 @@ def singular_corner():
     return sp.dia_array(M.tocsr())
 
 
-def test_band_lu_reads_only_the_stored_columns_of_a_dia_array():
-    # todia stores no column past the last nonzero one, so its rows of
-    # data can be shorter than n: the band LU is that of the zero-padded rows
-    M = zero_column(sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30)), 29).todia()
-    assert M.data.shape[1] < 30
-    padded = sp.dia_array((np.pad(M.data, ((0, 0), (0, 30 - M.data.shape[1]))), M.offsets),
-                          shape=M.shape)
-    got, want = _linalg.Factorization(M), _linalg.Factorization(padded)
-    assert got.storage == want.storage == "band"
-    for g, w in zip(got._lu, want._lu):
-        assert g.tobytes() == w.tobytes()
+@pytest.mark.parametrize("A1", [singular_band(kl=2), singular_pentadiagonal()])
+def test_narrow_m_not_tridiagonal_but_for_a_corner_goes_to_superlu(A1):
+    # an M(lam) of half-bandwidths (2, 1) with nonzeros on diagonal -2 away
+    # from the corner, or a pentadiagonal one: the problem stores its A
+    # side as complex CSR and factorizes M(lam) by SuperLU, and Newton from
+    # a fixed start reaches the lam of the same problem stored dense
+    n = A1.shape[0]
+    A = (A1, -sp.eye_array(n, format="csr"),
+         sp.csr_array(([0.5], ([n - 1], [n - 1])), shape=(n, n)))
+    B = (np.diag([1.0, 2.0]), np.eye(2), np.eye(2))
+    sparse, dense = (mepnl.TwoParProblem(*mats, *B, np.ones(2))
+                     for mats in (A, [M.toarray() for M in A]))
+    for M in (sparse.A1, sparse.A2, sparse.A3):
+        assert M.format == "csr" and M.dtype == np.complex128
+    assert sparse.factorize_a(6.5, -7.5).storage == "sparse"
+    assert dense.factorize_a(6.5, -7.5).storage == "dense"
+    lams = []
+    for p in (sparse, dense):
+        view = nep.NepView(p, reference_lam=6.5)
+        quad, trace = solvers.augmented_newton(view, 6.5, np.ones(n),
+                                               solvers.SolverConfig(tol=1e-13))
+        assert trace.converged
+        lams.append(quad.lam)
+    assert abs(lams[0] - lams[1]) <= 1e-10 * abs(lams[1])
 
 
 @pytest.mark.parametrize("M, storage", [
-    (singular_band().todia(), "band"),
+    (singular_band(kl=2).todia(), "sparse"),
     (zero_column(arrow(30), 11), "sparse"),
 ])
 def test_exactly_singular_sparse_matrix(M, storage):
-    # an exactly zero column: the band LU meets an exactly zero pivot and
-    # floors it, SuperLU refuses to factorize and is handed M + eps*||M||_1 I;
-    # neither raises, and one solve gives the null vector e11, as the first
-    # step of inverse iteration should, and so proves M singular, on which
-    # a NepView refuses it (next test)
+    # an exactly zero column, of a narrow dia_array or of a wide CSR matrix
+    # handed to Factorization: SuperLU refuses to factorize and is handed
+    # M + eps*||M||_1 I; it does not raise, and one solve gives the null
+    # vector e11, as the first step of inverse iteration should, and so
+    # proves M singular, on which a NepView refuses it (see the test of
+    # NepView.refuse_singular below)
     fact = _linalg.Factorization(M)
     assert fact.storage == storage
-    if storage == "band":
-        # the zero pivot is floored in place, as the dense LU floors it
-        # M is float64, and so is its band LU
-        assert fact._lu[0].dtype == np.float64
-        kl, ku = fact.bandwidths
-        floor = np.finfo(float).eps * spla.norm(M, 1)
-        assert np.abs(fact._lu[0][kl + ku]).min() == floor
     b = np.ones(M.shape[0])
     x = fact.solve(b)
     assert np.all(np.isfinite(x))
@@ -267,16 +267,17 @@ def test_exactly_singular_tridiagonal_m_is_floored():
 @pytest.mark.parametrize("M, storage", [
     (np.zeros((3, 3)), "dense"),
     (np.zeros((3, 3), dtype=np.complex128), "dense"),
-    (sp.dia_array((np.zeros((2, 3)), [-1, 0]), shape=(3, 3)), "band"),
+    (0 * singular_band(kl=2), "sparse"),
     (sp.csr_array((3, 3)), "sparse"),
+    (0 * singular_pentadiagonal(), "sparse"),
 ])
 def test_zero_matrix_is_floored_at_the_smallest_normal_float(M, storage):
     # eps*||M||_1 is 0 for a zero M: each path floors it at the smallest
     # normal float instead, so a solve stays finite and inverse iteration
-    # can go on
+    # can go on; the narrow CSR matrices keep their pattern of zeros
     fact = _linalg.Factorization(M)
     assert fact.storage == storage
-    b = np.ones(3)
+    b = np.ones(M.shape[0])
     assert np.array_equal(fact.solve(b), b / np.finfo(float).tiny)
 
 
@@ -341,18 +342,20 @@ def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
 
 @pytest.mark.parametrize("M, storage", [
     (singular_band().toarray(), "dense"),
-    (singular_band(kl=2).todia(), "band"),
+    (singular_band(kl=2), "sparse"),
     (zero_column(arrow(30), 11), "sparse"),
     (singular_band().todia(), "tridiagonal"),
     (singular_corner(), "tridiagonal"),
+    (singular_pentadiagonal(), "sparse"),
 ])
 def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
     # NepView.refuse_singular is the one refusal of M(sigma): on each
     # storage path the floored factorization of M(sigma) = M is built, and
     # resinv's first solve with it proves M singular, by the same test. A
-    # dia_array handed to Factorization itself takes the band LU; only a
-    # problem decides that its M(sigma) is tridiagonal but for a corner
-    direct = "band" if storage == "tridiagonal" else storage
+    # sparse matrix handed to Factorization itself, a dia_array too, takes
+    # SuperLU; only a problem decides that its M(sigma) is tridiagonal but
+    # for a corner, and a narrow one that is not goes to SuperLU as well
+    direct = "sparse" if storage == "tridiagonal" else storage
     assert _linalg.Factorization(M).storage == direct
     p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2),
                             np.eye(2), np.ones(2))
@@ -363,36 +366,14 @@ def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
         solvers.resinv(view, np.ones(M.shape[0]), solvers.SolverConfig(sigma=0.3))
 
 
-def test_band_factorization_keeps_only_its_band():
-    # SuperLU's own allocations are invisible to tracemalloc, hence the path;
-    # M comes as eval_a builds it, a dia_array
-    n = 100_000
-    band_bytes = (2 * 2 + 1 + 1) * n * 16
-    M = helmholtz_m(n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fact = _linalg.Factorization(M)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    assert peak < 2 * band_bytes
-    # the band array and the pivot indices, nothing of the size of a copy of M
-    assert kept < band_bytes + 4 * n + 4096
-    ref = weakref.ref(M)
-    del M
-    gc.collect()
-    assert ref() is None
-
-
 def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     # M(sigma) is summed from the problem's stored diagonals straight into
     # the LU's storage, the tridiagonal LU's for the split Helmholtz
     # problem: the pattern scan runs once per matrix of the problem, and no
     # M, CSR sum or int64 pattern array is alive beside the factors. A
-    # wide M(sigma) goes to SuperLU unscanned, and so does a narrow CSR
-    # matrix handed to Factorization directly: only a dia_array is banded
+    # wide M(sigma) goes to SuperLU unscanned, and so does a tridiagonal
+    # CSR matrix handed to Factorization directly: only a problem decides
+    # its storage
     scans = []
     half_bandwidths = _linalg.half_bandwidths
 
@@ -438,7 +419,7 @@ def test_view_factorization_builds_real_band_m_in_float64():
     # the real-sigma twin of the test above: the bench's Helmholtz problem,
     # whose branch keeps mu exactly real at a real sigma, gives a float64
     # tridiagonal LU, 8 bytes an entry. With one solve the peak is about
-    # 5.5 float64 n-vectors, against 10.5 for the band LU of a dia_array M
+    # 5.5 float64 n-vectors
     n = 100_000
     p = helmholtz(n, x1=3.7, x2=5.0, kappa_a=2.0, kappa_b=2.0)
     view = nep.NepView(p, reference_lam=1.5)
@@ -466,14 +447,13 @@ def test_view_factorization_builds_real_band_m_in_float64():
 def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
     # Newton on the bench's Helmholtz problem from a real start near mode 1:
     # every iterate stays real, so each factorized M(lam) goes to dgttrf
-    # and none to zgttrf or a band LU, and the solve still lands on the
-    # analytic value
+    # and none to zgttrf, and the solve still lands on the analytic value
     n = 20000
     kappa, x2 = 2.0, 5.0
     disc = problems.gen_helmholtz(problems.HelmholtzConfig(
         x1=3.7, x2=x2, n=n, m=30, kappa_a=kappa, kappa_b=kappa))
-    calls = {"dgttrf": 0, "zgttrf": 0, "dgbtrf": 0, "zgbtrf": 0, "factorization": 0}
-    for name in ("dgttrf", "zgttrf", "dgbtrf", "zgbtrf"):
+    calls = {"dgttrf": 0, "zgttrf": 0, "factorization": 0}
+    for name in ("dgttrf", "zgttrf"):
         def counted(*args, _routine=getattr(lapack, name), _name=name, **kwargs):
             calls[_name] += 1
             return _routine(*args, **kwargs)
@@ -493,7 +473,7 @@ def test_newton_from_real_start_factorizes_in_real_arithmetic(monkeypatch):
     assert info.converged and abs(quad.lam - lam_k) <= 1e-4
     assert calls["factorization"] >= 2
     assert calls["dgttrf"] == calls["factorization"]
-    assert calls["zgttrf"] == calls["dgbtrf"] == calls["zgbtrf"] == 0
+    assert calls["zgttrf"] == 0
 
 
 @pytest.mark.parametrize("imag, routine", [(0.0, "dgttrf"), (1e-3, "zgttrf")])
@@ -512,7 +492,7 @@ def test_helmholtz_newton_takes_one_tridiagonal_lu_per_iterate(monkeypatch, imag
     x0 = np.sin(0.5 * np.pi / x2 * disc.grid_a)
     view = nep.NepView(p, reference_lam=lam0)
     calls = collections.Counter()
-    for name in ("dgttrf", "zgttrf", "dgbtrf", "zgbtrf"):
+    for name in ("dgttrf", "zgttrf"):
         def counted(*args, _routine=getattr(lapack, name), _name=name, **kwargs):
             calls[_name] += 1
             return _routine(*args, **kwargs)
@@ -536,31 +516,30 @@ def test_helmholtz_newton_takes_one_tridiagonal_lu_per_iterate(monkeypatch, imag
 
 
 def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
-    # a real b on a real band LU goes to dgbtrs as its real part alone, one
-    # column, not two; dgbtrs solves each column on its own, so x equals
-    # the real part of the two-column solve bit for bit, in both directions
+    # a real b on the real tridiagonal LU of a band M(lam) goes to dgttrs as
+    # its real part alone, one column, not two; dgttrs solves each column
+    # on its own, so x equals the real part of the two-column solve bit for
+    # bit, in both directions
     rng = np.random.default_rng(2)
-    fact = _linalg.Factorization(helmholtz(5000).eval_a(1.5, 0.5))
-    lu, piv = fact._lu
-    assert fact.storage == "band" and lu.dtype == np.float64
-    kl, ku = fact.bandwidths
+    fact = helmholtz(5000).factorize_a(1.5, 0.5)
+    assert fact.storage == "tridiagonal" and fact._lu[0].dtype == np.float64
     columns = []
-    dgbtrs = lapack.dgbtrs
+    dgttrs = lapack.dgttrs
 
-    def counted(lu, kl, ku, b, *args, **kwargs):
-        columns.append(b.shape[1])
-        return dgbtrs(lu, kl, ku, b, *args, **kwargs)
+    def counted(*args, **kwargs):
+        columns.append(args[5].shape[1])
+        return dgttrs(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgbtrs", counted)
-    b = rng.standard_normal(lu.shape[1])
+    monkeypatch.setattr(lapack, "dgttrs", counted)
+    b = rng.standard_normal(5000)
     for adjoint in (False, True):
         columns.clear()
         x = fact.solve(b.astype(np.complex128), adjoint=adjoint)
         assert columns == [1] and x.dtype == np.complex128
         assert np.array_equal(x.imag, np.zeros_like(b))
-        both = np.zeros((b.size, 2), order="F")
+        both = np.zeros((b.size, 2))
         both[:, 0] = b
-        want, _ = dgbtrs(lu, kl, ku, both, piv, trans=2 if adjoint else 0)
+        want, _ = _linalg._tridiagonal_solve(fact._lu, fact._corner, both, adjoint)
         assert np.array_equal(x.real, want[:, 0])
         # a b with any nonzero imaginary part takes a second solve, of that part
         columns.clear()
@@ -568,16 +547,12 @@ def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
         assert columns == [1, 1]
 
 
-@pytest.mark.parametrize("routine", ["dgetrs", "zgetrs", "dgbtrs", "zgbtrs", "dgttrs",
-                                     "zgttrs"])
+@pytest.mark.parametrize("routine", ["dgetrs", "zgetrs", "dgttrs", "zgttrs"])
 def test_triangular_solve_argument_error_is_no_refusal(monkeypatch, routine):
-    # ?getrs, ?gbtrs and ?gttrs return a nonzero info only for an illegal
-    # argument, a programming error that the CLI must not report as a
-    # singular shift
+    # ?getrs and ?gttrs return a nonzero info only for an illegal argument,
+    # a programming error that the CLI must not report as a singular shift
     lam = 1.5 if routine.startswith("d") else 1.0 + 1.0j
-    mat = helmholtz_m(50, lam=lam, mu=0.5)
-    fact = {"getrs": lambda: _linalg.Factorization(mat.toarray()),
-            "gbtrs": lambda: _linalg.Factorization(mat),
+    fact = {"getrs": lambda: _linalg.Factorization(helmholtz_m(50, lam=lam).toarray()),
             "gttrs": lambda: helmholtz(50).factorize_a(lam, 0.5)}[routine[1:]]()
     solve = getattr(lapack, routine)
     monkeypatch.setattr(lapack, routine, lambda *a, **k: (solve(*a, **k)[0], -3))

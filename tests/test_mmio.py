@@ -137,6 +137,29 @@ def test_narrow_real_problem_round_trip(tmp_path):
         assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
 
 
+def test_split_helmholtz_round_trip_keeps_the_tridiagonal_lu(tmp_path):
+    # the A side comes back from its coordinate files as CSR, and the one
+    # storage decision treats it as it treats the generated dia_arrays: the
+    # loaded problem takes the tridiagonal LU, with bit-equal factors,
+    # corner transform and solves, real and complex, in both directions
+    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=300, m=6)).problem
+    written = mmio.save_problem(p, tmp_path)
+    assert all(mmio.read_matrix(written[name]).format == "csr" for name in ("A1", "A2", "A3"))
+    back = mmio.load_problem([written[k] for k in mmio.MATRIX_NAMES], c_path=written["c"])
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+    for lam, mu in ((1.5, 0.5), (0.7 - 0.2j, 1.1 + 0.3j)):
+        got, want = back.factorize_a(lam, mu), p.factorize_a(lam, mu)
+        assert got.storage == want.storage == "tridiagonal"
+        assert got._corner == want._corner
+        for g, w in zip(got._lu, want._lu):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for rhs in (b.real, b):
+            for adjoint in (False, True):
+                x, y = got.solve(rhs, adjoint), want.solve(rhs, adjoint)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def test_sparse_problem_round_trip(tmp_path):
     disc = problems.gen_helmholtz(problems.HelmholtzConfig(n=600, m=6))
     p = disc.problem

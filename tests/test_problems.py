@@ -140,18 +140,15 @@ def test_helmholtz_assembly_structure():
 
 def test_small_helmholtz_keeps_its_diagonals_and_a_band_m():
     # no order densifies the A side: a small problem keeps A1-A3 by their
-    # diagonals, its M(lam) is a band matrix, which Factorization takes
-    # into band storage as a dia_array, and the problem's own LU of it is
-    # the tridiagonal one, as a large one's is: M(lam) is tridiagonal but
-    # for the interface row's entry two left of the diagonal
+    # diagonals, its M(lam) is a band matrix, a dia_array, and the
+    # problem's own LU of it is the tridiagonal one, as a large one's is:
+    # M(lam) is tridiagonal but for the interface row's entry two left of
+    # the diagonal
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=41, m=6)).problem
     assert all(M.format == "dia" for M in (p.A1, p.A2, p.A3))
     M = p.eval_a(1.0 + 1.0j, 0.5)
     assert M.format == "dia"
-    fact = _linalg.Factorization(M)
-    assert fact.storage == "band" and fact.bandwidths == (2, 1)
-    own = p.factorize_a(1.0 + 1.0j, 0.5)
-    assert own.storage == "tridiagonal" and own.bandwidths is None
+    assert p.factorize_a(1.0 + 1.0j, 0.5).storage == "tridiagonal"
     lower = M.diagonal(-2)
     assert np.flatnonzero(lower).tolist() == [p.n - 3]
 
@@ -220,7 +217,7 @@ def test_helmholtz_assembly_builds_no_lil(monkeypatch):
 def test_helmholtz_stores_its_diagonals_and_no_csr():
     # A1-A3 are read-only float64 dia_arrays of their own diagonals, 6n
     # entries in all; a problem made from their CSR forms stores the same
-    # diagonals, byte for byte, so either input meets one band decision
+    # diagonals, byte for byte, so either input meets one storage decision
     n = 2000
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n)).problem
     mats = (p.A1, p.A2, p.A3)
