@@ -9,16 +9,16 @@ np.linalg.solve, an LU of each matrix of the stack. A Factorization
 picks one of three storage paths from its input: LAPACK's dense LU for a
 dense matrix; LAPACK's tridiagonal LU for a DiagonalSum, the unsummed
 M(lam) of a problem that TwoParProblem.__init__ has found tridiagonal but
-for one corner entry (tridiagonal_but_corner) and stored by its
-diagonals (to_diagonals); and SuperLU for any other sparse matrix, a
-narrow one or a dia_array too. The LAPACK LUs work in the matrix's own
-dtype, real (dgetrf, dgttrf) for a float64 matrix, as the oracle's delta0
-of a real problem and a real problem's M(lam) at real lam and mu are, and
-complex (zgetrf, zgttrf) otherwise; SuperLU works in complex arithmetic.
-No LU is refused: an exactly zero pivot is floored at eps*||mat||_1 in
-place by the LAPACK LUs; SuperLU instead factorizes
-mat + eps*||mat||_1 * I. A caller that must refuse a singular
-matrix reads it from a solve, by proves_singular, the same test at the
+for one corner entry (tridiagonal_but_corner, the one storage predicate)
+and stored by its diagonals (to_diagonals); and SuperLU for any other
+sparse matrix, a narrow one or a dia_array too. The LAPACK LUs work in
+the matrix's own dtype, real (dgetrf, dgttrf) for a float64 matrix, as
+the oracle's delta0 of a real problem and a real problem's M(lam) at real
+lam and mu are, and complex (zgetrf, zgttrf) otherwise; SuperLU works in
+complex arithmetic. No LU is refused: an exactly zero pivot is floored at
+eps*||mat||_1 in place by the LAPACK LUs; SuperLU instead factorizes
+mat + eps*||mat||_1 * I. A caller that must refuse a singular matrix
+reads it from a solve, by proves_singular, the same test at the
 same tolerance on every storage path: M(lam) from the caller's own solve,
 delta0 and the bordered Jacobian from one step of inverse iteration
 (proves_singular_from_start). geig solves every eigenvalue problem but one:
@@ -69,14 +69,15 @@ def to_dense(mat):
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
-def to_diagonals(mat, kl, ku, dtype):
-    """The square sparse mat as a dia_array of dtype (float64 keeps the real
-    part) holding its diagonals -kl..ku in ascending order, each a row of
-    length n with entry (j - k, j) of diagonal k in column j. A dia_array
-    already in that form is returned as it is; any other has each diagonal
-    copied once into a row that is zero outside mat."""
+def to_diagonals(mat, dtype):
+    """The square dia_array or CSR mat as a dia_array of dtype (float64
+    keeps the real part) holding its diagonals from its lowest to its
+    highest stored offset and 0 (_stored_offsets), ascending, each a row of
+    n with entry (j - k, j) of diagonal k in column j: mat itself when it
+    is in that form, else each diagonal copied once into a zeroed row."""
     n = mat.shape[0]
-    offsets = np.arange(-kl, ku + 1)
+    stored = _stored_offsets(mat)
+    offsets = np.arange(stored.min(initial=0), stored.max(initial=0) + 1)
     if (isinstance(mat, sp.dia_array) and mat.dtype == dtype and mat.data.shape[1] == n
             and np.array_equal(mat.offsets, offsets)):
         return mat
@@ -85,6 +86,14 @@ def to_diagonals(mat, kl, ku, dtype):
         diagonal = mat.diagonal(k)
         row[max(k, 0):n + min(k, 0)] = diagonal.real if dtype == np.float64 else diagonal
     return sp.dia_array((data, offsets), shape=(n, n))
+
+
+def _stored_offsets(mat):
+    """The offsets j - i of the stored entries (i, j), zeros too, of the
+    dia_array or CSR mat: its offsets, or from its pattern in O(nnz)."""
+    if mat.format == "dia":
+        return mat.offsets
+    return mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
 
 
 def split_product(mat, x):
@@ -107,60 +116,45 @@ def split_product(mat, x):
 
 class DiagonalSum(typing.NamedTuple):
     """The n x n matrix sum of scale * mat over zip(mats, scales), unsummed,
-    for Factorization to sum into the storage of the tridiagonal LU: each
-    mat a dia_array of to_diagonals's form, rows of n entries, and a scale
-    None standing for 1, of a problem that has found every such sum
-    tridiagonal but for entry (n - 1, n - 3) (tridiagonal_but_corner).
-    dtype is that of the sum, float64 or complex128."""
+    for _tridiagonal_storage to sum: each mat a dia_array of to_diagonals's
+    layout, and a scale None standing for 1, of a problem that has found
+    every such sum tridiagonal but for entry (n - 1, n - 3)
+    (tridiagonal_but_corner). dtype is that of the sum, float64 or
+    complex128."""
 
     mats: tuple
     scales: tuple
     dtype: type
 
-    @property
-    def n(self) -> int:
-        return self.mats[0].shape[0]
-
-    def add_into(self, dest):
-        """Add the sum into the caller's storage: dest(k, cols) gives the
-        array view that holds the entries of diagonal k in the columns cols
-        of the matrix, and the columns it holds. Each term's diagonals are
-        added in turn, so each entry is (a1 + lam*a2) + mu*a3 for the terms
-        (A1, None), (A2, lam), (A3, mu): TwoParProblem.eval_a's order."""
-        for mat, scale in zip(self.mats, self.scales):
-            for k, row, cols, _ in _in_range(mat):
-                out, cols = dest(k, cols)
-                out += row[cols] if scale is None else row[cols] * scale
-
 
 def tridiagonal_but_corner(mats) -> bool:
-    """Whether every sum of the square sparse mats, dia_arrays or CSR of
-    half-bandwidths within (2, 1), is tridiagonal but for entry
-    (n - 1, n - 3), n >= 3: diagonal -2 has no nonzero but that one, as
-    the split Helmholtz A1 has its one-sided interface row. Read once per
-    problem, from its input before any copy of a diagonal, by
-    TwoParProblem.__init__ alone."""
+    """Whether every sum of the square dia_arrays or CSR mats is tridiagonal
+    but for entry (n - 1, n - 3), n >= 3: each stores no entry outside
+    diagonals -2..1 (_stored_offsets), and diagonal -2 has no nonzero but
+    that one, as the split Helmholtz A1 has its one-sided interface row.
+    The package's one storage predicate, read once per problem, from its
+    input before any copy of a diagonal, by TwoParProblem.__init__ alone."""
     n = mats[0].shape[0]
-    return n >= 3 and not any(mat.diagonal(-2)[:n - 3].any() for mat in mats)
+    within = (-2 <= k.min(initial=0) and k.max(initial=0) <= 1 for k in map(_stored_offsets, mats))
+    return n >= 3 and all(within) and not any(mat.diagonal(-2)[:n - 3].any() for mat in mats)
 
 
 def _in_range(mat):
-    """(k, row, cols, rows) for each diagonal k of the dia_array mat in
-    ascending order: its row of data, and the slices of the columns, in
-    row, and of the rows of mat that the diagonal meets; the rest of row is
-    padding, which no reader sees."""
-    n, width = mat.shape[0], min(mat.data.shape[1], mat.shape[1])
-    for d in np.argsort(mat.offsets):
-        k = int(mat.offsets[d])
-        start, stop = max(k, 0), max(min(n + k, width), max(k, 0))
-        yield k, mat.data[d], slice(start, stop), slice(start - k, stop - k)
+    """(k, row, cols, rows) for each diagonal k of the dia_array mat, in
+    to_diagonals's layout (ascending offsets, rows of n): its row of data,
+    and the slices of the columns, in row, and of the rows of mat that the
+    diagonal meets; the rest of row is padding, which no reader sees."""
+    n = mat.shape[0]
+    for k, row in zip(mat.offsets.tolist(), mat.data):
+        start, stop = max(k, 0), n + min(k, 0)
+        yield k, row, slice(start, stop), slice(start - k, stop - k)
 
 
 def norm2_bound(mat) -> float:
     """min(||mat||_F, sqrt(||mat||_1 ||mat||_inf)) >= ||mat||_2 of a square
     mat, which unlike ||mat||_F does not grow like sqrt(n) for a stencil. One
     pass over |mat|: for a CSR mat, one matvec each way with its |data| in
-    its pattern; a dia_array is read as _dia_norm2_bound says."""
+    its pattern; a dia_array of to_diagonals's layout as _dia_norm2_bound says."""
     if sp.issparse(mat) and mat.format == "dia":
         return _dia_norm2_bound(mat)
     if sp.issparse(mat):
@@ -177,14 +171,15 @@ def norm2_bound(mat) -> float:
 
 
 def _dia_norm2_bound(mat) -> float:
-    """norm2_bound of the dia_array mat, from its |data| without its padding.
-    Each row sum adds its terms by ascending column and each column sum by
-    ascending row, as the CSR matvecs do, and ||mat||_F is taken over the
-    nonzero entries row by row, as the CSR stores them, so a mat with no
-    stored zeros has the bound of its CSR form bit for bit. The sums run
+    """norm2_bound of the dia_array mat, of to_diagonals's layout, from its
+    |data| without its padding (_in_range). Each row sum adds its terms by
+    ascending column and each column sum by ascending row, as the CSR
+    matvecs do, and ||mat||_F is taken over the nonzero entries row by row,
+    as the CSR stores them, so a mat with no stored zeros has the bound of
+    its CSR form bit for bit. The sums run
     over blocks of 2^14 rows and columns, which stay in cache. The
     row-by-row pass is skipped when ||mat||_F summed in the diagonals'
-    order is above the other bound by more than rounding, as a band of
+    order is above the other bound by more than rounding, as a stencil of
     many rows has it."""
     n = mat.shape[0]
     diagonals = list(_in_range(mat))
@@ -228,18 +223,6 @@ def vector_norms(a, axis):
     return norms
 
 
-def half_bandwidths(mat) -> tuple[int, int]:
-    """(kl, ku) of a dia_array or CSR mat: the largest distance below and
-    above the diagonal of a stored entry, from the offsets or from the
-    pattern in O(nnz). Read once per problem, for A1, A2 and A3, by
-    TwoParProblem.__init__ alone."""
-    if mat.format == "dia":
-        offsets = mat.offsets
-    else:
-        offsets = mat.indices - np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
-
-
 class Factorization:
     """LU factorization of a dense or sparse square matrix: the one LU type
     of the package, of M(lam), of the bordered Jacobian, of the shifted small
@@ -250,9 +233,10 @@ class Factorization:
     storage names the path taken, one of three. A dense matrix is "dense":
     LAPACK's LU. A DiagonalSum, the form in which TwoParProblem.factorize_a
     hands over M(lam) for a problem whose __init__ has found every M(lam)
-    tridiagonal but for entry (n - 1, n - 3) (the package's one storage
-    decision), as the split Helmholtz M(lam) is, is "tridiagonal": the sum
-    goes straight into the three diagonals and that corner entry, so no
+    tridiagonal but for entry (n - 1, n - 3) (tridiagonal_but_corner, the
+    package's one storage predicate), as the split Helmholtz M(lam) is, is
+    "tridiagonal": the sum goes straight into the three diagonals and that
+    corner entry (_tridiagonal_storage), so no
     M(lam) is formed beside them, one Gauss transform with partial
     pivoting between rows n - 2 and n - 1 removes the corner
     (_eliminate_corner), and the tridiagonal LU factorizes in place. The
@@ -344,13 +328,17 @@ def proves_singular_from_start(fact: Factorization, n: int, scale) -> bool:
 
 def _tridiagonal_storage(total):
     """(dl, d, du, corner): the DiagonalSum total, tridiagonal but for entry
-    (n - 1, n - 3), summed into fresh sub-, main and super-diagonals and
-    that corner entry, an array of one. dl holds columns 0..n-2 and du
-    columns 1..n-1, as the in-range columns of diagonals -1 and 1 are."""
-    n = total.n
+    (n - 1, n - 3), summed into fresh sub-, main and super-diagonals, of
+    columns 0..n-2, 0..n-1 and 1..n-1, and that corner entry, an array of
+    one: the one sum of M(lam)'s entries, for the tridiagonal LU and
+    TwoParProblem.eval_a alike, each (a1 + lam*a2) + mu*a3 for the terms
+    (A1, None), (A2, lam), (A3, mu), added a term's diagonals at a time."""
+    n = total.mats[0].shape[0]
     dl, d, du, corner = (np.zeros(size, dtype=total.dtype) for size in (n - 1, n, n - 1, 1))
-    total.add_into(lambda k, cols: (corner, slice(n - 3, n - 2)) if k == -2
-                   else ((dl, d, du)[k + 1], cols))
+    for mat, scale in zip(total.mats, total.scales):
+        for k, row, cols, _ in _in_range(mat):
+            out, cols = (corner, slice(n - 3, n - 2)) if k == -2 else ((dl, d, du)[k + 1], cols)
+            out += row[cols] if scale is None else row[cols] * scale
     return dl, d, du, corner
 
 

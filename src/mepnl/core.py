@@ -87,11 +87,12 @@ class TwoParProblem:
     A1, A2, A3 are n x n, dense ndarray or scipy.sparse; B1, B2, B3 are
     m x m and stored dense. The storage, and with it the LU of every
     M(lam) = A1 + lam*A2 + mu*A3, is decided once, here, from the input
-    before any copy: when A1, A2 and A3 are all sparse, their
-    half-bandwidths (_linalg.half_bandwidths) are within (2, 1) and their
-    diagonal -2 is zero but at (n - 1, n - 3) (_linalg.tridiagonal_but_corner),
-    so that every M(lam) is tridiagonal but for that corner, as the split
-    Helmholtz M(lam) is, each is stored as a dia_array of its own diagonals
+    before any copy, by the one storage predicate
+    _linalg.tridiagonal_but_corner: when A1, A2 and A3 are all sparse, store
+    no entry outside diagonals -2..1 and have diagonal -2 zero but at
+    (n - 1, n - 3), so that every M(lam) is tridiagonal but for that
+    corner, as the split Helmholtz M(lam) is, each is stored as a dia_array
+    of its own diagonals, from its lowest to its highest stored one
     (_linalg.to_diagonals), float64 when all three have exactly zero
     imaginary parts and complex128 otherwise, with no CSR copy beside it,
     and factorize_a takes the tridiagonal LU. scipy cannot add complex
@@ -120,16 +121,13 @@ class TwoParProblem:
         n = A[0].shape[0]
         _check_square(A[1], "A2", n)
         _check_square(A[2], "A3", n)
-        tridiagonal = False
-        if all(sp.issparse(M) for M in A):
+        sparse = all(sp.issparse(M) for M in A)
+        if sparse:
             A = [M if M.format == "dia" else M.tocsr() for M in A]
-            bands = [_linalg.half_bandwidths(M) for M in A]
-            kl, ku = np.max(bands, axis=0)
-            tridiagonal = kl <= 2 and ku <= 1 and _linalg.tridiagonal_but_corner(A)
-        if tridiagonal:
+        if sparse and _linalg.tridiagonal_but_corner(A):
             real = not any(np.iscomplexobj(M.data) and np.any(M.data.imag) for M in A)
             dtype = np.float64 if real else np.complex128
-            A = [_linalg.to_diagonals(M, *band, dtype) for M, band in zip(A, bands)]
+            A = [_linalg.to_diagonals(M, dtype) for M in A]
         else:
             A = [_linalg.to_complex(M) for M in A]
         self.A1, self.A2, self.A3 = A
@@ -215,19 +213,19 @@ class TwoParProblem:
         """M(lam) = A1 + lam*A2 + mu*A3, bit-equal to that expression: the
         one builder of M(lam) as a matrix, for any problem. When A1-A3 are
         stored by their diagonals (the storage decision of __init__), M is
-        a dia_array of diagonals -2..1, each entry the sum
-        (a1 + lam*a2) + mu*a3 of the matrices that have it
-        (_linalg.DiagonalSum.add_into), so no CSR sum is formed; float64
-        when the problem is real (is_real) and lam and mu have exactly zero
-        imaginary parts, each entry then the real part of the complex sum,
-        whose imaginary part is exactly 0 there. Any other sparse M is the
-        complex CSR sum; a dense M is summed in one complex output array,
-        DENSE_SUM_ROWS rows at a time. factorize_a does not form this M
-        when A1-A3 are stored by their diagonals."""
+        a dia_array of diagonals -2..1 packed from the tridiagonal LU's own
+        sum (_linalg._tridiagonal_storage), each entry (a1 + lam*a2) + mu*a3,
+        so no CSR sum is formed; float64 when the problem is real (is_real)
+        and lam and mu have exactly zero imaginary parts, each entry then the
+        real part of the complex sum, whose imaginary part is exactly 0
+        there. Any other sparse M is the complex CSR sum; a dense M is summed
+        in one complex output array, DENSE_SUM_ROWS rows at a time.
+        factorize_a does not form this M when A1-A3 are stored by their
+        diagonals."""
         if isinstance(self.A1, sp.dia_array):
-            total = self._diagonal_sum(lam, mu)
-            data = np.zeros((4, self.n), dtype=total.dtype)
-            total.add_into(lambda k, cols: (data[k + 2, cols], cols))
+            dl, d, du, corner = _linalg._tridiagonal_storage(self._diagonal_sum(lam, mu))
+            data = np.zeros((4, self.n), dtype=d.dtype)
+            data[0, -3:-2], data[1, :-1], data[2], data[3, 1:] = corner, dl, d, du
             return sp.dia_array((data, np.arange(-2, 2)), shape=(self.n, self.n))
         if self.is_sparse:
             return self.A1 + lam * self.A2 + mu * self.A3
@@ -406,13 +404,19 @@ def _with_left(problem: TwoParProblem, quad: Quadruplet) -> Quadruplet:
     return quad
 
 
+def _pairings(mats, left, right):
+    """left^H M right for each M of mats, by _linalg.split_product, with no
+    simplicity test: the one home of the pairings v^H A2 x, v^H A3 x,
+    w^H B2 y and w^H B3 y, of c0_matrix, _bilinears and _branch_slope."""
+    return [left.conj() @ _linalg.split_product(M, right) for M in mats]
+
+
 def _branch_slope(problem, w, y):
     """(g', w^H B2 y, w^H B3 y) for the eigenpair (w, y) of a simple mu, with
     g' = -(w^H B2 y)/(w^H B3 y) the classical derivative of a simple
     eigenvalue (Lancaster, Numer. Math. 1964). The one home of this closed
     form and of its simplicity test, which raises NonSimpleMu."""
-    wb2y = w.conj() @ (problem.B2 @ y)
-    wb3y = w.conj() @ (problem.B3 @ y)
+    wb2y, wb3y = _pairings((problem.B2, problem.B3), w, y)
     nw, ny = np.linalg.norm(w), np.linalg.norm(y)
     if abs(wb3y) <= TOL_SIMPLE * nw * problem.norms_b[2] * ny:
         raise NonSimpleMu(
@@ -425,8 +429,7 @@ def _branch_slope(problem, w, y):
 def _bilinears(problem, quad):
     """The six scalar pairings that drive conditioning, plus simplicity guards."""
     v, x = quad.v, quad.x
-    va2x = v.conj() @ _linalg.split_product(problem.A2, x)
-    va3x = v.conj() @ _linalg.split_product(problem.A3, x)
+    va2x, va3x = _pairings((problem.A2, problem.A3), v, x)
     gprime, wb2y, wb3y = _branch_slope(problem, quad.w, quad.y)
     # v^H M'(lam) x with M'(lam) = A2 + g'(lam) A3
     vmpx = va2x + gprime * va3x
@@ -444,19 +447,12 @@ def c0_matrix(problem: TwoParProblem, quad: Quadruplet) -> np.ndarray:
     """The 2x2 coupling matrix [[v^H A2 x, v^H A3 x], [w^H B2 y, w^H B3 y]].
 
     Its determinant equals (w^H B3 y)(v^H M'(lam) x); a zero determinant marks
-    a critical point of the coupled problem. A quadruplet without v or w
-    has both attached first (attach_left_vectors).
+    a critical point, which is returned unrefused (_pairings tests no
+    simplicity). A quadruplet without v or w has both attached first.
     """
     quad = _with_left(problem, quad)
-    v, w, x, y = quad.v, quad.w, quad.x, quad.y
-    return np.array(
-        [
-            [v.conj() @ _linalg.split_product(problem.A2, x),
-             v.conj() @ _linalg.split_product(problem.A3, x)],
-            [w.conj() @ (problem.B2 @ y), w.conj() @ (problem.B3 @ y)],
-        ],
-        dtype=np.complex128,
-    )
+    return np.array([_pairings((problem.A2, problem.A3), quad.v, quad.x),
+                     _pairings((problem.B2, problem.B3), quad.w, quad.y)], dtype=np.complex128)
 
 
 def condition_numbers(problem: TwoParProblem, quad: Quadruplet,

@@ -291,9 +291,9 @@ def helmholtz_analytic_mu(kappa0, lam, x1):
 class BranchTable:
     """Tabulated branch values g_i(lam) over a lam grid.
 
-    values[i, j] is branch branch_ids[j] at grid[i]; NaN marks a point the
-    continuation could not resolve, with the reason recorded in gaps as
-    (grid index, branch id, message).
+    values[i, j] is branch branch_ids[j] at grid[i]; NaN in both parts
+    marks a point the continuation could not resolve, with the reason
+    recorded in gaps as (grid index, branch id, message).
     """
 
     grid: np.ndarray
@@ -332,7 +332,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
         branch_ids = tuple(range(problem.reference_mus.size))
     else:
         branch_ids = tuple(branch_ids)
-    values = np.full((grid.size, len(branch_ids)), np.nan, dtype=np.complex128)
+    values = np.full((grid.size, len(branch_ids)), complex(np.nan, np.nan))
     gaps = []
     start = int(np.argmin(np.abs(grid - pencil.REFERENCE_LAM)))
 
@@ -344,6 +344,7 @@ def tabulate_branches(problem: TwoParProblem, lambda_grid, branch_ids=None) -> B
         if branch_ids:
             mu, _, _, _, failed = pencil._rank_one_points(problem, grid, vectors=False)
             values[:] = mu[:, None]
+            values[list(failed)] = complex(np.nan, np.nan)
             # the walk's order: start up to the end, then start - 1 down to 0
             for i in sorted(failed, key=lambda i: i - start if i >= start else grid.size - i):
                 gaps.extend((i, b, f"{type(failed[i]).__name__}: {failed[i]}")

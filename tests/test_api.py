@@ -100,23 +100,31 @@ def test_only_linalg_builds_lus():
     assert _package_scopes(linalg_solve) == ["delta._newton_step"]
 
 
-def test_only_core_decides_the_band():
+def test_only_core_decides_the_storage():
     """TwoParProblem.__init__ is the package's one storage decision for
-    M(lam): no other function calls _linalg.half_bandwidths or
-    tridiagonal_but_corner, so Factorization scans no pattern of its own.
-    A sparse M(lam) takes one of two LUs, the tridiagonal one or SuperLU:
-    the package keeps no band LU, no band storage and no width bound."""
+    M(lam), by one predicate, _linalg.tridiagonal_but_corner, which reads
+    each matrix's stored offsets itself and which no other function calls,
+    so Factorization scans no pattern of its own. A sparse M(lam) takes one
+    of two LUs, the tridiagonal one or SuperLU, and a tridiagonal one's
+    entries are summed one way, by _linalg._tridiagonal_storage, for the LU
+    and eval_a alike: the package keeps no band LU, no band storage, no
+    width bound, no half-bandwidths and no (kl, ku) parameter."""
     from mepnl import _linalg
 
-    assert _package_scopes(_calls("half_bandwidths")) == ["core.TwoParProblem.__init__"]
     assert _package_scopes(_calls("tridiagonal_but_corner")) == ["core.TwoParProblem.__init__"]
-    for gone in ("BAND_MAX", "_band_lu", "_band_storage"):
+    assert _package_scopes(_calls("_tridiagonal_storage")) == [
+        "_linalg._norm1", "_linalg._tridiagonal_lu", "core.TwoParProblem.eval_a"]
+    for gone in ("BAND_MAX", "_band_lu", "_band_storage", "half_bandwidths"):
         assert not hasattr(_linalg, gone), gone
+    assert not hasattr(_linalg.DiagonalSum, "add_into")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(r"gbtrf|gbtrs|BAND_MAX|_band_lu|_band_storage", line)]
+            if re.search(r"gbtrf|gbtrs|BAND_MAX|_band_lu|_band_storage|half_bandwidths|add_into",
+                         line)]
     assert not hits, "\n".join(hits)
+    assert _package_scopes(lambda node: isinstance(node, ast.arg)
+                           and node.arg in ("kl", "ku")) == []
 
 
 def test_one_builder_of_a_branch_point():

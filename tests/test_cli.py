@@ -9,10 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import lapack
 
 import mepnl
-from mepnl import cli, delta, mmio, pencil, problems
+from mepnl import _linalg, cli, delta, mmio, pencil, problems
 
 
 def run(args):
@@ -245,6 +246,32 @@ def test_branches_flags_only_the_computed_pole(tmp_path):
     assert ivs[0]["lo"] <= inside[0].real <= ivs[0]["hi"]
 
 
+def test_branches_gap_reads_nan_in_both_parts(tmp_path):
+    # B3 = e0 e0^T has rank one and K(lam) = B1 + lam*B2 has tau = 0 at
+    # lam = 1, where mu is infinite: a permanent gap, which results.json
+    # lists and whose cell reads NaN in both parts, in branches.csv and in
+    # the problem's own table alike
+    rng = np.random.default_rng(0)
+    A = [rng.standard_normal((5, 5)) for _ in range(3)]
+    p = mepnl.TwoParProblem(*A, np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([0.0, -1.0]),
+                            np.diag([1.0, 0.0]), None)
+    files = mmio.save_problem(p, tmp_path / "problem")
+    out = tmp_path / "run"
+    assert run(["branches", "--matrix-files", ",".join(files[k] for k in mmio.MATRIX_NAMES),
+                "--grid", "-2:0.5:2", "--out", out]) == cli.EXIT_OK
+    gaps = read_results(out)["branches"]["gaps"]
+    assert [(gap["index"], gap["branch"]) for gap in gaps] == [(6, 0)]
+    assert gaps[0]["reason"].startswith("NoFiniteEigenvalue")
+    with open(out / "branches.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [rows[6][key] for key in ("lam", "g0_re", "g0_im", "flagged")] == [
+        "1.0", "nan", "nan", "1"]
+    assert all(math.isfinite(float(row[key])) for i, row in enumerate(rows) if i != 6
+               for key in ("g0_re", "g0_im"))
+    value = problems.tabulate_branches(p, cli.parse_grid("-2:0.5:2")).values[6, 0]
+    assert math.isnan(value.real) and math.isnan(value.imag)
+
+
 def test_cond_reports(tmp_path):
     out = tmp_path / "run"
     code = run(["cond", "--gen", "random", "--n", "6", "--m", "3",
@@ -427,6 +454,44 @@ def test_generate_check_solve_round_trip(tmp_path, capsys):
         best = min(got, key=lambda z: abs(z - q.lam))
         assert abs(best - q.lam) <= 1e-8 * (1.0 + abs(q.lam))
         got.remove(best)
+
+
+def test_general_sparse_problem_solves_and_conditions_by_superlu(tmp_path, monkeypatch):
+    # a 2-D five-point Laplacian A1 (n = 144) is not tridiagonal, so the
+    # problem read from files keeps complex CSR and factorizes M(lam) by
+    # SuperLU: Newton from the defaults lands on one of the oracle's lam,
+    # and cond's left vectors take SuperLU's adjoint solves
+    k = 12
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+    A1 = sp.kron(sp.eye(k), T) + sp.kron(T, sp.eye(k))
+    n = k * k
+    p = mepnl.TwoParProblem(A1, -sp.eye(n), sp.diags(np.linspace(0.0, 1.0, n)),
+                            np.array([[1.0, 0.3], [0.3, 2.0]]), np.diag([0.5, 0.2]),
+                            np.eye(2), None)
+    files = mmio.save_problem(p, tmp_path / "problem")
+    files = ",".join(files[name] for name in mmio.MATRIX_NAMES)
+    loaded = mmio.load_problem(files.split(","))
+    assert loaded.A1.format == "csr" and loaded.factorize_a(0.1, 0.2).storage == "sparse"
+    lams = []
+    for solver in ("delta", "newton"):
+        assert run(["solve", "--matrix-files", files, "--solver", solver,
+                    "--out", tmp_path / solver]) == cli.EXIT_OK
+        lams.append([complex(*q["lam"]) for q in read_results(tmp_path / solver)["quadruplets"]])
+    (lam,) = lams[1]
+    assert min(abs(lam - z) for z in lams[0]) <= 1e-8 * abs(lam)
+    superlu = []
+    factorize = _linalg._superlu
+
+    def counted(mat):
+        superlu.append(mat.shape[0])
+        return factorize(mat)
+
+    monkeypatch.setattr(_linalg, "_superlu", counted)
+    assert run(["cond", "--matrix-files", files, "--solver", "newton",
+                "--out", tmp_path / "cond"]) == cli.EXIT_OK
+    reports = read_results(tmp_path / "cond")["condition_reports"]
+    assert len(reports) == 1 and math.isfinite(reports[0]["kappa_total"])
+    assert n in superlu
 
 
 def test_missing_matrix_file_is_io_error(tmp_path):

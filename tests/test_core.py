@@ -140,8 +140,10 @@ def helmholtz_like_a(n, rng, far=False):
     ("dense", "dense", None),
 ])
 def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
-    # bandwidths are the half-bandwidths of a narrow M(lam) that is not
-    # tridiagonal but for a corner, so its problem keeps complex CSR
+    # bandwidths are the half-bandwidths of a narrow M(lam) whose stored
+    # offsets lie within -2..1 but whose diagonal -2 is not zero away from
+    # the corner: the one storage predicate refuses it, so its problem
+    # keeps complex CSR
     rng = np.random.default_rng(11)
     n = 50  # more rows than one block of the dense sum
     A = helmholtz_like_a(n, rng, far=kind == "wide")
@@ -155,7 +157,15 @@ def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
     assert sp.issparse(M) == (kind != "dense")
     assert type(M) is type(want)
     if bandwidths:
-        assert M.format == "csr" and _linalg.half_bandwidths(M) == bandwidths
+        offsets = M.indices - np.repeat(np.arange(n), np.diff(M.indptr))
+        assert M.format == "csr" and (-offsets.min(), offsets.max()) == bandwidths
+        assert not _linalg.tridiagonal_but_corner([M])
+        assert not _linalg.tridiagonal_but_corner([p.A1, p.A2, p.A3])
+        # the same pattern with the entry two below the diagonal moved to
+        # the corner (n - 1, n - 3) passes it
+        moved = M.tolil()
+        moved[n - 1, n - 3], moved[n // 2, n // 2 - 2] = moved[n // 2, n // 2 - 2], 0
+        assert _linalg.tridiagonal_but_corner([moved.tocsr()])
     got, want = _linalg.to_dense(M), _linalg.to_dense(want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the problem's own LU is that of M, on the same storage path, and its
@@ -501,6 +511,9 @@ def test_non_simple_mu_guard():
     q = Quadruplet(lam=0.0, mu=0.0, x=np.ones(2), y=y, v=np.ones(2), w=w)
     with pytest.raises(NonSimpleMu):
         condition_numbers(p, q)
+    # c0_matrix tests no simplicity: it gives this critical point's C0, whose
+    # row [w^H B2 y, w^H B3 y] is zero
+    np.testing.assert_array_equal(c0_matrix(p, q), [[2.0, 2.0], [0.0, 0.0]])
 
 
 def test_condition_numbers_refuse_a_double_lambda():

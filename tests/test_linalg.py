@@ -62,7 +62,7 @@ def assert_lu_agrees_with_superlu(M, fact):
                 assert fact.solve(b.real, adjoint=adjoint).dtype == np.float64
 
 
-def test_real_band_m_is_built_and_factorized_in_float64():
+def test_real_tridiagonal_m_is_built_and_factorized_in_float64():
     # all six Helmholtz matrices are real, so at a real (lam, mu) M(lam) is
     # summed in float64, entry for entry the real part of the complex sum,
     # and its tridiagonal LU is dgttrf's; complex solves still agree with
@@ -366,22 +366,22 @@ def test_view_refuses_exactly_singular_m_on_every_path(M, storage):
         solvers.resinv(view, np.ones(M.shape[0]), solvers.SolverConfig(sigma=0.3))
 
 
-def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
+def test_view_factorization_builds_tridiagonal_m_from_diagonals(monkeypatch):
     # M(sigma) is summed from the problem's stored diagonals straight into
     # the LU's storage, the tridiagonal LU's for the split Helmholtz
-    # problem: the pattern scan runs once per matrix of the problem, and no
-    # M, CSR sum or int64 pattern array is alive beside the factors. A
-    # wide M(sigma) goes to SuperLU unscanned, and so does a tridiagonal
-    # CSR matrix handed to Factorization directly: only a problem decides
-    # its storage
-    scans = []
-    half_bandwidths = _linalg.half_bandwidths
+    # problem: the one storage predicate runs once per problem, on its
+    # three matrices, and no M, CSR sum or int64 pattern array is alive
+    # beside the factors. A wide M(sigma) goes to SuperLU with no further
+    # scan, and so does a tridiagonal CSR matrix handed to Factorization
+    # directly: only a problem decides its storage
+    decisions = []
+    tridiagonal_but_corner = _linalg.tridiagonal_but_corner
 
-    def counted(mat):
-        scans.append(mat.nnz)
-        return half_bandwidths(mat)
+    def counted(mats):
+        decisions.append(tridiagonal_but_corner(mats))
+        return decisions[-1]
 
-    monkeypatch.setattr(_linalg, "half_bandwidths", counted)
+    monkeypatch.setattr(_linalg, "tridiagonal_but_corner", counted)
     wide = mepnl.TwoParProblem(arrow(40), sp.eye(40, format="csr"), 0.5 * sp.eye(40),
                                np.diag([1.0, 2.0]), np.eye(2), np.eye(2), np.ones(2))
     view = nep.NepView(wide)
@@ -390,8 +390,8 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
         assert view.factorization().storage == "sparse"
     tridiagonal = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(30, 30), format="csr")
     assert _linalg.Factorization(tridiagonal).storage == "sparse"
-    assert scans == [wide.A1.nnz, wide.A2.nnz, wide.A3.nnz]
-    scans.clear()
+    assert decisions == [False]
+    decisions.clear()
     n = 100_000
     p = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=30)).problem
     view = nep.NepView(p)
@@ -412,7 +412,7 @@ def test_view_factorization_builds_band_m_from_diagonals(monkeypatch):
     assert peak < lu_bytes + 4 * n + n
     view.branch_point(2.0 + 1.0j)
     view.factorization()
-    assert scans == [p.A1.nnz, p.A2.nnz, p.A3.nnz]
+    assert decisions == [True]
 
 
 def test_view_factorization_builds_real_band_m_in_float64():
@@ -515,11 +515,11 @@ def test_helmholtz_newton_takes_one_tridiagonal_lu_per_iterate(monkeypatch, imag
     assert calls == {routine: trace.iterations}
 
 
-def test_real_band_solve_of_a_real_b_takes_one_column(monkeypatch):
-    # a real b on the real tridiagonal LU of a band M(lam) goes to dgttrs as
-    # its real part alone, one column, not two; dgttrs solves each column
-    # on its own, so x equals the real part of the two-column solve bit for
-    # bit, in both directions
+def test_real_tridiagonal_solve_of_a_real_b_takes_one_column(monkeypatch):
+    # a real b on the real tridiagonal LU of a Helmholtz M(lam) goes to
+    # dgttrs as its real part alone, one column, not two; dgttrs solves each
+    # column on its own, so x equals the real part of the two-column solve
+    # bit for bit, in both directions
     rng = np.random.default_rng(2)
     fact = helmholtz(5000).factorize_a(1.5, 0.5)
     assert fact.storage == "tridiagonal" and fact._lu[0].dtype == np.float64

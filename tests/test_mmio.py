@@ -58,6 +58,14 @@ def test_missing_file_reports_path(tmp_path):
      "line 1: unsupported format/field coordinate/quaternion"),
     ("%%MatrixMarket matrix array real general\n% only a comment\n",
      "line 2: missing size line"),
+    # a blank line inside the data section is skipped but still counted
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n2 x 1.0\n",
+     "line 5: unparseable entry '2 x 1.0'"),
+    ("%%MatrixMarket matrix array real general\n2 1\n1.0\nabc\n",
+     "line 4: unparseable entry 'abc'"),
+    # fewer entries than the size line declares: every line is well formed
+    ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
+     "structure looks valid; content rejected by the reader"),
 ])
 def test_parse_failures_are_located(tmp_path, content, fragment):
     path = tmp_path / "bad.mtx"

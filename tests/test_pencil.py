@@ -416,6 +416,11 @@ def test_tabulation_takes_one_step_per_cell(monkeypatch):
     table = problems.tabulate_branches(p, grid)
     assert table.values.shape == (grid.size, 2) and table.gaps
     assert sum(cells.values()) == len(cells) <= table.values.size
+    # a gap cell is NaN in both parts, and no other cell is NaN
+    gap_cells = np.zeros(table.values.shape, dtype=bool)
+    gap_cells[tuple(np.array([gap[:2] for gap in table.gaps]).T)] = True
+    assert np.array_equal(np.isnan(table.values.real), gap_cells)
+    assert np.array_equal(np.isnan(table.values.imag), gap_cells)
 
 
 def test_exact_zero_pivot_keeps_inverse_iteration(monkeypatch):

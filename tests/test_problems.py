@@ -138,9 +138,9 @@ def test_helmholtz_assembly_structure():
     np.testing.assert_array_equal(p.c, np.eye(cfg.m)[0])
 
 
-def test_small_helmholtz_keeps_its_diagonals_and_a_band_m():
+def test_small_helmholtz_keeps_its_diagonals_and_a_tridiagonal_m():
     # no order densifies the A side: a small problem keeps A1-A3 by their
-    # diagonals, its M(lam) is a band matrix, a dia_array, and the
+    # diagonals, its M(lam) is a dia_array of diagonals -2..1, and the
     # problem's own LU of it is the tridiagonal one, as a large one's is:
     # M(lam) is tridiagonal but for the interface row's entry two left of
     # the diagonal
