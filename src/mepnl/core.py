@@ -27,10 +27,6 @@ TOL_RANK_ONE = 8 * np.finfo(float).eps
 # |c^T y| below this times ||c|| ||y|| means the normalization functional is
 # useless for that eigenvector.
 TOL_C_DEGENERATE = 1e-10
-# Rows of a dense M(lam) that eval_a sums at a time, so that a block's three
-# passes stay in cache: at n = 700 the sum takes 2.2 ms, against 3.2 ms for
-# A1 + lam*A2 + mu*A3 with its four n x n temporaries (one BLAS thread, 2 vCPUs).
-DENSE_SUM_ROWS = 16
 
 
 def _weighted(weights, lam, mu) -> float:
@@ -101,10 +97,16 @@ class TwoParProblem:
     the way to form M(lam) = A1 + lam*A2 + mu*A3, factorize_a the way to
     factorize it and apply_a the way to take products with it, at any lam
     and mu. Any other sparse A side, narrow or wide, is stored as complex
-    CSR, for SuperLU, a dense one as complex128, and the B side is
-    complex128. is_real says whether the imaginary parts of all six are
-    zero. c is a complex m-vector fixing the eigenvector scaling of the
-    small equation through c^T y = 1 (unconjugated transpose).
+    CSR, for SuperLU. A dense A side is stored row-major in float64 when
+    all three have exactly zero imaginary parts, by the same rule, and as
+    complex128 otherwise; its M(lam) is summed into the dense LU's own
+    storage (factorize_a). An input array that already has the stored
+    dtype (and, for float64, the row-major layout) is kept without a copy
+    and frozen, read-only, as the caller's own array; any other is copied
+    once. The B side is complex128. is_real says whether the imaginary
+    parts of all six are zero. c is a complex m-vector fixing the
+    eigenvector scaling of the small equation through c^T y = 1
+    (unconjugated transpose).
     c=None takes the fixed-seed draw of _default_c.
     reference_mus holds the finite eigenvalues of the small pencil at
     pencil.REFERENCE_LAM, read-only, from one eigenvalues-only QZ at
@@ -122,12 +124,14 @@ class TwoParProblem:
         _check_square(A[1], "A2", n)
         _check_square(A[2], "A3", n)
         sparse = all(sp.issparse(M) for M in A)
-        if sparse:
-            A = [M if M.format == "dia" else M.tocsr() for M in A]
+        A = [M.tocsr() if sp.issparse(M) and M.format != "dia" else M for M in A]
+        real = not any(np.iscomplexobj(v) and np.any(v.imag)
+                       for v in (M.data if sp.issparse(M) else M for M in A))
         if sparse and _linalg.tridiagonal_but_corner(A):
-            real = not any(np.iscomplexobj(M.data) and np.any(M.data.imag) for M in A)
-            dtype = np.float64 if real else np.complex128
-            A = [_linalg.to_diagonals(M, dtype) for M in A]
+            A = [_linalg.to_diagonals(M, np.float64 if real else np.complex128) for M in A]
+        elif real and not any(map(sp.issparse, A)):
+            A = [np.ascontiguousarray(M.real if np.iscomplexobj(M) else M, dtype=np.float64)
+                 for M in A]
         else:
             A = [_linalg.to_complex(M) for M in A]
         self.A1, self.A2, self.A3 = A
@@ -211,53 +215,48 @@ class TwoParProblem:
 
     def eval_a(self, lam, mu):
         """M(lam) = A1 + lam*A2 + mu*A3, bit-equal to that expression: the
-        one builder of M(lam) as a matrix, for any problem. When A1-A3 are
-        stored by their diagonals (the storage decision of __init__), M is
-        a dia_array of diagonals -2..1 packed from the tridiagonal LU's own
-        sum (_linalg._tridiagonal_storage), each entry (a1 + lam*a2) + mu*a3,
-        so no CSR sum is formed; float64 when the problem is real (is_real)
-        and lam and mu have exactly zero imaginary parts, each entry then the
-        real part of the complex sum, whose imaginary part is exactly 0
-        there. Any other sparse M is the complex CSR sum; a dense M is summed
-        in one complex output array, DENSE_SUM_ROWS rows at a time.
-        factorize_a does not form this M when A1-A3 are stored by their
-        diagonals."""
+        one builder of M(lam) as a matrix, for any problem, from the sum
+        that the LU of factorize_a runs. When A1-A3 are stored by their
+        diagonals (the storage decision of __init__), M is a dia_array of
+        diagonals -2..1 packed from the tridiagonal LU's own sum
+        (_linalg._tridiagonal_storage), so no CSR sum is formed; when they
+        are dense, M is the dense LU's own column-major sum
+        (_linalg._dense_storage), _linalg.DENSE_SUM_ROWS rows at a time.
+        Either is float64 when the problem is real (is_real) and lam and mu
+        have exactly zero imaginary parts, each entry then the real part of
+        the complex sum, whose imaginary part is exactly 0 there, and
+        complex128 otherwise. Any other sparse M is the complex CSR sum.
+        factorize_a forms no M but that of a general sparse problem."""
         if isinstance(self.A1, sp.dia_array):
-            dl, d, du, corner = _linalg._tridiagonal_storage(self._diagonal_sum(lam, mu))
+            dl, d, du, corner = _linalg._tridiagonal_storage(self._matrix_sum(lam, mu))
             data = np.zeros((4, self.n), dtype=d.dtype)
             data[0, -3:-2], data[1, :-1], data[2], data[3, 1:] = corner, dl, d, du
             return sp.dia_array((data, np.arange(-2, 2)), shape=(self.n, self.n))
         if self.is_sparse:
             return self.A1 + lam * self.A2 + mu * self.A3
-        out = np.empty_like(self.A1)
-        for start in range(0, self.n, DENSE_SUM_ROWS):
-            rows = slice(start, start + DENSE_SUM_ROWS)
-            block = out[rows]
-            np.multiply(lam, self.A2[rows], out=block)
-            np.add(self.A1[rows], block, out=block)
-            block += np.multiply(mu, self.A3[rows])
-        return out
+        return _linalg._dense_storage(self._matrix_sum(lam, mu))
 
-    def _diagonal_sum(self, lam, mu) -> _linalg.DiagonalSum:
-        """M(lam) unsummed, of a problem that stores A1-A3 by their
-        diagonals: float64 when the problem is real and lam and mu have
-        exactly zero imaginary parts, complex128 otherwise."""
+    def _matrix_sum(self, lam, mu) -> _linalg.MatrixSum:
+        """M(lam) unsummed, of a problem that stores A1-A3 densely or by
+        their diagonals: float64 when the problem is real and lam and mu
+        have exactly zero imaginary parts, complex128 otherwise."""
         real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
         if real:
             lam, mu = np.real(lam), np.real(mu)
-        return _linalg.DiagonalSum((self.A1, self.A2, self.A3), (None, lam, mu),
-                                   np.float64 if real else np.complex128)
+        return _linalg.MatrixSum((self.A1, self.A2, self.A3), (None, lam, mu),
+                                 np.float64 if real else np.complex128)
 
     def factorize_a(self, lam, mu) -> _linalg.Factorization:
         """The LU of M(lam) = A1 + lam*A2 + mu*A3 (_linalg.Factorization),
         of NepView.factorization and attach_left_vectors alike. When A1-A3
-        are stored by their diagonals, every M(lam) is tridiagonal but for
-        entry (n - 1, n - 3), and no M is formed: the tridiagonal LU sums
-        each entry, in eval_a's order and with eval_a's float64 rule,
-        straight into its three diagonals and that corner. Any other M is
-        eval_a's, which SuperLU factorizes when it is sparse."""
-        if isinstance(self.A1, sp.dia_array):
-            return _linalg.Factorization(self._diagonal_sum(lam, mu))
+        are dense or stored by their diagonals, no M is formed beside the
+        LU's own storage: the LU sums each entry, in eval_a's order and with
+        eval_a's float64 rule, straight into that storage, one column-major
+        array that the dense LU factorizes in place, or, every M(lam) being
+        tridiagonal but for entry (n - 1, n - 3), three diagonals and that
+        corner. Any other M is eval_a's CSR sum, which SuperLU factorizes."""
+        if isinstance(self.A1, sp.dia_array) or not self.is_sparse:
+            return _linalg.Factorization(self._matrix_sum(lam, mu))
         return _linalg.Factorization(self.eval_a(lam, mu))
 
     def eval_b(self, lam, mu):

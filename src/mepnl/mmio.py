@@ -54,8 +54,10 @@ def _diagnose(path):
     tokens = (2 + per_entry) if fmt == "coordinate" else max(per_entry, 1)
     for k, raw in enumerate(lines[no:], start=no + 1):
         line = raw.strip()
-        if not line or line.startswith("%"):
+        if not line:
             continue
+        if line.startswith("%"):  # the reader takes comments only above the size line
+            return f"line {k}: comment inside the data section"
         parts = line.split()
         if len(parts) != tokens:
             return f"line {k}: expected {tokens} fields, got {len(parts)}"

@@ -37,7 +37,10 @@ def gen_random(n, m, seed, alphas=(1.0, 1.0 / 500.0, 1.0 / 50.0),
         V = rng.standard_normal((order, order))
         f = rng.standard_normal(order)
         U = rng.standard_normal((order, order))
-        return scale * (V * f) @ U
+        # in place, so that no n x n temporary is made beside V, U and the product
+        V *= f
+        V *= scale
+        return V @ U
 
     As = [draw(n, a) for a in alphas]
     Bs = [draw(m, b) for b in betas]

@@ -107,16 +107,19 @@ def test_only_core_decides_the_storage():
     so Factorization scans no pattern of its own. A sparse M(lam) takes one
     of two LUs, the tridiagonal one or SuperLU, and a tridiagonal one's
     entries are summed one way, by _linalg._tridiagonal_storage, for the LU
-    and eval_a alike: the package keeps no band LU, no band storage, no
-    width bound, no half-bandwidths and no (kl, ku) parameter."""
+    and eval_a alike, as a dense one's are by _linalg._dense_storage: the
+    package keeps no band LU, no band storage, no width bound, no
+    half-bandwidths and no (kl, ku) parameter."""
     from mepnl import _linalg
 
     assert _package_scopes(_calls("tridiagonal_but_corner")) == ["core.TwoParProblem.__init__"]
     assert _package_scopes(_calls("_tridiagonal_storage")) == [
         "_linalg._norm1", "_linalg._tridiagonal_lu", "core.TwoParProblem.eval_a"]
+    assert _package_scopes(_calls("_dense_storage")) == [
+        "_linalg.Factorization.__init__", "_linalg._norm1", "core.TwoParProblem.eval_a"]
     for gone in ("BAND_MAX", "_band_lu", "_band_storage", "half_bandwidths"):
         assert not hasattr(_linalg, gone), gone
-    assert not hasattr(_linalg.DiagonalSum, "add_into")
+    assert not hasattr(_linalg.MatrixSum, "add_into")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(Path(mepnl.__file__).parent.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)

@@ -45,12 +45,45 @@ def test_dimension_validation():
 
 
 def test_matrices_read_only_and_complex():
-    p = small_problem()
-    assert p.A1.dtype == np.complex128
-    with pytest.raises(ValueError):
-        p.B1[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        p.c[0] = 1.0
+    # a dense A side with any nonzero imaginary part is stored complex128,
+    # all three matrices, the real ones too; a complex128 input is kept,
+    # frozen, and the others are copied once
+    rng = np.random.default_rng(4)
+    real = [rng.standard_normal((6, 6)) for _ in range(3)]
+    complex_a3 = real[2] + 1e-3j * rng.standard_normal((6, 6))
+    p = mepnl.TwoParProblem(real[0], real[1], complex_a3, np.eye(2), np.eye(2), np.eye(2),
+                            [1, 0])
+    assert not p.is_real
+    assert [M.dtype for M in (p.A1, p.A2, p.A3)] == [np.dtype(np.complex128)] * 3
+    assert p.A3 is complex_a3 and not complex_a3.flags.writeable
+    assert real[0].flags.writeable and not np.shares_memory(p.A1, real[0])
+    np.testing.assert_array_equal(p.A1, real[0])
+    for mat in (p.A1, p.A2, p.A3, p.B1, p.c):
+        with pytest.raises(ValueError):
+            mat[0] = 5.0
+
+
+def test_real_dense_a_side_is_kept_float64_read_only():
+    # all three with exactly zero imaginary parts: float64, row-major, a
+    # float64 row-major input kept without a copy and frozen; a complex
+    # input with zero imaginary part, an integer one and a column-major
+    # one are each copied once into that form
+    rng = np.random.default_rng(5)
+    a1 = rng.standard_normal((6, 6))
+    inputs = [a1, np.asfortranarray(rng.standard_normal((6, 6))),
+              rng.standard_normal((6, 6)) + 0j]
+    p = mepnl.TwoParProblem(*inputs, np.eye(2), np.eye(2), np.eye(2), [1, 0])
+    assert p.is_real and p.A1 is a1 and not a1.flags.writeable
+    for M, given in zip((p.A1, p.A2, p.A3), inputs):
+        assert M.dtype == np.float64 and M.flags.c_contiguous and not M.flags.writeable
+        np.testing.assert_array_equal(M, given.real)
+    q = mepnl.TwoParProblem(np.eye(6, dtype=int), *inputs[1:], np.eye(2), np.eye(2),
+                            np.eye(2), [1, 0])
+    assert q.A1.dtype == np.float64 and q.A2 is not inputs[1]
+    r = problems.gen_random(20, 3, seed=2)
+    assert r.A1.dtype == np.float64
+    assert r.factorize_a(0.5, 0.1)._lu[0].dtype == np.float64
+    assert r.factorize_a(0.5 + 0.1j, 0.1)._lu[0].dtype == np.complex128
 
 
 def test_sparse_matrices_read_only():
@@ -166,7 +199,8 @@ def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
         moved = M.tolil()
         moved[n - 1, n - 3], moved[n // 2, n // 2 - 2] = moved[n // 2, n // 2 - 2], 0
         assert _linalg.tridiagonal_but_corner([moved.tocsr()])
-    got, want = _linalg.to_dense(M), _linalg.to_dense(want)
+    # the dense M is the LU's column-major storage: compare in one layout
+    got, want = (np.ascontiguousarray(_linalg.to_dense(A)) for A in (M, want))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the problem's own LU is that of M, on the same storage path, and its
     # solves are bit-equal
@@ -226,6 +260,23 @@ def test_norm2_bound_of_diagonals_is_the_csr_value_bit_for_bit():
         padded = sp.dia_array((np.where(inside, dia.data, np.nan), dia.offsets),
                               shape=dia.shape)
         assert _linalg.norm2_bound(padded) == want
+
+
+def test_norm2_bound_of_short_diagonal_rows_is_the_csr_value():
+    # scipy stores the diagonals of a matrix whose last columns hold nothing
+    # in rows shorter than n, and a caller may list the offsets in any
+    # order: norm2_bound reads such a dia_array as its to_diagonals layout
+    rng = np.random.default_rng(6)
+    for n, empty in ((3, 1), (9, 4)):
+        dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dense[:, n - empty:] = 0.0
+        dense[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1] = 0.0
+        csr = sp.csr_array(dense)
+        dia = sp.dia_array(csr)
+        assert dia.data.shape[1] < n
+        shuffled = sp.dia_array((dia.data[::-1], dia.offsets[::-1]), shape=(n, n))
+        for mat in (dia, shuffled):
+            assert _linalg.norm2_bound(mat) == _linalg.norm2_bound(csr)
 
 
 def test_stored_diagonals_multiply_as_complex_csr_bit_for_bit():

@@ -284,27 +284,33 @@ def test_zero_matrix_is_floored_at_the_smallest_normal_float(M, storage):
 def test_exactly_singular_real_dense_matrix_is_floored_by_dgetrf(monkeypatch):
     # a float64 dense matrix keeps to real arithmetic: its exactly zero
     # pivot is floored on the dgetrf path as on zgetrf's, and a real solve
-    # gives the null vector e11 and proves it singular
+    # gives the null vector e11 and proves it singular; so is the same M
+    # as a real dense problem's M(lam), summed into the LU's own storage,
+    # whose floor reads the norm of a fresh sum
     M = zero_column(arrow(30), 11).toarray()
+    p = mepnl.TwoParProblem(M, 0 * M, 0 * M, np.diag([1.0, 2.0]), np.eye(2), np.eye(2),
+                            np.ones(2))
     calls = []
     for name in ("dgetrf", "zgetrf"):
         def counted(a, *args, _routine=getattr(lapack, name), _name=name, **kwargs):
             calls.append(_name)
             return _routine(a, *args, **kwargs)
         monkeypatch.setattr(lapack, name, counted)
-    fact = _linalg.Factorization(M)
-    assert fact.storage == "dense" and calls == ["dgetrf"]
-    lu = fact._lu[0]
-    assert lu.dtype == np.float64
-    assert np.abs(lu.diagonal()).min() == np.finfo(float).eps * np.linalg.norm(M, 1)
-    b = np.ones(30)
-    for adjoint, op in ((False, M), (True, M.T)):
-        x = fact.solve(b, adjoint=adjoint)
-        assert x.dtype == np.float64 and np.all(np.isfinite(x))
-        assert _linalg.proves_singular(b, x, np.linalg.norm(M, 1))
-        assert np.linalg.norm(op @ x) <= 1e-10 * np.linalg.norm(M, 1) * np.linalg.norm(x)
-    np.testing.assert_allclose(np.abs(fact.solve(b)) / np.linalg.norm(fact.solve(b)),
-                               np.eye(30)[11], atol=1e-12)
+    for make in (lambda: _linalg.Factorization(M), lambda: p.factorize_a(0.3, 0.0)):
+        calls.clear()
+        fact = make()
+        assert fact.storage == "dense" and calls == ["dgetrf"]
+        lu = fact._lu[0]
+        assert lu.dtype == np.float64
+        assert np.abs(lu.diagonal()).min() == np.finfo(float).eps * np.linalg.norm(M, 1)
+        b = np.ones(30)
+        for adjoint, op in ((False, M), (True, M.T)):
+            x = fact.solve(b, adjoint=adjoint)
+            assert x.dtype == np.float64 and np.all(np.isfinite(x))
+            assert _linalg.proves_singular(b, x, np.linalg.norm(M, 1))
+            assert np.linalg.norm(op @ x) <= 1e-10 * np.linalg.norm(M, 1) * np.linalg.norm(x)
+        np.testing.assert_allclose(np.abs(fact.solve(b)) / np.linalg.norm(fact.solve(b)),
+                                   np.eye(30)[11], atol=1e-12)
 
 
 def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
@@ -338,6 +344,18 @@ def test_real_dense_lu_solves_a_complex_b_by_its_parts(monkeypatch):
             columns.clear()
             x = fact.solve(b.real.astype(np.complex128), adjoint=adjoint)
             assert columns == [k] and x.dtype == np.complex128 and not x.imag.any()
+    # the two parts are one call of solve: a wrapper on the instance, as
+    # tests/conftest.py's nan_at_second_solve puts there, sees one
+    calls = []
+    solve = fact.solve
+
+    def wrapped(b, adjoint=False):
+        calls.append(adjoint)
+        return solve(b, adjoint)
+
+    fact.solve = wrapped
+    fact.solve(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    assert calls == [False]
 
 
 @pytest.mark.parametrize("M, storage", [
@@ -415,7 +433,7 @@ def test_view_factorization_builds_tridiagonal_m_from_diagonals(monkeypatch):
     assert decisions == [True]
 
 
-def test_view_factorization_builds_real_band_m_in_float64():
+def test_view_factorization_builds_real_tridiagonal_m_in_float64():
     # the real-sigma twin of the test above: the bench's Helmholtz problem,
     # whose branch keeps mu exactly real at a real sigma, gives a float64
     # tridiagonal LU, 8 bytes an entry. With one solve the peak is about
@@ -513,6 +531,57 @@ def test_helmholtz_newton_takes_one_tridiagonal_lu_per_iterate(monkeypatch, imag
     assert calls == {routine: trace.iterations - 1}
     mepnl.attach_left_vectors(p, quad)
     assert calls == {routine: trace.iterations}
+
+
+@pytest.mark.parametrize("imag, first", [(0.0, "dgetrf"), (1e-3, "zgetrf")])
+def test_dense_newton_takes_one_in_place_lu_per_iterate(monkeypatch, imag, first):
+    # a real dense problem, from a real start near a real eigenvalue and
+    # from a complex one: Newton takes one dense LU of order n per iterate
+    # that it factorizes, and attach_left_vectors one more, each on the
+    # column-major sum made for it and factorized in place, with no M(lam)
+    # formed by eval_a; the real start's first LU is real
+    p = problems.gen_random(40, 3, seed=1)
+    quad = min((q for q in mepnl.delta.solve(p) if q.lam.imag == 0), key=lambda q: abs(q.lam))
+    points = mepnl.pencil.eigenpairs_at(p, quad.lam)
+    branch = min(range(len(points)), key=lambda i: abs(points[i].mu - quad.mu))
+    lam0 = quad.lam.real + 1e-3 + imag * 1j
+    x0 = (quad.x / quad.x[np.argmax(np.abs(quad.x))]).real + 1e-3
+    view = nep.NepView(p, branch_id=branch, reference_lam=lam0)
+    lus = []
+    for name in ("dgetrf", "zgetrf"):
+        def counted(a, _routine=getattr(lapack, name), _name=name, **kwargs):
+            out = _routine(a, **kwargs)
+            if a.shape[0] == p.n:
+                lus.append((_name, np.shares_memory(out[0], a)))
+            return out
+        monkeypatch.setattr(lapack, name, counted)
+
+    def refused(*args):
+        raise AssertionError("M(lam) formed by eval_a")
+
+    monkeypatch.setattr(mepnl.TwoParProblem, "eval_a", refused)
+    found, trace = solvers.augmented_newton(view, lam0, x0, solvers.SolverConfig(tol=1e-13))
+    assert trace.converged and abs(found.lam - quad.lam) <= 1e-10 * abs(quad.lam)
+    assert len(lus) == trace.iterations - 1 and lus[0][0] == first
+    mepnl.attach_left_vectors(p, found)
+    assert len(lus) == trace.iterations and all(in_place for _, in_place in lus)
+
+
+def test_dense_factorization_holds_one_n_by_n_array():
+    # the dense LU of M(lam) at n = 700 is its own storage: the sum goes
+    # into one column-major array, which zgetrf factorizes in place, so the
+    # traced peak stays below 1.2 complex n x n matrices, where a formed M
+    # beside the LU's copy of it would make two
+    p = problems.gen_random(700, 3, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fact = p.factorize_a(0.5 + 0.25j, 0.1 - 0.2j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fact.storage == "dense" and fact._lu[0].dtype == np.complex128
+    assert peak < 1.2 * p.n * p.n * 16
 
 
 def test_real_tridiagonal_solve_of_a_real_b_takes_one_column(monkeypatch):

@@ -63,6 +63,14 @@ def test_missing_file_reports_path(tmp_path):
      "line 5: unparseable entry '2 x 1.0'"),
     ("%%MatrixMarket matrix array real general\n2 1\n1.0\nabc\n",
      "line 4: unparseable entry 'abc'"),
+    # a comment line below the size line, which the reader rejects, between
+    # two entries, after the last one and in an array file
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n% c\n2 2 2.0\n",
+     "line 4: comment inside the data section"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0\n% c\n",
+     "line 5: comment inside the data section"),
+    ("%%MatrixMarket matrix array real general\n2 1\n% c\n1.0\n2.0\n",
+     "line 3: comment inside the data section"),
     # fewer entries than the size line declares: every line is well formed
     ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
      "structure looks valid; content rejected by the reader"),
