@@ -140,12 +140,21 @@ def tridiagonal_but_corner(mats) -> bool:
     """Whether every sum of the square dia_arrays or CSR mats is tridiagonal
     but for entry (n - 1, n - 3), n >= 3: each stores no entry outside
     diagonals -2..1 (_stored_offsets), and diagonal -2 has no nonzero but
-    that one, as the split Helmholtz A1 has its one-sided interface row.
-    The package's one storage predicate, read once per problem, from its
-    input before any copy of a diagonal, by TwoParProblem.__init__ alone."""
+    that one, as the split Helmholtz A1 has its one-sided interface row;
+    diagonal -2 is read only from a mat that stores it, so the diagonal A2
+    and A3 cost no zero row. The package's one storage predicate, read once
+    per problem, from its input before any copy of a diagonal, by
+    TwoParProblem.__init__ alone."""
     n = mats[0].shape[0]
-    within = (-2 <= k.min(initial=0) and k.max(initial=0) <= 1 for k in map(_stored_offsets, mats))
-    return n >= 3 and all(within) and not any(mat.diagonal(-2)[:n - 3].any() for mat in mats)
+    if n < 3:
+        return False
+    for mat in mats:
+        k = _stored_offsets(mat)
+        if k.min(initial=0) < -2 or k.max(initial=0) > 1:
+            return False
+        if (k == -2).any() and mat.diagonal(-2)[:n - 3].any():
+            return False
+    return True
 
 
 def _in_range(mat):
@@ -192,10 +201,18 @@ def _dia_norm2_bound(mat) -> float:
     over blocks of 2^14 rows and columns, which stay in cache. The
     row-by-row pass is skipped when ||mat||_F summed in the diagonals'
     order is above the other bound by more than rounding, as a stencil of
-    many rows has it."""
+    many rows has it, and for a diagonal mat (the layout's one diagonal is
+    then diagonal 0), whose bound is taken in one pass over its blocks: each
+    row and column holds one entry, so both largest sums are p = max|d|,
+    and ||mat||_F, a rounded sum of nonnegative squares with fl(p*p) among
+    them, is never below sqrt(fl(p*p)), which is the minimum (not p itself:
+    the two differ once p*p underflows)."""
     n = mat.shape[0]
-    diagonals = list(_in_range(mat))
     block = 1 << 14
+    if mat.offsets.size == 1:
+        peak = max(np.abs(mat.data[0, lo:lo + block]).max() for lo in range(0, n, block))
+        return float(np.sqrt(peak * peak))
+    diagonals = list(_in_range(mat))
     row_max = col_max = squares = 0.0
     for lo in range(0, n, block):
         hi = min(lo + block, n)

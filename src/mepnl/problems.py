@@ -109,7 +109,8 @@ class HelmholtzConfig:
     second-order finite differences on n points (the large equation),
     [x1, x2] by Chebyshev collocation on m points (the small equation).
     kappa_a and kappa_b accept a scalar or a vectorized callable; None picks
-    the built-in profiles.
+    the built-in profiles. kappa_a_values and kappa_b_values give a
+    constant's values as a read-only broadcast of it (_profile_values).
     """
 
     x1: float = 4.0
@@ -135,17 +136,21 @@ class HelmholtzConfig:
 
 
 def _profile_values(profile, x, fallback):
+    """The float64 values of profile (None for fallback) on the points x, of
+    x's shape: a constant, or a callable's scalar, as a read-only broadcast
+    of it, never a filled array; a callable's float64 array of that shape
+    as it is, uncopied. ValueError when a value is not finite."""
     x = np.asarray(x, dtype=float)
     if profile is None:
         vals = fallback(x)
     elif callable(profile):
-        vals = np.asarray(profile(x), dtype=float)
+        vals = profile(x)
     else:
-        vals = np.full(x.shape, float(profile))
-    vals = np.broadcast_to(vals, x.shape).astype(float)
+        vals = float(profile)
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("wavenumber profile produced non-finite values")
-    return vals
+    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
 def _cheb(N):
@@ -203,9 +208,14 @@ def gen_helmholtz(config: HelmholtzConfig) -> HelmholtzDiscretization:
     Each matrix is assembled directly as a float64 dia_array of its
     diagonals, -2..1 for A1 and the main one for A2 and A3, from flat real
     arrays in O(n) time and memory: the form TwoParProblem stores a narrow
-    A side in, so it keeps them without a copy. Its M(lam) is tridiagonal
-    but for the interface row's entry at (n-1, n-3), so it takes the
-    tridiagonal LU (TwoParProblem.factorize_a).
+    A side in, so it keeps them without a copy. Each stored entry is
+    written once, as its scaled value, but for A1's main diagonal: it first
+    holds the unscaled d1, from which the row scales s = 1/((d1 + d2) + d3)
+    are summed in that order, d2 and d3 being those of A2 and A3. Beside
+    the stored diagonals, s is the one n-vector made, and the wavenumber
+    values are one more unless the profile is a constant. Its M(lam) is
+    tridiagonal but for the interface row's entry at (n-1, n-3), so it
+    takes the tridiagonal LU (TwoParProblem.factorize_a).
     Small equation (m x m, dense): Chebyshev collocation on [x1, x2] with
     the same interface condition in row 0 and a Neumann row at x2. Both
     equations are row-scaled to unit diagonal at (lam, mu) = (1, 1); row
@@ -223,25 +233,31 @@ def gen_helmholtz(config: HelmholtzConfig) -> HelmholtzDiscretization:
     # (j - k, j) in column j, as a dia_array keeps it: the Dirichlet row 0,
     # the interior stencil on rows 1..n-2 at columns i-1, i, i+1 and the
     # one-sided interface row n-1 at columns n-3, n-2, n-1
-    a1 = np.zeros((4, n))
+    a1 = np.empty((4, n))
     a1[2, 0] = 1.0
-    a1[1, :n - 2] = a1[3, 2:] = 1.0 / h**2
-    a1[2, 1:n - 1] = -2.0 / h**2 + ka[1:-1] ** 2
-    a1[0, n - 3], a1[1, n - 2], a1[2, n - 1] = 1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h)
-    # A2 is -1 on the interior diagonal, A3 a single -1 at (n-1, n-1)
-    a2 = np.zeros((1, n))
-    a2[0, 1:-1] = -1.0
-    a3 = np.zeros((1, n))
-    a3[0, -1] = -1.0
-    # unit diagonal at (1, 1): each entry of row i is scaled by s[i] in
-    # place, and no zero of a diagonal is, so every zero stays +0.0
-    s = 1.0 / ((a1[2] + a2[0]) + a3[0])
-    a1[0, n - 3] *= s[-1]
-    a1[1, :n - 1] *= s[1:]
+    np.square(ka[1:-1], out=a1[2, 1:n - 1])
+    a1[2, 1:n - 1] += -2.0 / h**2
+    a1[2, n - 1] = 3.0 / (2.0 * h)
+    # unit diagonal at (1, 1): row i is scaled by s[i] = 1/((d1 + d2) + d3),
+    # A2's -1 on rows 1..n-2 and A3's -1 at (n-1, n-1) added to d1 in place
+    # (adding their +0.0 elsewhere changes no sum)
+    s = a1[2].copy()
+    s[1:] += -1.0
+    np.divide(1.0, s, out=s)
+    # each scaled entry written once, as the unscaled entry times s[i]; no
+    # zero of a diagonal is scaled, so every zero, padding too, is +0.0
+    a1[0, :n - 3] = a1[0, n - 2:] = a1[1, n - 1] = a1[3, :2] = 0.0
+    a1[0, n - 3] = 1.0 / (2.0 * h) * s[-1]
+    np.multiply(1.0 / h**2, s[1:n - 1], out=a1[1, :n - 2])
+    a1[1, n - 2] = -2.0 / h * s[-1]
     a1[2] *= s
-    a1[3, 2:] *= s[1:-1]
-    a2[0, 1:-1] *= s[1:-1]
-    a3[0, -1] *= s[-1]
+    a1[3, 2:] = a1[1, :n - 2]
+    # A2 is -1 on the interior diagonal, A3 a single -1 at (n-1, n-1)
+    a2 = np.empty((1, n))
+    a2[0, [0, -1]] = 0.0
+    np.negative(s[1:-1], out=a2[0, 1:-1])
+    a3 = np.zeros((1, n))
+    a3[0, -1] = -s[-1]
     A1 = sp.dia_array((a1, np.arange(-2, 2)), shape=(n, n))
     A2, A3 = (sp.dia_array((a, [0]), shape=(n, n)) for a in (a2, a3))
 

@@ -262,6 +262,25 @@ def test_norm2_bound_of_diagonals_is_the_csr_value_bit_for_bit():
         assert _linalg.norm2_bound(padded) == want
 
 
+def test_norm2_bound_of_one_diagonal_is_the_csr_value_bit_for_bit():
+    # diagonal dia_arrays take their bound from one pass over |d|: the split
+    # Helmholtz A2's shape (zero at both ends) and A3's (a single entry), a
+    # complex one, an all-zero one, and one whose largest square underflows,
+    # where the bound sqrt(fl(p*p)) is not p = max|d|
+    n = 40
+    rng = np.random.default_rng(8)
+    a2 = -rng.uniform(0.5, 1.0, n)
+    a2[[0, -1]] = 0.0
+    a3 = np.zeros(n)
+    a3[-1] = -0.3
+    tiny = rng.uniform(0.1, 1.0, n) * 1e-161
+    tiny[n // 2] = 1e-160
+    for d in (a2, a3, a2 * (1.0 - 2.0j), np.zeros(n), tiny):
+        dia = sp.dia_array((d[None], [0]), shape=(n, n))
+        assert _linalg.norm2_bound(dia) == _linalg.norm2_bound(sp.csr_array(dia))
+    assert _linalg.norm2_bound(sp.dia_array((tiny[None], [0]), shape=(n, n))) < 1e-160
+
+
 def test_norm2_bound_of_short_diagonal_rows_is_the_csr_value():
     # scipy stores the diagonals of a matrix whose last columns hold nothing
     # in rows shorter than n, and a caller may list the offsets in any

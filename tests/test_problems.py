@@ -1,4 +1,5 @@
 """Generators: random, quadratic, square-root, Helmholtz; tabulation; flags."""
+import gc
 import tracemalloc
 
 import numpy as np
@@ -189,20 +190,46 @@ def assert_same_bytes(got, want):
     assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
-# the ids' "True" names the row scaling, which the assembly always applies
+# the ids' "True" names the row scaling, which the assembly always applies;
+# kappa 2.0 is the benchmark's constant profile, and at n = 3..5 the
+# interface row's corner shares its columns with the Dirichlet row's
 @pytest.mark.parametrize("n, kappa_a", [
     pytest.param(201, None, id="201-True-None"),
     pytest.param(600, None, id="600-True-None"),
     pytest.param(5000, lambda x: 1.5 + np.sin(3.0 * x) ** 2, id="5000-True-<lambda>"),
+    pytest.param(2000, 2.0, id="2000-True-2.0"),
+    pytest.param(3, 2.0, id="3-True-2.0"),
+    pytest.param(4, None, id="4-True-None"),
+    pytest.param(5, 2.0, id="5-True-2.0"),
 ])
 def test_helmholtz_csr_assembly_matches_lil_recipe(n, kappa_a):
-    cfg = problems.HelmholtzConfig(n=n, m=10, kappa_a=kappa_a)
+    cfg = problems.HelmholtzConfig(n=n, m=10, kappa_a=kappa_a, kappa_b=kappa_a)
     p = problems.gen_helmholtz(cfg).problem
     # the direct build of the diagonals and a problem made from the recipe's
-    # complex CSR store the same float64 diagonals, byte for byte
-    ref = mepnl.TwoParProblem(*lil_reference(cfg), p.B1, p.B2, p.B3, p.c)
+    # complex CSR store the same float64 diagonals, byte for byte, and have
+    # the same norm bounds, which are those of the CSR matrices themselves
+    csr = lil_reference(cfg)
+    ref = mepnl.TwoParProblem(*csr, p.B1, p.B2, p.B3, p.c)
     for name in ("A1", "A2", "A3"):
         assert_same_bytes(getattr(p, name), getattr(ref, name))
+    assert p.norms_a == ref.norms_a == tuple(map(_linalg.norm2_bound, csr))
+
+
+def test_helmholtz_set_up_peaks_within_two_n_vectors_of_its_arrays():
+    # the benchmark's set-up writes each stored diagonal once: beyond the
+    # arrays it returns, its traced peak holds the row scales and less than
+    # one more n-vector
+    n = 200_000
+    cfg = problems.HelmholtzConfig(x1=3.7, x2=5.0, n=n, m=30, kappa_a=2.0, kappa_b=2.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        disc = problems.gen_helmholtz(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert disc.problem.n == n
+    assert peak - kept <= 2 * 8 * n, (peak - kept) / (8 * n)
 
 
 def test_helmholtz_assembly_builds_no_lil(monkeypatch):
