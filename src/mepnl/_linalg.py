@@ -64,13 +64,6 @@ NULL_VECTOR_MAXIT = 50
 DENSE_SUM_ROWS = 16
 
 
-def to_complex(mat):
-    """Return mat as complex128, dense ndarray or CSR, without copying if possible."""
-    if sp.issparse(mat):
-        return mat.tocsr().astype(np.complex128, copy=False)
-    return np.asarray(mat, dtype=np.complex128)
-
-
 def to_dense(mat):
     """Return mat as a dense ndarray, converting it only when it is sparse."""
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
@@ -123,17 +116,29 @@ def split_product(mat, x):
 
 class MatrixSum(typing.NamedTuple):
     """The n x n matrix sum of scale * mat over zip(mats, scales), unsummed,
-    a scale None standing for 1: the form in which TwoParProblem hands
-    M(lam) to Factorization, which sums it into the LU's own storage. The
-    mats are dense ndarrays, summed by _dense_storage, or dia_arrays of
-    to_diagonals's layout, of a problem that has found every such sum
-    tridiagonal but for entry (n - 1, n - 3) (tridiagonal_but_corner),
-    summed by _tridiagonal_storage. dtype is that of the sum, float64 or
-    complex128."""
+    a scale None standing for 1: M(lam) as TwoParProblem._matrix_sum gives
+    it, the terms (A1, None), (A2, lam), (A3, mu). The dense LU sums the
+    dense ndarrays of one into its own storage (_dense_storage), and the
+    tridiagonal LU the dia_arrays, of to_diagonals's layout, of a problem
+    that has found every such sum tridiagonal but for entry (n - 1, n - 3)
+    (tridiagonal_but_corner), into its diagonals (_tridiagonal_storage);
+    anywhere else it is summed into one matrix by summed. dtype is that of
+    the sum, float64 or complex128."""
 
     mats: tuple
     scales: tuple
     dtype: type
+
+
+def summed(total):
+    """The MatrixSum total of the terms (A1, None), (A2, lam), (A3, mu) as
+    one matrix of total.dtype in their storage, a dense ndarray, a
+    dia_array or CSR: (A1 + lam*A2) + mu*A3, with A1 cast to the sum's
+    dtype first, as scipy adds no complex data into a float64 dia_array.
+    The one M(lam) formed outside the LUs' own storage, for
+    TwoParProblem.eval_a, SuperLU and _norm1 alike."""
+    (a1, a2, a3), (_, lam, mu) = total.mats, total.scales
+    return (a1.astype(total.dtype, copy=False) + lam * a2) + mu * a3
 
 
 def tridiagonal_but_corner(mats) -> bool:
@@ -168,6 +173,14 @@ def _in_range(mat):
         yield k, row, slice(start, stop), slice(start - k, stop - k)
 
 
+def _norm_in_range(norm):
+    """Whether each norm stands as computed (vector_norms, norm2_bound):
+    finite and at least 2^-450, so that the squares summed for it are
+    normal floats but for a share of about 2^-174 of the sum. Any other is
+    taken again from its input divided by the input's largest modulus."""
+    return (norm >= 2.0 ** -450) & (norm < np.inf)
+
+
 def norm2_bound(mat) -> float:
     """min(||mat||_F, sqrt(||mat||_1 ||mat||_inf)) >= ||mat||_2 of a square
     mat, which unlike ||mat||_F does not grow like sqrt(n) for a stencil. One
@@ -175,7 +188,22 @@ def norm2_bound(mat) -> float:
     its pattern; a dia_array as _dia_norm2_bound says, in to_diagonals's
     layout, into which any other is copied first, as one whose rows are
     shorter than n, which scipy makes of a matrix whose last columns store
-    nothing."""
+    nothing. A bound out of range (_norm_in_range), whose squares or
+    products overflowed or underflowed, is taken again from mat as CSR
+    divided by its largest modulus p, and multiplied by p; a zero or NaN
+    bound stands."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        bound = _norm2_bound(mat)
+        if _norm_in_range(bound):
+            return bound
+        scaled = sp.csr_array(mat)
+        peak = np.abs(scaled.data).max(initial=0.0)
+        scaled.data = scaled.data / peak
+        return float(peak * _norm2_bound(scaled)) if 0.0 < peak < np.inf else bound
+
+
+def _norm2_bound(mat) -> float:
+    """norm2_bound of mat as computed, in or out of range."""
     if sp.issparse(mat) and mat.format == "dia":
         return _dia_norm2_bound(to_diagonals(mat, mat.dtype))
     if sp.issparse(mat):
@@ -205,8 +233,8 @@ def _dia_norm2_bound(mat) -> float:
     then diagonal 0), whose bound is taken in one pass over its blocks: each
     row and column holds one entry, so both largest sums are p = max|d|,
     and ||mat||_F, a rounded sum of nonnegative squares with fl(p*p) among
-    them, is never below sqrt(fl(p*p)), which is the minimum (not p itself:
-    the two differ once p*p underflows)."""
+    them, is never below sqrt(fl(p*p)), which is the minimum (not p itself
+    once p*p underflows, which norm2_bound then takes again)."""
     n = mat.shape[0]
     block = 1 << 14
     if mat.offsets.size == 1:
@@ -239,16 +267,18 @@ def _dia_norm2_bound(mat) -> float:
 
 
 def vector_norms(a, axis):
-    """np.linalg.norm(a, axis=axis), but a norm whose squares overflow (past
-    about 1e154 an entry) is taken from its slice scaled by its largest
-    modulus; axis None takes the one norm of the whole of a."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """np.linalg.norm(a, axis=axis), but a norm out of range
+    (_norm_in_range), whose squares overflow (past about 1e154 an entry) or
+    underflow, is taken from its slice divided by the slice's largest
+    modulus p and multiplied by p; a zero or NaN norm stands. axis None
+    takes the one norm of the whole of a."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         norms = np.linalg.norm(a, axis=axis)
-        if np.isinf(norms).any():
-            peak = np.where(np.isinf(norms), np.abs(a).max(axis=axis), 1.0)
+        if not _norm_in_range(norms).all():
+            peak = np.abs(a).max(axis=axis, initial=0.0)
+            redo = ~_norm_in_range(norms) & (peak > 0.0) & (peak < np.inf)
             slices = peak if axis is None else np.expand_dims(peak, axis)
-            scaled = peak * np.linalg.norm(a / slices, axis=axis)
-            norms = np.where(np.isfinite(peak), scaled, norms)
+            norms = np.where(redo, peak * np.linalg.norm(a / slices, axis=axis), norms)
     return norms
 
 
@@ -367,10 +397,9 @@ def _tridiagonal_storage(total):
     """(dl, d, du, corner): the MatrixSum total of dia_arrays, tridiagonal
     but for entry (n - 1, n - 3), summed into fresh sub-, main and
     super-diagonals, of columns 0..n-2, 0..n-1 and 1..n-1, and that corner
-    entry, an array of one: the one sum of a tridiagonal M(lam)'s entries,
-    for the tridiagonal LU and TwoParProblem.eval_a alike, each
-    (a1 + lam*a2) + mu*a3 for the terms (A1, None), (A2, lam), (A3, mu),
-    added a term's diagonals at a time."""
+    entry, an array of one, for the tridiagonal LU to factorize in place:
+    each (a1 + lam*a2) + mu*a3 for the terms (A1, None), (A2, lam),
+    (A3, mu), added a term's diagonals at a time."""
     n = total.mats[0].shape[0]
     dl, d, du, corner = (np.zeros(size, dtype=total.dtype) for size in (n - 1, n, n - 1, 1))
     for mat, scale in zip(total.mats, total.scales):
@@ -383,10 +412,9 @@ def _tridiagonal_storage(total):
 def _dense_storage(total):
     """The MatrixSum total of dense row-major matrices summed into one fresh
     column-major n x n array of total.dtype, for the dense LU to factorize
-    in place and TwoParProblem.eval_a alike: the one sum of a dense
-    M(lam)'s entries, each (a1 + lam*a2) + mu*a3 for the terms (A1, None),
-    (A2, lam), (A3, mu), bit-equal to A1 + lam*A2 + mu*A3 (a float64 total
-    to the real part of the complex sum). It runs DENSE_SUM_ROWS rows at a
+    in place: each entry (a1 + lam*a2) + mu*a3 for the terms (A1, None),
+    (A2, lam), (A3, mu), bit-equal to summed(total) (a float64 total to
+    the real part of the complex sum). It runs DENSE_SUM_ROWS rows at a
     time in a row-major buffer of that many rows, which stays in cache, and
     copies each block into its rows of the result."""
     (a1, a2, a3), (_, lam, mu) = total.mats, total.scales
@@ -404,16 +432,9 @@ def _dense_storage(total):
 
 
 def _norm1(total) -> float:
-    """||total||_1 of a MatrixSum, from a fresh sum of it (_dense_storage
-    or _tridiagonal_storage): the floor of an exactly zero pivot, so read
-    only after the LU met one."""
-    if not sp.issparse(total.mats[0]):
-        return float(np.linalg.norm(_dense_storage(total), 1))
-    dl, d, du, corner = (np.abs(a) for a in _tridiagonal_storage(total))
-    d[1:] += du
-    d[:-1] += dl
-    d[-3] += corner[0]
-    return float(d.max())
+    """||total||_1 of a MatrixSum, the largest column sum of |summed(total)|:
+    the floor of an exactly zero pivot, so read only after the LU met one."""
+    return float(abs(summed(total)).sum(axis=0).max())
 
 
 def _tridiagonal_lu(total):

@@ -81,7 +81,10 @@ class TwoParProblem:
     """Immutable container for the six coefficient matrices and the normalization c.
 
     A1, A2, A3 are n x n, dense ndarray or scipy.sparse; B1, B2, B3 are
-    m x m and stored dense. The storage, and with it the LU of every
+    m x m and stored dense. One dtype rule holds for every A-side storage:
+    A1-A3 are stored float64 when all three have exactly zero imaginary
+    parts (a complex input keeping its real part) and complex128
+    otherwise. The storage, and with it the LU of every
     M(lam) = A1 + lam*A2 + mu*A3, is decided once, here, from the input
     before any copy, by the one storage predicate
     _linalg.tridiagonal_but_corner: when A1, A2 and A3 are all sparse, store
@@ -89,22 +92,21 @@ class TwoParProblem:
     (n - 1, n - 3), so that every M(lam) is tridiagonal but for that
     corner, as the split Helmholtz M(lam) is, each is stored as a dia_array
     of its own diagonals, from its lowest to its highest stored one
-    (_linalg.to_diagonals), float64 when all three have exactly zero
-    imaginary parts and complex128 otherwise, with no CSR copy beside it,
-    and factorize_a takes the tridiagonal LU. scipy cannot add complex
-    data into a float64 dia_array, so with a complex lam, p.A1 + lam*p.A2
-    on such a real problem raises UFuncTypeError inside scipy: eval_a is
-    the way to form M(lam) = A1 + lam*A2 + mu*A3, factorize_a the way to
-    factorize it and apply_a the way to take products with it, at any lam
-    and mu. Any other sparse A side, narrow or wide, is stored as complex
-    CSR, for SuperLU. A dense A side is stored row-major in float64 when
-    all three have exactly zero imaginary parts, by the same rule, and as
-    complex128 otherwise; its M(lam) is summed into the dense LU's own
-    storage (factorize_a). An input array that already has the stored
-    dtype (and, for float64, the row-major layout) is kept without a copy
-    and frozen, read-only, as the caller's own array; any other is copied
-    once. The B side is complex128. is_real says whether the imaginary
-    parts of all six are zero. c is a complex m-vector fixing the
+    (_linalg.to_diagonals), with no CSR copy beside it, and factorize_a
+    takes the tridiagonal LU. Any other sparse A side, narrow or wide, is
+    stored as CSR, of which SuperLU factorizes a complex copy of each
+    M(lam). A dense A side is stored row-major; its M(lam) is summed into
+    the dense LU's own storage (factorize_a). scipy cannot add complex data
+    into a float64 dia_array, so with a complex lam, p.A1 + lam*p.A2 on a
+    real problem stored by its diagonals raises UFuncTypeError inside
+    scipy: eval_a is the way to form M(lam) = A1 + lam*A2 + mu*A3,
+    factorize_a the way to factorize it and apply_a the way to take
+    products with it, at any lam and mu. An input that already has the
+    stored dtype and form (a row-major ndarray, a CSR matrix, or a
+    dia_array of to_diagonals's layout) is kept without a copy and frozen,
+    read-only, as the caller's own array; any other is copied once. The B
+    side is complex128. is_real says whether the imaginary parts of all six
+    are zero. c is a complex m-vector fixing the
     eigenvector scaling of the small equation through c^T y = 1
     (unconjugated transpose).
     c=None takes the fixed-seed draw of _default_c.
@@ -127,13 +129,13 @@ class TwoParProblem:
         A = [M.tocsr() if sp.issparse(M) and M.format != "dia" else M for M in A]
         real = not any(np.iscomplexobj(v) and np.any(v.imag)
                        for v in (M.data if sp.issparse(M) else M for M in A))
+        dtype = np.float64 if real else np.complex128
         if sparse and _linalg.tridiagonal_but_corner(A):
-            A = [_linalg.to_diagonals(M, np.float64 if real else np.complex128) for M in A]
-        elif real and not any(map(sp.issparse, A)):
-            A = [np.ascontiguousarray(M.real if np.iscomplexobj(M) else M, dtype=np.float64)
-                 for M in A]
+            A = [_linalg.to_diagonals(M, dtype) for M in A]
         else:
-            A = [_linalg.to_complex(M) for M in A]
+            A = [M.real.copy() if real and np.iscomplexobj(M) else M for M in A]
+            A = [M.tocsr().astype(dtype, copy=False) if sp.issparse(M)
+                 else np.ascontiguousarray(M, dtype=dtype) for M in A]
         self.A1, self.A2, self.A3 = A
         B1, B2, B3 = (
             _linalg.to_dense(M).astype(np.complex128)
@@ -207,39 +209,29 @@ class TwoParProblem:
         factorize_a, by _small_residual, by the rank-one branch (schur_k
         and pencil._rank_one_points), by the oracle (delta.solve and
         delta._refine) and by Newton (solvers._iterate_arithmetic). Decided
-        once per problem, on first use, from the stored entries, which a
-        float64 A side has none of; the matrices are read-only."""
-        mats = (self.A1, self.A2, self.A3, self.B1, self.B2, self.B3)
-        return not any(np.iscomplexobj(M) and np.any(M.imag)
-                       for M in (M.data if sp.issparse(M) else M for M in mats))
+        once per problem, on first use, from the stored A dtype, float64
+        exactly when A1-A3 are real (__init__), and the entries of the
+        complex128 B side; the matrices are read-only."""
+        return self.A1.dtype == np.float64 and not any(
+            np.any(M.imag) for M in (self.B1, self.B2, self.B3))
 
     def eval_a(self, lam, mu):
-        """M(lam) = A1 + lam*A2 + mu*A3, bit-equal to that expression: the
-        one builder of M(lam) as a matrix, for any problem, from the sum
-        that the LU of factorize_a runs. When A1-A3 are stored by their
-        diagonals (the storage decision of __init__), M is a dia_array of
-        diagonals -2..1 packed from the tridiagonal LU's own sum
-        (_linalg._tridiagonal_storage), so no CSR sum is formed; when they
-        are dense, M is the dense LU's own column-major sum
-        (_linalg._dense_storage), _linalg.DENSE_SUM_ROWS rows at a time.
-        Either is float64 when the problem is real (is_real) and lam and mu
-        have exactly zero imaginary parts, each entry then the real part of
-        the complex sum, whose imaginary part is exactly 0 there, and
-        complex128 otherwise. Any other sparse M is the complex CSR sum.
-        factorize_a forms no M but that of a general sparse problem."""
-        if isinstance(self.A1, sp.dia_array):
-            dl, d, du, corner = _linalg._tridiagonal_storage(self._matrix_sum(lam, mu))
-            data = np.zeros((4, self.n), dtype=d.dtype)
-            data[0, -3:-2], data[1, :-1], data[2], data[3, 1:] = corner, dl, d, du
-            return sp.dia_array((data, np.arange(-2, 2)), shape=(self.n, self.n))
-        if self.is_sparse:
-            return self.A1 + lam * self.A2 + mu * self.A3
-        return _linalg._dense_storage(self._matrix_sum(lam, mu))
+        """M(lam) = A1 + lam*A2 + mu*A3 as one matrix in A1-A3's storage, a
+        dense row-major ndarray, a dia_array or CSR: the sum
+        (A1 + lam*A2) + mu*A3 of _linalg.summed, of any problem, float64
+        when the problem is real (is_real) and lam and mu have exactly zero
+        imaginary parts, each entry then the real part of the complex sum,
+        whose imaginary part is exactly 0 there, and complex128 otherwise.
+        Only a general sparse problem's factorize_a forms it; the dense
+        and tridiagonal LUs sum M(lam) into their own storage."""
+        return _linalg.summed(self._matrix_sum(lam, mu))
 
     def _matrix_sum(self, lam, mu) -> _linalg.MatrixSum:
-        """M(lam) unsummed, of a problem that stores A1-A3 densely or by
-        their diagonals: float64 when the problem is real and lam and mu
-        have exactly zero imaginary parts, complex128 otherwise."""
+        """M(lam) unsummed, the terms (A1, None), (A2, lam), (A3, mu):
+        float64 when the problem is real and lam and mu have exactly zero
+        imaginary parts, with lam and mu then float64, and complex128
+        otherwise. eval_a sums it by _linalg.summed, the dense and
+        tridiagonal LUs into their own storage."""
         real = self.is_real and np.imag(lam) == 0 and np.imag(mu) == 0
         if real:
             lam, mu = np.real(lam), np.real(mu)
@@ -254,7 +246,8 @@ class TwoParProblem:
         eval_a's float64 rule, straight into that storage, one column-major
         array that the dense LU factorizes in place, or, every M(lam) being
         tridiagonal but for entry (n - 1, n - 3), three diagonals and that
-        corner. Any other M is eval_a's CSR sum, which SuperLU factorizes."""
+        corner. Any other M is eval_a's CSR sum, of which SuperLU factorizes
+        a complex copy."""
         if isinstance(self.A1, sp.dia_array) or not self.is_sparse:
             return _linalg.Factorization(self._matrix_sum(lam, mu))
         return _linalg.Factorization(self.eval_a(lam, mu))

@@ -2,9 +2,11 @@
 
 A problem is stored as seven files: A1..A3, B1..B3 and the normalization
 vector c (as an m x 1 array). Sparse matrices use the coordinate format,
-in their own field (real for a problem's float64 diagonals), with the
-explicit zeros of a CSR or COO pattern kept and those of a dia_array's
-diagonals left out; dense ones use the array format.
+in their own field (real for a real problem's float64 A side, its
+diagonals or CSR alike, and complex otherwise), with the explicit zeros of
+a CSR or COO pattern kept and those of a dia_array's diagonals left out;
+dense ones use the array format. A loaded A side meets TwoParProblem's
+one storage decision and one dtype rule as any other input does.
 """
 from __future__ import annotations
 

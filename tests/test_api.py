@@ -105,18 +105,19 @@ def test_only_core_decides_the_storage():
     M(lam), by one predicate, _linalg.tridiagonal_but_corner, which reads
     each matrix's stored offsets itself and which no other function calls,
     so Factorization scans no pattern of its own. A sparse M(lam) takes one
-    of two LUs, the tridiagonal one or SuperLU, and a tridiagonal one's
-    entries are summed one way, by _linalg._tridiagonal_storage, for the LU
-    and eval_a alike, as a dense one's are by _linalg._dense_storage: the
-    package keeps no band LU, no band storage, no width bound, no
-    half-bandwidths and no (kl, ku) parameter."""
+    of two LUs, the tridiagonal one or SuperLU. Each of the two LAPACK LUs
+    sums M(lam) into its own storage, _linalg._tridiagonal_storage and
+    _linalg._dense_storage, each with that one caller; anywhere else
+    M(lam) is summed one way, by _linalg.summed, for eval_a, SuperLU and
+    _norm1 alike. The package keeps no band LU, no band storage, no width
+    bound, no half-bandwidths and no (kl, ku) parameter."""
     from mepnl import _linalg
 
     assert _package_scopes(_calls("tridiagonal_but_corner")) == ["core.TwoParProblem.__init__"]
-    assert _package_scopes(_calls("_tridiagonal_storage")) == [
-        "_linalg._norm1", "_linalg._tridiagonal_lu", "core.TwoParProblem.eval_a"]
-    assert _package_scopes(_calls("_dense_storage")) == [
-        "_linalg.Factorization.__init__", "_linalg._norm1", "core.TwoParProblem.eval_a"]
+    assert _package_scopes(_calls("_tridiagonal_storage")) == ["_linalg._tridiagonal_lu"]
+    assert _package_scopes(_calls("_dense_storage")) == ["_linalg.Factorization.__init__"]
+    assert _package_scopes(_calls("summed")) == ["_linalg._norm1", "core.TwoParProblem.eval_a"]
+    assert not hasattr(_linalg, "to_complex")
     for gone in ("BAND_MAX", "_band_lu", "_band_storage", "half_bandwidths"):
         assert not hasattr(_linalg, gone), gone
     assert not hasattr(_linalg.MatrixSum, "add_into")

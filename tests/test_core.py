@@ -171,24 +171,38 @@ def helmholtz_like_a(n, rng, far=False):
     ("band", "sparse", (2, 1)),
     ("wide", "sparse", None),
     ("dense", "dense", None),
+    ("tridiagonal", "tridiagonal", None),
 ])
 def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
     # bandwidths are the half-bandwidths of a narrow M(lam) whose stored
     # offsets lie within -2..1 but whose diagonal -2 is not zero away from
     # the corner: the one storage predicate refuses it, so its problem
-    # keeps complex CSR
+    # keeps CSR. The tridiagonal kind is a real split Helmholtz A side,
+    # stored by its float64 diagonals: at a complex lam, where
+    # p.A1 + lam*p.A2 raises UFuncTypeError inside scipy, eval_a gives a
+    # complex dia_array with the bits of the complex CSR sum
     rng = np.random.default_rng(11)
     n = 50  # more rows than one block of the dense sum
     A = helmholtz_like_a(n, rng, far=kind == "wide")
     if kind == "dense":
         A = [M.toarray() for M in A]
+    if kind == "tridiagonal":
+        h = problems.gen_helmholtz(problems.HelmholtzConfig(n=n, m=3)).problem
+        A = [h.A1, h.A2, h.A3]
     B = np.eye(2)
     p = mepnl.TwoParProblem(*A, B, B, B, [1, 0])
     lam, mu = 0.7 - 0.2j, 1.1 + 0.3j
     M = p.eval_a(lam, mu)
-    want = p.A1 + lam * p.A2 + mu * p.A3
+    if kind == "tridiagonal":
+        assert p.is_real and M.format == "dia" and M.dtype == np.complex128
+        with pytest.raises(TypeError):  # numpy's UFuncTypeError
+            p.A1 + lam * p.A2
+        want = sum(scale * mat.tocsr().astype(np.complex128)
+                   for scale, mat in zip((1, lam, mu), (p.A1, p.A2, p.A3)))
+    else:
+        want = p.A1 + lam * p.A2 + mu * p.A3
+        assert type(M) is type(want)
     assert sp.issparse(M) == (kind != "dense")
-    assert type(M) is type(want)
     if bandwidths:
         offsets = M.indices - np.repeat(np.arange(n), np.diff(M.indptr))
         assert M.format == "csr" and (-offsets.min(), offsets.max()) == bandwidths
@@ -203,12 +217,18 @@ def test_eval_a_is_the_sum_bit_for_bit(kind, storage, bandwidths):
     got, want = (np.ascontiguousarray(_linalg.to_dense(A)) for A in (M, want))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the problem's own LU is that of M, on the same storage path, and its
-    # solves are bit-equal
+    # solves are bit-equal; a dia_array M takes SuperLU, the problem's own
+    # M the tridiagonal LU, and their solves agree to rounding
     fact, own = _linalg.Factorization(M), p.factorize_a(lam, mu)
-    assert fact.storage == own.storage == storage
+    assert own.storage == storage
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for adjoint in (False, True):
-        assert np.array_equal(own.solve(b, adjoint), fact.solve(b, adjoint))
+        if kind == "tridiagonal":
+            np.testing.assert_allclose(own.solve(b, adjoint), fact.solve(b, adjoint),
+                                       rtol=1e-10)
+        else:
+            assert fact.storage == storage
+            assert np.array_equal(own.solve(b, adjoint), fact.solve(b, adjoint))
 
 
 def norm_bound_matrices(n=60):
@@ -266,7 +286,9 @@ def test_norm2_bound_of_one_diagonal_is_the_csr_value_bit_for_bit():
     # diagonal dia_arrays take their bound from one pass over |d|: the split
     # Helmholtz A2's shape (zero at both ends) and A3's (a single entry), a
     # complex one, an all-zero one, and one whose largest square underflows,
-    # where the bound sqrt(fl(p*p)) is not p = max|d|
+    # where the one pass's sqrt(fl(p*p)) is not p = max|d| and the bound is
+    # taken again from the matrix divided by p: p itself, on the dia, CSR
+    # and dense paths alike
     n = 40
     rng = np.random.default_rng(8)
     a2 = -rng.uniform(0.5, 1.0, n)
@@ -277,8 +299,9 @@ def test_norm2_bound_of_one_diagonal_is_the_csr_value_bit_for_bit():
     tiny[n // 2] = 1e-160
     for d in (a2, a3, a2 * (1.0 - 2.0j), np.zeros(n), tiny):
         dia = sp.dia_array((d[None], [0]), shape=(n, n))
-        assert _linalg.norm2_bound(dia) == _linalg.norm2_bound(sp.csr_array(dia))
-    assert _linalg.norm2_bound(sp.dia_array((tiny[None], [0]), shape=(n, n))) < 1e-160
+        want = _linalg.norm2_bound(sp.csr_array(dia))
+        assert _linalg.norm2_bound(dia) == want == _linalg.norm2_bound(dia.toarray())
+    assert _linalg.norm2_bound(sp.dia_array((tiny[None], [0]), shape=(n, n))) == 1e-160
 
 
 def test_norm2_bound_of_short_diagonal_rows_is_the_csr_value():
@@ -299,31 +322,40 @@ def test_norm2_bound_of_short_diagonal_rows_is_the_csr_value():
 
 
 def test_stored_diagonals_multiply_as_complex_csr_bit_for_bit():
-    # a real Helmholtz A side, stored by its float64 diagonals: A_i @ x,
-    # apply_a and eval_a give the bits of the complex CSR products and sum,
-    # since a dia_array adds its diagonals in the CSR's column order
-    p = problems.gen_helmholtz(problems.HelmholtzConfig(n=2000)).problem
-    csr = [M.tocsr().astype(np.complex128) for M in (p.A1, p.A2, p.A3)]
+    # a real Helmholtz A side, stored by its float64 diagonals, and a real
+    # general sparse one, stored as float64 CSR at half the data bytes of
+    # complex CSR: A_i @ x, apply_a and eval_a give the bits of the complex
+    # CSR products and sum, since a dia_array adds its diagonals in the
+    # CSR's column order
+    helmholtz = problems.gen_helmholtz(problems.HelmholtzConfig(n=2000)).problem
+    general = mepnl.TwoParProblem(
+        *(sp.random(300, 300, density=0.05, random_state=k, format="coo") for k in range(3)),
+        np.eye(2), np.eye(2), np.eye(2), [1, 0])
+    assert [(M.format, M.dtype) for M in (general.A1, general.A2, general.A3)] == [
+        ("csr", np.float64)] * 3
     rng = np.random.default_rng(7)
-    x = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
 
     def same(got, want):
         return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    for M, ref in zip((p.A1, p.A2, p.A3), csr):
-        assert same(M @ x, ref @ x)
-        # the float64 product of a complex x's parts, or of the real part
-        # alone when the imaginary part is exactly zero, gives the complex
-        # product's bits, for one vector and for the columns of a matrix
-        for z in (x, x.real + 0j, np.stack((x, 2 * x), axis=1), np.stack((x, 2 * x)).T):
-            assert same(_linalg.split_product(M, z), ref @ z)
-        assert same(_linalg.split_product(M, x.real), M @ x.real)
-    for lam, mu in ((1.5, 0.5), (1.5 + 0j, -0.25 + 0j), (0.7 - 0.2j, 1.1 + 0.3j)):
-        want = csr[0] @ x + lam * (csr[1] @ x) + mu * (csr[2] @ x)
-        assert same(p.apply_a(lam, mu, x), want)
-        M = _linalg.to_dense(p.eval_a(lam, mu))
-        total = _linalg.to_dense(csr[0] + lam * csr[1] + mu * csr[2])
-        assert same(M.astype(np.complex128), total)
+    for p in (helmholtz, general):
+        csr = [M.tocsr().astype(np.complex128) for M in (p.A1, p.A2, p.A3)]
+        x = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+        for M, ref in zip((p.A1, p.A2, p.A3), csr):
+            assert same(M @ x, ref @ x)
+            # the float64 product of a complex x's parts, or of the real
+            # part alone when the imaginary part is exactly zero, gives the
+            # complex product's bits, for one vector and for the columns of
+            # a matrix
+            for z in (x, x.real + 0j, np.stack((x, 2 * x), axis=1), np.stack((x, 2 * x)).T):
+                assert same(_linalg.split_product(M, z), ref @ z)
+            assert same(_linalg.split_product(M, x.real), M @ x.real)
+        for lam, mu in ((1.5, 0.5), (1.5 + 0j, -0.25 + 0j), (0.7 - 0.2j, 1.1 + 0.3j)):
+            want = csr[0] @ x + lam * (csr[1] @ x) + mu * (csr[2] @ x)
+            assert same(p.apply_a(lam, mu, x), want)
+            M = _linalg.to_dense(p.eval_a(lam, mu))
+            total = _linalg.to_dense(csr[0] + lam * csr[1] + mu * csr[2])
+            assert same(M.astype(np.complex128), total)
 
 
 def test_residuals_of_a_complex_x_make_no_complex_copy_of_a1():

@@ -192,20 +192,23 @@ def singular_corner():
     return sp.dia_array(M.tocsr())
 
 
-@pytest.mark.parametrize("A1", [singular_band(kl=2), singular_pentadiagonal()])
+@pytest.mark.parametrize("A1", [singular_band(kl=2), singular_pentadiagonal(),
+                                sp.csr_array([[2.0, 1.0], [1.0, 3.0]])])
 def test_narrow_m_not_tridiagonal_but_for_a_corner_goes_to_superlu(A1):
     # an M(lam) of half-bandwidths (2, 1) with nonzeros on diagonal -2 away
-    # from the corner, or a pentadiagonal one: the problem stores its A
-    # side as complex CSR and factorizes M(lam) by SuperLU, and Newton from
-    # a fixed start reaches the lam of the same problem stored dense
+    # from the corner, a pentadiagonal one, or a 2 x 2 one, which has no
+    # corner (n - 1, n - 3): the problem stores its real A side as float64
+    # CSR and factorizes M(lam) by SuperLU, and Newton from a fixed start
+    # reaches the lam of the same problem stored dense
     n = A1.shape[0]
+    assert not _linalg.tridiagonal_but_corner([A1])
     A = (A1, -sp.eye_array(n, format="csr"),
          sp.csr_array(([0.5], ([n - 1], [n - 1])), shape=(n, n)))
     B = (np.diag([1.0, 2.0]), np.eye(2), np.eye(2))
     sparse, dense = (mepnl.TwoParProblem(*mats, *B, np.ones(2))
                      for mats in (A, [M.toarray() for M in A]))
     for M in (sparse.A1, sparse.A2, sparse.A3):
-        assert M.format == "csr" and M.dtype == np.complex128
+        assert M.format == "csr" and M.dtype == np.float64
     assert sparse.factorize_a(6.5, -7.5).storage == "sparse"
     assert dense.factorize_a(6.5, -7.5).storage == "dense"
     lams = []
@@ -632,13 +635,23 @@ def test_triangular_solve_argument_error_is_no_refusal(monkeypatch, routine):
 
 def test_vector_norms_whole_array_is_numpys_norm_until_it_overflows():
     # axis None is one norm of the whole array: numpy's own wherever that is
-    # finite, and the scaled norm, with no RuntimeWarning, past the float range
+    # in range, and the norm of the array divided by its largest modulus p,
+    # times p, with no RuntimeWarning, where numpy's squares overflow or
+    # underflow (numpy's norm is then 0.0 at 1e-200)
     rng = np.random.default_rng(11)
     for shape in ((7,), (3, 5)):
         for scale in (1.0, 1e-200, 1e150):
             a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            assert _linalg.vector_norms(a, None) == np.linalg.norm(a)
-            assert _linalg.vector_norms(a, -1).tolist() == np.linalg.norm(a, axis=-1).tolist()
+            if scale == 1e-200:
+                assert np.linalg.norm(a) == 0.0
+                peak = np.abs(a).max()
+                assert _linalg.vector_norms(a, None) == peak * np.linalg.norm(a / peak)
+                peaks = np.abs(a).max(axis=-1, keepdims=True)
+                want = (peaks[..., 0] * np.linalg.norm(a / peaks, axis=-1)).tolist()
+            else:
+                assert _linalg.vector_norms(a, None) == np.linalg.norm(a)
+                want = np.linalg.norm(a, axis=-1).tolist()
+            assert _linalg.vector_norms(a, -1).tolist() == want
     a = np.array([3e300, 4e300j, 0.0])
     with np.errstate(over="ignore"):
         assert np.isinf(np.linalg.norm(a))

@@ -44,6 +44,12 @@ def test_missing_file_reports_path(tmp_path):
         mmio.read_matrix(tmp_path / "nothere.mtx")
 
 
+def test_unreadable_path_is_diagnosed(tmp_path):
+    # a directory is no file the reader or the diagnosis can open
+    with pytest.raises(ProblemIOError, match="unreadable: "):
+        mmio.read_matrix(tmp_path)
+
+
 @pytest.mark.parametrize("content,fragment", [
     ("not a header\n1 1\n1.0\n", "line 1"),
     ("%%MatrixMarket matrix array real general\n1 x\n1.0\n", "line 2"),

@@ -196,6 +196,23 @@ def test_no_finite_eigenvalue_raised():
         pencil.reference_point(p, 0)
 
 
+def test_continuation_to_a_lam_without_finite_mu_raises():
+    # det(B1 + lam*B2 + mu*B3) = (2 + mu)(1 + mu) lam + 1 for these B1, B2
+    # = e3 e3^T and B3 = diag(1, 1, 0), of rank two: at lam = 0 it is 1, so
+    # no mu is finite there, and the full QZ that the step falls back to
+    # finds none
+    B1 = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    B2 = np.zeros((3, 3))
+    B2[2, 2] = 1.0
+    p = mepnl.TwoParProblem(np.eye(2), np.eye(2), np.eye(2), B1, B2, np.diag([1.0, 1.0, 0.0]),
+                            None)
+    assert p.b3_rank_one is None and p.reference_mus.size == 0
+    point = pencil.reference_point(p, 0, lam=1.0)
+    assert abs((2 + point.mu) * (1 + point.mu) + 1) < 1e-12
+    with pytest.raises(NoFiniteEigenvalue, match="full QZ"):
+        pencil.continue_branch(p, point, 0.0)
+
+
 def test_reference_point_falls_back_to_one_full_qz(monkeypatch):
     # a reference point takes mu from the eigenvalues-only QZ and y and w
     # from inverse iteration; when those fail their residual test, or mu is

@@ -116,6 +116,24 @@ def test_newton_stagnates_at_accuracy_limit():
     assert quad.residuals.res_b <= 1e-14
 
 
+def test_newton_is_unchanged_by_scaling_the_a_side():
+    # s*A1, s*A2, s*A3 pose the same problem: Newton takes the unscaled
+    # run's iterates to its lam at scales whose squares overflow or
+    # underflow, since norms_a and the residual norms are taken at every
+    # scale (_linalg.norm2_bound, _linalg.vector_norms)
+    p = problems.gen_random(20, 3, seed=1)
+    cfg = solvers.SolverConfig(tol=1e-10)
+    want, ref = solvers.augmented_newton(nep.NepView(p), 0.3, np.ones(p.n), cfg)
+    assert ref.converged and ref.iterations == 6
+    for scale in (1e155, 1e-160, 1e-200):
+        q = mepnl.TwoParProblem(scale * p.A1, scale * p.A2, scale * p.A3, p.B1, p.B2, p.B3, p.c)
+        assert all(np.isfinite(q.norms_a)) and min(q.norms_a) > 0.0
+        np.testing.assert_allclose(q.norms_a, scale * np.array(p.norms_a), rtol=1e-14)
+        got, trace = solvers.augmented_newton(nep.NepView(q), 0.3, np.ones(q.n), cfg)
+        assert trace.converged and trace.iterations == ref.iterations, scale
+        assert abs(got.lam - want.lam) <= 1e-12 * abs(want.lam), scale
+
+
 def test_newton_takes_the_step_from_a_refused_iterate(monkeypatch):
     # a solve at iterate k >= 1 that proves M(lam_k) singular still gives
     # the inverse-iteration direction: the step is taken and its iterate
